@@ -7,18 +7,19 @@ buffer-conscious query scheduling over a modeled disk.
 """
 
 from .baselines import (BordaConfig, GroundTruth, borda_aggregate, exact_knn_objects,
-                        full_ranking, load_ground_truth, point_knn_c2lsh,
-                        point_knn_linear, save_ground_truth)
+                        full_ranking, ground_truth_key, load_ground_truth,
+                        point_knn_c2lsh, point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, BufferState, CostModel, FrequencyProfile,
                         SchedulerConfig, access_bucket, build_frequency_profile,
                         evict_lru, evict_mmlsh, schedule_ns1, schedule_ns2,
                         split_queries, write_trace)
 from .engine import (QueryResult, QueryStats, check_t1, check_t2, count_collisions,
                      gamma_min_bound, knn_objects)
-from .errors import FeatureFileError, IndexFileError, ObjectMapError, ParameterError
+from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,
+                     ObjectMapError, ParameterError)
 from .lsh import (DEFAULT_C, DEFAULT_W, HashFunction, LshIndex, LshParams,
                   build_index, collision_probability, derive_params, hash_point,
-                  load_index, save_index)
+                  level_cap, load_index, save_index)
 from .model import (Dataset, FeatureVector, MultimediaObject, QueryObject,
                     build_dataset, load_feature_file, load_object_map,
                     synth_dataset, write_feature_file)

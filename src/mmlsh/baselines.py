@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
-from .lsh import LshIndex
+from .lsh import LshIndex, level_cap
 from .model import Dataset, QueryObject
 from .similarity import gamma_distance
 
@@ -32,6 +32,9 @@ class BordaConfig:
     def __post_init__(self):
         if not 1 <= self.k <= self.k_prime:
             raise ParameterError(f"need k_prime >= k >= 1, got k'={self.k_prime}, k={self.k}")
+
+
+_KEY_PREFIX = "# key: "  # first line of a keyed ground-truth cache
 
 
 @dataclass
@@ -72,14 +75,15 @@ def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
 
 
 def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
-                    beta_n: float | None = None, max_levels: int = 62,
+                    beta_n: float | None = None, max_levels: int | None = None,
                     buffer=None, stats=None):
     """Approximate top-k' points by collision counting with virtual rehashing.
 
     Point-level analog of the object search: a point becomes a candidate once
     its collision count reaches l; the scan stops when k' candidates are
     verified within c*R at a level start, or when k' + beta*n candidates
-    exist. Returns ((point_id, dist) list, complete flag).
+    exist, or after `max_levels` levels (default: `level_cap(c)`). Returns
+    ((point_id, dist) list, complete flag).
 
     When a BufferState and a QueryStats are supplied, every level's bucket
     range is pulled through the buffer under LRU so the baseline's modeled IO
@@ -91,6 +95,8 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     params = index.params
     n = index.n
     allowed_fp = beta_n if beta_n is not None else params.beta * n
+    if max_levels is None:
+        max_levels = level_cap(params.c)
     counts = np.zeros(n, dtype=np.int32)
     q_base = index.hash_query(q)
     lo_cov = np.full(index.m, np.iinfo(np.int64).max, dtype=np.int64)
@@ -186,9 +192,15 @@ def borda_aggregate(per_point_rankings, dataset: Dataset, k: int, k_prime: int |
     return ranked[:k]
 
 
-def save_ground_truth(truths: list, path) -> None:
-    """Persist exact rankings as `query_object_id,rank,object_id,gamma_distance`."""
+def save_ground_truth(truths: list, path, key: str | None = None) -> None:
+    """Persist exact rankings as `query_object_id,rank,object_id,gamma_distance`.
+
+    A `key` naming what the rankings were computed for is written as a
+    leading `# key: ...` comment line; `ground_truth_key` reads it back.
+    """
     with open(path, "w", newline="") as fh:
+        if key is not None:
+            fh.write(f"{_KEY_PREFIX}{key}\n")
         writer = csv.writer(fh)
         writer.writerow(["query_object_id", "rank", "object_id", "gamma_distance"])
         for gt in truths:
@@ -200,10 +212,17 @@ def load_ground_truth(path) -> dict:
     """Load a ground-truth cache back into {query_object_id: GroundTruth}."""
     by_query = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
         for row in reader:
             qid = int(row["query_object_id"])
             entry = by_query.setdefault(qid, GroundTruth(qid, [], []))
             entry.object_ids.append(int(row["object_id"]))
             entry.distances.append(float(row["gamma_distance"]))
     return by_query
+
+
+def ground_truth_key(path) -> str | None:
+    """The key a ground-truth cache was saved with, or None if it has none."""
+    with open(path, newline="") as fh:
+        first = fh.readline().rstrip("\n")
+    return first[len(_KEY_PREFIX):] if first.startswith(_KEY_PREFIX) else None

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import (borda_aggregate, full_ranking, load_ground_truth,
+from .baselines import (borda_aggregate, full_ranking, ground_truth_key, load_ground_truth,
                         point_knn_c2lsh, point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                         FrequencyProfile, SchedulerConfig, _MmlshEvictor,
@@ -119,13 +119,19 @@ def build_artifacts(cfg: RunConfig, dataset: Dataset):
 
 
 def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
-    """Load the exact-ranking cache, computing and saving it when absent."""
-    if os.path.exists(cfg.groundtruth_path):
+    """Load the exact-ranking cache, computing and saving it when absent or stale.
+
+    The cache is keyed on gamma and the dataset's fingerprint: a cache
+    written for another gamma or dataset is recomputed and overwritten.
+    """
+    key = f"gamma={cfg.gamma!r} dataset={dataset.fingerprint()}"
+    if (os.path.exists(cfg.groundtruth_path)
+            and ground_truth_key(cfg.groundtruth_path) == key):
         cached = load_ground_truth(cfg.groundtruth_path)
         if all(q.object_id in cached for q in queries):
             return cached
     truths = [full_ranking(q, dataset, cfg.gamma) for q in queries]
-    save_ground_truth(truths, cfg.groundtruth_path)
+    save_ground_truth(truths, cfg.groundtruth_path, key=key)
     return {gt.query_object_id: gt for gt in truths}
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -275,12 +277,21 @@ def split_queries(ranges, splits: int):
         width = hi - lo
         if width <= 0:
             continue
-        nseg = min(splits, width)
-        edges = lo + np.round(np.linspace(0, width, nseg + 1)).astype(int)
-        for s in range(nseg):
-            segments.append((qi, int(edges[s]), int(edges[s + 1])))
-    segments.sort(key=lambda seg: (seg[1], seg[0], seg[2]))
+        offsets = _split_offsets(width, splits)
+        segments.extend((qi, lo + a, lo + b) for a, b in zip(offsets, offsets[1:]))
+    segments.sort(key=itemgetter(1, 0, 2))
     return segments
+
+
+@lru_cache(maxsize=256)
+def _split_offsets(width: int, splits: int) -> tuple:
+    """Segment edges of a width-`width` range relative to its start.
+
+    A plan's ranges within one pass share the width R, so each
+    (width, splits) pair is computed once.
+    """
+    nseg = min(splits, width)
+    return tuple(np.round(np.linspace(0, width, nseg + 1)).astype(int).tolist())
 
 
 class FrequencyProfile:

@@ -14,10 +14,11 @@ from .bench import (RunConfig, build_artifacts, choose_queries, ensure_ground_tr
                     load_artifacts, load_dataset, run_borda_baselines,
                     run_buffer_sweep, run_mmlsh_queries, write_report)
 from .buffering import MMLSH, NS1, NS2
-from .errors import (FeatureFileError, IndexFileError, ObjectMapError, ParameterError)
+from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,
+                     ObjectMapError, ParameterError)
 
 DATA_ERRORS = (FeatureFileError, ObjectMapError, IndexFileError, ParameterError,
-               FileNotFoundError, ValueError)
+               NonFiniteCoordinateError, FileNotFoundError, ValueError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

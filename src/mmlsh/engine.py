@@ -29,7 +29,7 @@ from .buffering import (MMLSH, NS1, NS2, BufferState, SchedulerConfig, _MmlshEvi
                         POINT_ID_BYTES, access_bucket, evict_lru, schedule_ns1,
                         schedule_ns2, split_queries)
 from .errors import ParameterError
-from .lsh import LshIndex
+from .lsh import BUCKET_LIMIT, LshIndex, level_cap
 from .model import Dataset, QueryObject
 from .similarity import GammaParams, gamma_distance
 
@@ -40,8 +40,6 @@ DEFAULT_ALG_OP_COST_MS = 1e-6
 T1 = "T1"
 T2 = "T2"
 EXHAUSTED = "EXHAUSTED"
-
-_MAX_LEVELS = 62  # R = c**level must stay inside int64
 
 
 @dataclass
@@ -95,11 +93,17 @@ def gamma_min_bound(q_size: int, min_object_size: int, delta: float,
 
 
 class CollisionState:
-    """All mutable per-query search state: counts, collision indexes, coverage."""
+    """All mutable per-query search state: counts, collision indexes, coverage.
+
+    `counts[qi, row]` is the number of projections in which query point qi
+    and dataset point `row` have collided so far. A pair collides at most
+    once per projection, so counts never exceed m and are stored in the
+    narrowest unsigned dtype that holds m (uint8 up to m = 255, then uint16).
+    """
 
     def __init__(self, q_count: int, index: LshIndex, dataset: Dataset):
         self.q_count = q_count
-        self.counts = np.zeros((q_count, dataset.n), dtype=np.int32)
+        self.counts = np.zeros((q_count, dataset.n), dtype=np.min_scalar_type(index.m))
         self.qualifying_pairs = np.zeros(dataset.num_objects, dtype=np.int64)
         self.pair_totals = q_count * dataset.object_sizes
         # covered base-bucket interval per (query point, projection); empty at start
@@ -116,39 +120,49 @@ class CollisionState:
         return self.ci >= gparams.candidate_threshold
 
 
-def count_collisions(qi: int, q_bucket: int, g: int, R: int, index: LshIndex,
+def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
                      dataset: Dataset, state: CollisionState) -> int:
-    """Count new collisions for query point qi in projection g at level R.
+    """Count new collisions of every query point in projection g at level R.
 
-    The level-R bucket of the query is the base-bucket interval
-    [qb*R, qb*R + R); only the part not covered at earlier levels is counted,
-    which enforces the once-per-projection rule. Returns the increment count.
+    q_bucket_col holds the query points' base buckets in projection g. The
+    level-R bucket of query point qi is the base-bucket interval
+    [qb*R, qb*R + R) with qb = q_bucket_col[qi] // R; only the part not
+    covered at earlier levels is counted, which enforces the
+    once-per-projection rule and keeps counts within CollisionState's
+    narrow dtype. Afterwards `state.cov_lo[:, g]` / `cov_hi[:, g]` hold
+    each point's level-R interval. A pair reaching l collisions adds one
+    qualifying pair to its object. Returns the number of increments.
     """
-    qb = q_bucket if R == 1 else int(np.floor_divide(q_bucket, R))
-    lo, hi = qb * R, qb * R + R
-    old_lo, old_hi = int(state.cov_lo[qi, g]), int(state.cov_hi[qi, g])
-    if old_lo > old_hi:
-        segments = [(lo, hi)]
-    else:
-        segments = [(lo, old_lo), (old_hi, hi)]
-    l = index.params.l
+    q_count = len(q_bucket_col)
+    qb = q_bucket_col if R == 1 else np.floor_divide(q_bucket_col, R)
+    lo = qb * R
+    hi = lo + R
+    old_lo, old_hi = state.cov_lo[:, g], state.cov_hi[:, g]
+    fresh = old_lo > old_hi
+    # uncovered segments: [lo, old_lo) and [old_hi, hi), or all of [lo, hi)
+    # (with an empty second segment) for a point not yet covered
+    seg_lo = np.concatenate((lo, np.where(fresh, hi, old_hi)))
+    seg_hi = np.concatenate((np.where(fresh, hi, old_lo), hi))
+    bounds = np.searchsorted(index.buckets[g], np.concatenate((seg_lo, seg_hi)), side="left")
+    starts, stops = bounds[:2 * q_count], bounds[2 * q_count:]
+    nonempty = np.flatnonzero(stops > starts)
+
+    table = index.point_rows[g]
+    crossing_count = index.params.l - 1
+    owner = dataset.point_object_index
     incremented = 0
-    for s0, s1 in segments:
-        s0 = max(s0, int(index.bucket_lo[g]))
-        s1 = min(s1, int(index.bucket_hi[g]) + 1)
-        if s0 >= s1:
-            continue
-        rows = index.range_rows(g, s0, s1)
-        if rows.size == 0:
-            continue
-        current = state.counts[qi, rows]
-        crossing = rows[current == l - 1]
+    for j, i0, i1 in zip(nonempty.tolist(), starts[nonempty].tolist(),
+                         stops[nonempty].tolist()):
+        rows = table[i0:i1]
+        row = state.counts[j % q_count]
+        current = row[rows]
+        crossing = rows[current == crossing_count]
         if crossing.size:
-            np.add.at(state.qualifying_pairs, dataset.point_object_index[crossing], 1)
-        state.counts[qi, rows] = current + 1
-        incremented += rows.size
-    state.cov_lo[qi, g] = lo
-    state.cov_hi[qi, g] = hi
+            np.add.at(state.qualifying_pairs, owner[crossing], 1)
+        row[rows] = current + 1
+        incremented += i1 - i0
+    state.cov_lo[:, g] = lo
+    state.cov_hi[:, g] = hi
     return incremented
 
 
@@ -269,11 +283,13 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             "results carry no approximation guarantee", stacklevel=2)
 
     c, m, S = index.params.c, index.params.m, dataset.num_objects
+    max_levels = level_cap(c)
     state = CollisionState(q_count, index, dataset)
     stats = QueryStats()
     coster = _PassCoster(scheduler, buffer, stats)
 
-    q_base = np.floor((query.coords.astype(np.float64) @ index.a.T + index.b) / index.params.w).astype(np.int64)
+    q_float = np.floor((query.coords.astype(np.float64) @ index.a.T + index.b) / index.params.w)
+    q_base = np.clip(q_float, -BUCKET_LIMIT, BUCKET_LIMIT).astype(np.int64)
 
     # reachable data range per (query point, projection): dyadic level-R
     # intervals [qb*R, qb*R + R) always stay on one side of bucket 0, so a
@@ -319,22 +335,22 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         covered = (reach_lo >= reach_hi) | (
             (state.cov_lo <= reach_lo) & (state.cov_hi >= reach_hi))
         exhausted = bool(np.all(covered))
-        if exhausted or levels_done >= _MAX_LEVELS:
+        if exhausted or levels_done >= max_levels:
             cl = int(np.count_nonzero(state.candidate_mask(gparams)))
             if cl >= k:
                 return finish(T2, levels_done)
             return finish(EXHAUSTED, levels_done, complete=False)
 
         for g in range(m):
-            qb = q_base[:, g] if R == 1 else np.floor_divide(q_base[:, g], R)
-            ranges = [(qi, int(qb[qi]) * R, int(qb[qi]) * R + R) for qi in range(q_count)]
+            inc = count_collisions(q_base[:, g], g, R, index, dataset, state)
+            stats.collision_increments += inc
+            stats.alg_ops += inc
+            # counting left every point's level interval as its coverage
+            ranges = list(zip(range(q_count), state.cov_lo[:, g].tolist(),
+                              state.cov_hi[:, g].tolist()))
             if plan is not None:
-                plan.append((g, R, list(ranges)))
+                plan.append((g, R, ranges))
             coster.run(index, g, R, ranges)
-            for qi in range(q_count):
-                inc = count_collisions(qi, int(q_base[qi, g]), g, R, index, dataset, state)
-                stats.collision_increments += inc
-                stats.alg_ops += inc
             # T1 barrier after each projection pass (strategy independent)
             cl_count = int(np.count_nonzero(state.candidate_mask(gparams)))
             if check_t1(cl_count, k, gparams.beta, S):

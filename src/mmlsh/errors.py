@@ -15,3 +15,7 @@ class ParameterError(ValueError):
 
 class IndexFileError(ValueError):
     """Raised when an index file fails validation (bad magic, version, or checksum)."""
+
+
+class NonFiniteCoordinateError(ValueError):
+    """Raised when a feature point has a NaN or infinite coordinate."""

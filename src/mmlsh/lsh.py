@@ -24,6 +24,10 @@ from .model import Dataset
 DEFAULT_W = 2.184
 DEFAULT_C = 2
 
+# Query base buckets are clamped to +-BUCKET_LIMIT and level widths R stay
+# below it (see level_cap), so level intervals [qb*R, qb*R + R) fit in int64.
+BUCKET_LIMIT = 2 ** 62
+
 _MAGIC = b"MMLSHIX1"
 _VERSION = 1
 
@@ -97,6 +101,17 @@ def derive_params(delta: float, beta: float, c: int = DEFAULT_C, w: float = DEFA
     l = math.ceil(alpha * m)
     return LshParams(c=int(c), w=float(w), delta=float(delta), beta=float(beta),
                      p1=p1, p2=p2, z=z, m=int(m), l=int(l))
+
+
+def level_cap(c: int) -> int:
+    """Number of levels a search may run: the largest L with c**L <= 2**62.
+
+    Levels use R = 1, c, ..., c**(L-1) <= 2**61; for c = 2 this is 62 levels.
+    """
+    levels = 0
+    while c ** (levels + 1) <= BUCKET_LIMIT:
+        levels += 1
+    return levels
 
 
 def hash_point(fn: HashFunction, coords) -> int:

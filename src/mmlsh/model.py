@@ -10,11 +10,12 @@ carry no object information.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FeatureFileError, ObjectMapError
+from .errors import FeatureFileError, NonFiniteCoordinateError, ObjectMapError
 
 UNMAPPED = -1
 
@@ -78,6 +79,9 @@ class Dataset:
 
         self._row_of = {p.point_id: i for i, p in enumerate(points)}
         self.coords = np.stack([p.coords for p in points]) if n else np.empty((0, dimension), np.float32)
+        bad = _first_non_finite(self.coords)
+        if bad is not None:
+            raise NonFiniteCoordinateError(f"point {points[bad].point_id} has a non-finite coordinate")
         self.object_ids = np.array([o.object_id for o in self.objects], dtype=np.int64)
         self._obj_rank = {oid: j for j, oid in enumerate(self.object_ids)}
         # dense object index per point row, for fast per-object aggregation
@@ -103,6 +107,13 @@ class Dataset:
     def point_row(self, point_id: int) -> int:
         return self._row_of[point_id]
 
+    def fingerprint(self) -> str:
+        """sha256 over the coordinates and each point's object id, in row order."""
+        h = hashlib.sha256(repr(self.coords.shape).encode())
+        h.update(np.ascontiguousarray(self.coords, dtype="<f4").tobytes())
+        h.update(np.ascontiguousarray(self.object_ids[self.point_object_index], dtype="<i8").tobytes())
+        return h.hexdigest()
+
 
 @dataclass
 class QueryObject:
@@ -119,6 +130,10 @@ class QueryObject:
         if len(dims) != 1:
             raise ValueError(f"query points disagree on dimension: {sorted(dims)}")
         self.coords = np.stack([p.coords for p in self.points])
+        bad = _first_non_finite(self.coords)
+        if bad is not None:
+            raise NonFiniteCoordinateError(
+                f"query point {self.points[bad].point_id} has a non-finite coordinate")
 
     @classmethod
     def from_object(cls, dataset: Dataset, object_id: int) -> "QueryObject":
@@ -127,11 +142,20 @@ class QueryObject:
         return cls(object_id=object_id, points=pts)
 
 
+def _first_non_finite(coords: np.ndarray) -> int | None:
+    """Row index of the first row holding a NaN or infinity, or None."""
+    finite = np.isfinite(coords)
+    if finite.all():  # a flat reduction is several times faster than a per-row one
+        return None
+    return int(np.flatnonzero(~finite.all(axis=1))[0])
+
+
 def load_feature_file(path) -> list[FeatureVector]:
     """Load a binary vector file into FeatureVectors with sequential point ids.
 
     Every record must declare the same dimension as the first one; the first
-    record that disagrees (or is truncated) is reported by index.
+    record that disagrees (or is truncated, or holds a NaN or infinity) is
+    reported by index.
     """
     raw = np.fromfile(path, dtype="<i4")
     if raw.size == 0:
@@ -155,6 +179,9 @@ def load_feature_file(path) -> list[FeatureVector]:
             f"record {int(bad[0])} malformed (declared dim {int(table[bad[0], 0])}, expected {d})"
         )
     coords = table[:, 1:].copy().view("<f4")
+    bad = _first_non_finite(coords)
+    if bad is not None:
+        raise NonFiniteCoordinateError(f"record {bad} has a non-finite coordinate")
     return [FeatureVector(point_id=i, object_id=UNMAPPED, coords=coords[i]) for i in range(len(table))]
 
 

@@ -6,7 +6,9 @@ import pytest
 
 import mmlsh.bench as bench
 import mmlsh.cli as cli
+from mmlsh.baselines import full_ranking
 from mmlsh.bench import RunConfig, aggregate, choose_queries, ensure_ground_truth
+from mmlsh.model import write_feature_file
 
 
 def tiny_config(tmp_path, **overrides) -> RunConfig:
@@ -114,6 +116,23 @@ class TestRuns:
         again = ensure_ground_truth(cfg, ds, queries)
         assert set(again) == set(truth)
 
+    def test_groundtruth_cache_recomputed_for_other_gamma(self, tmp_path):
+        cfg, ds, index, profile, queries, truth = prepared(tmp_path, gamma=0.3)
+        cfg9 = tiny_config(tmp_path, gamma=0.9)
+        again = ensure_ground_truth(cfg9, ds, queries)
+        for q in queries:
+            expected = full_ranking(q, ds, 0.9)
+            assert again[q.object_id].object_ids == expected.object_ids
+            assert again[q.object_id].distances == expected.distances
+
+    def test_groundtruth_cache_recomputed_for_other_dataset(self, tmp_path):
+        cfg, ds, index, profile, queries, truth = prepared(tmp_path)
+        other = bench.load_dataset(tiny_config(tmp_path, seed=2))
+        again = ensure_ground_truth(cfg, other, queries)
+        for q in queries:
+            expected = full_ranking(q, other, cfg.gamma)
+            assert again[q.object_id].distances == expected.distances
+
     def test_rebuild_same_seed_identical_artifacts(self, tmp_path):
         cfg = tiny_config(tmp_path)
         ds = bench.load_dataset(cfg)
@@ -175,6 +194,17 @@ class TestCli:
                                     "--object-map", str(tmp_path / "missing.csv")]
         assert cli.main(["build"] + args) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_vectors_exit_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        coords = np.zeros((4, 2), dtype=np.float32)
+        coords[3, 1] = np.nan
+        write_feature_file(tmp_path / "v.fvecs", coords)
+        (tmp_path / "map.csv").write_text("point_id,object_id\n0,0\n1,0\n2,1\n3,1\n")
+        args = self._common(cfg) + ["--vectors", str(tmp_path / "v.fvecs"),
+                                    "--object-map", str(tmp_path / "map.csv")]
+        assert cli.main(["build"] + args) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_groundtruth_verb(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

@@ -182,6 +182,20 @@ class TestScheduling:
                 assert mine[0][1] == lo and mine[-1][2] == hi
                 assert all(a[2] == b[1] for a, b in zip(mine, mine[1:]))  # no gaps
 
+    def test_split_edges_follow_linspace(self):
+        # ranges of one width share their offsets; the edges must still be
+        # the rounded linspace cut of every range
+        ranges = [(0, 0, 8), (1, 5, 13), (2, -16, -8), (3, 3, 6), (4, 7, 7)]
+        for splits in (1, 3, 5, 20):
+            expected = []
+            for qi, lo, hi in ranges:
+                if hi > lo:
+                    nseg = min(splits, hi - lo)
+                    edges = lo + np.round(np.linspace(0, hi - lo, nseg + 1)).astype(int)
+                    expected += [(qi, int(a), int(b)) for a, b in zip(edges, edges[1:])]
+            expected.sort(key=lambda seg: (seg[1], seg[0], seg[2]))
+            assert split_queries(ranges, splits) == expected
+
     def test_split_one_equals_ns1_plan(self):
         ranges = [(0, 3, 9), (1, 1, 7), (2, 5, 11)]
         assert split_queries(ranges, 1) == schedule_ns1(ranges)

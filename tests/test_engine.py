@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmlsh
 from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, CostModel, SchedulerConfig
@@ -9,7 +11,7 @@ from mmlsh.errors import ParameterError
 
 
 def run_all_collisions(query, index, dataset, levels):
-    """Drive count_collisions over every projection for levels 1, c, c^2, ..."""
+    """Drive count_collisions over every projection pass for levels 1, c, c^2, ..."""
     state = CollisionState(len(query.points), index, dataset)
     q_base = np.floor(
         (query.coords.astype(np.float64) @ index.a.T + index.b) / index.params.w
@@ -18,8 +20,7 @@ def run_all_collisions(query, index, dataset, levels):
     for i in range(levels):
         R = c ** i
         for g in range(index.m):
-            for qi in range(len(query.points)):
-                count_collisions(qi, int(q_base[qi, g]), g, R, index, dataset, state)
+            count_collisions(q_base[:, g], g, R, index, dataset, state)
     return state, q_base
 
 
@@ -66,6 +67,50 @@ class TestCountCollisions:
             rows = np.nonzero(small_dataset.point_object_index == j)[0]
             expected[j] = int(np.count_nonzero(state.counts[:, rows] >= l))
         assert np.array_equal(state.qualifying_pairs, expected)
+
+
+class TestPassKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), objects=st.integers(1, 6),
+           points=st.integers(1, 5), d=st.integers(1, 4), q_size=st.integers(1, 4),
+           c=st.sampled_from([2, 3]), levels=st.integers(1, 10),
+           spread=st.floats(0.05, 3.0))
+    def test_counts_match_brute_force(self, seed, objects, points, d, q_size, c,
+                                      levels, spread):
+        ds = mmlsh.synth_dataset(objects, points, d, spread, seed)
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed)
+        rng = np.random.default_rng(seed)
+        coords = rng.normal(0.0, 1.5, size=(q_size, d)).astype(np.float32)
+        q = mmlsh.QueryObject(object_id=-1, points=[
+            mmlsh.FeatureVector(point_id=i, object_id=-1, coords=row)
+            for i, row in enumerate(coords)])
+        state, q_base = run_all_collisions(q, index, ds, levels)
+
+        assert state.counts.dtype == np.min_scalar_type(index.m)
+        assert state.counts.max() <= index.m
+        R = c ** (levels - 1)
+        assert np.array_equal(state.counts, brute_counts(q_base, index, R))
+        l = index.params.l
+        expected = [int(np.count_nonzero(state.counts[:, ds.point_object_index == j] >= l))
+                    for j in range(ds.num_objects)]
+        assert state.qualifying_pairs.tolist() == expected
+
+
+class TestLevelCap:
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_far_query_stops_at_the_cap(self, c):
+        # a query whose buckets lie near the int64 limit never reaches the
+        # data, so the search runs every level the cap allows
+        ds = mmlsh.synth_dataset(S=10, points_per_object=4, d=1, cluster_spread=0.1, seed=5)
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed=5)
+        x = 6e18 * index.params.w / float(np.abs(index.a).max())
+        q = mmlsh.QueryObject(object_id=0, points=[
+            mmlsh.FeatureVector(point_id=0, object_id=0, coords=np.array([x], np.float32))])
+        gp = mmlsh.GammaParams(gamma=0.5, delta=0.25, beta=0.5, epsilon=0.5)
+        res = mmlsh.knn_objects(q, 1, index, ds, gp)
+        assert (res.stop_condition, res.levels_used) == (EXHAUSTED, mmlsh.level_cap(c))
+        ranking, _complete = mmlsh.point_knn_c2lsh(q.coords[0], index, ds, 3)
+        assert len(ranking) <= 3
 
 
 class TestStoppingConditions:

@@ -153,6 +153,16 @@ class TestBuildIndex:
         assert abs(rate - p1) <= 3 * stderr
 
 
+class TestLevelCap:
+    def test_c2_keeps_62_levels(self):
+        assert mmlsh.level_cap(2) == 62
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 5, 7, 10, 1000])
+    def test_widest_level_fits(self, c):
+        levels = mmlsh.level_cap(c)
+        assert c ** levels <= 2 ** 62 < c ** (levels + 1)
+
+
 class TestPersistence:
     def test_roundtrip_identity(self, small_index, tmp_path):
         path = tmp_path / "idx.bin"

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.distance import pdist, cdist
 
 import mmlsh
-from mmlsh.errors import FeatureFileError, ObjectMapError
+from mmlsh.errors import FeatureFileError, NonFiniteCoordinateError, ObjectMapError
 
 
 def _write_raw(path, records):
@@ -29,6 +29,30 @@ def test_load_dim_mismatch_names_record(tmp_path):
     _write_raw(path, [(2, 0.0, 1.0), (3, 1.0, 2.0, 3.0)])
     with pytest.raises(FeatureFileError, match="record 1"):
         mmlsh.load_feature_file(path)
+
+
+def test_load_non_finite_names_record(tmp_path):
+    path = tmp_path / "nan.fvecs"
+    _write_raw(path, [(2, 0.0, 1.0), (2, float("nan"), 4.0), (2, float("inf"), 0.0)])
+    with pytest.raises(NonFiniteCoordinateError, match="record 1"):
+        mmlsh.load_feature_file(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_dataset_rejects_non_finite(bad):
+    points = [mmlsh.FeatureVector(point_id=i, object_id=0, coords=[0.0, float(i)])
+              for i in range(3)]
+    points[2] = mmlsh.FeatureVector(point_id=2, object_id=0, coords=[bad, 1.0])
+    with pytest.raises(NonFiniteCoordinateError, match="point 2"):
+        mmlsh.build_dataset(points, {i: 0 for i in range(3)})
+
+
+def test_query_rejects_non_finite():
+    points = [mmlsh.FeatureVector(point_id=i, object_id=0, coords=[0.0, 1.0])
+              for i in range(2)]
+    points.append(mmlsh.FeatureVector(point_id=7, object_id=0, coords=[0.0, float("nan")]))
+    with pytest.raises(NonFiniteCoordinateError, match="query point 7"):
+        mmlsh.QueryObject(object_id=0, points=points)
 
 
 def test_load_empty_file(tmp_path):
