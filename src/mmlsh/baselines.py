@@ -76,7 +76,7 @@ def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
 
 def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
                     beta_n: float | None = None, max_levels: int | None = None,
-                    buffer=None, stats=None):
+                    stats=None, plan: list | None = None):
     """Approximate top-k' points by collision counting with virtual rehashing.
 
     Point-level analog of the object search: a point becomes a candidate once
@@ -85,12 +85,11 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     exist, or after `max_levels` levels (default: `level_cap(c)`). Returns
     ((point_id, dist) list, complete flag).
 
-    When a BufferState and a QueryStats are supplied, every level's bucket
-    range is pulled through the buffer under LRU so the baseline's modeled IO
-    is comparable to the object engine's.
+    A QueryStats collects collision increments and algorithm operations. A
+    `plan` list collects every executed pass as (projection, level,
+    [(0, lo, hi)]), the shape `knn_objects` records, so `bench.replay_plans`
+    can charge the baseline's modeled IO like the object engine's.
     """
-    from .buffering import POINT_ID_BYTES, access_bucket  # local to avoid a cycle
-
     q = np.asarray(q_coords, dtype=np.float64)
     params = index.params
     n = index.n
@@ -131,25 +130,8 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
         for g in range(index.m):
             qb = int(np.floor_divide(q_base[g], R))
             lo, hi = qb * R, qb * R + R
-            if buffer is not None:
-                blo = max(lo, int(index.bucket_lo[g]))
-                bhi = min(hi, int(index.bucket_hi[g]) + 1)
-                if blo < bhi:
-                    sizes = index.bucket_sizes(g, blo, bhi)
-                    for off, bucket in enumerate(range(blo, bhi)):
-                        size = int(sizes[off]) * POINT_ID_BYTES
-                        if not size:
-                            continue
-                        hit, ms = access_bucket((g, R, bucket), size, buffer)
-                        if stats is not None:
-                            stats.buckets_read += 1
-                            stats.index_io_ms += ms
-                            if hit:
-                                stats.buffer_hits += 1
-                            else:
-                                stats.buffer_misses += 1
-                                stats.bytes_read += size
-                                stats.seeks += 1
+            if plan is not None:
+                plan.append((g, R, [(0, lo, hi)]))
             if lo_cov[g] > hi_cov[g]:
                 segments = [(lo, hi)]
             else:

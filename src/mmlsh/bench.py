@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .engine import DEFAULT_ALG_OP_COST_MS, QueryStats, knn_objects
 from .errors import ParameterError
 from .lsh import DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, save_index
 from .model import Dataset, QueryObject, load_feature_file, load_object_map, synth_dataset
-from .similarity import GammaParams, object_ratio
+from .similarity import GammaParams, gamma_distance, object_ratio
 
 MB = 1_000_000
 
@@ -135,11 +136,6 @@ def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
     return {gt.query_object_id: gt for gt in truths}
 
 
-def _ratio_against_truth(returned_dists, truth, k):
-    value, flagged = object_ratio(returned_dists, truth.distances[:k])
-    return value, flagged
-
-
 def _row(query, method, strategy, buffer_mb, k_prime, ratio, flagged, stats: QueryStats,
          stop="", levels=0, wall_ms=0.0):
     return {
@@ -161,18 +157,6 @@ def _row(query, method, strategy, buffer_mb, k_prime, ratio, flagged, stats: Que
     }
 
 
-def _bucket_size_fn(index, g: int):
-    lo_g, hi_g = int(index.bucket_lo[g]), int(index.bucket_hi[g])
-    sizes = index.bucket_sizes(g, lo_g, hi_g + 1)
-
-    def size_of(bucket: int) -> int:
-        if bucket < lo_g or bucket > hi_g:
-            return 0
-        return int(sizes[bucket - lo_g]) * POINT_ID_BYTES
-
-    return size_of
-
-
 def _charge(stats: QueryStats, buffer: BufferState, key, size: int, evict) -> None:
     hit, ms = access_bucket(key, size, buffer, evict)
     stats.buckets_read += 1
@@ -185,47 +169,65 @@ def _charge(stats: QueryStats, buffer: BufferState, key, size: int, evict) -> No
         stats.seeks += 1
 
 
+def _occupied(index, g: int, ranges, lists: dict):
+    """Projection g's occupied ids and byte sizes, and each range as a slice of them.
+
+    Returns (ids, sizes, slices): the occupied ids in ascending order and
+    their sizes in bytes, as lists kept in `lists` for the rest of the
+    replay, and per range (query, i0, i1) such that ids[i0:i1] are the
+    occupied ids in its [lo, hi).
+    """
+    if g not in lists:
+        ids, counts = index.occupied_buckets(g)
+        lists[g] = (ids.tolist(), (counts * POINT_ID_BYTES).tolist())
+    ids, sizes = lists[g]
+    return ids, sizes, [(qi, bisect_left(ids, lo), bisect_left(ids, hi)) for qi, lo, hi in ranges]
+
+
 def replay_plans(strategy: str, plans, index, buffer: BufferState,
                  stats_list, scheduler: SchedulerConfig) -> None:
     """Charge modeled IO for recorded query plans under one strategy.
 
-    plans[i] is the pass list knn_objects recorded for query i; stats_list[i]
-    is mutated in place. NS1 and MMLSH execute queries one after another; NS2
-    batches the whole set, reading each distinct useful bucket once per
-    (level, projection) pass and checking every batched query against it.
+    This is the one place that pulls index buckets through a buffer.
+    plans[i] is the pass list `knn_objects` (or `point_knn_c2lsh`) recorded
+    for query i; stats_list[i] is mutated in place: IO counters, plus the
+    strategy's extra work in `alg_ops`. `alg_ms` is left to the caller,
+    which derives it from `alg_ops`. NS1 and MMLSH execute queries one after
+    another; NS2 batches the whole set, reading each distinct useful bucket
+    once per (level, projection) pass and checking every batched query
+    against it. Only occupied buckets are visited, in ascending order.
     """
+    lists: dict = {}
     if strategy == NS2:
-        _replay_ns2_batch(plans, index, buffer, stats_list)
+        _replay_ns2_batch(plans, index, buffer, stats_list, lists)
         return
-    evictor = evict_lru
-    if strategy == MMLSH:
-        evictor = _MmlshEvictor(scheduler, scheduler.profile)
+    mmlsh = strategy == MMLSH
+    evictor = _MmlshEvictor(scheduler, scheduler.profile) if mmlsh else evict_lru
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
-            size_of = _bucket_size_fn(index, g)
-            if strategy == NS1:
-                for _qi, lo, hi in schedule_ns1(ranges):
-                    for bucket in range(lo, hi):
-                        size = size_of(bucket)
-                        if size:
-                            _charge(stats, buffer, (g, R, bucket), size, evict_lru)
+            if mmlsh:
+                segments = split_queries(ranges, scheduler.query_splits)
+                stats.alg_ops += len(segments)  # segment dispatch overhead
             else:
-                for _qi, lo, hi in split_queries(ranges, scheduler.query_splits):
-                    stats.alg_ops += 1  # segment dispatch overhead
-                    for bucket in range(lo, hi):
-                        size = size_of(bucket)
-                        if not size:
-                            continue
-                        evictor.current_bucket = (g, R, bucket)
-                        _charge(stats, buffer, (g, R, bucket), size, evictor)
-                        buffer.note_use((g, R, bucket))
+                segments = schedule_ns1(ranges)
+            ids, sizes, slices = _occupied(index, g, segments, lists)
+            for _qi, i0, i1 in slices:
+                for bucket, size in zip(ids[i0:i1], sizes[i0:i1]):
+                    key = (g, R, bucket)
+                    if mmlsh:
+                        evictor.current_bucket = key
+                    _charge(stats, buffer, key, size, evictor)
+                    if mmlsh:
+                        buffer.note_use(key)
 
 
-def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:
+def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list, lists: dict) -> None:
     """Batched per-bucket execution across all queries (NS2 semantics).
 
     Each bucket's read is billed to its first consumer; every query range in
-    the pass pays one membership-check operation per bucket read.
+    the pass pays one membership-check operation per bucket read. Buckets
+    are scheduled by their position among the occupied ids, which orders
+    them as their ids do.
     """
     passes: dict[tuple, list] = {}
     for query_idx, plan in enumerate(plans):
@@ -234,14 +236,12 @@ def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:
                 (query_idx, lo, hi) for _qi, lo, hi in ranges)
     for (R, g) in sorted(passes):
         ranges = passes[(R, g)]
-        size_of = _bucket_size_fn(index, g)
-        for bucket, consumers in schedule_ns2(ranges):
-            size = size_of(bucket)
-            if not size:
-                continue
-            _charge(stats_list[consumers[0]], buffer, (g, R, bucket), size, evict_lru)
-            for query_idx, _lo, _hi in ranges:
-                stats_list[query_idx].alg_ops += 1
+        ids, sizes, slices = _occupied(index, g, ranges, lists)
+        schedule = schedule_ns2(slices)
+        for i, consumers in schedule:
+            _charge(stats_list[consumers[0]], buffer, (g, R, ids[i]), sizes[i], evict_lru)
+        for query_idx, _lo, _hi in ranges:
+            stats_list[query_idx].alg_ops += len(schedule)
 
 
 def record_query_plans(cfg: RunConfig, dataset, index, queries) -> tuple[list, list, list]:
@@ -270,8 +270,8 @@ def rows_from_results(cfg: RunConfig, queries, results, walls, truth,
     for q, res, wall_ms in zip(queries, results, walls):
         res.stats.alg_ms = res.stats.alg_ops * cfg.alg_op_cost_ms
         k_eff = min(cfg.k, len(res.top_k))
-        ratio, flagged = _ratio_against_truth([d for _, d in res.top_k[:k_eff]],
-                                              truth[q.object_id], k_eff)
+        ratio, flagged = object_ratio([d for _, d in res.top_k[:k_eff]],
+                                      truth[q.object_id].distances[:k_eff])
         rows.append(_row(q, "mmLSH", strategy, buffer_mb, "", ratio, flagged,
                          res.stats, res.stop_condition, res.levels_used, wall_ms))
     return rows
@@ -294,10 +294,7 @@ def run_mmlsh_queries(cfg: RunConfig, dataset, index, queries, truth,
 
 def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[dict]:
     """LinearSearch-Borda and C2LSH-Borda rows for every configured k'."""
-    from .similarity import gamma_distance
-
     rows = []
-    gparams = cfg.gamma_params(dataset.num_objects)
     for k_prime in cfg.k_primes:
         if k_prime < cfg.k:
             continue
@@ -311,26 +308,24 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
             stats.alg_ms = stats.alg_ops * cfg.alg_op_cost_ms
             dists = [gamma_distance(q.coords, dataset.object_coords(oid), cfg.gamma)
                      for oid, _ in top]
-            k_eff = len(top)
-            ratio, flagged = _ratio_against_truth(dists, truth[q.object_id], k_eff)
+            ratio, flagged = object_ratio(dists, truth[q.object_id].distances[:len(top)])
             rows.append(_row(q, "Linear-Borda", "", "", k_prime, ratio, flagged,
                              stats, wall_ms=wall_ms))
 
             t0 = time.perf_counter()
             stats = QueryStats()
-            buffer = BufferState(int(cfg.buffer_mb * MB), CostModel())
-            rankings = []
-            for p in q.points:
-                ranking, _complete = point_knn_c2lsh(p.coords, index, dataset, k_prime,
-                                                     buffer=buffer, stats=stats)
-                rankings.append(ranking)
+            plan: list = []
+            rankings = [point_knn_c2lsh(p.coords, index, dataset, k_prime,
+                                        stats=stats, plan=plan)[0] for p in q.points]
+            # the query object's point searches share one buffer, read in order
+            replay_plans(NS1, [plan], index, BufferState(int(cfg.buffer_mb * MB), CostModel()),
+                         [stats], SchedulerConfig(strategy=NS1))
             top = borda_aggregate(rankings, dataset, cfg.k, k_prime)
             wall_ms = (time.perf_counter() - t0) * 1e3
             stats.alg_ms = stats.alg_ops * cfg.alg_op_cost_ms
             dists = [gamma_distance(q.coords, dataset.object_coords(oid), cfg.gamma)
                      for oid, _ in top]
-            k_eff = len(top)
-            ratio, flagged = _ratio_against_truth(dists, truth[q.object_id], k_eff)
+            ratio, flagged = object_ratio(dists, truth[q.object_id].distances[:len(top)])
             rows.append(_row(q, "C2LSH-Borda", NS1, cfg.buffer_mb, k_prime, ratio,
                              flagged, stats, wall_ms=wall_ms))
     return rows

@@ -59,16 +59,6 @@ class IoStats:
     evictions: int = 0
     io_ms: float = 0.0
 
-    def snapshot(self) -> "IoStats":
-        return IoStats(self.seeks, self.bytes_read, self.buffer_hits,
-                       self.buffer_misses, self.evictions, self.io_ms)
-
-    def delta(self, start: "IoStats") -> "IoStats":
-        return IoStats(self.seeks - start.seeks, self.bytes_read - start.bytes_read,
-                       self.buffer_hits - start.buffer_hits,
-                       self.buffer_misses - start.buffer_misses,
-                       self.evictions - start.evictions, self.io_ms - start.io_ms)
-
 
 class _Entry:
     __slots__ = ("size_bytes", "insert_tick", "last_use_tick", "est_frequency")
@@ -334,7 +324,7 @@ def profile_footprint(index, dataset, num_queries: int, seed: int) -> np.ndarray
     coords = dataset.coords.astype(np.float64)
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     queries = rng.uniform(lo, hi, size=(num_queries, dataset.dimension))
-    return np.floor((queries @ index.a.T + index.b) / index.params.w).astype(np.int64)
+    return index.hash_query(queries)
 
 
 def build_frequency_profile(index, dataset, num_queries: int = 1000,
@@ -343,24 +333,23 @@ def build_frequency_profile(index, dataset, num_queries: int = 1000,
 
     The mean for a region is total landings in the region divided by the
     number of integer bucket slots the region spans; landings outside the
-    occupied bucket range of a projection are ignored.
+    occupied bucket range of a projection are ignored. Integer slot s lies
+    in region r when edges[r] <= s < edges[r + 1], that is, when
+    ceil(edges[r]) <= s < ceil(edges[r + 1]); so both counts come from the
+    region bounds alone, and nothing is sized by the bucket span.
     """
     if regions_per_projection < 1:
         raise ValueError("need at least one region")
-    footprint = profile_footprint(index, dataset, num_queries, seed)
+    landings = np.sort(profile_footprint(index, dataset, num_queries, seed).T, axis=1)
     m = index.m
     edges = np.empty((m, regions_per_projection + 1))
     means = np.zeros((m, regions_per_projection))
     for g in range(m):
         lo, hi = int(index.bucket_lo[g]), int(index.bucket_hi[g])
         edges[g] = np.linspace(lo, hi + 1, regions_per_projection + 1)
-        hits = footprint[:, g]
-        hits = hits[(hits >= lo) & (hits <= hi)]
-        counts = np.bincount(hits - lo, minlength=hi - lo + 1)
-        slots = np.arange(lo, hi + 1)
-        region = np.clip(np.searchsorted(edges[g], slots, side="right") - 1, 0, regions_per_projection - 1)
-        totals = np.bincount(region, weights=counts, minlength=regions_per_projection)
-        width = np.bincount(region, minlength=regions_per_projection)
+        cuts = np.ceil(edges[g]).astype(np.int64)
+        totals = np.diff(np.searchsorted(landings[g], cuts))
+        width = np.diff(cuts)
         nonzero = width > 0
         means[g, nonzero] = totals[nonzero] / width[nonzero]
     return FrequencyProfile(edges=edges, means=means)

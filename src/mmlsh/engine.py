@@ -8,13 +8,14 @@ collision index reaches (1 - epsilon) * gamma enter the candidate list, and
 the search stops when either
 
 * T1 — at least k + beta * S candidates exist (checked after each projection
-  pass, all scheduling strategies included), or
+  pass), or
 * T2 — at the start of a level, at least k candidates have exact object
   distance <= c * R.
 
-Bucket accesses are routed through the buffer simulation when a scheduler is
-supplied; scheduling changes cost statistics only, never the counts or the
-answer, because counting is applied at strategy-independent barriers.
+The search charges no IO. It records every executed (projection, level,
+ranges) pass in an optional plan, and `bench.replay_plans` charges that plan
+under a scheduling strategy and buffer afterwards, so the strategy changes
+the modeled cost only, never the counts or the answer.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buffering import (MMLSH, NS1, NS2, BufferState, SchedulerConfig, _MmlshEvictor,
-                        POINT_ID_BYTES, access_bucket, evict_lru, schedule_ns1,
-                        schedule_ns2, split_queries)
 from .errors import ParameterError
-from .lsh import BUCKET_LIMIT, LshIndex, level_cap
+from .lsh import LshIndex, level_cap
 from .model import Dataset, QueryObject
 from .similarity import GammaParams, gamma_distance
 
@@ -109,7 +107,6 @@ class CollisionState:
         # covered base-bucket interval per (query point, projection); empty at start
         self.cov_lo = np.full((q_count, index.m), np.iinfo(np.int64).max, dtype=np.int64)
         self.cov_hi = np.full((q_count, index.m), np.iinfo(np.int64).min, dtype=np.int64)
-        self.level = 1
         self.num_iter = 1
 
     @property
@@ -177,82 +174,8 @@ def check_t2(candidate_dists, k: int, c_radius: float) -> bool:
     return within >= k
 
 
-class _PassCoster:
-    """Executes one projection pass's bucket accesses under a strategy."""
-
-    def __init__(self, scheduler: SchedulerConfig | None, buffer: BufferState | None,
-                 stats: QueryStats):
-        self.scheduler = scheduler
-        self.buffer = buffer
-        self.stats = stats
-        self._mmlsh_evictor = None
-        if scheduler is not None and scheduler.strategy == MMLSH:
-            self._mmlsh_evictor = _MmlshEvictor(scheduler, scheduler.profile)
-
-    def run(self, index: LshIndex, g: int, R: int, ranges) -> None:
-        """ranges: (query index, lo, hi) full level intervals for projection g."""
-        if self.scheduler is None or self.buffer is None:
-            return
-        lo_all = min(r[1] for r in ranges)
-        hi_all = max(r[2] for r in ranges)
-        lo_all = max(lo_all, int(index.bucket_lo[g]))
-        hi_all = min(hi_all, int(index.bucket_hi[g]) + 1)
-        if lo_all >= hi_all:
-            return
-        sizes = index.bucket_sizes(g, lo_all, hi_all)
-
-        def size_of(bucket):
-            if bucket < lo_all or bucket >= hi_all:
-                return 0
-            return int(sizes[bucket - lo_all]) * POINT_ID_BYTES
-
-        strategy = self.scheduler.strategy
-        if strategy == NS1:
-            for qi, lo, hi in schedule_ns1(ranges):
-                self._access_range(g, R, lo, hi, size_of, evict_lru)
-        elif strategy == NS2:
-            q_total = len(ranges)
-            for bucket, consumers in schedule_ns2(ranges):
-                size = size_of(bucket)
-                if size:
-                    self._access_one(g, R, bucket, size, evict_lru)
-                    # per-bucket strategy must check every query for membership
-                    self.stats.alg_ops += q_total
-        else:  # MMLSH
-            evictor = self._mmlsh_evictor
-            for qi, lo, hi in split_queries(ranges, self.scheduler.query_splits):
-                self.stats.alg_ops += 1  # segment dispatch overhead
-                for bucket in range(lo, hi):
-                    size = size_of(bucket)
-                    if not size:
-                        continue
-                    evictor.current_bucket = (g, R, bucket)
-                    self._access_one(g, R, bucket, size, evictor)
-                    self.buffer.note_use((g, R, bucket))
-
-    def _access_range(self, g, R, lo, hi, size_of, evict):
-        for bucket in range(lo, hi):
-            size = size_of(bucket)
-            if size:
-                self._access_one(g, R, bucket, size, evict)
-
-    def _access_one(self, g, R, bucket, size, evict):
-        hit, ms = access_bucket((g, R, bucket), size, self.buffer, evict)
-        st = self.stats
-        st.buckets_read += 1
-        st.index_io_ms += ms
-        if hit:
-            st.buffer_hits += 1
-        else:
-            st.buffer_misses += 1
-            st.bytes_read += size
-            st.seeks += 1
-
-
 def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
-                gparams: GammaParams, scheduler: SchedulerConfig | None = None,
-                buffer: BufferState | None = None,
-                alg_op_cost_ms: float = DEFAULT_ALG_OP_COST_MS,
+                gparams: GammaParams, alg_op_cost_ms: float = DEFAULT_ALG_OP_COST_MS,
                 plan: list | None = None) -> QueryResult:
     """Top-k nearest neighbor objects by collision counting (Algorithm core).
 
@@ -263,10 +186,10 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     is exhausted before k candidates appear, the partial result is flagged.
 
     The exact object distance is only ever computed for candidates, never for
-    the full database. Supplying a scheduler plus a buffer turns on modeled
-    IO accounting; the answer itself is scheduler-independent. A `plan` list
-    collects every executed (projection, level, ranges) pass so costs can be
-    replayed later under a different strategy or buffer size.
+    the full database. The returned stats hold collision increments and
+    algorithm operations but no IO: a `plan` list collects every executed
+    (projection, level, ranges) pass, and `bench.replay_plans` charges it
+    under any strategy and buffer size.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -286,10 +209,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     max_levels = level_cap(c)
     state = CollisionState(q_count, index, dataset)
     stats = QueryStats()
-    coster = _PassCoster(scheduler, buffer, stats)
-
-    q_float = np.floor((query.coords.astype(np.float64) @ index.a.T + index.b) / index.params.w)
-    q_base = np.clip(q_float, -BUCKET_LIMIT, BUCKET_LIMIT).astype(np.int64)
+    q_base = index.hash_query(query.coords)
 
     # reachable data range per (query point, projection): dyadic level-R
     # intervals [qb*R, qb*R + R) always stay on one side of bucket 0, so a
@@ -345,13 +265,11 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             inc = count_collisions(q_base[:, g], g, R, index, dataset, state)
             stats.collision_increments += inc
             stats.alg_ops += inc
-            # counting left every point's level interval as its coverage
-            ranges = list(zip(range(q_count), state.cov_lo[:, g].tolist(),
-                              state.cov_hi[:, g].tolist()))
             if plan is not None:
-                plan.append((g, R, ranges))
-            coster.run(index, g, R, ranges)
-            # T1 barrier after each projection pass (strategy independent)
+                # counting left every point's level interval as its coverage
+                plan.append((g, R, list(zip(range(q_count), state.cov_lo[:, g].tolist(),
+                                            state.cov_hi[:, g].tolist()))))
+            # T1 barrier after each projection pass
             cl_count = int(np.count_nonzero(state.candidate_mask(gparams)))
             if check_t1(cl_count, k, gparams.beta, S):
                 return finish(T1, levels_done + 1)
@@ -359,4 +277,3 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         levels_done += 1
         R = c ** state.num_iter
         state.num_iter += 1
-        state.level = R

@@ -24,8 +24,9 @@ from .model import Dataset
 DEFAULT_W = 2.184
 DEFAULT_C = 2
 
-# Query base buckets are clamped to +-BUCKET_LIMIT and level widths R stay
-# below it (see level_cap), so level intervals [qb*R, qb*R + R) fit in int64.
+# Base buckets are clamped to +-BUCKET_LIMIT (see hash_points) and level
+# widths R stay below it (see level_cap), so level intervals
+# [qb*R, qb*R + R) fit in int64.
 BUCKET_LIMIT = 2 ** 62
 
 _MAGIC = b"MMLSHIX1"
@@ -114,6 +115,16 @@ def level_cap(c: int) -> int:
     return levels
 
 
+def hash_points(coords, a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
+    """Base buckets floor((X @ a.T + b) / w) of one point (d,) or of many (n, d).
+
+    Clamped to +-BUCKET_LIMIT before the int64 cast, so an extreme coordinate
+    lands in an edge bucket instead of wrapping around.
+    """
+    raw = np.floor((np.asarray(coords, dtype=np.float64) @ a.T + b) / w)
+    return np.clip(raw, -BUCKET_LIMIT, BUCKET_LIMIT, out=raw).astype(np.int64)
+
+
 def hash_point(fn: HashFunction, coords) -> int:
     """Base bucket id floor((a.x + b) / w); floors toward -inf for negatives."""
     x = np.asarray(coords, dtype=np.float64)
@@ -141,15 +152,15 @@ class LshIndex:
         self.m, self.n = buckets.shape
         self.bucket_lo = buckets[:, 0].copy() if self.n else np.zeros(self.m, np.int64)
         self.bucket_hi = buckets[:, -1].copy() if self.n else np.zeros(self.m, np.int64)
+        self._occupied = [None] * self.m
 
     @property
     def dimension(self) -> int:
         return self.a.shape[1]
 
     def hash_query(self, coords) -> np.ndarray:
-        """Base bucket ids of one point under all m projections."""
-        x = np.asarray(coords, dtype=np.float64)
-        return np.floor((self.a @ x + self.b) / self.params.w).astype(np.int64)
+        """Base bucket ids under all m projections: (m,) for one point, (n, m) for many."""
+        return hash_points(coords, self.a, self.b, self.params.w)
 
     def range_rows(self, g: int, lo: int, hi: int):
         """Dataset rows whose base bucket in projection g lies in [lo, hi)."""
@@ -163,6 +174,18 @@ class LshIndex:
         col = self.buckets[g]
         edges = np.searchsorted(col, np.arange(lo, hi + 1), side="left")
         return np.diff(edges)
+
+    def occupied_buckets(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Occupied base bucket ids of projection g, ascending, and their point counts.
+
+        Derived from the sorted table on first use and kept, so its size
+        follows the number of occupied buckets, never their id span.
+        """
+        if self._occupied[g] is None:
+            col = self.buckets[g]
+            starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+            self._occupied[g] = (col[starts], np.diff(np.append(starts, col.size)))
+        return self._occupied[g]
 
     def function(self, g: int) -> HashFunction:
         return HashFunction(a=self.a[g], b=float(self.b[g]), w=self.params.w)
@@ -185,7 +208,7 @@ def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:
         rng = np.random.default_rng(child)
         a[g] = rng.normal(0.0, 1.0, size=d)
         b[g] = rng.uniform(0.0, params.w)
-    raw = np.floor((data.coords.astype(np.float64) @ a.T + b) / params.w).astype(np.int64)  # (n, m)
+    raw = hash_points(data.coords, a, b, params.w)  # (n, m)
     buckets = np.empty((params.m, data.n), dtype=np.int64)
     point_rows = np.empty((params.m, data.n), dtype=np.int64)
     for g in range(params.m):

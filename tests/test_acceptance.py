@@ -14,7 +14,7 @@ import mmlsh
 from mmlsh import bench
 from mmlsh.baselines import borda_aggregate, exact_knn_objects, point_knn_c2lsh
 from mmlsh.bench import RunConfig
-from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel,
+from mmlsh.buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                              SchedulerConfig, build_frequency_profile,
                              profile_footprint, schedule_ns1, split_queries)
 
@@ -139,12 +139,11 @@ def buffer_workload():
     distinct = {}
     for plan in plans:
         for g, R, ranges in plan:
-            size_of = bench._bucket_size_fn(index, g)
+            ids, counts = index.occupied_buckets(g)
             for _qi, lo, hi in ranges:
-                for b in range(lo, hi):
-                    size = size_of(b)
-                    if size:
-                        distinct[(g, R, b)] = size
+                i0, i1 = np.searchsorted(ids, (lo, hi))
+                for b, count in zip(ids[i0:i1].tolist(), counts[i0:i1].tolist()):
+                    distinct[(g, R, b)] = count * POINT_ID_BYTES
     working_set = sum(distinct.values())
 
     def run(strategy, capacity_mb):
@@ -194,9 +193,10 @@ def test_acceptance_6_strategy_neutrality():
         answers = []
         for strategy in (NS1, NS2, MMLSH):
             buf = BufferState(int(1 * bench.MB), CostModel())
-            res = mmlsh.knn_objects(q, 5, idx, ds, gp,
-                                    scheduler=SchedulerConfig(strategy=strategy),
-                                    buffer=buf)
+            plan = []
+            res = mmlsh.knn_objects(q, 5, idx, ds, gp, plan=plan)
+            bench.replay_plans(strategy, [plan], idx, buf, [res.stats],
+                               SchedulerConfig(strategy=strategy))
             answers.append(res.top_k)
         all_equal = all_equal and answers[0] == answers[1] == answers[2]
     report(6, "top-k sets and orders identical across NS1/NS2/MMLSH for 10 queries",

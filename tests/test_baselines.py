@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import mmlsh
+from mmlsh import bench
 from mmlsh.baselines import (BordaConfig, borda_aggregate, exact_knn_objects,
                              full_ranking, load_ground_truth, point_knn_c2lsh,
                              point_knn_linear, save_ground_truth)
-from mmlsh.buffering import BufferState
+from mmlsh.buffering import NS1, BufferState, SchedulerConfig
 from mmlsh.engine import QueryStats
 from mmlsh.errors import ParameterError
 
@@ -106,8 +107,10 @@ class TestPointKnnC2lsh:
         q = small_dataset.coords[3].astype(np.float64)
         buf = BufferState(capacity_bytes=5000)
         stats = QueryStats()
+        plan = []
         ranking, complete = point_knn_c2lsh(q, small_index, small_dataset, k_prime=3,
-                                            buffer=buf, stats=stats)
+                                            stats=stats, plan=plan)
+        bench.replay_plans(NS1, [plan], small_index, buf, [stats], SchedulerConfig(strategy=NS1))
         assert complete and len(ranking) == 3
         assert stats.buckets_read == stats.buffer_hits + stats.buffer_misses
         assert stats.buckets_read > 0

@@ -1,5 +1,7 @@
 import csv
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import mmlsh.bench as bench
 import mmlsh.cli as cli
 from mmlsh.baselines import full_ranking
 from mmlsh.bench import RunConfig, aggregate, choose_queries, ensure_ground_truth
-from mmlsh.model import write_feature_file
+from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, SchedulerConfig
+from mmlsh.model import QueryObject, build_dataset, write_feature_file
 
 
 def tiny_config(tmp_path, **overrides) -> RunConfig:
@@ -151,6 +154,35 @@ class TestRuns:
         parsed = list(csv.DictReader(lines))
         assert len(parsed) == len(rows) + len(aggregate(rows))
         assert {r["query_object_id"] for r in parsed[-2:]} == {"MEAN", "STD"}
+
+
+class TestFarCoordinate:
+    def test_one_coordinate_at_1e9_stays_small(self, tmp_path):
+        """Index, profile, record and replay never allocate by bucket-id span."""
+        cfg = tiny_config(tmp_path)
+        synth = bench.load_dataset(cfg)
+        far = synth.points[0].coords.copy()
+        far[0] = 1e9
+        points = [replace(synth.points[0], coords=far)] + synth.points[1:]
+        ds = build_dataset(points, {p.point_id: p.object_id for p in points})
+        tracemalloc.start()
+        try:
+            index, profile = bench.build_artifacts(cfg, ds)
+            assert int(index.bucket_hi.max() - index.bucket_lo.min()) > 10 ** 7
+            query = QueryObject.from_object(ds, synth.points[0].object_id)
+            results, plans, _walls = bench.record_query_plans(cfg, ds, index, [query])
+            for strategy in (NS1, NS2, MMLSH):
+                stats = [replace(results[0].stats)]
+                buf = BufferState(int(cfg.buffer_mb * bench.MB))
+                bench.replay_plans(strategy, plans, index, buf, stats,
+                                   SchedulerConfig(strategy=strategy, profile=profile))
+                assert stats[0].buckets_read > 0
+            truth = {query.object_id: full_ranking(query, ds, cfg.gamma)}
+            assert bench.run_borda_baselines(cfg, ds, index, [query], truth)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
 
 
 class TestCli:

@@ -2,6 +2,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmlsh
 from mmlsh.buffering import (BufferState, CostModel, FrequencyProfile, SchedulerConfig,
@@ -214,7 +216,44 @@ class TestScheduling:
         assert sorted(ns1) == sorted(split)
 
 
+def reference_profile(index, dataset, num_queries, regions, seed):
+    """Oracle: per-slot landing counts over the whole span, summed per region."""
+    footprint = profile_footprint(index, dataset, num_queries, seed)
+    edges = np.empty((index.m, regions + 1))
+    means = np.zeros((index.m, regions))
+    for g in range(index.m):
+        lo, hi = int(index.bucket_lo[g]), int(index.bucket_hi[g])
+        edges[g] = np.linspace(lo, hi + 1, regions + 1)
+        hits = footprint[:, g]
+        hits = hits[(hits >= lo) & (hits <= hi)]
+        counts = np.bincount(hits - lo, minlength=hi - lo + 1)
+        slots = np.arange(lo, hi + 1)
+        region = np.clip(np.searchsorted(edges[g], slots, side="right") - 1, 0, regions - 1)
+        totals = np.bincount(region, weights=counts, minlength=regions)
+        width = np.bincount(region, minlength=regions)
+        nonzero = width > 0
+        means[g, nonzero] = totals[nonzero] / width[nonzero]
+    return edges, means
+
+
 class TestFrequencyProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), objects=st.integers(1, 6), per_object=st.integers(1, 5),
+           d=st.integers(1, 4), spread=st.sampled_from([0.01, 0.5, 5.0, 60.0]),
+           regions=st.integers(1, 15), num_queries=st.integers(1, 300))
+    def test_equals_per_slot_oracle(self, seed, objects, per_object, d, spread, regions,
+                                    num_queries):
+        ds = mmlsh.synth_dataset(S=objects, points_per_object=per_object, d=d,
+                                 cluster_spread=spread, seed=seed)
+        params = mmlsh.derive_params(0.3, 0.5, 2, 2.184)
+        params = mmlsh.LshParams(**{**params.__dict__, "m": 4, "l": 2})
+        idx = mmlsh.build_index(ds, params, seed=seed)
+        profile = build_frequency_profile(idx, ds, num_queries=num_queries,
+                                          regions_per_projection=regions, seed=seed)
+        edges, means = reference_profile(idx, ds, num_queries, regions, seed)
+        assert np.array_equal(profile.edges, edges)
+        assert np.array_equal(profile.means, means)
+
     def test_single_region_is_global_mean(self, small_dataset, small_index):
         profile = build_frequency_profile(small_index, small_dataset, num_queries=500,
                                           regions_per_projection=1, seed=4)

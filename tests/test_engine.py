@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmlsh
+from mmlsh import bench
 from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, CostModel, SchedulerConfig
 from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, check_t1, check_t2,
                           count_collisions)
@@ -210,8 +211,9 @@ class TestStrategyNeutrality:
         for strategy in (NS1, NS2, MMLSH):
             buf = BufferState(capacity_bytes=10_000, cost=CostModel())
             sched = SchedulerConfig(strategy=strategy)
-            res = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp,
-                                    scheduler=sched, buffer=buf)
+            plan = []
+            res = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp, plan=plan)
+            bench.replay_plans(strategy, [plan], small_index, buf, [res.stats], sched)
             assert res.top_k == baseline.top_k
             assert res.stop_condition == baseline.stop_condition
             assert res.levels_used == baseline.levels_used
@@ -220,10 +222,11 @@ class TestStrategyNeutrality:
     def test_io_stats_only_with_scheduler(self, small_dataset, small_index):
         gp = mmlsh.GammaParams(gamma=0.5, delta=0.25, beta=0.5, epsilon=0.5)
         q = mmlsh.QueryObject.from_object(small_dataset, 4)
-        plain = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp)
-        assert plain.stats.index_io_ms == 0.0
+        plan = []
+        costed = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp, plan=plan)
+        assert costed.stats.index_io_ms == 0.0
         buf = BufferState(capacity_bytes=10_000, cost=CostModel())
-        costed = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp,
-                                   scheduler=SchedulerConfig(strategy=NS1), buffer=buf)
+        bench.replay_plans(NS1, [plan], small_index, buf, [costed.stats],
+                           SchedulerConfig(strategy=NS1))
         assert costed.stats.index_io_ms > 0.0
         assert costed.stats.buckets_read == costed.stats.buffer_hits + costed.stats.buffer_misses

@@ -153,6 +153,47 @@ class TestBuildIndex:
         assert abs(rate - p1) <= 3 * stderr
 
 
+class TestHashPoints:
+    @pytest.fixture(scope="class")
+    def far_point_setup(self):
+        """Five one-point objects; the last has a coordinate at 3e19."""
+        coords = [[0.0, 0.0], [0.5, 0.1], [-0.3, 0.8], [1.0, -1.0], [3e19, 0.0]]
+        pts = [mmlsh.FeatureVector(point_id=i, object_id=i, coords=np.array(c, dtype=np.float32))
+               for i, c in enumerate(coords)]
+        ds = mmlsh.build_dataset(pts, {i: i for i in range(5)})
+        params = mmlsh.derive_params(0.3, 0.5, 2, 2.184)
+        return ds, mmlsh.build_index(ds, params, seed=1)
+
+    def test_no_bucket_wraps_to_int64_min(self, far_point_setup):
+        _ds, idx = far_point_setup
+        assert not np.any(idx.buckets == np.iinfo(np.int64).min)
+        assert np.all(np.abs(idx.buckets) <= 2 ** 62)
+
+    def test_index_buckets_equal_hash_query(self, far_point_setup):
+        ds, idx = far_point_setup
+        for row in range(ds.n):
+            want = [idx.buckets[g][idx.point_rows[g] == row][0] for g in range(idx.m)]
+            assert idx.hash_query(ds.coords[row]).tolist() == want
+        assert np.array_equal(idx.hash_query(ds.coords)[4], idx.hash_query(ds.coords[4]))
+
+    def test_far_object_finds_itself(self, far_point_setup):
+        ds, idx = far_point_setup
+        gp = mmlsh.GammaParams(gamma=0.5, delta=0.3, beta=0.5, epsilon=0.6)
+        res = mmlsh.knn_objects(mmlsh.QueryObject.from_object(ds, 4), 1, idx, ds, gp)
+        assert res.object_ids == [4]
+
+
+class TestOccupiedBuckets:
+    def test_matches_nonzero_bucket_sizes(self, small_index):
+        for g in range(small_index.m):
+            lo, hi = int(small_index.bucket_lo[g]), int(small_index.bucket_hi[g])
+            sizes = small_index.bucket_sizes(g, lo, hi + 1)
+            ids, counts = small_index.occupied_buckets(g)
+            assert ids.tolist() == [lo + i for i in np.flatnonzero(sizes)]
+            assert counts.tolist() == sizes[sizes > 0].tolist()
+            assert small_index.occupied_buckets(g)[0] is ids  # built once
+
+
 class TestLevelCap:
     def test_c2_keeps_62_levels(self):
         assert mmlsh.level_cap(2) == 62
