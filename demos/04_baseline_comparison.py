@@ -36,11 +36,11 @@ for oid in query_ids:
     for name, retrieve in (("linear-borda", point_knn_linear),
                            ("c2lsh-borda", None)):
         rankings = []
-        for p in query.points:
+        for p in query.coords:
             if retrieve is None:
-                rankings.append(point_knn_c2lsh(p.coords, index, dataset, k_prime)[0])
+                rankings.append(point_knn_c2lsh(p, index, dataset, k_prime)[0])
             else:
-                rankings.append(retrieve(p.coords, dataset, k_prime))
+                rankings.append(retrieve(p, dataset, k_prime))
         top = borda_aggregate(rankings, dataset, k, k_prime)
         dists = [mmlsh.gamma_distance(query.coords, dataset.object_coords(o), gp.gamma)
                  for o, _ in top]

@@ -16,12 +16,11 @@ from .buffering import (MMLSH, NS1, NS2, BufferState, CostModel, FrequencyProfil
 from .engine import (QueryResult, QueryStats, check_t1, check_t2, count_collisions,
                      gamma_min_bound, knn_objects)
 from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,
-                     ObjectMapError, ParameterError)
+                     ObjectMapError, ParameterError, UnknownObjectError)
 from .lsh import (DEFAULT_C, DEFAULT_W, HashFunction, LshIndex, LshParams,
                   build_index, collision_probability, derive_params, hash_point,
-                  level_cap, load_index, save_index)
-from .model import (Dataset, FeatureVector, MultimediaObject, QueryObject,
-                    build_dataset, load_feature_file, load_object_map,
+                  level_cap, load_index, reach_range, save_index)
+from .model import (Dataset, QueryObject, load_feature_file, load_object_map,
                     synth_dataset, write_feature_file)
 from .similarity import (GammaParams, collision_index, gamma_distance,
                          is_gamma_candidate, is_gamma_false_positive, object_ratio,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
-from .lsh import LshIndex, level_cap
+from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
 from .similarity import gamma_distance
 
@@ -56,9 +56,8 @@ def exact_knn_objects(query: QueryObject, dataset: Dataset, k: int, gamma: float
 
 def full_ranking(query: QueryObject, dataset: Dataset, gamma: float) -> GroundTruth:
     scored = []
-    for obj in dataset.objects:
-        d = gamma_distance(query.coords, dataset.object_coords(obj.object_id), gamma)
-        scored.append((d, obj.object_id))
+    for oid in dataset.object_ids.tolist():
+        scored.append((gamma_distance(query.coords, dataset.object_coords(oid), gamma), oid))
     scored.sort(key=lambda t: (t[0], t[1]))
     return GroundTruth(query_object_id=query.object_id,
                        object_ids=[oid for _, oid in scored],
@@ -66,12 +65,11 @@ def full_ranking(query: QueryObject, dataset: Dataset, gamma: float) -> GroundTr
 
 
 def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
-    """Exact Euclidean top-k' points by linear scan; returns (point_id, dist)."""
+    """Exact Euclidean top-k' points by linear scan; returns (row, dist), ties by row."""
     q = np.asarray(q_coords, dtype=np.float64).reshape(1, -1)
     dists = cdist(q, dataset.coords.astype(np.float64))[0]
-    point_ids = np.array([p.point_id for p in dataset.points])
-    order = np.lexsort((point_ids, dists))[:k_prime]
-    return [(int(point_ids[i]), float(dists[i])) for i in order]
+    order = np.argsort(dists, kind="stable")[:k_prime]
+    return list(zip(order.tolist(), dists[order].tolist()))
 
 
 def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
@@ -83,7 +81,7 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     its collision count reaches l; the scan stops when k' candidates are
     verified within c*R at a level start, or when k' + beta*n candidates
     exist, or after `max_levels` levels (default: `level_cap(c)`). Returns
-    ((point_id, dist) list, complete flag).
+    ((row, dist) list, complete flag), ties by row.
 
     A QueryStats collects collision increments and algorithm operations. A
     `plan` list collects every executed pass as (projection, level,
@@ -100,20 +98,14 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     q_base = index.hash_query(q)
     lo_cov = np.full(index.m, np.iinfo(np.int64).max, dtype=np.int64)
     hi_cov = np.full(index.m, np.iinfo(np.int64).min, dtype=np.int64)
-
-    # dyadic level intervals never cross bucket 0, so coverage can only ever
-    # reach the part of each projection's range on the query's side of zero
-    q_nonneg = q_base >= 0
-    reach_lo = np.where(q_nonneg, np.maximum(index.bucket_lo, 0), index.bucket_lo)
-    reach_hi = np.where(q_nonneg, index.bucket_hi + 1, np.minimum(index.bucket_hi + 1, 0))
+    reach_lo, reach_hi = reach_range(index, q_base)
 
     dists = cdist(q.reshape(1, -1), dataset.coords.astype(np.float64))[0]
-    point_ids = np.array([p.point_id for p in dataset.points])
 
     def ranked_candidates():
         rows = np.nonzero(counts >= params.l)[0]
-        order = np.lexsort((point_ids[rows], dists[rows]))
-        return [(int(point_ids[rows[i]]), float(dists[rows[i]])) for i in order]
+        rows = rows[np.argsort(dists[rows], kind="stable")]
+        return list(zip(rows.tolist(), dists[rows].tolist()))
 
     R = 1
     num_iter = 1
@@ -162,13 +154,12 @@ def borda_aggregate(per_point_rankings, dataset: Dataset, k: int, k_prime: int |
     if k_prime is None:
         k_prime = max((len(r) for r in per_point_rankings), default=0)
     scores = {}
-    owner = {p.point_id: p.object_id for p in dataset.points}
     for ranking in per_point_rankings:
         if len(ranking) > k_prime:
             raise ValueError("ranking longer than k_prime")
-        for r, item in enumerate(ranking, start=1):
-            pid = item[0] if isinstance(item, tuple) else item
-            oid = owner[pid]
+        rows = [item[0] if isinstance(item, tuple) else item for item in ranking]
+        owners = dataset.object_ids[dataset.point_object_index[rows]].tolist()
+        for r, oid in enumerate(owners, start=1):
             scores[oid] = scores.get(oid, 0) + (k_prime - r + 1)
     ranked = sorted(scores.items(), key=lambda t: (-t[1], t[0]))
     return ranked[:k]

@@ -88,8 +88,7 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     if cfg.vectors_path:
         if not cfg.object_map_path:
             raise ParameterError("vectors_path requires object_map_path")
-        points = load_feature_file(cfg.vectors_path)
-        return load_object_map(cfg.object_map_path, points)
+        return load_object_map(cfg.object_map_path, load_feature_file(cfg.vectors_path))
     return synth_dataset(cfg.synth_objects, cfg.synth_points_per_object,
                          cfg.synth_dimension, cfg.synth_spread, seed=cfg.seed)
 
@@ -102,9 +101,9 @@ def choose_queries(dataset: Dataset, cfg: RunConfig) -> list[QueryObject]:
     queries = []
     for oid in sorted(int(o) for o in chosen):
         q = QueryObject.from_object(dataset, oid)
-        if cfg.query_size is not None and cfg.query_size < len(q.points):
-            keep = rng.choice(len(q.points), size=cfg.query_size, replace=False)
-            q = QueryObject(object_id=oid, points=[q.points[i] for i in sorted(keep)])
+        if cfg.query_size is not None and cfg.query_size < len(q.coords):
+            keep = rng.choice(len(q.coords), size=cfg.query_size, replace=False)
+            q = QueryObject(object_id=oid, coords=q.coords[np.sort(keep)])
         queries.append(q)
     return queries
 
@@ -301,10 +300,10 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
         for q in queries:
             # exact point retrieval: no index, no buffer, modeled scan cost only
             t0 = time.perf_counter()
-            rankings = [point_knn_linear(p.coords, dataset, k_prime) for p in q.points]
+            rankings = [point_knn_linear(p, dataset, k_prime) for p in q.coords]
             top = borda_aggregate(rankings, dataset, cfg.k, k_prime)
             wall_ms = (time.perf_counter() - t0) * 1e3
-            stats = QueryStats(alg_ops=len(q.points) * dataset.n)
+            stats = QueryStats(alg_ops=len(q.coords) * dataset.n)
             stats.alg_ms = stats.alg_ops * cfg.alg_op_cost_ms
             dists = [gamma_distance(q.coords, dataset.object_coords(oid), cfg.gamma)
                      for oid, _ in top]
@@ -315,8 +314,8 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
             t0 = time.perf_counter()
             stats = QueryStats()
             plan: list = []
-            rankings = [point_knn_c2lsh(p.coords, index, dataset, k_prime,
-                                        stats=stats, plan=plan)[0] for p in q.points]
+            rankings = [point_knn_c2lsh(p, index, dataset, k_prime,
+                                        stats=stats, plan=plan)[0] for p in q.coords]
             # the query object's point searches share one buffer, read in order
             replay_plans(NS1, [plan], index, BufferState(int(cfg.buffer_mb * MB), CostModel()),
                          [stats], SchedulerConfig(strategy=NS1))

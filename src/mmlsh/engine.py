@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .lsh import LshIndex, level_cap
+from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
 from .similarity import GammaParams, gamma_distance
 
@@ -196,7 +196,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     if query.coords.shape[1] != index.dimension:
         raise ValueError("query dimension does not match the index")
 
-    q_count = len(query.points)
+    q_count = len(query.coords)
     min_size = int(dataset.object_sizes.min())
     bound = gamma_min_bound(q_count, min_size, gparams.delta, gparams.epsilon, gparams.beta)
     bound_warning = gparams.gamma < bound
@@ -210,13 +210,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     state = CollisionState(q_count, index, dataset)
     stats = QueryStats()
     q_base = index.hash_query(query.coords)
-
-    # reachable data range per (query point, projection): dyadic level-R
-    # intervals [qb*R, qb*R + R) always stay on one side of bucket 0, so a
-    # query point can never reach data buckets across zero from its own base
-    q_nonneg = q_base >= 0
-    reach_lo = np.where(q_nonneg, np.maximum(index.bucket_lo, 0), index.bucket_lo)
-    reach_hi = np.where(q_nonneg, index.bucket_hi + 1, np.minimum(index.bucket_hi + 1, 0))
+    reach_lo, reach_hi = reach_range(index, q_base)
 
     gdist_cache: dict[int, float] = {}
 

@@ -19,3 +19,7 @@ class IndexFileError(ValueError):
 
 class NonFiniteCoordinateError(ValueError):
     """Raised when a feature point has a NaN or infinite coordinate."""
+
+
+class UnknownObjectError(ValueError):
+    """Raised when an object id names no object of the dataset."""

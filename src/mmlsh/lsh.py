@@ -125,6 +125,19 @@ def hash_points(coords, a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
     return np.clip(raw, -BUCKET_LIMIT, BUCKET_LIMIT, out=raw).astype(np.int64)
 
 
+def reach_range(index: LshIndex, q_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per projection, the base-bucket range [lo, hi) a query base bucket can reach.
+
+    Dyadic level-R intervals [qb*R, qb*R + R) always stay on one side of
+    bucket 0, so a query bucket never reaches data buckets across zero.
+    q_base is (m,) for one query point or (|Q|, m) for many.
+    """
+    nonneg = q_base >= 0
+    lo = np.where(nonneg, np.maximum(index.bucket_lo, 0), index.bucket_lo)
+    hi = np.where(nonneg, index.bucket_hi + 1, np.minimum(index.bucket_hi + 1, 0))
+    return lo, hi
+
+
 def hash_point(fn: HashFunction, coords) -> int:
     """Base bucket id floor((a.x + b) / w); floors toward -inf for negatives."""
     x = np.asarray(coords, dtype=np.float64)

@@ -1,111 +1,67 @@
-"""Data model for points, multimedia objects, and queries, plus file ingestion.
+"""Data model for datasets of multimedia objects and queries, plus file ingestion.
 
-A dataset is a flat collection of d-dimensional feature vectors where every
-vector belongs to exactly one multimedia object (an image, an audio clip, ...).
-Vector files use the common binary interchange layout (int32 dimension followed
-by that many float32 values, little-endian, one record per vector); the
-point-to-object grouping lives in a separate text sidecar because vector files
-carry no object information.
+A multimedia object (an image, an audio clip, ...) is a set of d-dimensional
+feature vectors. A dataset holds all points as one (n, d) float32 matrix and
+an (n,) array naming each row's owning object; a point's id is its row, and
+rows keep their input order. Vector files use the common binary interchange
+layout (int32 dimension followed by that many float32 values, little-endian,
+one record per vector); the point-to-object grouping lives in a separate text
+sidecar because vector files carry no object information.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeatureFileError, NonFiniteCoordinateError, ObjectMapError
-
-UNMAPPED = -1
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One d-dimensional feature point and the object that owns it."""
-
-    point_id: int
-    object_id: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=np.float32))
-
-
-@dataclass(frozen=True)
-class MultimediaObject:
-    """An object id plus the ids of the feature points associated with it."""
-
-    object_id: int
-    point_ids: frozenset
-
-    def __post_init__(self):
-        if not self.point_ids:
-            raise ValueError(f"object {self.object_id} has no points")
-
+from .errors import FeatureFileError, NonFiniteCoordinateError, ObjectMapError, UnknownObjectError
 
 class Dataset:
-    """Immutable collection of feature points grouped into objects.
+    """Immutable feature points grouped into objects.
 
-    Besides the raw points/objects, precomputes the array views the index and
-    the query engine work with: an (n, d) coordinate matrix, a dense object
-    index per point, and per-object point lists.
+    `coords` is the (n, d) float32 matrix, one row per point. Derived from
+    the owner array: the sorted distinct `object_ids`, each row's dense
+    object index `point_object_index` into them, `object_sizes`, and the CSR
+    pair `object_rows`/`object_offsets`: the rows of the object at index j
+    are object_rows[object_offsets[j]:object_offsets[j + 1]], ascending.
     """
 
-    def __init__(self, dimension: int, points: list[FeatureVector], objects: list[MultimediaObject]):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dimension = dimension
-        self.points = points
-        self.objects = sorted(objects, key=lambda o: o.object_id)
-
-        n = len(points)
-        seen = set()
-        for p in points:
-            if len(p.coords) != dimension:
-                raise ValueError(f"point {p.point_id} has dimension {len(p.coords)}, expected {dimension}")
-            if p.point_id in seen:
-                raise ValueError(f"duplicate point_id {p.point_id}")
-            seen.add(p.point_id)
-
-        owner = {}
-        for obj in self.objects:
-            for pid in obj.point_ids:
-                if pid in owner:
-                    raise ValueError(f"point {pid} claimed by objects {owner[pid]} and {obj.object_id}")
-                owner[pid] = obj.object_id
-        if set(owner) != seen:
-            raise ValueError("object point sets do not partition the point set")
-
-        self._row_of = {p.point_id: i for i, p in enumerate(points)}
-        self.coords = np.stack([p.coords for p in points]) if n else np.empty((0, dimension), np.float32)
-        bad = _first_non_finite(self.coords)
+    def __init__(self, coords, point_objects):
+        coords = np.asarray(coords, dtype=np.float32)
+        point_objects = np.asarray(point_objects, dtype=np.int64)
+        if coords.ndim != 2 or coords.shape[1] < 1:
+            raise ValueError(f"coords must be an (n, d) matrix with d >= 1, got shape {coords.shape}")
+        if not len(coords):
+            raise ValueError("cannot build a dataset from zero points")
+        if point_objects.shape != (len(coords),):
+            raise ValueError(f"need one object id per point: {len(coords)} points, "
+                             f"owner array of shape {point_objects.shape}")
+        bad = _first_non_finite(coords)
         if bad is not None:
-            raise NonFiniteCoordinateError(f"point {points[bad].point_id} has a non-finite coordinate")
-        self.object_ids = np.array([o.object_id for o in self.objects], dtype=np.int64)
-        self._obj_rank = {oid: j for j, oid in enumerate(self.object_ids)}
-        # dense object index per point row, for fast per-object aggregation
-        self.point_object_index = np.empty(n, dtype=np.int64)
-        for p in points:
-            self.point_object_index[self._row_of[p.point_id]] = self._obj_rank[p.object_id]
-        self.object_sizes = np.bincount(self.point_object_index, minlength=len(self.objects))
+            raise NonFiniteCoordinateError(f"point {bad} has a non-finite coordinate")
+        self.coords = coords
+        self.dimension = coords.shape[1]
+        self.object_ids, self.point_object_index = np.unique(point_objects, return_inverse=True)
+        self.object_sizes = np.bincount(self.point_object_index, minlength=len(self.object_ids))
+        self.object_rows = np.argsort(self.point_object_index, kind="stable")
+        self.object_offsets = np.concatenate(([0], np.cumsum(self.object_sizes)))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     @property
     def num_objects(self) -> int:
-        return len(self.objects)
+        return len(self.object_ids)
 
     def object_coords(self, object_id: int) -> np.ndarray:
-        """Coordinate matrix (|set(X)|, d) of one object's points."""
-        rank = self._obj_rank[object_id]
-        rows = np.nonzero(self.point_object_index == rank)[0]
-        return self.coords[rows]
-
-    def point_row(self, point_id: int) -> int:
-        return self._row_of[point_id]
+        """Coordinate matrix (|set(X)|, d) of one object's points, in row order."""
+        j = int(np.searchsorted(self.object_ids, object_id))
+        if j == len(self.object_ids) or self.object_ids[j] != object_id:
+            raise UnknownObjectError(f"object {object_id} is not in the dataset")
+        return self.coords[self.object_rows[self.object_offsets[j]:self.object_offsets[j + 1]]]
 
     def fingerprint(self) -> str:
         """sha256 over the coordinates and each point's object id, in row order."""
@@ -117,29 +73,24 @@ class Dataset:
 
 @dataclass
 class QueryObject:
-    """A query: an object id and the ordered feature points representing it."""
+    """A query: an object id and the (|Q|, d) coordinates of its feature points."""
 
     object_id: int
-    points: list[FeatureVector]
-    coords: np.ndarray = field(init=False)
+    coords: np.ndarray
 
     def __post_init__(self):
-        if not self.points:
+        self.coords = np.asarray(self.coords, dtype=np.float32)
+        if self.coords.ndim != 2:
+            raise ValueError(f"query coords must be a (|Q|, d) matrix, got shape {self.coords.shape}")
+        if not len(self.coords):
             raise ValueError("query object has no points")
-        dims = {len(p.coords) for p in self.points}
-        if len(dims) != 1:
-            raise ValueError(f"query points disagree on dimension: {sorted(dims)}")
-        self.coords = np.stack([p.coords for p in self.points])
         bad = _first_non_finite(self.coords)
         if bad is not None:
-            raise NonFiniteCoordinateError(
-                f"query point {self.points[bad].point_id} has a non-finite coordinate")
+            raise NonFiniteCoordinateError(f"query point {bad} has a non-finite coordinate")
 
     @classmethod
     def from_object(cls, dataset: Dataset, object_id: int) -> "QueryObject":
-        obj = next(o for o in dataset.objects if o.object_id == object_id)
-        pts = [dataset.points[dataset.point_row(pid)] for pid in sorted(obj.point_ids)]
-        return cls(object_id=object_id, points=pts)
+        return cls(object_id=object_id, coords=dataset.object_coords(object_id))
 
 
 def _first_non_finite(coords: np.ndarray) -> int | None:
@@ -150,16 +101,16 @@ def _first_non_finite(coords: np.ndarray) -> int | None:
     return int(np.flatnonzero(~finite.all(axis=1))[0])
 
 
-def load_feature_file(path) -> list[FeatureVector]:
-    """Load a binary vector file into FeatureVectors with sequential point ids.
+def load_feature_file(path) -> np.ndarray:
+    """Load a binary vector file as an (n, d) float32 array; point i is record i.
 
     Every record must declare the same dimension as the first one; the first
     record that disagrees (or is truncated, or holds a NaN or infinity) is
-    reported by index.
+    reported by index. An empty file yields a (0, 0) array.
     """
     raw = np.fromfile(path, dtype="<i4")
     if raw.size == 0:
-        return []
+        return np.empty((0, 0), dtype=np.float32)
     d = int(raw[0])
     if d < 1:
         raise FeatureFileError(f"record 0 declares non-positive dimension {d}")
@@ -182,7 +133,7 @@ def load_feature_file(path) -> list[FeatureVector]:
     bad = _first_non_finite(coords)
     if bad is not None:
         raise NonFiniteCoordinateError(f"record {bad} has a non-finite coordinate")
-    return [FeatureVector(point_id=i, object_id=UNMAPPED, coords=coords[i]) for i in range(len(table))]
+    return coords
 
 
 def write_feature_file(path, coords) -> None:
@@ -195,10 +146,14 @@ def write_feature_file(path, coords) -> None:
     out.tofile(path)
 
 
-def load_object_map(path, points: list[FeatureVector]) -> Dataset:
-    """Join loaded points with a `point_id,object_id` sidecar into a Dataset."""
-    known = {p.point_id for p in points}
-    mapping = {}
+def load_object_map(path, coords: np.ndarray) -> Dataset:
+    """Join loaded coordinates with a `point_id,object_id` sidecar into a Dataset.
+
+    Point ids are row indices of `coords`; every point needs exactly one row.
+    """
+    n = len(coords)
+    mapped = bytearray(n)
+    point_ids, object_ids = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
@@ -213,27 +168,21 @@ def load_object_map(path, points: list[FeatureVector]) -> Dataset:
                 pid, oid = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ObjectMapError(f"line {lineno + 1}: non-integer field in {line!r}") from None
-            if pid in mapping:
-                raise ObjectMapError(f"line {lineno + 1}: duplicate row for point {pid}")
-            if pid not in known:
+            if not 0 <= pid < n:
                 raise ObjectMapError(f"line {lineno + 1}: point {pid} does not exist")
-            mapping[pid] = oid
-    missing = known - mapping.keys()
-    if missing:
-        raise ObjectMapError(f"points without an object mapping: {sorted(missing)[:5]}")
-    return build_dataset(points, mapping)
-
-
-def build_dataset(points: list[FeatureVector], mapping: dict) -> Dataset:
-    """Assemble a Dataset from points and a point_id -> object_id mapping."""
-    if not points:
-        raise ValueError("cannot build a dataset from zero points")
-    mapped = [replace(p, object_id=mapping[p.point_id]) for p in points]
-    groups = {}
-    for p in mapped:
-        groups.setdefault(p.object_id, set()).add(p.point_id)
-    objects = [MultimediaObject(oid, frozenset(pids)) for oid, pids in groups.items()]
-    return Dataset(dimension=len(points[0].coords), points=mapped, objects=objects)
+            if not -2 ** 63 <= oid < 2 ** 63:
+                raise ObjectMapError(f"line {lineno + 1}: object id {oid} is outside int64")
+            if mapped[pid]:
+                raise ObjectMapError(f"line {lineno + 1}: duplicate row for point {pid}")
+            mapped[pid] = 1
+            point_ids.append(pid)
+            object_ids.append(oid)
+    if len(point_ids) < n:
+        missing = np.flatnonzero(np.frombuffer(mapped, dtype=np.uint8) == 0)
+        raise ObjectMapError(f"points without an object mapping: {missing[:5].tolist()}")
+    owners = np.empty(n, dtype=np.int64)
+    owners[point_ids] = object_ids
+    return Dataset(coords, owners)
 
 
 def synth_dataset(S: int, points_per_object: int, d: int, cluster_spread: float, seed: int) -> Dataset:
@@ -242,18 +191,12 @@ def synth_dataset(S: int, points_per_object: int, d: int, cluster_spread: float,
     Each object is a Gaussian cloud around its own random center, so
     intra-object distances are statistically smaller than inter-object ones
     whenever cluster_spread is small relative to the unit center scale.
+    Object j owns rows j*points_per_object to (j+1)*points_per_object - 1.
     """
     if S < 1 or points_per_object < 1 or d < 1:
         raise ValueError("S, points_per_object and d must all be >= 1")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(S, d))
-    pts = []
-    pid = 0
-    mapping = {}
-    for oid in range(S):
-        cloud = centers[oid] + rng.normal(0.0, cluster_spread, size=(points_per_object, d))
-        for row in cloud.astype(np.float32):
-            pts.append(FeatureVector(point_id=pid, object_id=UNMAPPED, coords=row))
-            mapping[pid] = oid
-            pid += 1
-    return build_dataset(pts, mapping)
+    noise = rng.normal(0.0, cluster_spread, size=(S * points_per_object, d))
+    coords = (np.repeat(centers, points_per_object, axis=0) + noise).astype(np.float32)
+    return Dataset(coords, np.repeat(np.arange(S), points_per_object))

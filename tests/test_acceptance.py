@@ -79,11 +79,8 @@ def test_acceptance_3_approximation_guarantee():
         rng = np.random.default_rng(1000 + seed)
         oid = int(rng.integers(0, 200))
         base = mmlsh.QueryObject.from_object(ds, oid)
-        pts = [mmlsh.FeatureVector(
-                   point_id=p.point_id, object_id=oid,
-                   coords=p.coords + rng.normal(scale=0.05, size=32).astype(np.float32))
-               for p in base.points]
-        q = mmlsh.QueryObject(object_id=oid, points=pts)
+        coords = [p + rng.normal(scale=0.05, size=32).astype(np.float32) for p in base.coords]
+        q = mmlsh.QueryObject(object_id=oid, coords=np.stack(coords))
         res = mmlsh.knn_objects(q, 1, idx, ds, gp)
         truth = exact_knn_objects(q, ds, 1, gp.gamma)
         if res.top_k and truth[0][1] > 0 and res.top_k[0][1] <= c_sq * truth[0][1]:
@@ -110,7 +107,7 @@ def test_acceptance_4_object_ratio_vs_borda():
             ratio, _ = mmlsh.object_ratio([d for _, d in res.top_k],
                                           [d for _, d in truth[:len(res.top_k)]])
             ours.append(ratio)
-            rankings = [point_knn_c2lsh(p.coords, idx, ds, k_prime)[0] for p in q.points]
+            rankings = [point_knn_c2lsh(p, idx, ds, k_prime)[0] for p in q.coords]
             top = borda_aggregate(rankings, ds, k, k_prime)
             dists = [mmlsh.gamma_distance(q.coords, ds.object_coords(o), gp.gamma)
                      for o, _ in top]

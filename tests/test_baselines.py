@@ -21,13 +21,13 @@ class TestExactKnnObjects:
         q = mmlsh.QueryObject.from_object(small_dataset, 6)
         got = exact_knn_objects(q, small_dataset, 5, gamma)
         scored = []
-        for obj in small_dataset.objects:
+        for oid in small_dataset.object_ids.tolist():
             pair = sorted(
                 math.dist(qp, xp)
                 for qp in q.coords.astype(np.float64)
-                for xp in small_dataset.object_coords(obj.object_id).astype(np.float64))
+                for xp in small_dataset.object_coords(oid).astype(np.float64))
             kth = math.ceil(gamma * len(pair))
-            scored.append((pair[kth - 1], obj.object_id))
+            scored.append((pair[kth - 1], oid))
         scored.sort()
         expected = [(oid, d) for d, oid in scored[:5]]
         assert [oid for oid, _ in got] == [oid for oid, _ in expected]
@@ -42,7 +42,7 @@ class TestExactKnnObjects:
     def test_full_ranking_covers_every_object(self, small_dataset):
         q = mmlsh.QueryObject.from_object(small_dataset, 1)
         gt = full_ranking(q, small_dataset, 0.5)
-        assert sorted(gt.object_ids) == sorted(o.object_id for o in small_dataset.objects)
+        assert sorted(gt.object_ids) == small_dataset.object_ids.tolist()
         assert gt.distances == sorted(gt.distances)
 
 
@@ -51,8 +51,8 @@ class TestPointKnnLinear:
         rng = np.random.default_rng(12)
         q = rng.normal(size=small_dataset.dimension)
         got = point_knn_linear(q, small_dataset, 10)
-        scored = [(math.dist(q, p.coords.astype(np.float64)), p.point_id)
-                  for p in small_dataset.points]
+        scored = [(math.dist(q, p), row)
+                  for row, p in enumerate(small_dataset.coords.astype(np.float64))]
         expected = heapq.nsmallest(10, scored)
         assert [pid for pid, _ in got] == [pid for _, pid in expected]
         for (_, d1), (d2, _) in zip(got, expected):

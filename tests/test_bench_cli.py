@@ -11,7 +11,7 @@ import mmlsh.cli as cli
 from mmlsh.baselines import full_ranking
 from mmlsh.bench import RunConfig, aggregate, choose_queries, ensure_ground_truth
 from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, SchedulerConfig
-from mmlsh.model import QueryObject, build_dataset, write_feature_file
+from mmlsh.model import Dataset, QueryObject, write_feature_file
 
 
 def tiny_config(tmp_path, **overrides) -> RunConfig:
@@ -68,7 +68,7 @@ class TestQuerySelection:
         cfg = tiny_config(tmp_path, query_size=4)
         ds = bench.load_dataset(cfg)
         for q in choose_queries(ds, cfg):
-            assert len(q.points) == 4
+            assert len(q.coords) == 4
 
 
 class TestRuns:
@@ -86,7 +86,7 @@ class TestRuns:
         for r in linear:
             assert r["index_io_ms"] == 0.0
             assert r["alg_ms"] == pytest.approx(
-                len(queries[0].points) * ds.n * cfg.alg_op_cost_ms)
+                len(queries[0].coords) * ds.n * cfg.alg_op_cost_ms)
 
     def test_c2lsh_baseline_reports_io(self, tmp_path):
         cfg, ds, index, profile, queries, truth = prepared(tmp_path)
@@ -161,15 +161,14 @@ class TestFarCoordinate:
         """Index, profile, record and replay never allocate by bucket-id span."""
         cfg = tiny_config(tmp_path)
         synth = bench.load_dataset(cfg)
-        far = synth.points[0].coords.copy()
-        far[0] = 1e9
-        points = [replace(synth.points[0], coords=far)] + synth.points[1:]
-        ds = build_dataset(points, {p.point_id: p.object_id for p in points})
+        coords = synth.coords.copy()
+        coords[0, 0] = 1e9
+        ds = Dataset(coords, synth.object_ids[synth.point_object_index])
         tracemalloc.start()
         try:
             index, profile = bench.build_artifacts(cfg, ds)
             assert int(index.bucket_hi.max() - index.bucket_lo.min()) > 10 ** 7
-            query = QueryObject.from_object(ds, synth.points[0].object_id)
+            query = QueryObject.from_object(ds, int(synth.object_ids[synth.point_object_index[0]]))
             results, plans, _walls = bench.record_query_plans(cfg, ds, index, [query])
             for strategy in (NS1, NS2, MMLSH):
                 stats = [replace(results[0].stats)]

@@ -13,7 +13,7 @@ from mmlsh.errors import ParameterError
 
 def run_all_collisions(query, index, dataset, levels):
     """Drive count_collisions over every projection pass for levels 1, c, c^2, ..."""
-    state = CollisionState(len(query.points), index, dataset)
+    state = CollisionState(len(query.coords), index, dataset)
     q_base = np.floor(
         (query.coords.astype(np.float64) @ index.a.T + index.b) / index.params.w
     ).astype(np.int64)
@@ -82,9 +82,7 @@ class TestPassKernelProperties:
         index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed)
         rng = np.random.default_rng(seed)
         coords = rng.normal(0.0, 1.5, size=(q_size, d)).astype(np.float32)
-        q = mmlsh.QueryObject(object_id=-1, points=[
-            mmlsh.FeatureVector(point_id=i, object_id=-1, coords=row)
-            for i, row in enumerate(coords)])
+        q = mmlsh.QueryObject(object_id=-1, coords=coords)
         state, q_base = run_all_collisions(q, index, ds, levels)
 
         assert state.counts.dtype == np.min_scalar_type(index.m)
@@ -105,8 +103,7 @@ class TestLevelCap:
         ds = mmlsh.synth_dataset(S=10, points_per_object=4, d=1, cluster_spread=0.1, seed=5)
         index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed=5)
         x = 6e18 * index.params.w / float(np.abs(index.a).max())
-        q = mmlsh.QueryObject(object_id=0, points=[
-            mmlsh.FeatureVector(point_id=0, object_id=0, coords=np.array([x], np.float32))])
+        q = mmlsh.QueryObject(object_id=0, coords=np.array([[x]], np.float32))
         gp = mmlsh.GammaParams(gamma=0.5, delta=0.25, beta=0.5, epsilon=0.5)
         res = mmlsh.knn_objects(q, 1, index, ds, gp)
         assert (res.stop_condition, res.levels_used) == (EXHAUSTED, mmlsh.level_cap(c))
@@ -195,10 +192,7 @@ class TestKnnObjects:
             mmlsh.knn_objects(q, 0, small_index, small_dataset, self.GP)
 
     def test_dimension_mismatch(self, small_dataset, small_index):
-        pts = [mmlsh.FeatureVector(point_id=i, object_id=0,
-                                   coords=np.zeros(3, dtype=np.float32))
-               for i in range(2)]
-        q = mmlsh.QueryObject(object_id=0, points=pts)
+        q = mmlsh.QueryObject(object_id=0, coords=np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="dimension"):
             mmlsh.knn_objects(q, 1, small_index, small_dataset, self.GP)
 

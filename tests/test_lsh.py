@@ -158,9 +158,7 @@ class TestHashPoints:
     def far_point_setup(self):
         """Five one-point objects; the last has a coordinate at 3e19."""
         coords = [[0.0, 0.0], [0.5, 0.1], [-0.3, 0.8], [1.0, -1.0], [3e19, 0.0]]
-        pts = [mmlsh.FeatureVector(point_id=i, object_id=i, coords=np.array(c, dtype=np.float32))
-               for i, c in enumerate(coords)]
-        ds = mmlsh.build_dataset(pts, {i: i for i in range(5)})
+        ds = mmlsh.Dataset(np.array(coords, dtype=np.float32), np.arange(5))
         params = mmlsh.derive_params(0.3, 0.5, 2, 2.184)
         return ds, mmlsh.build_index(ds, params, seed=1)
 

@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, cdist
 
 import mmlsh
-from mmlsh.errors import FeatureFileError, NonFiniteCoordinateError, ObjectMapError
+from mmlsh.errors import (FeatureFileError, NonFiniteCoordinateError, ObjectMapError,
+                          UnknownObjectError)
 
 
 def _write_raw(path, records):
@@ -19,9 +24,9 @@ def test_load_two_records(tmp_path):
     path = tmp_path / "v.fvecs"
     _write_raw(path, [(2, 0.0, 1.0), (2, 3.0, 4.0)])
     vecs = mmlsh.load_feature_file(path)
-    assert [v.point_id for v in vecs] == [0, 1]
-    assert np.allclose(vecs[0].coords, [0.0, 1.0])
-    assert np.allclose(vecs[1].coords, [3.0, 4.0])
+    assert vecs.shape == (2, 2) and vecs.dtype == np.float32
+    assert np.allclose(vecs[0], [0.0, 1.0])
+    assert np.allclose(vecs[1], [3.0, 4.0])
 
 
 def test_load_dim_mismatch_names_record(tmp_path):
@@ -40,25 +45,40 @@ def test_load_non_finite_names_record(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_dataset_rejects_non_finite(bad):
-    points = [mmlsh.FeatureVector(point_id=i, object_id=0, coords=[0.0, float(i)])
-              for i in range(3)]
-    points[2] = mmlsh.FeatureVector(point_id=2, object_id=0, coords=[bad, 1.0])
+    coords = [[0.0, 0.0], [0.0, 1.0], [bad, 1.0]]
     with pytest.raises(NonFiniteCoordinateError, match="point 2"):
-        mmlsh.build_dataset(points, {i: 0 for i in range(3)})
+        mmlsh.Dataset(coords, [0, 0, 0])
 
 
 def test_query_rejects_non_finite():
-    points = [mmlsh.FeatureVector(point_id=i, object_id=0, coords=[0.0, 1.0])
-              for i in range(2)]
-    points.append(mmlsh.FeatureVector(point_id=7, object_id=0, coords=[0.0, float("nan")]))
-    with pytest.raises(NonFiniteCoordinateError, match="query point 7"):
-        mmlsh.QueryObject(object_id=0, points=points)
+    coords = [[0.0, 1.0], [0.0, 1.0], [0.0, float("nan")]]
+    with pytest.raises(NonFiniteCoordinateError, match="query point 2"):
+        mmlsh.QueryObject(object_id=0, coords=coords)
+
+
+@pytest.mark.parametrize("coords, owners", [
+    (np.zeros((3, 2)), [0, 0]),          # one owner short
+    (np.zeros((3, 2)), [[0], [0], [0]]),  # owners not a vector
+    (np.zeros(3), [0, 0, 0]),            # coords not a matrix
+    (np.zeros((0, 2)), []),              # no points
+])
+def test_dataset_rejects_bad_shapes(coords, owners):
+    with pytest.raises(ValueError):
+        mmlsh.Dataset(coords, owners)
+
+
+def test_unknown_object_id_is_a_typed_error(small_dataset):
+    assert issubclass(UnknownObjectError, ValueError)  # so the CLI exits 3
+    with pytest.raises(UnknownObjectError, match="object 999"):
+        small_dataset.object_coords(999)
+    with pytest.raises(UnknownObjectError, match="object -1"):
+        mmlsh.QueryObject.from_object(small_dataset, -1)
 
 
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.fvecs"
     path.write_bytes(b"")
-    assert mmlsh.load_feature_file(path) == []
+    assert mmlsh.load_feature_file(path).shape == (0, 0)
 
 
 def test_roundtrip_bit_for_bit(tmp_path):
@@ -66,9 +86,8 @@ def test_roundtrip_bit_for_bit(tmp_path):
     coords = rng.normal(size=(100, 17)).astype(np.float32)
     path = tmp_path / "rt.fvecs"
     mmlsh.write_feature_file(path, coords)
-    vecs = mmlsh.load_feature_file(path)
-    assert len(vecs) == 100
-    loaded = np.stack([v.coords for v in vecs])
+    loaded = mmlsh.load_feature_file(path)
+    assert loaded.shape == (100, 17)
     assert loaded.dtype == np.float32
     assert np.array_equal(loaded.view(np.uint32), coords.view(np.uint32))
 
@@ -77,41 +96,46 @@ def test_object_map_basic(tmp_path):
     coords = np.arange(8, dtype=np.float32).reshape(4, 2)
     vpath = tmp_path / "v.fvecs"
     mmlsh.write_feature_file(vpath, coords)
-    points = mmlsh.load_feature_file(vpath)
+    coords = mmlsh.load_feature_file(vpath)
     mpath = tmp_path / "map.csv"
     mpath.write_text("point_id,object_id\n0,0\n1,0\n2,1\n3,1\n")
-    ds = mmlsh.load_object_map(mpath, points)
+    ds = mmlsh.load_object_map(mpath, coords)
     assert ds.num_objects == 2
     assert ds.n == 4
-    assert sum(len(o.point_ids) for o in ds.objects) == ds.n
+    assert int(ds.object_sizes.sum()) == ds.n
 
 
 def test_object_map_missing_point(tmp_path):
     coords = np.zeros((4, 2), dtype=np.float32)
     vpath = tmp_path / "v.fvecs"
     mmlsh.write_feature_file(vpath, coords)
-    points = mmlsh.load_feature_file(vpath)
+    coords = mmlsh.load_feature_file(vpath)
     mpath = tmp_path / "map.csv"
     mpath.write_text("0,0\n1,0\n2,1\n")  # point 3 unmapped
     with pytest.raises(ObjectMapError, match="without an object"):
-        mmlsh.load_object_map(mpath, points)
+        mmlsh.load_object_map(mpath, coords)
 
 
 def test_object_map_duplicate_and_dangling(tmp_path):
     coords = np.zeros((2, 2), dtype=np.float32)
     vpath = tmp_path / "v.fvecs"
     mmlsh.write_feature_file(vpath, coords)
-    points = mmlsh.load_feature_file(vpath)
+    coords = mmlsh.load_feature_file(vpath)
 
     dup = tmp_path / "dup.csv"
     dup.write_text("0,0\n0,1\n1,0\n")
     with pytest.raises(ObjectMapError, match="duplicate"):
-        mmlsh.load_object_map(dup, points)
+        mmlsh.load_object_map(dup, coords)
 
     dangling = tmp_path / "dangling.csv"
     dangling.write_text("0,0\n1,0\n7,1\n")
     with pytest.raises(ObjectMapError, match="point 7"):
-        mmlsh.load_object_map(dangling, points)
+        mmlsh.load_object_map(dangling, coords)
+
+    huge = tmp_path / "huge.csv"
+    huge.write_text(f"0,0\n1,{2 ** 63}\n")
+    with pytest.raises(ObjectMapError, match="line 2: object id"):
+        mmlsh.load_object_map(huge, coords)
 
 
 def test_wang_like_shape(tmp_path):
@@ -120,12 +144,12 @@ def test_wang_like_shape(tmp_path):
     coords = np.zeros((n, 1), dtype=np.float32)
     vpath = tmp_path / "wang.fvecs"
     mmlsh.write_feature_file(vpath, coords)
-    points = mmlsh.load_feature_file(vpath)
+    coords = mmlsh.load_feature_file(vpath)
     object_ids = np.arange(n) % S
     lines = ["point_id,object_id"] + [f"{i},{object_ids[i]}" for i in range(n)]
     mpath = tmp_path / "wang.csv"
     mpath.write_text("\n".join(lines) + "\n")
-    ds = mmlsh.load_object_map(mpath, points)
+    ds = mmlsh.load_object_map(mpath, coords)
     assert ds.num_objects == S
     assert ds.n == n
     assert int(ds.object_sizes.sum()) == n
@@ -143,7 +167,7 @@ def test_synth_cluster_separation():
     ds = mmlsh.synth_dataset(S=200, points_per_object=20, d=32, cluster_spread=0.1, seed=5)
     intra, inter = [], []
     coords = ds.coords.astype(np.float64)
-    for j, obj in enumerate(ds.objects):
+    for j in range(ds.num_objects):
         rows = np.nonzero(ds.point_object_index == j)[0]
         intra.append(np.mean(pdist(coords[rows])))
         other = np.nonzero(ds.point_object_index != j)[0][:500]
@@ -152,9 +176,65 @@ def test_synth_cluster_separation():
 
 
 def test_dataset_point_sum_invariant(small_dataset):
-    assert sum(len(o.point_ids) for o in small_dataset.objects) == small_dataset.n
+    assert int(small_dataset.object_sizes.sum()) == small_dataset.n
 
 
 def test_query_object_from_dataset(small_dataset):
-    q = mmlsh.QueryObject.from_object(small_dataset, small_dataset.objects[0].object_id)
+    q = mmlsh.QueryObject.from_object(small_dataset, int(small_dataset.object_ids[0]))
     assert q.coords.shape == (8, 6)
+
+
+def reference_fingerprint(coords, owners) -> str:
+    """The dataset fingerprint formula: shape, coordinates, per-row object ids."""
+    h = hashlib.sha256(repr(coords.shape).encode())
+    h.update(np.ascontiguousarray(coords, dtype="<f4").tobytes())
+    h.update(np.ascontiguousarray(owners, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), d=st.integers(1, 4),
+       ids=st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=6, unique=True),
+       header=st.booleans(), data=st.data())
+def test_interleaved_objects_match_the_mask_reference(tmp_path_factory, seed, n, d, ids,
+                                                      header, data):
+    owners = np.array(data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=(n, d)).astype(np.float32)
+    ds = mmlsh.Dataset(coords, owners)
+
+    assert ds.object_ids.tolist() == sorted(set(owners.tolist()))
+    assert np.array_equal(ds.object_ids[ds.point_object_index], owners)
+    for rank, oid in enumerate(ds.object_ids.tolist()):
+        mask = ds.point_object_index == rank
+        assert np.array_equal(ds.object_coords(oid), coords[mask])
+        assert ds.object_sizes[rank] == np.count_nonzero(mask)
+    assert ds.fingerprint() == reference_fingerprint(coords, owners)
+
+    # the same assignment written as a shuffled sidecar loads back unchanged
+    work = tmp_path_factory.mktemp("roundtrip")
+    mmlsh.write_feature_file(work / "v.fvecs", coords)
+    lines = [f"{row},{owners[row]}" for row in rng.permutation(n)]
+    (work / "map.csv").write_text("\n".join(["point_id,object_id"] * header + lines) + "\n")
+    back = mmlsh.load_object_map(work / "map.csv", mmlsh.load_feature_file(work / "v.fvecs"))
+    assert np.array_equal(back.coords.view(np.uint32), coords.view(np.uint32))
+    assert np.array_equal(back.object_ids[back.point_object_index], owners)
+    assert back.fingerprint() == ds.fingerprint()
+
+
+def reference_synth_coords(S, points_per_object, d, cluster_spread, seed):
+    """Synthetic coordinates drawn one object at a time, as the generator once did."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(S, d))
+    clouds = [centers[oid] + rng.normal(0.0, cluster_spread, size=(points_per_object, d))
+              for oid in range(S)]
+    return np.concatenate(clouds).astype(np.float32)
+
+
+@pytest.mark.parametrize("S, points_per_object, d, seed", [(1, 1, 1, 0), (3, 5, 2, 7),
+                                                           (20, 8, 6, 11)])
+def test_synth_noise_in_one_draw_is_bit_identical(S, points_per_object, d, seed):
+    ds = mmlsh.synth_dataset(S, points_per_object, d, 0.15, seed)
+    want = reference_synth_coords(S, points_per_object, d, 0.15, seed)
+    assert np.array_equal(ds.coords.view(np.uint32), want.view(np.uint32))
+    assert ds.point_object_index.tolist() == [j for j in range(S) for _ in range(points_per_object)]
