@@ -68,7 +68,14 @@ def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
     """Exact Euclidean top-k' points by linear scan; returns (row, dist), ties by row."""
     q = np.asarray(q_coords, dtype=np.float64).reshape(1, -1)
     dists = cdist(q, dataset.coords.astype(np.float64))[0]
-    order = np.argsort(dists, kind="stable")[:k_prime]
+    if 0 < k_prime < dists.size:
+        # every row within the k'-th distance, ties included, in row order:
+        # sorting these by distance, stably, is the full sort's prefix
+        kth = dists[np.argpartition(dists, k_prime - 1)[k_prime - 1]]
+        rows = np.flatnonzero(dists <= kth)
+    else:
+        rows = np.arange(dists.size)
+    order = rows[np.argsort(dists[rows], kind="stable")][:k_prime]
     return list(zip(order.tolist(), dists[order].tolist()))
 
 

@@ -12,13 +12,26 @@ through a fixed-capacity buffer and which resident bucket to evict on a miss:
   recently, that sit far from the current query position, and among those the
   one with the lowest estimated remaining frequency.
 
+MMLSH eviction does not scan every resident. A resident of another
+(projection, level) pass than the bucket being fetched is infinitely far from
+it, so such residents share one distance and order among themselves by
+(estimated frequency, key) alone: a lazy min-heap yields the best of them,
+and the best old one. Only the current pass's residents need a real
+distance, and a per-pass map lists them. The recency filter keeps a
+prefix of the residents in insertion order, so an insertion-ordered map of
+insert ticks tells whether any is old by looking at its first entries. The
+three relaxation tiers then take the same winners as a full scan (see
+`evict_mmlsh`). NS1/NS2 buffers never build this index.
+
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, so a recorded trace replays exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -88,6 +101,7 @@ class BufferState:
         self.clock = 0
         self.io_stats = IoStats()
         self.trace = trace  # optional list collecting (tick, key, hit, evicted)
+        self.eviction_index: _EvictionIndex | None = None  # built by the first MMLSH eviction
 
     def __contains__(self, key):
         return key in self.resident
@@ -96,13 +110,68 @@ class BufferState:
         entry = self.resident.pop(key)
         self.used_bytes -= entry.size_bytes
         self.io_stats.evictions += 1
+        if self.eviction_index is not None:
+            self.eviction_index.remove(key)
         return entry
 
     def note_use(self, key):
         """Decrement the remaining-demand estimate after a scheduled use."""
         entry = self.resident.get(key)
-        if entry is not None:
+        if entry is not None and entry.est_frequency != 0.0:  # 0 stays 0: nothing to re-index
             entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
+            if self.eviction_index is not None:
+                self.eviction_index.push(key, entry)
+
+
+_HEAP_SLACK = 4  # rebuild the eviction heap once it holds this many entries per resident
+
+
+class _EvictionIndex:
+    """The two sources `evict_mmlsh` picks its victim from, plus insert order.
+
+    heap: lazy min-heap of (est_frequency, key, insert_tick) over every
+      resident. An entry is live while its key is resident with that tick and
+      that frequency; every resident has a live entry, because each insert
+      and each frequency change pushes one. Stale entries are dropped when
+      popped, and the heap is rebuilt from the residents once it holds more
+      than _HEAP_SLACK entries per resident.
+    passes: (projection, level) -> set of resident bucket ids of that pass.
+    ticks: resident key -> insert tick, in insertion order, which is tick
+      order because the clock only moves forward.
+    """
+
+    __slots__ = ("resident", "heap", "passes", "ticks")
+
+    def __init__(self, resident: dict):
+        self.resident = resident
+        self.passes: dict[tuple, set] = {}
+        self.ticks: dict[tuple, int] = {}
+        for key, entry in sorted(resident.items(), key=lambda item: item[1].insert_tick):
+            self.ticks[key] = entry.insert_tick
+            self.passes.setdefault(key[:2], set()).add(key[2])
+        self.rebuild()
+
+    def rebuild(self):
+        self.heap = [(e.est_frequency, key, e.insert_tick) for key, e in self.resident.items()]
+        heapq.heapify(self.heap)
+
+    def push(self, key, entry):
+        heapq.heappush(self.heap, (entry.est_frequency, key, entry.insert_tick))
+        if len(self.heap) > _HEAP_SLACK * len(self.resident):
+            self.rebuild()
+
+    def add(self, key, entry):
+        self.ticks[key] = entry.insert_tick
+        self.passes.setdefault(key[:2], set()).add(key[2])
+        self.push(key, entry)
+
+    def remove(self, key):
+        if self.ticks.pop(key, None) is None:
+            return  # inserted by an LRU access, never indexed
+        ids = self.passes[key[:2]]
+        ids.discard(key[2])
+        if not ids:
+            del self.passes[key[:2]]
 
 
 def evict_lru(buffer: BufferState):
@@ -124,27 +193,77 @@ def evict_mmlsh(buffer: BufferState, current_bucket, config: "SchedulerConfig",
     among the rest the lowest estimated frequency goes (criterion 3), ties
     broken by larger distance from the query, then by lower key. When no
     resident passes both filters the distance filter is dropped first, then
-    the recency filter, so eviction always succeeds.
+    the recency filter, so eviction always succeeds. Residents of another
+    (projection, level) pass are infinitely far from the query.
+
+    The rule is applied to a few candidates that provably contain every
+    tier's winner, not to every resident:
+
+    * every resident of the current pass, with its real distance;
+    * the resident of another pass with the lowest (frequency, key), and the
+      lowest old one. They all share one (infinite) distance, so within
+      each tier they order by (frequency, key) and only "old" tells them
+      apart; the lazy heap of the buffer's `_EvictionIndex` yields both
+      winners, skipping current-pass and too-new entries and putting them
+      back. Old residents are a prefix of the insertion order, so the heap
+      is asked for an old one only when that prefix holds a key of another
+      pass.
+
+    The index is built on the first eviction from `buffer.resident` (and
+    rebuilt if an LRU access inserted behind its back); afterwards
+    `access_bucket`, `note_use` and `BufferState._evict` keep it current.
     """
-    if not buffer.resident:
+    resident = buffer.resident
+    if not resident:
         raise RuntimeError("cannot evict from an empty buffer")
+    index = buffer.eviction_index
+    if index is None or len(index.ticks) != len(resident):
+        index = buffer.eviction_index = _EvictionIndex(resident)
     g, level, pos = current_bucket
-    window = config.recency_window if config.recency_window is not None else len(buffer.resident)
+    window = config.recency_window if config.recency_window is not None else len(resident)
     threshold = config.distance_threshold if config.distance_threshold is not None else 2 * level
     now = buffer.clock
 
-    def distance(key):
-        kg, klevel, kbucket = key
+    old_elsewhere = False  # is some old resident in another pass?
+    for (kg, klevel, _), tick in index.ticks.items():
+        if not now - tick > window:
+            break
         if kg != g or klevel != level:
-            return math.inf  # other passes: maximally far from the current query
-        return abs(kbucket - pos)
+            old_elsewhere = True
+            break
 
+    heap = index.heap
+    best_elsewhere = best_old_elsewhere = None
+    aside = []
+    while heap:
+        item = heapq.heappop(heap)
+        freq, key, tick = item
+        entry = resident.get(key)
+        if entry is None or entry.insert_tick != tick or entry.est_frequency != freq:
+            continue  # stale: evicted, re-inserted or its frequency dropped since
+        aside.append(item)
+        if key[0] == g and key[1] == level:
+            continue
+        if best_elsewhere is None:
+            best_elsewhere = key
+        if not old_elsewhere:
+            break
+        if now - tick > window:
+            best_old_elsewhere = key
+            break
+    for item in aside:
+        heapq.heappush(heap, item)
+
+    candidates = [((g, level, bucket), abs(bucket - pos))
+                  for bucket in index.passes.get((g, level), ())]
+    candidates += [(key, math.inf)
+                   for key in (best_elsewhere, best_old_elsewhere) if key is not None]
     best = [None, None, None]  # per relaxation tier: (freq, -dist, key)
-    for key, entry in buffer.resident.items():
-        cand = (entry.est_frequency, -distance(key), key)
+    for key, dist in candidates:
+        entry = resident[key]
+        cand = (entry.est_frequency, -dist, key)
         old = now - entry.insert_tick > window
-        far = distance(key) > threshold
-        tiers = (old and far, old, True)
+        tiers = (old and dist > threshold, old, True)
         for tier, ok in enumerate(tiers):
             if ok and (best[tier] is None or cand < best[tier]):
                 best[tier] = cand
@@ -187,10 +306,12 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru) ->
     evicted = []
     while buffer.used_bytes + size_bytes > buffer.capacity_bytes:
         evicted.append(evict(buffer))
-    est = 1.0
-    if isinstance(evict, _MmlshEvictor) and evict.profile is not None:
-        est = evict.profile.frequency(key[0], key[2])
-    buffer.resident[key] = _Entry(size_bytes, buffer.clock, est)
+    entry = buffer.resident[key] = _Entry(size_bytes, buffer.clock, 1.0)
+    if isinstance(evict, _MmlshEvictor):  # seed the estimate, keep the eviction index current
+        if evict.profile is not None:
+            entry.est_frequency = evict.profile.frequency(key[0], key[2])
+        if buffer.eviction_index is not None:
+            buffer.eviction_index.add(key, entry)
     buffer.used_bytes += size_bytes
     ms = cost.miss_ms(size_bytes)
     buffer.io_stats.buffer_misses += 1
@@ -298,13 +419,18 @@ class FrequencyProfile:
         self.edges = edges
         self.means = means
         self.regions = means.shape[1]
+        # per-projection Python lists: one lookup per MMLSH miss, no numpy call
+        self._edge_lists = edges.tolist()
+        self._mean_lists = means.tolist()
 
     def region_of(self, g: int, bucket: int) -> int:
-        r = int(np.searchsorted(self.edges[g], bucket, side="right")) - 1
+        # float(bucket) rounds as numpy's float64 conversion does, so this
+        # equals searchsorted(edges[g], bucket, side="right") - 1
+        r = bisect_right(self._edge_lists[g], float(bucket)) - 1
         return min(max(r, 0), self.regions - 1)
 
     def frequency(self, g: int, bucket: int) -> float:
-        return float(self.means[g, self.region_of(g, bucket)])
+        return self._mean_lists[g][self.region_of(g, bucket)]
 
     def save(self, path):
         np.savez(path, edges=self.edges, means=self.means)

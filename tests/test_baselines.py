@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import mmlsh
 from mmlsh import bench
@@ -66,6 +69,24 @@ class TestPointKnnLinear:
         for (p1, d1), (p2, d2) in zip(got, got[1:]):
             if d1 == d2:
                 assert p1 < p2
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_full_stable_sort_on_tied_distances(self, data):
+        """Integer coordinates tie often; boundary ties resolve by row as before."""
+        n = data.draw(st.integers(1, 60))
+        d = data.draw(st.integers(1, 3))
+        ints = st.integers(-3, 3)
+        coords = np.array(data.draw(st.lists(st.lists(ints, min_size=d, max_size=d),
+                                             min_size=n, max_size=n)), dtype=np.float32)
+        dataset = mmlsh.Dataset(coords, np.arange(n) % 4)
+        q = np.array(data.draw(st.lists(ints, min_size=d, max_size=d)), dtype=np.float64)
+        k_prime = data.draw(st.integers(1, n + 2))
+        dists = cdist(q.reshape(1, -1), coords.astype(np.float64))[0]
+        order = np.argsort(dists, kind="stable")[:k_prime]
+        assert point_knn_linear(q, dataset, k_prime) == list(zip(order.tolist(),
+                                                                 dists[order].tolist()))
 
 
 class TestPointKnnC2lsh:

@@ -1,3 +1,4 @@
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmlsh
-from mmlsh.buffering import (BufferState, CostModel, FrequencyProfile, SchedulerConfig,
-                             _MmlshEvictor, access_bucket, build_frequency_profile,
-                             evict_lru, evict_mmlsh, profile_footprint, schedule_ns1,
-                             schedule_ns2, split_queries, write_trace)
+from mmlsh.buffering import (_HEAP_SLACK, BufferState, CostModel, FrequencyProfile,
+                             SchedulerConfig, _MmlshEvictor, access_bucket,
+                             build_frequency_profile, evict_lru, evict_mmlsh,
+                             profile_footprint, schedule_ns1, schedule_ns2, split_queries,
+                             write_trace)
 
 
 class ReferenceLru:
@@ -158,6 +160,134 @@ class TestMmlshEviction:
         assert buf.resident[(0, 1, 3)].est_frequency == 6.5
 
 
+def reference_evict_mmlsh(buffer, current_bucket, config, profile=None):
+    """Oracle: the three-criteria rule applied by scanning every resident."""
+    if not buffer.resident:
+        raise RuntimeError("cannot evict from an empty buffer")
+    g, level, pos = current_bucket
+    window = config.recency_window if config.recency_window is not None else len(buffer.resident)
+    threshold = config.distance_threshold if config.distance_threshold is not None else 2 * level
+    now = buffer.clock
+
+    def distance(key):
+        kg, klevel, kbucket = key
+        if kg != g or klevel != level:
+            return math.inf  # other passes: maximally far from the current query
+        return abs(kbucket - pos)
+
+    best = [None, None, None]  # per relaxation tier: (freq, -dist, key)
+    for key, entry in buffer.resident.items():
+        cand = (entry.est_frequency, -distance(key), key)
+        old = now - entry.insert_tick > window
+        far = distance(key) > threshold
+        tiers = (old and far, old, True)
+        for tier, ok in enumerate(tiers):
+            if ok and (best[tier] is None or cand < best[tier]):
+                best[tier] = cand
+    chosen = next(b for b in best if b is not None)
+    key = chosen[2]
+    buffer._evict(key)
+    return key
+
+
+class ReferenceEvictor(_MmlshEvictor):
+    """The MMLSH evictor with the full-scan oracle in place of `evict_mmlsh`."""
+
+    def __call__(self, buffer):
+        return reference_evict_mmlsh(buffer, self.current_bucket, self.config, self.profile)
+
+
+def replay_accesses(evictor, accesses, sizes, capacity, lru_every=None):
+    """Drive `access_bucket` as `bench.replay_plans` does: access, then `note_use`.
+
+    Every `lru_every`-th access goes through `evict_lru` instead, as a
+    buffer shared with an LRU strategy would. Returns (trace, io_stats, buffer).
+    """
+    trace = []
+    buf = BufferState(capacity_bytes=capacity, trace=trace)
+    for step, key in enumerate(accesses, 1):
+        if lru_every is not None and step % lru_every == 0:
+            access_bucket(key, sizes[key], buf, evict_lru)
+            continue
+        evictor.current_bucket = key
+        access_bucket(key, sizes[key], buf, evictor)
+        buf.note_use(key)
+    return trace, buf.io_stats, buf
+
+
+@st.composite
+def access_runs(draw):
+    projections = draw(st.integers(1, 3))
+    levels = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True))
+    span = draw(st.integers(1, 40))  # ids 0..span-1: up to 39 apart, more than any threshold
+    # sweeps over a pass's buckets, as replay makes them, with jumps between passes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    accesses = []
+    for _ in range(draw(st.integers(1, 40))):
+        g, level = int(rng.integers(projections)), int(rng.choice(levels))
+        bucket = int(rng.integers(span))
+        for _ in range(int(rng.integers(1, 12))):
+            accesses.append((g, level, bucket))
+            bucket = (bucket + int(rng.integers(0, 3))) % span
+    sizes = {key: int(rng.integers(1, 61)) for key in sorted(set(accesses))}
+    capacity = draw(st.integers(1, 300))
+    window = draw(st.one_of(st.none(), st.integers(0, 12)))
+    threshold = draw(st.one_of(st.none(), st.integers(0, 8)))
+    profile = None
+    if draw(st.booleans()):
+        regions = draw(st.integers(1, 4))
+        edges = np.array([np.linspace(0, span, regions + 1)] * projections)
+        means = np.array(draw(st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
+                     min_size=regions, max_size=regions),
+            min_size=projections, max_size=projections)))
+        profile = FrequencyProfile(edges=edges, means=means)
+    lru_every = draw(st.one_of(st.none(), st.integers(2, 9)))
+    cfg = SchedulerConfig(strategy=mmlsh.MMLSH, recency_window=window,
+                          distance_threshold=threshold, profile=profile)
+    return accesses, sizes, capacity, cfg, lru_every
+
+
+class TestMmlshEvictionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(run=access_runs())
+    def test_trace_equals_full_scan(self, run):
+        accesses, sizes, capacity, cfg, lru_every = run
+        got = replay_accesses(_MmlshEvictor(cfg, cfg.profile), accesses, sizes, capacity,
+                              lru_every)
+        want = replay_accesses(ReferenceEvictor(cfg, cfg.profile), accesses, sizes, capacity,
+                               lru_every)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert want[2].eviction_index is None  # the oracle never builds the index
+
+    def test_heap_stays_within_a_multiple_of_the_residents(self):
+        rng = np.random.default_rng(5)
+        keys = [(int(g), int(level), int(b)) for g, level, b in zip(
+            rng.integers(0, 3, 20_000), rng.choice([1, 2, 4], 20_000),
+            rng.integers(0, 300, 20_000))]
+        sizes = {key: int(rng.integers(1, 40)) for key in set(keys)}
+        profile = FrequencyProfile(edges=np.array([np.linspace(0, 300, 11)] * 3),
+                                   means=rng.uniform(0, 30, size=(3, 10)))
+        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, profile=profile)
+        evictor = _MmlshEvictor(cfg, profile)
+        buf = BufferState(capacity_bytes=2_000)
+        largest = 0
+        for key in keys:
+            evictor.current_bucket = key
+            access_bucket(key, sizes[key], buf, evictor)
+            buf.note_use(key)
+            index = buf.eviction_index
+            if index is not None:
+                assert len(index.heap) <= _HEAP_SLACK * len(buf.resident)
+                largest = max(largest, len(index.heap))
+        assert buf.io_stats.evictions > 10_000
+        assert list(index.ticks) == sorted(buf.resident, key=lambda k: buf.resident[k].insert_tick)
+        assert {(g, lv, b) for (g, lv), ids in index.passes.items() for b in ids} \
+            == set(buf.resident)
+        assert largest > len(buf.resident)  # stale entries do accumulate between rebuilds
+
+
 class TestScheduling:
     RANGES = [(0, 5, 8), (1, 6, 9)]
 
@@ -279,6 +409,27 @@ class TestFrequencyProfile:
         assert profile.frequency(0, 2) == 1.0
         assert profile.frequency(0, 7) == 9.0
         assert profile.frequency(0, 100) == 9.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lookup_equals_numpy_searchsorted(self, data):
+        """Also beyond 2**53, where bucket ids round to float64, and on the edges."""
+        base = data.draw(st.sampled_from([0, -7, 2**53 - 4, 2**53 + 1, 2**62 - 40, -(2**62)]))
+        projections = data.draw(st.integers(1, 3))
+        regions = data.draw(st.integers(1, 5))
+        near = st.integers(base - 40, base + 40)
+        edges = np.sort(np.array(data.draw(st.lists(
+            st.lists(near, min_size=regions + 1, max_size=regions + 1),
+            min_size=projections, max_size=projections)), dtype=np.float64), axis=1)
+        means = np.arange(projections * regions, dtype=np.float64).reshape(projections, regions)
+        profile = FrequencyProfile(edges=edges, means=means)
+        on_edges = st.sampled_from([int(e) for e in edges.ravel()])
+        for bucket in data.draw(st.lists(st.one_of(near, on_edges), min_size=1, max_size=20)):
+            g = data.draw(st.integers(0, projections - 1))
+            r = int(np.searchsorted(edges[g], bucket, side="right")) - 1
+            r = min(max(r, 0), regions - 1)
+            assert profile.region_of(g, bucket) == r
+            assert profile.frequency(g, bucket) == float(means[g, r])
 
     def test_save_load_roundtrip(self, small_dataset, small_index, tmp_path):
         profile = build_frequency_profile(small_index, small_dataset, num_queries=100, seed=1)
