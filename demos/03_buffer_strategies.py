@@ -47,7 +47,7 @@ for strategy in (NS1, NS2, MMLSH):
     scheduler = SchedulerConfig(strategy=strategy, query_splits=cfg.query_splits,
                                 profile=profile)
     bench.replay_plans(strategy, plans, index, buffer, stats, scheduler)
-    io = sum(s.index_io_ms for s in stats)
+    io = sum(s.io_ms for s in stats)
     alg = sum(s.alg_ops for s in stats) * cfg.alg_op_cost_ms
     print(f"{strategy:8s} {io:10.1f} {alg:8.3f} {io + alg:10.1f} "
           f"{sum(s.buffer_hits for s in stats):6d} "

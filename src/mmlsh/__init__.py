@@ -6,24 +6,21 @@ collision counting with provable stopping conditions, and simulates
 buffer-conscious query scheduling over a modeled disk.
 """
 
-from .baselines import (BordaConfig, GroundTruth, borda_aggregate, exact_knn_objects,
-                        full_ranking, ground_truth_key, load_ground_truth,
-                        point_knn_c2lsh, point_knn_linear, save_ground_truth)
+from .baselines import (GroundTruth, borda_aggregate, exact_knn_objects, full_ranking,
+                        ground_truth_key, load_ground_truth, point_knn_c2lsh,
+                        point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, BufferState, CostModel, FrequencyProfile,
-                        SchedulerConfig, access_bucket, build_frequency_profile,
-                        evict_lru, evict_mmlsh, schedule_ns1, schedule_ns2,
-                        split_queries, write_trace)
-from .engine import (QueryResult, QueryStats, check_t1, check_t2, count_collisions,
-                     gamma_min_bound, knn_objects)
+                        QueryStats, SchedulerConfig, access_bucket, build_frequency_profile,
+                        evict_lru, evict_mmlsh, schedule_ns1, schedule_ns2, split_queries)
+from .engine import (QueryResult, check_t1, check_t2, count_collisions, gamma_min_bound,
+                     knn_objects)
 from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,
-                     ObjectMapError, ParameterError, UnknownObjectError)
-from .lsh import (DEFAULT_C, DEFAULT_W, HashFunction, LshIndex, LshParams,
-                  build_index, collision_probability, derive_params, hash_point,
-                  level_cap, load_index, reach_range, save_index)
+                     ObjectMapError, ParameterError, ProfileFileError, UnknownObjectError)
+from .lsh import (DEFAULT_C, DEFAULT_W, LshIndex, LshParams, build_index,
+                  collision_probability, derive_params, hash_points, level_cap,
+                  load_index, reach_range, save_index)
 from .model import (Dataset, QueryObject, load_feature_file, load_object_map,
                     synth_dataset, write_feature_file)
-from .similarity import (GammaParams, collision_index, gamma_distance,
-                         is_gamma_candidate, is_gamma_false_positive, object_ratio,
-                         r_object_similarity)
+from .similarity import GammaParams, gamma_distance, object_ratio, r_object_similarity
 
 __version__ = "0.1.0"

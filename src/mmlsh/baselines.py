@@ -16,22 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ParameterError
 from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
 from .similarity import gamma_distance
-
-
-@dataclass
-class BordaConfig:
-    """Depth of point-level retrieval (k') and final object count (k)."""
-
-    k_prime: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.k_prime:
-            raise ParameterError(f"need k_prime >= k >= 1, got k'={self.k_prime}, k={self.k}")
 
 
 _KEY_PREFIX = "# key: "  # first line of a keyed ground-truth cache
@@ -94,6 +81,9 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     `plan` list collects every executed pass as (projection, level,
     [(0, lo, hi)]), the shape `knn_objects` records, so `bench.replay_plans`
     can charge the baseline's modeled IO like the object engine's.
+
+    Only candidates need a distance: a row's is computed once, at the first
+    check after its count reaches l.
     """
     q = np.asarray(q_coords, dtype=np.float64)
     params = index.params
@@ -107,21 +97,27 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     hi_cov = np.full(index.m, np.iinfo(np.int64).min, dtype=np.int64)
     reach_lo, reach_hi = reach_range(index, q_base)
 
-    dists = cdist(q.reshape(1, -1), dataset.coords.astype(np.float64))[0]
+    dists = np.full(n, np.nan)  # a row's distance, once it is a candidate
 
-    def ranked_candidates():
+    def candidates():
         rows = np.nonzero(counts >= params.l)[0]
-        rows = rows[np.argsort(dists[rows], kind="stable")]
+        new = rows[np.isnan(dists[rows])]
+        if new.size:
+            dists[new] = cdist(q.reshape(1, -1), dataset.coords[new].astype(np.float64))[0]
+        return rows
+
+    def ranked(rows):
+        rows = rows[np.argsort(dists[rows], kind="stable")][:k_prime]
         return list(zip(rows.tolist(), dists[rows].tolist()))
 
     R = 1
     num_iter = 1
     for _ in range(max_levels):
-        cand_rows = np.nonzero(counts >= params.l)[0]
+        cand_rows = candidates()
         if cand_rows.size and np.count_nonzero(dists[cand_rows] <= params.c * R) >= k_prime:
-            return ranked_candidates()[:k_prime], True
+            return ranked(cand_rows), True
         if cand_rows.size >= k_prime + allowed_fp:
-            return ranked_candidates()[:k_prime], True
+            return ranked(cand_rows), True
         covered = bool(np.all(
             (reach_lo >= reach_hi) | ((lo_cov <= reach_lo) & (hi_cov >= reach_hi))))
         if covered:
@@ -147,7 +143,7 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
             lo_cov[g], hi_cov[g] = lo, hi
         R = params.c ** num_iter
         num_iter += 1
-    result = ranked_candidates()[:k_prime]
+    result = ranked(candidates())
     return result, len(result) >= k_prime
 
 

@@ -3,6 +3,9 @@
 Timing is modeled (HDD cost model plus a fixed per-operation algorithm cost),
 not measured; wall-clock time is reported separately as informational only,
 so repeated runs with the same config and seed produce identical reports.
+Each query's costs live in one `QueryStats`: the search fills its collision
+and operation counts, and `replay_plans` bills its IO through
+`access_bucket`, which adds the same figures to the buffer's `io_stats`.
 """
 
 from __future__ import annotations
@@ -11,19 +14,20 @@ import csv
 import json
 import os
 import time
+import typing
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .baselines import (borda_aggregate, full_ranking, ground_truth_key, load_ground_truth,
                         point_knn_c2lsh, point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
-                        FrequencyProfile, SchedulerConfig, _MmlshEvictor,
+                        FrequencyProfile, QueryStats, SchedulerConfig, _MmlshEvictor,
                         access_bucket, build_frequency_profile, evict_lru,
                         schedule_ns1, schedule_ns2, split_queries)
-from .engine import DEFAULT_ALG_OP_COST_MS, QueryStats, knn_objects
-from .errors import ParameterError
+from .engine import DEFAULT_ALG_OP_COST_MS, knn_objects
+from .errors import ParameterError, ProfileFileError
 from .lsh import DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, save_index
 from .model import Dataset, QueryObject, load_feature_file, load_object_map, synth_dataset
 from .similarity import GammaParams, gamma_distance, object_ratio
@@ -71,9 +75,23 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
+        """Fields from a JSON object, with `overrides` taking precedence.
+
+        A value that is not an object, an unknown field name or a value of
+        the wrong JSON type raises ParameterError.
+        """
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ParameterError(f"{path}: a config must be a JSON object")
         data.update(overrides or {})
+        hints = typing.get_type_hints(cls)
+        defaults = {f.name: f.default for f in fields(cls)}
+        for name, value in data.items():
+            if name not in hints:
+                raise ParameterError(f"{path}: unknown config field {name!r}")
+            if not _fits(value, hints[name], defaults[name]):
+                raise ParameterError(f"{path}: config field {name!r} cannot be {value!r}")
         return cls(**data)
 
     def resolved_beta(self, S: int) -> float:
@@ -82,6 +100,20 @@ class RunConfig:
     def gamma_params(self, S: int) -> GammaParams:
         return GammaParams(gamma=self.gamma, delta=self.delta,
                            beta=self.resolved_beta(S), epsilon=self.epsilon)
+
+
+_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: (list, tuple),
+               type(None): type(None)}
+
+
+def _fits(value, hint, default=None) -> bool:
+    """Whether a JSON value suits a field annotated `hint` (a tuple's items: its default's)."""
+    if isinstance(value, bool):
+        return False  # JSON true/false is neither a number, a string nor a list
+    for typ in typing.get_args(hint) or (hint,):
+        if isinstance(value, _JSON_TYPES[typ]):
+            return typ is not tuple or all(_fits(v, type(default[0])) for v in value)
+    return False
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -147,25 +179,13 @@ def _row(query, method, strategy, buffer_mb, k_prime, ratio, flagged, stats: Que
         "or_flagged": int(flagged),
         "total_ms": stats.total_ms,
         "alg_ms": stats.alg_ms,
-        "index_io_ms": stats.index_io_ms,
+        "index_io_ms": stats.io_ms,
         "hits": stats.buffer_hits,
         "misses": stats.buffer_misses,
         "stop": stop,
         "levels": levels,
         "wall_ms": wall_ms,
     }
-
-
-def _charge(stats: QueryStats, buffer: BufferState, key, size: int, evict) -> None:
-    hit, ms = access_bucket(key, size, buffer, evict)
-    stats.buckets_read += 1
-    stats.index_io_ms += ms
-    if hit:
-        stats.buffer_hits += 1
-    else:
-        stats.buffer_misses += 1
-        stats.bytes_read += size
-        stats.seeks += 1
 
 
 def _occupied(index, g: int, ranges, lists: dict):
@@ -189,12 +209,13 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
 
     This is the one place that pulls index buckets through a buffer.
     plans[i] is the pass list `knn_objects` (or `point_knn_c2lsh`) recorded
-    for query i; stats_list[i] is mutated in place: IO counters, plus the
-    strategy's extra work in `alg_ops`. `alg_ms` is left to the caller,
-    which derives it from `alg_ops`. NS1 and MMLSH execute queries one after
-    another; NS2 batches the whole set, reading each distinct useful bucket
-    once per (level, projection) pass and checking every batched query
-    against it. Only occupied buckets are visited, in ascending order.
+    for query i; stats_list[i] is mutated in place: `access_bucket` bills
+    each access to it and to `buffer.io_stats`, and the strategy's extra work
+    goes to its `alg_ops`. `alg_ms` is left to the caller, which derives it
+    from `alg_ops`. NS1 and MMLSH execute queries one after another; NS2
+    batches the whole set, reading each distinct useful bucket once per
+    (level, projection) pass and checking every batched query against it.
+    Only occupied buckets are visited, in ascending order.
     """
     lists: dict = {}
     if strategy == NS2:
@@ -215,7 +236,7 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
                     key = (g, R, bucket)
                     if mmlsh:
                         evictor.current_bucket = key
-                    _charge(stats, buffer, key, size, evictor)
+                    access_bucket(key, size, buffer, evictor, stats)
                     if mmlsh:
                         buffer.note_use(key)
 
@@ -238,7 +259,7 @@ def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list, lists: dict
         ids, sizes, slices = _occupied(index, g, ranges, lists)
         schedule = schedule_ns2(slices)
         for i, consumers in schedule:
-            _charge(stats_list[consumers[0]], buffer, (g, R, ids[i]), sizes[i], evict_lru)
+            access_bucket((g, R, ids[i]), sizes[i], buffer, evict_lru, stats_list[consumers[0]])
         for query_idx, _lo, _hi in ranges:
             stats_list[query_idx].alg_ops += len(schedule)
 
@@ -417,4 +438,7 @@ def _fmt(value) -> str:
 def load_artifacts(cfg: RunConfig):
     index = load_index(cfg.index_path)
     profile = FrequencyProfile.load(cfg.profile_path) if os.path.exists(cfg.profile_path) else None
+    if profile is not None and profile.means.shape[0] != index.m:
+        raise ProfileFileError(f"{cfg.profile_path}: profile has {profile.means.shape[0]} "
+                               f"projections, the index has m={index.m}")
     return index, profile

@@ -25,18 +25,23 @@ three relaxation tiers then take the same winners as a full scan (see
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, so a recorded trace replays exactly.
+`access_bucket` bills every access, and the evictions a miss causes, once:
+to the buffer's `io_stats` and to the `QueryStats` of the query it serves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import zipfile
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
+
+from .errors import ProfileFileError
 
 NS1 = "NS1"
 NS2 = "NS2"
@@ -64,13 +69,27 @@ class CostModel:
 
 
 @dataclass
-class IoStats:
-    seeks: int = 0
-    bytes_read: int = 0
+class QueryStats:
+    """Modeled cost of one query, or of every access a buffer served.
+
+    A miss is one seek, so seeks equal `buffer_misses`, and the buckets read
+    are hits + misses. `collision_increments` and `alg_ops` come from the
+    search; the IO fields from `access_bucket`; `alg_ms` is `alg_ops` times
+    the per-operation cost, set by whoever reports it.
+    """
+
     buffer_hits: int = 0
     buffer_misses: int = 0
+    bytes_read: int = 0
     evictions: int = 0
     io_ms: float = 0.0
+    collision_increments: int = 0
+    alg_ops: int = 0
+    alg_ms: float = 0.0
+
+    @property
+    def total_ms(self) -> float:
+        return self.alg_ms + self.io_ms
 
 
 class _Entry:
@@ -99,7 +118,7 @@ class BufferState:
         self.resident: dict[tuple, _Entry] = {}
         self.used_bytes = 0
         self.clock = 0
-        self.io_stats = IoStats()
+        self.io_stats = QueryStats()
         self.trace = trace  # optional list collecting (tick, key, hit, evicted)
         self.eviction_index: _EvictionIndex | None = None  # built by the first MMLSH eviction
 
@@ -109,7 +128,6 @@ class BufferState:
     def _evict(self, key):
         entry = self.resident.pop(key)
         self.used_bytes -= entry.size_bytes
-        self.io_stats.evictions += 1
         if self.eviction_index is not None:
             self.eviction_index.remove(key)
         return entry
@@ -273,25 +291,17 @@ def evict_mmlsh(buffer: BufferState, current_bucket, config: "SchedulerConfig",
     return key
 
 
-def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru) -> tuple[bool, float]:
+def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
+                  stats: QueryStats | None = None) -> tuple[bool, float]:
     """Pull one bucket through the buffer; returns (hit, modeled ms).
 
     Hits cost nothing. Misses evict under the supplied policy until the bucket
     fits, then charge one seek plus the transfer time. Buckets larger than the
-    whole buffer bypass it and pay full IO on every access.
+    whole buffer bypass it and pay full IO on every access. The access and
+    the evictions it causes are billed to `buffer.io_stats` and, when given,
+    to the query's `stats`.
     """
     buffer.clock += 1
-    cost = buffer.cost
-    if size_bytes > buffer.capacity_bytes:
-        ms = cost.miss_ms(size_bytes)
-        buffer.io_stats.buffer_misses += 1
-        buffer.io_stats.seeks += 1
-        buffer.io_stats.bytes_read += size_bytes
-        buffer.io_stats.io_ms += ms
-        if buffer.trace is not None:
-            buffer.trace.append((buffer.clock, key, "miss", None))
-        return False, ms
-
     entry = buffer.resident.get(key)
     if entry is not None:
         entry.last_use_tick = buffer.clock
@@ -299,25 +309,30 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru) ->
         buffer.resident.pop(key)
         buffer.resident[key] = entry
         buffer.io_stats.buffer_hits += 1
+        if stats is not None:
+            stats.buffer_hits += 1
         if buffer.trace is not None:
             buffer.trace.append((buffer.clock, key, "hit", None))
         return True, 0.0
 
     evicted = []
-    while buffer.used_bytes + size_bytes > buffer.capacity_bytes:
-        evicted.append(evict(buffer))
-    entry = buffer.resident[key] = _Entry(size_bytes, buffer.clock, 1.0)
-    if isinstance(evict, _MmlshEvictor):  # seed the estimate, keep the eviction index current
-        if evict.profile is not None:
-            entry.est_frequency = evict.profile.frequency(key[0], key[2])
-        if buffer.eviction_index is not None:
-            buffer.eviction_index.add(key, entry)
-    buffer.used_bytes += size_bytes
-    ms = cost.miss_ms(size_bytes)
-    buffer.io_stats.buffer_misses += 1
-    buffer.io_stats.seeks += 1
-    buffer.io_stats.bytes_read += size_bytes
-    buffer.io_stats.io_ms += ms
+    if size_bytes <= buffer.capacity_bytes:  # larger buckets are never resident
+        while buffer.used_bytes + size_bytes > buffer.capacity_bytes:
+            evicted.append(evict(buffer))
+        entry = buffer.resident[key] = _Entry(size_bytes, buffer.clock, 1.0)
+        if isinstance(evict, _MmlshEvictor):  # seed the estimate, keep the eviction index current
+            if evict.profile is not None:
+                entry.est_frequency = evict.profile.frequency(key[0], key[2])
+            if buffer.eviction_index is not None:
+                buffer.eviction_index.add(key, entry)
+        buffer.used_bytes += size_bytes
+    ms = buffer.cost.miss_ms(size_bytes)
+    for record in (buffer.io_stats, stats):
+        if record is not None:
+            record.buffer_misses += 1
+            record.bytes_read += size_bytes
+            record.evictions += len(evicted)
+            record.io_ms += ms
     if buffer.trace is not None:
         buffer.trace.append((buffer.clock, key, "miss", tuple(evicted) or None))
     return False, ms
@@ -414,7 +429,8 @@ class FrequencyProfile:
     """
 
     def __init__(self, edges: np.ndarray, means: np.ndarray):
-        if edges.shape[0] != means.shape[0] or edges.shape[1] != means.shape[1] + 1:
+        if (edges.ndim != 2 or means.ndim != 2 or edges.shape[0] != means.shape[0]
+                or edges.shape[1] != means.shape[1] + 1):
             raise ValueError("edges must have one more column than means")
         self.edges = edges
         self.means = means
@@ -437,8 +453,12 @@ class FrequencyProfile:
 
     @classmethod
     def load(cls, path):
-        data = np.load(path)
-        return cls(edges=data["edges"], means=data["means"])
+        """Read a saved profile; a file that is not one raises ProfileFileError."""
+        try:
+            with np.load(path) as data:
+                return cls(edges=data["edges"], means=data["means"])
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise ProfileFileError(f"{path}: not a frequency profile ({exc})") from exc
 
 
 def profile_footprint(index, dataset, num_queries: int, seed: int) -> np.ndarray:
@@ -479,11 +499,3 @@ def build_frequency_profile(index, dataset, num_queries: int = 1000,
         nonzero = width > 0
         means[g, nonzero] = totals[nonzero] / width[nonzero]
     return FrequencyProfile(edges=edges, means=means)
-
-
-def write_trace(trace, path) -> None:
-    """Dump a recorded access trace as `tick,projection,level,bucket,hit|miss,evicted`."""
-    with open(path, "w") as fh:
-        for tick, key, outcome, evicted in trace:
-            ev = "" if not evicted else ";".join(f"{k[0]}:{k[1]}:{k[2]}" for k in evicted)
-            fh.write(f"{tick},{key[0]},{key[1]},{key[2]},{outcome},{ev}\n")

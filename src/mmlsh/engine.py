@@ -12,10 +12,11 @@ the search stops when either
 * T2 — at the start of a level, at least k candidates have exact object
   distance <= c * R.
 
-The search charges no IO. It records every executed (projection, level,
-ranges) pass in an optional plan, and `bench.replay_plans` charges that plan
-under a scheduling strategy and buffer afterwards, so the strategy changes
-the modeled cost only, never the counts or the answer.
+The search charges no IO. It fills the collision and operation counts of
+its `QueryStats` and records every executed (projection, level, ranges) pass
+in an optional plan; `bench.replay_plans` charges that plan to the same
+record under a scheduling strategy and buffer afterwards, so the strategy
+changes the modeled cost only, never the counts or the answer.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buffering import QueryStats
 from .errors import ParameterError
 from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
@@ -38,23 +40,6 @@ DEFAULT_ALG_OP_COST_MS = 1e-6
 T1 = "T1"
 T2 = "T2"
 EXHAUSTED = "EXHAUSTED"
-
-
-@dataclass
-class QueryStats:
-    buckets_read: int = 0
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    bytes_read: int = 0
-    seeks: int = 0
-    index_io_ms: float = 0.0
-    collision_increments: int = 0
-    alg_ops: int = 0
-    alg_ms: float = 0.0
-
-    @property
-    def total_ms(self) -> float:
-        return self.alg_ms + self.index_io_ms
 
 
 @dataclass
@@ -111,9 +96,11 @@ class CollisionState:
 
     @property
     def ci(self) -> np.ndarray:
+        """Collision index per object: the share of its cross pairs with >= l collisions."""
         return self.qualifying_pairs / self.pair_totals
 
     def candidate_mask(self, gparams: GammaParams) -> np.ndarray:
+        """Gamma-candidacy per object: collision index >= (1 - epsilon) * gamma."""
         return self.ci >= gparams.candidate_threshold
 
 

@@ -17,6 +17,10 @@ class IndexFileError(ValueError):
     """Raised when an index file fails validation (bad magic, version, or checksum)."""
 
 
+class ProfileFileError(ValueError):
+    """Raised when a frequency profile file is unreadable or does not fit the index."""
+
+
 class NonFiniteCoordinateError(ValueError):
     """Raised when a feature point has a NaN or infinite coordinate."""
 

@@ -34,19 +34,6 @@ _VERSION = 1
 
 
 @dataclass(frozen=True)
-class HashFunction:
-    """One random projection line (a, b) with bucket width w."""
-
-    a: np.ndarray
-    b: float
-    w: float
-
-    def __post_init__(self):
-        if self.w <= 0:
-            raise ParameterError("bucket width w must be positive")
-
-
-@dataclass(frozen=True)
 class LshParams:
     c: int
     w: float
@@ -138,14 +125,6 @@ def reach_range(index: LshIndex, q_base: np.ndarray) -> tuple[np.ndarray, np.nda
     return lo, hi
 
 
-def hash_point(fn: HashFunction, coords) -> int:
-    """Base bucket id floor((a.x + b) / w); floors toward -inf for negatives."""
-    x = np.asarray(coords, dtype=np.float64)
-    if x.shape != fn.a.shape:
-        raise ValueError(f"dimension mismatch: point {x.shape} vs projection {fn.a.shape}")
-    return int(math.floor((float(np.dot(fn.a, x)) + fn.b) / fn.w))
-
-
 class LshIndex:
     """m sorted per-projection bucket tables over one dataset's points.
 
@@ -199,9 +178,6 @@ class LshIndex:
             starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
             self._occupied[g] = (col[starts], np.diff(np.append(starts, col.size)))
         return self._occupied[g]
-
-    def function(self, g: int) -> HashFunction:
-        return HashFunction(a=self.a[g], b=float(self.b[g]), w=self.params.w)
 
 
 def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:

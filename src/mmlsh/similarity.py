@@ -77,28 +77,6 @@ def gamma_distance(q_coords, x_coords, gamma: float) -> float:
     return float(np.partition(dists, k - 1)[k - 1])
 
 
-def collision_index(pair_counts, threshold: int) -> float:
-    """Fraction of cross pairs whose collision count reached the threshold.
-
-    pair_counts is the (|set(Q)|, |set(X)|) matrix of collision counts;
-    absent collisions are simply zeros.
-    """
-    counts = np.asarray(pair_counts)
-    if counts.size == 0:
-        raise ValueError("empty pair count matrix")
-    return float(np.count_nonzero(counts >= threshold)) / counts.size
-
-
-def is_gamma_candidate(ci_value: float, params: GammaParams) -> bool:
-    """Candidacy test: collision index at least (1 - epsilon) * gamma."""
-    return ci_value >= params.candidate_threshold
-
-
-def is_gamma_false_positive(ci_value: float, gdist: float, c_radius: float, params: GammaParams) -> bool:
-    """High collision index (>= gamma + beta/2) despite distance beyond c*R."""
-    return ci_value >= params.gamma + params.beta / 2.0 and gdist > c_radius
-
-
 def object_ratio(returned_dists, truth_dists) -> tuple[float, bool]:
     """Mean per-rank ratio of returned to true object distances (1.0 = perfect).
 

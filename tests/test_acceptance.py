@@ -150,7 +150,7 @@ def buffer_workload():
                                 profile=profile)
         bench.replay_plans(strategy, plans, index, buf, stats, sched)
         return {
-            "io_ms": sum(s.index_io_ms for s in stats),
+            "io_ms": sum(s.io_ms for s in stats),
             "alg_ms": sum(s.alg_ops for s in stats) * cfg.alg_op_cost_ms,
             "hits": sum(s.buffer_hits for s in stats),
             "misses": sum(s.buffer_misses for s in stats),

@@ -9,12 +9,70 @@ from scipy.spatial.distance import cdist
 
 import mmlsh
 from mmlsh import bench
-from mmlsh.baselines import (BordaConfig, borda_aggregate, exact_knn_objects,
-                             full_ranking, load_ground_truth, point_knn_c2lsh,
-                             point_knn_linear, save_ground_truth)
-from mmlsh.buffering import NS1, BufferState, SchedulerConfig
-from mmlsh.engine import QueryStats
-from mmlsh.errors import ParameterError
+from mmlsh.baselines import (borda_aggregate, exact_knn_objects, full_ranking,
+                             load_ground_truth, point_knn_c2lsh, point_knn_linear,
+                             save_ground_truth)
+from mmlsh.buffering import NS1, BufferState, QueryStats, SchedulerConfig
+from mmlsh.lsh import level_cap, reach_range
+
+
+def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, beta_n=None,
+                              max_levels=None, stats=None, plan=None):
+    """`point_knn_c2lsh` as it was with a full `cdist` to every point: the oracle."""
+    q = np.asarray(q_coords, dtype=np.float64)
+    params = index.params
+    n = index.n
+    allowed_fp = beta_n if beta_n is not None else params.beta * n
+    if max_levels is None:
+        max_levels = level_cap(params.c)
+    counts = np.zeros(n, dtype=np.int32)
+    q_base = index.hash_query(q)
+    lo_cov = np.full(index.m, np.iinfo(np.int64).max, dtype=np.int64)
+    hi_cov = np.full(index.m, np.iinfo(np.int64).min, dtype=np.int64)
+    reach_lo, reach_hi = reach_range(index, q_base)
+
+    dists = cdist(q.reshape(1, -1), dataset.coords.astype(np.float64))[0]
+
+    def ranked_candidates():
+        rows = np.nonzero(counts >= params.l)[0]
+        rows = rows[np.argsort(dists[rows], kind="stable")]
+        return list(zip(rows.tolist(), dists[rows].tolist()))
+
+    R = 1
+    num_iter = 1
+    for _ in range(max_levels):
+        cand_rows = np.nonzero(counts >= params.l)[0]
+        if cand_rows.size and np.count_nonzero(dists[cand_rows] <= params.c * R) >= k_prime:
+            return ranked_candidates()[:k_prime], True
+        if cand_rows.size >= k_prime + allowed_fp:
+            return ranked_candidates()[:k_prime], True
+        covered = bool(np.all(
+            (reach_lo >= reach_hi) | ((lo_cov <= reach_lo) & (hi_cov >= reach_hi))))
+        if covered:
+            break
+        for g in range(index.m):
+            qb = int(np.floor_divide(q_base[g], R))
+            lo, hi = qb * R, qb * R + R
+            if plan is not None:
+                plan.append((g, R, [(0, lo, hi)]))
+            if lo_cov[g] > hi_cov[g]:
+                segments = [(lo, hi)]
+            else:
+                segments = [(lo, int(lo_cov[g])), (int(hi_cov[g]), hi)]
+            for s0, s1 in segments:
+                s0 = max(s0, int(index.bucket_lo[g]))
+                s1 = min(s1, int(index.bucket_hi[g]) + 1)
+                if s0 < s1:
+                    rows = index.range_rows(g, s0, s1)
+                    counts[rows] += 1
+                    if stats is not None:
+                        stats.collision_increments += rows.size
+                        stats.alg_ops += rows.size
+            lo_cov[g], hi_cov[g] = lo, hi
+        R = params.c ** num_iter
+        num_iter += 1
+    result = ranked_candidates()[:k_prime]
+    return result, len(result) >= k_prime
 
 
 class TestExactKnnObjects:
@@ -133,9 +191,30 @@ class TestPointKnnC2lsh:
                                             stats=stats, plan=plan)
         bench.replay_plans(NS1, [plan], small_index, buf, [stats], SchedulerConfig(strategy=NS1))
         assert complete and len(ranking) == 3
-        assert stats.buckets_read == stats.buffer_hits + stats.buffer_misses
-        assert stats.buckets_read > 0
-        assert stats.index_io_ms > 0.0
+        assert stats.buffer_misses > 0
+        assert stats.io_ms > 0.0
+        io = buf.io_stats  # one query alone on its buffer: the same IO figures
+        assert (stats.buffer_hits, stats.buffer_misses, stats.bytes_read, stats.io_ms) == (
+            io.buffer_hits, io.buffer_misses, io.bytes_read, io.io_ms)
+
+    @pytest.mark.parametrize("k_prime, beta_n, max_levels",
+                             [(3, None, None), (10, 0.0, None), (50, None, 4), (400, 0.0, None),
+                              (400, 0.0, 1)])
+    def test_matches_full_cdist_oracle(self, synth200, k_prime, beta_n, max_levels):
+        """Distances only for candidates give the full-`cdist` search's result bit for bit."""
+        params = mmlsh.derive_params(0.1, 0.05, 2, 2.184)
+        idx = mmlsh.build_index(synth200, params, seed=3)
+        rng = np.random.default_rng(k_prime)
+        for row in rng.integers(0, synth200.n, size=4).tolist():
+            q = synth200.coords[row].astype(np.float64) + rng.normal(
+                scale=0.5, size=synth200.dimension)
+            got_stats, want_stats, got_plan, want_plan = QueryStats(), QueryStats(), [], []
+            got = point_knn_c2lsh(q, idx, synth200, k_prime, beta_n, max_levels,
+                                  stats=got_stats, plan=got_plan)
+            want = reference_point_knn_c2lsh(q, idx, synth200, k_prime, beta_n, max_levels,
+                                             stats=want_stats, plan=want_plan)
+            assert got == want
+            assert got_stats == want_stats and got_plan == want_plan
 
 
 class TestBorda:
@@ -161,10 +240,6 @@ class TestBorda:
         base = borda_aggregate(rankings, small_dataset, k=5, k_prime=10)
         shuffled = [rankings[i] for i in rng.permutation(len(rankings))]
         assert borda_aggregate(shuffled, small_dataset, k=5, k_prime=10) == base
-
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            BordaConfig(k_prime=5, k=10)
 
     def test_overlong_ranking_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="k_prime"):

@@ -10,7 +10,7 @@ import mmlsh.bench as bench
 import mmlsh.cli as cli
 from mmlsh.baselines import full_ranking
 from mmlsh.bench import RunConfig, aggregate, choose_queries, ensure_ground_truth
-from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, SchedulerConfig
+from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, FrequencyProfile, SchedulerConfig
 from mmlsh.model import Dataset, QueryObject, write_feature_file
 
 
@@ -175,7 +175,7 @@ class TestFarCoordinate:
                 buf = BufferState(int(cfg.buffer_mb * bench.MB))
                 bench.replay_plans(strategy, plans, index, buf, stats,
                                    SchedulerConfig(strategy=strategy, profile=profile))
-                assert stats[0].buckets_read > 0
+                assert stats[0].buffer_hits + stats[0].buffer_misses > 0
             truth = {query.object_id: full_ranking(query, ds, cfg.gamma)}
             assert bench.run_borda_baselines(cfg, ds, index, [query], truth)
             _current, peak = tracemalloc.get_traced_memory()
@@ -236,6 +236,48 @@ class TestCli:
                                     "--object-map", str(tmp_path / "map.csv")]
         assert cli.main(["build"] + args) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "JSON object"),
+        ('{"gama": 0.3}', "unknown config field 'gama'"),
+        ('{"k": "abc"}', "config field 'k' cannot be 'abc'"),
+    ])
+    def test_malformed_config_file_exits_3(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        assert cli.main(["groundtruth", "--config", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_well_typed_config_file_is_accepted(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_queries": 2, "query_size": 4, "gamma": 1,
+                                    "buffer_sizes_mb": [1, 2.5], "strategy": NS2}))
+        assert cli.main(["groundtruth", "--config", str(path)] + self._common(cfg)) == 0
+        assert "ground truth for 3 queries" in capsys.readouterr().out  # flags win
+
+    def test_truncated_profile_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        with open(cfg.profile_path, "rb") as fh:
+            raw = fh.read()
+        with open(cfg.profile_path, "wb") as fh:
+            fh.write(raw[:len(raw) // 2])
+        capsys.readouterr()
+        assert cli.main(["query"] + args) == 3
+        assert "not a frequency profile" in capsys.readouterr().err
+
+    def test_profile_of_another_index_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        profile = FrequencyProfile.load(cfg.profile_path)
+        m = profile.means.shape[0]
+        FrequencyProfile(profile.edges[:m - 1], profile.means[:m - 1]).save(cfg.profile_path)
+        capsys.readouterr()
+        assert cli.main(["query"] + args) == 3
+        assert f"profile has {m - 1} projections, the index has m={m}" in capsys.readouterr().err
 
     def test_groundtruth_verb(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

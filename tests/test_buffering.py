@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import mmlsh
 from mmlsh.buffering import (_HEAP_SLACK, BufferState, CostModel, FrequencyProfile,
-                             SchedulerConfig, _MmlshEvictor, access_bucket,
+                             QueryStats, SchedulerConfig, _MmlshEvictor, access_bucket,
                              build_frequency_profile, evict_lru, evict_mmlsh,
-                             profile_footprint, schedule_ns1, schedule_ns2, split_queries,
-                             write_trace)
+                             profile_footprint, schedule_ns1, schedule_ns2, split_queries)
 
 
 class ReferenceLru:
@@ -64,6 +63,21 @@ class TestLruBuffer:
         access_bucket(("a",), 40, buf)  # a becomes most recent
         access_bucket(("c",), 40, buf)  # must evict b, not a
         assert ("a",) in buf and ("b",) not in buf
+
+    def test_access_billed_to_buffer_and_query(self):
+        buf = BufferState(capacity_bytes=100)
+        first, second = QueryStats(), QueryStats()
+        access_bucket(("a",), 60, buf, stats=first)
+        access_bucket(("a",), 60, buf, stats=second)
+        access_bucket(("b",), 60, buf, stats=second)  # evicts a
+        access_bucket(("big",), 500, buf)             # bypasses, billed to the buffer only
+        miss = buf.cost.miss_ms(60)
+        assert first == QueryStats(buffer_misses=1, bytes_read=60, io_ms=miss)
+        assert second == QueryStats(buffer_hits=1, buffer_misses=1, bytes_read=60,
+                                    evictions=1, io_ms=miss)
+        assert buf.io_stats == QueryStats(buffer_hits=1, buffer_misses=3, bytes_read=620,
+                                          evictions=1, io_ms=miss + miss + buf.cost.miss_ms(500))
+        assert buf.io_stats.total_ms == buf.io_stats.io_ms
 
     def test_oversized_bucket_bypasses(self):
         buf = BufferState(capacity_bytes=100)
@@ -441,21 +455,16 @@ class TestFrequencyProfile:
 
 
 class TestTrace:
-    def test_trace_records_and_writes(self, tmp_path):
+    def test_trace_records_hits_misses_and_evictions(self):
         trace = []
         buf = BufferState(capacity_bytes=100, trace=trace)
         access_bucket((0, 1, 2), 60, buf)
         access_bucket((0, 1, 2), 60, buf)
         access_bucket((0, 1, 3), 60, buf)  # evicts (0,1,2)
         assert [t[2] for t in trace] == ["miss", "hit", "miss"]
-        assert trace[2][3] == ((0, 1, 2),)
+        assert trace[0][3] is None and trace[2][3] == ((0, 1, 2),)
         ticks = [t[0] for t in trace]
         assert ticks == sorted(ticks) and len(set(ticks)) == len(ticks)
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "1,0,1,2,miss,"
-        assert lines[2] == "3,0,1,3,miss,0:1:2"
 
     def test_io_ms_reconstructable_from_trace(self):
         trace = []

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import mmlsh
 from mmlsh import bench
-from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, CostModel, SchedulerConfig
+from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel, SchedulerConfig,
+                             build_frequency_profile)
 from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, check_t1, check_t2,
                           count_collisions)
 from mmlsh.errors import ParameterError
@@ -218,9 +219,45 @@ class TestStrategyNeutrality:
         q = mmlsh.QueryObject.from_object(small_dataset, 4)
         plan = []
         costed = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp, plan=plan)
-        assert costed.stats.index_io_ms == 0.0
+        assert costed.stats.io_ms == 0.0
         buf = BufferState(capacity_bytes=10_000, cost=CostModel())
         bench.replay_plans(NS1, [plan], small_index, buf, [costed.stats],
                            SchedulerConfig(strategy=NS1))
-        assert costed.stats.index_io_ms > 0.0
-        assert costed.stats.buckets_read == costed.stats.buffer_hits + costed.stats.buffer_misses
+        assert costed.stats.io_ms > 0.0
+        assert costed.stats.buffer_misses > 0
+
+
+class TestReplayProperties:
+    """Replay bills every access once and leaves answers and counts alone."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), objects=st.integers(2, 8), points=st.integers(1, 6),
+           d=st.integers(2, 6), spread=st.floats(0.05, 1.0))
+    def test_records_sum_to_the_buffer_and_answers_do_not_move(self, seed, objects, points,
+                                                               d, spread):
+        cfg = bench.RunConfig(synth_objects=objects, synth_points_per_object=points,
+                              synth_dimension=d, synth_spread=spread, gamma=0.5, delta=0.25,
+                              beta=0.5, epsilon=0.5, k=2, num_queries=3, seed=seed)
+        ds = bench.load_dataset(cfg)
+        params = mmlsh.derive_params(cfg.delta, cfg.resolved_beta(ds.num_objects), cfg.c, cfg.w)
+        index = mmlsh.build_index(ds, params, seed=seed)
+        profile = build_frequency_profile(index, ds, num_queries=50, seed=seed)
+        queries = bench.choose_queries(ds, cfg)
+        reference = None
+        for strategy in (NS1, NS2, MMLSH):
+            for capacity in (200, 20_000):
+                for splits in (1, 3, 10):
+                    results, plans, _walls = bench.record_query_plans(cfg, ds, index, queries)
+                    stats = [r.stats for r in results]
+                    buf = BufferState(capacity)
+                    bench.replay_plans(strategy, plans, index, buf, stats,
+                                       SchedulerConfig(strategy=strategy, query_splits=splits,
+                                                       profile=profile))
+                    answers = [(r.top_k, r.stop_condition, r.levels_used,
+                                r.stats.collision_increments) for r in results]
+                    reference = reference or answers
+                    assert answers == reference
+                    io = buf.io_stats
+                    for name in ("buffer_hits", "buffer_misses", "bytes_read", "evictions"):
+                        assert sum(getattr(s, name) for s in stats) == getattr(io, name)
+                    assert sum(s.io_ms for s in stats) == pytest.approx(io.io_ms, rel=1e-12)

@@ -74,33 +74,41 @@ class TestDeriveParams:
             mmlsh.LshParams(c=2, w=1.0, delta=0.1, beta=0.1, p1=0.3, p2=0.5, z=1.0, m=10, l=5)
 
 
+def scalar_hash(a, b, w, x) -> int:
+    """Oracle: the base bucket floor((a.x + b) / w) of one point in one projection."""
+    return math.floor((sum(float(ai) * float(xi) for ai, xi in zip(a, x)) + b) / w)
+
+
 class TestHashPoint:
+    """`hash_points` on one projection line (a 1-row `a`), point by point."""
+
     def test_arithmetic(self):
-        fn = mmlsh.HashFunction(a=np.array([1.0, 0.0]), b=0.5, w=2.184)
-        assert mmlsh.hash_point(fn, [3.0, 9.9]) == math.floor(3.5 / 2.184) == 1
+        got = mmlsh.hash_points([3.0, 9.9], np.array([[1.0, 0.0]]), np.array([0.5]), 2.184)
+        assert got.tolist() == [math.floor(3.5 / 2.184)] == [1]
 
     def test_floor_toward_negative_infinity(self):
-        fn = mmlsh.HashFunction(a=np.array([1.0]), b=0.0, w=1.0)
-        assert mmlsh.hash_point(fn, [-0.1]) == -1
+        assert mmlsh.hash_points([-0.1], np.array([[1.0]]), np.array([0.0]), 1.0).tolist() == [-1]
 
     def test_matches_scalar_reimplementation(self):
         rng = np.random.default_rng(2)
-        fn = mmlsh.HashFunction(a=rng.normal(size=5), b=float(rng.uniform(0, 2.184)), w=2.184)
-        for x in rng.normal(size=(1000, 5)):
-            expected = math.floor((sum(ai * xi for ai, xi in zip(fn.a, x)) + fn.b) / fn.w)
-            assert mmlsh.hash_point(fn, x) == expected
+        a, b = rng.normal(size=(3, 5)), rng.uniform(0, 2.184, size=3)
+        points = rng.normal(size=(1000, 5))
+        got = mmlsh.hash_points(points, a, b, 2.184)
+        assert got.shape == (1000, 3)
+        for x, row in zip(points, got.tolist()):
+            assert row == [scalar_hash(a[g], b[g], 2.184, x) for g in range(3)]
 
     def test_translation_consistency(self):
         rng = np.random.default_rng(8)
-        fn = mmlsh.HashFunction(a=rng.normal(size=4), b=0.7, w=2.184)
-        norm2 = float(np.dot(fn.a, fn.a))
+        a, b, w = rng.normal(size=(1, 4)), np.array([0.7]), 2.184
+        norm2 = float(np.dot(a[0], a[0]))
         for _ in range(50):
             x = rng.normal(size=4)
-            frac = ((np.dot(fn.a, x) + fn.b) / fn.w) % 1.0
+            frac = ((np.dot(a[0], x) + b[0]) / w) % 1.0
             if not 0.05 < frac < 0.95:
                 continue  # keep clear of bucket boundaries
-            shifted = x + fn.w * fn.a / norm2
-            assert mmlsh.hash_point(fn, shifted) == mmlsh.hash_point(fn, x) + 1
+            shifted = x + w * a[0] / norm2
+            assert mmlsh.hash_points(shifted, a, b, w) == mmlsh.hash_points(x, a, b, w) + 1
 
 
 class TestBuildIndex:
@@ -123,10 +131,10 @@ class TestBuildIndex:
         idx = small_index
         coords = small_dataset.coords.astype(np.float64)
         for g in range(idx.m):
-            fn = idx.function(g)
             for pos in range(idx.n):
                 row = idx.point_rows[g, pos]
-                assert idx.buckets[g, pos] == mmlsh.hash_point(fn, coords[row])
+                assert idx.buckets[g, pos] == scalar_hash(idx.a[g], idx.b[g], idx.params.w,
+                                                          coords[row])
             assert np.all(np.diff(idx.buckets[g]) >= 0)
 
     def test_each_point_once_per_projection(self, small_index):

@@ -67,7 +67,7 @@ def test_wrapped_attributes_count_every_access_and_eviction(monkeypatch, recorde
     io = buffer.io_stats
     assert io.evictions > 0  # the buffer is small enough to exercise eviction
     assert calls["access_bucket"] == io.buffer_hits + io.buffer_misses
-    assert calls["access_bucket"] == sum(s.buckets_read for s in stats)
+    assert calls["access_bucket"] == sum(s.buffer_hits + s.buffer_misses for s in stats)
     if strategy == MMLSH:
         assert calls["evict_mmlsh"] == io.evictions
         assert calls["evict_lru"] == 0

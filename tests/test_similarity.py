@@ -5,7 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmlsh
+from mmlsh.engine import CollisionState, count_collisions
 from mmlsh.errors import ParameterError
+
+
+def collision_index(pair_counts, threshold: int) -> float:
+    """Oracle: fraction of cross pairs whose collision count reached the threshold.
+
+    pair_counts is the (|set(Q)|, |set(X)|) matrix of collision counts;
+    absent collisions are simply zeros.
+    """
+    counts = np.asarray(pair_counts)
+    assert counts.size > 0
+    return float(np.count_nonzero(counts >= threshold)) / counts.size
+
+
+def is_gamma_candidate(ci_value: float, params: mmlsh.GammaParams) -> bool:
+    """Oracle: candidacy is a collision index of at least (1 - epsilon) * gamma."""
+    return ci_value >= (1.0 - params.epsilon) * params.gamma
 
 
 def brute_similarity(q, x, radius):
@@ -83,38 +100,31 @@ class TestGammaDistance:
 
 class TestCollisionIndex:
     def test_all_qualify(self):
-        assert mmlsh.collision_index(np.full((3, 3), 10), threshold=5) == 1.0
+        assert collision_index(np.full((3, 3), 10), threshold=5) == 1.0
 
     def test_none_qualify(self):
-        assert mmlsh.collision_index(np.zeros((3, 3)), threshold=5) == 0.0
+        assert collision_index(np.zeros((3, 3)), threshold=5) == 0.0
 
     def test_four_of_nine(self):
         counts = np.array([[5, 5, 0], [5, 5, 0], [0, 0, 0]])
-        assert mmlsh.collision_index(counts, threshold=5) == pytest.approx(4 / 9)
+        assert collision_index(counts, threshold=5) == pytest.approx(4 / 9)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         counts = rng.integers(0, 10, size=(4, 5))
-        values = [mmlsh.collision_index(counts, t) for t in range(1, 11)]
+        values = [collision_index(counts, t) for t in range(1, 11)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 class TestCandidacy:
     def test_candidate_above_threshold(self):
         p = mmlsh.GammaParams(gamma=0.5, delta=0.1, beta=0.1, epsilon=0.2)
-        assert mmlsh.is_gamma_candidate(0.5, p)
-        assert not mmlsh.is_gamma_candidate(0.39, p)
+        assert is_gamma_candidate(0.5, p)
+        assert not is_gamma_candidate(0.39, p)
 
     def test_boundary_is_inclusive(self):
         p = mmlsh.GammaParams(gamma=0.5, delta=0.1, beta=0.1, epsilon=0.2)
-        assert mmlsh.is_gamma_candidate((1 - 0.2) * 0.5, p)
-
-    def test_false_positive_needs_both_conditions(self):
-        p = mmlsh.GammaParams(gamma=0.4, delta=0.1, beta=0.2, epsilon=0.2)
-        cr = 3.0
-        assert mmlsh.is_gamma_false_positive(p.gamma + p.beta, 2 * cr, cr, p)
-        assert not mmlsh.is_gamma_false_positive(p.gamma + p.beta, cr, cr, p)
-        assert not mmlsh.is_gamma_false_positive(p.gamma, 2 * cr, cr, p)
+        assert is_gamma_candidate((1 - 0.2) * 0.5, p)
 
     def test_epsilon_defaults_to_twice_delta(self):
         p = mmlsh.GammaParams(gamma=0.5, delta=0.15, beta=0.1)
@@ -149,3 +159,26 @@ class TestObjectRatio:
             for (oid, _), (_, td) in zip(returned, truth)
         ])
         assert value == pytest.approx(float(expected), rel=1e-12)
+
+
+class TestCollisionStateMatchesOracles:
+    """The engine's per-object collision index and candidacy are the definitions above."""
+
+    @pytest.mark.parametrize("query_object, levels", [(0, 1), (5, 2), (9, 4)])
+    def test_ci_and_candidate_mask(self, small_dataset, small_index, query_object, levels):
+        q = mmlsh.QueryObject.from_object(small_dataset, query_object)
+        state = CollisionState(len(q.coords), small_index, small_dataset)
+        q_base = small_index.hash_query(q.coords)
+        for i in range(levels):
+            for g in range(small_index.m):
+                count_collisions(q_base[:, g], g, small_index.params.c ** i, small_index,
+                                 small_dataset, state)
+        l = small_index.params.l
+        want_ci = [collision_index(state.counts[:, small_dataset.point_object_index == j], l)
+                   for j in range(small_dataset.num_objects)]
+        assert state.ci.tolist() == want_ci
+        assert 0.0 < max(want_ci)
+        for gamma, epsilon in ((0.2, 0.5), (0.5, 0.2), (0.9, 0.6)):
+            p = mmlsh.GammaParams(gamma=gamma, delta=0.1, beta=0.1, epsilon=epsilon)
+            assert state.candidate_mask(p).tolist() == [is_gamma_candidate(ci, p)
+                                                         for ci in want_ci]
