@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 import typing
@@ -72,6 +73,17 @@ class RunConfig:
     profile_path: str = "mmlsh.profile.npz"
     groundtruth_path: str = "groundtruth.csv"
     out_prefix: str = "report"
+
+    def __post_init__(self):
+        for name, value in [("buffer_mb", self.buffer_mb)] + [
+                ("buffer_sizes_mb", size) for size in self.buffer_sizes_mb]:
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.alg_op_cost_ms) and self.alg_op_cost_ms >= 0):
+            raise ParameterError(f"alg_op_cost_ms must be finite and >= 0, "
+                                 f"got {self.alg_op_cost_ms!r}")
+        if self.num_queries < 1:
+            raise ParameterError(f"num_queries must be >= 1, got {self.num_queries!r}")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -222,7 +234,7 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
         _replay_ns2_batch(plans, index, buffer, stats_list, lists)
         return
     mmlsh = strategy == MMLSH
-    evictor = _MmlshEvictor(scheduler, scheduler.profile) if mmlsh else evict_lru
+    evict = _MmlshEvictor(scheduler.profile) if mmlsh else evict_lru
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
             if mmlsh:
@@ -233,12 +245,7 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
             ids, sizes, slices = _occupied(index, g, segments, lists)
             for _qi, i0, i1 in slices:
                 for bucket, size in zip(ids[i0:i1], sizes[i0:i1]):
-                    key = (g, R, bucket)
-                    if mmlsh:
-                        evictor.current_bucket = key
-                    access_bucket(key, size, buffer, evictor, stats)
-                    if mmlsh:
-                        buffer.note_use(key)
+                    access_bucket((g, R, bucket), size, buffer, evict, stats)
 
 
 def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list, lists: dict) -> None:

@@ -7,21 +7,16 @@ through a fixed-capacity buffer and which resident bucket to evict on a miss:
 * NS2 — each distinct useful bucket is read once and serves every query that
   needs it (minimal IO, extra per-bucket matching work).
 * MMLSH — NS1-style ordering refined by query splitting (each query's bucket
-  range is cut into segments that are interleaved globally by position) and a
-  three-criteria eviction rule: prefer residents that were not inserted very
-  recently, that sit far from the current query position, and among those the
-  one with the lowest estimated remaining frequency.
+  range is cut into segments that are interleaved globally by position) and
+  a buffer-conscious replacement policy.
 
-MMLSH eviction does not scan every resident. A resident of another
-(projection, level) pass than the bucket being fetched is infinitely far from
-it, so such residents share one distance and order among themselves by
-(estimated frequency, key) alone: a lazy min-heap yields the best of them,
-and the best old one. Only the current pass's residents need a real
-distance, and a per-pass map lists them. The recency filter keeps a
-prefix of the residents in insertion order, so an insertion-ordered map of
-insert ticks tells whether any is old by looking at its first entries. The
-three relaxation tiers then take the same winners as a full scan (see
-`evict_mmlsh`). NS1/NS2 buffers never build this index.
+That policy, `_MmlshEvictor`, seeds each admitted bucket's expected
+demand from the offline `FrequencyProfile`, counts it down on every use, and
+evicts by recency, distance from the query position and remaining demand
+(`evict_mmlsh`). It owns its `_EvictionIndex`, so no resident is scanned: a
+resident of another (projection, level) pass is infinitely far from the
+bucket being fetched, so those order by (demand, key) alone in a lazy heap,
+and a per-pass map lists the residents that need a real distance.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, so a recorded trace replays exactly.
@@ -93,12 +88,11 @@ class QueryStats:
 
 
 class _Entry:
-    __slots__ = ("size_bytes", "insert_tick", "last_use_tick", "est_frequency")
+    __slots__ = ("size_bytes", "insert_tick", "est_frequency")
 
-    def __init__(self, size_bytes, insert_tick, est_frequency):
+    def __init__(self, size_bytes, insert_tick, est_frequency=1.0):
         self.size_bytes = size_bytes
         self.insert_tick = insert_tick
-        self.last_use_tick = insert_tick
         self.est_frequency = est_frequency
 
 
@@ -120,7 +114,6 @@ class BufferState:
         self.clock = 0
         self.io_stats = QueryStats()
         self.trace = trace  # optional list collecting (tick, key, hit, evicted)
-        self.eviction_index: _EvictionIndex | None = None  # built by the first MMLSH eviction
 
     def __contains__(self, key):
         return key in self.resident
@@ -128,17 +121,7 @@ class BufferState:
     def _evict(self, key):
         entry = self.resident.pop(key)
         self.used_bytes -= entry.size_bytes
-        if self.eviction_index is not None:
-            self.eviction_index.remove(key)
         return entry
-
-    def note_use(self, key):
-        """Decrement the remaining-demand estimate after a scheduled use."""
-        entry = self.resident.get(key)
-        if entry is not None and entry.est_frequency != 0.0:  # 0 stays 0: nothing to re-index
-            entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
-            if self.eviction_index is not None:
-                self.eviction_index.push(key, entry)
 
 
 _HEAP_SLACK = 4  # rebuild the eviction heap once it holds this many entries per resident
@@ -184,15 +167,14 @@ class _EvictionIndex:
         self.push(key, entry)
 
     def remove(self, key):
-        if self.ticks.pop(key, None) is None:
-            return  # inserted by an LRU access, never indexed
+        del self.ticks[key]
         ids = self.passes[key[:2]]
         ids.discard(key[2])
         if not ids:
             del self.passes[key[:2]]
 
 
-def evict_lru(buffer: BufferState):
+def evict_lru(buffer: BufferState, _current_bucket=None):
     """Evict the resident bucket with the oldest last use (NS1 policy)."""
     if not buffer.resident:
         raise RuntimeError("cannot evict from an empty buffer")
@@ -201,45 +183,35 @@ def evict_lru(buffer: BufferState):
     return key
 
 
-def evict_mmlsh(buffer: BufferState, current_bucket, config: "SchedulerConfig",
-                profile: "FrequencyProfile | None" = None):
-    """Three-criteria eviction for the MMLSH strategy.
+def evict_mmlsh(buffer: BufferState, current_bucket, index: _EvictionIndex):
+    """Evict one resident by the three MMLSH criteria; returns its key.
 
-    current_bucket is the (projection, level, bucket id) being fetched.
-    Residents inserted within the recency window are protected (criterion 1)
-    and residents near the current query position are protected (criterion 2);
-    among the rest the lowest estimated frequency goes (criterion 3), ties
-    broken by larger distance from the query, then by lower key. When no
-    resident passes both filters the distance filter is dropped first, then
-    the recency filter, so eviction always succeeds. Residents of another
-    (projection, level) pass are infinitely far from the query.
+    current_bucket is the (projection, level R, bucket id) being fetched.
+    Criterion 1 protects the residents inserted within the last
+    len(resident) ticks, criterion 2 those within 2R buckets of it (a
+    resident of another (projection, level) pass is infinitely far); among
+    the rest the lowest estimated frequency goes (criterion 3), ties broken
+    by larger distance, then by lower key. When no resident passes both
+    filters the distance filter is dropped first, then the recency filter.
 
-    The rule is applied to a few candidates that provably contain every
-    tier's winner, not to every resident:
+    index is the policy's `_EvictionIndex` over `buffer.resident`; the
+    victim leaves both. The rule is applied to a few candidates that
+    provably contain every tier's winner:
 
     * every resident of the current pass, with its real distance;
     * the resident of another pass with the lowest (frequency, key), and the
-      lowest old one. They all share one (infinite) distance, so within
-      each tier they order by (frequency, key) and only "old" tells them
-      apart; the lazy heap of the buffer's `_EvictionIndex` yields both
-      winners, skipping current-pass and too-new entries and putting them
-      back. Old residents are a prefix of the insertion order, so the heap
-      is asked for an old one only when that prefix holds a key of another
-      pass.
-
-    The index is built on the first eviction from `buffer.resident` (and
-    rebuilt if an LRU access inserted behind its back); afterwards
-    `access_bucket`, `note_use` and `BufferState._evict` keep it current.
+      lowest old one. They share one distance, so within a tier only "old"
+      tells them apart; the lazy heap yields both, setting current-pass and
+      too-new entries aside and pushing them back. Old residents are a
+      prefix of the insertion order, so the heap is asked for an old one
+      only when that prefix holds a key of another pass.
     """
     resident = buffer.resident
     if not resident:
         raise RuntimeError("cannot evict from an empty buffer")
-    index = buffer.eviction_index
-    if index is None or len(index.ticks) != len(resident):
-        index = buffer.eviction_index = _EvictionIndex(resident)
     g, level, pos = current_bucket
-    window = config.recency_window if config.recency_window is not None else len(resident)
-    threshold = config.distance_threshold if config.distance_threshold is not None else 2 * level
+    window = len(resident)
+    threshold = 2 * level
     now = buffer.clock
 
     old_elsewhere = False  # is some old resident in another pass?
@@ -287,6 +259,7 @@ def evict_mmlsh(buffer: BufferState, current_bucket, config: "SchedulerConfig",
                 best[tier] = cand
     chosen = next(b for b in best if b is not None)
     key = chosen[2]
+    index.remove(key)
     buffer._evict(key)
     return key
 
@@ -295,19 +268,28 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
                   stats: QueryStats | None = None) -> tuple[bool, float]:
     """Pull one bucket through the buffer; returns (hit, modeled ms).
 
-    Hits cost nothing. Misses evict under the supplied policy until the bucket
-    fits, then charge one seek plus the transfer time. Buckets larger than the
-    whole buffer bypass it and pay full IO on every access. The access and
-    the evictions it causes are billed to `buffer.io_stats` and, when given,
-    to the query's `stats`.
+    Hits cost nothing. Misses call `evict(buffer, key)` until the bucket
+    fits, then charge one seek plus the transfer time. Buckets larger than
+    the whole buffer bypass it and pay full IO on every access. An MMLSH
+    policy also hears of every resident use: `admit` on insert, `use` on a
+    hit. The access and the evictions it causes are billed to
+    `buffer.io_stats` and, when given, to the query's `stats`.
     """
     buffer.clock += 1
-    entry = buffer.resident.get(key)
-    if entry is not None:
-        entry.last_use_tick = buffer.clock
-        # refresh recency order for LRU
-        buffer.resident.pop(key)
-        buffer.resident[key] = entry
+    resident = buffer.resident
+    entry = resident.pop(key, None)
+    hit = entry is not None
+    evicted = []
+    if hit:
+        resident[key] = entry  # reinsert: insertion order stays recency order
+    elif size_bytes <= buffer.capacity_bytes:  # larger buckets are never resident
+        while buffer.used_bytes + size_bytes > buffer.capacity_bytes:
+            evicted.append(evict(buffer, key))
+        entry = resident[key] = _Entry(size_bytes, buffer.clock)
+        buffer.used_bytes += size_bytes
+    if entry is not None and isinstance(evict, _MmlshEvictor):
+        (evict.use if hit else evict.admit)(key, entry)
+    if hit:
         buffer.io_stats.buffer_hits += 1
         if stats is not None:
             stats.buffer_hits += 1
@@ -315,17 +297,6 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
             buffer.trace.append((buffer.clock, key, "hit", None))
         return True, 0.0
 
-    evicted = []
-    if size_bytes <= buffer.capacity_bytes:  # larger buckets are never resident
-        while buffer.used_bytes + size_bytes > buffer.capacity_bytes:
-            evicted.append(evict(buffer))
-        entry = buffer.resident[key] = _Entry(size_bytes, buffer.clock, 1.0)
-        if isinstance(evict, _MmlshEvictor):  # seed the estimate, keep the eviction index current
-            if evict.profile is not None:
-                entry.est_frequency = evict.profile.frequency(key[0], key[2])
-            if buffer.eviction_index is not None:
-                buffer.eviction_index.add(key, entry)
-        buffer.used_bytes += size_bytes
     ms = buffer.cost.miss_ms(size_bytes)
     for record in (buffer.io_stats, stats):
         if record is not None:
@@ -339,29 +310,45 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
 
 
 class _MmlshEvictor:
-    """Binds the MMLSH eviction rule to the bucket currently being fetched."""
+    """The MMLSH replacement policy for one replay on one buffer.
 
-    def __init__(self, config, profile):
-        self.config = config
+    A resident's `est_frequency` is its remaining demand: the profile's
+    estimate (1 without a profile) on admission, less one per use, the
+    admitting one included, never below 0. The `_EvictionIndex` is built
+    from `buffer.resident` on the first eviction, so the buffer may have
+    served another strategy before; `admit`, `use` and `evict_mmlsh` then
+    keep it current.
+    """
+
+    def __init__(self, profile: "FrequencyProfile | None" = None):
         self.profile = profile
-        self.current_bucket = None
+        self.index: _EvictionIndex | None = None
 
-    def __call__(self, buffer):
-        return evict_mmlsh(buffer, self.current_bucket, self.config, self.profile)
+    def __call__(self, buffer, current_bucket):
+        if self.index is None:
+            self.index = _EvictionIndex(buffer.resident)
+        return evict_mmlsh(buffer, current_bucket, self.index)
+
+    def admit(self, key, entry):
+        if self.profile is not None:
+            entry.est_frequency = self.profile.frequency(key[0], key[2])
+        entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
+        if self.index is not None:
+            self.index.add(key, entry)
+
+    def use(self, key, entry):
+        if entry.est_frequency != 0.0:  # 0 stays 0: nothing to re-index
+            entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
+            if self.index is not None:
+                self.index.push(key, entry)
 
 
 @dataclass
 class SchedulerConfig:
-    """Strategy selection plus the MMLSH knobs.
-
-    recency_window / distance_threshold of None mean the documented defaults:
-    the resident bucket count and twice the per-query bucket span (2R).
-    """
+    """Strategy selection, MMLSH's query splits and its frequency profile."""
 
     strategy: str = NS1
     query_splits: int = 10
-    recency_window: int | None = None
-    distance_threshold: int | None = None
     profile: "FrequencyProfile | None" = None
 
     def __post_init__(self):

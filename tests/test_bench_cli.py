@@ -230,10 +230,8 @@ class TestCli:
         cfg = tiny_config(tmp_path)
         coords = np.zeros((4, 2), dtype=np.float32)
         coords[3, 1] = np.nan
-        write_feature_file(tmp_path / "v.fvecs", coords)
-        (tmp_path / "map.csv").write_text("point_id,object_id\n0,0\n1,0\n2,1\n3,1\n")
-        args = self._common(cfg) + ["--vectors", str(tmp_path / "v.fvecs"),
-                                    "--object-map", str(tmp_path / "map.csv")]
+        args = self._common(cfg) + self._vectors(
+            tmp_path, coords, "point_id,object_id\n0,0\n1,0\n2,1\n3,1\n")
         assert cli.main(["build"] + args) == 3
         assert "non-finite" in capsys.readouterr().err
 
@@ -241,6 +239,8 @@ class TestCli:
         ("[1, 2]", "JSON object"),
         ('{"gama": 0.3}', "unknown config field 'gama'"),
         ('{"k": "abc"}', "config field 'k' cannot be 'abc'"),
+        ('{"alg_op_cost_ms": NaN}', "alg_op_cost_ms must be finite and >= 0, got nan"),
+        ('{"buffer_sizes_mb": [20, Infinity]}', "buffer_sizes_mb must be finite and > 0, got inf"),
     ])
     def test_malformed_config_file_exits_3(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -255,6 +255,55 @@ class TestCli:
                                     "buffer_sizes_mb": [1, 2.5], "strategy": NS2}))
         assert cli.main(["groundtruth", "--config", str(path)] + self._common(cfg)) == 0
         assert "ground truth for 3 queries" in capsys.readouterr().out  # flags win
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--buffer-mb", "inf", "buffer_mb must be finite and > 0, got inf"),
+        ("--alg-op-cost-ms", "nan", "alg_op_cost_ms must be finite and >= 0, got nan"),
+        ("--alg-op-cost-ms", "-1", "alg_op_cost_ms must be finite and >= 0, got -1.0"),
+        ("--num-queries", "0", "num_queries must be >= 1, got 0"),
+    ])
+    def test_out_of_range_number_exits_3(self, tmp_path, capsys, flag, value, message):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        capsys.readouterr()
+        assert cli.main(["query"] + args + [flag, value]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+    def _vectors(self, tmp_path, coords, object_map):
+        write_feature_file(tmp_path / "v.fvecs", coords)
+        (tmp_path / "map.csv").write_text(object_map)
+        return ["--vectors", str(tmp_path / "v.fvecs"), "--object-map", str(tmp_path / "map.csv")]
+
+    def test_truncated_feature_file_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg) + self._vectors(
+            tmp_path, np.ones((4, 2), dtype=np.float32), "point_id,object_id\n0,0\n1,0\n2,1\n3,1\n")
+        path = tmp_path / "v.fvecs"
+        path.write_bytes(path.read_bytes()[:-8])  # the last record loses two of its three words
+        assert cli.main(["build"] + args) == 3
+        assert "error: record 3 malformed" in capsys.readouterr().err
+
+    def test_duplicate_point_in_object_map_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg) + self._vectors(
+            tmp_path, np.ones((3, 2), dtype=np.float32), "point_id,object_id\n0,0\n1,0\n1,1\n2,1\n")
+        assert cli.main(["build"] + args) == 3
+        assert "error: line 4: duplicate row for point 1" in capsys.readouterr().err
+
+    def test_index_with_a_flipped_byte_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        with open(cfg.index_path, "rb") as fh:
+            raw = bytearray(fh.read())
+        raw[len(raw) // 2] ^= 0x01
+        with open(cfg.index_path, "wb") as fh:
+            fh.write(raw)
+        capsys.readouterr()
+        assert cli.main(["query"] + args) == 3
+        assert "error: checksum mismatch" in capsys.readouterr().err
 
     def test_truncated_profile_exits_3(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

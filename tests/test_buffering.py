@@ -1,5 +1,5 @@
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mmlsh
 from mmlsh.buffering import (_HEAP_SLACK, BufferState, CostModel, FrequencyProfile,
-                             QueryStats, SchedulerConfig, _MmlshEvictor, access_bucket,
+                             QueryStats, _EvictionIndex, _MmlshEvictor, access_bucket,
                              build_frequency_profile, evict_lru, evict_mmlsh,
                              profile_footprint, schedule_ns1, schedule_ns2, split_queries)
 
@@ -115,7 +115,13 @@ def _seed_buffer(entries, capacity=10_000):
     return buf
 
 
+def _evict_mmlsh(buf, current_bucket):
+    return evict_mmlsh(buf, current_bucket, _EvictionIndex(buf.resident))
+
+
 class TestMmlshEviction:
+    """Level 1: residents within 2 buckets are near; window = resident count."""
+
     def test_prefers_lowest_frequency_among_old_and_far(self):
         buf = _seed_buffer([
             ((0, 1, 0), 10, 0, 5.0),   # far (distance 4), old
@@ -123,18 +129,16 @@ class TestMmlshEviction:
             ((1, 1, 3), 10, 0, 2.0),   # other projection: infinitely far, old
         ])
         buf.clock = 100
-        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, recency_window=1, distance_threshold=2)
-        assert evict_mmlsh(buf, (0, 1, 4), cfg) == (1, 1, 3)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == (1, 1, 3)
 
     def test_frequency_tie_breaks_by_larger_distance(self):
         buf = _seed_buffer([
             ((0, 1, 0), 10, 0, 1.0),   # distance 4
-            ((0, 1, 8), 10, 0, 1.0),   # distance 4... make it 8 for asymmetry
+            ((0, 1, 8), 10, 0, 1.0),   # distance 4
             ((0, 1, 12), 10, 0, 1.0),  # distance 8
         ])
         buf.clock = 100
-        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, recency_window=1, distance_threshold=2)
-        assert evict_mmlsh(buf, (0, 1, 4), cfg) == (0, 1, 12)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 12)
 
     def test_distance_tie_breaks_by_lower_key(self):
         buf = _seed_buffer([
@@ -142,8 +146,7 @@ class TestMmlshEviction:
             ((0, 1, 8), 10, 0, 1.0),   # distance 4
         ])
         buf.clock = 100
-        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, recency_window=1, distance_threshold=2)
-        assert evict_mmlsh(buf, (0, 1, 4), cfg) == (0, 1, 0)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 0)
 
     def test_relaxes_distance_then_recency(self):
         # all residents near the query: distance filter must be dropped
@@ -152,35 +155,44 @@ class TestMmlshEviction:
             ((0, 1, 5), 10, 0, 1.0),
         ])
         buf.clock = 100
-        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, recency_window=1, distance_threshold=50)
-        assert evict_mmlsh(buf, (0, 1, 4), cfg) == (0, 1, 5)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 5)
         # all residents recent: recency filter must be dropped too
         buf = _seed_buffer([((0, 1, 4), 10, 99, 3.0), ((0, 1, 5), 10, 99, 1.0)])
         buf.clock = 100
-        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, recency_window=1000,
-                              distance_threshold=50)
-        assert evict_mmlsh(buf, (0, 1, 4), cfg) == (0, 1, 5)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 5)
+
+    def test_index_of_an_lru_filled_buffer_follows_insert_order(self):
+        buf = BufferState(capacity_bytes=20)
+        access_bucket((0, 1, 5), 10, buf)  # tick 1
+        buf.clock = 9
+        access_bucket((0, 1, 0), 10, buf)  # tick 10
+        access_bucket((0, 1, 5), 10, buf)  # a hit: resident order is now use order
+        # at tick 12 the window is 2, so only (0, 1, 5) is old; both are far
+        access_bucket((1, 1, 0), 10, buf, _MmlshEvictor())
+        assert (0, 1, 5) not in buf and (0, 1, 0) in buf
 
     def test_profile_seeds_estimated_frequency(self):
         edges = np.array([[0.0, 10.0]])
         means = np.array([[7.5]])
         profile = FrequencyProfile(edges=edges, means=means)
-        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, profile=profile)
-        evictor = _MmlshEvictor(cfg, profile)
+        evictor = _MmlshEvictor(profile)
         buf = BufferState(capacity_bytes=100)
-        access_bucket((0, 1, 3), 10, buf, evictor)
-        assert buf.resident[(0, 1, 3)].est_frequency == 7.5
-        buf.note_use((0, 1, 3))
+        access_bucket((0, 1, 3), 10, buf, evictor)  # seeded to 7.5, less the admitting use
         assert buf.resident[(0, 1, 3)].est_frequency == 6.5
+        access_bucket((0, 1, 3), 10, buf, evictor)
+        assert buf.resident[(0, 1, 3)].est_frequency == 5.5
 
 
-def reference_evict_mmlsh(buffer, current_bucket, config, profile=None):
-    """Oracle: the three-criteria rule applied by scanning every resident."""
+def reference_evict_mmlsh(buffer, current_bucket, tiers: Counter | None = None):
+    """Oracle: the three-criteria rule applied by scanning every resident.
+
+    When given, `tiers` counts the relaxation tier that chose each victim.
+    """
     if not buffer.resident:
         raise RuntimeError("cannot evict from an empty buffer")
     g, level, pos = current_bucket
-    window = config.recency_window if config.recency_window is not None else len(buffer.resident)
-    threshold = config.distance_threshold if config.distance_threshold is not None else 2 * level
+    window = len(buffer.resident)
+    threshold = 2 * level
     now = buffer.clock
 
     def distance(key):
@@ -194,39 +206,44 @@ def reference_evict_mmlsh(buffer, current_bucket, config, profile=None):
         cand = (entry.est_frequency, -distance(key), key)
         old = now - entry.insert_tick > window
         far = distance(key) > threshold
-        tiers = (old and far, old, True)
-        for tier, ok in enumerate(tiers):
+        for tier, ok in enumerate((old and far, old, True)):
             if ok and (best[tier] is None or cand < best[tier]):
                 best[tier] = cand
-    chosen = next(b for b in best if b is not None)
-    key = chosen[2]
+    tier = next(t for t, b in enumerate(best) if b is not None)
+    if tiers is not None:
+        tiers[tier] += 1
+    key = best[tier][2]
     buffer._evict(key)
     return key
 
 
 class ReferenceEvictor(_MmlshEvictor):
-    """The MMLSH evictor with the full-scan oracle in place of `evict_mmlsh`."""
+    """The MMLSH policy with the full-scan oracle in place of `evict_mmlsh`."""
 
-    def __call__(self, buffer):
-        return reference_evict_mmlsh(buffer, self.current_bucket, self.config, self.profile)
+    def __init__(self, profile, tiers):
+        super().__init__(profile)
+        self.tiers = tiers
+
+    def __call__(self, buffer, current_bucket):
+        return reference_evict_mmlsh(buffer, current_bucket, self.tiers)
 
 
-def replay_accesses(evictor, accesses, sizes, capacity, lru_every=None):
-    """Drive `access_bucket` as `bench.replay_plans` does: access, then `note_use`.
+def replay_accesses(make_evictor, accesses, sizes, capacity, lru_prefix, mmlsh_cut):
+    """Drive `access_bucket` as successive `bench.replay_plans` calls on one buffer do.
 
-    Every `lru_every`-th access goes through `evict_lru` instead, as a
-    buffer shared with an LRU strategy would. Returns (trace, io_stats, buffer).
+    accesses[:lru_prefix] replay under `evict_lru`; the rest replay under
+    MMLSH as two replays, split at `mmlsh_cut`, each with a fresh policy from
+    `make_evictor()`. Returns (trace, io_stats).
     """
     trace = []
     buf = BufferState(capacity_bytes=capacity, trace=trace)
-    for step, key in enumerate(accesses, 1):
-        if lru_every is not None and step % lru_every == 0:
-            access_bucket(key, sizes[key], buf, evict_lru)
-            continue
-        evictor.current_bucket = key
-        access_bucket(key, sizes[key], buf, evictor)
-        buf.note_use(key)
-    return trace, buf.io_stats, buf
+    replays = [(evict_lru, accesses[:lru_prefix]),
+               (make_evictor(), accesses[lru_prefix:mmlsh_cut]),
+               (make_evictor(), accesses[mmlsh_cut:])]
+    for evict, keys in replays:
+        for key in keys:
+            access_bucket(key, sizes[key], buf, evict)
+    return trace, buf.io_stats
 
 
 @st.composite
@@ -245,8 +262,6 @@ def access_runs(draw):
             bucket = (bucket + int(rng.integers(0, 3))) % span
     sizes = {key: int(rng.integers(1, 61)) for key in sorted(set(accesses))}
     capacity = draw(st.integers(1, 300))
-    window = draw(st.one_of(st.none(), st.integers(0, 12)))
-    threshold = draw(st.one_of(st.none(), st.integers(0, 8)))
     profile = None
     if draw(st.booleans()):
         regions = draw(st.integers(1, 4))
@@ -256,24 +271,28 @@ def access_runs(draw):
                      min_size=regions, max_size=regions),
             min_size=projections, max_size=projections)))
         profile = FrequencyProfile(edges=edges, means=means)
-    lru_every = draw(st.one_of(st.none(), st.integers(2, 9)))
-    cfg = SchedulerConfig(strategy=mmlsh.MMLSH, recency_window=window,
-                          distance_threshold=threshold, profile=profile)
-    return accesses, sizes, capacity, cfg, lru_every
+    lru_prefix = draw(st.one_of(st.just(0), st.integers(0, len(accesses))))
+    mmlsh_cut = draw(st.one_of(st.just(len(accesses)), st.integers(lru_prefix, len(accesses))))
+    return accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut
 
 
 class TestMmlshEvictionOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(run=access_runs())
-    def test_trace_equals_full_scan(self, run):
-        accesses, sizes, capacity, cfg, lru_every = run
-        got = replay_accesses(_MmlshEvictor(cfg, cfg.profile), accesses, sizes, capacity,
-                              lru_every)
-        want = replay_accesses(ReferenceEvictor(cfg, cfg.profile), accesses, sizes, capacity,
-                               lru_every)
-        assert got[0] == want[0]
-        assert got[1] == want[1]
-        assert want[2].eviction_index is None  # the oracle never builds the index
+    def test_trace_equals_full_scan(self):
+        tiers = Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(run=access_runs())
+        def check(run):
+            accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut = run
+            got = replay_accesses(lambda: _MmlshEvictor(profile), accesses, sizes, capacity,
+                                  lru_prefix, mmlsh_cut)
+            want = replay_accesses(lambda: ReferenceEvictor(profile, tiers), accesses, sizes,
+                                   capacity, lru_prefix, mmlsh_cut)
+            assert got == want
+
+        check()
+        # each relaxation tier (old and far, old, any) chose some victim
+        assert all(tiers[tier] > 0 for tier in range(3)), tiers
 
     def test_heap_stays_within_a_multiple_of_the_residents(self):
         rng = np.random.default_rng(5)
@@ -283,15 +302,12 @@ class TestMmlshEvictionOracle:
         sizes = {key: int(rng.integers(1, 40)) for key in set(keys)}
         profile = FrequencyProfile(edges=np.array([np.linspace(0, 300, 11)] * 3),
                                    means=rng.uniform(0, 30, size=(3, 10)))
-        cfg = SchedulerConfig(strategy=mmlsh.MMLSH, profile=profile)
-        evictor = _MmlshEvictor(cfg, profile)
+        evictor = _MmlshEvictor(profile)
         buf = BufferState(capacity_bytes=2_000)
         largest = 0
         for key in keys:
-            evictor.current_bucket = key
             access_bucket(key, sizes[key], buf, evictor)
-            buf.note_use(key)
-            index = buf.eviction_index
+            index = evictor.index
             if index is not None:
                 assert len(index.heap) <= _HEAP_SLACK * len(buf.resident)
                 largest = max(largest, len(index.heap))

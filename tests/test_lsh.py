@@ -1,10 +1,17 @@
 import math
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import mmlsh
+from mmlsh import bench
+from mmlsh.buffering import MMLSH, NS1, BufferState, SchedulerConfig, build_frequency_profile
 from mmlsh.errors import IndexFileError, ParameterError
 
 
@@ -238,6 +245,38 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(IndexFileError):
             mmlsh.load_index(path)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), objects=st.integers(2, 8), points=st.integers(1, 6),
+           d=st.integers(2, 6), spread=st.floats(0.05, 1.0))
+    def test_reloaded_index_answers_and_charges_the_same(self, seed, objects, points, d,
+                                                         spread):
+        cfg = bench.RunConfig(synth_objects=objects, synth_points_per_object=points,
+                              synth_dimension=d, synth_spread=spread, gamma=0.5, delta=0.25,
+                              beta=0.5, epsilon=0.5, k=2, num_queries=3, seed=seed)
+        ds = bench.load_dataset(cfg)
+        params = mmlsh.derive_params(cfg.delta, cfg.resolved_beta(ds.num_objects), cfg.c, cfg.w)
+        built = mmlsh.build_index(ds, params, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "idx.bin")
+            mmlsh.save_index(built, path)
+            loaded = mmlsh.load_index(path)
+        queries = bench.choose_queries(ds, cfg)
+
+        def run(index):
+            results, plans, _walls = bench.record_query_plans(cfg, ds, index, queries)
+            profile = build_frequency_profile(index, ds, num_queries=50, seed=seed)
+            io = {}
+            for strategy in (NS1, MMLSH):
+                stats = [replace(r.stats) for r in results]
+                bench.replay_plans(strategy, plans, index, BufferState(200), stats,
+                                   SchedulerConfig(strategy=strategy, profile=profile))
+                io[strategy] = [(s.buffer_hits, s.buffer_misses, s.evictions) for s in stats]
+            answers = [(r.top_k, r.stop_condition, r.levels_used, r.stats.collision_increments)
+                       for r in results]
+            return answers, plans, io
+
+        assert run(loaded) == run(built)
 
     def test_roundtrip_preserves_query_answers(self, tmp_path):
         ds = mmlsh.synth_dataset(S=100, points_per_object=100, d=8, cluster_spread=0.1, seed=9)
