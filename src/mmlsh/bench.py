@@ -180,7 +180,7 @@ def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
 
 
 def _row(query, method, strategy, buffer_mb, k_prime, ratio, flagged, stats: QueryStats,
-         stop="", levels=0, wall_ms=0.0):
+         stop="", levels=0, wall_ms=0.0, bound_warning="", gamma_min_bound=""):
     return {
         "query_object_id": query.object_id,
         "method": method,
@@ -189,6 +189,8 @@ def _row(query, method, strategy, buffer_mb, k_prime, ratio, flagged, stats: Que
         "k_prime": k_prime,
         "or_gamma": ratio,
         "or_flagged": int(flagged),
+        "bound_warning": bound_warning,
+        "gamma_min_bound": gamma_min_bound,
         "total_ms": stats.total_ms,
         "alg_ms": stats.alg_ms,
         "index_io_ms": stats.io_ms,
@@ -200,19 +202,20 @@ def _row(query, method, strategy, buffer_mb, k_prime, ratio, flagged, stats: Que
     }
 
 
-def _occupied(index, g: int, ranges, lists: dict):
-    """Projection g's occupied ids and byte sizes, and each range as a slice of them.
+def _occupied(index, g: int, lists: dict):
+    """Projection g's occupied ids in ascending order and their sizes in bytes.
 
-    Returns (ids, sizes, slices): the occupied ids in ascending order and
-    their sizes in bytes, as lists kept in `lists` for the rest of the
-    replay, and per range (query, i0, i1) such that ids[i0:i1] are the
-    occupied ids in its [lo, hi).
+    Both are lists, kept in `lists` for the rest of the replay.
     """
     if g not in lists:
         ids, counts = index.occupied_buckets(g)
         lists[g] = (ids.tolist(), (counts * POINT_ID_BYTES).tolist())
-    ids, sizes = lists[g]
-    return ids, sizes, [(qi, bisect_left(ids, lo), bisect_left(ids, hi)) for qi, lo, hi in ranges]
+    return lists[g]
+
+
+def _slices(ids, ranges):
+    """Per range (query, i0, i1) such that ids[i0:i1] are the occupied ids in its [lo, hi)."""
+    return [(qi, bisect_left(ids, lo), bisect_left(ids, hi)) for qi, lo, hi in ranges]
 
 
 def replay_plans(strategy: str, plans, index, buffer: BufferState,
@@ -227,7 +230,8 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     from `alg_ops`. NS1 and MMLSH execute queries one after another; NS2
     batches the whole set, reading each distinct useful bucket once per
     (level, projection) pass and checking every batched query against it.
-    Only occupied buckets are visited, in ascending order.
+    Only occupied buckets are visited: NS1 walks each range's slice of them,
+    MMLSH the order `split_queries` gives.
     """
     lists: dict = {}
     if strategy == NS2:
@@ -237,15 +241,16 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     evict = _MmlshEvictor(scheduler.profile) if mmlsh else evict_lru
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
+            ids, sizes = _occupied(index, g, lists)
             if mmlsh:
-                segments = split_queries(ranges, scheduler.query_splits)
-                stats.alg_ops += len(segments)  # segment dispatch overhead
+                order, segments = split_queries(ranges, scheduler.query_splits, ids)
+                stats.alg_ops += segments  # segment dispatch overhead
+                for p in order:
+                    access_bucket((g, R, ids[p]), sizes[p], buffer, evict, stats)
             else:
-                segments = schedule_ns1(ranges)
-            ids, sizes, slices = _occupied(index, g, segments, lists)
-            for _qi, i0, i1 in slices:
-                for bucket, size in zip(ids[i0:i1], sizes[i0:i1]):
-                    access_bucket((g, R, bucket), size, buffer, evict, stats)
+                for _qi, i0, i1 in _slices(ids, schedule_ns1(ranges)):
+                    for bucket, size in zip(ids[i0:i1], sizes[i0:i1]):
+                        access_bucket((g, R, bucket), size, buffer, evict, stats)
 
 
 def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list, lists: dict) -> None:
@@ -263,8 +268,8 @@ def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list, lists: dict
                 (query_idx, lo, hi) for _qi, lo, hi in ranges)
     for (R, g) in sorted(passes):
         ranges = passes[(R, g)]
-        ids, sizes, slices = _occupied(index, g, ranges, lists)
-        schedule = schedule_ns2(slices)
+        ids, sizes = _occupied(index, g, lists)
+        schedule = schedule_ns2(_slices(ids, ranges))
         for i, consumers in schedule:
             access_bucket((g, R, ids[i]), sizes[i], buffer, evict_lru, stats_list[consumers[0]])
         for query_idx, _lo, _hi in ranges:
@@ -300,7 +305,8 @@ def rows_from_results(cfg: RunConfig, queries, results, walls, truth,
         ratio, flagged = object_ratio([d for _, d in res.top_k[:k_eff]],
                                       truth[q.object_id].distances[:k_eff])
         rows.append(_row(q, "mmLSH", strategy, buffer_mb, "", ratio, flagged,
-                         res.stats, res.stop_condition, res.levels_used, wall_ms))
+                         res.stats, res.stop_condition, res.levels_used, wall_ms,
+                         int(res.bound_warning), res.gamma_min_bound))
     return rows
 
 
@@ -320,11 +326,16 @@ def run_mmlsh_queries(cfg: RunConfig, dataset, index, queries, truth,
 
 
 def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[dict]:
-    """LinearSearch-Borda and C2LSH-Borda rows for every configured k'."""
+    """LinearSearch-Borda and C2LSH-Borda rows for every configured k'.
+
+    The protocol retrieves k' >= k points per query point, so a k' below
+    k raises ParameterError rather than being skipped.
+    """
+    below = [k_prime for k_prime in cfg.k_primes if k_prime < cfg.k]
+    if below:
+        raise ParameterError(f"k_primes {below} are below k={cfg.k}; each k' must be >= k")
     rows = []
     for k_prime in cfg.k_primes:
-        if k_prime < cfg.k:
-            continue
         for q in queries:
             # exact point retrieval: no index, no buffer, modeled scan cost only
             t0 = time.perf_counter()
@@ -380,11 +391,14 @@ def aggregate(rows: list[dict]) -> list[dict]:
     out = []
     for key, members in sorted(groups.items(), key=lambda t: str(t[0])):
         ratios = [r["or_gamma"] for r in members if np.isfinite(r["or_gamma"])]
+        bounds = [r["gamma_min_bound"] for r in members if r["gamma_min_bound"] != ""]
         agg = {
             "query_object_id": "MEAN",
             "method": key[0], "strategy": key[1], "buffer_mb": key[2], "k_prime": key[3],
             "or_gamma": float(np.mean(ratios)) if ratios else float("inf"),
             "or_flagged": sum(r["or_flagged"] for r in members),
+            "bound_warning": sum(r["bound_warning"] for r in members) if bounds else "",
+            "gamma_min_bound": float(np.mean(bounds)) if bounds else "",
             "total_ms": float(np.mean([r["total_ms"] for r in members])),
             "alg_ms": float(np.mean([r["alg_ms"] for r in members])),
             "index_io_ms": float(np.mean([r["index_io_ms"] for r in members])),
@@ -399,13 +413,15 @@ def aggregate(rows: list[dict]) -> list[dict]:
         for col in ("or_gamma", "total_ms", "alg_ms", "index_io_ms", "hits", "misses", "levels", "wall_ms"):
             vals = [r[col] for r in members if np.isfinite(r[col])] or [float("nan")]
             std[col] = float(np.std(vals))
+        if bounds:
+            std["gamma_min_bound"] = float(np.std(bounds))
         out.append(std)
     return out
 
 
 REPORT_COLUMNS = ["query_object_id", "method", "strategy", "buffer_mb", "k_prime",
-                  "or_gamma", "or_flagged", "total_ms", "alg_ms", "index_io_ms",
-                  "hits", "misses", "stop", "levels", "wall_ms"]
+                  "or_gamma", "or_flagged", "bound_warning", "gamma_min_bound", "total_ms",
+                  "alg_ms", "index_io_ms", "hits", "misses", "stop", "levels", "wall_ms"]
 
 
 def write_report(rows: list[dict], cfg: RunConfig, out_prefix: str | None = None,

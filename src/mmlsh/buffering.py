@@ -16,7 +16,10 @@ evicts by recency, distance from the query position and remaining demand
 (`evict_mmlsh`). It owns its `_EvictionIndex`, so no resident is scanned: a
 resident of another (projection, level) pass is infinitely far from the
 bucket being fetched, so those order by (demand, key) alone in a lazy heap,
-and a per-pass map lists the residents that need a real distance.
+and a per-pass map lists the residents of the current pass, which need a
+real distance. Only the other passes need current heap entries, so a hit
+pushes nothing: the residents of a pass are re-indexed once, when the
+policy first sees a key of another pass.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, so a recorded trace replays exactly.
@@ -29,10 +32,9 @@ from __future__ import annotations
 import heapq
 import math
 import zipfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -130,23 +132,29 @@ _HEAP_SLACK = 4  # rebuild the eviction heap once it holds this many entries per
 class _EvictionIndex:
     """The two sources `evict_mmlsh` picks its victim from, plus insert order.
 
-    heap: lazy min-heap of (est_frequency, key, insert_tick) over every
-      resident. An entry is live while its key is resident with that tick and
-      that frequency; every resident has a live entry, because each insert
-      and each frequency change pushes one. Stale entries are dropped when
-      popped, and the heap is rebuilt from the residents once it holds more
-      than _HEAP_SLACK entries per resident.
+    current: the (projection, level) pass of the last key the policy saw
+      (None before the first). Its residents are read from `passes`, with
+      their real distance, so they need no heap entry.
+    heap: lazy min-heap of (est_frequency, key, insert_tick). An entry is
+      live while its key is resident with that tick and that frequency.
+      Every resident outside `current` has a live entry: a resident of the
+      current pass is admitted and counted down without a push, and `enter`
+      pushes one fresh entry for each of them when the policy moves to
+      another pass. Stale entries are dropped when popped, and the heap is
+      rebuilt from the residents once it holds more than _HEAP_SLACK
+      entries per resident.
     passes: (projection, level) -> set of resident bucket ids of that pass.
     ticks: resident key -> insert tick, in insertion order, which is tick
       order because the clock only moves forward.
     """
 
-    __slots__ = ("resident", "heap", "passes", "ticks")
+    __slots__ = ("resident", "heap", "passes", "ticks", "current")
 
     def __init__(self, resident: dict):
         self.resident = resident
         self.passes: dict[tuple, set] = {}
         self.ticks: dict[tuple, int] = {}
+        self.current = None
         for key, entry in sorted(resident.items(), key=lambda item: item[1].insert_tick):
             self.ticks[key] = entry.insert_tick
             self.passes.setdefault(key[:2], set()).add(key[2])
@@ -156,15 +164,29 @@ class _EvictionIndex:
         self.heap = [(e.est_frequency, key, e.insert_tick) for key, e in self.resident.items()]
         heapq.heapify(self.heap)
 
-    def push(self, key, entry):
-        heapq.heappush(self.heap, (entry.est_frequency, key, entry.insert_tick))
+    def enter(self, pass_):
+        """Make `pass_` current, first pushing a live entry for each resident of the one left."""
+        left = self.current
+        if pass_ == left:
+            return
+        self.current = pass_
+        resident, heap = self.resident, self.heap
+        for bucket in self.passes.get(left, ()):
+            key = (*left, bucket)
+            entry = resident[key]
+            heapq.heappush(heap, (entry.est_frequency, key, entry.insert_tick))
+        self.trim()
+
+    def trim(self):
         if len(self.heap) > _HEAP_SLACK * len(self.resident):
             self.rebuild()
 
     def add(self, key, entry):
+        """Index a resident just admitted; its pass becomes the current one."""
+        self.enter(key[:2])
         self.ticks[key] = entry.insert_tick
         self.passes.setdefault(key[:2], set()).add(key[2])
-        self.push(key, entry)
+        self.trim()  # the evictions that made room shrank the residents
 
     def remove(self, key):
         del self.ticks[key]
@@ -195,16 +217,20 @@ def evict_mmlsh(buffer: BufferState, current_bucket, index: _EvictionIndex):
     filters the distance filter is dropped first, then the recency filter.
 
     index is the policy's `_EvictionIndex` over `buffer.resident`; the
-    victim leaves both. The rule is applied to a few candidates that
-    provably contain every tier's winner:
+    current bucket's pass becomes its current pass, and the victim leaves
+    both. The rule is applied to a few candidates that provably contain
+    every tier's winner:
 
-    * every resident of the current pass, with its real distance;
+    * every resident of the current pass, with its real distance, listed
+      by the index's per-pass map;
     * the resident of another pass with the lowest (frequency, key), and the
       lowest old one. They share one distance, so within a tier only "old"
-      tells them apart; the lazy heap yields both, setting current-pass and
-      too-new entries aside and pushing them back. Old residents are a
-      prefix of the insertion order, so the heap is asked for an old one
-      only when that prefix holds a key of another pass.
+      tells them apart. Every resident of another pass has a live heap
+      entry, so the lazy heap yields both. Current-pass entries it pops are
+      dropped, since leaving the pass re-indexes its residents; too-new
+      entries of other passes are set aside and pushed back. Old residents
+      are a prefix of the insertion order, so the heap is asked for an old
+      one only when that prefix holds a key of another pass.
     """
     resident = buffer.resident
     if not resident:
@@ -213,6 +239,7 @@ def evict_mmlsh(buffer: BufferState, current_bucket, index: _EvictionIndex):
     window = len(resident)
     threshold = 2 * level
     now = buffer.clock
+    index.enter((g, level))
 
     old_elsewhere = False  # is some old resident in another pass?
     for (kg, klevel, _), tick in index.ticks.items():
@@ -231,9 +258,9 @@ def evict_mmlsh(buffer: BufferState, current_bucket, index: _EvictionIndex):
         entry = resident.get(key)
         if entry is None or entry.insert_tick != tick or entry.est_frequency != freq:
             continue  # stale: evicted, re-inserted or its frequency dropped since
-        aside.append(item)
         if key[0] == g and key[1] == level:
-            continue
+            continue  # the current pass is read from index.passes below
+        aside.append(item)
         if best_elsewhere is None:
             best_elsewhere = key
         if not old_elsewhere:
@@ -317,7 +344,10 @@ class _MmlshEvictor:
     admitting one included, never below 0. The `_EvictionIndex` is built
     from `buffer.resident` on the first eviction, so the buffer may have
     served another strategy before; `admit`, `use` and `evict_mmlsh` then
-    keep it current.
+    keep it current. Each of them moves the index to the pass of its key,
+    so the pass is followed from the keys themselves, in whatever order
+    they come. A use that leaves the demand at 0 changes nothing and moves
+    nothing.
     """
 
     def __init__(self, profile: "FrequencyProfile | None" = None):
@@ -338,9 +368,9 @@ class _MmlshEvictor:
 
     def use(self, key, entry):
         if entry.est_frequency != 0.0:  # 0 stays 0: nothing to re-index
-            entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
             if self.index is not None:
-                self.index.push(key, entry)
+                self.index.enter(key[:2])
+            entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
 
 
 @dataclass
@@ -375,25 +405,49 @@ def schedule_ns2(ranges):
     return [(bucket, need[bucket]) for bucket in sorted(need)]
 
 
-def split_queries(ranges, splits: int):
-    """Cut each query range into contiguous segments, interleaved by position.
+def split_queries(ranges, splits: int, ids):
+    """A pass's occupied buckets in MMLSH's order: query ranges split and interleaved.
 
-    Returns (query_index, seg_lo, seg_hi) triples sorted by segment start
-    (ties by query index, then segment order). Segments of one query exactly
-    tile its original range; more splits than buckets degenerates to one
-    segment per bucket.
+    ranges is a pass's (query_index, lo, hi) bucket intervals, one per
+    query index; ids is the pass's occupied bucket ids in ascending order.
+    Each range is cut into min(splits, hi - lo) contiguous segments that
+    exactly tile it (`_split_offsets`); the segments of all ranges are
+    visited by start position, ties by query index, and each segment's
+    buckets left to right. Only occupied buckets are keyed, each by (segment
+    start, query index, position), so an empty segment costs nothing; when
+    no range is wider than `splits`, every segment is one bucket and the
+    keys reduce to the positions themselves. Returns (order, segments):
+    positions into ids in visiting order, and the number of segments cut,
+    empty ones included.
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
-    segments = []
-    for qi, lo, hi in ranges:
+    order = []
+    segments = 0
+    wide = False  # is some range cut into segments of more than one bucket?
+    for _qi, lo, hi in ranges:
         width = hi - lo
         if width <= 0:
             continue
-        offsets = _split_offsets(width, splits)
-        segments.extend((qi, lo + a, lo + b) for a, b in zip(offsets, offsets[1:]))
-    segments.sort(key=itemgetter(1, 0, 2))
-    return segments
+        if width > splits:
+            wide = True
+            width = splits
+        segments += width
+        i0 = bisect_left(ids, lo)
+        order += range(i0, bisect_left(ids, hi, i0))
+    if not wide:
+        # each bucket starts its own segment and ids ascend with position, so
+        # start order is position order; ties repeat one position
+        order.sort()
+        return order, segments
+    keyed = []
+    for qi, lo, hi in ranges:
+        if hi > lo:
+            offsets = _split_offsets(hi - lo, splits)
+            keyed += [(lo + offsets[bisect_right(offsets, ids[p] - lo) - 1], qi, p)
+                      for p in range(bisect_left(ids, lo), bisect_left(ids, hi))]
+    keyed.sort()
+    return [p for _start, _qi, p in keyed], segments
 
 
 @lru_cache(maxsize=256)

@@ -102,8 +102,10 @@ def cmd_compare(args) -> int:
     index, profile = load_artifacts(cfg)
     queries = choose_queries(dataset, cfg)
     truth = ensure_ground_truth(cfg, dataset, queries)
+    # first, so that a k' below k fails before any query runs
+    baseline_rows = run_borda_baselines(cfg, dataset, index, queries, truth)
     rows = run_mmlsh_queries(cfg, dataset, index, queries, truth, profile=profile)
-    rows += run_borda_baselines(cfg, dataset, index, queries, truth)
+    rows += baseline_rows
     print(write_report(rows, cfg, emit_json=args.json))
     return 0
 

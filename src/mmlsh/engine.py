@@ -49,7 +49,8 @@ class QueryResult:
     levels_used: int
     complete: bool
     stats: QueryStats
-    bound_warning: bool = False
+    bound_warning: bool = False    # gamma is below gamma_min_bound
+    gamma_min_bound: float = 0.0   # smallest gamma with a proved guarantee
 
     @property
     def object_ids(self):
@@ -219,7 +220,8 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         top = top_candidates(k)
         return QueryResult(top_k=top, stop_condition=stop, levels_used=levels,
                            complete=complete and len(top) >= min(k, S),
-                           stats=stats, bound_warning=bound_warning)
+                           stats=stats, bound_warning=bound_warning,
+                           gamma_min_bound=bound)
 
     R = 1
     levels_done = 0

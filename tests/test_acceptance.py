@@ -6,6 +6,7 @@ Each test prints exactly one `ACCEPTANCE <n>: PASS|FAIL` line (run pytest with
 
 import dataclasses
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -245,6 +246,10 @@ def test_acceptance_9_profile_and_split_exactness(small_dataset, small_index):
     for _ in range(20):
         ranges = [(qi, int(lo), int(lo + rng.integers(1, 12)))
                   for qi, lo in enumerate(rng.integers(-20, 20, size=5))]
-        plans_equal = plans_equal and split_queries(ranges, 1) == schedule_ns1(ranges)
+        ids = np.unique(rng.integers(-25, 35, size=15)).tolist()
+        ns1 = [p for _qi, lo, hi in schedule_ns1(ranges)
+               for p in range(bisect_left(ids, lo), bisect_left(ids, hi))]
+        order, segments = split_queries(ranges, 1, ids)
+        plans_equal = plans_equal and order == ns1 and segments == len(ranges)
     report(9, "regional means exact and splits=1 reduces to the NS1 plan",
            exact and plans_equal)

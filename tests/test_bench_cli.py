@@ -271,6 +271,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
 
+    def test_k_prime_below_k_exits_3_only_where_it_is_read(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg) + ["--k-primes", "2", "5", "1"]  # k is 3
+        for verb in ("build", "query", "buffer-sweep"):
+            assert cli.main([verb] + args) == 0
+        capsys.readouterr()
+        assert cli.main(["compare"] + args) == 3
+        captured = capsys.readouterr()
+        assert "error: k_primes [2, 1] are below k=3" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_default_config_rows_carry_the_guarantee_bound(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        paths = ["--num-queries", "1", "--k-primes", "25", "--index", cfg.index_path,
+                 "--profile", cfg.profile_path, "--groundtruth", cfg.groundtruth_path,
+                 "--out", cfg.out_prefix]
+        assert cli.main(["build"] + paths) == 0
+        capsys.readouterr()
+        assert cli.main(["compare"] + paths) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+
+        def column(line, name):  # the table pads every column to one width
+            start = header.index(name)
+            end = start + len(name) + 2  # both are wider than any of their values
+            return line[start:end].strip()
+
+        per_query = [ln for ln in lines if ln.split()[0].isdigit()]  # not MEAN or STD
+        mmlsh_rows = [ln for ln in per_query if " mmLSH " in ln]
+        borda_rows = [ln for ln in per_query if "Borda" in ln]
+        assert mmlsh_rows and borda_rows
+        for line in mmlsh_rows:
+            assert column(line, "bound_warning") == "1"
+            # |Q| = L = 20, delta = 0.1, epsilon = 0.2, beta = 25/200
+            assert float(column(line, "gamma_min_bound")) == pytest.approx(0.9419, abs=1e-4)
+        for line in borda_rows:
+            assert column(line, "bound_warning") == column(line, "gamma_min_bound") == ""
+        with open(cfg.out_prefix + ".csv") as fh:
+            parsed = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        first = parsed[0]
+        assert (first["method"], first["bound_warning"]) == ("mmLSH", "1")
+        assert float(first["gamma_min_bound"]) == pytest.approx(0.9419, abs=1e-4)
+
     def _vectors(self, tmp_path, coords, object_map):
         write_feature_file(tmp_path / "v.fvecs", coords)
         (tmp_path / "map.csv").write_text(object_map)

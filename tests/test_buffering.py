@@ -1,5 +1,7 @@
 import math
+from bisect import bisect_left
 from collections import Counter, OrderedDict
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -317,6 +319,66 @@ class TestMmlshEvictionOracle:
             == set(buf.resident)
         assert largest > len(buf.resident)  # stale entries do accumulate between rebuilds
 
+    def test_a_hit_pushes_nothing_and_leaving_a_pass_reindexes_it(self):
+        # demand 5 - 1 = 4 on projection 0, 49 on projection 1
+        profile = FrequencyProfile(edges=np.array([[0.0, 100.0]] * 2),
+                                   means=np.array([[5.0], [50.0]]))
+        evictor = _MmlshEvictor(profile)
+        buf = BufferState(capacity_bytes=40)
+        for key in [(1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3)]:
+            access_bucket(key, 10, buf, evictor)
+        assert buf.io_stats.evictions == 1 and (0, 1, 0) not in buf
+        index = evictor.index
+        size = len(index.heap)
+        access_bucket((0, 1, 3), 10, buf, evictor)  # a hit in the current pass
+        assert buf.resident[(0, 1, 3)].est_frequency == 3.0
+        assert len(index.heap) == size
+        access_bucket((1, 1, 0), 10, buf, evictor)  # a hit in another pass
+        left = [(0, 1, 1), (0, 1, 2), (0, 1, 3)]
+        assert len(index.heap) == size + len(left)  # one fresh entry per resident left behind
+        for key in left:
+            entry = buf.resident[key]
+            assert (entry.est_frequency, key, entry.insert_tick) in index.heap
+
+
+def reference_split_queries(ranges, splits: int):
+    """Oracle: cut each range into contiguous segments, interleaved by position.
+
+    Returns every (query_index, seg_lo, seg_hi) segment, empty or not, sorted
+    by segment start (ties by query index, then segment order). Segments of
+    one query exactly tile its range; more splits than buckets degenerates
+    to one segment per bucket.
+    """
+    segments = []
+    for qi, lo, hi in ranges:
+        width = hi - lo
+        if width <= 0:
+            continue
+        nseg = min(splits, width)
+        offsets = np.round(np.linspace(0, width, nseg + 1)).astype(int).tolist()
+        segments.extend((qi, lo + a, lo + b) for a, b in zip(offsets, offsets[1:]))
+    segments.sort(key=itemgetter(1, 0, 2))
+    return segments
+
+
+def visit_order(segments, ids):
+    """Positions into the ascending `ids` of the occupied buckets each segment holds, in turn."""
+    return [p for _qi, lo, hi in segments
+            for p in range(bisect_left(ids, lo), bisect_left(ids, hi))]
+
+
+@st.composite
+def split_cases(draw):
+    """A pass's ranges, one per query index, over sparse occupied ids far from 0 or not."""
+    base = draw(st.sampled_from([0, -37, -(2**40), 2**40 + 5]))
+    near = st.integers(base - 60, base + 60)
+    ids = draw(st.lists(st.one_of(near, st.integers(base - 2**41, base + 2**41)),
+                        max_size=40, unique=True))
+    widths = st.one_of(st.integers(0, 40), st.integers(2**40 - 3, 2**40 + 3))
+    starts = draw(st.lists(st.tuples(near, widths), max_size=8))
+    ranges = [(qi, lo, lo + width) for qi, (lo, width) in enumerate(starts)]
+    return ranges, draw(st.sampled_from([1, 2, 3, 10, 25])), sorted(ids)
+
 
 class TestScheduling:
     RANGES = [(0, 5, 8), (1, 6, 9)]
@@ -338,7 +400,7 @@ class TestScheduling:
     def test_split_segments_tile_each_range(self):
         ranges = [(0, 0, 17), (1, 40, 43), (2, 5, 6)]
         for splits in (1, 3, 10, 25):
-            segs = split_queries(ranges, splits)
+            segs = reference_split_queries(ranges, splits)
             for qi, lo, hi in ranges:
                 mine = sorted((s for s in segs if s[0] == qi), key=lambda s: s[1])
                 assert mine[0][1] == lo and mine[-1][2] == hi
@@ -356,14 +418,17 @@ class TestScheduling:
                     edges = lo + np.round(np.linspace(0, hi - lo, nseg + 1)).astype(int)
                     expected += [(qi, int(a), int(b)) for a, b in zip(edges, edges[1:])]
             expected.sort(key=lambda seg: (seg[1], seg[0], seg[2]))
-            assert split_queries(ranges, splits) == expected
+            assert reference_split_queries(ranges, splits) == expected
 
     def test_split_one_equals_ns1_plan(self):
-        ranges = [(0, 3, 9), (1, 1, 7), (2, 5, 11)]
-        assert split_queries(ranges, 1) == schedule_ns1(ranges)
+        ranges = [(0, 3, 9), (1, 1, 7), (2, 5, 11), (3, 4, 4)]
+        ids = [-2, 1, 2, 5, 6, 8, 10, 30]
+        order, segments = split_queries(ranges, 1, ids)
+        assert order == visit_order(schedule_ns1(ranges), ids)
+        assert segments == 3  # one per non-empty range
 
     def test_split_interleaves_by_position(self):
-        segs = split_queries([(0, 0, 100), (1, 0, 100)], 4)
+        segs = reference_split_queries([(0, 0, 100), (1, 0, 100)], 4)
         starts = [s[1] for s in segs]
         assert starts == sorted(starts)
         # neighboring segments alternate owners instead of finishing query 0 first
@@ -372,8 +437,22 @@ class TestScheduling:
     def test_same_bucket_multiset_ns1_vs_split(self):
         ranges = [(0, 2, 19), (1, 7, 30), (2, 0, 11)]
         ns1 = [(qi, b) for qi, lo, hi in schedule_ns1(ranges) for b in range(lo, hi)]
-        split = [(qi, b) for qi, lo, hi in split_queries(ranges, 10) for b in range(lo, hi)]
+        split = [(qi, b) for qi, lo, hi in reference_split_queries(ranges, 10)
+                 for b in range(lo, hi)]
         assert sorted(ns1) == sorted(split)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=split_cases())
+    def test_split_order_equals_walking_the_reference_segments(self, case):
+        ranges, splits, ids = case
+        reference = reference_split_queries(ranges, splits)
+        order, segments = split_queries(ranges, splits, ids)
+        assert order == visit_order(reference, ids)
+        assert segments == len(reference)  # empty segments count too
+
+    def test_split_rejects_zero_splits(self):
+        with pytest.raises(ValueError):
+            split_queries([(0, 0, 4)], 0, [1, 2])
 
 
 def reference_profile(index, dataset, num_queries, regions, seed):

@@ -1,10 +1,11 @@
 """The layers the benchmark's traced run names are the code that does the work.
 
-`perfbench/harness.py` counts replay work by wrapping three module
-attributes: `bench.access_bucket`, `bench.evict_lru` and
-`buffering.evict_mmlsh`. These tests wrap the same attributes with counters
-around `bench.replay_plans`, so a call that bypassed them (or ran twice per
-eviction) would show here before it skewed a per-layer figure.
+`perfbench/harness.py` counts replay work by wrapping four module
+attributes: `bench.access_bucket`, `bench.evict_lru`, `buffering.evict_mmlsh`
+and `bench.split_queries`. These tests wrap the same attributes with
+counters around `bench.replay_plans`, so a call that bypassed them (or ran
+twice per eviction or per pass) would show here before it skewed a
+per-layer figure.
 """
 
 from collections import Counter
@@ -44,7 +45,7 @@ def counted_replay(monkeypatch, strategy, index, profile, plans):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((bench, "access_bucket"), (bench, "evict_lru"),
-                        (buffering, "evict_mmlsh")):
+                        (buffering, "evict_mmlsh"), (bench, "split_queries")):
         counting(owner, name)
     real_index = buffering._EvictionIndex
 
@@ -72,7 +73,9 @@ def test_wrapped_attributes_count_every_access_and_eviction(monkeypatch, recorde
         assert calls["evict_mmlsh"] == io.evictions
         assert calls["evict_lru"] == 0
         assert calls["index_builds"] == 1  # built by the replay's first eviction, then kept current
+        assert calls["split_queries"] == sum(len(plan) for plan in plans)  # once per pass
     else:
         assert calls["evict_lru"] == io.evictions
         assert calls["evict_mmlsh"] == 0
         assert calls["index_builds"] == 0  # LRU replays never build the eviction index
+        assert calls["split_queries"] == 0
