@@ -231,8 +231,12 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     batches the whole set, reading each distinct useful bucket once per
     (level, projection) pass and checking every batched query against it.
     Only occupied buckets are visited: NS1 walks each range's slice of them,
-    MMLSH the order `split_queries` gives.
+    MMLSH the order `split_queries` gives. A scheduler configured for
+    another strategy raises ValueError.
     """
+    if scheduler.strategy != strategy:
+        raise ValueError(f"replay_plans was asked for {strategy} with a scheduler "
+                         f"configured for {scheduler.strategy}")
     lists: dict = {}
     if strategy == NS2:
         _replay_ns2_batch(plans, index, buffer, stats_list, lists)

@@ -13,13 +13,14 @@ through a fixed-capacity buffer and which resident bucket to evict on a miss:
 That policy, `_MmlshEvictor`, seeds each admitted bucket's expected
 demand from the offline `FrequencyProfile`, counts it down on every use, and
 evicts by recency, distance from the query position and remaining demand
-(`evict_mmlsh`). It owns its `_EvictionIndex`, so no resident is scanned: a
-resident of another (projection, level) pass is infinitely far from the
-bucket being fetched, so those order by (demand, key) alone in a lazy heap,
-and a per-pass map lists the residents of the current pass, which need a
-real distance. Only the other passes need current heap entries, so a hit
-pushes nothing: the residents of a pass are re-indexed once, when the
-policy first sees a key of another pass.
+(`evict_mmlsh`). Recency rests on one fact. At an eviction a resident is old
+when its insert tick is below b = clock - len(resident). An access adds one
+tick and at most one resident, and an eviction removes one resident, so b is
+higher at every eviction than at the one before: a resident that is old
+stays old while it is resident. The policy therefore keeps the young
+residents in insert order and moves each into one lazy (demand, key) heap
+when it turns old, and an eviction reads its victim off the top of that
+heap without scanning the residents.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, so a recorded trace replays exactly.
@@ -33,6 +34,7 @@ import heapq
 import math
 import zipfile
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,73 +131,6 @@ class BufferState:
 _HEAP_SLACK = 4  # rebuild the eviction heap once it holds this many entries per resident
 
 
-class _EvictionIndex:
-    """The two sources `evict_mmlsh` picks its victim from, plus insert order.
-
-    current: the (projection, level) pass of the last key the policy saw
-      (None before the first). Its residents are read from `passes`, with
-      their real distance, so they need no heap entry.
-    heap: lazy min-heap of (est_frequency, key, insert_tick). An entry is
-      live while its key is resident with that tick and that frequency.
-      Every resident outside `current` has a live entry: a resident of the
-      current pass is admitted and counted down without a push, and `enter`
-      pushes one fresh entry for each of them when the policy moves to
-      another pass. Stale entries are dropped when popped, and the heap is
-      rebuilt from the residents once it holds more than _HEAP_SLACK
-      entries per resident.
-    passes: (projection, level) -> set of resident bucket ids of that pass.
-    ticks: resident key -> insert tick, in insertion order, which is tick
-      order because the clock only moves forward.
-    """
-
-    __slots__ = ("resident", "heap", "passes", "ticks", "current")
-
-    def __init__(self, resident: dict):
-        self.resident = resident
-        self.passes: dict[tuple, set] = {}
-        self.ticks: dict[tuple, int] = {}
-        self.current = None
-        for key, entry in sorted(resident.items(), key=lambda item: item[1].insert_tick):
-            self.ticks[key] = entry.insert_tick
-            self.passes.setdefault(key[:2], set()).add(key[2])
-        self.rebuild()
-
-    def rebuild(self):
-        self.heap = [(e.est_frequency, key, e.insert_tick) for key, e in self.resident.items()]
-        heapq.heapify(self.heap)
-
-    def enter(self, pass_):
-        """Make `pass_` current, first pushing a live entry for each resident of the one left."""
-        left = self.current
-        if pass_ == left:
-            return
-        self.current = pass_
-        resident, heap = self.resident, self.heap
-        for bucket in self.passes.get(left, ()):
-            key = (*left, bucket)
-            entry = resident[key]
-            heapq.heappush(heap, (entry.est_frequency, key, entry.insert_tick))
-        self.trim()
-
-    def trim(self):
-        if len(self.heap) > _HEAP_SLACK * len(self.resident):
-            self.rebuild()
-
-    def add(self, key, entry):
-        """Index a resident just admitted; its pass becomes the current one."""
-        self.enter(key[:2])
-        self.ticks[key] = entry.insert_tick
-        self.passes.setdefault(key[:2], set()).add(key[2])
-        self.trim()  # the evictions that made room shrank the residents
-
-    def remove(self, key):
-        del self.ticks[key]
-        ids = self.passes[key[:2]]
-        ids.discard(key[2])
-        if not ids:
-            del self.passes[key[:2]]
-
-
 def evict_lru(buffer: BufferState, _current_bucket=None):
     """Evict the resident bucket with the oldest last use (NS1 policy)."""
     if not buffer.resident:
@@ -205,7 +140,80 @@ def evict_lru(buffer: BufferState, _current_bucket=None):
     return key
 
 
-def evict_mmlsh(buffer: BufferState, current_bucket, index: _EvictionIndex):
+class _MmlshEvictor:
+    """The MMLSH replacement policy for one replay on one buffer.
+
+    A resident's `est_frequency` is its remaining demand: the profile's
+    estimate (1 without a profile) on admission, less one per use, the
+    admitting one included, never below 0.
+
+    `evict_mmlsh` wants the old residents in (demand, key) order, and a
+    resident that is old at one eviction is old at every later one (see the
+    module docstring). So each resident is in one of two places:
+
+    young: (insert tick, key) in admission order, which is tick order, for
+      the residents not yet old at the last eviction; entries of keys since
+      evicted or re-admitted are skipped when they come up.
+    heap: lazy min-heap of (est_frequency, key, insert_tick) with a live
+      entry for every old resident. An entry is live while its key is
+      resident with that tick and that frequency; stale ones are dropped
+      when popped, and the heap is rebuilt from the old residents once it
+      holds more than _HEAP_SLACK entries per resident.
+
+    `age(b)` moves the young residents inserted before tick b into the heap,
+    reading their demand then. So a use of a young resident pushes nothing,
+    and a use that lowers an old one's demand pushes one fresh entry. Both
+    structures are built from `buffer.resident` at the first eviction: the
+    buffer may have served another strategy before, and a replay that never
+    evicts builds nothing.
+    """
+
+    def __init__(self, profile: "FrequencyProfile | None" = None):
+        self.profile = profile
+        self.resident: dict | None = None  # the buffer's, once the first eviction builds
+        self.young: deque | None = None
+        self.heap: list = []
+        self.bound = -math.inf  # b at the last eviction
+
+    def __call__(self, buffer, current_bucket):
+        if self.young is None:
+            self.resident = buffer.resident
+            self.young = deque(sorted((e.insert_tick, key) for key, e in self.resident.items()))
+        return evict_mmlsh(buffer, current_bucket, self)
+
+    def age(self, bound):
+        """Move every young resident inserted before tick `bound` into the heap."""
+        self.bound = bound
+        young, resident, heap = self.young, self.resident, self.heap
+        while young and young[0][0] < bound:
+            tick, key = young.popleft()
+            entry = resident.get(key)
+            if entry is not None and entry.insert_tick == tick:  # not evicted or re-admitted
+                heapq.heappush(heap, (entry.est_frequency, key, tick))
+
+    def trim(self):
+        if len(self.heap) > _HEAP_SLACK * len(self.resident):
+            bound = self.bound
+            self.heap = [(e.est_frequency, key, e.insert_tick)
+                         for key, e in self.resident.items() if e.insert_tick < bound]
+            heapq.heapify(self.heap)
+
+    def admit(self, key, entry):
+        if self.profile is not None:
+            entry.est_frequency = self.profile.frequency(key[0], key[2])
+        entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
+        if self.young is not None:
+            self.young.append((entry.insert_tick, key))
+
+    def use(self, key, entry):
+        if entry.est_frequency != 0.0:  # 0 stays 0: nothing to push
+            entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
+            if entry.insert_tick < self.bound:
+                heapq.heappush(self.heap, (entry.est_frequency, key, entry.insert_tick))
+                self.trim()
+
+
+def evict_mmlsh(buffer: BufferState, current_bucket, policy: _MmlshEvictor):
     """Evict one resident by the three MMLSH criteria; returns its key.
 
     current_bucket is the (projection, level R, bucket id) being fetched.
@@ -216,79 +224,46 @@ def evict_mmlsh(buffer: BufferState, current_bucket, index: _EvictionIndex):
     by larger distance, then by lower key. When no resident passes both
     filters the distance filter is dropped first, then the recency filter.
 
-    index is the policy's `_EvictionIndex` over `buffer.resident`; the
-    current bucket's pass becomes its current pass, and the victim leaves
-    both. The rule is applied to a few candidates that provably contain
-    every tier's winner:
-
-    * every resident of the current pass, with its real distance, listed
-      by the index's per-pass map;
-    * the resident of another pass with the lowest (frequency, key), and the
-      lowest old one. They share one distance, so within a tier only "old"
-      tells them apart. Every resident of another pass has a live heap
-      entry, so the lazy heap yields both. Current-pass entries it pops are
-      dropped, since leaving the pass re-indexes its residents; too-new
-      entries of other passes are set aside and pushed back. Old residents
-      are a prefix of the insertion order, so the heap is asked for an old
-      one only when that prefix holds a key of another pass.
+    policy is the `_MmlshEvictor` over `buffer.resident`. Once it has aged
+    its young residents to this eviction's bound, its heap holds every old
+    resident, so the first two tiers are read off the heap alone: live
+    entries are popped in (frequency, key) order up to the first one of
+    another pass. No later resident of another pass can win, since those
+    all share distance infinity; and at equal frequency that entry beats
+    every current-pass resident, so a current-pass resident that beats it
+    has a lower frequency and was popped before it. All popped entries but
+    the victim's go back. A heap without a live entry means nothing is old;
+    the last tier then takes the best of every resident.
     """
     resident = buffer.resident
     if not resident:
         raise RuntimeError("cannot evict from an empty buffer")
     g, level, pos = current_bucket
-    window = len(resident)
-    threshold = 2 * level
-    now = buffer.clock
-    index.enter((g, level))
-
-    old_elsewhere = False  # is some old resident in another pass?
-    for (kg, klevel, _), tick in index.ticks.items():
-        if not now - tick > window:
-            break
-        if kg != g or klevel != level:
-            old_elsewhere = True
-            break
-
-    heap = index.heap
-    best_elsewhere = best_old_elsewhere = None
-    aside = []
+    policy.age(buffer.clock - len(resident))
+    heap = policy.heap
+    popped = []  # (frequency, -distance, key, insert tick) of the live entries popped
     while heap:
-        item = heapq.heappop(heap)
-        freq, key, tick = item
+        freq, key, tick = heapq.heappop(heap)
         entry = resident.get(key)
         if entry is None or entry.insert_tick != tick or entry.est_frequency != freq:
             continue  # stale: evicted, re-inserted or its frequency dropped since
-        if key[0] == g and key[1] == level:
-            continue  # the current pass is read from index.passes below
-        aside.append(item)
-        if best_elsewhere is None:
-            best_elsewhere = key
-        if not old_elsewhere:
+        if key[0] != g or key[1] != level:
+            popped.append((freq, -math.inf, key, tick))
             break
-        if now - tick > window:
-            best_old_elsewhere = key
-            break
-    for item in aside:
-        heapq.heappush(heap, item)
-
-    candidates = [((g, level, bucket), abs(bucket - pos))
-                  for bucket in index.passes.get((g, level), ())]
-    candidates += [(key, math.inf)
-                   for key in (best_elsewhere, best_old_elsewhere) if key is not None]
-    best = [None, None, None]  # per relaxation tier: (freq, -dist, key)
-    for key, dist in candidates:
-        entry = resident[key]
-        cand = (entry.est_frequency, -dist, key)
-        old = now - entry.insert_tick > window
-        tiers = (old and dist > threshold, old, True)
-        for tier, ok in enumerate(tiers):
-            if ok and (best[tier] is None or cand < best[tier]):
-                best[tier] = cand
-    chosen = next(b for b in best if b is not None)
-    key = chosen[2]
-    index.remove(key)
-    buffer._evict(key)
-    return key
+        popped.append((freq, -abs(key[2] - pos), key, tick))
+    if popped:
+        # far and old (tier 0) if any, else old (tier 1)
+        victim = min([c for c in popped if -c[1] > 2 * level] or popped)[2]
+        for freq, _neg_dist, key, tick in popped:
+            if key != victim:
+                heapq.heappush(heap, (freq, key, tick))
+    else:  # nothing is old: the last tier, over every resident
+        victim = min((e.est_frequency,
+                      -abs(key[2] - pos) if key[0] == g and key[1] == level else -math.inf,
+                      key) for key, e in resident.items())[2]
+    buffer._evict(victim)
+    policy.trim()
+    return victim
 
 
 def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
@@ -334,43 +309,6 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
     if buffer.trace is not None:
         buffer.trace.append((buffer.clock, key, "miss", tuple(evicted) or None))
     return False, ms
-
-
-class _MmlshEvictor:
-    """The MMLSH replacement policy for one replay on one buffer.
-
-    A resident's `est_frequency` is its remaining demand: the profile's
-    estimate (1 without a profile) on admission, less one per use, the
-    admitting one included, never below 0. The `_EvictionIndex` is built
-    from `buffer.resident` on the first eviction, so the buffer may have
-    served another strategy before; `admit`, `use` and `evict_mmlsh` then
-    keep it current. Each of them moves the index to the pass of its key,
-    so the pass is followed from the keys themselves, in whatever order
-    they come. A use that leaves the demand at 0 changes nothing and moves
-    nothing.
-    """
-
-    def __init__(self, profile: "FrequencyProfile | None" = None):
-        self.profile = profile
-        self.index: _EvictionIndex | None = None
-
-    def __call__(self, buffer, current_bucket):
-        if self.index is None:
-            self.index = _EvictionIndex(buffer.resident)
-        return evict_mmlsh(buffer, current_bucket, self.index)
-
-    def admit(self, key, entry):
-        if self.profile is not None:
-            entry.est_frequency = self.profile.frequency(key[0], key[2])
-        entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
-        if self.index is not None:
-            self.index.add(key, entry)
-
-    def use(self, key, entry):
-        if entry.est_frequency != 0.0:  # 0 stays 0: nothing to re-index
-            if self.index is not None:
-                self.index.enter(key[:2])
-            entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
 
 
 @dataclass
@@ -466,13 +404,19 @@ class FrequencyProfile:
 
     Built offline from the level-1 footprint of random point queries: each
     projection's occupied bucket span is cut into equal-width regions and
-    every bucket inherits its region's mean access count.
+    every bucket inherits its region's mean access count. Means must be
+    finite and >= 0, and each projection's edges finite and non-decreasing:
+    a NaN demand would never compare equal to itself in the eviction heap.
     """
 
     def __init__(self, edges: np.ndarray, means: np.ndarray):
         if (edges.ndim != 2 or means.ndim != 2 or edges.shape[0] != means.shape[0]
                 or edges.shape[1] != means.shape[1] + 1):
             raise ValueError("edges must have one more column than means")
+        if not (np.isfinite(means).all() and (means >= 0).all()):
+            raise ValueError("means must be finite and >= 0")
+        if not (np.isfinite(edges).all() and (np.diff(edges, axis=1) >= 0).all()):
+            raise ValueError("edges must be finite and non-decreasing in each row")
         self.edges = edges
         self.means = means
         self.regions = means.shape[1]

@@ -370,6 +370,27 @@ class TestCli:
         assert cli.main(["query"] + args) == 3
         assert f"profile has {m - 1} projections, the index has m={m}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spoil", ["nan means", "negative means", "nan edge",
+                                       "decreasing edges"])
+    def test_malformed_profile_exits_3(self, tmp_path, capsys, spoil):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        with np.load(cfg.profile_path) as data:
+            edges, means = data["edges"], data["means"]
+        if spoil == "nan means":
+            means[:] = np.nan
+        elif spoil == "negative means":
+            means[:] = -1.0
+        elif spoil == "nan edge":
+            edges[0, 1] = np.nan
+        else:
+            edges[0, 1] = edges[0, 2] + 1.0
+        np.savez(cfg.profile_path, edges=edges, means=means)
+        capsys.readouterr()
+        assert cli.main(["query"] + args + ["--strategy", MMLSH, "--buffer-mb", "0.01"]) == 3
+        assert "not a frequency profile" in capsys.readouterr().err
+
     def test_groundtruth_verb(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         args = self._common(cfg)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmlsh
+from mmlsh import buffering
 from mmlsh.buffering import (_HEAP_SLACK, BufferState, CostModel, FrequencyProfile,
-                             QueryStats, _EvictionIndex, _MmlshEvictor, access_bucket,
-                             build_frequency_profile, evict_lru, evict_mmlsh,
-                             profile_footprint, schedule_ns1, schedule_ns2, split_queries)
+                             QueryStats, _MmlshEvictor, access_bucket,
+                             build_frequency_profile, evict_lru, profile_footprint,
+                             schedule_ns1, schedule_ns2, split_queries)
 
 
 class ReferenceLru:
@@ -118,7 +119,7 @@ def _seed_buffer(entries, capacity=10_000):
 
 
 def _evict_mmlsh(buf, current_bucket):
-    return evict_mmlsh(buf, current_bucket, _EvictionIndex(buf.resident))
+    return _MmlshEvictor()(buf, current_bucket)
 
 
 class TestMmlshEviction:
@@ -296,49 +297,82 @@ class TestMmlshEvictionOracle:
         # each relaxation tier (old and far, old, any) chose some victim
         assert all(tiers[tier] > 0 for tier in range(3)), tiers
 
+    def test_the_age_bound_rises_at_every_eviction(self, monkeypatch):
+        # the fact the policy rests on: a resident that is old stays old
+        bounds = []
+        real = buffering.evict_mmlsh
+
+        def recording(buffer, current_bucket, policy):
+            bounds.append(buffer.clock - len(buffer.resident))
+            return real(buffer, current_bucket, policy)
+        monkeypatch.setattr(buffering, "evict_mmlsh", recording)
+        evictions = 0
+
+        @settings(max_examples=300, deadline=None)
+        @given(run=access_runs())
+        def check(run):
+            nonlocal evictions
+            accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut = run
+            bounds.clear()
+            replay_accesses(lambda: _MmlshEvictor(profile), accesses, sizes, capacity,
+                            lru_prefix, mmlsh_cut)
+            assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds
+            evictions += len(bounds)
+
+        check()
+        assert evictions > 1_000
+
     def test_heap_stays_within_a_multiple_of_the_residents(self):
         rng = np.random.default_rng(5)
         keys = [(int(g), int(level), int(b)) for g, level, b in zip(
             rng.integers(0, 3, 20_000), rng.choice([1, 2, 4], 20_000),
-            rng.integers(0, 300, 20_000))]
+            rng.integers(0, 40, 20_000))]  # few enough keys that old residents get hits
         sizes = {key: int(rng.integers(1, 40)) for key in set(keys)}
-        profile = FrequencyProfile(edges=np.array([np.linspace(0, 300, 11)] * 3),
+        profile = FrequencyProfile(edges=np.array([np.linspace(0, 40, 11)] * 3),
                                    means=rng.uniform(0, 30, size=(3, 10)))
         evictor = _MmlshEvictor(profile)
         buf = BufferState(capacity_bytes=2_000)
-        largest = 0
+        fullest = 0.0  # most heap entries per resident
         for key in keys:
             access_bucket(key, sizes[key], buf, evictor)
-            index = evictor.index
-            if index is not None:
-                assert len(index.heap) <= _HEAP_SLACK * len(buf.resident)
-                largest = max(largest, len(index.heap))
+            if evictor.young is None:
+                continue
+            heap = evictor.heap
+            assert len(heap) <= _HEAP_SLACK * len(buf.resident)
+            fullest = max(fullest, len(heap) / len(buf.resident))
+            entries = set(heap)
+            old = [(e.est_frequency, k, e.insert_tick) for k, e in buf.resident.items()
+                   if e.insert_tick < evictor.bound]
+            assert entries.issuperset(old)  # every old resident has a live entry
+            young = [(tick, k) for tick, k in evictor.young
+                     if k in buf and buf.resident[k].insert_tick == tick]
+            assert young == sorted((e.insert_tick, k) for k, e in buf.resident.items()
+                                   if e.insert_tick >= evictor.bound)
         assert buf.io_stats.evictions > 10_000
-        assert list(index.ticks) == sorted(buf.resident, key=lambda k: buf.resident[k].insert_tick)
-        assert {(g, lv, b) for (g, lv), ids in index.passes.items() for b in ids} \
-            == set(buf.resident)
-        assert largest > len(buf.resident)  # stale entries do accumulate between rebuilds
+        assert fullest > _HEAP_SLACK - 1  # stale entries pile up until a rebuild clears them
 
-    def test_a_hit_pushes_nothing_and_leaving_a_pass_reindexes_it(self):
+    def test_only_a_use_that_lowers_an_old_demand_pushes(self):
         # demand 5 - 1 = 4 on projection 0, 49 on projection 1
         profile = FrequencyProfile(edges=np.array([[0.0, 100.0]] * 2),
                                    means=np.array([[5.0], [50.0]]))
         evictor = _MmlshEvictor(profile)
         buf = BufferState(capacity_bytes=40)
-        for key in [(1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3)]:
+        for key in [(1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 2), (0, 1, 2),
+                    (0, 1, 3)]:
             access_bucket(key, 10, buf, evictor)
+        # at tick 7 the bound is 7 - 4 = 3: ticks 1 and 2 are old, the far (0, 1, 0) goes
         assert buf.io_stats.evictions == 1 and (0, 1, 0) not in buf
-        index = evictor.index
-        size = len(index.heap)
-        access_bucket((0, 1, 3), 10, buf, evictor)  # a hit in the current pass
+        assert evictor.bound == 3
+        heap = evictor.heap
+        size = len(heap)
+        access_bucket((0, 1, 3), 10, buf, evictor)  # a hit on a young resident
         assert buf.resident[(0, 1, 3)].est_frequency == 3.0
-        assert len(index.heap) == size
-        access_bucket((1, 1, 0), 10, buf, evictor)  # a hit in another pass
-        left = [(0, 1, 1), (0, 1, 2), (0, 1, 3)]
-        assert len(index.heap) == size + len(left)  # one fresh entry per resident left behind
-        for key in left:
-            entry = buf.resident[key]
-            assert (entry.est_frequency, key, entry.insert_tick) in index.heap
+        assert len(heap) == size
+        access_bucket((1, 1, 0), 10, buf, evictor)  # a hit on the old resident
+        assert len(heap) == size + 1
+        assert (48.0, (1, 1, 0), 1) in heap
+        access_bucket((0, 1, 1), 10, buf, evictor)  # back to pass (0, 1), on a young one
+        assert len(heap) == size + 1
 
 
 def reference_split_queries(ranges, splits: int):
@@ -518,6 +552,18 @@ class TestFrequencyProfile:
         assert profile.frequency(0, 2) == 1.0
         assert profile.frequency(0, 7) == 9.0
         assert profile.frequency(0, 100) == 9.0
+
+    @pytest.mark.parametrize("edges, means, message", [
+        ([[0.0, 5.0, 10.0]], [[np.nan, 1.0]], "means must be finite"),
+        ([[0.0, 5.0, 10.0]], [[np.inf, 1.0]], "means must be finite"),
+        ([[0.0, 5.0, 10.0]], [[1.0, -0.5]], "means must be finite and >= 0"),
+        ([[0.0, np.nan, 10.0]], [[1.0, 1.0]], "edges must be finite"),
+        ([[0.0, 5.0, np.inf]], [[1.0, 1.0]], "edges must be finite"),
+        ([[0.0, 5.0, 4.0]], [[1.0, 1.0]], "non-decreasing"),
+    ])
+    def test_malformed_profile_is_refused(self, edges, means, message):
+        with pytest.raises(ValueError, match=message):
+            FrequencyProfile(edges=np.array(edges), means=np.array(means))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -47,12 +47,12 @@ def counted_replay(monkeypatch, strategy, index, profile, plans):
     for owner, name in ((bench, "access_bucket"), (bench, "evict_lru"),
                         (buffering, "evict_mmlsh"), (bench, "split_queries")):
         counting(owner, name)
-    real_index = buffering._EvictionIndex
+    real_call = buffering._MmlshEvictor.__call__
 
-    def counting_index(resident):
-        calls["index_builds"] += 1
-        return real_index(resident)
-    monkeypatch.setattr(buffering, "_EvictionIndex", counting_index)
+    def counting_call(policy, buffer, current_bucket):
+        calls["policy_builds"] += policy.young is None  # the first eviction builds
+        return real_call(policy, buffer, current_bucket)
+    monkeypatch.setattr(buffering._MmlshEvictor, "__call__", counting_call)
 
     buffer = BufferState(int(CFG.buffer_mb * bench.MB), CostModel())
     stats = [mmlsh.QueryStats() for _ in plans]
@@ -72,10 +72,19 @@ def test_wrapped_attributes_count_every_access_and_eviction(monkeypatch, recorde
     if strategy == MMLSH:
         assert calls["evict_mmlsh"] == io.evictions
         assert calls["evict_lru"] == 0
-        assert calls["index_builds"] == 1  # built by the replay's first eviction, then kept current
+        assert calls["policy_builds"] == 1  # built by the replay's first eviction, then kept current
         assert calls["split_queries"] == sum(len(plan) for plan in plans)  # once per pass
     else:
         assert calls["evict_lru"] == io.evictions
         assert calls["evict_mmlsh"] == 0
-        assert calls["index_builds"] == 0  # LRU replays never build the eviction index
+        assert calls["policy_builds"] == 0  # LRU replays never build the MMLSH policy
         assert calls["split_queries"] == 0
+
+
+def test_a_scheduler_for_another_strategy_is_refused(recorded):
+    index, profile, plans = recorded
+    buffer = BufferState(int(CFG.buffer_mb * bench.MB), CostModel())
+    with pytest.raises(ValueError, match="asked for NS1 with a scheduler configured for MMLSH"):
+        bench.replay_plans(NS1, plans, index, buffer, [mmlsh.QueryStats() for _ in plans],
+                           SchedulerConfig(strategy=MMLSH, profile=profile))
+    assert buffer.clock == 0  # refused before any access
