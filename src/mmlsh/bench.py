@@ -6,6 +6,13 @@ so repeated runs with the same config and seed produce identical reports.
 Each query's costs live in one `QueryStats`: the search fills its collision
 and operation counts, and `replay_plans` bills its IO through
 `access_bucket`, which adds the same figures to the buffer's `io_stats`.
+
+The report verbs share one pipeline. After one set-up (dataset, artifacts,
+queries, exact rankings), `record_query_plans` runs each query's search
+once and keeps its pass plan. Each (strategy, buffer size) run then replays
+every plan onto a copy of its query's stats, on a fresh buffer, so runs
+differ in modeled IO only. `_row` builds every report row, mmLSH's and the
+Borda baselines', and is the one place that derives `alg_ms` from `alg_ops`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import os
 import time
 import typing
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,13 +34,16 @@ from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                         FrequencyProfile, QueryStats, SchedulerConfig, _MmlshEvictor,
                         access_bucket, build_frequency_profile, evict_lru,
                         schedule_ns1, schedule_ns2, split_queries)
-from .engine import DEFAULT_ALG_OP_COST_MS, knn_objects
+from .engine import knn_objects
 from .errors import ParameterError, ProfileFileError
 from .lsh import DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, save_index
 from .model import Dataset, QueryObject, load_feature_file, load_object_map, synth_dataset
 from .similarity import GammaParams, gamma_distance, object_ratio
 
 MB = 1_000_000
+# modeled cost of one algorithm operation (collision increment or per-bucket
+# query check); absolute hardware numbers are not portable, only structure is
+DEFAULT_ALG_OP_COST_MS = 1e-6
 
 
 @dataclass
@@ -75,6 +85,9 @@ class RunConfig:
     out_prefix: str = "report"
 
     def __post_init__(self):
+        for name in ("k_primes", "buffer_sizes_mb"):
+            if not getattr(self, name):
+                raise ParameterError(f"{name} must not be empty")
         for name, value in [("buffer_mb", self.buffer_mb)] + [
                 ("buffer_sizes_mb", size) for size in self.buffer_sizes_mb]:
             if not (math.isfinite(value) and value > 0):
@@ -179,25 +192,38 @@ def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
     return {gt.query_object_id: gt for gt in truths}
 
 
-def _row(query, method, strategy, buffer_mb, k_prime, ratio, flagged, stats: QueryStats,
-         stop="", levels=0, wall_ms=0.0, bound_warning="", gamma_min_bound=""):
+REPORT_COLUMNS = ["query_object_id", "method", "strategy", "buffer_mb", "k_prime",
+                  "or_gamma", "or_flagged", "bound_warning", "gamma_min_bound", "total_ms",
+                  "alg_ms", "index_io_ms", "hits", "misses", "stop", "levels", "wall_ms"]
+# the columns that name a run; `aggregate` summarises each run's rows
+GROUP_COLUMNS = ("method", "strategy", "buffer_mb", "k_prime")
+
+
+def _row(cfg: RunConfig, truth, query, group: tuple, dists, stats: QueryStats, wall_ms,
+         result=None) -> dict:
+    """One report row; the only place that derives `alg_ms` from `alg_ops`.
+
+    `group` holds the GROUP_COLUMNS values. An empty answer (`dists`,
+    ascending) gets `or_gamma` inf. Only mmLSH rows pass the QueryResult
+    that fills the stop, level and bound columns.
+    """
+    stats.alg_ms = stats.alg_ops * cfg.alg_op_cost_ms
+    ratio, flagged = (object_ratio(dists, truth[query.object_id].distances[:len(dists)])
+                      if dists else (math.inf, False))
     return {
         "query_object_id": query.object_id,
-        "method": method,
-        "strategy": strategy,
-        "buffer_mb": buffer_mb,
-        "k_prime": k_prime,
+        **dict(zip(GROUP_COLUMNS, group)),
         "or_gamma": ratio,
         "or_flagged": int(flagged),
-        "bound_warning": bound_warning,
-        "gamma_min_bound": gamma_min_bound,
+        "bound_warning": int(result.bound_warning) if result else "",
+        "gamma_min_bound": result.gamma_min_bound if result else "",
         "total_ms": stats.total_ms,
         "alg_ms": stats.alg_ms,
         "index_io_ms": stats.io_ms,
         "hits": stats.buffer_hits,
         "misses": stats.buffer_misses,
-        "stop": stop,
-        "levels": levels,
+        "stop": result.stop_condition if result else "",
+        "levels": result.levels_used if result else 0,
         "wall_ms": wall_ms,
     }
 
@@ -226,10 +252,10 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     plans[i] is the pass list `knn_objects` (or `point_knn_c2lsh`) recorded
     for query i; stats_list[i] is mutated in place: `access_bucket` bills
     each access to it and to `buffer.io_stats`, and the strategy's extra work
-    goes to its `alg_ops`. `alg_ms` is left to the caller, which derives it
-    from `alg_ops`. NS1 and MMLSH execute queries one after another; NS2
-    batches the whole set, reading each distinct useful bucket once per
-    (level, projection) pass and checking every batched query against it.
+    goes to its `alg_ops`; `alg_ms` is left to the report's row builder.
+    NS1 and MMLSH execute queries one after another; NS2 batches the whole
+    set, reading each distinct useful bucket once per (level, projection)
+    pass and checking every batched query against it.
     Only occupied buckets are visited: NS1 walks each range's slice of them,
     MMLSH the order `split_queries` gives. A scheduler configured for
     another strategy raises ValueError.
@@ -292,41 +318,37 @@ def record_query_plans(cfg: RunConfig, dataset, index, queries) -> tuple[list, l
     for q in queries:
         plan: list = []
         t0 = time.perf_counter()
-        res = knn_objects(q, cfg.k, index, dataset, gparams,
-                          alg_op_cost_ms=cfg.alg_op_cost_ms, plan=plan)
+        res = knn_objects(q, cfg.k, index, dataset, gparams, plan=plan)
         walls.append((time.perf_counter() - t0) * 1e3)
         results.append(res)
         plans.append(plan)
     return results, plans, walls
 
 
-def rows_from_results(cfg: RunConfig, queries, results, walls, truth,
-                      strategy: str, buffer_mb: float) -> list[dict]:
+def run_mmlsh_queries(cfg: RunConfig, dataset, index, queries, truth,
+                      profile: FrequencyProfile | None = None, runs=None) -> list[dict]:
+    """mmLSH rows of every (strategy, buffer_mb) run, by default the config's one.
+
+    Each query's search runs once; each run replays the recorded plans onto
+    copies of the queries' stats on a fresh buffer.
+    """
+    results, plans, walls = record_query_plans(cfg, dataset, index, queries)
     rows = []
-    for q, res, wall_ms in zip(queries, results, walls):
-        res.stats.alg_ms = res.stats.alg_ops * cfg.alg_op_cost_ms
-        k_eff = min(cfg.k, len(res.top_k))
-        ratio, flagged = object_ratio([d for _, d in res.top_k[:k_eff]],
-                                      truth[q.object_id].distances[:k_eff])
-        rows.append(_row(q, "mmLSH", strategy, buffer_mb, "", ratio, flagged,
-                         res.stats, res.stop_condition, res.levels_used, wall_ms,
-                         int(res.bound_warning), res.gamma_min_bound))
+    for strategy, buffer_mb in runs or [(cfg.strategy, cfg.buffer_mb)]:
+        stats_list = [replace(res.stats) for res in results]
+        replay_plans(strategy, plans, index, BufferState(int(buffer_mb * MB), CostModel()),
+                     stats_list, SchedulerConfig(strategy, cfg.query_splits, profile))
+        rows += [_row(cfg, truth, q, ("mmLSH", strategy, buffer_mb, ""),
+                      [d for _, d in res.top_k], stats, wall_ms, res)
+                 for q, res, stats, wall_ms in zip(queries, results, stats_list, walls)]
     return rows
 
 
-def run_mmlsh_queries(cfg: RunConfig, dataset, index, queries, truth,
-                      strategy: str | None = None, buffer_mb: float | None = None,
-                      profile: FrequencyProfile | None = None,
-                      shared_buffer: BufferState | None = None) -> list[dict]:
-    """Run the object engine for each query under one scheduling strategy."""
-    strategy = strategy or cfg.strategy
-    buffer_mb = buffer_mb if buffer_mb is not None else cfg.buffer_mb
-    scheduler = SchedulerConfig(strategy=strategy, query_splits=cfg.query_splits,
-                                profile=profile)
-    buffer = shared_buffer or BufferState(int(buffer_mb * MB), CostModel())
-    results, plans, walls = record_query_plans(cfg, dataset, index, queries)
-    replay_plans(strategy, plans, index, buffer, [r.stats for r in results], scheduler)
-    return rows_from_results(cfg, queries, results, walls, truth, strategy, buffer_mb)
+def run_buffer_sweep(cfg: RunConfig, dataset, index, queries, truth,
+                     profile: FrequencyProfile) -> list[dict]:
+    """NS1 and MMLSH at every configured buffer size, from one recording of the queries."""
+    runs = [(strategy, size) for size in cfg.buffer_sizes_mb for strategy in (NS1, MMLSH)]
+    return run_mmlsh_queries(cfg, dataset, index, queries, truth, profile, runs)
 
 
 def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[dict]:
@@ -338,94 +360,60 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
     below = [k_prime for k_prime in cfg.k_primes if k_prime < cfg.k]
     if below:
         raise ParameterError(f"k_primes {below} are below k={cfg.k}; each k' must be >= k")
+
+    def linear(q, k_prime):
+        # exact point retrieval: no index, no buffer, modeled scan cost only
+        rankings = [point_knn_linear(p, dataset, k_prime) for p in q.coords]
+        return rankings, QueryStats(alg_ops=len(q.coords) * dataset.n), "", ""
+
+    def c2lsh(q, k_prime):
+        stats = QueryStats()
+        plan: list = []
+        rankings = [point_knn_c2lsh(p, index, dataset, k_prime, stats=stats, plan=plan)[0]
+                    for p in q.coords]
+        # the query object's point searches share one buffer, read in order
+        replay_plans(NS1, [plan], index, BufferState(int(cfg.buffer_mb * MB), CostModel()),
+                     [stats], SchedulerConfig(strategy=NS1))
+        return rankings, stats, NS1, cfg.buffer_mb
+
     rows = []
     for k_prime in cfg.k_primes:
         for q in queries:
-            # exact point retrieval: no index, no buffer, modeled scan cost only
-            t0 = time.perf_counter()
-            rankings = [point_knn_linear(p, dataset, k_prime) for p in q.coords]
-            top = borda_aggregate(rankings, dataset, cfg.k, k_prime)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            stats = QueryStats(alg_ops=len(q.coords) * dataset.n)
-            stats.alg_ms = stats.alg_ops * cfg.alg_op_cost_ms
-            dists = [gamma_distance(q.coords, dataset.object_coords(oid), cfg.gamma)
-                     for oid, _ in top]
-            ratio, flagged = object_ratio(dists, truth[q.object_id].distances[:len(top)])
-            rows.append(_row(q, "Linear-Borda", "", "", k_prime, ratio, flagged,
-                             stats, wall_ms=wall_ms))
-
-            t0 = time.perf_counter()
-            stats = QueryStats()
-            plan: list = []
-            rankings = [point_knn_c2lsh(p, index, dataset, k_prime,
-                                        stats=stats, plan=plan)[0] for p in q.coords]
-            # the query object's point searches share one buffer, read in order
-            replay_plans(NS1, [plan], index, BufferState(int(cfg.buffer_mb * MB), CostModel()),
-                         [stats], SchedulerConfig(strategy=NS1))
-            top = borda_aggregate(rankings, dataset, cfg.k, k_prime)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            stats.alg_ms = stats.alg_ops * cfg.alg_op_cost_ms
-            dists = [gamma_distance(q.coords, dataset.object_coords(oid), cfg.gamma)
-                     for oid, _ in top]
-            ratio, flagged = object_ratio(dists, truth[q.object_id].distances[:len(top)])
-            rows.append(_row(q, "C2LSH-Borda", NS1, cfg.buffer_mb, k_prime, ratio,
-                             flagged, stats, wall_ms=wall_ms))
-    return rows
-
-
-def run_buffer_sweep(cfg: RunConfig, dataset, index, queries, truth,
-                     profile: FrequencyProfile) -> list[dict]:
-    """NS1 and MMLSH at every configured buffer size, shared buffer per run."""
-    rows = []
-    for size_mb in cfg.buffer_sizes_mb:
-        for strategy in (NS1, MMLSH):
-            shared = BufferState(int(size_mb * MB), CostModel())
-            rows.extend(run_mmlsh_queries(cfg, dataset, index, queries, truth,
-                                          strategy=strategy, buffer_mb=size_mb,
-                                          profile=profile, shared_buffer=shared))
+            for method, search in (("Linear-Borda", linear), ("C2LSH-Borda", c2lsh)):
+                t0 = time.perf_counter()
+                rankings, stats, strategy, buffer_mb = search(q, k_prime)
+                top = borda_aggregate(rankings, dataset, cfg.k, k_prime)
+                wall_ms = (time.perf_counter() - t0) * 1e3
+                dists = [gamma_distance(q.coords, dataset.object_coords(oid), cfg.gamma)
+                         for oid, _ in top]
+                rows.append(_row(cfg, truth, q, (method, strategy, buffer_mb, k_prime), dists,
+                                 stats, wall_ms))
     return rows
 
 
 def aggregate(rows: list[dict]) -> list[dict]:
-    """Mean and standard deviation per (method, strategy, buffer, k')."""
+    """Mean and standard deviation per (method, strategy, buffer, k'), of finite values."""
     groups = {}
     for row in rows:
-        key = (row["method"], row["strategy"], row["buffer_mb"], row["k_prime"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[col] for col in GROUP_COLUMNS), []).append(row)
     out = []
     for key, members in sorted(groups.items(), key=lambda t: str(t[0])):
-        ratios = [r["or_gamma"] for r in members if np.isfinite(r["or_gamma"])]
+        mean = dict.fromkeys(REPORT_COLUMNS, "")
+        mean.update(zip(GROUP_COLUMNS, key),
+                    query_object_id="MEAN", or_flagged=sum(r["or_flagged"] for r in members))
+        std = dict(mean, query_object_id="STD")
         bounds = [r["gamma_min_bound"] for r in members if r["gamma_min_bound"] != ""]
-        agg = {
-            "query_object_id": "MEAN",
-            "method": key[0], "strategy": key[1], "buffer_mb": key[2], "k_prime": key[3],
-            "or_gamma": float(np.mean(ratios)) if ratios else float("inf"),
-            "or_flagged": sum(r["or_flagged"] for r in members),
-            "bound_warning": sum(r["bound_warning"] for r in members) if bounds else "",
-            "gamma_min_bound": float(np.mean(bounds)) if bounds else "",
-            "total_ms": float(np.mean([r["total_ms"] for r in members])),
-            "alg_ms": float(np.mean([r["alg_ms"] for r in members])),
-            "index_io_ms": float(np.mean([r["index_io_ms"] for r in members])),
-            "hits": float(np.mean([r["hits"] for r in members])),
-            "misses": float(np.mean([r["misses"] for r in members])),
-            "stop": "", "levels": float(np.mean([r["levels"] for r in members])),
-            "wall_ms": float(np.mean([r["wall_ms"] for r in members])),
-        }
-        out.append(agg)
-        std = dict(agg)
-        std["query_object_id"] = "STD"
-        for col in ("or_gamma", "total_ms", "alg_ms", "index_io_ms", "hits", "misses", "levels", "wall_ms"):
-            vals = [r[col] for r in members if np.isfinite(r[col])] or [float("nan")]
-            std[col] = float(np.std(vals))
         if bounds:
+            mean["bound_warning"] = std["bound_warning"] = sum(r["bound_warning"] for r in members)
+            mean["gamma_min_bound"] = float(np.mean(bounds))
             std["gamma_min_bound"] = float(np.std(bounds))
-        out.append(std)
+        for col in ("or_gamma", "total_ms", "alg_ms", "index_io_ms", "hits", "misses", "levels",
+                    "wall_ms"):
+            vals = [r[col] for r in members if np.isfinite(r[col])]
+            mean[col] = float(np.mean(vals)) if vals else math.inf
+            std[col] = float(np.std(vals)) if vals else math.nan
+        out += [mean, std]
     return out
-
-
-REPORT_COLUMNS = ["query_object_id", "method", "strategy", "buffer_mb", "k_prime",
-                  "or_gamma", "or_flagged", "bound_warning", "gamma_min_bound", "total_ms",
-                  "alg_ms", "index_io_ms", "hits", "misses", "stop", "levels", "wall_ms"]
 
 
 def write_report(rows: list[dict], cfg: RunConfig, out_prefix: str | None = None,
@@ -465,7 +453,13 @@ def _fmt(value) -> str:
 def load_artifacts(cfg: RunConfig):
     index = load_index(cfg.index_path)
     profile = FrequencyProfile.load(cfg.profile_path) if os.path.exists(cfg.profile_path) else None
-    if profile is not None and profile.means.shape[0] != index.m:
-        raise ProfileFileError(f"{cfg.profile_path}: profile has {profile.means.shape[0]} "
-                               f"projections, the index has m={index.m}")
+    if profile is not None:
+        if profile.means.shape[0] != index.m:
+            raise ProfileFileError(f"{cfg.profile_path}: profile has {profile.means.shape[0]} "
+                                   f"projections, the index has m={index.m}")
+        # a profile's regions span exactly its own index's occupied buckets
+        if not (np.array_equal(profile.edges[:, 0], index.bucket_lo)
+                and np.array_equal(profile.edges[:, -1], index.bucket_hi + 1)):
+            raise ProfileFileError(f"{cfg.profile_path}: profile regions do not span the "
+                                   f"index's buckets; it was built for another index")
     return index, profile

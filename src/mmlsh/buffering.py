@@ -74,7 +74,7 @@ class QueryStats:
     A miss is one seek, so seeks equal `buffer_misses`, and the buckets read
     are hits + misses. `collision_increments` and `alg_ops` come from the
     search; the IO fields from `access_bucket`; `alg_ms` is `alg_ops` times
-    the per-operation cost, set by whoever reports it.
+    the per-operation cost, set by the reporter (`bench._row` for reports).
     """
 
     buffer_hits: int = 0

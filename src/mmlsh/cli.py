@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .bench import (RunConfig, build_artifacts, choose_queries, ensure_ground_truth,
                     load_artifacts, load_dataset, run_borda_baselines,
@@ -85,38 +86,25 @@ def cmd_groundtruth(args) -> int:
     return 0
 
 
-def cmd_query(args) -> int:
+def _report(args, run, baselines=False) -> int:
+    """The report verbs' one set-up, then the report of `run`'s rows.
+
+    The set-up loads the dataset and the artifacts, refuses an index built
+    over another dataset, and picks the queries and their exact rankings.
+    `baselines` adds the Borda rows.
+    """
     cfg = _config_from_args(args)
     dataset = load_dataset(cfg)
     index, profile = load_artifacts(cfg)
+    if not index.holds(dataset):
+        raise IndexFileError(f"{cfg.index_path}: the index (n={index.n}, d={index.dimension}) "
+                             f"was not built over this dataset (n={dataset.n}, "
+                             f"d={dataset.dimension})")
     queries = choose_queries(dataset, cfg)
     truth = ensure_ground_truth(cfg, dataset, queries)
-    rows = run_mmlsh_queries(cfg, dataset, index, queries, truth, profile=profile)
-    print(write_report(rows, cfg, emit_json=args.json))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    cfg = _config_from_args(args)
-    dataset = load_dataset(cfg)
-    index, profile = load_artifacts(cfg)
-    queries = choose_queries(dataset, cfg)
-    truth = ensure_ground_truth(cfg, dataset, queries)
-    # first, so that a k' below k fails before any query runs
-    baseline_rows = run_borda_baselines(cfg, dataset, index, queries, truth)
-    rows = run_mmlsh_queries(cfg, dataset, index, queries, truth, profile=profile)
-    rows += baseline_rows
-    print(write_report(rows, cfg, emit_json=args.json))
-    return 0
-
-
-def cmd_buffer_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    dataset = load_dataset(cfg)
-    index, profile = load_artifacts(cfg)
-    queries = choose_queries(dataset, cfg)
-    truth = ensure_ground_truth(cfg, dataset, queries)
-    rows = run_buffer_sweep(cfg, dataset, index, queries, truth, profile)
+    # the baselines first, so that a k' below k fails before any query runs
+    baseline_rows = run_borda_baselines(cfg, dataset, index, queries, truth) if baselines else []
+    rows = run(cfg, dataset, index, queries, truth, profile) + baseline_rows
     print(write_report(rows, cfg, emit_json=args.json))
     return 0
 
@@ -127,9 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, doc in (
         ("build", cmd_build, "build the index and frequency profile"),
         ("groundtruth", cmd_groundtruth, "compute or reuse the exact ranking cache"),
-        ("query", cmd_query, "run object queries under one strategy"),
-        ("compare", cmd_compare, "compare against Linear-Borda and C2LSH-Borda"),
-        ("buffer-sweep", cmd_buffer_sweep, "NS1 vs MMLSH across buffer sizes"),
+        ("query", partial(_report, run=run_mmlsh_queries),
+         "run object queries under one strategy"),
+        ("compare", partial(_report, run=run_mmlsh_queries, baselines=True),
+         "compare against Linear-Borda and C2LSH-Borda"),
+        ("buffer-sweep", partial(_report, run=run_buffer_sweep),
+         "NS1 vs MMLSH across buffer sizes"),
     ):
         p = sub.add_parser(name, help=doc)
         _add_common(p)

@@ -33,10 +33,6 @@ from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
 from .similarity import GammaParams, gamma_distance
 
-# modeled cost of one algorithm operation (collision increment or per-bucket
-# query check); absolute hardware numbers are not portable, only structure is
-DEFAULT_ALG_OP_COST_MS = 1e-6
-
 T1 = "T1"
 T2 = "T2"
 EXHAUSTED = "EXHAUSTED"
@@ -163,8 +159,7 @@ def check_t2(candidate_dists, k: int, c_radius: float) -> bool:
 
 
 def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
-                gparams: GammaParams, alg_op_cost_ms: float = DEFAULT_ALG_OP_COST_MS,
-                plan: list | None = None) -> QueryResult:
+                gparams: GammaParams, plan: list | None = None) -> QueryResult:
     """Top-k nearest neighbor objects by collision counting (Algorithm core).
 
     Iterates levels R = 1, c, c^2, ...; within a level iterates projections,
@@ -175,9 +170,9 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
 
     The exact object distance is only ever computed for candidates, never for
     the full database. The returned stats hold collision increments and
-    algorithm operations but no IO: a `plan` list collects every executed
-    (projection, level, ranges) pass, and `bench.replay_plans` charges it
-    under any strategy and buffer size.
+    algorithm operations, but no IO or modeled time: a `plan` list collects
+    every executed (projection, level, ranges) pass, and `bench.replay_plans`
+    charges it under any strategy and buffer size.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -216,7 +211,6 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         return [(oid, d) for d, oid in ranked[:limit]]
 
     def finish(stop, levels, complete=True):
-        stats.alg_ms = stats.alg_ops * alg_op_cost_ms
         top = top_candidates(k)
         return QueryResult(top_k=top, stop_condition=stop, levels_used=levels,
                            complete=complete and len(top) >= min(k, S),

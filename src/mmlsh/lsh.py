@@ -154,6 +154,14 @@ class LshIndex:
         """Base bucket ids under all m projections: (m,) for one point, (n, m) for many."""
         return hash_points(coords, self.a, self.b, self.params.w)
 
+    def holds(self, dataset: Dataset) -> bool:
+        """Whether n and d match `dataset`'s and each stored row sits in the bucket it hashes to."""
+        if (self.n, self.dimension) != (dataset.n, dataset.dimension):
+            return False
+        hashed = self.hash_query(dataset.coords)
+        return all(np.array_equal(hashed[rows, g], col)
+                   for g, (rows, col) in enumerate(zip(self.point_rows, self.buckets)))
+
     def range_rows(self, g: int, lo: int, hi: int):
         """Dataset rows whose base bucket in projection g lies in [lo, hi)."""
         col = self.buckets[g]

@@ -94,6 +94,14 @@ class TestRuns:
         c2 = [r for r in rows if r["method"] == "C2LSH-Borda"]
         assert c2 and all(r["index_io_ms"] > 0 for r in c2)
 
+    def test_empty_c2lsh_answer_gets_an_infinite_ratio(self, tmp_path, monkeypatch):
+        cfg, ds, index, profile, queries, truth = prepared(tmp_path)
+        monkeypatch.setattr(bench, "point_knn_c2lsh", lambda *args, **kwargs: ([], False))
+        rows = bench.run_borda_baselines(cfg, ds, index, queries, truth)
+        c2 = [r for r in rows if r["method"] == "C2LSH-Borda"]
+        assert c2 and all(r["or_gamma"] == float("inf") for r in c2)
+        assert all(np.isfinite(r["or_gamma"]) for r in rows if r["method"] == "Linear-Borda")
+
     def test_buffer_sweep_covers_grid(self, tmp_path):
         cfg, ds, index, profile, queries, truth = prepared(tmp_path)
         rows = bench.run_buffer_sweep(cfg, ds, index, queries, truth, profile)
@@ -241,6 +249,8 @@ class TestCli:
         ('{"k": "abc"}', "config field 'k' cannot be 'abc'"),
         ('{"alg_op_cost_ms": NaN}', "alg_op_cost_ms must be finite and >= 0, got nan"),
         ('{"buffer_sizes_mb": [20, Infinity]}', "buffer_sizes_mb must be finite and > 0, got inf"),
+        ('{"buffer_sizes_mb": []}', "buffer_sizes_mb must not be empty"),
+        ('{"k_primes": []}', "k_primes must not be empty"),
     ])
     def test_malformed_config_file_exits_3(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
@@ -369,6 +379,47 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["query"] + args) == 3
         assert f"profile has {m - 1} projections, the index has m={m}" in capsys.readouterr().err
+
+    def test_profile_built_for_another_seed_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        other = str(tmp_path / "seed2.profile.npz")
+        seed2 = ["--seed", "2", "--index", str(tmp_path / "seed2.index"), "--profile", other]
+        assert cli.main(["build"] + args + seed2) == 0
+        assert cli.main(["build"] + args) == 0
+        capsys.readouterr()
+        assert cli.main(["query"] + args + ["--profile", other]) == 3
+        assert f"{other}: profile regions do not span" in capsys.readouterr().err
+
+    def test_index_built_over_another_dataset_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)  # seed 1
+        assert cli.main(["build"] + args) == 0
+        capsys.readouterr()
+        for verb in ("query", "compare", "buffer-sweep"):
+            assert cli.main([verb] + args + ["--seed", "2"]) == 3
+            captured = capsys.readouterr()
+            assert f"error: {cfg.index_path}: the index" in captured.err
+            assert captured.out == ""
+        assert cli.main(["query"] + args + ["--synth-objects", "21"]) == 3
+        err = capsys.readouterr().err
+        assert "(n=160, d=6) was not built over this dataset (n=168, d=6)" in err
+
+    def test_query_with_an_empty_answer_gets_an_infinite_ratio(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = ["--synth-objects", "30", "--synth-points", "6", "--synth-dim", "8",
+                "--synth-spread", "2.0", "--gamma", "1.0", "--delta", "0.05", "--epsilon", "0.06",
+                "--k", "5", "--num-queries", "5", "--index", cfg.index_path,
+                "--profile", cfg.profile_path, "--groundtruth", cfg.groundtruth_path,
+                "--out", cfg.out_prefix]
+        assert cli.main(["build"] + args) == 0
+        assert cli.main(["query"] + args) == 0
+        with open(cfg.out_prefix + ".csv") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        empty = [r for r in rows if r["or_gamma"] == "inf"]
+        assert empty and all(r["stop"] == "EXHAUSTED" for r in empty)
+        mean = next(r for r in rows if r["query_object_id"] == "MEAN")
+        assert np.isfinite(float(mean["or_gamma"]))  # the mean skips the empty answer
 
     @pytest.mark.parametrize("spoil", ["nan means", "negative means", "nan edge",
                                        "decreasing edges"])
