@@ -5,7 +5,8 @@ not measured; wall-clock time is reported separately as informational only,
 so repeated runs with the same config and seed produce identical reports.
 Each query's costs live in one `QueryStats`: the search fills its collision
 and operation counts, and `replay_plans` bills its IO through
-`access_bucket`, which adds the same figures to the buffer's `io_stats`.
+`access_bucket` and `bill_hits`, which add the same figures to the buffer's
+`io_stats`.
 
 The report verbs share one pipeline. After one set-up (dataset, artifacts,
 queries, exact rankings), `record_query_plans` runs each query's search
@@ -32,7 +33,7 @@ from .baselines import (borda_aggregate, full_ranking, ground_truth_key, load_gr
                         point_knn_c2lsh, point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                         FrequencyProfile, QueryStats, SchedulerConfig, _MmlshEvictor,
-                        access_bucket, build_frequency_profile, evict_lru,
+                        access_bucket, bill_hits, build_frequency_profile, evict_lru,
                         schedule_ns1, schedule_ns2, split_queries)
 from .engine import knn_objects
 from .errors import ParameterError, ProfileFileError
@@ -97,6 +98,12 @@ class RunConfig:
                                  f"got {self.alg_op_cost_ms!r}")
         if self.num_queries < 1:
             raise ParameterError(f"num_queries must be >= 1, got {self.num_queries!r}")
+        if self.query_size is not None and self.query_size < 1:
+            raise ParameterError(f"query_size must be >= 1, got {self.query_size!r}")
+        # refuse here what a query would refuse; an unset beta resolves per
+        # dataset to a value in (0, 1), so any valid one stands in for it
+        GammaParams(gamma=self.gamma, delta=self.delta,
+                    beta=0.5 if self.beta is None else self.beta, epsilon=self.epsilon)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -250,15 +257,20 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
 
     This is the one place that pulls index buckets through a buffer.
     plans[i] is the pass list `knn_objects` (or `point_knn_c2lsh`) recorded
-    for query i; stats_list[i] is mutated in place: `access_bucket` bills
-    each access to it and to `buffer.io_stats`, and the strategy's extra work
-    goes to its `alg_ops`; `alg_ms` is left to the report's row builder.
+    for query i; stats_list[i] is mutated in place: each access is billed to
+    it and to `buffer.io_stats`, and the strategy's extra work goes to its
+    `alg_ops`; `alg_ms` is left to the report's row builder.
     NS1 and MMLSH execute queries one after another; NS2 batches the whole
     set, reading each distinct useful bucket once per (level, projection)
     pass and checking every batched query against it.
     Only occupied buckets are visited: NS1 walks each range's slice of them,
-    MMLSH the order `split_queries` gives. A scheduler configured for
-    another strategy raises ValueError.
+    MMLSH the order `split_queries` gives. A pass revisits its keys many
+    times, so `_replay_pass` sends only its misses through `access_bucket`
+    and bills each run of hits in between in one `bill_hits` step, with the
+    result a call per access would give (see `buffering`). Each NS2 pass
+    reads distinct buckets, so every NS2 access is a miss and goes through
+    `access_bucket`. A scheduler configured for another strategy raises
+    ValueError.
     """
     if scheduler.strategy != strategy:
         raise ValueError(f"replay_plans was asked for {strategy} with a scheduler "
@@ -275,12 +287,37 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
             if mmlsh:
                 order, segments = split_queries(ranges, scheduler.query_splits, ids)
                 stats.alg_ops += segments  # segment dispatch overhead
-                for p in order:
-                    access_bucket((g, R, ids[p]), sizes[p], buffer, evict, stats)
             else:
+                order = []
                 for _qi, i0, i1 in _slices(ids, schedule_ns1(ranges)):
-                    for bucket, size in zip(ids[i0:i1], sizes[i0:i1]):
-                        access_bucket((g, R, bucket), size, buffer, evict, stats)
+                    order += range(i0, i1)
+            _replay_pass(g, R, order, ids, sizes, buffer, evict, stats)
+
+
+def _replay_pass(g, R, order, ids, sizes, buffer: BufferState, evict, stats) -> None:
+    """Pull one pass's buckets through the buffer, `order` being positions into `ids`.
+
+    A hit admits and evicts nothing, so a key found resident stays resident
+    until the next miss. The hits since the last miss are therefore queued
+    and billed in one `bill_hits` step before the next miss and at the end
+    of the pass, and each miss goes through `access_bucket` at its own tick.
+    """
+    resident = buffer.resident
+    keys = {}  # position -> its bucket's key, built once per position
+    hits = []  # positions of the hits since the last miss
+    for p in order:
+        key = keys.get(p)
+        if key is None:
+            key = keys[p] = (g, R, ids[p])
+        if key in resident:
+            hits.append(p)
+            continue
+        if hits:
+            bill_hits(hits, keys, buffer, evict, stats)
+            hits = []
+        access_bucket(key, sizes[p], buffer, evict, stats)
+    if hits:
+        bill_hits(hits, keys, buffer, evict, stats)
 
 
 def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list, lists: dict) -> None:
@@ -344,10 +381,13 @@ def run_mmlsh_queries(cfg: RunConfig, dataset, index, queries, truth,
     return rows
 
 
+SWEEP_STRATEGIES = (NS1, MMLSH)
+
+
 def run_buffer_sweep(cfg: RunConfig, dataset, index, queries, truth,
                      profile: FrequencyProfile) -> list[dict]:
     """NS1 and MMLSH at every configured buffer size, from one recording of the queries."""
-    runs = [(strategy, size) for size in cfg.buffer_sizes_mb for strategy in (NS1, MMLSH)]
+    runs = [(strategy, size) for size in cfg.buffer_sizes_mb for strategy in SWEEP_STRATEGIES]
     return run_mmlsh_queries(cfg, dataset, index, queries, truth, profile, runs)
 
 

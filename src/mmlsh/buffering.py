@@ -24,8 +24,19 @@ heap without scanning the residents.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, so a recorded trace replays exactly.
-`access_bucket` bills every access, and the evictions a miss causes, once:
-to the buffer's `io_stats` and to the `QueryStats` of the query it serves.
+Every access, and the evictions a miss causes, is billed once: to the
+buffer's `io_stats` and to the `QueryStats` of the query it serves.
+`access_bucket` bills one access. `bill_hits` bills a run of hits at once,
+with the result of one `access_bucket` call per hit. Hits admit and evict
+nothing, so a run changes only the clock, the hit counts, the recency order
+and the MMLSH demands:
+
+* reinserting each key once, in last-use order, leaves the recency order
+  that reinserting it at every hit leaves;
+* a demand d below 2**53 loses each use exactly, so u clamped single
+  decrements equal max(0, d - u);
+* an old resident's heap entries from all but its last hit would be stale,
+  and a stale entry never picks a victim, so one entry per key suffices.
 """
 
 from __future__ import annotations
@@ -205,9 +216,14 @@ class _MmlshEvictor:
         if self.young is not None:
             self.young.append((entry.insert_tick, key))
 
-    def use(self, key, entry):
+    def use(self, key, entry, uses=1):
+        """Count `uses` hits off a resident's demand.
+
+        One subtraction equals `uses` clamped single decrements: a demand
+        below 2**53 (see `FrequencyProfile`) loses each whole use exactly.
+        """
         if entry.est_frequency != 0.0:  # 0 stays 0: nothing to push
-            entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
+            entry.est_frequency = max(0.0, entry.est_frequency - uses)
             if entry.insert_tick < self.bound:
                 heapq.heappush(self.heap, (entry.est_frequency, key, entry.insert_tick))
                 self.trim()
@@ -311,6 +327,42 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
     return False, ms
 
 
+def bill_hits(run, keys, buffer: BufferState, evict=evict_lru,
+              stats: QueryStats | None = None) -> None:
+    """Bill a run of accesses to resident buckets in one step.
+
+    `run` holds the accesses in order as tokens, and `keys` maps each token
+    to its bucket's key (the replay's tokens are positions into a pass's
+    occupied ids, which hash faster than key tuples). The call does what
+    `access_bucket` on each access in turn does when every bucket is
+    resident; that is not checked. A hit neither admits nor evicts, so the
+    run adds one tick and one hit per access, moves each key to the recency
+    end once, in last-use order, and tells an MMLSH policy each key's uses
+    at once. A kept trace gets one tuple per access.
+    """
+    tick = buffer.clock
+    count = len(run)
+    buffer.clock = tick + count
+    buffer.io_stats.buffer_hits += count
+    if stats is not None:
+        stats.buffer_hits += count
+    if buffer.trace is not None:
+        buffer.trace.extend((t, keys[a], "hit", None) for t, a in enumerate(run, tick + 1))
+    resident = buffer.resident
+    if isinstance(evict, _MmlshEvictor):
+        uses = {}
+        for a in run:  # in last-use order, with each token's use count
+            uses[a] = uses.pop(a, 0) + 1
+        for a, n in uses.items():
+            key = keys[a]
+            entry = resident[key] = resident.pop(key)
+            evict.use(key, entry, n)
+    else:
+        for a in reversed(dict.fromkeys(reversed(run))):  # in last-use order
+            key = keys[a]
+            resident[key] = resident.pop(key)
+
+
 @dataclass
 class SchedulerConfig:
     """Strategy selection, MMLSH's query splits and its frequency profile."""
@@ -405,16 +457,18 @@ class FrequencyProfile:
     Built offline from the level-1 footprint of random point queries: each
     projection's occupied bucket span is cut into equal-width regions and
     every bucket inherits its region's mean access count. Means must be
-    finite and >= 0, and each projection's edges finite and non-decreasing:
-    a NaN demand would never compare equal to itself in the eviction heap.
+    finite, >= 0 and below 2**53, and each projection's edges finite and
+    non-decreasing: a NaN demand would never compare equal to itself in the
+    eviction heap, and below 2**53 a demand loses each use exactly however
+    many uses are billed at once (`_MmlshEvictor.use`).
     """
 
     def __init__(self, edges: np.ndarray, means: np.ndarray):
         if (edges.ndim != 2 or means.ndim != 2 or edges.shape[0] != means.shape[0]
                 or edges.shape[1] != means.shape[1] + 1):
             raise ValueError("edges must have one more column than means")
-        if not (np.isfinite(means).all() and (means >= 0).all()):
-            raise ValueError("means must be finite and >= 0")
+        if not (np.isfinite(means).all() and (means >= 0).all() and (means < 2.0**53).all()):
+            raise ValueError("means must be finite and >= 0, and below 2**53")
         if not (np.isfinite(edges).all() and (np.diff(edges, axis=1) >= 0).all()):
             raise ValueError("edges must be finite and non-decreasing in each row")
         self.edges = edges

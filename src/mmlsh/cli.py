@@ -11,12 +11,12 @@ import argparse
 import sys
 from functools import partial
 
-from .bench import (RunConfig, build_artifacts, choose_queries, ensure_ground_truth,
-                    load_artifacts, load_dataset, run_borda_baselines,
+from .bench import (SWEEP_STRATEGIES, RunConfig, build_artifacts, choose_queries,
+                    ensure_ground_truth, load_artifacts, load_dataset, run_borda_baselines,
                     run_buffer_sweep, run_mmlsh_queries, write_report)
 from .buffering import MMLSH, NS1, NS2
 from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,
-                     ObjectMapError, ParameterError)
+                     ObjectMapError, ParameterError, ProfileFileError)
 
 DATA_ERRORS = (FeatureFileError, ObjectMapError, IndexFileError, ParameterError,
                NonFiniteCoordinateError, FileNotFoundError, ValueError)
@@ -86,12 +86,14 @@ def cmd_groundtruth(args) -> int:
     return 0
 
 
-def _report(args, run, baselines=False) -> int:
+def _report(args, run, baselines=False, strategies=None) -> int:
     """The report verbs' one set-up, then the report of `run`'s rows.
 
-    The set-up loads the dataset and the artifacts, refuses an index built
-    over another dataset, and picks the queries and their exact rankings.
-    `baselines` adds the Borda rows.
+    The set-up loads the dataset and the artifacts and picks the queries
+    and their exact rankings. It refuses an index built over another dataset
+    and an MMLSH run without a frequency profile. `strategies` names what
+    `run` replays, by default the config's strategy; `baselines` adds the
+    Borda rows.
     """
     cfg = _config_from_args(args)
     dataset = load_dataset(cfg)
@@ -100,6 +102,9 @@ def _report(args, run, baselines=False) -> int:
         raise IndexFileError(f"{cfg.index_path}: the index (n={index.n}, d={index.dimension}) "
                              f"was not built over this dataset (n={dataset.n}, "
                              f"d={dataset.dimension})")
+    if profile is None and MMLSH in (strategies or (cfg.strategy,)):
+        raise ProfileFileError(f"{cfg.profile_path}: no frequency profile, which an MMLSH "
+                               f"run needs; `mmlsh build` writes it")
     queries = choose_queries(dataset, cfg)
     truth = ensure_ground_truth(cfg, dataset, queries)
     # the baselines first, so that a k' below k fails before any query runs
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
          "run object queries under one strategy"),
         ("compare", partial(_report, run=run_mmlsh_queries, baselines=True),
          "compare against Linear-Borda and C2LSH-Borda"),
-        ("buffer-sweep", partial(_report, run=run_buffer_sweep),
+        ("buffer-sweep", partial(_report, run=run_buffer_sweep, strategies=SWEEP_STRATEGIES),
          "NS1 vs MMLSH across buffer sizes"),
     ):
         p = sub.add_parser(name, help=doc)

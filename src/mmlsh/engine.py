@@ -67,8 +67,10 @@ def gamma_min_bound(q_size: int, min_object_size: int, delta: float,
     if epsilon <= delta:
         raise ParameterError(f"epsilon ({epsilon}) must exceed delta ({delta})")
     ql = q_size * min_object_size
-    term1 = math.log(1.0 / delta) / ((epsilon - delta) ** 2 * ql)
-    term2 = 2.0 * math.log(2.0 / beta) / (beta ** 2 * ql)
+    # divide by one factor at a time: the square of a tiny gap or beta rounds
+    # to 0, while these quotients only grow, to inf at worst
+    term1 = math.log(1.0 / delta) / (epsilon - delta) / (epsilon - delta) / ql
+    term2 = 2.0 * math.log(2.0 / beta) / beta / beta / ql
     return math.sqrt(max(term1, term2))
 
 

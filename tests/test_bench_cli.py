@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -271,6 +272,8 @@ class TestCli:
         ("--alg-op-cost-ms", "nan", "alg_op_cost_ms must be finite and >= 0, got nan"),
         ("--alg-op-cost-ms", "-1", "alg_op_cost_ms must be finite and >= 0, got -1.0"),
         ("--num-queries", "0", "num_queries must be >= 1, got 0"),
+        ("--query-size", "-1", "query_size must be >= 1, got -1"),
+        ("--query-size", "0", "query_size must be >= 1, got 0"),
     ])
     def test_out_of_range_number_exits_3(self, tmp_path, capsys, flag, value, message):
         cfg = tiny_config(tmp_path)
@@ -280,6 +283,40 @@ class TestCli:
         assert cli.main(["query"] + args + [flag, value]) == 3
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta", "0.999999", "--epsilon", "2.0"], "epsilon must be in (0, 1), got 2.0"),
+        (["--delta", "0.6"], "epsilon (0.5) must exceed delta (0.6)"),
+        (["--gamma", "nan"], "gamma must be in (0, 1], got nan"),
+        (["--beta", "1.0"], "beta must be in (0, 1), got 1.0"),
+    ])
+    def test_build_refuses_what_query_refuses(self, tmp_path, capsys, flags, message):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg) + flags
+        for verb in ("build", "query"):
+            assert cli.main([verb] + args) == 3
+            assert f"error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(cfg.index_path)
+
+    def test_default_epsilon_is_checked_at_build(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = ["--delta", "0.999999", "--index", cfg.index_path, "--profile", cfg.profile_path]
+        assert cli.main(["build"] + args) == 3  # epsilon defaults to 2 * delta
+        assert "error: epsilon must be in (0, 1), got 1.999998" in capsys.readouterr().err
+
+    def test_an_mmlsh_run_without_its_profile_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        os.remove(cfg.profile_path)
+        capsys.readouterr()
+        for verb, strategy in (("query", MMLSH), ("compare", MMLSH), ("buffer-sweep", NS1)):
+            assert cli.main([verb] + args + ["--strategy", strategy]) == 3
+            captured = capsys.readouterr()
+            assert f"error: {cfg.profile_path}: no frequency profile" in captured.err
+            assert captured.out == ""
+        for verb, strategy in (("query", NS1), ("compare", NS2)):  # no run here needs it
+            assert cli.main([verb] + args + ["--strategy", strategy]) == 0
 
     def test_k_prime_below_k_exits_3_only_where_it_is_read(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmlsh
-from mmlsh import buffering
-from mmlsh.buffering import (_HEAP_SLACK, BufferState, CostModel, FrequencyProfile,
-                             QueryStats, _MmlshEvictor, access_bucket,
-                             build_frequency_profile, evict_lru, profile_footprint,
-                             schedule_ns1, schedule_ns2, split_queries)
+from mmlsh import bench, buffering
+from mmlsh.buffering import (_HEAP_SLACK, MMLSH, NS1, POINT_ID_BYTES, BufferState, CostModel,
+                             FrequencyProfile, QueryStats, SchedulerConfig, _Entry,
+                             _MmlshEvictor, access_bucket, build_frequency_profile, evict_lru,
+                             profile_footprint, schedule_ns1, schedule_ns2, split_queries)
 
 
 class ReferenceLru:
@@ -375,6 +375,134 @@ class TestMmlshEvictionOracle:
         assert len(heap) == size + 1
 
 
+class OccupiedIndex:
+    """Stands in for an LshIndex in a replay: each projection's occupied ids and counts."""
+
+    def __init__(self, occupied):
+        self.occupied = occupied  # projection -> (ascending ids, entry counts)
+
+    def occupied_buckets(self, g):
+        ids, counts = self.occupied[g]
+        return np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+
+def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
+    """Oracle: `bench.replay_plans` for NS1 and MMLSH, one `access_bucket` call per access."""
+    evict = _MmlshEvictor(scheduler.profile) if strategy == MMLSH else evict_lru
+    for stats, plan in zip(stats_list, plans):
+        for g, R, ranges in plan:
+            ids, counts = index.occupied_buckets(g)
+            ids, sizes = ids.tolist(), (counts * POINT_ID_BYTES).tolist()
+            if strategy == MMLSH:
+                order, segments = split_queries(ranges, scheduler.query_splits, ids)
+                stats.alg_ops += segments
+            else:
+                order = visit_order(schedule_ns1(ranges), ids)
+            for p in order:
+                access_bucket((g, R, ids[p]), sizes[p], buffer, evict, stats)
+
+
+@st.composite
+def pass_plans(draw):
+    """Query plans over sparse occupied buckets, a profile or none, and a buffer size.
+
+    A pass's ranges overlap, so it revisits keys, interleaved under MMLSH's
+    split order, and passes repeat across queries, so later ones find keys
+    resident. Bucket sizes vary, and the capacity runs from the smallest
+    bucket to the whole working set, so small buffers evict often and some
+    buckets bypass them.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    projections = draw(st.integers(1, 3))
+    span = draw(st.integers(1, 40))
+    occupied = {}
+    for g in range(projections):
+        ids = sorted(set(rng.integers(0, span, size=int(rng.integers(1, span + 1))).tolist()))
+        occupied[g] = (ids, rng.integers(1, 16, size=len(ids)).tolist())
+    plans = []
+    for _ in range(draw(st.integers(1, 6))):
+        plan = []
+        for _ in range(int(rng.integers(1, 8))):
+            g, R = int(rng.integers(projections)), int(rng.choice([1, 2, 4]))
+            starts = rng.integers(-2, span, size=int(rng.integers(1, 5))).tolist()
+            plan.append((g, R, [(qi, lo, lo + int(rng.integers(0, 13)))
+                                for qi, lo in enumerate(starts)]))
+        plans.append(plan)
+    sizes = {(g, R, b): POINT_ID_BYTES * count
+             for plan in plans for g, R, ranges in plan
+             for b, count in zip(*occupied[g])
+             if any(lo <= b < hi for _qi, lo, hi in ranges)}
+    smallest = POINT_ID_BYTES * min(min(counts) for _ids, counts in occupied.values())
+    capacity = draw(st.integers(smallest, max(smallest, sum(sizes.values()))))
+    profile = None
+    if draw(st.booleans()):
+        regions = draw(st.integers(1, 4))
+        means = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 7.25]),
+                                       min_size=regions, max_size=regions),
+                              min_size=projections, max_size=projections))
+        profile = FrequencyProfile(edges=np.array([np.linspace(0, span, regions + 1)] * projections),
+                                   means=np.array(means))
+    lru_prefix = draw(st.integers(0, len(plans)))
+    cut = draw(st.integers(lru_prefix, len(plans)))
+    splits = draw(st.sampled_from([1, 2, 3, 10]))
+    return OccupiedIndex(occupied), plans, capacity, profile, lru_prefix, cut, splits
+
+
+def replay_in_calls(replay, strategy, run):
+    """Replay plans[:lru_prefix] under NS1, then the rest under `strategy` in two calls.
+
+    All calls share one traced buffer, as the benchmark's plan-by-plan
+    replays do. Returns everything a replay leaves behind.
+    """
+    index, plans, capacity, profile, lru_prefix, cut, splits = run
+    buffer = BufferState(capacity, trace=[])
+    stats = [QueryStats() for _ in plans]
+    for s, lo, hi in ((NS1, 0, lru_prefix), (strategy, lru_prefix, cut),
+                      (strategy, cut, len(plans))):
+        replay(s, plans[lo:hi], index, buffer, stats[lo:hi], SchedulerConfig(s, splits, profile))
+    residents = [(key, e.size_bytes, e.insert_tick, e.est_frequency)
+                 for key, e in buffer.resident.items()]
+    return buffer.trace, buffer.io_stats, stats, residents, buffer.clock
+
+
+class TestBulkHitReplay:
+    def test_replay_equals_one_access_bucket_call_per_access(self):
+        seen = Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(run=pass_plans(), strategy=st.sampled_from([NS1, MMLSH]))
+        def check(run, strategy):
+            got = replay_in_calls(bench.replay_plans, strategy, run)
+            want = replay_in_calls(oracle_replay_plans, strategy, run)
+            assert got == want
+            trace, io, _stats, _residents, _clock = got
+            index, capacity = run[0], run[2]
+            sizes = {(g, b): POINT_ID_BYTES * count
+                     for g, (ids, counts) in index.occupied.items() for b, count in zip(ids, counts)}
+            seen[strategy, run[3] is not None] += 1
+            seen["evictions"] += io.evictions
+            seen["bypasses"] += sum(sizes[g, b] > capacity for _t, (g, _R, b), _h, _e in trace)
+            seen["hit runs"] += sum(a[2] == b[2] == "hit" for a, b in zip(trace, trace[1:]))
+
+        check()
+        # NS1 and MMLSH with and without a profile ran, evicting, bypassing and hitting in runs
+        assert all(seen[s, p] > 0 for s in (NS1, MMLSH) for p in (False, True)), seen
+        assert all(seen[name] > 1_000 for name in ("evictions", "bypasses", "hit runs")), seen
+
+    @settings(max_examples=500, deadline=None)
+    @given(demand=st.one_of(st.floats(0, 2**53, exclude_max=True),
+                            st.fractions(0, 1000, max_denominator=500).map(float),
+                            st.integers(0, 2**53 - 1).map(float)),
+           uses=st.integers(1, 3000))
+    def test_one_subtraction_equals_single_clamped_decrements(self, demand, uses):
+        bulk, single = _Entry(1, 0, demand), _Entry(1, 0, demand)
+        policy = _MmlshEvictor()
+        policy.use((0, 1, 0), bulk, uses)
+        for _ in range(uses):
+            policy.use((0, 1, 0), single)
+        assert bulk.est_frequency == single.est_frequency == max(0.0, demand - uses)
+
+
 def reference_split_queries(ranges, splits: int):
     """Oracle: cut each range into contiguous segments, interleaved by position.
 
@@ -560,6 +688,7 @@ class TestFrequencyProfile:
         ([[0.0, np.nan, 10.0]], [[1.0, 1.0]], "edges must be finite"),
         ([[0.0, 5.0, np.inf]], [[1.0, 1.0]], "edges must be finite"),
         ([[0.0, 5.0, 4.0]], [[1.0, 1.0]], "non-decreasing"),
+        ([[0.0, 5.0, 10.0]], [[2.0**53, 1.0]], r"below 2\*\*53"),
     ])
     def test_malformed_profile_is_refused(self, edges, means, message):
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,19 @@ class TestGammaMinBound:
     def test_shrinks_with_more_pairs(self):
         values = [mmlsh.gamma_min_bound(q, 100, 0.1, 0.2, 0.1) for q in (10, 50, 100, 500)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("delta, epsilon, beta", [(1e-300, 2e-300, 0.5),
+                                                      (0.1, 0.2, 1e-300)])
+    def test_a_tiny_gap_or_beta_gives_an_infinite_bound(self, delta, epsilon, beta):
+        # (epsilon - delta)**2 and beta**2 round to 0 here
+        assert mmlsh.gamma_min_bound(20, 20, delta, epsilon, beta) == math.inf
+
+    def test_an_infinite_bound_sets_the_warning(self, small_dataset, small_index):
+        q = mmlsh.QueryObject.from_object(small_dataset, 0)
+        gp = mmlsh.GammaParams(gamma=1.0, delta=1e-300, beta=0.5)
+        with pytest.warns(UserWarning, match="guarantee bound inf"):
+            res = mmlsh.knn_objects(q, 1, small_index, small_dataset, gp)
+        assert res.bound_warning and res.gamma_min_bound == math.inf
 
     def test_epsilon_must_exceed_delta(self):
         with pytest.raises(ParameterError, match="epsilon"):
