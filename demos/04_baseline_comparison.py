@@ -42,8 +42,8 @@ for oid in query_ids:
             else:
                 rankings.append(retrieve(p, dataset, k_prime))
         top = borda_aggregate(rankings, dataset, k, k_prime)
-        dists = [mmlsh.gamma_distance(query.coords, dataset.object_coords(o), gp.gamma)
-                 for o, _ in top]
+        ranks = np.searchsorted(dataset.object_ids, [o for o, _ in top])
+        dists = mmlsh.gamma_distances(query.coords, dataset, ranks, gp.gamma)
         ratio, _ = mmlsh.object_ratio(dists, truth_dists[:len(top)])
         ratios[name].append(ratio)
 

@@ -21,6 +21,7 @@ from .lsh import (DEFAULT_C, DEFAULT_W, LshIndex, LshParams, build_index,
                   load_index, reach_range, save_index)
 from .model import (Dataset, QueryObject, load_feature_file, load_object_map,
                     synth_dataset, write_feature_file)
-from .similarity import GammaParams, gamma_distance, object_ratio, r_object_similarity
+from .similarity import (GammaParams, gamma_distance, gamma_distances, object_ratio,
+                         r_object_similarity)
 
 __version__ = "0.1.0"

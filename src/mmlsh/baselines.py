@@ -18,7 +18,8 @@ from scipy.spatial.distance import cdist
 
 from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
-from .similarity import gamma_distance
+# perfbench/harness.py wraps `baselines.gamma_distance` by name, so it stays importable
+from .similarity import gamma_distance, gamma_distances  # noqa: F401
 
 
 _KEY_PREFIX = "# key: "  # first line of a keyed ground-truth cache
@@ -42,13 +43,12 @@ def exact_knn_objects(query: QueryObject, dataset: Dataset, k: int, gamma: float
 
 
 def full_ranking(query: QueryObject, dataset: Dataset, gamma: float) -> GroundTruth:
-    scored = []
-    for oid in dataset.object_ids.tolist():
-        scored.append((gamma_distance(query.coords, dataset.object_coords(oid), gamma), oid))
-    scored.sort(key=lambda t: (t[0], t[1]))
+    """Every object by ascending object distance, ties by ascending object id."""
+    dists = gamma_distances(query.coords, dataset, np.arange(dataset.num_objects), gamma)
+    order = np.lexsort((dataset.object_ids, dists))
     return GroundTruth(query_object_id=query.object_id,
-                       object_ids=[oid for _, oid in scored],
-                       distances=[d for d, _ in scored])
+                       object_ids=dataset.object_ids[order].tolist(),
+                       distances=dists[order].tolist())
 
 
 def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:

@@ -39,7 +39,7 @@ from .engine import knn_objects
 from .errors import ParameterError, ProfileFileError
 from .lsh import DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, save_index
 from .model import Dataset, QueryObject, load_feature_file, load_object_map, synth_dataset
-from .similarity import GammaParams, gamma_distance, object_ratio
+from .similarity import GammaParams, gamma_distances, object_ratio
 
 MB = 1_000_000
 # modeled cost of one algorithm operation (collision increment or per-bucket
@@ -424,8 +424,8 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
                 rankings, stats, strategy, buffer_mb = search(q, k_prime)
                 top = borda_aggregate(rankings, dataset, cfg.k, k_prime)
                 wall_ms = (time.perf_counter() - t0) * 1e3
-                dists = [gamma_distance(q.coords, dataset.object_coords(oid), cfg.gamma)
-                         for oid, _ in top]
+                ranks = np.searchsorted(dataset.object_ids, [oid for oid, _ in top])
+                dists = gamma_distances(q.coords, dataset, ranks, cfg.gamma).tolist()
                 rows.append(_row(cfg, truth, q, (method, strategy, buffer_mb, k_prime), dists,
                                  stats, wall_ms))
     return rows
@@ -445,15 +445,18 @@ def aggregate(rows: list[dict]) -> list[dict]:
         bounds = [r["gamma_min_bound"] for r in members if r["gamma_min_bound"] != ""]
         if bounds:
             mean["bound_warning"] = std["bound_warning"] = sum(r["bound_warning"] for r in members)
-            mean["gamma_min_bound"] = float(np.mean(bounds))
-            std["gamma_min_bound"] = float(np.std(bounds))
+            mean["gamma_min_bound"], std["gamma_min_bound"] = _finite_mean_std(bounds)
         for col in ("or_gamma", "total_ms", "alg_ms", "index_io_ms", "hits", "misses", "levels",
                     "wall_ms"):
-            vals = [r[col] for r in members if np.isfinite(r[col])]
-            mean[col] = float(np.mean(vals)) if vals else math.inf
-            std[col] = float(np.std(vals)) if vals else math.nan
+            mean[col], std[col] = _finite_mean_std([r[col] for r in members])
         out += [mean, std]
     return out
+
+
+def _finite_mean_std(values) -> tuple[float, float]:
+    """Mean and standard deviation of the finite values; (inf, nan) if there are none."""
+    finite = [v for v in values if np.isfinite(v)]
+    return (float(np.mean(finite)), float(np.std(finite))) if finite else (math.inf, math.nan)
 
 
 def write_report(rows: list[dict], cfg: RunConfig, out_prefix: str | None = None,

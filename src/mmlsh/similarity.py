@@ -19,6 +19,13 @@ from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
 
+# cross pairs per `cdist` block of `gamma_distances`. Transient memory stays
+# flat at any dataset size: 512 KB of float64 distances, plus the block's
+# rows, 1.7 MB at |Q| = 10 and d = 32. On a Xeon with 4 MB of L2 per core,
+# ranking every object of a 200 x 20 or a 1000 x 100 point dataset took
+# 20-25 % less time than with blocks of 2**20 pairs (8 MB).
+BLOCK_PAIRS = 2 ** 16
+
 
 @dataclass
 class GammaParams:
@@ -60,6 +67,11 @@ def _check_point_sets(q_coords, x_coords):
     return q, x
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
+
+
 def r_object_similarity(q_coords, x_coords, radius: float) -> float:
     """Fraction of cross pairs (q, x) whose Euclidean distance is <= radius."""
     q, x = _check_point_sets(q_coords, x_coords)
@@ -67,14 +79,50 @@ def r_object_similarity(q_coords, x_coords, radius: float) -> float:
     return float(np.count_nonzero(dists <= radius)) / dists.size
 
 
+def _order_statistic(dists: np.ndarray, gamma: float) -> np.ndarray:
+    """Per row of an (objects, pairs) distance matrix, its gamma-distance.
+
+    That is the row's ceil(gamma * pairs)-th smallest value.
+    """
+    k = math.ceil(gamma * dists.shape[1])  # 1-based order statistic
+    return np.partition(dists, k - 1, axis=1)[:, k - 1]
+
+
 def gamma_distance(q_coords, x_coords, gamma: float) -> float:
     """Smallest R at which the R-object similarity reaches gamma."""
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     q, x = _check_point_sets(q_coords, x_coords)
-    dists = cdist(q, x).ravel()
-    k = math.ceil(gamma * dists.size)  # 1-based order statistic
-    return float(np.partition(dists, k - 1)[k - 1])
+    return float(_order_statistic(cdist(q, x).reshape(1, -1), gamma)[0])
+
+
+def gamma_distances(q_coords, dataset, ranks, gamma: float) -> np.ndarray:
+    """The gamma-distance from a query to each object at the dense indices `ranks`.
+
+    Element i is `gamma_distance(q_coords, coordinates of object ranks[i],
+    gamma)`, bit for bit: `cdist` computes every pair on its own, and the
+    float32 coordinates widen to float64 exactly. Objects of one size L
+    share one order statistic, so the ranks are grouped by size and each
+    group is walked in blocks of at most BLOCK_PAIRS cross pairs: one
+    `cdist` against the block's rows, then one row-wise partition.
+    """
+    _check_gamma(gamma)
+    q, _ = _check_point_sets(q_coords, dataset.coords[:1])  # a dataset has a point
+    ranks = np.asarray(ranks, dtype=np.int64)
+    out = np.empty(ranks.size)
+    sizes = dataset.object_sizes[ranks]
+    for size in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size)
+        per_block = max(1, BLOCK_PAIRS // (len(q) * size))
+        for start in range(0, members.size, per_block):
+            block = members[start:start + per_block]
+            firsts = dataset.object_offsets[ranks[block]]
+            rows = dataset.object_rows[(firsts[:, None] + np.arange(size)).ravel()]
+            # widened here: cdist's own float32 conversion is about 2x slower
+            dists = cdist(q, dataset.coords[rows].astype(np.float64))
+            # (|Q|, objects * size) to one row of |Q| * size pairs per object
+            dists = dists.reshape(len(q), block.size, size).transpose(1, 0, 2)
+            out[block] = _order_statistic(dists.reshape(block.size, -1), gamma)
+    return out
 
 
 def object_ratio(returned_dists, truth_dists) -> tuple[float, bool]:

@@ -9,11 +9,12 @@ from scipy.spatial.distance import cdist
 
 import mmlsh
 from mmlsh import bench
-from mmlsh.baselines import (borda_aggregate, exact_knn_objects, full_ranking,
+from mmlsh.baselines import (GroundTruth, borda_aggregate, exact_knn_objects, full_ranking,
                              load_ground_truth, point_knn_c2lsh, point_knn_linear,
                              save_ground_truth)
 from mmlsh.buffering import NS1, BufferState, QueryStats, SchedulerConfig
 from mmlsh.lsh import level_cap, reach_range
+from mmlsh.similarity import gamma_distance
 
 
 def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, beta_n=None,
@@ -73,6 +74,17 @@ def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, beta_n=None,
         num_iter += 1
     result = ranked_candidates()[:k_prime]
     return result, len(result) >= k_prime
+
+
+def reference_full_ranking(query, dataset, gamma):
+    """`full_ranking` as it was, one `gamma_distance` per object: the oracle."""
+    scored = []
+    for oid in dataset.object_ids.tolist():
+        scored.append((gamma_distance(query.coords, dataset.object_coords(oid), gamma), oid))
+    scored.sort(key=lambda t: (t[0], t[1]))
+    return GroundTruth(query_object_id=query.object_id,
+                       object_ids=[oid for _, oid in scored],
+                       distances=[d for d, _ in scored])
 
 
 class TestExactKnnObjects:
@@ -260,3 +272,35 @@ class TestGroundTruthCache:
             back = loaded[gt.query_object_id]
             assert back.object_ids == gt.object_ids
             assert back.distances == gt.distances  # repr() round-trips floats
+
+    @staticmethod
+    def cache_bytes(tmp_path, name, truths):
+        path = tmp_path / name
+        save_ground_truth(truths, path, key="gamma=0.4 dataset=test")
+        return path.read_bytes()
+
+    def test_file_equals_the_per_object_oracles(self, small_dataset, tmp_path):
+        queries = [mmlsh.QueryObject.from_object(small_dataset, oid)
+                   for oid in small_dataset.object_ids.tolist()]
+        got = [full_ranking(q, small_dataset, 0.4) for q in queries]
+        want = [reference_full_ranking(q, small_dataset, 0.4) for q in queries]
+        assert self.cache_bytes(tmp_path, "new.csv", got) == \
+            self.cache_bytes(tmp_path, "oracle.csv", want)
+
+    def test_tied_duplicates_break_by_ascending_object_id(self, small_dataset, tmp_path):
+        # every object twice, the copy under a higher or lower id, rows shuffled
+        rng = np.random.default_rng(6)
+        ids = small_dataset.object_ids[small_dataset.point_object_index]
+        owners = np.concatenate([ids * 3, 100 - ids])
+        coords = np.concatenate([small_dataset.coords, small_dataset.coords])
+        shuffle = rng.permutation(len(owners))
+        dataset = mmlsh.Dataset(coords[shuffle], owners[shuffle])
+        queries = [mmlsh.QueryObject.from_object(dataset, oid) for oid in (0, 27, 100, 91)]
+        got = [full_ranking(q, dataset, 0.4) for q in queries]
+        want = [reference_full_ranking(q, dataset, 0.4) for q in queries]
+        for gt in got:
+            ranked = list(zip(gt.object_ids, gt.distances))
+            ties = [(a, b) for (a, da), (b, db) in zip(ranked, ranked[1:]) if da == db]
+            assert len(ties) == small_dataset.num_objects and all(a < b for a, b in ties)
+        assert self.cache_bytes(tmp_path, "new.csv", got) == \
+            self.cache_bytes(tmp_path, "oracle.csv", want)

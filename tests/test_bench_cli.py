@@ -118,6 +118,23 @@ class TestRuns:
         assert mean["total_ms"] == pytest.approx(np.mean([r["total_ms"] for r in rows]))
         assert std["total_ms"] == pytest.approx(np.std([r["total_ms"] for r in rows]))
 
+    @pytest.mark.parametrize("bounds, mean_bound, std_bound", [
+        ((np.inf, np.inf), np.inf, "nan"),
+        ((0.25, np.inf, 0.75), 0.5, 0.25),
+    ])
+    def test_aggregate_averages_the_finite_bounds(self, bounds, mean_bound, std_bound):
+        rows = [dict(dict.fromkeys(bench.REPORT_COLUMNS, 1.0), query_object_id=i,
+                     method="mmLSH", strategy=MMLSH, buffer_mb=1.0, k_prime="", or_flagged=0,
+                     bound_warning=int(not np.isfinite(b)), gamma_min_bound=b)
+                for i, b in enumerate(bounds)]
+        mean, std = aggregate(rows)  # numpy's RuntimeWarning on inf - inf would raise here
+        assert mean["bound_warning"] == std["bound_warning"] == bounds.count(np.inf)
+        assert mean["gamma_min_bound"] == mean_bound
+        if std_bound == "nan":
+            assert np.isnan(std["gamma_min_bound"])
+        else:
+            assert std["gamma_min_bound"] == std_bound
+
     def test_groundtruth_cache_is_reused(self, tmp_path, monkeypatch):
         cfg, ds, index, profile, queries, truth = prepared(tmp_path)
 

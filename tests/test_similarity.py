@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import mmlsh
+from mmlsh import similarity
 from mmlsh.engine import CollisionState, count_collisions
 from mmlsh.errors import ParameterError
 
@@ -131,6 +133,87 @@ class TestCandidacy:
         assert p.epsilon == pytest.approx(0.3)
         with pytest.raises(ParameterError, match="epsilon"):
             mmlsh.GammaParams(gamma=0.5, delta=0.2, beta=0.1, epsilon=0.2)
+
+
+def per_object_gamma_distances(q, dataset, ranks, gamma):
+    """Oracle: one `gamma_distance` per asked object."""
+    return np.array([mmlsh.gamma_distance(q, dataset.object_coords(int(dataset.object_ids[r])),
+                                          gamma) for r in ranks], dtype=np.float64)
+
+
+@st.composite
+def ragged_case(draw):
+    """A dataset of ragged objects with shuffled, non-contiguous owners, and a query."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+    ids = draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=len(sizes),
+                        max_size=len(sizes), unique=True))
+    d = draw(st.integers(1, 5))
+    q_size = draw(st.integers(1, 7))
+    scale = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    owners = rng.permutation(np.repeat(ids, sizes))
+    dataset = mmlsh.Dataset(rng.normal(size=(len(owners), d)) * scale, owners)
+    q = (rng.normal(size=(q_size, d)) * scale).astype(np.float32)
+    gamma = draw(st.sampled_from([1e-9, 0.5, 1.0]) | st.floats(1e-9, 1.0))
+    ranks = draw(st.lists(st.integers(0, len(sizes) - 1), max_size=30))
+    return q, dataset, ranks, gamma
+
+
+class TestGammaDistances:
+    """The batched kernel equals one `gamma_distance` per object, bit for bit."""
+
+    @given(ragged_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_object_gamma_distance(self, case):
+        q, dataset, ranks, gamma = case
+        got = mmlsh.gamma_distances(q, dataset, ranks, gamma)
+        want = per_object_gamma_distances(q, dataset, ranks, gamma)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_one_size_group_over_several_blocks(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        owners = rng.permutation(np.repeat(np.arange(40, 0, -2), 3))  # 20 objects of 3 points
+        dataset = mmlsh.Dataset(rng.normal(size=(60, 4)), owners)
+        q = rng.normal(size=(2, 4))
+        ranks = rng.integers(0, 20, size=25)
+        calls = []
+
+        def counting_cdist(a, b):
+            calls.append(len(b))
+            return cdist(a, b)
+
+        monkeypatch.setattr(similarity, "BLOCK_PAIRS", 13)  # two objects of 6 pairs
+        monkeypatch.setattr(similarity, "cdist", counting_cdist)
+        got = mmlsh.gamma_distances(q, dataset, ranks, 0.4)
+        assert calls == [6] * 12 + [3]  # 25 objects of one size, two per block
+        want = per_object_gamma_distances(q, dataset, ranks, 0.4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_an_object_above_the_block_bound_is_its_own_block(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        dataset = mmlsh.Dataset(rng.normal(size=(12, 3)), np.repeat([5, 9], 6))
+        q = rng.normal(size=(4, 3))
+        monkeypatch.setattr(similarity, "BLOCK_PAIRS", 5)
+        got = mmlsh.gamma_distances(q, dataset, [1, 0, 1], 0.7)
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, [1, 0, 1], 0.7).tobytes()
+
+    def test_empty_ranks_give_an_empty_array(self, small_dataset):
+        q = small_dataset.object_coords(0)
+        got = mmlsh.gamma_distances(q, small_dataset, [], 0.5)
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_dimension_mismatch_raises_as_gamma_distance_does(self, small_dataset):
+        q = np.zeros((2, small_dataset.dimension + 1))
+        with pytest.raises(ValueError) as single:
+            mmlsh.gamma_distance(q, small_dataset.object_coords(0), 0.5)
+        with pytest.raises(ValueError) as batched:
+            mmlsh.gamma_distances(q, small_dataset, [0], 0.5)
+        assert type(batched.value) is type(single.value)
+        assert str(batched.value) == str(single.value)
+
+    def test_gamma_out_of_range_raises(self, small_dataset):
+        with pytest.raises(ParameterError):
+            mmlsh.gamma_distances(small_dataset.object_coords(0), small_dataset, [0], 0.0)
 
 
 class TestObjectRatio:
