@@ -78,9 +78,11 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     ((row, dist) list, complete flag), ties by row.
 
     A QueryStats collects collision increments and algorithm operations. A
-    `plan` list collects every executed pass as (projection, level,
-    [(0, lo, hi)]), the shape `knn_objects` records, so `bench.replay_plans`
-    can charge the baseline's modeled IO like the object engine's.
+    `plan` list collects every executed pass as (projection g, level R,
+    ranges) in the shape `knn_objects` records, so `bench.replay_plans` can
+    charge the baseline's modeled IO like the object engine's: `ranges` is a
+    (1, 3) int64 array holding the one row (0, lo, hi), the query point's
+    level-R bucket [lo, hi). It is a row view of one (m, 3) array per level.
 
     Only candidates need a distance: a row's is computed once, at the first
     check after its count reaches l.
@@ -122,11 +124,13 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
             (reach_lo >= reach_hi) | ((lo_cov <= reach_lo) & (hi_cov >= reach_hi))))
         if covered:
             break
-        for g in range(index.m):
-            qb = int(np.floor_divide(q_base[g], R))
-            lo, hi = qb * R, qb * R + R
+        # the level's bucket [qb*R, qb*R + R) in every projection, as plan rows (0, lo, hi)
+        level = np.zeros((index.m, 3), dtype=np.int64)
+        level[:, 1] = np.floor_divide(q_base, R) * R
+        level[:, 2] = level[:, 1] + R
+        for g, (lo, hi) in enumerate(level[:, 1:].tolist()):
             if plan is not None:
-                plan.append((g, R, [(0, lo, hi)]))
+                plan.append((g, R, level[g:g + 1]))
             if lo_cov[g] > hi_cov[g]:
                 segments = [(lo, hi)]
             else:

@@ -200,8 +200,9 @@ def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
 
 
 REPORT_COLUMNS = ["query_object_id", "method", "strategy", "buffer_mb", "k_prime",
-                  "or_gamma", "or_flagged", "bound_warning", "gamma_min_bound", "total_ms",
-                  "alg_ms", "index_io_ms", "hits", "misses", "stop", "levels", "wall_ms"]
+                  "or_gamma", "answered", "or_flagged", "bound_warning", "gamma_min_bound",
+                  "total_ms", "alg_ms", "index_io_ms", "hits", "misses", "stop", "levels",
+                  "wall_ms"]
 # the columns that name a run; `aggregate` summarises each run's rows
 GROUP_COLUMNS = ("method", "strategy", "buffer_mb", "k_prime")
 
@@ -211,8 +212,8 @@ def _row(cfg: RunConfig, truth, query, group: tuple, dists, stats: QueryStats, w
     """One report row; the only place that derives `alg_ms` from `alg_ops`.
 
     `group` holds the GROUP_COLUMNS values. An empty answer (`dists`,
-    ascending) gets `or_gamma` inf. Only mmLSH rows pass the QueryResult
-    that fills the stop, level and bound columns.
+    ascending) gets `answered` 0 and `or_gamma` inf. Only mmLSH rows pass
+    the QueryResult that fills the stop, level and bound columns.
     """
     stats.alg_ms = stats.alg_ops * cfg.alg_op_cost_ms
     ratio, flagged = (object_ratio(dists, truth[query.object_id].distances[:len(dists)])
@@ -221,6 +222,7 @@ def _row(cfg: RunConfig, truth, query, group: tuple, dists, stats: QueryStats, w
         "query_object_id": query.object_id,
         **dict(zip(GROUP_COLUMNS, group)),
         "or_gamma": ratio,
+        "answered": int(bool(dists)),
         "or_flagged": int(flagged),
         "bound_warning": int(result.bound_warning) if result else "",
         "gamma_min_bound": result.gamma_min_bound if result else "",
@@ -257,9 +259,12 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
 
     This is the one place that pulls index buckets through a buffer.
     plans[i] is the pass list `knn_objects` (or `point_knn_c2lsh`) recorded
-    for query i; stats_list[i] is mutated in place: each access is billed to
-    it and to `buffer.io_stats`, and the strategy's extra work goes to its
-    `alg_ops`; `alg_ms` is left to the report's row builder.
+    for query i: one (g, R, ranges) per pass, where `ranges` is an int64
+    array with one row (qi, lo, hi) per query point, the point's level-R
+    bucket [lo, hi) in projection g. stats_list[i] is mutated in place:
+    each access is billed to it and to `buffer.io_stats`, and the strategy's
+    extra work goes to its `alg_ops`; `alg_ms` is left to the report's row
+    builder.
     NS1 and MMLSH execute queries one after another; NS2 batches the whole
     set, reading each distinct useful bucket once per (level, projection)
     pass and checking every batched query against it.
@@ -275,14 +280,15 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     if scheduler.strategy != strategy:
         raise ValueError(f"replay_plans was asked for {strategy} with a scheduler "
                          f"configured for {scheduler.strategy}")
-    lists: dict = {}
     if strategy == NS2:
-        _replay_ns2_batch(plans, index, buffer, stats_list, lists)
+        _replay_ns2_batch(plans, index, buffer, stats_list)
         return
+    lists: dict = {}
     mmlsh = strategy == MMLSH
     evict = _MmlshEvictor(scheduler.profile) if mmlsh else evict_lru
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
+            ranges = ranges.tolist()  # the Python orderings below run faster on lists
             ids, sizes = _occupied(index, g, lists)
             if mmlsh:
                 order, segments = split_queries(ranges, scheduler.query_splits, ids)
@@ -320,27 +326,42 @@ def _replay_pass(g, R, order, ids, sizes, buffer: BufferState, evict, stats) -> 
         bill_hits(hits, keys, buffer, evict, stats)
 
 
-def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list, lists: dict) -> None:
+def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:
     """Batched per-bucket execution across all queries (NS2 semantics).
 
-    Each bucket's read is billed to its first consumer; every query range in
-    the pass pays one membership-check operation per bucket read. Buckets
-    are scheduled by their position among the occupied ids, which orders
-    them as their ids do.
+    Each (R, g) pass, in ascending order, gathers the range arrays of every
+    plan's (g, R) passes, a plan's repeats included, in plan order: rows
+    (qi, lo, hi) whose qi becomes the plan's index. One `np.searchsorted`
+    maps the bucket bounds to positions among the projection's occupied
+    ids, which order them as the ids do, and `schedule_ns2` takes the
+    distinct positions with their first consumers. Each bucket's read is
+    billed to its first consumer; every range in the pass, empty or not,
+    pays one membership-check operation per bucket read.
     """
-    passes: dict[tuple, list] = {}
+    passes: dict[tuple, tuple] = {}  # (R, g) -> (plan index per array, range arrays)
     for query_idx, plan in enumerate(plans):
         for g, R, ranges in plan:
-            passes.setdefault((R, g), []).extend(
-                (query_idx, lo, hi) for _qi, lo, hi in ranges)
+            owners, arrays = passes.setdefault((R, g), ([], []))
+            owners.append(query_idx)
+            arrays.append(ranges)
+    occupied: dict = {}
+    alg_ops = np.zeros(len(plans), dtype=np.int64)
     for (R, g) in sorted(passes):
-        ranges = passes[(R, g)]
-        ids, sizes = _occupied(index, g, lists)
-        schedule = schedule_ns2(_slices(ids, ranges))
-        for i, consumers in schedule:
-            access_bucket((g, R, ids[i]), sizes[i], buffer, evict_lru, stats_list[consumers[0]])
-        for query_idx, _lo, _hi in ranges:
-            stats_list[query_idx].alg_ops += len(schedule)
+        owners, arrays = passes[(R, g)]
+        ranges = np.concatenate(arrays)
+        ranges[:, 0] = np.repeat(owners, [len(a) for a in arrays])
+        if g not in occupied:
+            ids, counts = index.occupied_buckets(g)
+            occupied[g] = ids, counts * POINT_ID_BYTES
+        ids, sizes = occupied[g]
+        ranges[:, 1:] = np.searchsorted(ids, ranges[:, 1:])
+        positions, first = schedule_ns2(ranges)
+        for bucket, size, query_idx in zip(ids[positions].tolist(), sizes[positions].tolist(),
+                                           first.tolist()):
+            access_bucket((g, R, bucket), size, buffer, evict_lru, stats_list[query_idx])
+        alg_ops += np.bincount(ranges[:, 0], minlength=len(plans)) * len(positions)
+    for stats, ops in zip(stats_list, alg_ops.tolist()):
+        stats.alg_ops += ops
 
 
 def record_query_plans(cfg: RunConfig, dataset, index, queries) -> tuple[list, list, list]:
@@ -432,15 +453,21 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
 
 
 def aggregate(rows: list[dict]) -> list[dict]:
-    """Mean and standard deviation per (method, strategy, buffer, k'), of finite values."""
+    """Mean and standard deviation per (method, strategy, buffer, k'), of finite values.
+
+    Counts stand in both rows: of answered queries, of flagged ratios and,
+    for mmLSH, of bound warnings. `or_gamma` averages the finite ratios, so
+    `answered` says how many queries the mean can speak for.
+    """
     groups = {}
     for row in rows:
         groups.setdefault(tuple(row[col] for col in GROUP_COLUMNS), []).append(row)
     out = []
     for key, members in sorted(groups.items(), key=lambda t: str(t[0])):
         mean = dict.fromkeys(REPORT_COLUMNS, "")
-        mean.update(zip(GROUP_COLUMNS, key),
-                    query_object_id="MEAN", or_flagged=sum(r["or_flagged"] for r in members))
+        mean.update(zip(GROUP_COLUMNS, key), query_object_id="MEAN",
+                    answered=sum(r["answered"] for r in members),
+                    or_flagged=sum(r["or_flagged"] for r in members))
         std = dict(mean, query_object_id="STD")
         bounds = [r["gamma_min_bound"] for r in members if r["gamma_min_bound"] != ""]
         if bounds:

@@ -387,12 +387,22 @@ def schedule_ns1(ranges):
 
 
 def schedule_ns2(ranges):
-    """Distinct useful buckets in ascending order, each with its consumers."""
-    need = {}
-    for qi, lo, hi in ranges:
-        for bucket in range(lo, hi):
-            need.setdefault(bucket, []).append(qi)
-    return [(bucket, need[bucket]) for bucket in sorted(need)]
+    """Distinct useful buckets in ascending order, each with its first consumer.
+
+    ranges is a (k, 3) int64 array of rows (qi, lo, hi), each the buckets
+    [lo, hi) that query qi needs; a row with hi <= lo needs none. Returns
+    two int64 arrays: the distinct buckets the rows cover, ascending, and
+    for each the qi of the first row, in row order, that covers it. The
+    rows expand into one array of buckets in row order, so a bucket's first
+    occurrence there, which `np.unique` returns, lies in its first row.
+    """
+    lo, hi = ranges[:, 1], ranges[:, 2]
+    widths = np.maximum(hi - lo, 0)
+    ends = np.cumsum(widths)
+    # entry j of row r's stretch, which starts at ends[r] - widths[r], is bucket lo[r] + that offset
+    expanded = np.repeat(lo - (ends - widths), widths) + np.arange(widths.sum())
+    buckets, first = np.unique(expanded, return_index=True)
+    return buckets, ranges[np.searchsorted(ends, first, side="right"), 0]
 
 
 def split_queries(ranges, splits: int, ids):

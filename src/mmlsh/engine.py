@@ -173,8 +173,10 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     The exact object distance is only ever computed for candidates, never for
     the full database. The returned stats hold collision increments and
     algorithm operations, but no IO or modeled time: a `plan` list collects
-    every executed (projection, level, ranges) pass, and `bench.replay_plans`
-    charges it under any strategy and buffer size.
+    every executed pass as (projection g, level R, ranges), and
+    `bench.replay_plans` charges it under any strategy and buffer size.
+    `ranges` is a (|Q|, 3) int64 array whose row qi is (qi, lo, hi): query
+    point qi's level-R bucket, the base-bucket interval [lo, hi).
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -196,6 +198,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     stats = QueryStats()
     q_base = index.hash_query(query.coords)
     reach_lo, reach_hi = reach_range(index, q_base)
+    point_index = np.arange(q_count)
 
     gdist_cache: dict[int, float] = {}
 
@@ -246,8 +249,11 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             stats.alg_ops += inc
             if plan is not None:
                 # counting left every point's level interval as its coverage
-                plan.append((g, R, list(zip(range(q_count), state.cov_lo[:, g].tolist(),
-                                            state.cov_hi[:, g].tolist()))))
+                ranges = np.empty((q_count, 3), dtype=np.int64)
+                ranges[:, 0] = point_index
+                ranges[:, 1] = state.cov_lo[:, g]
+                ranges[:, 2] = state.cov_hi[:, g]
+                plan.append((g, R, ranges))
             # T1 barrier after each projection pass
             cl_count = int(np.count_nonzero(state.candidate_mask(gparams)))
             if check_t1(cl_count, k, gparams.beta, S):

@@ -471,9 +471,11 @@ class TestCli:
         with open(cfg.out_prefix + ".csv") as fh:
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
         empty = [r for r in rows if r["or_gamma"] == "inf"]
-        assert empty and all(r["stop"] == "EXHAUSTED" for r in empty)
+        assert empty and all(r["stop"] == "EXHAUSTED" and r["answered"] == "0" for r in empty)
         mean = next(r for r in rows if r["query_object_id"] == "MEAN")
         assert np.isfinite(float(mean["or_gamma"]))  # the mean skips the empty answer
+        queries = [r for r in rows if r["query_object_id"] not in ("MEAN", "STD")]
+        assert mean["answered"] == str(len(queries) - len(empty))  # and says how many it covers
 
     @pytest.mark.parametrize("spoil", ["nan means", "negative means", "nan edge",
                                        "decreasing edges"])

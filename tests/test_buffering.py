@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import mmlsh
 from mmlsh import bench, buffering
-from mmlsh.buffering import (_HEAP_SLACK, MMLSH, NS1, POINT_ID_BYTES, BufferState, CostModel,
-                             FrequencyProfile, QueryStats, SchedulerConfig, _Entry,
+from mmlsh.buffering import (_HEAP_SLACK, MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState,
+                             CostModel, FrequencyProfile, QueryStats, SchedulerConfig, _Entry,
                              _MmlshEvictor, access_bucket, build_frequency_profile, evict_lru,
                              profile_footprint, schedule_ns1, schedule_ns2, split_queries)
 
@@ -387,10 +387,14 @@ class OccupiedIndex:
 
 
 def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
-    """Oracle: `bench.replay_plans` for NS1 and MMLSH, one `access_bucket` call per access."""
+    """Oracle: `bench.replay_plans` with one `access_bucket` call per access."""
+    if strategy == NS2:
+        oracle_replay_ns2(plans, index, buffer, stats_list)
+        return
     evict = _MmlshEvictor(scheduler.profile) if strategy == MMLSH else evict_lru
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
+            ranges = ranges.tolist()
             ids, counts = index.occupied_buckets(g)
             ids, sizes = ids.tolist(), (counts * POINT_ID_BYTES).tolist()
             if strategy == MMLSH:
@@ -402,15 +406,44 @@ def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
                 access_bucket((g, R, ids[p]), sizes[p], buffer, evict, stats)
 
 
+def oracle_schedule_ns2(ranges):
+    """Oracle: the distinct buckets of (qi, lo, hi) ranges, ascending, each with its consumers."""
+    need = {}
+    for qi, lo, hi in ranges:
+        for bucket in range(lo, hi):
+            need.setdefault(bucket, []).append(qi)
+    return [(bucket, need[bucket]) for bucket in sorted(need)]
+
+
+def oracle_replay_ns2(plans, index, buffer, stats_list):
+    """Oracle: the NS2 batch with a dict of consumers per bucket, range by range."""
+    passes = {}
+    for query_idx, plan in enumerate(plans):
+        for g, R, ranges in plan:
+            passes.setdefault((R, g), []).extend(
+                (query_idx, lo, hi) for _qi, lo, hi in ranges.tolist())
+    for (R, g) in sorted(passes):
+        ranges = passes[(R, g)]
+        ids, counts = index.occupied_buckets(g)
+        ids, sizes = ids.tolist(), (counts * POINT_ID_BYTES).tolist()
+        schedule = oracle_schedule_ns2(bench._slices(ids, ranges))
+        for i, consumers in schedule:
+            access_bucket((g, R, ids[i]), sizes[i], buffer, evict_lru, stats_list[consumers[0]])
+        for query_idx, _lo, _hi in ranges:
+            stats_list[query_idx].alg_ops += len(schedule)
+
+
 @st.composite
 def pass_plans(draw):
     """Query plans over sparse occupied buckets, a profile or none, and a buffer size.
 
     A pass's ranges overlap, so it revisits keys, interleaved under MMLSH's
-    split order, and passes repeat across queries, so later ones find keys
-    resident. Bucket sizes vary, and the capacity runs from the smallest
-    bucket to the whole working set, so small buffers evict often and some
-    buckets bypass them.
+    split order, and passes repeat within and across queries, so later ones
+    find keys resident. Some ranges are empty (hi <= lo) and some lie beyond
+    the occupied ids. Each pass's ranges are an int64 array of (qi, lo, hi)
+    rows, as the searches record them. Bucket sizes vary, and the capacity
+    runs from the smallest bucket to the whole working set, so small buffers
+    evict often and some buckets bypass them.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     projections = draw(st.integers(1, 3))
@@ -424,9 +457,9 @@ def pass_plans(draw):
         plan = []
         for _ in range(int(rng.integers(1, 8))):
             g, R = int(rng.integers(projections)), int(rng.choice([1, 2, 4]))
-            starts = rng.integers(-2, span, size=int(rng.integers(1, 5))).tolist()
-            plan.append((g, R, [(qi, lo, lo + int(rng.integers(0, 13)))
-                                for qi, lo in enumerate(starts)]))
+            starts = rng.integers(-2, span + 2, size=int(rng.integers(1, 5))).tolist()
+            plan.append((g, R, np.array([(qi, lo, lo + int(rng.integers(-2, 13)))
+                                         for qi, lo in enumerate(starts)], dtype=np.int64)))
         plans.append(plan)
     sizes = {(g, R, b): POINT_ID_BYTES * count
              for plan in plans for g, R, ranges in plan
@@ -503,6 +536,36 @@ class TestBulkHitReplay:
         assert bulk.est_frequency == single.est_frequency == max(0.0, demand - uses)
 
 
+class TestNs2BatchReplay:
+    def test_ns2_replay_equals_the_dict_schedule(self):
+        seen = Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(run=pass_plans())
+        def check(run):
+            got = replay_in_calls(bench.replay_plans, NS2, run)
+            want = replay_in_calls(oracle_replay_plans, NS2, run)
+            assert got == want
+            index, plans, lru_prefix = run[0], run[1], run[4]
+            passes = [[(g, R) for g, R, _ranges in plan] for plan in plans]
+            seen["repeat in a plan"] += any(len(set(p)) < len(p) for p in passes)
+            seen["repeat across plans"] += len(set().union(*map(set, passes))) < sum(
+                len(set(p)) for p in passes)
+            for plan in plans:
+                for g, _R, ranges in plan:
+                    ids = index.occupied[g][0]
+                    for _qi, lo, hi in ranges.tolist():
+                        seen["empty"] += hi <= lo
+                        seen["outside"] += lo < hi and (hi <= ids[0] or lo > ids[-1])
+            seen["NS1 prefix"] += lru_prefix > 0
+            seen["evictions"] += got[1].evictions
+
+        check()
+        # the batch met repeated passes, empty and outlying ranges, an NS1 prefix and evictions
+        assert all(seen[name] > 50 for name in ("repeat in a plan", "repeat across plans", "empty",
+                                                "outside", "NS1 prefix", "evictions")), seen
+
+
 def reference_split_queries(ranges, splits: int):
     """Oracle: cut each range into contiguous segments, interleaved by position.
 
@@ -550,14 +613,24 @@ class TestScheduling:
         assert schedule_ns1([(0, 9, 12), (1, 2, 5)]) == [(1, 2, 5), (0, 9, 12)]
 
     def test_ns2_each_bucket_once_with_consumers(self):
-        plan = schedule_ns2(self.RANGES)
-        assert plan == [(5, [0]), (6, [0, 1]), (7, [0, 1]), (8, [1])]
-        buckets = [b for b, _ in plan]
-        assert len(buckets) == len(set(buckets))
+        buckets, first = schedule_ns2(np.array(self.RANGES, dtype=np.int64))
+        want = [(5, [0]), (6, [0, 1]), (7, [0, 1]), (8, [1])]
+        assert buckets.tolist() == [b for b, _ in want]
+        assert first.tolist() == [consumers[0] for _, consumers in want]
+        assert len(buckets) == len(set(buckets.tolist()))
 
     def test_ns2_reads_fewer_buckets_than_ns1_on_overlap(self):
         ns1_accesses = sum(hi - lo for _, lo, hi in self.RANGES)
-        assert len(schedule_ns2(self.RANGES)) < ns1_accesses
+        assert len(schedule_ns2(np.array(self.RANGES, dtype=np.int64))[0]) < ns1_accesses
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(-10, 30), st.integers(-10, 30)),
+                         max_size=12))
+    def test_ns2_equals_the_dict_schedule(self, rows):
+        buckets, first = schedule_ns2(np.array(rows, dtype=np.int64).reshape(-1, 3))
+        want = oracle_schedule_ns2(rows)
+        assert buckets.tolist() == [b for b, _ in want]
+        assert first.tolist() == [consumers[0] for _, consumers in want]
 
     def test_split_segments_tile_each_range(self):
         ranges = [(0, 0, 17), (1, 40, 43), (2, 5, 6)]

@@ -276,7 +276,12 @@ class TestPersistence:
                        for r in results]
             return answers, plans, io
 
-        assert run(loaded) == run(built)
+        (answers, plans, io), (want_answers, want_plans, want_io) = run(loaded), run(built)
+        assert answers == want_answers and io == want_io
+        assert [[(g, R) for g, R, _ranges in plan] for plan in plans] == \
+            [[(g, R) for g, R, _ranges in plan] for plan in want_plans]
+        assert all(np.array_equal(a, b) for plan, want in zip(plans, want_plans)
+                   for (_g, _R, a), (_wg, _wR, b) in zip(plan, want))
 
     def test_roundtrip_preserves_query_answers(self, tmp_path):
         ds = mmlsh.synth_dataset(S=100, points_per_object=100, d=8, cluster_spread=0.1, seed=9)
