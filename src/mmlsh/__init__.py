@@ -11,7 +11,7 @@ from .baselines import (GroundTruth, borda_aggregate, exact_knn_objects, full_ra
                         point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, BufferState, CostModel, FrequencyProfile,
                         QueryStats, SchedulerConfig, access_bucket, build_frequency_profile,
-                        evict_lru, evict_mmlsh, schedule_ns1, schedule_ns2, split_queries)
+                        evict_lru, evict_mmlsh, schedule_ns2, split_queries)
 from .engine import (QueryResult, check_t1, check_t2, count_collisions, gamma_min_bound,
                      knn_objects)
 from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,

@@ -24,7 +24,6 @@ import math
 import os
 import time
 import typing
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .baselines import (borda_aggregate, full_ranking, ground_truth_key, load_gr
 from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                         FrequencyProfile, QueryStats, SchedulerConfig, _MmlshEvictor,
                         access_bucket, bill_hits, build_frequency_profile, evict_lru,
-                        schedule_ns1, schedule_ns2, split_queries)
+                        schedule_ns2, split_queries)
 from .engine import knn_objects
 from .errors import ParameterError, ProfileFileError
 from .lsh import DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, save_index
@@ -98,6 +97,8 @@ class RunConfig:
                                  f"got {self.alg_op_cost_ms!r}")
         if self.num_queries < 1:
             raise ParameterError(f"num_queries must be >= 1, got {self.num_queries!r}")
+        if self.query_splits < 1:
+            raise ParameterError(f"query_splits must be >= 1, got {self.query_splits!r}")
         if self.query_size is not None and self.query_size < 1:
             raise ParameterError(f"query_size must be >= 1, got {self.query_size!r}")
         # refuse here what a query would refuse; an unset beta resolves per
@@ -248,11 +249,6 @@ def _occupied(index, g: int, lists: dict):
     return lists[g]
 
 
-def _slices(ids, ranges):
-    """Per range (query, i0, i1) such that ids[i0:i1] are the occupied ids in its [lo, hi)."""
-    return [(qi, bisect_left(ids, lo), bisect_left(ids, hi)) for qi, lo, hi in ranges]
-
-
 def replay_plans(strategy: str, plans, index, buffer: BufferState,
                  stats_list, scheduler: SchedulerConfig) -> None:
     """Charge modeled IO for recorded query plans under one strategy.
@@ -268,8 +264,9 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     NS1 and MMLSH execute queries one after another; NS2 batches the whole
     set, reading each distinct useful bucket once per (level, projection)
     pass and checking every batched query against it.
-    Only occupied buckets are visited: NS1 walks each range's slice of them,
-    MMLSH the order `split_queries` gives. A pass revisits its keys many
+    Only occupied buckets are visited, in the order `split_queries` gives:
+    NS1 is its one-split case, whole ranges left to right, and MMLSH cuts
+    each range into `query_splits` segments. A pass revisits its keys many
     times, so `_replay_pass` sends only its misses through `access_bucket`
     and bills each run of hits in between in one `bill_hits` step, with the
     result a call per access would give (see `buffering`). Each NS2 pass
@@ -286,17 +283,14 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     lists: dict = {}
     mmlsh = strategy == MMLSH
     evict = _MmlshEvictor(scheduler.profile) if mmlsh else evict_lru
+    splits = scheduler.query_splits if mmlsh else 1
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
-            ranges = ranges.tolist()  # the Python orderings below run faster on lists
             ids, sizes = _occupied(index, g, lists)
+            # the Python ordering runs faster on lists than on the array
+            order, segments = split_queries(ranges.tolist(), splits, ids)
             if mmlsh:
-                order, segments = split_queries(ranges, scheduler.query_splits, ids)
                 stats.alg_ops += segments  # segment dispatch overhead
-            else:
-                order = []
-                for _qi, i0, i1 in _slices(ids, schedule_ns1(ranges)):
-                    order += range(i0, i1)
             _replay_pass(g, R, order, ids, sizes, buffer, evict, stats)
 
 
@@ -388,14 +382,18 @@ def run_mmlsh_queries(cfg: RunConfig, dataset, index, queries, truth,
     """mmLSH rows of every (strategy, buffer_mb) run, by default the config's one.
 
     Each query's search runs once; each run replays the recorded plans onto
-    copies of the queries' stats on a fresh buffer.
+    copies of the queries' stats on a fresh buffer. An MMLSH run without a
+    profile raises ValueError before any query runs.
     """
+    runs = [(SchedulerConfig(strategy, cfg.query_splits, profile), buffer_mb)
+            for strategy, buffer_mb in runs or [(cfg.strategy, cfg.buffer_mb)]]
     results, plans, walls = record_query_plans(cfg, dataset, index, queries)
     rows = []
-    for strategy, buffer_mb in runs or [(cfg.strategy, cfg.buffer_mb)]:
+    for scheduler, buffer_mb in runs:
+        strategy = scheduler.strategy
         stats_list = [replace(res.stats) for res in results]
         replay_plans(strategy, plans, index, BufferState(int(buffer_mb * MB), CostModel()),
-                     stats_list, SchedulerConfig(strategy, cfg.query_splits, profile))
+                     stats_list, scheduler)
         rows += [_row(cfg, truth, q, ("mmLSH", strategy, buffer_mb, ""),
                       [d for _, d in res.top_k], stats, wall_ms, res)
                  for q, res, stats, wall_ms in zip(queries, results, stats_list, walls)]

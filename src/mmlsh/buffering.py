@@ -3,7 +3,8 @@
 Three strategies decide the order in which a level's hash buckets are pulled
 through a fixed-capacity buffer and which resident bucket to evict on a miss:
 
-* NS1 — query points execute left to right by bucket position, LRU eviction.
+* NS1 — query points execute left to right by bucket position (the one-split
+  case of `split_queries`), LRU eviction.
 * NS2 — each distinct useful bucket is read once and serves every query that
   needs it (minimal IO, extra per-bucket matching work).
 * MMLSH — NS1-style ordering refined by query splitting (each query's bucket
@@ -155,8 +156,8 @@ class _MmlshEvictor:
     """The MMLSH replacement policy for one replay on one buffer.
 
     A resident's `est_frequency` is its remaining demand: the profile's
-    estimate (1 without a profile) on admission, less one per use, the
-    admitting one included, never below 0.
+    estimate on admission, less one per use, the admitting one included,
+    never below 0.
 
     `evict_mmlsh` wants the old residents in (demand, key) order, and a
     resident that is old at one eviction is old at every later one (see the
@@ -179,7 +180,7 @@ class _MmlshEvictor:
     evicts builds nothing.
     """
 
-    def __init__(self, profile: "FrequencyProfile | None" = None):
+    def __init__(self, profile: "FrequencyProfile"):
         self.profile = profile
         self.resident: dict | None = None  # the buffer's, once the first eviction builds
         self.young: deque | None = None
@@ -210,9 +211,7 @@ class _MmlshEvictor:
             heapq.heapify(self.heap)
 
     def admit(self, key, entry):
-        if self.profile is not None:
-            entry.est_frequency = self.profile.frequency(key[0], key[2])
-        entry.est_frequency = max(0.0, entry.est_frequency - 1.0)
+        entry.est_frequency = max(0.0, self.profile.frequency(key[0], key[2]) - 1.0)
         if self.young is not None:
             self.young.append((entry.insert_tick, key))
 
@@ -365,7 +364,7 @@ def bill_hits(run, keys, buffer: BufferState, evict=evict_lru,
 
 @dataclass
 class SchedulerConfig:
-    """Strategy selection, MMLSH's query splits and its frequency profile."""
+    """Strategy selection, MMLSH's query splits and the frequency profile it needs."""
 
     strategy: str = NS1
     query_splits: int = 10
@@ -376,14 +375,8 @@ class SchedulerConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.query_splits < 1:
             raise ValueError("query_splits must be >= 1")
-
-
-def schedule_ns1(ranges):
-    """Order whole query ranges left to right; ties keep query order.
-
-    ranges is a list of (query_index, lo, hi) bucket intervals.
-    """
-    return sorted(ranges, key=lambda r: (r[1], r[0]))
+        if self.strategy == MMLSH and self.profile is None:
+            raise ValueError("MMLSH needs a frequency profile")
 
 
 def schedule_ns2(ranges):
@@ -406,59 +399,65 @@ def schedule_ns2(ranges):
 
 
 def split_queries(ranges, splits: int, ids):
-    """A pass's occupied buckets in MMLSH's order: query ranges split and interleaved.
+    """A pass's occupied buckets in visiting order: query ranges split and interleaved.
 
     ranges is a pass's (query_index, lo, hi) bucket intervals, one per
     query index; ids is the pass's occupied bucket ids in ascending order.
     Each range is cut into min(splits, hi - lo) contiguous segments that
     exactly tile it (`_split_offsets`); the segments of all ranges are
     visited by start position, ties by query index, and each segment's
-    buckets left to right. Only occupied buckets are keyed, each by (segment
-    start, query index, position), so an empty segment costs nothing; when
-    no range is wider than `splits`, every segment is one bucket and the
-    keys reduce to the positions themselves. Returns (order, segments):
-    positions into ids in visiting order, and the number of segments cut,
-    empty ones included.
+    buckets left to right, so one split gives NS1's order. Each segment is
+    keyed once, by (start, query index, i0, i1) with ids[i0:i1] its
+    occupied buckets; when no range is wider than `splits`, every segment
+    is one bucket and the positions themselves are the keys. Returns
+    (order, segments): positions into ids in visiting order, and the number
+    of segments cut, empty ones included.
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
     order = []
     segments = 0
-    wide = False  # is some range cut into segments of more than one bucket?
     for _qi, lo, hi in ranges:
         width = hi - lo
-        if width <= 0:
-            continue
         if width > splits:
-            wide = True
-            width = splits
-        segments += width
-        i0 = bisect_left(ids, lo)
-        order += range(i0, bisect_left(ids, hi, i0))
-    if not wide:
-        # each bucket starts its own segment and ids ascend with position, so
-        # start order is position order; ties repeat one position
+            break
+        if width > 0:
+            segments += width
+            i0 = bisect_left(ids, lo)
+            order += range(i0, bisect_left(ids, hi, i0))
+    else:  # ids ascend, so start order is position order; ties repeat one position
         order.sort()
         return order, segments
     keyed = []
+    cuts = {}  # width -> its segments, looked up once per distinct width
     for qi, lo, hi in ranges:
-        if hi > lo:
-            offsets = _split_offsets(hi - lo, splits)
-            keyed += [(lo + offsets[bisect_right(offsets, ids[p] - lo) - 1], qi, p)
-                      for p in range(bisect_left(ids, lo), bisect_left(ids, hi))]
+        width = hi - lo
+        if width > 0:
+            pairs = cuts.get(width)
+            if pairs is None:
+                pairs = cuts[width] = _split_offsets(width, splits)
+            i0 = bisect_left(ids, lo)
+            for start, end in pairs:
+                i1 = bisect_left(ids, lo + end, i0)
+                keyed.append((lo + start, qi, i0, i1))
+                i0 = i1
     keyed.sort()
-    return [p for _start, _qi, p in keyed], segments
+    order = []
+    for _start, _qi, i0, i1 in keyed:
+        order += range(i0, i1)
+    return order, len(keyed)
 
 
 @lru_cache(maxsize=256)
 def _split_offsets(width: int, splits: int) -> tuple:
-    """Segment edges of a width-`width` range relative to its start.
+    """(start, end) of each segment of a width-`width` range, relative to its start.
 
     A plan's ranges within one pass share the width R, so each
     (width, splits) pair is computed once.
     """
     nseg = min(splits, width)
-    return tuple(np.round(np.linspace(0, width, nseg + 1)).astype(int).tolist())
+    edges = np.round(np.linspace(0, width, nseg + 1)).astype(int).tolist()
+    return tuple(zip(edges, edges[1:]))
 
 
 class FrequencyProfile:

@@ -17,8 +17,9 @@ from mmlsh.baselines import borda_aggregate, exact_knn_objects, point_knn_c2lsh
 from mmlsh.bench import RunConfig
 from mmlsh.buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                              SchedulerConfig, build_frequency_profile,
-                             profile_footprint, schedule_ns1, split_queries)
+                             profile_footprint, split_queries)
 
+from test_buffering import schedule_ns1, uniform_profile
 from test_lsh import reference_derive
 
 
@@ -194,7 +195,7 @@ def test_acceptance_6_strategy_neutrality():
             plan = []
             res = mmlsh.knn_objects(q, 5, idx, ds, gp, plan=plan)
             bench.replay_plans(strategy, [plan], idx, buf, [res.stats],
-                               SchedulerConfig(strategy=strategy))
+                               SchedulerConfig(strategy=strategy, profile=uniform_profile(idx.m)))
             answers.append(res.top_k)
         all_equal = all_equal and answers[0] == answers[1] == answers[2]
     report(6, "top-k sets and orders identical across NS1/NS2/MMLSH for 10 queries",

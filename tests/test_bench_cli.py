@@ -103,6 +103,15 @@ class TestRuns:
         assert c2 and all(r["or_gamma"] == float("inf") for r in c2)
         assert all(np.isfinite(r["or_gamma"]) for r in rows if r["method"] == "Linear-Borda")
 
+    def test_an_mmlsh_run_without_a_profile_is_refused(self, tmp_path, monkeypatch):
+        cfg, ds, index, _profile, queries, truth = prepared(tmp_path)
+        recorded = []
+        monkeypatch.setattr(bench, "record_query_plans",
+                            lambda *args: recorded.append(args) or ([], [], []))
+        with pytest.raises(ValueError, match="MMLSH needs a frequency profile"):
+            bench.run_mmlsh_queries(replace(cfg, strategy=MMLSH), ds, index, queries, truth)
+        assert not recorded  # refused before any query ran
+
     def test_buffer_sweep_covers_grid(self, tmp_path):
         cfg, ds, index, profile, queries, truth = prepared(tmp_path)
         rows = bench.run_buffer_sweep(cfg, ds, index, queries, truth, profile)
@@ -289,6 +298,7 @@ class TestCli:
         ("--alg-op-cost-ms", "nan", "alg_op_cost_ms must be finite and >= 0, got nan"),
         ("--alg-op-cost-ms", "-1", "alg_op_cost_ms must be finite and >= 0, got -1.0"),
         ("--num-queries", "0", "num_queries must be >= 1, got 0"),
+        ("--query-splits", "0", "query_splits must be >= 1, got 0"),
         ("--query-size", "-1", "query_size must be >= 1, got -1"),
         ("--query-size", "0", "query_size must be >= 1, got 0"),
     ])
@@ -306,6 +316,7 @@ class TestCli:
         (["--delta", "0.6"], "epsilon (0.5) must exceed delta (0.6)"),
         (["--gamma", "nan"], "gamma must be in (0, 1], got nan"),
         (["--beta", "1.0"], "beta must be in (0, 1), got 1.0"),
+        (["--query-splits", "0"], "query_splits must be >= 1, got 0"),
     ])
     def test_build_refuses_what_query_refuses(self, tmp_path, capsys, flags, message):
         cfg = tiny_config(tmp_path)

@@ -13,7 +13,21 @@ from mmlsh import bench, buffering
 from mmlsh.buffering import (_HEAP_SLACK, MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState,
                              CostModel, FrequencyProfile, QueryStats, SchedulerConfig, _Entry,
                              _MmlshEvictor, access_bucket, build_frequency_profile, evict_lru,
-                             profile_footprint, schedule_ns1, schedule_ns2, split_queries)
+                             profile_footprint, schedule_ns2, split_queries)
+
+
+def schedule_ns1(ranges):
+    """Oracle: NS1 orders whole query ranges left to right; ties keep query order.
+
+    ranges is a list of (query_index, lo, hi) bucket intervals.
+    """
+    return sorted(ranges, key=lambda r: (r[1], r[0]))
+
+
+def uniform_profile(projections):
+    """A profile that seeds every bucket's demand with 1, so admission leaves 0."""
+    return FrequencyProfile(edges=np.array([[0.0, 1.0]] * projections),
+                            means=np.ones((projections, 1)))
 
 
 class ReferenceLru:
@@ -119,7 +133,7 @@ def _seed_buffer(entries, capacity=10_000):
 
 
 def _evict_mmlsh(buf, current_bucket):
-    return _MmlshEvictor()(buf, current_bucket)
+    return _MmlshEvictor(uniform_profile(2))(buf, current_bucket)
 
 
 class TestMmlshEviction:
@@ -171,7 +185,7 @@ class TestMmlshEviction:
         access_bucket((0, 1, 0), 10, buf)  # tick 10
         access_bucket((0, 1, 5), 10, buf)  # a hit: resident order is now use order
         # at tick 12 the window is 2, so only (0, 1, 5) is old; both are far
-        access_bucket((1, 1, 0), 10, buf, _MmlshEvictor())
+        access_bucket((1, 1, 0), 10, buf, _MmlshEvictor(uniform_profile(2)))
         assert (0, 1, 5) not in buf and (0, 1, 0) in buf
 
     def test_profile_seeds_estimated_frequency(self):
@@ -265,7 +279,7 @@ def access_runs(draw):
             bucket = (bucket + int(rng.integers(0, 3))) % span
     sizes = {key: int(rng.integers(1, 61)) for key in sorted(set(accesses))}
     capacity = draw(st.integers(1, 300))
-    profile = None
+    profile = uniform_profile(projections)
     if draw(st.booleans()):
         regions = draw(st.integers(1, 4))
         edges = np.array([np.linspace(0, span, regions + 1)] * projections)
@@ -426,7 +440,8 @@ def oracle_replay_ns2(plans, index, buffer, stats_list):
         ranges = passes[(R, g)]
         ids, counts = index.occupied_buckets(g)
         ids, sizes = ids.tolist(), (counts * POINT_ID_BYTES).tolist()
-        schedule = oracle_schedule_ns2(bench._slices(ids, ranges))
+        schedule = oracle_schedule_ns2([(qi, bisect_left(ids, lo), bisect_left(ids, hi))
+                                        for qi, lo, hi in ranges])
         for i, consumers in schedule:
             access_bucket((g, R, ids[i]), sizes[i], buffer, evict_lru, stats_list[consumers[0]])
         for query_idx, _lo, _hi in ranges:
@@ -435,7 +450,7 @@ def oracle_replay_ns2(plans, index, buffer, stats_list):
 
 @st.composite
 def pass_plans(draw):
-    """Query plans over sparse occupied buckets, a profile or none, and a buffer size.
+    """Query plans over sparse occupied buckets, a drawn or uniform profile, and a buffer size.
 
     A pass's ranges overlap, so it revisits keys, interleaved under MMLSH's
     split order, and passes repeat within and across queries, so later ones
@@ -467,7 +482,7 @@ def pass_plans(draw):
              if any(lo <= b < hi for _qi, lo, hi in ranges)}
     smallest = POINT_ID_BYTES * min(min(counts) for _ids, counts in occupied.values())
     capacity = draw(st.integers(smallest, max(smallest, sum(sizes.values()))))
-    profile = None
+    profile = uniform_profile(projections)
     if draw(st.booleans()):
         regions = draw(st.integers(1, 4))
         means = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 7.25]),
@@ -512,13 +527,13 @@ class TestBulkHitReplay:
             index, capacity = run[0], run[2]
             sizes = {(g, b): POINT_ID_BYTES * count
                      for g, (ids, counts) in index.occupied.items() for b, count in zip(ids, counts)}
-            seen[strategy, run[3] is not None] += 1
+            seen[strategy, bool((run[3].means != 1).any())] += 1  # drawn or uniform demand
             seen["evictions"] += io.evictions
             seen["bypasses"] += sum(sizes[g, b] > capacity for _t, (g, _R, b), _h, _e in trace)
             seen["hit runs"] += sum(a[2] == b[2] == "hit" for a, b in zip(trace, trace[1:]))
 
         check()
-        # NS1 and MMLSH with and without a profile ran, evicting, bypassing and hitting in runs
+        # NS1 and MMLSH with drawn and uniform demands ran, evicting, bypassing and hitting in runs
         assert all(seen[s, p] > 0 for s in (NS1, MMLSH) for p in (False, True)), seen
         assert all(seen[name] > 1_000 for name in ("evictions", "bypasses", "hit runs")), seen
 
@@ -529,7 +544,7 @@ class TestBulkHitReplay:
            uses=st.integers(1, 3000))
     def test_one_subtraction_equals_single_clamped_decrements(self, demand, uses):
         bulk, single = _Entry(1, 0, demand), _Entry(1, 0, demand)
-        policy = _MmlshEvictor()
+        policy = _MmlshEvictor(uniform_profile(1))
         policy.use((0, 1, 0), bulk, uses)
         for _ in range(uses):
             policy.use((0, 1, 0), single)
@@ -609,8 +624,9 @@ class TestScheduling:
     RANGES = [(0, 5, 8), (1, 6, 9)]
 
     def test_ns1_orders_whole_ranges(self):
-        assert schedule_ns1(self.RANGES) == [(0, 5, 8), (1, 6, 9)]
-        assert schedule_ns1([(0, 9, 12), (1, 2, 5)]) == [(1, 2, 5), (0, 9, 12)]
+        ids = list(range(20))
+        assert split_queries(self.RANGES, 1, ids) == ([5, 6, 7, 6, 7, 8], 2)
+        assert split_queries([(0, 9, 12), (1, 2, 5)], 1, ids) == ([2, 3, 4, 9, 10, 11], 2)
 
     def test_ns2_each_bucket_once_with_consumers(self):
         buckets, first = schedule_ns2(np.array(self.RANGES, dtype=np.int64))

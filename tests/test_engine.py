@@ -13,6 +13,8 @@ from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, check_t1, check_t2,
                           count_collisions)
 from mmlsh.errors import ParameterError
 
+from test_buffering import uniform_profile
+
 
 def run_all_collisions(query, index, dataset, levels):
     """Drive count_collisions over every projection pass for levels 1, c, c^2, ..."""
@@ -220,7 +222,7 @@ class TestStrategyNeutrality:
         baseline = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp)
         for strategy in (NS1, NS2, MMLSH):
             buf = BufferState(capacity_bytes=10_000, cost=CostModel())
-            sched = SchedulerConfig(strategy=strategy)
+            sched = SchedulerConfig(strategy=strategy, profile=uniform_profile(small_index.m))
             plan = []
             res = mmlsh.knn_objects(q, 3, small_index, small_dataset, gp, plan=plan)
             bench.replay_plans(strategy, [plan], small_index, buf, [res.stats], sched)

@@ -7,6 +7,8 @@ counters around `bench.replay_plans`, so a call that bypassed them (or ran
 twice per miss, eviction or pass) would show here before it skewed a
 per-layer figure. Each miss goes through `access_bucket`; runs of hits are
 billed in bulk by `bill_hits`, so the wrapped attribute counts misses.
+NS1 and MMLSH order each pass with one `split_queries` call; NS2 schedules
+its batch without it.
 """
 
 from collections import Counter
@@ -74,12 +76,14 @@ def test_wrapped_attributes_count_every_access_and_eviction(monkeypatch, recorde
         assert calls["evict_mmlsh"] == io.evictions
         assert calls["evict_lru"] == 0
         assert calls["policy_builds"] == 1  # built by the replay's first eviction, then kept current
-        assert calls["split_queries"] == sum(len(plan) for plan in plans)  # once per pass
     else:
         assert calls["evict_lru"] == io.evictions
         assert calls["evict_mmlsh"] == 0
         assert calls["policy_builds"] == 0  # LRU replays never build the MMLSH policy
+    if strategy == NS2:
         assert calls["split_queries"] == 0
+    else:
+        assert calls["split_queries"] == sum(len(plan) for plan in plans)  # once per pass
 
 
 def test_a_scheduler_for_another_strategy_is_refused(recorded):
