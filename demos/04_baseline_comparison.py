@@ -33,14 +33,10 @@ for oid in query_ids:
                                   truth_dists[:len(result.top_k)])
     ratios["engine"].append(ratio)
 
-    for name, retrieve in (("linear-borda", point_knn_linear),
-                           ("c2lsh-borda", None)):
-        rankings = []
-        for p in query.coords:
-            if retrieve is None:
-                rankings.append(point_knn_c2lsh(p, index, dataset, k_prime)[0])
-            else:
-                rankings.append(retrieve(p, dataset, k_prime))
+    for name, rankings in (
+            ("linear-borda", point_knn_linear(query.coords, dataset, k_prime)),
+            ("c2lsh-borda", [point_knn_c2lsh(p, index, dataset, k_prime)[0]
+                             for p in query.coords])):
         top = borda_aggregate(rankings, dataset, k, k_prime)
         ranks = np.searchsorted(dataset.object_ids, [o for o, _ in top])
         dists = mmlsh.gamma_distances(query.coords, dataset, ranks, gp.gamma)

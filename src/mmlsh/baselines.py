@@ -52,9 +52,17 @@ def full_ranking(query: QueryObject, dataset: Dataset, gamma: float) -> GroundTr
 
 
 def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
-    """Exact Euclidean top-k' points by linear scan; returns (row, dist), ties by row."""
-    q = np.asarray(q_coords, dtype=np.float64).reshape(1, -1)
-    dists = cdist(q, dataset.coords.astype(np.float64))[0]
+    """Exact Euclidean top-k' points of each query point by linear scan.
+
+    `q_coords` is the (|Q|, d) query points. The dataset is widened to
+    float64 once and measured against every point in one `cdist` call.
+    Returns one list of (row, dist) per query point, ties by row.
+    """
+    q = np.asarray(q_coords, dtype=np.float64)
+    return [_nearest_rows(dists, k_prime) for dists in cdist(q, dataset.coords.astype(np.float64))]
+
+
+def _nearest_rows(dists: np.ndarray, k_prime: int) -> list:
     if 0 < k_prime < dists.size:
         # every row within the k'-th distance, ties included, in row order:
         # sorting these by distance, stably, is the full sort's prefix

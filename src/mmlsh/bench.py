@@ -422,7 +422,7 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
 
     def linear(q, k_prime):
         # exact point retrieval: no index, no buffer, modeled scan cost only
-        rankings = [point_knn_linear(p, dataset, k_prime) for p in q.coords]
+        rankings = point_knn_linear(q.coords, dataset, k_prime)
         return rankings, QueryStats(alg_ops=len(q.coords) * dataset.n), "", ""
 
     def c2lsh(q, k_prime):

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error, 3 data or format error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
@@ -73,7 +74,9 @@ def cmd_build(args) -> int:
     p = index.params
     print(f"dataset: n={dataset.n} S={dataset.num_objects} d={dataset.dimension}")
     print(f"derived: m={p.m} l={p.l} p1={p.p1:.6f} p2={p.p2:.6f} z={p.z:.6f}")
-    print(f"index written to {cfg.index_path}; frequency profile to {cfg.profile_path}")
+    size = os.path.getsize(cfg.index_path)
+    print(f"index written to {cfg.index_path} ({size:,} B, {size / (index.m * index.n):.2f} B "
+          f"per entry); frequency profile to {cfg.profile_path}")
     return 0
 
 

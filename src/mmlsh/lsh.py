@@ -6,12 +6,28 @@ Widening the search coalesces c^t consecutive base buckets per level instead
 of rebuilding anything (virtual rehashing), which is why the per-projection
 tables are kept sorted by base bucket id: a level-R bucket is a contiguous
 slice of the table.
+
+Index file format, version 2 (all integers and floats little-endian):
+
+    header   magic b"MMLSHIX2", version int32 = 2,
+             params (c int32, w, delta, beta, p1, p2, z float64, m, l int32),
+             seed int64, m, n, d int32,
+             a (m, d) float64, b (m,) float64
+    body     per projection g: the occupied-bucket count k int32, the k
+             ascending occupied base bucket ids int64, their point counts
+             int32, and the n dataset rows grouped by bucket int32
+    trailer  sha256 of everything before it
+
+So a point id costs 4 bytes on disk, as the buffer cost model charges.
+`load_index` rejects a file of another version and a body whose bucket
+table is malformed, and widens the tables back to (m, n) int64 in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -29,8 +45,17 @@ DEFAULT_C = 2
 # [qb*R, qb*R + R) fit in int64.
 BUCKET_LIMIT = 2 ** 62
 
-_MAGIC = b"MMLSHIX1"
-_VERSION = 1
+# m grows as ln(1/delta); beyond this many projections the parameters are refused
+MAX_PROJECTIONS = 1024
+
+_MAGIC_PREFIX = b"MMLSHIX"
+_VERSION = 2
+_MAGIC = _MAGIC_PREFIX + str(_VERSION).encode()
+_PARAMS = struct.Struct("<i6d2i")
+_SHAPE = struct.Struct("<q3i")
+_COUNT = struct.Struct("<i")
+_DIGEST_BYTES = 32
+MAX_ROWS = 2 ** 31 - 1  # point rows are stored as int32
 
 
 @dataclass(frozen=True)
@@ -85,6 +110,9 @@ def derive_params(delta: float, beta: float, c: int = DEFAULT_C, w: float = DEFA
         raise ParameterError(f"degenerate family: p1={p1} <= p2={p2} for c={c}, w={w}")
     z = math.sqrt(math.log(2.0 / beta) / math.log(1.0 / delta))
     m = math.ceil(math.log(1.0 / delta) / (2.0 * (p1 - p2) ** 2) * (1.0 + z) ** 2)
+    if m > MAX_PROJECTIONS:
+        raise ParameterError(f"delta={delta} and beta={beta} derive m={m} projections, more "
+                             f"than MAX_PROJECTIONS={MAX_PROJECTIONS}; raise delta or beta")
     alpha = (z * p1 + p2) / (1.0 + z)
     l = math.ceil(alpha * m)
     return LshParams(c=int(c), w=float(w), delta=float(delta), beta=float(beta),
@@ -134,7 +162,7 @@ class LshIndex:
     """
 
     def __init__(self, params: LshParams, a: np.ndarray, b: np.ndarray,
-                 buckets: np.ndarray, point_rows: np.ndarray, seed: int):
+                 buckets: np.ndarray, point_rows: np.ndarray, seed: int, occupied=None):
         self.params = params
         self.a = a                      # (m, d) projection vectors
         self.b = b                      # (m,) offsets
@@ -144,7 +172,8 @@ class LshIndex:
         self.m, self.n = buckets.shape
         self.bucket_lo = buckets[:, 0].copy() if self.n else np.zeros(self.m, np.int64)
         self.bucket_hi = buckets[:, -1].copy() if self.n else np.zeros(self.m, np.int64)
-        self._occupied = [None] * self.m
+        # per projection, (ids, counts) as occupied_buckets returns them, or None until asked
+        self._occupied = list(occupied) if occupied is not None else [None] * self.m
 
     @property
     def dimension(self) -> int:
@@ -215,65 +244,120 @@ def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:
     return LshIndex(params=params, a=a, b=b, buckets=buckets, point_rows=point_rows, seed=seed)
 
 
-def _params_bytes(p: LshParams) -> bytes:
-    return struct.pack("<i6d2i", p.c, p.w, p.delta, p.beta, p.p1, p.p2, p.z, p.m, p.l)
-
-
-def _params_from_bytes(raw: bytes) -> LshParams:
-    c, w, delta, beta, p1, p2, z, m, l = struct.unpack("<i6d2i", raw)
-    return LshParams(c=c, w=w, delta=delta, beta=beta, p1=p1, p2=p2, z=z, m=m, l=l)
-
-
 def save_index(index: LshIndex, path) -> None:
-    """Binary container: magic, version, params, seed, tables, sha256 trailer."""
-    header = _MAGIC + struct.pack("<i", _VERSION)
-    body = [
-        header,
-        _params_bytes(index.params),
-        struct.pack("<q3i", index.seed, index.m, index.n, index.dimension),
-        np.ascontiguousarray(index.a).tobytes(),
-        np.ascontiguousarray(index.b).tobytes(),
-        np.ascontiguousarray(index.buckets).tobytes(),
-        np.ascontiguousarray(index.point_rows).tobytes(),
-    ]
-    blob = b"".join(body)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(hashlib.sha256(blob).digest())
+    """Write `index` to `path` in format version 2 (see the module docstring).
+
+    The file is streamed one projection at a time through an incremental
+    sha256, whose digest is the trailer, so no copy of the whole file is
+    ever built. It is written to a temporary file next to `path` and then
+    renamed over it, so an interrupted save leaves any previous index whole.
+    An index of 2**31 points or more does not fit the int32 point rows and
+    is refused before anything is written.
+    """
+    if index.n > MAX_ROWS:
+        raise IndexFileError(f"n={index.n} points do not fit the index file's int32 point rows")
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            def put(chunk):
+                digest.update(chunk)
+                fh.write(chunk)
+
+            p = index.params
+            put(_MAGIC + _COUNT.pack(_VERSION))
+            put(_PARAMS.pack(p.c, p.w, p.delta, p.beta, p.p1, p.p2, p.z, p.m, p.l))
+            put(_SHAPE.pack(index.seed, index.m, index.n, index.dimension))
+            put(np.ascontiguousarray(index.a, dtype="<f8"))
+            put(np.ascontiguousarray(index.b, dtype="<f8"))
+            for g in range(index.m):
+                ids, counts = index.occupied_buckets(g)
+                put(_COUNT.pack(ids.size))
+                put(ids.astype("<i8"))
+                put(counts.astype("<i4"))
+                put(index.point_rows[g].astype("<i4"))
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_index(path) -> LshIndex:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_MAGIC) + 4 + 32:
+    """Read an index file of format version 2 (see the module docstring).
+
+    The checksum is checked first. Then each projection's bucket table is
+    checked and widened into preallocated (m, n) int64 tables: the occupied
+    ids ascending strictly within +-BUCKET_LIMIT, positive counts summing
+    to n, and rows forming a permutation of 0..n-1. Any other version or a
+    malformed table raises IndexFileError, so a bad file fails here and not
+    in a later search. The occupied buckets fill the index's cache.
+    """
+    blob = np.fromfile(path, dtype=np.uint8)
+    if blob.size < len(_MAGIC) + _COUNT.size + _DIGEST_BYTES:
         raise IndexFileError("file too short to be an index")
-    payload, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = blob[:-_DIGEST_BYTES]
+    if hashlib.sha256(payload).digest() != blob[-_DIGEST_BYTES:].tobytes():
         raise IndexFileError("checksum mismatch (truncated or corrupted index file)")
-    if payload[:8] != _MAGIC:
+    if payload[:len(_MAGIC_PREFIX)].tobytes() != _MAGIC_PREFIX:
         raise IndexFileError("bad magic bytes")
-    off = 8
-    (version,) = struct.unpack_from("<i", payload, off)
-    off += 4
-    if version != _VERSION:
+    (version,) = _COUNT.unpack_from(payload, len(_MAGIC))
+    if version != _VERSION or payload[:len(_MAGIC)].tobytes() != _MAGIC:
         raise IndexFileError(f"unsupported index version {version}")
-    psize = struct.calcsize("<i6d2i")
-    params = _params_from_bytes(payload[off:off + psize])
-    off += psize
-    seed, m, n, d = struct.unpack_from("<q3i", payload, off)
-    off += struct.calcsize("<q3i")
+    off = len(_MAGIC) + _COUNT.size
+
+    def span(nbytes):
+        nonlocal off
+        if off + nbytes > payload.size:
+            raise IndexFileError("index file ends early")
+        off += nbytes
+        return off - nbytes
+
+    def unpack(layout):
+        return layout.unpack_from(payload, span(layout.size))
 
     def take(count, dtype):
-        nonlocal off
-        nbytes = count * np.dtype(dtype).itemsize
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=off).copy()
-        off += nbytes
-        return arr
+        dtype = np.dtype(dtype)
+        return np.frombuffer(payload, dtype=dtype, count=count, offset=span(count * dtype.itemsize))
 
-    a = take(m * d, np.float64).reshape(m, d)
-    b = take(m, np.float64)
-    buckets = take(m * n, np.int64).reshape(m, n)
-    point_rows = take(m * n, np.int64).reshape(m, n)
-    if off != len(payload):
+    c, w, delta, beta, p1, p2, z, m, l = unpack(_PARAMS)
+    params = LshParams(c=c, w=w, delta=delta, beta=beta, p1=p1, p2=p2, z=z, m=m, l=l)
+    seed, m, n, d = unpack(_SHAPE)
+    if m != params.m or n < 1 or d < 1:
+        raise IndexFileError(f"shape m={m} n={n} d={d} does not fit the params (m={params.m})")
+    a = take(m * d, "<f8").reshape(m, d).astype(np.float64)
+    b = take(m, "<f8").astype(np.float64)
+    # each projection holds at least one bucket and n rows: check before allocating (m, n)
+    if off + m * (_COUNT.size + 12 + 4 * n) > payload.size:
+        raise IndexFileError("index file ends early")
+    buckets = np.empty((m, n), dtype=np.int64)
+    point_rows = np.empty((m, n), dtype=np.int64)
+    occupied = []
+    seen = np.empty(n, dtype=bool)
+    for g in range(m):
+        (k,) = unpack(_COUNT)
+        if not 1 <= k <= n:
+            raise IndexFileError(f"projection {g}: {k} occupied buckets for n={n} points")
+        ids, counts = take(k, "<i8"), take(k, "<i4").astype(np.int64)
+        if (np.any(ids[1:] <= ids[:-1]) or ids[0] < -BUCKET_LIMIT or ids[-1] > BUCKET_LIMIT):
+            raise IndexFileError(f"projection {g}: occupied bucket ids are not strictly "
+                                 f"ascending within +-2**62")
+        if counts.min() <= 0 or counts.sum() != n:
+            raise IndexFileError(f"projection {g}: bucket sizes are not positive counts "
+                                 f"summing to n={n}")
+        rows = point_rows[g]
+        rows[:] = take(n, "<i4")
+        if rows.min() < 0 or rows.max() >= n:
+            raise IndexFileError(f"projection {g}: a point row lies outside [0, {n})")
+        seen[:] = False
+        seen[rows] = True
+        if not seen.all():
+            raise IndexFileError(f"projection {g}: a point row appears twice")
+        buckets[g] = np.repeat(ids, counts)
+        occupied.append((ids.astype(np.int64), counts))
+    if off != payload.size:
         raise IndexFileError("trailing bytes in index file")
-    return LshIndex(params=params, a=a, b=b, buckets=buckets, point_rows=point_rows, seed=seed)
+    return LshIndex(params=params, a=a, b=b, buckets=buckets, point_rows=point_rows, seed=seed,
+                    occupied=occupied)

@@ -130,7 +130,7 @@ class TestPointKnnLinear:
     def test_matches_heap_oracle(self, small_dataset):
         rng = np.random.default_rng(12)
         q = rng.normal(size=small_dataset.dimension)
-        got = point_knn_linear(q, small_dataset, 10)
+        [got] = point_knn_linear(q[None], small_dataset, 10)
         scored = [(math.dist(q, p), row)
                   for row, p in enumerate(small_dataset.coords.astype(np.float64))]
         expected = heapq.nsmallest(10, scored)
@@ -140,7 +140,7 @@ class TestPointKnnLinear:
 
     def test_distances_ascending_and_ties_by_point_id(self, small_dataset):
         q = small_dataset.coords[0]
-        got = point_knn_linear(q, small_dataset, small_dataset.n)
+        [got] = point_knn_linear(q[None], small_dataset, small_dataset.n)
         dists = [d for _, d in got]
         assert dists == sorted(dists)
         for (p1, d1), (p2, d2) in zip(got, got[1:]):
@@ -162,8 +162,15 @@ class TestPointKnnLinear:
         k_prime = data.draw(st.integers(1, n + 2))
         dists = cdist(q.reshape(1, -1), coords.astype(np.float64))[0]
         order = np.argsort(dists, kind="stable")[:k_prime]
-        assert point_knn_linear(q, dataset, k_prime) == list(zip(order.tolist(),
-                                                                 dists[order].tolist()))
+        want = list(zip(order.tolist(), dists[order].tolist()))
+        assert point_knn_linear(q[None], dataset, k_prime) == [want]
+
+    def test_one_batched_scan_equals_one_scan_per_point(self, small_dataset):
+        """The (|Q|, d) call ranks each point exactly as a one-point call does."""
+        q = mmlsh.QueryObject.from_object(small_dataset, 3).coords
+        per_point = [point_knn_linear(p[None], small_dataset, 7)[0] for p in q]
+        assert len(q) > 1
+        assert point_knn_linear(q, small_dataset, 7) == per_point
 
 
 class TestPointKnnC2lsh:
@@ -194,7 +201,7 @@ class TestPointKnnC2lsh:
             row = int(rng.integers(0, synth200.n))
             q = synth200.coords[row].astype(np.float64)
             approx = point_knn_c2lsh(q, idx, synth200, k_prime=5)[0]
-            exact = point_knn_linear(q, synth200, 5)
+            [exact] = point_knn_linear(q[None], synth200, 5)
             ratios = [(ad if ed > 0 else 1.0) if ed == 0 else ad / ed
                       for (_, ad), (_, ed) in zip(approx, exact)]
             if all(r <= params.c + 1e-9 for r in ratios):

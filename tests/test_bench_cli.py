@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import mmlsh.bench as bench
+import mmlsh.lsh
 import mmlsh.cli as cli
 from mmlsh.baselines import full_ranking
 from mmlsh.bench import RunConfig, aggregate, choose_queries, ensure_ground_truth
@@ -234,6 +236,9 @@ class TestCli:
         assert cli.main(["build"] + args) == 0
         out = capsys.readouterr().out
         assert "derived: m=" in out
+        size = os.path.getsize(cfg.index_path)
+        index = mmlsh.lsh.load_index(cfg.index_path)
+        assert f"({size:,} B, {size / (index.m * index.n):.2f} B per entry)" in out
         assert cli.main(["query"] + args) == 0
         assert "mmLSH" in capsys.readouterr().out
         assert cli.main(["compare"] + args) == 0
@@ -324,6 +329,16 @@ class TestCli:
         for verb in ("build", "query"):
             assert cli.main([verb] + args) == 3
             assert f"error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(cfg.index_path)
+
+    def test_a_delta_that_derives_too_many_projections_exits_3(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        cfg = tiny_config(tmp_path)
+        monkeypatch.setattr(bench, "build_index", lambda *a, **kw: pytest.fail("hashed"))
+        args = ["--synth-objects", "30", "--synth-points", "6", "--synth-dim", "8",
+                "--delta", "1e-300", "--index", cfg.index_path, "--profile", cfg.profile_path]
+        assert cli.main(["build"] + args) == 3
+        assert "more than MAX_PROJECTIONS=1024" in capsys.readouterr().err
         assert not os.path.exists(cfg.index_path)
 
     def test_default_epsilon_is_checked_at_build(self, tmp_path, capsys):
@@ -421,6 +436,19 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["query"] + args) == 3
         assert "error: checksum mismatch" in capsys.readouterr().err
+
+    def test_index_of_another_format_version_exits_3(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        with open(cfg.index_path, "r+b") as fh:
+            raw = bytearray(fh.read())
+            raw[7:12] = b"1" + (1).to_bytes(4, "little")  # magic MMLSHIX1, version 1
+            fh.seek(0)
+            fh.write(raw[:-32] + hashlib.sha256(raw[:-32]).digest())
+        capsys.readouterr()
+        assert cli.main(["query"] + args) == 3
+        assert "error: unsupported index version 1" in capsys.readouterr().err
 
     def test_truncated_profile_exits_3(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

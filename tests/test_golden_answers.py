@@ -72,7 +72,7 @@ def test_full_ranking_and_knn_objects_match_golden(small_dataset, small_index):
 def test_borda_baselines_match_golden(small_dataset, small_index):
     for oid, (want_linear, want_c2lsh) in GOLDEN_BORDA.items():
         q = mmlsh.QueryObject.from_object(small_dataset, oid)
-        linear = [point_knn_linear(p, small_dataset, 10) for p in q.coords]
+        linear = point_knn_linear(q.coords, small_dataset, 10)
         c2lsh = [point_knn_c2lsh(p, small_index, small_dataset, 10)[0] for p in q.coords]
         assert linear[0][:3] == GOLDEN_POINT_HEAD[oid]
         assert c2lsh[0][:3] == GOLDEN_POINT_HEAD[oid]

@@ -1,6 +1,11 @@
+import builtins
+import errno
+import hashlib
 import math
 import os
+import struct
 import tempfile
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import mmlsh
-from mmlsh import bench
+from mmlsh import bench, lsh
 from mmlsh.buffering import MMLSH, NS1, BufferState, SchedulerConfig, build_frequency_profile
 from mmlsh.errors import IndexFileError, ParameterError
 
@@ -75,6 +80,18 @@ class TestDeriveParams:
             p = mmlsh.derive_params(delta, beta, 2, 2.184)
             assert p.l <= p.m
             assert p.p2 * p.m < p.l < p.p1 * p.m
+
+    def test_m_beyond_max_projections_is_refused(self, monkeypatch):
+        assert lsh.MAX_PROJECTIONS == 1024
+        assert mmlsh.derive_params(1e-20, 1e-3).m == 776
+        with pytest.raises(ParameterError, match="m=7180 projections, more than "
+                                                 "MAX_PROJECTIONS=1024"):
+            mmlsh.derive_params(1e-300, 1e-3)
+        monkeypatch.setattr(lsh, "MAX_PROJECTIONS", 776)
+        assert mmlsh.derive_params(1e-20, 1e-3).m == 776  # the bound itself is allowed
+        monkeypatch.setattr(lsh, "MAX_PROJECTIONS", 775)
+        with pytest.raises(ParameterError, match="m=776"):
+            mmlsh.derive_params(1e-20, 1e-3)
 
     def test_degenerate_family_rejected(self):
         with pytest.raises(ParameterError):
@@ -194,6 +211,194 @@ class TestHashPoints:
         gp = mmlsh.GammaParams(gamma=0.5, delta=0.3, beta=0.5, epsilon=0.6)
         res = mmlsh.knn_objects(mmlsh.QueryObject.from_object(ds, 4), 1, idx, ds, gp)
         assert res.object_ids == [4]
+
+
+V2_HEADER = 8 + 4 + 60 + 20  # magic, version, params, seed/m/n/d
+
+
+def split_v2(blob: bytes, m: int, n: int, d: int):
+    """The header and per-projection [ids, sizes, rows] of a v2 file, read by the layout spec."""
+    off = V2_HEADER + 8 * m * d + 8 * m
+    tables = []
+    for _ in range(m):
+        (k,) = struct.unpack_from("<i", blob, off)
+        ids = np.frombuffer(blob, "<i8", k, off + 4)
+        sizes = np.frombuffer(blob, "<i4", k, off + 4 + 8 * k)
+        rows = np.frombuffer(blob, "<i4", n, off + 4 + 12 * k)
+        tables.append([ids.copy(), sizes.copy(), rows.copy()])
+        off += 4 + 12 * k + 4 * n
+    assert off == len(blob) - 32
+    return blob[:V2_HEADER + 8 * m * d + 8 * m], tables
+
+
+def join_v2(header: bytes, tables, tail: bytes = b"") -> bytes:
+    """A v2 file from its sections, with a freshly computed valid sha256 trailer."""
+    body = header + b"".join(
+        struct.pack("<i", len(ids)) + np.asarray(ids, "<i8").tobytes()
+        + np.asarray(sizes, "<i4").tobytes() + np.asarray(rows, "<i4").tobytes()
+        for ids, sizes, rows in tables) + tail
+    return body + hashlib.sha256(body).digest()
+
+
+def v1_file(index) -> bytes:
+    """An index file in the retired version 1 layout: int64 buckets and rows, 16 B per entry."""
+    p = index.params
+    body = b"".join([b"MMLSHIX1", struct.pack("<i", 1),
+                     struct.pack("<i6d2i", p.c, p.w, p.delta, p.beta, p.p1, p.p2, p.z, p.m, p.l),
+                     struct.pack("<q3i", index.seed, index.m, index.n, index.dimension),
+                     index.a.tobytes(), index.b.tobytes(), index.buckets.tobytes(),
+                     index.point_rows.tobytes()])
+    return body + hashlib.sha256(body).digest()
+
+
+def _first_wide(tables):
+    """Index of the first projection with at least two occupied buckets."""
+    return next(g for g, (ids, _sizes, _rows) in enumerate(tables) if len(ids) >= 2)
+
+
+def _empty_bucket(tables):
+    g = _first_wide(tables)
+    tables[g][1][1] += tables[g][1][0]
+    tables[g][1][0] = 0
+
+
+def _unsorted_ids(tables):
+    g = _first_wide(tables)
+    tables[g][0][[0, 1]] = tables[g][0][[1, 0]]
+
+
+class TestFormatV2:
+    def test_file_size_follows_the_layout(self, small_index, tmp_path):
+        m, n, d = small_index.m, small_index.n, small_index.dimension
+        ks = [small_index.occupied_buckets(g)[0].size for g in range(m)]
+        want = 8 + 4 + 60 + 20 + 8 * m * d + 8 * m + sum(4 + 12 * k for k in ks) + 4 * m * n + 32
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        mmlsh.save_index(small_index, first)
+        mmlsh.save_index(small_index, second)
+        assert first.stat().st_size == want
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_sections_hold_the_bucket_tables(self, small_index, tmp_path):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        blob = path.read_bytes()
+        assert blob[:12] == b"MMLSHIX2" + struct.pack("<i", 2)
+        _header, tables = split_v2(blob, small_index.m, small_index.n, small_index.dimension)
+        loaded = mmlsh.load_index(path)
+        for g, (ids, sizes, rows) in enumerate(tables):
+            want_ids, want_sizes = np.unique(small_index.buckets[g], return_counts=True)
+            assert ids.tolist() == want_ids.tolist() and sizes.tolist() == want_sizes.tolist()
+            assert rows.tolist() == small_index.point_rows[g].tolist()
+            got_ids, got_sizes = loaded.occupied_buckets(g)
+            assert got_ids.dtype == got_sizes.dtype == np.int64
+            assert got_ids.tolist() == want_ids.tolist()
+            assert got_sizes.tolist() == want_sizes.tolist()
+        assert loaded.buckets.dtype == loaded.point_rows.dtype == np.int64
+
+    def test_the_test_parser_rewrites_a_saved_file_byte_for_byte(self, small_index, tmp_path):
+        """So the malformed files below differ from a saved one only in what they spoil."""
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        blob = path.read_bytes()
+        header, tables = split_v2(blob, small_index.m, small_index.n, small_index.dimension)
+        assert join_v2(header, tables) == blob
+
+    @pytest.mark.parametrize("spoil, message", [
+        (_empty_bucket, "bucket sizes are not positive counts summing to n"),
+        (lambda t: t[0][1].__setitem__(0, t[0][1][0] + 1),
+         "bucket sizes are not positive counts summing to n"),
+        (_unsorted_ids, "not strictly ascending"),
+        (lambda t: t[0][0].__setitem__(-1, 2 ** 62 + 1), "not strictly ascending"),
+        (lambda t: t[-1][2].__setitem__(0, len(t[-1][2])), "a point row lies outside"),
+        (lambda t: t[0][2].__setitem__(0, -1), "a point row lies outside"),
+        (lambda t: t[0][2].__setitem__(1, t[0][2][0]), "a point row appears twice"),
+    ], ids=["empty-bucket", "sizes-over-n", "unsorted-ids", "id-beyond-2**62", "row-n",
+            "row-negative", "row-twice"])
+    def test_a_malformed_bucket_table_fails_at_load(self, small_index, tmp_path, spoil,
+                                                    message):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        header, tables = split_v2(path.read_bytes(), small_index.m, small_index.n,
+                                  small_index.dimension)
+        spoil(tables)
+        path.write_bytes(join_v2(header, tables))
+        with pytest.raises(IndexFileError, match=message):
+            mmlsh.load_index(path)
+
+    def test_trailing_bytes_fail_at_load(self, small_index, tmp_path):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        header, tables = split_v2(path.read_bytes(), small_index.m, small_index.n,
+                                  small_index.dimension)
+        path.write_bytes(join_v2(header, tables, tail=b"\0" * 4))
+        with pytest.raises(IndexFileError, match="trailing bytes"):
+            mmlsh.load_index(path)
+
+    def test_a_cut_body_fails_at_load(self, small_index, tmp_path):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        header, tables = split_v2(path.read_bytes(), small_index.m, small_index.n,
+                                  small_index.dimension)
+        path.write_bytes(join_v2(header, tables[:-1]))
+        with pytest.raises(IndexFileError, match="ends early"):
+            mmlsh.load_index(path)
+
+    def test_a_point_count_beyond_the_body_fails_before_allocating(self, small_index,
+                                                                    tmp_path):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        header, tables = split_v2(path.read_bytes(), small_index.m, small_index.n,
+                                  small_index.dimension)
+        n_at = 8 + 4 + 60 + 8 + 4  # after magic, version, params, seed and m
+        header = header[:n_at] + struct.pack("<i", 2 ** 31 - 1) + header[n_at + 4:]
+        path.write_bytes(join_v2(header, tables))
+        with pytest.raises(IndexFileError, match="ends early"):
+            mmlsh.load_index(path)
+
+    def test_a_version_1_file_is_refused(self, small_index, tmp_path):
+        path = tmp_path / "idx.bin"
+        path.write_bytes(v1_file(small_index))
+        with pytest.raises(IndexFileError, match="unsupported index version 1"):
+            mmlsh.load_index(path)
+
+    def test_an_index_too_large_for_int32_rows_is_refused_before_writing(self, tmp_path):
+        huge = types.SimpleNamespace(n=2 ** 31, m=1, dimension=1)
+        path = tmp_path / "idx.bin"
+        with pytest.raises(IndexFileError, match="int32"):
+            mmlsh.save_index(huge, path)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_failed_save_leaves_the_previous_index_whole(self, small_index, tmp_path,
+                                                           monkeypatch):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes 100 bytes, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 100
+
+            def write(self, chunk):
+                size = memoryview(chunk).nbytes
+                if size > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= size
+                return self.fh.write(chunk)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(lsh, "open", lambda p, mode: FullDisk(builtins.open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            mmlsh.save_index(small_index, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["idx.bin"]
 
 
 class TestOccupiedBuckets:
