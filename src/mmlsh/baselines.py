@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
 # perfbench/harness.py wraps `baselines.gamma_distance` by name, so it stays importable
-from .similarity import gamma_distance, gamma_distances  # noqa: F401
+from .similarity import gamma_distance, gamma_distances, rows_within_kth  # noqa: F401
 
 
 _KEY_PREFIX = "# key: "  # first line of a keyed ground-truth cache
@@ -54,24 +54,37 @@ def full_ranking(query: QueryObject, dataset: Dataset, gamma: float) -> GroundTr
 def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
     """Exact Euclidean top-k' points of each query point by linear scan.
 
-    `q_coords` is the (|Q|, d) query points. The dataset is widened to
-    float64 once and measured against every point in one `cdist` call.
-    Returns one list of (row, dist) per query point, ties by row.
+    `q_coords` is the (|Q|, d) query points. One float32 product against
+    every point narrows each query point's rows to those that may be among
+    its k' nearest, ties included (`similarity.rows_within_kth`), and `cdist`
+    measures those exactly. When the product cannot narrow them, the dataset
+    is widened to float64 and measured against every point in one `cdist`
+    call. Returns one list of (row, dist) per query point, ties by row.
     """
     q = np.asarray(q_coords, dtype=np.float64)
-    return [_nearest_rows(dists, k_prime) for dists in cdist(q, dataset.coords.astype(np.float64))]
+    kept = rows_within_kth(q, dataset.coords, k_prime) if 0 < k_prime < dataset.n else None
+    if kept is None:
+        return [_nearest_rows(dists, k_prime)
+                for dists in cdist(q, dataset.coords.astype(np.float64))]
+    return [_nearest_rows(cdist(p[None], dataset.coords[rows].astype(np.float64))[0], k_prime, rows)
+            for p, rows in zip(q, kept)]
 
 
-def _nearest_rows(dists: np.ndarray, k_prime: int) -> list:
+def _nearest_rows(dists: np.ndarray, k_prime: int, rows=None) -> list:
+    """(row, dist) of the k' smallest distances, ties by row.
+
+    dists[i] is the distance of row rows[i] (default i); rows ascend.
+    """
     if 0 < k_prime < dists.size:
         # every row within the k'-th distance, ties included, in row order:
         # sorting these by distance, stably, is the full sort's prefix
         kth = dists[np.argpartition(dists, k_prime - 1)[k_prime - 1]]
-        rows = np.flatnonzero(dists <= kth)
+        keep = np.flatnonzero(dists <= kth)
     else:
-        rows = np.arange(dists.size)
-    order = rows[np.argsort(dists[rows], kind="stable")][:k_prime]
-    return list(zip(order.tolist(), dists[order].tolist()))
+        keep = np.arange(dists.size)
+    order = keep[np.argsort(dists[keep], kind="stable")][:k_prime]
+    ids = order if rows is None else rows[order]
+    return list(zip(ids.tolist(), dists[order].tolist()))
 
 
 def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,

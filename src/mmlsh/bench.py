@@ -95,6 +95,8 @@ class RunConfig:
         if not (math.isfinite(self.alg_op_cost_ms) and self.alg_op_cost_ms >= 0):
             raise ParameterError(f"alg_op_cost_ms must be finite and >= 0, "
                                  f"got {self.alg_op_cost_ms!r}")
+        if self.k < 1:
+            raise ParameterError(f"k must be >= 1, got {self.k!r}")
         if self.num_queries < 1:
             raise ParameterError(f"num_queries must be >= 1, got {self.num_queries!r}")
         if self.query_splits < 1:

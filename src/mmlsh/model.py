@@ -198,5 +198,9 @@ def synth_dataset(S: int, points_per_object: int, d: int, cluster_spread: float,
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(S, d))
     noise = rng.normal(0.0, cluster_spread, size=(S * points_per_object, d))
-    coords = (np.repeat(centers, points_per_object, axis=0) + noise).astype(np.float32)
+    # each object's center added in place: the same float64 sums as
+    # repeat(centers) + noise, without two more (n, d) float64 arrays
+    blocks = noise.reshape(S, points_per_object, d)  # a view of the noise
+    blocks += centers[:, None, :]
+    coords = noise.astype(np.float32)
     return Dataset(coords, np.repeat(np.arange(S), points_per_object))

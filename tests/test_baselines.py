@@ -1,5 +1,9 @@
 import heapq
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import mmlsh
-from mmlsh import bench
+from mmlsh import baselines, bench
 from mmlsh.baselines import (GroundTruth, borda_aggregate, exact_knn_objects, full_ranking,
                              load_ground_truth, point_knn_c2lsh, point_knn_linear,
                              save_ground_truth)
@@ -165,12 +169,67 @@ class TestPointKnnLinear:
         want = list(zip(order.tolist(), dists[order].tolist()))
         assert point_knn_linear(q[None], dataset, k_prime) == [want]
 
+    @pytest.mark.parametrize("k_prime", [1, 3, 7, 11, 29])
+    def test_ties_at_the_k_prime_th_distance_resolve_by_row(self, k_prime, monkeypatch):
+        """Every row twice, shuffled: the k'-th and (k'+1)-th distances tie for odd k'."""
+        rng = np.random.default_rng(21)
+        base = rng.normal(size=(20, 5)).astype(np.float32)
+        coords = base[rng.permutation(np.repeat(np.arange(20), 2))]
+        dataset = mmlsh.Dataset(coords, np.arange(40) % 3)
+        q = rng.normal(size=(2, 5)).astype(np.float32)
+        narrowed = []
+        rows_within_kth = baselines.rows_within_kth
+
+        def recording(*args):
+            narrowed.append(rows_within_kth(*args))
+            return narrowed[-1]
+
+        monkeypatch.setattr(baselines, "rows_within_kth", recording)
+        got = point_knn_linear(q, dataset, k_prime)
+        assert narrowed and narrowed[0] is not None  # the product narrowed the scan
+        dists = cdist(q.astype(np.float64), coords.astype(np.float64))
+        for row, want_dists in zip(got, dists):
+            tied = np.sort(want_dists)
+            assert tied[k_prime - 1] == tied[k_prime]
+            order = np.argsort(want_dists, kind="stable")[:k_prime]
+            assert row == list(zip(order.tolist(), want_dists[order].tolist()))
+
     def test_one_batched_scan_equals_one_scan_per_point(self, small_dataset):
         """The (|Q|, d) call ranks each point exactly as a one-point call does."""
         q = mmlsh.QueryObject.from_object(small_dataset, 3).coords
         per_point = [point_knn_linear(p[None], small_dataset, 7)[0] for p in q]
         assert len(q) > 1
         assert point_knn_linear(q, small_dataset, 7) == per_point
+
+
+THREAD_PROBE = """
+import hashlib
+import mmlsh
+from mmlsh.baselines import full_ranking, point_knn_linear
+dataset = mmlsh.synth_dataset(300, 40, 32, 0.15, seed=3)
+digest = hashlib.sha256()
+for oid in (0, 7, 150):
+    q = mmlsh.QueryObject.from_object(dataset, oid)
+    truth = full_ranking(q, dataset, 0.9)
+    digest.update(repr((truth.object_ids, truth.distances)).encode())
+    digest.update(repr(point_knn_linear(q.coords, dataset, 50)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_answers_do_not_depend_on_the_blas_thread_count():
+    """The product's rounding may vary with BLAS threads; the exact answers must not."""
+    src = str(Path(mmlsh.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].strip()) == 64
 
 
 class TestPointKnnC2lsh:

@@ -322,6 +322,7 @@ class TestCli:
         (["--gamma", "nan"], "gamma must be in (0, 1], got nan"),
         (["--beta", "1.0"], "beta must be in (0, 1), got 1.0"),
         (["--query-splits", "0"], "query_splits must be >= 1, got 0"),
+        (["--k", "0"], "k must be >= 1, got 0"),
     ])
     def test_build_refuses_what_query_refuses(self, tmp_path, capsys, flags, message):
         cfg = tiny_config(tmp_path)

@@ -238,3 +238,20 @@ def test_synth_noise_in_one_draw_is_bit_identical(S, points_per_object, d, seed)
     want = reference_synth_coords(S, points_per_object, d, 0.15, seed)
     assert np.array_equal(ds.coords.view(np.uint32), want.view(np.uint32))
     assert ds.point_object_index.tolist() == [j for j in range(S) for _ in range(points_per_object)]
+
+
+def repeated_centers_fingerprint(S, points_per_object, d, cluster_spread, seed) -> str:
+    """The fingerprint of `repeat(centers) + noise`, the generator's earlier expression."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(S, d))
+    noise = rng.normal(0.0, cluster_spread, size=(S * points_per_object, d))
+    coords = (np.repeat(centers, points_per_object, axis=0) + noise).astype(np.float32)
+    return reference_fingerprint(coords, np.repeat(np.arange(S), points_per_object))
+
+
+@pytest.mark.parametrize("S, points_per_object, d, spread, seed", [(200, 20, 32, 0.1, 0),
+                                                                   (1000, 100, 32, 0.15, 9)])
+def test_synth_centers_added_in_place_keep_the_fingerprint(S, points_per_object, d, spread,
+                                                           seed):
+    ds = mmlsh.synth_dataset(S, points_per_object, d, spread, seed)
+    assert ds.fingerprint() == repeated_centers_fingerprint(S, points_per_object, d, spread, seed)

@@ -1,9 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.distance import cdist
 
 import mmlsh
 from mmlsh import similarity
@@ -141,51 +141,102 @@ def per_object_gamma_distances(q, dataset, ranks, gamma):
                                           gamma) for r in ranks], dtype=np.float64)
 
 
+KINDS = ("plain", "duplicates", "far", "huge")  # the float32 product falls back on the last two
+
+
 @st.composite
 def ragged_case(draw):
-    """A dataset of ragged objects with shuffled, non-contiguous owners, and a query."""
+    """A dataset of ragged objects with shuffled, non-contiguous owners, a query, and its kind.
+
+    - plain: normal clouds at a scale from 1e-3 to 1e3;
+    - duplicates: the same, with repeated rows and query points that are data
+      points, so exact ties fall on the order statistic;
+    - far: clouds at offset 1e4 with spread 1e-3;
+    - huge: coordinates of 1e20 to 1e36, whose squares overflow float32.
+    """
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
     ids = draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=len(sizes),
                         max_size=len(sizes), unique=True))
     d = draw(st.integers(1, 5))
     q_size = draw(st.integers(1, 7))
-    scale = draw(st.floats(1e-3, 1e3))
+    kind = draw(st.sampled_from(KINDS))
+    scale = draw(st.floats(1e-3, 1e3) if kind in ("plain", "duplicates") else
+                 st.just(1e-3) if kind == "far" else st.floats(1e20, 1e36))
+    offset = 1e4 if kind == "far" else 0.0
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     owners = rng.permutation(np.repeat(ids, sizes))
-    dataset = mmlsh.Dataset(rng.normal(size=(len(owners), d)) * scale, owners)
-    q = (rng.normal(size=(q_size, d)) * scale).astype(np.float32)
+    coords = offset + rng.normal(size=(len(owners), d)) * scale
+    q = offset + rng.normal(size=(q_size, d)) * scale
+    if kind == "duplicates":
+        n = len(coords)
+        coords[rng.integers(0, n, n)] = coords[rng.integers(0, n, n)]
+        q[:(q_size + 1) // 2] = coords[rng.integers(0, n, (q_size + 1) // 2)]
+    dataset = mmlsh.Dataset(coords, owners)
     gamma = draw(st.sampled_from([1e-9, 0.5, 1.0]) | st.floats(1e-9, 1.0))
     ranks = draw(st.lists(st.integers(0, len(sizes) - 1), max_size=30))
-    return q, dataset, ranks, gamma
+    return q.astype(np.float32), dataset, ranks, gamma, kind
+
+
+def spy(name):
+    """Patch similarity.<name> with a mock that counts calls and still runs it."""
+    return mock.patch.object(similarity, name, wraps=getattr(similarity, name))
 
 
 class TestGammaDistances:
     """The batched kernel equals one `gamma_distance` per object, bit for bit."""
 
     @given(ragged_case())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_equals_per_object_gamma_distance(self, case):
-        q, dataset, ranks, gamma = case
-        got = mmlsh.gamma_distances(q, dataset, ranks, gamma)
+        q, dataset, ranks, gamma, kind = case
+        with spy("_cdist_block") as fallback:
+            got = mmlsh.gamma_distances(q, dataset, ranks, gamma)
         want = per_object_gamma_distances(q, dataset, ranks, gamma)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        if kind in ("far", "huge") and ranks:
+            assert fallback.called
+
+    def test_clustered_objects_take_the_product_path(self):
+        dataset = mmlsh.synth_dataset(60, 15, 8, 0.1, seed=4)
+        q = mmlsh.QueryObject.from_object(dataset, 11).coords
+        ranks = np.arange(dataset.num_objects)
+        with spy("_cdist_block") as fallback, spy("_select_in_window") as window:
+            got = mmlsh.gamma_distances(q, dataset, ranks, 0.7)
+        assert window.called and not fallback.called
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, ranks, 0.7).tobytes()
+
+    def test_a_query_float32_does_not_hold_runs_cdist(self):
+        dataset = mmlsh.synth_dataset(20, 10, 4, 0.1, seed=6)
+        q = np.random.default_rng(6).normal(size=(5, 4))  # float64 values
+        with spy("_cdist_block") as fallback, spy("_select_in_window") as window:
+            got = mmlsh.gamma_distances(q, dataset, np.arange(20), 0.5)
+        assert fallback.called and not window.called
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, np.arange(20),
+                                                           0.5).tobytes()
 
     def test_one_size_group_over_several_blocks(self, monkeypatch):
         rng = np.random.default_rng(8)
-        owners = rng.permutation(np.repeat(np.arange(40, 0, -2), 3))  # 20 objects of 3 points
-        dataset = mmlsh.Dataset(rng.normal(size=(60, 4)), owners)
-        q = rng.normal(size=(2, 4))
+        owners = rng.permutation(np.repeat(np.arange(40, 0, -2), 10))  # 20 objects of 10 points
+        dataset = mmlsh.Dataset(rng.normal(size=(200, 4)), owners)
+        q = rng.normal(size=(4, 4)).astype(np.float32)
         ranks = rng.integers(0, 20, size=25)
-        calls = []
+        blocks = []
+        block_gamma_distances = similarity._block_gamma_distances
 
-        def counting_cdist(a, b):
-            calls.append(len(b))
-            return cdist(a, b)
+        def recording_block(q, q32, x, size, gamma):
+            blocks.append(np.array(x))
+            return block_gamma_distances(q, q32, x, size, gamma)
 
-        monkeypatch.setattr(similarity, "BLOCK_PAIRS", 13)  # two objects of 6 pairs
-        monkeypatch.setattr(similarity, "cdist", counting_cdist)
-        got = mmlsh.gamma_distances(q, dataset, ranks, 0.4)
-        assert calls == [6] * 12 + [3]  # 25 objects of one size, two per block
+        monkeypatch.setattr(similarity, "BLOCK_PAIRS", 81)  # two objects of 40 pairs
+        monkeypatch.setattr(similarity, "_block_gamma_distances", recording_block)
+        with spy("_select_in_window") as window:
+            got = mmlsh.gamma_distances(q, dataset, ranks, 0.4)
+        assert window.call_count == len(blocks)
+        # the blocks tile the group: in order, two objects each, every asked object once
+        assert [len(x) for x in blocks] == [20] * 12 + [10]
+        want_rows = np.concatenate([dataset.object_coords(int(dataset.object_ids[r]))
+                                    for r in ranks])
+        assert np.array_equal(np.concatenate(blocks), want_rows)
         want = per_object_gamma_distances(q, dataset, ranks, 0.4)
         assert got.tobytes() == want.tobytes()
 
