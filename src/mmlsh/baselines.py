@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .lsh import LshIndex, level_cap, reach_range
+from .lsh import LshIndex, level_cap, reach_range, replacing
 from .model import Dataset, QueryObject
 # perfbench/harness.py wraps `baselines.gamma_distance` by name, so it stays importable
 from .similarity import gamma_distance, gamma_distances, rows_within_kth  # noqa: F401
@@ -88,15 +88,14 @@ def _nearest_rows(dists: np.ndarray, k_prime: int, rows=None) -> list:
 
 
 def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
-                    beta_n: float | None = None, max_levels: int | None = None,
                     stats=None, plan: list | None = None):
     """Approximate top-k' points by collision counting with virtual rehashing.
 
     Point-level analog of the object search: a point becomes a candidate once
     its collision count reaches l; the scan stops when k' candidates are
     verified within c*R at a level start, or when k' + beta*n candidates
-    exist, or after `max_levels` levels (default: `level_cap(c)`). Returns
-    ((row, dist) list, complete flag), ties by row.
+    exist, or after `level_cap(c)` levels. Returns ((row, dist) list,
+    complete flag), ties by row.
 
     A QueryStats collects collision increments and algorithm operations. A
     `plan` list collects every executed pass as (projection g, level R,
@@ -111,9 +110,6 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     q = np.asarray(q_coords, dtype=np.float64)
     params = index.params
     n = index.n
-    allowed_fp = beta_n if beta_n is not None else params.beta * n
-    if max_levels is None:
-        max_levels = level_cap(params.c)
     counts = np.zeros(n, dtype=np.int32)
     q_base = index.hash_query(q)
     lo_cov = np.full(index.m, np.iinfo(np.int64).max, dtype=np.int64)
@@ -134,12 +130,11 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
         return list(zip(rows.tolist(), dists[rows].tolist()))
 
     R = 1
-    num_iter = 1
-    for _ in range(max_levels):
+    for _ in range(level_cap(params.c)):
         cand_rows = candidates()
         if cand_rows.size and np.count_nonzero(dists[cand_rows] <= params.c * R) >= k_prime:
             return ranked(cand_rows), True
-        if cand_rows.size >= k_prime + allowed_fp:
+        if cand_rows.size >= k_prime + params.beta * n:
             return ranked(cand_rows), True
         covered = bool(np.all(
             (reach_lo >= reach_hi) | ((lo_cov <= reach_lo) & (hi_cov >= reach_hi))))
@@ -166,8 +161,7 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
                         stats.collision_increments += rows.size
                         stats.alg_ops += rows.size
             lo_cov[g], hi_cov[g] = lo, hi
-        R = params.c ** num_iter
-        num_iter += 1
+        R *= params.c
     result = ranked(candidates())
     return result, len(result) >= k_prime
 
@@ -198,8 +192,10 @@ def save_ground_truth(truths: list, path, key: str | None = None) -> None:
 
     A `key` naming what the rankings were computed for is written as a
     leading `# key: ...` comment line; `ground_truth_key` reads it back.
+    It is written through `lsh.replacing`, so an interrupted save leaves any
+    previous cache whole.
     """
-    with open(path, "w", newline="") as fh:
+    with replacing(path, "w", newline="") as fh:
         if key is not None:
             fh.write(f"{_KEY_PREFIX}{key}\n")
         writer = csv.writer(fh)
@@ -210,15 +206,19 @@ def save_ground_truth(truths: list, path, key: str | None = None) -> None:
 
 
 def load_ground_truth(path) -> dict:
-    """Load a ground-truth cache back into {query_object_id: GroundTruth}."""
+    """Load a ground-truth cache back into {query_object_id: GroundTruth}.
+
+    A row that does not parse, or that the end of the file cuts short, raises ValueError.
+    """
     by_query = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            qid = int(row["query_object_id"])
-            entry = by_query.setdefault(qid, GroundTruth(qid, [], []))
-            entry.object_ids.append(int(row["object_id"]))
-            entry.distances.append(float(row["gamma_distance"]))
+        lines = [line for line in fh if not line.startswith("#")]
+    if lines and not lines[-1].endswith("\n"):
+        raise ValueError(f"{path}: the ground truth ends inside a row")
+    for qid, _rank, oid, dist in csv.reader(lines[1:]):  # below the header
+        entry = by_query.setdefault(int(qid), GroundTruth(int(qid), [], []))
+        entry.object_ids.append(int(oid))
+        entry.distances.append(float(dist))
     return by_query
 
 

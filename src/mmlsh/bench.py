@@ -189,16 +189,23 @@ def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
     """Load the exact-ranking cache, computing and saving it when absent or stale.
 
     The cache is keyed on gamma and the dataset's fingerprint: a cache
-    written for another gamma or dataset is recomputed and overwritten.
+    written for another gamma or dataset is recomputed and overwritten, as
+    is one that is not text, has a row that does not parse or has a query
+    ranking that does not hold every object.
     """
     key = f"gamma={cfg.gamma!r} dataset={dataset.fingerprint()}"
-    if (os.path.exists(cfg.groundtruth_path)
-            and ground_truth_key(cfg.groundtruth_path) == key):
-        cached = load_ground_truth(cfg.groundtruth_path)
-        if all(q.object_id in cached for q in queries):
-            return cached
+    path = cfg.groundtruth_path
+    try:
+        cached = (load_ground_truth(path)
+                  if os.path.exists(path) and ground_truth_key(path) == key else None)
+    except ValueError:  # UnicodeDecodeError included
+        cached = None
+    if cached is not None and all(
+            q.object_id in cached and len(cached[q.object_id].object_ids) == dataset.num_objects
+            for q in queries):
+        return cached
     truths = [full_ranking(q, dataset, cfg.gamma) for q in queries]
-    save_ground_truth(truths, cfg.groundtruth_path, key=key)
+    save_ground_truth(truths, path, key=key)
     return {gt.query_object_id: gt for gt in truths}
 
 

@@ -53,6 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ProfileFileError
+from .lsh import replacing
 
 NS1 = "NS1"
 NS2 = "NS2"
@@ -497,7 +498,9 @@ class FrequencyProfile:
         return self._mean_lists[g][self.region_of(g, bucket)]
 
     def save(self, path):
-        np.savez(path, edges=self.edges, means=self.means)
+        """Write the profile to `path` itself: `np.savez` given a name would append .npz."""
+        with replacing(path) as fh:
+            np.savez(fh, edges=self.edges, means=self.means)
 
     @classmethod
     def load(cls, path):

@@ -10,7 +10,8 @@ the search stops when either
 * T1 — at least k + beta * S candidates exist (checked after each projection
   pass), or
 * T2 — at the start of a level, at least k candidates have exact object
-  distance <= c * R.
+  distance <= c * R. Candidates are measured by the ground truth's batched
+  kernel, `similarity.gamma_distances`: each once, by one call per check.
 
 The search charges no IO. It fills the collision and operation counts of
 its `QueryStats` and records every executed (projection, level, ranges) pass
@@ -31,7 +32,8 @@ from .buffering import QueryStats
 from .errors import ParameterError
 from .lsh import LshIndex, level_cap, reach_range
 from .model import Dataset, QueryObject
-from .similarity import GammaParams, gamma_distance
+# perfbench/harness.py wraps `engine.gamma_distance` by name, so it stays importable
+from .similarity import GammaParams, gamma_distance, gamma_distances  # noqa: F401
 
 T1 = "T1"
 T2 = "T2"
@@ -84,14 +86,12 @@ class CollisionState:
     """
 
     def __init__(self, q_count: int, index: LshIndex, dataset: Dataset):
-        self.q_count = q_count
         self.counts = np.zeros((q_count, dataset.n), dtype=np.min_scalar_type(index.m))
         self.qualifying_pairs = np.zeros(dataset.num_objects, dtype=np.int64)
         self.pair_totals = q_count * dataset.object_sizes
         # covered base-bucket interval per (query point, projection); empty at start
         self.cov_lo = np.full((q_count, index.m), np.iinfo(np.int64).max, dtype=np.int64)
         self.cov_hi = np.full((q_count, index.m), np.iinfo(np.int64).min, dtype=np.int64)
-        self.num_iter = 1
 
     @property
     def ci(self) -> np.ndarray:
@@ -156,8 +156,7 @@ def check_t1(cl_count: int, k: int, beta: float, S: int) -> bool:
 
 def check_t2(candidate_dists, k: int, c_radius: float) -> bool:
     """T2: at least k candidates verified within distance c*R."""
-    within = sum(1 for d in candidate_dists if d <= c_radius)
-    return within >= k
+    return bool(np.count_nonzero(np.asarray(candidate_dists) <= c_radius) >= k)
 
 
 def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
@@ -171,10 +170,12 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     is exhausted before k candidates appear, the partial result is flagged.
 
     The exact object distance is only ever computed for candidates, never for
-    the full database. The returned stats hold collision increments and
-    algorithm operations, but no IO or modeled time: a `plan` list collects
-    every executed pass as (projection g, level R, ranges), and
-    `bench.replay_plans` charges it under any strategy and buffer size.
+    the full database: each T2 check and the final ranking measure their new
+    candidates by one `gamma_distances` call. The returned stats hold
+    collision increments and algorithm operations, but no IO or modeled
+    time: a `plan` list collects every executed pass as (projection g,
+    level R, ranges), and `bench.replay_plans` charges it under any strategy
+    and buffer size.
     `ranges` is a (|Q|, 3) int64 array whose row qi is (qi, lo, hi): query
     point qi's level-R bucket, the base-bucket interval [lo, hi).
     """
@@ -200,25 +201,22 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     reach_lo, reach_hi = reach_range(index, q_base)
     point_index = np.arange(q_count)
 
-    gdist_cache: dict[int, float] = {}
+    dists = np.full(S, np.nan)  # an object's exact distance, once it is verified
 
-    def exact_dist(rank: int) -> float:
-        if rank not in gdist_cache:
-            oid = int(dataset.object_ids[rank])
-            gdist_cache[rank] = gamma_distance(query.coords, dataset.object_coords(oid), gparams.gamma)
-        return gdist_cache[rank]
-
-    def top_candidates(limit: int):
-        mask = state.candidate_mask(gparams)
-        ranked = sorted(
-            ((exact_dist(r), int(dataset.object_ids[r])) for r in np.nonzero(mask)[0]),
-            key=lambda t: (t[0], t[1]))
-        return [(oid, d) for d, oid in ranked[:limit]]
+    def verified(ranks):
+        """Fill in the distances `ranks` lack, by one batched kernel call."""
+        new = ranks[np.isnan(dists[ranks])]
+        if new.size:
+            dists[new] = gamma_distances(query.coords, dataset, new, gparams.gamma)
+        return dists[ranks]
 
     def finish(stop, levels, complete=True):
-        top = top_candidates(k)
-        return QueryResult(top_k=top, stop_condition=stop, levels_used=levels,
-                           complete=complete and len(top) >= min(k, S),
+        ranks = np.flatnonzero(state.candidate_mask(gparams))
+        # ranks ascend with object id, so a stable sort breaks ties by id
+        top = ranks[np.argsort(verified(ranks), kind="stable")[:k]]
+        top_k = list(zip(dataset.object_ids[top].tolist(), dists[top].tolist()))
+        return QueryResult(top_k=top_k, stop_condition=stop, levels_used=levels,
+                           complete=complete and len(top_k) >= min(k, S),
                            stats=stats, bound_warning=bound_warning,
                            gamma_min_bound=bound)
 
@@ -226,22 +224,17 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     levels_done = 0
     while True:
         # T2 at the start of each level: k candidates verified within c*R
-        mask = state.candidate_mask(gparams)
-        cand_ranks = np.nonzero(mask)[0]
-        if cand_ranks.size >= k:
-            dists = [exact_dist(int(r)) for r in cand_ranks]
-            if check_t2(dists, k, c * R):
-                return finish(T2, levels_done)
+        cand_ranks = np.flatnonzero(state.candidate_mask(gparams))
+        if cand_ranks.size >= k and check_t2(verified(cand_ranks), k, c * R):
+            return finish(T2, levels_done)
 
         # every (query point, projection) covered as far as it can ever reach?
         covered = (reach_lo >= reach_hi) | (
             (state.cov_lo <= reach_lo) & (state.cov_hi >= reach_hi))
         exhausted = bool(np.all(covered))
         if exhausted or levels_done >= max_levels:
-            cl = int(np.count_nonzero(state.candidate_mask(gparams)))
-            if cl >= k:
-                return finish(T2, levels_done)
-            return finish(EXHAUSTED, levels_done, complete=False)
+            enough = int(np.count_nonzero(state.candidate_mask(gparams))) >= k
+            return finish(T2 if enough else EXHAUSTED, levels_done, complete=enough)
 
         for g in range(m):
             inc = count_collisions(q_base[:, g], g, R, index, dataset, state)
@@ -260,5 +253,4 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
                 return finish(T1, levels_done + 1)
 
         levels_done += 1
-        R = c ** state.num_iter
-        state.num_iter += 1
+        R *= c

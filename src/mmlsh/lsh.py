@@ -25,6 +25,7 @@ table is malformed, and widens the tables back to (m, n) int64 in memory.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -249,35 +250,44 @@ def save_index(index: LshIndex, path) -> None:
 
     The file is streamed one projection at a time through an incremental
     sha256, whose digest is the trailer, so no copy of the whole file is
-    ever built. It is written to a temporary file next to `path` and then
-    renamed over it, so an interrupted save leaves any previous index whole.
+    ever built. It is written through `replacing`, so an interrupted save
+    leaves any previous index whole.
     An index of 2**31 points or more does not fit the int32 point rows and
     is refused before anything is written.
     """
     if index.n > MAX_ROWS:
         raise IndexFileError(f"n={index.n} points do not fit the index file's int32 point rows")
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
     digest = hashlib.sha256()
-    try:
-        with open(tmp, "wb") as fh:
-            def put(chunk):
-                digest.update(chunk)
-                fh.write(chunk)
+    with replacing(path) as fh:
+        def put(chunk):
+            digest.update(chunk)
+            fh.write(chunk)
 
-            p = index.params
-            put(_MAGIC + _COUNT.pack(_VERSION))
-            put(_PARAMS.pack(p.c, p.w, p.delta, p.beta, p.p1, p.p2, p.z, p.m, p.l))
-            put(_SHAPE.pack(index.seed, index.m, index.n, index.dimension))
-            put(np.ascontiguousarray(index.a, dtype="<f8"))
-            put(np.ascontiguousarray(index.b, dtype="<f8"))
-            for g in range(index.m):
-                ids, counts = index.occupied_buckets(g)
-                put(_COUNT.pack(ids.size))
-                put(ids.astype("<i8"))
-                put(counts.astype("<i4"))
-                put(index.point_rows[g].astype("<i4"))
-            fh.write(digest.digest())
+        p = index.params
+        put(_MAGIC + _COUNT.pack(_VERSION))
+        put(_PARAMS.pack(p.c, p.w, p.delta, p.beta, p.p1, p.p2, p.z, p.m, p.l))
+        put(_SHAPE.pack(index.seed, index.m, index.n, index.dimension))
+        put(np.ascontiguousarray(index.a, dtype="<f8"))
+        put(np.ascontiguousarray(index.b, dtype="<f8"))
+        for g in range(index.m):
+            ids, counts = index.occupied_buckets(g)
+            put(_COUNT.pack(ids.size))
+            put(ids.astype("<i8"))
+            put(counts.astype("<i4"))
+            put(index.point_rows[g].astype("<i4"))
+        fh.write(digest.digest())
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **open_args):
+    """Open a temporary file next to `path`; once the block succeeds, rename it over `path`.
+
+    A failed or interrupted write leaves any previous file whole and no temporary file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -115,20 +115,13 @@ def load_feature_file(path) -> np.ndarray:
     if d < 1:
         raise FeatureFileError(f"record 0 declares non-positive dimension {d}")
     stride = d + 1
-    if raw.size % stride:
-        # truncated tail or a record with a different dimension; locate it
-        off, idx = 0, 0
-        while off + stride <= raw.size and raw[off] == d:
-            off += stride
-            idx += 1
-        got = int(raw[off]) if off < raw.size else None
-        raise FeatureFileError(f"record {idx} malformed (declared dim {got}, expected {d})")
-    table = raw.reshape(-1, stride)
-    bad = np.nonzero(table[:, 0] != d)[0]
-    if bad.size:
-        raise FeatureFileError(
-            f"record {int(bad[0])} malformed (declared dim {int(table[bad[0], 0])}, expected {d})"
-        )
+    whole = raw.size // stride
+    table = raw[:whole * stride].reshape(-1, stride)
+    bad = np.flatnonzero(table[:, 0] != d)
+    if bad.size or raw.size % stride:  # the first record of another dimension, or a cut tail
+        idx = int(bad[0]) if bad.size else whole
+        raise FeatureFileError(f"record {idx} malformed (declared dim {int(raw[idx * stride])}, "
+                               f"expected {d})")
     coords = table[:, 1:].copy().view("<f4")
     bad = _first_non_finite(coords)
     if bad is not None:

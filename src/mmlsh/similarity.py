@@ -308,12 +308,6 @@ def object_ratio(returned_dists, truth_dists) -> tuple[float, bool]:
     tru = np.asarray(truth_dists, dtype=np.float64)
     if ret.shape != tru.shape or ret.ndim != 1 or ret.size == 0:
         raise ValueError("expected two equal-length non-empty distance lists")
-    flagged = False
-    terms = np.empty_like(ret)
-    for i in range(ret.size):
-        if tru[i] == 0.0:
-            flagged = True
-            terms[i] = 1.0 if ret[i] == 0.0 else math.inf
-        else:
-            terms[i] = ret[i] / tru[i]
-    return float(np.mean(terms)), flagged
+    zero = tru == 0.0
+    terms = np.where(zero, np.where(ret == 0.0, 1.0, math.inf), ret / np.where(zero, 1.0, tru))
+    return float(np.mean(terms)), bool(zero.any())

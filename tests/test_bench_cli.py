@@ -543,3 +543,43 @@ class TestCli:
         args = self._common(cfg)
         assert cli.main(["groundtruth"] + args) == 0
         assert "ground truth for 3 queries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spoil", ["short row", "cut at a row", "cut inside a row",
+                                       "not text"])
+    def test_a_damaged_groundtruth_cache_is_recomputed(self, tmp_path, capsys, spoil):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        assert cli.main(["groundtruth"] + args) == 0
+        with open(cfg.groundtruth_path, "rb") as fh:
+            whole = fh.read()
+        lines = whole.splitlines(keepends=True)  # key, header, 3 queries x 20 objects
+        if spoil == "short row":
+            lines[5] = b",".join(lines[5].split(b",")[:2]) + b"\r\n"
+            damaged = b"".join(lines)
+        elif spoil == "cut at a row":  # the last query's ranking is 5 objects short
+            damaged = b"".join(lines[:-5])
+        elif spoil == "cut inside a row":  # the last distance loses two digits but still parses
+            damaged = whole[:-4]
+        else:
+            damaged = b"\xff" + whole
+        for verb in ("groundtruth", "query"):
+            with open(cfg.groundtruth_path, "wb") as fh:
+                fh.write(damaged)
+            capsys.readouterr()
+            assert cli.main([verb] + args) == 0
+            assert capsys.readouterr().err == ""
+            with open(cfg.groundtruth_path, "rb") as fh:
+                assert fh.read() == whole
+        assert sorted(os.listdir(tmp_path)) == ["t.gt.csv", "t.index", "t.profile.npz",
+                                                "t.report.csv"]
+
+    def test_a_profile_path_without_a_suffix_is_the_file_written(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, profile_path=str(tmp_path / "prof"))
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        assert os.path.exists(cfg.profile_path)
+        assert not os.path.exists(cfg.profile_path + ".npz")
+        capsys.readouterr()
+        assert cli.main(["query"] + args + ["--strategy", MMLSH]) == 0
+        assert "MMLSH" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,41 @@ class TestKnnObjects:
         q = mmlsh.QueryObject(object_id=0, coords=np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="dimension"):
             mmlsh.knn_objects(q, 1, small_index, small_dataset, self.GP)
+
+
+class TestVerificationProperties:
+    """The top-k is ordered by (distance, object id), each distance an exact `gamma_distance`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), objects=st.integers(1, 5), copies=st.integers(1, 3),
+           points=st.integers(1, 4), d=st.integers(1, 4), k=st.integers(1, 10),
+           gamma=st.sampled_from([0.2, 0.5, 1.0]), spread=st.floats(0.05, 1.0))
+    def test_ties_break_by_id_and_distances_are_exact(self, seed, objects, copies, points, d,
+                                                      k, gamma, spread):
+        # every object `copies` times under distinct, shuffled ids: copies tie exactly
+        base = mmlsh.synth_dataset(objects, points, d, spread, seed)
+        rng = np.random.default_rng(seed)
+        ids = 3 * rng.permutation(objects * copies) + 7
+        copy_of = np.repeat(np.arange(copies), base.n)
+        owners = ids[copy_of * objects + np.tile(base.point_object_index, copies)]
+        # ids[j::objects] are the copies of base object j
+        ds = mmlsh.Dataset(np.tile(base.coords, (copies, 1)), owners)
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=2), seed)
+        q = mmlsh.QueryObject.from_object(ds, int(rng.choice(ds.object_ids)))
+        gp = mmlsh.GammaParams(gamma=gamma, delta=0.25, beta=0.5, epsilon=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # gamma below the guarantee bound
+            res = mmlsh.knn_objects(q, k, index, ds, gp)
+
+        assert res.top_k == sorted(res.top_k, key=lambda t: (t[1], t[0]))
+        for oid, dist in res.top_k:
+            assert dist == mmlsh.gamma_distance(q.coords, ds.object_coords(oid), gamma)
+        # a copy collides and measures as its original does, so it is a
+        # candidate too: every copy with a lower id must precede it
+        returned = set(res.object_ids)
+        for oid in returned:
+            j = int(np.flatnonzero(ids == oid)[0]) % objects
+            assert {t for t in ids[j::objects].tolist() if t < oid} <= returned
 
 
 class TestStrategyNeutrality:
