@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import os
@@ -28,7 +29,8 @@ def same_plan(got, want) -> bool:
         for (g1, R1, r1), (g2, R2, r2) in zip(got, want))
 
 
-def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, stats=None, plan=None):
+def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, max_levels=None,
+                              stats=None, plan=None):
     """`point_knn_c2lsh` as it was with a full `cdist` to every point: the oracle."""
     q = np.asarray(q_coords, dtype=np.float64)
     params = index.params
@@ -49,7 +51,9 @@ def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, stats=None, pla
 
     R = 1
     num_iter = 1
-    for _ in range(level_cap(params.c)):
+    if max_levels is None:
+        max_levels = level_cap(params.c)
+    for _ in range(max_levels):
         cand_rows = np.nonzero(counts >= params.l)[0]
         if cand_rows.size and np.count_nonzero(dists[cand_rows] <= params.c * R) >= k_prime:
             return ranked_candidates()[:k_prime], True
@@ -279,18 +283,28 @@ class TestPointKnnC2lsh:
         assert (stats.buffer_hits, stats.buffer_misses, stats.bytes_read, stats.io_ms) == (
             io.buffer_hits, io.buffer_misses, io.bytes_read, io.io_ms)
 
-    @pytest.mark.parametrize("k_prime", [3, 10, 50, 400])
-    def test_matches_full_cdist_oracle(self, synth200, k_prime):
-        """Distances only for candidates give the full-`cdist` search's result bit for bit."""
+    @pytest.mark.parametrize("k_prime, beta_n, max_levels",
+                             [(3, None, None), (10, 0.0, None), (50, None, 4), (400, 0.0, None),
+                              (400, 0.0, 1)])
+    def test_matches_full_cdist_oracle(self, synth200, monkeypatch, k_prime, beta_n, max_levels):
+        """Distances only for candidates give the full-`cdist` search's result bit for bit.
+
+        A `beta_n` sets the allowed false positives beta*n through the index's beta; a
+        `max_levels` caps the rehashing levels, so the scan can end before k' candidates.
+        """
         params = mmlsh.derive_params(0.1, 0.05, 2, 2.184)
         idx = mmlsh.build_index(synth200, params, seed=3)
+        if beta_n is not None:
+            idx.params = dataclasses.replace(params, beta=beta_n / idx.n)
+        if max_levels is not None:
+            monkeypatch.setattr(baselines, "level_cap", lambda c: max_levels)
         rng = np.random.default_rng(k_prime)
         for row in rng.integers(0, synth200.n, size=4).tolist():
             q = synth200.coords[row].astype(np.float64) + rng.normal(
                 scale=0.5, size=synth200.dimension)
             got_stats, want_stats, got_plan, want_plan = QueryStats(), QueryStats(), [], []
             got = point_knn_c2lsh(q, idx, synth200, k_prime, stats=got_stats, plan=got_plan)
-            want = reference_point_knn_c2lsh(q, idx, synth200, k_prime,
+            want = reference_point_knn_c2lsh(q, idx, synth200, k_prime, max_levels,
                                              stats=want_stats, plan=want_plan)
             assert got == want
             assert got_stats == want_stats and same_plan(got_plan, want_plan)
