@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .engine import CollisionState, check_t1, check_t2, count_collisions
 from .lsh import LshIndex, level_cap, reach_range, replacing
 from .model import Dataset, QueryObject
 # perfbench/harness.py wraps `baselines.gamma_distance` by name, so it stays importable
@@ -88,82 +89,71 @@ def _nearest_rows(dists: np.ndarray, k_prime: int, rows=None) -> list:
 
 
 def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
-                    stats=None, plan: list | None = None):
-    """Approximate top-k' points by collision counting with virtual rehashing.
+                    stats=None, plan: list | None = None) -> list:
+    """Approximate top-k' points of each query point by collision counting with virtual rehashing.
 
-    Point-level analog of the object search: a point becomes a candidate once
-    its collision count reaches l; the scan stops when k' candidates are
-    verified within c*R at a level start, or when k' + beta*n candidates
-    exist, or after `level_cap(c)` levels. Returns ((row, dist) list,
-    complete flag), ties by row.
+    `q_coords` is the (|Q|, d) points of one query object. Each point runs
+    the point-level analog of the object search: a row is its candidate once
+    their collision count reaches l, and at a level start the point stops
+    when k' candidates are verified within c*R, when k' + beta*n candidates
+    exist, when it is covered as far as it can reach, or after
+    `level_cap(c)` levels. The points still searching are the rows of one
+    `CollisionState`; each projection pass is one `count_collisions` call
+    over them. Returns one (ranking, complete) per point: the (row, dist)
+    list of its k' nearest candidates, ties by row, and whether it holds k'.
 
-    A QueryStats collects collision increments and algorithm operations. A
-    `plan` list collects every executed pass as (projection g, level R,
-    ranges) in the shape `knn_objects` records, so `bench.replay_plans` can
-    charge the baseline's modeled IO like the object engine's: `ranges` is a
-    (1, 3) int64 array holding the one row (0, lo, hi), the query point's
-    level-R bucket [lo, hi). It is a row view of one (m, 3) array per level.
-
-    Only candidates need a distance: a row's is computed once, at the first
-    check after its count reaches l.
+    A QueryStats collects the increments and algorithm operations. A `plan`
+    list collects every pass as (projection g, level R, ranges) in the shape
+    `knn_objects` records, so `bench.replay_plans` can charge it: `ranges`
+    is a (1, 3) int64 array holding the one row (0, lo, hi), the point's
+    level-R bucket [lo, hi). Each point's passes follow the previous
+    point's. A row's distance is computed once, when it first is a candidate.
     """
     q = np.asarray(q_coords, dtype=np.float64)
-    params = index.params
-    n = index.n
-    counts = np.zeros(n, dtype=np.int32)
-    q_base = index.hash_query(q)
-    lo_cov = np.full(index.m, np.iinfo(np.int64).max, dtype=np.int64)
-    hi_cov = np.full(index.m, np.iinfo(np.int64).min, dtype=np.int64)
+    params, n, q_count = index.params, index.n, len(q)
+    # each point is hashed alone, as a search for that point alone hashes it
+    q_base = np.array([index.hash_query(p) for p in q]).reshape(q_count, index.m)
     reach_lo, reach_hi = reach_range(index, q_base)
+    state = CollisionState(q_count, index, dataset)
+    active = np.arange(q_count)  # state row j counts for query point active[j]
+    dists = np.full((q_count, n), np.nan)  # a row's distance, once it is a candidate
+    results = [None] * q_count
+    passes = [[] for _ in range(q_count)]
 
-    dists = np.full(n, np.nan)  # a row's distance, once it is a candidate
-
-    def candidates():
-        rows = np.nonzero(counts >= params.l)[0]
-        new = rows[np.isnan(dists[rows])]
-        if new.size:
-            dists[new] = cdist(q.reshape(1, -1), dataset.coords[new].astype(np.float64))[0]
-        return rows
-
-    def ranked(rows):
-        rows = rows[np.argsort(dists[rows], kind="stable")][:k_prime]
-        return list(zip(rows.tolist(), dists[rows].tolist()))
-
-    R = 1
-    for _ in range(level_cap(params.c)):
-        cand_rows = candidates()
-        if cand_rows.size and np.count_nonzero(dists[cand_rows] <= params.c * R) >= k_prime:
-            return ranked(cand_rows), True
-        if cand_rows.size >= k_prime + params.beta * n:
-            return ranked(cand_rows), True
-        covered = bool(np.all(
-            (reach_lo >= reach_hi) | ((lo_cov <= reach_lo) & (hi_cov >= reach_hi))))
-        if covered:
-            break
-        # the level's bucket [qb*R, qb*R + R) in every projection, as plan rows (0, lo, hi)
-        level = np.zeros((index.m, 3), dtype=np.int64)
-        level[:, 1] = np.floor_divide(q_base, R) * R
-        level[:, 2] = level[:, 1] + R
-        for g, (lo, hi) in enumerate(level[:, 1:].tolist()):
-            if plan is not None:
-                plan.append((g, R, level[g:g + 1]))
-            if lo_cov[g] > hi_cov[g]:
-                segments = [(lo, hi)]
+    R, last = 1, level_cap(params.c)
+    for level in range(last + 1):
+        covered = state.covered(reach_lo[active], reach_hi[active])
+        searching = []
+        for j, i in enumerate(active.tolist()):
+            rows = np.flatnonzero(state.counts[j] >= params.l)
+            d = dists[i]
+            new = rows[np.isnan(d[rows])]
+            if new.size:
+                d[new] = cdist(q[i:i + 1], dataset.coords[new].astype(np.float64))[0]
+            if (level == last or covered[j] or check_t1(rows.size, k_prime, params.beta, n)
+                    or rows.size and check_t2(d[rows], k_prime, params.c * R)):
+                ranking = _nearest_rows(d[rows], k_prime, rows)
+                results[i] = (ranking, len(ranking) >= k_prime)
             else:
-                segments = [(lo, int(lo_cov[g])), (int(hi_cov[g]), hi)]
-            for s0, s1 in segments:
-                s0 = max(s0, int(index.bucket_lo[g]))
-                s1 = min(s1, int(index.bucket_hi[g]) + 1)
-                if s0 < s1:
-                    rows = index.range_rows(g, s0, s1)
-                    counts[rows] += 1
-                    if stats is not None:
-                        stats.collision_increments += rows.size
-                        stats.alg_ops += rows.size
-            lo_cov[g], hi_cov[g] = lo, hi
+                searching.append(j)
+        state.keep(searching)
+        active = active[searching]
+        if not active.size:
+            break
+        q_level = q_base[active]
+        for g in range(index.m):
+            inc = count_collisions(q_level[:, g], g, R, index, dataset, state)
+            if stats is not None:
+                stats.collision_increments += inc
+                stats.alg_ops += inc
+        if plan is not None:  # counting left each point's level-R buckets as its coverage
+            level_rows = np.stack((np.zeros_like(state.cov_lo), state.cov_lo, state.cov_hi), 2)
+            for j, i in enumerate(active.tolist()):
+                passes[i] += [(g, R, level_rows[j, g:g + 1]) for g in range(index.m)]
         R *= params.c
-    result = ranked(candidates())
-    return result, len(result) >= k_prime
+    if plan is not None:
+        plan += [p for point_passes in passes for p in point_passes]
+    return results
 
 
 def borda_aggregate(per_point_rankings, dataset: Dataset, k: int, k_prime: int | None = None) -> list:

@@ -95,14 +95,13 @@ class RunConfig:
         if not (math.isfinite(self.alg_op_cost_ms) and self.alg_op_cost_ms >= 0):
             raise ParameterError(f"alg_op_cost_ms must be finite and >= 0, "
                                  f"got {self.alg_op_cost_ms!r}")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k!r}")
-        if self.num_queries < 1:
-            raise ParameterError(f"num_queries must be >= 1, got {self.num_queries!r}")
-        if self.query_splits < 1:
-            raise ParameterError(f"query_splits must be >= 1, got {self.query_splits!r}")
+        for name in ("k", "num_queries", "query_splits"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.query_size is not None and self.query_size < 1:
             raise ParameterError(f"query_size must be >= 1, got {self.query_size!r}")
+        if not 0 <= self.seed < 2 ** 63:  # the index file stores the seed as int64
+            raise ParameterError(f"seed must be in [0, 2**63), got {self.seed!r}")
         # refuse here what a query would refuse; an unset beta resolves per
         # dataset to a value in (0, 1), so any valid one stands in for it
         GammaParams(gamma=self.gamma, delta=self.delta,
@@ -437,8 +436,8 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
     def c2lsh(q, k_prime):
         stats = QueryStats()
         plan: list = []
-        rankings = [point_knn_c2lsh(p, index, dataset, k_prime, stats=stats, plan=plan)[0]
-                    for p in q.coords]
+        rankings = [ranking for ranking, _complete in
+                    point_knn_c2lsh(q.coords, index, dataset, k_prime, stats=stats, plan=plan)]
         # the query object's point searches share one buffer, read in order
         replay_plans(NS1, [plan], index, BufferState(int(cfg.buffer_mb * MB), CostModel()),
                      [stats], SchedulerConfig(strategy=NS1))

@@ -102,6 +102,16 @@ class CollisionState:
         """Gamma-candidacy per object: collision index >= (1 - epsilon) * gamma."""
         return self.ci >= gparams.candidate_threshold
 
+    def covered(self, reach_lo: np.ndarray, reach_hi: np.ndarray) -> np.ndarray:
+        """Per query point, whether each projection is covered as far as `reach_range` reaches."""
+        return np.all((reach_lo >= reach_hi)
+                      | ((self.cov_lo <= reach_lo) & (self.cov_hi >= reach_hi)), axis=1)
+
+    def keep(self, points) -> None:
+        """Count for the query points at `points` only; `ci` is stale afterwards."""
+        self.counts, self.cov_lo, self.cov_hi = (
+            a[points] for a in (self.counts, self.cov_lo, self.cov_hi))
+
 
 def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
                      dataset: Dataset, state: CollisionState) -> int:
@@ -115,6 +125,8 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
     narrow dtype. Afterwards `state.cov_lo[:, g]` / `cov_hi[:, g]` hold
     each point's level-R interval. A pair reaching l collisions adds one
     qualifying pair to its object. Returns the number of increments.
+    The object search and `baselines.point_knn_c2lsh` both count through
+    this kernel, which reads the table by one `range_rows` call per pass.
     """
     q_count = len(q_bucket_col)
     qb = q_bucket_col if R == 1 else np.floor_divide(q_bucket_col, R)
@@ -126,11 +138,9 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
     # (with an empty second segment) for a point not yet covered
     seg_lo = np.concatenate((lo, np.where(fresh, hi, old_hi)))
     seg_hi = np.concatenate((np.where(fresh, hi, old_lo), hi))
-    bounds = np.searchsorted(index.buckets[g], np.concatenate((seg_lo, seg_hi)), side="left")
-    starts, stops = bounds[:2 * q_count], bounds[2 * q_count:]
+    table, starts, stops = index.range_rows(g, seg_lo, seg_hi)
     nonempty = np.flatnonzero(stops > starts)
 
-    table = index.point_rows[g]
     crossing_count = index.params.l - 1
     owner = dataset.point_object_index
     incremented = 0
@@ -229,9 +239,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             return finish(T2, levels_done)
 
         # every (query point, projection) covered as far as it can ever reach?
-        covered = (reach_lo >= reach_hi) | (
-            (state.cov_lo <= reach_lo) & (state.cov_hi >= reach_hi))
-        exhausted = bool(np.all(covered))
+        exhausted = bool(np.all(state.covered(reach_lo, reach_hi)))
         if exhausted or levels_done >= max_levels:
             enough = int(np.count_nonzero(state.candidate_mask(gparams))) >= k
             return finish(T2 if enough else EXHAUSTED, levels_done, complete=enough)

@@ -76,8 +76,8 @@ class LshParams:
             raise ParameterError(f"need p1 > p2, got p1={self.p1}, p2={self.p2}")
         if not 1 <= self.l <= self.m:
             raise ParameterError(f"need 1 <= l <= m, got l={self.l}, m={self.m}")
-        if self.c < 2:
-            raise ParameterError("approximation ratio c must be an integer >= 2")
+        if not 2 <= self.c < 2 ** 31:  # the index file stores c as int32
+            raise ParameterError(f"approximation ratio c must be an integer in [2, 2**31), got {self.c}")
 
 
 def collision_probability(s: float, w: float) -> float:
@@ -192,12 +192,13 @@ class LshIndex:
         return all(np.array_equal(hashed[rows, g], col)
                    for g, (rows, col) in enumerate(zip(self.point_rows, self.buckets)))
 
-    def range_rows(self, g: int, lo: int, hi: int):
-        """Dataset rows whose base bucket in projection g lies in [lo, hi)."""
-        col = self.buckets[g]
-        i0 = int(np.searchsorted(col, lo, side="left"))
-        i1 = int(np.searchsorted(col, hi, side="left"))
-        return self.point_rows[g, i0:i1]
+    def range_rows(self, g: int, lo: np.ndarray, hi: np.ndarray):
+        """(rows, starts, stops), where rows[starts[j]:stops[j]] are the rows in bucket range j.
+
+        Range j is [lo[j], hi[j]) of projection g, empty if hi[j] <= lo[j]; `rows` is the table.
+        """
+        bounds = np.searchsorted(self.buckets[g], np.concatenate((lo, hi)), side="left")
+        return self.point_rows[g], bounds[:len(lo)], bounds[len(lo):]
 
     def bucket_sizes(self, g: int, lo: int, hi: int) -> np.ndarray:
         """Point count of every base bucket id in [lo, hi) of projection g."""

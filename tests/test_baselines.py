@@ -76,7 +76,8 @@ def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, max_levels=None
                 s0 = max(s0, int(index.bucket_lo[g]))
                 s1 = min(s1, int(index.bucket_hi[g]) + 1)
                 if s0 < s1:
-                    rows = index.range_rows(g, s0, s1)
+                    rows = index.point_rows[g][np.searchsorted(index.buckets[g], s0):
+                                               np.searchsorted(index.buckets[g], s1)]
                     counts[rows] += 1
                     if stats is not None:
                         stats.collision_increments += rows.size
@@ -245,7 +246,7 @@ class TestPointKnnC2lsh:
             target = int(rng.integers(0, synth200.n))
             q = synth200.coords[target].astype(np.float64) + rng.normal(
                 scale=1e-3, size=synth200.dimension)
-            ranking, complete = point_knn_c2lsh(q, idx, synth200, k_prime=10)
+            [(ranking, complete)] = point_knn_c2lsh(q[None], idx, synth200, k_prime=10)
             assert complete
             if target in [pid for pid, _ in ranking]:
                 found += 1
@@ -260,7 +261,7 @@ class TestPointKnnC2lsh:
         for _ in range(queries):
             row = int(rng.integers(0, synth200.n))
             q = synth200.coords[row].astype(np.float64)
-            approx = point_knn_c2lsh(q, idx, synth200, k_prime=5)[0]
+            [(approx, _complete)] = point_knn_c2lsh(q[None], idx, synth200, k_prime=5)
             [exact] = point_knn_linear(q[None], synth200, 5)
             ratios = [(ad if ed > 0 else 1.0) if ed == 0 else ad / ed
                       for (_, ad), (_, ed) in zip(approx, exact)]
@@ -273,8 +274,8 @@ class TestPointKnnC2lsh:
         buf = BufferState(capacity_bytes=5000)
         stats = QueryStats()
         plan = []
-        ranking, complete = point_knn_c2lsh(q, small_index, small_dataset, k_prime=3,
-                                            stats=stats, plan=plan)
+        [(ranking, complete)] = point_knn_c2lsh(q[None], small_index, small_dataset, k_prime=3,
+                                                stats=stats, plan=plan)
         bench.replay_plans(NS1, [plan], small_index, buf, [stats], SchedulerConfig(strategy=NS1))
         assert complete and len(ranking) == 3
         assert stats.buffer_misses > 0
@@ -303,11 +304,49 @@ class TestPointKnnC2lsh:
             q = synth200.coords[row].astype(np.float64) + rng.normal(
                 scale=0.5, size=synth200.dimension)
             got_stats, want_stats, got_plan, want_plan = QueryStats(), QueryStats(), [], []
-            got = point_knn_c2lsh(q, idx, synth200, k_prime, stats=got_stats, plan=got_plan)
+            [got] = point_knn_c2lsh(q[None], idx, synth200, k_prime, stats=got_stats, plan=got_plan)
             want = reference_point_knn_c2lsh(q, idx, synth200, k_prime, max_levels,
                                              stats=want_stats, plan=want_plan)
             assert got == want
             assert got_stats == want_stats and same_plan(got_plan, want_plan)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), objects=st.integers(1, 6), points=st.integers(1, 6),
+           beta=st.sampled_from([0.0, 0.1, 0.5]),
+           kinds=st.lists(st.sampled_from(["row", "noisy", "copy", "far"]), min_size=1,
+                          max_size=8),
+           data=st.data())
+    def test_batched_search_equals_the_per_point_oracle(self, seed, objects, points, beta,
+                                                        kinds, data):
+        """One call per query object gives each point's one-point answer, stats and plan.
+
+        The points stop at different levels: a data row at once, a noisy one
+        later, a copy where its original does, and a far point only at the
+        level cap. The stats are the sum of the one-point searches', and the
+        plan their plans in point order.
+        """
+        ds = mmlsh.synth_dataset(S=objects, points_per_object=points, d=4, cluster_spread=0.3,
+                                 seed=seed)
+        idx = mmlsh.build_index(ds, mmlsh.derive_params(0.25, 0.5), seed=seed)
+        idx.params = dataclasses.replace(idx.params, beta=beta)
+        k_prime = data.draw(st.integers(1, ds.n + 3))
+        rng = np.random.default_rng(seed)
+        q = []
+        for kind in kinds:
+            if kind == "copy" and q:
+                q.append(q[-1])
+            elif kind == "far":  # clamped to the edge buckets, which never reach the data
+                q.append(np.full(ds.dimension, 1e30))
+            else:
+                row = ds.coords[rng.integers(ds.n)].astype(np.float64)
+                q.append(row + rng.normal(scale=0.5, size=row.shape) if kind == "noisy" else row)
+        q = np.array(q)
+        got_stats, want_stats, got_plan, want_plan = QueryStats(), QueryStats(), [], []
+        got = point_knn_c2lsh(q, idx, ds, k_prime, stats=got_stats, plan=got_plan)
+        want = [reference_point_knn_c2lsh(p, idx, ds, k_prime, stats=want_stats, plan=want_plan)
+                for p in q]
+        assert got == want
+        assert got_stats == want_stats and same_plan(got_plan, want_plan)
 
 
 class TestBorda:

@@ -99,7 +99,8 @@ class TestRuns:
 
     def test_empty_c2lsh_answer_gets_an_infinite_ratio(self, tmp_path, monkeypatch):
         cfg, ds, index, profile, queries, truth = prepared(tmp_path)
-        monkeypatch.setattr(bench, "point_knn_c2lsh", lambda *args, **kwargs: ([], False))
+        monkeypatch.setattr(bench, "point_knn_c2lsh",
+                            lambda q, *args, **kwargs: [([], False)] * len(q))
         rows = bench.run_borda_baselines(cfg, ds, index, queries, truth)
         c2 = [r for r in rows if r["method"] == "C2LSH-Borda"]
         assert c2 and all(r["or_gamma"] == float("inf") for r in c2)
@@ -341,6 +342,23 @@ class TestCli:
         assert cli.main(["build"] + args) == 3
         assert "more than MAX_PROJECTIONS=1024" in capsys.readouterr().err
         assert not os.path.exists(cfg.index_path)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", str(2 ** 63), f"seed must be in [0, 2**63), got {2 ** 63}"),
+        ("--seed", "-1", "seed must be in [0, 2**63), got -1"),
+        ("--c", str(2 ** 31), f"c must be an integer in [2, 2**31), got {2 ** 31}"),
+    ])
+    def test_a_value_the_index_file_cannot_hold_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                        flag, value, message):
+        # the header packs the seed as int64 and c as int32
+        cfg = tiny_config(tmp_path)
+        monkeypatch.setattr(bench, "build_index", lambda *a, **kw: pytest.fail("hashed"))
+        args = ["--synth-objects", "20", "--synth-points", "5", "--synth-dim", "8", flag, value,
+                "--index", cfg.index_path, "--profile", cfg.profile_path]
+        assert cli.main(["build"] + args) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []  # no index, profile or temporary file
 
     def test_default_epsilon_is_checked_at_build(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

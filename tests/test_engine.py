@@ -113,7 +113,7 @@ class TestLevelCap:
         gp = mmlsh.GammaParams(gamma=0.5, delta=0.25, beta=0.5, epsilon=0.5)
         res = mmlsh.knn_objects(q, 1, index, ds, gp)
         assert (res.stop_condition, res.levels_used) == (EXHAUSTED, mmlsh.level_cap(c))
-        ranking, _complete = mmlsh.point_knn_c2lsh(q.coords[0], index, ds, 3)
+        [(ranking, _complete)] = mmlsh.point_knn_c2lsh(q.coords, index, ds, 3)
         assert len(ranking) <= 3
 
 

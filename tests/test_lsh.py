@@ -1,3 +1,4 @@
+import ast
 import builtins
 import errno
 import hashlib
@@ -7,6 +8,7 @@ import struct
 import tempfile
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +412,36 @@ class TestOccupiedBuckets:
             assert ids.tolist() == [lo + i for i in np.flatnonzero(sizes)]
             assert counts.tolist() == sizes[sizes > 0].tolist()
             assert small_index.occupied_buckets(g)[0] is ids  # built once
+
+
+class TestRangeRows:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_range_holds_the_rows_hashed_into_it(self, small_dataset, small_index, data):
+        """Empty, reversed, out-of-span and wide ranges, against buckets hashed afresh."""
+        hashed = small_index.hash_query(small_dataset.coords)  # (n, m), not read from the table
+        g = data.draw(st.integers(0, small_index.m - 1))
+        first, last = int(hashed[:, g].min()), int(hashed[:, g].max())
+        bound = st.integers(first - 3, last + 3)
+        ranges = data.draw(st.lists(st.tuples(bound, bound), max_size=8)) + [
+            (first, first), (last, first), (first - 5, first), (last + 1, last + 5),
+            (first, last + 1), (-2 ** 62, 2 ** 62)]
+        lo, hi = (np.array(bounds, dtype=np.int64) for bounds in zip(*ranges))
+        rows, starts, stops = small_index.range_rows(g, lo, hi)
+        assert starts.shape == stops.shape == (len(ranges),)
+        for (a, b), i0, i1 in zip(ranges, starts, stops):
+            want = np.flatnonzero((hashed[:, g] >= a) & (hashed[:, g] < b))
+            assert sorted(rows[i0:i1].tolist()) == want.tolist()
+
+
+def test_only_lsh_reads_the_bucket_tables():
+    """The table layout stays behind LshIndex: no other module names its arrays."""
+    package = Path(mmlsh.__file__).parent
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py")) if path.name != "lsh.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("buckets", "point_rows")]
+    assert reads == []
 
 
 class TestLevelCap:
