@@ -125,7 +125,7 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
         covered = state.covered(reach_lo[active], reach_hi[active])
         searching = []
         for j, i in enumerate(active.tolist()):
-            rows = np.flatnonzero(state.counts[j] >= params.l)
+            rows = state.qualified_rows(j)
             d = dists[i]
             new = rows[np.isnan(d[rows])]
             if new.size:

@@ -88,7 +88,7 @@ class RunConfig:
         for name in ("k_primes", "buffer_sizes_mb"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must not be empty")
-        for name, value in [("buffer_mb", self.buffer_mb)] + [
+        for name, value in [("w", self.w), ("buffer_mb", self.buffer_mb)] + [
                 ("buffer_sizes_mb", size) for size in self.buffer_sizes_mb]:
             if not (math.isfinite(value) and value > 0):
                 raise ParameterError(f"{name} must be finite and > 0, got {value!r}")

@@ -79,19 +79,59 @@ def gamma_min_bound(q_size: int, min_object_size: int, delta: float,
 class CollisionState:
     """All mutable per-query search state: counts, collision indexes, coverage.
 
-    `counts[qi, row]` is the number of projections in which query point qi
-    and dataset point `row` have collided so far. A pair collides at most
-    once per projection, so counts never exceed m and are stored in the
-    narrowest unsigned dtype that holds m (uint8 up to m = 255, then uint16).
+    The collision count of query point qi and dataset point `row` is the
+    number of projections in which they have collided so far. A pair
+    collides at most once per projection, so a count never exceeds m.
+    Counts are packed into a (planes, n) uint64 array, `lanes` counts of
+    `lane_bits` bits per word: qi is lane qi % lanes of plane qi // lanes.
+    Lanes are 8 bits wide when l <= 128 and m - l <= 127, else 16 bits,
+    which hold any m up to MAX_PROJECTIONS = 1024. Each lane starts at
+    2**(lane_bits-1) - l, so its top bit is set exactly when the count
+    has reached l; lanes past the last query point are never incremented.
+    Only `count_collisions` increments the lanes; `counts` and
+    `qualified_rows` read them, and no other module touches the words.
     """
 
     def __init__(self, q_count: int, index: LshIndex, dataset: Dataset):
-        self.counts = np.zeros((q_count, dataset.n), dtype=np.min_scalar_type(index.m))
+        m, l = index.m, index.params.l
+        self.lane_bits = 8 if l <= 128 and m - l <= 127 else 16
+        self.lanes = 64 // self.lane_bits
+        self._counts_dtype = np.min_scalar_type(m)
+        self._start = 2 ** (self.lane_bits - 1) - l
+        ones = sum(1 << self.lane_bits * lane for lane in range(self.lanes))
+        self.top_bits = ones << self.lane_bits - 1  # the top bit of every lane
+        self._fresh_word = self._start * ones
+        self.packed_counts = self._fresh(q_count, dataset.n)
         self.qualifying_pairs = np.zeros(dataset.num_objects, dtype=np.int64)
+        self.qualified_total = 0  # sum of qualifying_pairs
         self.pair_totals = q_count * dataset.object_sizes
         # covered base-bucket interval per (query point, projection); empty at start
         self.cov_lo = np.full((q_count, index.m), np.iinfo(np.int64).max, dtype=np.int64)
         self.cov_hi = np.full((q_count, index.m), np.iinfo(np.int64).min, dtype=np.int64)
+
+    def _fresh(self, q_count: int, n: int) -> np.ndarray:
+        """Packed words of q_count query points that have collided with nothing yet."""
+        return np.full((-(-q_count // self.lanes), n), self._fresh_word, dtype=np.uint64)
+
+    def _lane_view(self) -> np.ndarray:
+        """The words as (planes, n, lanes) counts of the lane dtype, indexed by `_at`."""
+        words = self.packed_counts
+        view = words.view(f"u{self.lane_bits // 8}").reshape(*words.shape, self.lanes)
+        return view if np.little_endian else view[..., ::-1]
+
+    def _at(self, points) -> tuple:
+        """Index into `_lane_view` of query point(s) `points`: an int, or an int array."""
+        return points // self.lanes, slice(None), points % self.lanes
+
+    @property
+    def counts(self) -> np.ndarray:
+        """A (|Q|, n) copy of the counts, in the narrowest unsigned dtype that holds m."""
+        lanes = self._lane_view()[self._at(np.arange(len(self.cov_lo)))]
+        return (lanes - self._start).astype(self._counts_dtype)
+
+    def qualified_rows(self, qi: int) -> np.ndarray:
+        """Ascending dataset rows whose count with query point qi has reached l."""
+        return np.flatnonzero(self._lane_view()[self._at(qi)] >= 2 ** (self.lane_bits - 1))
 
     @property
     def ci(self) -> np.ndarray:
@@ -109,8 +149,11 @@ class CollisionState:
 
     def keep(self, points) -> None:
         """Count for the query points at `points` only; `ci` is stale afterwards."""
-        self.counts, self.cov_lo, self.cov_hi = (
-            a[points] for a in (self.counts, self.cov_lo, self.cov_hi))
+        points = np.asarray(points, dtype=np.intp)
+        kept = self._lane_view()[self._at(points)]
+        self.packed_counts = self._fresh(len(points), self.packed_counts.shape[1])
+        self._lane_view()[self._at(np.arange(len(points)))] = kept
+        self.cov_lo, self.cov_hi = self.cov_lo[points], self.cov_hi[points]
 
 
 def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
@@ -121,12 +164,18 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
     level-R bucket of query point qi is the base-bucket interval
     [qb*R, qb*R + R) with qb = q_bucket_col[qi] // R; only the part not
     covered at earlier levels is counted, which enforces the
-    once-per-projection rule and keeps counts within CollisionState's
-    narrow dtype. Afterwards `state.cov_lo[:, g]` / `cov_hi[:, g]` hold
-    each point's level-R interval. A pair reaching l collisions adds one
-    qualifying pair to its object. Returns the number of increments.
-    The object search and `baselines.point_knn_c2lsh` both count through
-    this kernel, which reads the table by one `range_rows` call per pass.
+    once-per-projection rule and keeps every count within its lane.
+    Afterwards `state.cov_lo[:, g]` / `cov_hi[:, g]` hold each point's
+    level-R interval. A pair reaching l collisions adds one qualifying pair
+    to its object. Returns the number of increments.
+
+    The table is read by one `range_rows` call per pass. Query points of
+    one object share segments heavily, so the segments are grouped by
+    (plane, row range): each group is counted by one gather, add and
+    scatter of whole words, its increment word holding a one in the lane of
+    every point that has the segment. A point's segments in one pass are
+    disjoint, so no lane is incremented twice in a row. The object search
+    and `baselines.point_knn_c2lsh` both count through this kernel.
     """
     q_count = len(q_bucket_col)
     qb = q_bucket_col if R == 1 else np.floor_divide(q_bucket_col, R)
@@ -140,22 +189,36 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
     seg_hi = np.concatenate((np.where(fresh, hi, old_lo), hi))
     table, starts, stops = index.range_rows(g, seg_lo, seg_hi)
     nonempty = np.flatnonzero(stops > starts)
-
-    crossing_count = index.params.l - 1
-    owner = dataset.point_object_index
-    incremented = 0
-    for j, i0, i1 in zip(nonempty.tolist(), starts[nonempty].tolist(),
-                         stops[nonempty].tolist()):
-        rows = table[i0:i1]
-        row = state.counts[j % q_count]
-        current = row[rows]
-        crossing = rows[current == crossing_count]
-        if crossing.size:
-            np.add.at(state.qualifying_pairs, owner[crossing], 1)
-        row[rows] = current + 1
-        incremented += i1 - i0
     state.cov_lo[:, g] = lo
     state.cov_hi[:, g] = hi
+    if not nonempty.size:
+        return 0
+
+    lanes, bits = state.lanes, state.lane_bits
+    groups = {}  # (plane, i0, i1) -> increment word
+    for j, i0, i1 in zip(nonempty.tolist(), starts[nonempty].tolist(),
+                         stops[nonempty].tolist()):
+        plane, lane = divmod(j % q_count, lanes)
+        key = (plane, i0, i1)
+        groups[key] = groups.get(key, 0) | 1 << bits * lane
+
+    owner = dataset.point_object_index
+    top = np.uint64(state.top_bits)
+    incremented = qualified = 0
+    for (plane, i0, i1), inc in groups.items():
+        words = state.packed_counts[plane]
+        rows = table[i0:i1]
+        block = words[rows]
+        new = block + np.uint64(inc)
+        words[rows] = new
+        crossed = np.bitwise_and(block ^ new, top, out=block)  # lanes that reached l
+        hit = crossed.nonzero()[0]
+        if hit.size:
+            gained = np.bitwise_count(crossed[hit])
+            np.add.at(state.qualifying_pairs, owner[rows[hit]], gained)
+            qualified += int(gained.sum())
+        incremented += (i1 - i0) * inc.bit_count()
+    state.qualified_total += qualified
     return incremented
 
 
@@ -232,6 +295,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
 
     R = 1
     levels_done = 0
+    t1_total = -1  # state.qualified_total at the last T1 check
     while True:
         # T2 at the start of each level: k candidates verified within c*R
         cand_ranks = np.flatnonzero(state.candidate_mask(gparams))
@@ -255,10 +319,13 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
                 ranges[:, 1] = state.cov_lo[:, g]
                 ranges[:, 2] = state.cov_hi[:, g]
                 plan.append((g, R, ranges))
-            # T1 barrier after each projection pass
-            cl_count = int(np.count_nonzero(state.candidate_mask(gparams)))
-            if check_t1(cl_count, k, gparams.beta, S):
-                return finish(T1, levels_done + 1)
+            # T1 barrier after each projection pass; the candidate count
+            # follows qualifying_pairs, so a pass that qualifies no pair keeps it
+            if state.qualified_total != t1_total:
+                t1_total = state.qualified_total
+                cl_count = int(np.count_nonzero(state.candidate_mask(gparams)))
+                if check_t1(cl_count, k, gparams.beta, S):
+                    return finish(T1, levels_done + 1)
 
         levels_done += 1
         R *= c

@@ -76,6 +76,8 @@ class LshParams:
             raise ParameterError(f"need p1 > p2, got p1={self.p1}, p2={self.p2}")
         if not 1 <= self.l <= self.m:
             raise ParameterError(f"need 1 <= l <= m, got l={self.l}, m={self.m}")
+        if self.m > MAX_PROJECTIONS:  # so that a collision count fits a 16-bit lane
+            raise ParameterError(f"m={self.m} is more than MAX_PROJECTIONS={MAX_PROJECTIONS}")
         if not 2 <= self.c < 2 ** 31:  # the index file stores c as int32
             raise ParameterError(f"approximation ratio c must be an integer in [2, 2**31), got {self.c}")
 
@@ -105,6 +107,8 @@ def derive_params(delta: float, beta: float, c: int = DEFAULT_C, w: float = DEFA
     """
     if not 0 < delta < 1 or not 0 < beta < 1:
         raise ParameterError("delta and beta must be in (0, 1)")
+    if not (math.isfinite(w) and w > 0):
+        raise ParameterError(f"w must be finite and > 0, got {w!r}")
     p1 = collision_probability(1.0, w)
     p2 = collision_probability(float(c), w)
     if p1 <= p2:

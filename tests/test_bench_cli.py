@@ -343,6 +343,18 @@ class TestCli:
         assert "more than MAX_PROJECTIONS=1024" in capsys.readouterr().err
         assert not os.path.exists(cfg.index_path)
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0")])
+    def test_a_bucket_width_that_is_not_finite_and_positive_exits_3(self, tmp_path, capsys,
+                                                                     monkeypatch, value, shown):
+        cfg = tiny_config(tmp_path)
+        monkeypatch.setattr(bench, "build_index", lambda *a, **kw: pytest.fail("hashed"))
+        args = ["--synth-objects", "20", "--synth-points", "5", "--synth-dim", "8",
+                "--w", value, "--index", cfg.index_path, "--profile", cfg.profile_path]
+        assert cli.main(["build"] + args) == 3
+        err = capsys.readouterr().err
+        assert f"error: w must be finite and > 0, got {shown}" in err and "Traceback" not in err
+        assert not os.path.exists(cfg.index_path)
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", str(2 ** 63), f"seed must be in [0, 2**63), got {2 ** 63}"),
         ("--seed", "-1", "seed must be in [0, 2**63), got -1"),

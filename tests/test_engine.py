@@ -1,9 +1,12 @@
+import ast
+import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmlsh
@@ -31,17 +34,26 @@ def run_all_collisions(query, index, dataset, levels):
     return state, q_base
 
 
+def brute_matches(q_base, index, R):
+    """Oracle: matches[g, qi, row] = whether qi and row share a level-R bucket in projection g."""
+    matches = np.zeros((index.m, q_base.shape[0], index.n), dtype=bool)
+    for g in range(index.m):
+        point_buckets = np.empty(index.n, dtype=np.int64)
+        point_buckets[index.point_rows[g]] = index.buckets[g]
+        matches[g] = (np.floor_divide(point_buckets, R)[None, :]
+                      == np.floor_divide(q_base[:, g], R)[:, None])
+    return matches
+
+
 def brute_counts(q_base, index, R):
     """Oracle: counts[qi, row] = #projections with matching level-R buckets."""
-    n, m = index.n, index.m
-    counts = np.zeros((q_base.shape[0], n), dtype=np.int64)
-    for g in range(m):
-        point_buckets = np.empty(n, dtype=np.int64)
-        point_buckets[index.point_rows[g]] = index.buckets[g]
-        for qi in range(q_base.shape[0]):
-            counts[qi] += (np.floor_divide(point_buckets, R)
-                           == np.floor_divide(q_base[qi, g], R))
-    return counts
+    return brute_matches(q_base, index, R).sum(axis=0, dtype=np.int64)
+
+
+def brute_pairs(counts, dataset, l):
+    """Oracle: per object, the number of (query point, point) pairs with count >= l."""
+    return [int(np.count_nonzero(counts[:, dataset.point_object_index == j] >= l))
+            for j in range(dataset.num_objects)]
 
 
 class TestCountCollisions:
@@ -99,6 +111,80 @@ class TestPassKernelProperties:
         expected = [int(np.count_nonzero(state.counts[:, ds.point_object_index == j] >= l))
                     for j in range(ds.num_objects)]
         assert state.qualifying_pairs.tolist() == expected
+
+
+class TestPackedKernelProperties:
+    """Counts, qualifying pairs and qualified rows after every pass, for any lane layout."""
+
+    # (m, l) over the derived params; None keeps the derived value. 8-bit lanes
+    # hold l <= 128 and m - l <= 127, with both bounds reached by (255, 128);
+    # the last four need 16-bit lanes
+    SHAPES = [(None, None), (None, 1), (128, 128), (255, 128),
+              (129, 129), (256, 128), (200, 1), (160, 130)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), objects=st.integers(1, 5), points=st.integers(1, 4),
+           d=st.integers(1, 3), q_size=st.integers(1, 20), distinct=st.integers(1, 20),
+           shape=st.sampled_from(SHAPES), c=st.sampled_from([2, 3]), levels=st.integers(1, 4),
+           drop=st.sets(st.integers(0, 19)), drop_level=st.integers(0, 4),
+           spread=st.floats(0.05, 2.0))
+    @example(seed=1, objects=3, points=3, d=2, q_size=9, distinct=4, shape=(None, None), c=2,
+             levels=3, drop={3, 4}, drop_level=1, spread=0.5)
+    @example(seed=2, objects=2, points=4, d=1, q_size=8, distinct=2, shape=(None, 1), c=2,
+             levels=2, drop=set(), drop_level=0, spread=0.3)
+    @example(seed=3, objects=4, points=2, d=2, q_size=7, distinct=3, shape=(200, 1), c=3,
+             levels=2, drop={1, 5}, drop_level=1, spread=0.3)
+    def test_every_pass_matches_brute_force(self, seed, objects, points, d, q_size, distinct,
+                                            shape, c, levels, drop, drop_level, spread):
+        ds = mmlsh.synth_dataset(objects, points, d, spread, seed)
+        params = mmlsh.derive_params(0.3, 0.5, c=c)
+        m, l = shape
+        params = dataclasses.replace(params, m=m or params.m, l=l or params.l)
+        index = mmlsh.build_index(ds, params, seed)
+        m, l = params.m, params.l
+        rng = np.random.default_rng(seed)
+        # query points repeat a pool of dataset points and random ones
+        pool = np.concatenate((ds.coords[rng.integers(0, ds.n, distinct)],
+                               rng.normal(0.0, 1.5, size=(distinct, d)).astype(np.float32)))
+        q_base = index.hash_query(pool[rng.integers(0, len(pool), q_size)])
+
+        state = CollisionState(q_size, index, ds)
+        assert state.lane_bits == (8 if l <= 128 and m - l <= 127 else 16)
+        points_at = np.arange(q_size)  # state point j is query point points_at[j]
+        dropped_pairs = np.zeros(ds.num_objects, dtype=np.int64)
+        counts = np.zeros((q_size, ds.n), dtype=np.int64)
+        last = np.zeros((m, q_size, ds.n), dtype=bool)  # matches at the previous level
+        for level in range(levels):
+            if level == drop_level:
+                kept = [j for j, qi in enumerate(points_at.tolist()) if qi not in drop]
+                dropped_pairs += brute_pairs(np.delete(counts, kept, axis=0), ds, l)
+                state.keep(kept)
+                points_at, counts, last = points_at[kept], counts[kept], last[:, kept]
+            R = c ** level
+            now = brute_matches(q_base[points_at], index, R)
+            for g in range(m):
+                inc = count_collisions(q_base[points_at, g], g, R, index, ds, state)
+                expected = now[:g + 1].sum(axis=0) + last[g + 1:].sum(axis=0)
+                assert inc == int((expected - counts).sum())
+                counts = expected
+                assert state.counts.dtype == np.min_scalar_type(m)
+                assert np.array_equal(state.counts, counts)
+                pairs = dropped_pairs + brute_pairs(counts, ds, l)
+                assert state.qualifying_pairs.tolist() == pairs.tolist()
+                assert state.qualified_total == int(pairs.sum())
+                for j in range(len(points_at)):
+                    assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[j] >= l))
+            last = now
+
+
+def test_only_the_engine_reads_the_packed_counts():
+    """The packed count layout stays behind CollisionState: no other module names its array."""
+    package = Path(mmlsh.__file__).parent
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py")) if path.name != "engine.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "packed_counts"]
+    assert reads == []
 
 
 class TestLevelCap:

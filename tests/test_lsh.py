@@ -95,6 +95,17 @@ class TestDeriveParams:
         with pytest.raises(ParameterError, match="m=776"):
             mmlsh.derive_params(1e-20, 1e-3)
 
+    def test_hand_built_m_beyond_max_projections_is_refused(self):
+        params = mmlsh.derive_params(0.1, 0.1)
+        assert mmlsh.LshParams(**{**params.__dict__, "m": 1024}).m == 1024
+        with pytest.raises(ParameterError, match="m=1025 is more than MAX_PROJECTIONS=1024"):
+            mmlsh.LshParams(**{**params.__dict__, "m": 1025})
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_w_must_be_finite_and_positive(self, w):
+        with pytest.raises(ParameterError, match="w must be finite and > 0"):
+            mmlsh.derive_params(0.1, 0.1, 2, w)
+
     def test_degenerate_family_rejected(self):
         with pytest.raises(ParameterError):
             mmlsh.LshParams(c=2, w=1.0, delta=0.1, beta=0.1, p1=0.3, p2=0.5, z=1.0, m=10, l=5)
