@@ -189,10 +189,6 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
     seg_hi = np.concatenate((np.where(fresh, hi, old_lo), hi))
     table, starts, stops = index.range_rows(g, seg_lo, seg_hi)
     nonempty = np.flatnonzero(stops > starts)
-    state.cov_lo[:, g] = lo
-    state.cov_hi[:, g] = hi
-    if not nonempty.size:
-        return 0
 
     lanes, bits = state.lanes, state.lane_bits
     groups = {}  # (plane, i0, i1) -> increment word
@@ -219,6 +215,8 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
             qualified += int(gained.sum())
         incremented += (i1 - i0) * inc.bit_count()
     state.qualified_total += qualified
+    state.cov_lo[:, g] = lo
+    state.cov_hi[:, g] = hi
     return incremented
 
 
