@@ -36,7 +36,8 @@ from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                         schedule_ns2, split_queries)
 from .engine import knn_objects
 from .errors import ParameterError, ProfileFileError
-from .lsh import DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, save_index
+from .lsh import (DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, replacing,
+                  save_index)
 from .model import Dataset, QueryObject, load_feature_file, load_object_map, synth_dataset
 from .similarity import GammaParams, gamma_distances, object_ratio
 
@@ -246,17 +247,6 @@ def _row(cfg: RunConfig, truth, query, group: tuple, dists, stats: QueryStats, w
     }
 
 
-def _occupied(index, g: int, lists: dict):
-    """Projection g's occupied ids in ascending order and their sizes in bytes.
-
-    Both are lists, kept in `lists` for the rest of the replay.
-    """
-    if g not in lists:
-        ids, counts = index.occupied_buckets(g)
-        lists[g] = (ids.tolist(), (counts * POINT_ID_BYTES).tolist())
-    return lists[g]
-
-
 def replay_plans(strategy: str, plans, index, buffer: BufferState,
                  stats_list, scheduler: SchedulerConfig) -> None:
     """Charge modeled IO for recorded query plans under one strategy.
@@ -288,13 +278,16 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     if strategy == NS2:
         _replay_ns2_batch(plans, index, buffer, stats_list)
         return
-    lists: dict = {}
+    lists: dict = {}  # g -> its occupied ids, ascending, and their sizes in bytes, as lists
     mmlsh = strategy == MMLSH
     evict = _MmlshEvictor(scheduler.profile) if mmlsh else evict_lru
     splits = scheduler.query_splits if mmlsh else 1
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
-            ids, sizes = _occupied(index, g, lists)
+            if g not in lists:
+                ids, counts = index.occupied_buckets(g)
+                lists[g] = ids.tolist(), (counts * POINT_ID_BYTES).tolist()
+            ids, sizes = lists[g]
             # the Python ordering runs faster on lists than on the array
             order, segments = split_queries(ranges.tolist(), splits, ids)
             if mmlsh:
@@ -346,19 +339,16 @@ def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:
             owners, arrays = passes.setdefault((R, g), ([], []))
             owners.append(query_idx)
             arrays.append(ranges)
-    occupied: dict = {}
     alg_ops = np.zeros(len(plans), dtype=np.int64)
     for (R, g) in sorted(passes):
         owners, arrays = passes[(R, g)]
         ranges = np.concatenate(arrays)
         ranges[:, 0] = np.repeat(owners, [len(a) for a in arrays])
-        if g not in occupied:
-            ids, counts = index.occupied_buckets(g)
-            occupied[g] = ids, counts * POINT_ID_BYTES
-        ids, sizes = occupied[g]
+        ids, counts = index.occupied_buckets(g)
         ranges[:, 1:] = np.searchsorted(ids, ranges[:, 1:])
         positions, first = schedule_ns2(ranges)
-        for bucket, size, query_idx in zip(ids[positions].tolist(), sizes[positions].tolist(),
+        sizes = counts[positions] * POINT_ID_BYTES
+        for bucket, size, query_idx in zip(ids[positions].tolist(), sizes.tolist(),
                                            first.tolist()):
             access_bucket((g, R, bucket), size, buffer, evict_lru, stats_list[query_idx])
         alg_ops += np.bincount(ranges[:, 0], minlength=len(plans)) * len(positions)
@@ -497,12 +487,12 @@ def write_report(rows: list[dict], cfg: RunConfig, out_prefix: str | None = None
     """Write CSV (+ optional JSON) and return an aligned human-readable table.
 
     The resolved config is embedded as comment lines at the top of the CSV so
-    every report is self-describing.
+    every report is self-describing. Each file is written through `replacing`,
+    so a failed write leaves the previous one whole.
     """
     prefix = out_prefix or cfg.out_prefix
     all_rows = rows + aggregate(rows)
-    csv_path = prefix + ".csv"
-    with open(csv_path, "w", newline="") as fh:
+    with replacing(prefix + ".csv", "w", newline="") as fh:
         fh.write("# config: " + json.dumps(asdict(cfg), default=str) + "\n")
         fh.write(f"# alg_op_cost_ms: {cfg.alg_op_cost_ms}\n")
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
@@ -510,7 +500,7 @@ def write_report(rows: list[dict], cfg: RunConfig, out_prefix: str | None = None
         for row in all_rows:
             writer.writerow(row)
     if emit_json:
-        with open(prefix + ".json", "w") as fh:
+        with replacing(prefix + ".json", "w") as fh:
             json.dump({"config": asdict(cfg), "rows": all_rows}, fh, indent=2, default=str)
 
     widths = {col: max(len(col), *(len(_fmt(r[col])) for r in all_rows)) for col in REPORT_COLUMNS}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 
 from .bench import (SWEEP_STRATEGIES, RunConfig, build_artifacts, choose_queries,
@@ -18,6 +19,7 @@ from .bench import (SWEEP_STRATEGIES, RunConfig, build_artifacts, choose_queries
 from .buffering import MMLSH, NS1, NS2
 from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,
                      ObjectMapError, ParameterError, ProfileFileError)
+from .lsh import derive_params
 
 DATA_ERRORS = (FeatureFileError, ObjectMapError, IndexFileError, ParameterError,
                NonFiniteCoordinateError, FileNotFoundError, ValueError)
@@ -94,9 +96,9 @@ def _report(args, run, baselines=False, strategies=None) -> int:
 
     The set-up loads the dataset and the artifacts and picks the queries
     and their exact rankings. It refuses an index built over another dataset
-    and an MMLSH run without a frequency profile. `strategies` names what
-    `run` replays, by default the config's strategy; `baselines` adds the
-    Borda rows.
+    or with other parameters or another seed than the run's, and an MMLSH
+    run without a frequency profile. `strategies` names what `run` replays,
+    by default the config's strategy; `baselines` adds the Borda rows.
     """
     cfg = _config_from_args(args)
     dataset = load_dataset(cfg)
@@ -105,6 +107,17 @@ def _report(args, run, baselines=False, strategies=None) -> int:
         raise IndexFileError(f"{cfg.index_path}: the index (n={index.n}, d={index.dimension}) "
                              f"was not built over this dataset (n={dataset.n}, "
                              f"d={dataset.dimension})")
+    # the search runs on the index's parameters, so they must be the ones the report names
+    built = {**asdict(index.params), "seed": index.seed}
+    asked = {**asdict(derive_params(cfg.delta, cfg.resolved_beta(dataset.num_objects),
+                                    cfg.c, cfg.w)), "seed": cfg.seed}
+    differ = [name for name in asked if built[name] != asked[name]]
+    if differ:
+        raise IndexFileError(
+            f"{cfg.index_path}: the index was built with "
+            f"{', '.join(f'{name}={built[name]!r}' for name in differ)}, not the run's "
+            f"{', '.join(f'{name}={asked[name]!r}' for name in differ)}; rebuild it with "
+            f"`mmlsh build`")
     if profile is None and MMLSH in (strategies or (cfg.strategy,)):
         raise ProfileFileError(f"{cfg.profile_path}: no frequency profile, which an MMLSH "
                                f"run needs; `mmlsh build` writes it")

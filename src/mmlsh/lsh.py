@@ -20,7 +20,8 @@ Index file format, version 2 (all integers and floats little-endian):
 
 So a point id costs 4 bytes on disk, as the buffer cost model charges.
 `load_index` rejects a file of another version and a body whose bucket
-table is malformed, and widens the tables back to (m, n) int64 in memory.
+table is malformed. In memory an `LshIndex` keeps the same three arrays per
+projection, with the rows widened to int64.
 """
 
 from __future__ import annotations
@@ -159,30 +160,40 @@ def reach_range(index: LshIndex, q_base: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class LshIndex:
-    """m sorted per-projection bucket tables over one dataset's points.
+    """m per-projection bucket tables over one dataset's points, as the index file stores them.
 
-    Per projection g the table is the pair of aligned arrays
-    (buckets[g], point_rows[g]) sorted by base bucket id, so any bucket range
-    is a contiguous slice found by binary search.
+    Projection g's table is `bucket_ids[g]`, its occupied base bucket ids
+    ascending, `bucket_counts[g]`, their point counts, and `point_rows[g]`,
+    the dataset rows grouped by bucket in that order. A bucket range is
+    then a binary search over the occupied ids.
     """
 
-    def __init__(self, params: LshParams, a: np.ndarray, b: np.ndarray,
-                 buckets: np.ndarray, point_rows: np.ndarray, seed: int, occupied=None):
+    def __init__(self, params: LshParams, a: np.ndarray, b: np.ndarray, bucket_ids,
+                 bucket_counts, point_rows: np.ndarray, seed: int):
         self.params = params
-        self.a = a                      # (m, d) projection vectors
-        self.b = b                      # (m,) offsets
-        self.buckets = buckets          # (m, n) sorted base bucket ids
-        self.point_rows = point_rows    # (m, n) dataset rows aligned with buckets
+        self.a = a                              # (m, d) projection vectors
+        self.b = b                              # (m,) offsets
+        self.bucket_ids = list(bucket_ids)      # per projection, ascending int64 occupied ids
+        self.bucket_counts = list(bucket_counts)  # per projection, their int64 point counts
+        self.point_rows = point_rows            # (m, n) int64 dataset rows grouped by bucket
         self.seed = int(seed)
-        self.m, self.n = buckets.shape
-        self.bucket_lo = buckets[:, 0].copy() if self.n else np.zeros(self.m, np.int64)
-        self.bucket_hi = buckets[:, -1].copy() if self.n else np.zeros(self.m, np.int64)
-        # per projection, (ids, counts) as occupied_buckets returns them, or None until asked
-        self._occupied = list(occupied) if occupied is not None else [None] * self.m
+        self.m, self.n = point_rows.shape
+        self.bucket_lo = np.array([ids[0] for ids in self.bucket_ids], dtype=np.int64)
+        self.bucket_hi = np.array([ids[-1] for ids in self.bucket_ids], dtype=np.int64)
+        # per projection, where each bucket's rows start in point_rows[g], then n
+        self._offsets = [np.concatenate(([0], np.cumsum(counts))) for counts in self.bucket_counts]
 
     @property
     def dimension(self) -> int:
         return self.a.shape[1]
+
+    @property
+    def buckets(self) -> np.ndarray:
+        """(m, n) int64 base bucket id of each entry of point_rows, expanded on every read."""
+        table = np.empty((self.m, self.n), dtype=np.int64)
+        for g, (ids, counts) in enumerate(zip(self.bucket_ids, self.bucket_counts)):
+            table[g] = np.repeat(ids, counts)
+        return table
 
     def hash_query(self, coords) -> np.ndarray:
         """Base bucket ids under all m projections: (m,) for one point, (n, m) for many."""
@@ -193,34 +204,29 @@ class LshIndex:
         if (self.n, self.dimension) != (dataset.n, dataset.dimension):
             return False
         hashed = self.hash_query(dataset.coords)
-        return all(np.array_equal(hashed[rows, g], col)
-                   for g, (rows, col) in enumerate(zip(self.point_rows, self.buckets)))
+        return all(np.array_equal(hashed[rows, g], np.repeat(ids, counts))
+                   for g, (rows, ids, counts)
+                   in enumerate(zip(self.point_rows, self.bucket_ids, self.bucket_counts)))
 
     def range_rows(self, g: int, lo: np.ndarray, hi: np.ndarray):
         """(rows, starts, stops), where rows[starts[j]:stops[j]] are the rows in bucket range j.
 
         Range j is [lo[j], hi[j]) of projection g, empty if hi[j] <= lo[j]; `rows` is the table.
         """
-        bounds = np.searchsorted(self.buckets[g], np.concatenate((lo, hi)), side="left")
+        bounds = self._offsets[g][np.searchsorted(self.bucket_ids[g], np.concatenate((lo, hi)))]
         return self.point_rows[g], bounds[:len(lo)], bounds[len(lo):]
 
     def bucket_sizes(self, g: int, lo: int, hi: int) -> np.ndarray:
         """Point count of every base bucket id in [lo, hi) of projection g."""
-        col = self.buckets[g]
-        edges = np.searchsorted(col, np.arange(lo, hi + 1), side="left")
-        return np.diff(edges)
+        ids = self.bucket_ids[g]
+        i0, i1 = np.searchsorted(ids, (lo, hi))
+        sizes = np.zeros(max(hi - lo, 0), dtype=np.int64)
+        sizes[ids[i0:i1] - lo] = self.bucket_counts[g][i0:i1]
+        return sizes
 
     def occupied_buckets(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied base bucket ids of projection g, ascending, and their point counts.
-
-        Derived from the sorted table on first use and kept, so its size
-        follows the number of occupied buckets, never their id span.
-        """
-        if self._occupied[g] is None:
-            col = self.buckets[g]
-            starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
-            self._occupied[g] = (col[starts], np.diff(np.append(starts, col.size)))
-        return self._occupied[g]
+        """Occupied base bucket ids of projection g, ascending, and their point counts."""
+        return self.bucket_ids[g], self.bucket_counts[g]
 
 
 def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:
@@ -241,13 +247,13 @@ def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:
         a[g] = rng.normal(0.0, 1.0, size=d)
         b[g] = rng.uniform(0.0, params.w)
     raw = hash_points(data.coords, a, b, params.w)  # (n, m)
-    buckets = np.empty((params.m, data.n), dtype=np.int64)
     point_rows = np.empty((params.m, data.n), dtype=np.int64)
     for g in range(params.m):
-        order = np.argsort(raw[:, g], kind="stable")
-        buckets[g] = raw[order, g]
-        point_rows[g] = order
-    return LshIndex(params=params, a=a, b=b, buckets=buckets, point_rows=point_rows, seed=seed)
+        point_rows[g] = np.argsort(raw[:, g], kind="stable")
+    bucket_ids, bucket_counts = zip(*(np.unique(raw[:, g], return_counts=True)
+                                      for g in range(params.m)))
+    return LshIndex(params=params, a=a, b=b, bucket_ids=bucket_ids, bucket_counts=bucket_counts,
+                    point_rows=point_rows, seed=seed)
 
 
 def save_index(index: LshIndex, path) -> None:
@@ -304,11 +310,12 @@ def load_index(path) -> LshIndex:
     """Read an index file of format version 2 (see the module docstring).
 
     The checksum is checked first. Then each projection's bucket table is
-    checked and widened into preallocated (m, n) int64 tables: the occupied
-    ids ascending strictly within +-BUCKET_LIMIT, positive counts summing
-    to n, and rows forming a permutation of 0..n-1. Any other version or a
-    malformed table raises IndexFileError, so a bad file fails here and not
-    in a later search. The occupied buckets fill the index's cache.
+    checked: the occupied ids ascending strictly within +-BUCKET_LIMIT,
+    positive counts summing to n, and rows forming a permutation of 0..n-1.
+    Any other version or a malformed table raises IndexFileError, so a bad
+    file fails here and not in a later search. The index keeps copies of the
+    three arrays, the rows widened into one preallocated (m, n) int64 table,
+    and no view into the file's bytes.
     """
     blob = np.fromfile(path, dtype=np.uint8)
     if blob.size < len(_MAGIC) + _COUNT.size + _DIGEST_BYTES:
@@ -347,9 +354,8 @@ def load_index(path) -> LshIndex:
     # each projection holds at least one bucket and n rows: check before allocating (m, n)
     if off + m * (_COUNT.size + 12 + 4 * n) > payload.size:
         raise IndexFileError("index file ends early")
-    buckets = np.empty((m, n), dtype=np.int64)
     point_rows = np.empty((m, n), dtype=np.int64)
-    occupied = []
+    bucket_ids, bucket_counts = [], []
     seen = np.empty(n, dtype=bool)
     for g in range(m):
         (k,) = unpack(_COUNT)
@@ -370,9 +376,9 @@ def load_index(path) -> LshIndex:
         seen[rows] = True
         if not seen.all():
             raise IndexFileError(f"projection {g}: a point row appears twice")
-        buckets[g] = np.repeat(ids, counts)
-        occupied.append((ids.astype(np.int64), counts))
+        bucket_ids.append(ids.astype(np.int64))  # a copy, as are the counts
+        bucket_counts.append(counts)
     if off != payload.size:
         raise IndexFileError("trailing bytes in index file")
-    return LshIndex(params=params, a=a, b=b, buckets=buckets, point_rows=point_rows, seed=seed,
-                    occupied=occupied)
+    return LshIndex(params=params, a=a, b=b, bucket_ids=bucket_ids, bucket_counts=bucket_counts,
+                    point_rows=point_rows, seed=seed)

@@ -41,6 +41,7 @@ def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, max_levels=None
     lo_cov = np.full(index.m, np.iinfo(np.int64).max, dtype=np.int64)
     hi_cov = np.full(index.m, np.iinfo(np.int64).min, dtype=np.int64)
     reach_lo, reach_hi = reach_range(index, q_base)
+    buckets = index.buckets  # expanded once per call
 
     dists = cdist(q.reshape(1, -1), dataset.coords.astype(np.float64))[0]
 
@@ -76,8 +77,8 @@ def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, max_levels=None
                 s0 = max(s0, int(index.bucket_lo[g]))
                 s1 = min(s1, int(index.bucket_hi[g]) + 1)
                 if s0 < s1:
-                    rows = index.point_rows[g][np.searchsorted(index.buckets[g], s0):
-                                               np.searchsorted(index.buckets[g], s1)]
+                    rows = index.point_rows[g][np.searchsorted(buckets[g], s0):
+                                               np.searchsorted(buckets[g], s1)]
                     counts[rows] += 1
                     if stats is not None:
                         stats.collision_increments += rows.size

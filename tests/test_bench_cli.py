@@ -1,9 +1,12 @@
+import builtins
 import csv
+import errno
 import hashlib
 import json
 import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +195,49 @@ class TestRuns:
         parsed = list(csv.DictReader(lines))
         assert len(parsed) == len(rows) + len(aggregate(rows))
         assert {r["query_object_id"] for r in parsed[-2:]} == {"MEAN", "STD"}
+
+
+class TextFullDisk:
+    """A text file that takes `room` characters, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, chunk):
+        if len(chunk) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(chunk)
+        return self.fh.write(chunk)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("failing", [".csv", ".json"])
+def test_a_failed_report_write_leaves_each_previous_file_whole(tmp_path, monkeypatch, failing):
+    cfg, ds, index, profile, queries, truth = prepared(tmp_path)
+    rows = bench.run_mmlsh_queries(cfg, ds, index, queries, truth, profile=profile)
+    bench.write_report(rows, cfg, emit_json=True)
+    paths = [Path(cfg.out_prefix + suffix) for suffix in (".csv", ".json")]
+    old = [path.read_text() for path in paths]
+    bench.write_report(rows[:1], cfg, emit_json=True)
+    new = [path.read_text() for path in paths]
+    bench.write_report(rows, cfg, emit_json=True)
+
+    def fake_open(path, mode, **kwargs):
+        fh = builtins.open(path, mode, **kwargs)
+        return TextFullDisk(fh, 100) if failing in os.fspath(path) else fh
+
+    monkeypatch.setattr(mmlsh.lsh, "open", fake_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        bench.write_report(rows[:1], cfg, emit_json=True)
+    monkeypatch.undo()
+    want = old if failing == ".csv" else [new[0], old[1]]  # the CSV is written first
+    assert [path.read_text() for path in paths] == want
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
 class TestFarCoordinate:
@@ -528,6 +574,47 @@ class TestCli:
         assert cli.main(["query"] + args + ["--synth-objects", "21"]) == 3
         err = capsys.readouterr().err
         assert "(n=160, d=6) was not built over this dataset (n=168, d=6)" in err
+
+    @pytest.mark.parametrize("flags, built, asked", [
+        (["--delta", "0.3"], "delta=0.25", "delta=0.3"),
+        (["--beta", "0.6"], "beta=0.5", "beta=0.6"),
+        (["--c", "3"], "c=2", "c=3"),
+        (["--w", "4.0"], "w=2.184", "w=4.0"),
+    ])
+    def test_an_index_built_with_other_parameters_exits_3(self, tmp_path, capsys, flags, built,
+                                                          asked):
+        """The search would run on the index's parameters, under a header naming the run's."""
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        before = sorted(os.listdir(tmp_path))
+        for verb in ("query", "compare", "buffer-sweep"):
+            capsys.readouterr()
+            assert cli.main([verb] + args + flags) == 3
+            captured = capsys.readouterr()
+            assert f"error: {cfg.index_path}: the index was built with {built}" in captured.err
+            assert f"not the run's {asked}" in captured.err
+            assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == before  # no report and no ground truth written
+
+    def test_an_index_built_with_another_seed_exits_3(self, tmp_path, capsys):
+        """Over a vectors file the seed leaves the dataset as it is, so `holds` cannot see it."""
+        cfg = tiny_config(tmp_path)
+        coords = np.random.default_rng(0).normal(size=(40, 6)).astype(np.float32)
+        object_map = "point_id,object_id\n" + "".join(f"{i},{i // 4}\n" for i in range(40))
+        args = self._common(cfg) + self._vectors(tmp_path, coords, object_map)  # seed 1
+        assert cli.main(["build"] + args) == 0
+        assert cli.main(["query"] + args) == 0
+        with open(cfg.out_prefix + ".csv", "rb") as fh:
+            report = fh.read()
+        for verb in ("query", "compare", "buffer-sweep"):
+            capsys.readouterr()
+            assert cli.main([verb] + args + ["--seed", "2"]) == 3
+            captured = capsys.readouterr()
+            assert "the index was built with seed=1, not the run's seed=2" in captured.err
+            assert captured.out == ""
+        with open(cfg.out_prefix + ".csv", "rb") as fh:
+            assert fh.read() == report
 
     def test_query_with_an_empty_answer_gets_an_infinite_ratio(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

@@ -37,9 +37,10 @@ def run_all_collisions(query, index, dataset, levels):
 def brute_matches(q_base, index, R):
     """Oracle: matches[g, qi, row] = whether qi and row share a level-R bucket in projection g."""
     matches = np.zeros((index.m, q_base.shape[0], index.n), dtype=bool)
+    buckets = index.buckets  # expanded once per call
     for g in range(index.m):
         point_buckets = np.empty(index.n, dtype=np.int64)
-        point_buckets[index.point_rows[g]] = index.buckets[g]
+        point_buckets[index.point_rows[g]] = buckets[g]
         matches[g] = (np.floor_divide(point_buckets, R)[None, :]
                       == np.floor_divide(q_base[:, g], R)[:, None])
     return matches

@@ -167,12 +167,13 @@ class TestBuildIndex:
     def test_rescan_oracle(self, small_dataset, small_index):
         idx = small_index
         coords = small_dataset.coords.astype(np.float64)
+        buckets = idx.buckets  # expanded once
         for g in range(idx.m):
             for pos in range(idx.n):
                 row = idx.point_rows[g, pos]
-                assert idx.buckets[g, pos] == scalar_hash(idx.a[g], idx.b[g], idx.params.w,
-                                                          coords[row])
-            assert np.all(np.diff(idx.buckets[g]) >= 0)
+                assert buckets[g, pos] == scalar_hash(idx.a[g], idx.b[g], idx.params.w,
+                                                      coords[row])
+            assert np.all(np.diff(buckets[g]) >= 0)
 
     def test_each_point_once_per_projection(self, small_index):
         for g in range(small_index.m):
@@ -422,7 +423,7 @@ class TestOccupiedBuckets:
             ids, counts = small_index.occupied_buckets(g)
             assert ids.tolist() == [lo + i for i in np.flatnonzero(sizes)]
             assert counts.tolist() == sizes[sizes > 0].tolist()
-            assert small_index.occupied_buckets(g)[0] is ids  # built once
+            assert small_index.occupied_buckets(g)[0] is ids  # the stored array, not a copy
 
 
 class TestRangeRows:
@@ -445,13 +446,72 @@ class TestRangeRows:
             assert sorted(rows[i0:i1].tolist()) == want.tolist()
 
 
+def _kept_arrays(index):
+    """(name, array) for every array the index keeps, inside lists and tuples too."""
+    def walk(name, value):
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                yield from walk(f"{name}[{i}]", item)
+    for name, value in vars(index).items():
+        yield from walk(name, value)
+
+
+class TestInMemoryLayout:
+    """The index keeps what its file stores: per projection the occupied ids, counts and rows."""
+
+    def test_no_array_but_the_rows_holds_an_entry_per_point(self, small_index, tmp_path):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        for index in (small_index, mmlsh.load_index(path)):
+            wide = [name for name, arr in _kept_arrays(index) if arr.shape == (index.m, index.n)]
+            assert wide == ["point_rows"]
+            assert index.point_rows.dtype == np.int64
+            assert all(ids.dtype == counts.dtype == np.int64
+                       for ids, counts in zip(index.bucket_ids, index.bucket_counts))
+            with pytest.raises(AttributeError):
+                index.buckets = index.buckets  # a read-only expansion, never stored
+
+    def test_a_loaded_index_keeps_no_view_into_the_file_bytes(self, small_index, tmp_path,
+                                                              monkeypatch):
+        path = tmp_path / "idx.bin"
+        mmlsh.save_index(small_index, path)
+        blobs = []
+        fromfile = np.fromfile
+
+        def kept_fromfile(*args, **kwargs):
+            blobs.append(fromfile(*args, **kwargs))
+            return blobs[-1]
+
+        monkeypatch.setattr(np, "fromfile", kept_fromfile)
+        loaded = mmlsh.load_index(path)
+        (blob,) = blobs
+        assert [name for name, arr in _kept_arrays(loaded) if np.shares_memory(arr, blob)] == []
+
+    def test_buckets_expands_the_occupied_ids(self, small_index):
+        for g, col in enumerate(small_index.buckets):
+            ids, counts = small_index.occupied_buckets(g)
+            assert np.array_equal(col, np.repeat(ids, counts))
+            lo, hi = int(ids[0]), int(ids[-1])
+            inside = small_index.bucket_sizes(g, lo, hi + 1).tolist()
+            assert small_index.bucket_sizes(g, lo - 2, hi + 3).tolist() == [0, 0] + inside + [0, 0]
+            assert small_index.bucket_sizes(g, hi, lo).size == 0
+
+
 def test_only_lsh_reads_the_bucket_tables():
-    """The table layout stays behind LshIndex: no other module names its arrays."""
+    """The table layout stays behind LshIndex: no other module names its arrays.
+
+    No module reads the `buckets` property either: it expands the whole (m, n)
+    table on every read, for tools outside the package.
+    """
     package = Path(mmlsh.__file__).parent
+    tables = ("point_rows", "bucket_ids", "bucket_counts", "_offsets")
     reads = [f"{path.name}:{node.lineno}"
-             for path in sorted(package.glob("*.py")) if path.name != "lsh.py"
+             for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Attribute) and node.attr in ("buckets", "point_rows")]
+             if isinstance(node, ast.Attribute)
+             and (node.attr == "buckets" or node.attr in tables and path.name != "lsh.py")]
     assert reads == []
 
 
