@@ -14,13 +14,12 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .engine import CollisionState, check_t1, check_t2, count_collisions
 from .lsh import LshIndex, level_cap, reach_range, replacing
 from .model import Dataset, QueryObject
 # perfbench/harness.py wraps `baselines.gamma_distance` by name, so it stays importable
-from .similarity import gamma_distance, gamma_distances, rows_within_kth  # noqa: F401
+from .similarity import euclidean, gamma_distance, gamma_distances, rows_within_kth  # noqa: F401
 
 
 _KEY_PREFIX = "# key: "  # first line of a keyed ground-truth cache
@@ -55,19 +54,15 @@ def full_ranking(query: QueryObject, dataset: Dataset, gamma: float) -> GroundTr
 def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
     """Exact Euclidean top-k' points of each query point by linear scan.
 
-    `q_coords` is the (|Q|, d) query points. One float32 product against
+    `q_coords` is the (|Q|, d) query points. One matrix product against
     every point narrows each query point's rows to those that may be among
-    its k' nearest, ties included (`similarity.rows_within_kth`), and `cdist`
-    measures those exactly. When the product cannot narrow them, the dataset
-    is widened to float64 and measured against every point in one `cdist`
-    call. Returns one list of (row, dist) per query point, ties by row.
+    its k' nearest, ties included (`similarity.rows_within_kth`), and
+    `euclidean` measures each point against its kept rows, exactly as
+    `cdist` does. Returns one list of (row, dist) per query point, ties by row.
     """
     q = np.asarray(q_coords, dtype=np.float64)
-    kept = rows_within_kth(q, dataset.coords, k_prime) if 0 < k_prime < dataset.n else None
-    if kept is None:
-        return [_nearest_rows(dists, k_prime)
-                for dists in cdist(q, dataset.coords.astype(np.float64))]
-    return [_nearest_rows(cdist(p[None], dataset.coords[rows].astype(np.float64))[0], k_prime, rows)
+    kept = rows_within_kth(q, dataset.coords, k_prime)
+    return [_nearest_rows(euclidean(p, dataset.coords[rows]), k_prime, rows)
             for p, rows in zip(q, kept)]
 
 
@@ -129,7 +124,7 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
             d = dists[i]
             new = rows[np.isnan(d[rows])]
             if new.size:
-                d[new] = cdist(q[i:i + 1], dataset.coords[new].astype(np.float64))[0]
+                d[new] = euclidean(q[i], dataset.coords[new])
             if (level == last or covered[j] or check_t1(rows.size, k_prime, params.beta, n)
                     or rows.size and check_t2(d[rows], k_prime, params.c * R)):
                 ranking = _nearest_rows(d[rows], k_prime, rows)

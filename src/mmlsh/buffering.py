@@ -518,8 +518,9 @@ def profile_footprint(index, dataset, num_queries: int, seed: int) -> np.ndarray
     Queries are sampled uniformly from the dataset's coordinate bounding box.
     """
     rng = np.random.default_rng(seed)
-    coords = dataset.coords.astype(np.float64)
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    # the float32 extremes, widened, are those of the widened coordinates, which are not copied
+    lo = dataset.coords.min(axis=0).astype(np.float64)
+    hi = dataset.coords.max(axis=0).astype(np.float64)
     queries = rng.uniform(lo, hi, size=(num_queries, dataset.dimension))
     return index.hash_query(queries)
 

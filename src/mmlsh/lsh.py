@@ -34,7 +34,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import IndexFileError, ParameterError
 from .model import Dataset
@@ -97,7 +96,8 @@ def collision_probability(s: float, w: float) -> float:
     if s == 0:
         return 1.0
     t = w / s
-    return float(1.0 - 2.0 * norm.cdf(-t) - (2.0 / (math.sqrt(2.0 * math.pi) * t)) * (1.0 - math.exp(-(t * t) / 2.0)))
+    # 2 Phi(-t) = erfc(t / sqrt(2))
+    return 1.0 - math.erfc(t * math.sqrt(0.5)) - (2.0 / (math.sqrt(2.0 * math.pi) * t)) * (1.0 - math.exp(-(t * t) / 2.0))
 
 
 def derive_params(delta: float, beta: float, c: int = DEFAULT_C, w: float = DEFAULT_W) -> LshParams:

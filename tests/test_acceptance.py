@@ -21,6 +21,7 @@ from mmlsh.buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostM
 
 from test_buffering import schedule_ns1, uniform_profile
 from test_lsh import reference_derive
+from test_similarity import cdist_gamma_distance
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -111,7 +112,7 @@ def test_acceptance_4_object_ratio_vs_borda():
             ours.append(ratio)
             rankings = [r for r, _ in point_knn_c2lsh(q.coords, idx, ds, k_prime)]
             top = borda_aggregate(rankings, ds, k, k_prime)
-            dists = [mmlsh.gamma_distance(q.coords, ds.object_coords(o), gp.gamma)
+            dists = [cdist_gamma_distance(q.coords, ds.object_coords(o), gp.gamma)
                      for o, _ in top]
             ratio, _ = mmlsh.object_ratio(dists, [d for _, d in truth[:len(top)]])
             borda.append(ratio)

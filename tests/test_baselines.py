@@ -19,7 +19,7 @@ from mmlsh.baselines import (GroundTruth, borda_aggregate, exact_knn_objects, fu
                              save_ground_truth)
 from mmlsh.buffering import NS1, BufferState, QueryStats, SchedulerConfig
 from mmlsh.lsh import level_cap, reach_range
-from mmlsh.similarity import gamma_distance
+from test_similarity import cdist_gamma_distance, products
 
 
 def same_plan(got, want) -> bool:
@@ -94,7 +94,7 @@ def reference_full_ranking(query, dataset, gamma):
     """`full_ranking` as it was, one `gamma_distance` per object: the oracle."""
     scored = []
     for oid in dataset.object_ids.tolist():
-        scored.append((gamma_distance(query.coords, dataset.object_coords(oid), gamma), oid))
+        scored.append((cdist_gamma_distance(query.coords, dataset.object_coords(oid), gamma), oid))
     scored.sort(key=lambda t: (t[0], t[1]))
     return GroundTruth(query_object_id=query.object_id,
                        object_ids=[oid for _, oid in scored],
@@ -173,23 +173,16 @@ class TestPointKnnLinear:
         assert point_knn_linear(q[None], dataset, k_prime) == [want]
 
     @pytest.mark.parametrize("k_prime", [1, 3, 7, 11, 29])
-    def test_ties_at_the_k_prime_th_distance_resolve_by_row(self, k_prime, monkeypatch):
+    def test_ties_at_the_k_prime_th_distance_resolve_by_row(self, k_prime):
         """Every row twice, shuffled: the k'-th and (k'+1)-th distances tie for odd k'."""
         rng = np.random.default_rng(21)
         base = rng.normal(size=(20, 5)).astype(np.float32)
         coords = base[rng.permutation(np.repeat(np.arange(20), 2))]
         dataset = mmlsh.Dataset(coords, np.arange(40) % 3)
         q = rng.normal(size=(2, 5)).astype(np.float32)
-        narrowed = []
-        rows_within_kth = baselines.rows_within_kth
-
-        def recording(*args):
-            narrowed.append(rows_within_kth(*args))
-            return narrowed[-1]
-
-        monkeypatch.setattr(baselines, "rows_within_kth", recording)
-        got = point_knn_linear(q, dataset, k_prime)
-        assert narrowed and narrowed[0] is not None  # the product narrowed the scan
+        with products() as ran:
+            got = point_knn_linear(q, dataset, k_prime)
+        assert ran  # a product narrowed the scan
         dists = cdist(q.astype(np.float64), coords.astype(np.float64))
         for row, want_dists in zip(got, dists):
             tied = np.sort(want_dists)
@@ -203,6 +196,26 @@ class TestPointKnnLinear:
         per_point = [point_knn_linear(p[None], small_dataset, 7)[0] for p in q]
         assert len(q) > 1
         assert point_knn_linear(q, small_dataset, 7) == per_point
+
+    @pytest.mark.parametrize("offset, scale, precisions", [
+        (1e4, 1.0, [np.float64]),            # a float64 query
+        (1e4, None, [np.float32, np.float64]),  # far from the origin, float32 values
+        (0.0, 1e152, []),                    # beyond the float64 product's norm limit
+    ])
+    def test_every_path_equals_the_cdist_ranking(self, offset, scale, precisions):
+        rng = np.random.default_rng(22)
+        coords = (offset + rng.normal(size=(200, 6)) * 0.1).astype(np.float32)
+        dataset = mmlsh.Dataset(coords, np.arange(200) % 7)
+        q = coords[:3].astype(np.float64)
+        if scale is not None:
+            q = q + rng.normal(size=q.shape) * scale
+        with products() as ran:
+            got = point_knn_linear(q, dataset, 9)
+        assert ran == precisions
+        dists = cdist(q, coords.astype(np.float64))
+        for row, want_dists in zip(got, dists):
+            order = np.argsort(want_dists, kind="stable")[:9]
+            assert row == list(zip(order.tolist(), want_dists[order].tolist()))
 
 
 THREAD_PROBE = """

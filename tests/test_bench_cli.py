@@ -4,6 +4,8 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -266,6 +268,30 @@ class TestFarCoordinate:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2 ** 20
+
+
+NO_SCIPY_PROBE = """
+import sys
+import mmlsh
+import mmlsh.cli
+try:
+    mmlsh.cli.main(["--help"])
+except SystemExit as done:
+    assert done.code == 0, done.code
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_the_package_and_mmlsh_help_load_no_scipy():
+    """scipy is a test dependency only: neither the library nor the CLI imports it."""
+    src = str(Path(mmlsh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: mmlsh" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestCli:

@@ -744,6 +744,19 @@ class TestFrequencyProfile:
         assert np.array_equal(profile.edges, edges)
         assert np.array_equal(profile.means, means)
 
+    def test_queries_are_drawn_from_the_widened_coordinates_box(self, small_dataset,
+                                                                 small_index, monkeypatch):
+        """The same draws as from the box of the coordinates widened to float64."""
+        asked = []
+        hash_query = small_index.hash_query
+        monkeypatch.setattr(small_index, "hash_query", lambda q: asked.append(q) or hash_query(q))
+        footprint = profile_footprint(small_index, small_dataset, 300, seed=9)
+        coords = small_dataset.coords.astype(np.float64)
+        want = np.random.default_rng(9).uniform(coords.min(axis=0), coords.max(axis=0),
+                                                size=(300, small_dataset.dimension))
+        assert len(asked) == 1 and asked[0].tobytes() == want.tobytes()
+        assert np.array_equal(footprint, hash_query(want))
+
     def test_single_region_is_global_mean(self, small_dataset, small_index):
         profile = build_frequency_profile(small_index, small_dataset, num_queries=500,
                                           regions_per_projection=1, seed=4)

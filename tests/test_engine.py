@@ -18,6 +18,7 @@ from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, check_t1, check_t2,
 from mmlsh.errors import ParameterError
 
 from test_buffering import uniform_profile
+from test_similarity import cdist_gamma_distance
 
 
 def run_all_collisions(query, index, dataset, levels):
@@ -329,7 +330,7 @@ class TestVerificationProperties:
 
         assert res.top_k == sorted(res.top_k, key=lambda t: (t[1], t[0]))
         for oid, dist in res.top_k:
-            assert dist == mmlsh.gamma_distance(q.coords, ds.object_coords(oid), gamma)
+            assert dist == cdist_gamma_distance(q.coords, ds.object_coords(oid), gamma)
         # a copy collides and measures as its original does, so it is a
         # candidate too: every copy with a lower id must precede it
         returned = set(res.object_ids)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import norm
 
 import mmlsh
 from mmlsh import bench, lsh
@@ -76,6 +77,23 @@ class TestDeriveParams:
         assert p.p1 == pytest.approx(p1, abs=1e-6)
         assert p.p2 == pytest.approx(p2, abs=1e-6)
         assert (p.m, p.l) == (m, l)
+
+    def test_equals_the_scipy_derivation(self, monkeypatch):
+        """Over (delta, beta, c, w): m and l as with scipy's normal CDF, p1 and p2 within 4 ulps."""
+        def scipy_probability(s, w):
+            t = w / s
+            return float(1.0 - 2.0 * norm.cdf(-t) - (2.0 / (math.sqrt(2.0 * math.pi) * t))
+                         * (1.0 - math.exp(-(t * t) / 2.0)))
+
+        grid = [(delta, beta, c, w) for delta in (0.02, 0.1, 0.3, 0.6) for beta in (0.01, 0.1, 0.9)
+                for c in (2, 3, 5) for w in (0.5, 1.0, 2.184, 4.0, 8.0)]
+        ours = [mmlsh.derive_params(*args) for args in grid]
+        monkeypatch.setattr(lsh, "collision_probability", scipy_probability)
+        for args, got in zip(grid, ours):
+            want = mmlsh.derive_params(*args)
+            assert (got.m, got.l) == (want.m, want.l), args
+            assert abs(got.p1 - want.p1) <= 4 * math.ulp(want.p1), args
+            assert abs(got.p2 - want.p2) <= 4 * math.ulp(want.p2), args
 
     def test_threshold_separates_populations(self):
         for delta, beta in ((0.1, 0.0125), (0.2, 0.1), (0.05, 0.01)):

@@ -1,12 +1,15 @@
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import mmlsh
 from mmlsh import similarity
+from mmlsh.similarity import euclidean
 from mmlsh.engine import CollisionState, count_collisions
 from mmlsh.errors import ParameterError
 
@@ -100,6 +103,59 @@ class TestGammaDistance:
             assert mmlsh.r_object_similarity(q, x, gdist * (1 - 1e-9) - 1e-12) < gamma
 
 
+@st.composite
+def point_sets(draw):
+    """A (P, d) query and an (X, d) point set, each maybe non-contiguous or F-ordered.
+
+    The values are float32 clouds at a scale from 1e-3 to 1e3, float64 values
+    that float32 cannot hold, float32 clouds at offset 1e4 with spread 1e-3,
+    coordinates of 1e20 to 1e36, or small integers, where distances tie
+    exactly; some query points are then points of the set. The query is
+    float64; the set is float32 when float32 holds it, or float64.
+    """
+    p, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 128))
+    kind = draw(st.sampled_from(("float32", "float64", "far", "huge", "ties")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "ties":
+        pts = rng.integers(-2, 3, size=(p + n, d)).astype(np.float64)
+        pts[:p // 2] = pts[rng.integers(p, p + n, p // 2)]
+    else:
+        scale = {"far": 1e-3, "huge": 10.0 ** draw(st.integers(20, 36))}.get(
+            kind, 10.0 ** draw(st.integers(-3, 3)))
+        pts = (1e4 if kind == "far" else 0.0) + rng.normal(size=(p + n, d)) * scale
+        if kind != "float64":
+            pts = pts.astype(np.float32).astype(np.float64)
+    x = pts[p:].astype(np.float32) if kind != "float64" and draw(st.booleans()) else pts[p:]
+
+    def laid_out(a):
+        layout = draw(st.sampled_from(("C", "F", "strided")))
+        if layout == "F":
+            return np.asfortranarray(a)
+        if layout == "strided":  # every other row and column of a larger array
+            wide = np.zeros((2 * a.shape[0], 2 * d), dtype=a.dtype)
+            wide[::2, ::2] = a
+            return wide[::2, ::2]
+        return a
+
+    return laid_out(pts[:p]), laid_out(x)
+
+
+class TestEuclidean:
+    """`euclidean` equals scipy's `cdist`, bit for bit."""
+
+    @given(point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_cdist(self, case):
+        q, x = case
+        want = cdist(q, x.astype(np.float64))
+        assert euclidean(q[:, None], x).tobytes() == want.tobytes()  # all pairs
+        assert euclidean(q[0], x).tobytes() == want[0].tobytes()     # one point against many
+        assert euclidean(x, q[0]).tobytes() == want[0].tobytes()
+        assert euclidean(q[-1], x[-1]).tobytes() == want[-1, -1].tobytes()  # one pair
+        rows = np.arange(len(x)) % len(q)  # matched pairs
+        assert euclidean(q[rows], x).tobytes() == want[rows, np.arange(len(x))].tobytes()
+
+
 class TestCollisionIndex:
     def test_all_qualify(self):
         assert collision_index(np.full((3, 3), 10), threshold=5) == 1.0
@@ -135,13 +191,20 @@ class TestCandidacy:
             mmlsh.GammaParams(gamma=0.5, delta=0.2, beta=0.1, epsilon=0.2)
 
 
+def cdist_gamma_distance(q, x, gamma):
+    """Oracle: the ceil(gamma * pairs)-th smallest of scipy's `cdist` values of the cross pairs."""
+    dists = np.sort(cdist(np.asarray(q, dtype=np.float64), np.asarray(x, dtype=np.float64)),
+                    axis=None)
+    return float(dists[math.ceil(gamma * dists.size) - 1])
+
+
 def per_object_gamma_distances(q, dataset, ranks, gamma):
-    """Oracle: one `gamma_distance` per asked object."""
-    return np.array([mmlsh.gamma_distance(q, dataset.object_coords(int(dataset.object_ids[r])),
+    """Oracle: one `cdist` gamma-distance per asked object."""
+    return np.array([cdist_gamma_distance(q, dataset.object_coords(int(dataset.object_ids[r])),
                                           gamma) for r in ranks], dtype=np.float64)
 
 
-KINDS = ("plain", "duplicates", "far", "huge")  # the float32 product falls back on the last two
+KINDS = ("plain", "duplicates", "far", "huge")  # the last two take the float64 product
 
 
 @st.composite
@@ -182,6 +245,22 @@ def spy(name):
     return mock.patch.object(similarity, name, wraps=getattr(similarity, name))
 
 
+@contextlib.contextmanager
+def products():
+    """Record the precision, np.float32 or np.float64, of every safe product `similarity` takes."""
+    ran = []
+    approx_sq_dists = similarity._approx_sq_dists
+
+    def recording(a, b):
+        approx = approx_sq_dists(a, b)
+        if approx is not None:
+            ran.append(approx[0].dtype.type)
+        return approx
+
+    with mock.patch.object(similarity, "_approx_sq_dists", recording):
+        yield ran
+
+
 class TestGammaDistances:
     """The batched kernel equals one `gamma_distance` per object, bit for bit."""
 
@@ -189,28 +268,28 @@ class TestGammaDistances:
     @settings(max_examples=400, deadline=None)
     def test_equals_per_object_gamma_distance(self, case):
         q, dataset, ranks, gamma, kind = case
-        with spy("_cdist_block") as fallback:
+        with products() as ran:
             got = mmlsh.gamma_distances(q, dataset, ranks, gamma)
         want = per_object_gamma_distances(q, dataset, ranks, gamma)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        if kind in ("far", "huge") and ranks:
-            assert fallback.called
+        if kind in ("far", "huge") and ranks:  # far clouds drop the float32 product
+            assert set(ran) == ({np.float32, np.float64} if kind == "far" else {np.float64})
 
     def test_clustered_objects_take_the_product_path(self):
         dataset = mmlsh.synth_dataset(60, 15, 8, 0.1, seed=4)
         q = mmlsh.QueryObject.from_object(dataset, 11).coords
         ranks = np.arange(dataset.num_objects)
-        with spy("_cdist_block") as fallback, spy("_select_in_window") as window:
+        with products() as ran:
             got = mmlsh.gamma_distances(q, dataset, ranks, 0.7)
-        assert window.called and not fallback.called
+        assert ran and set(ran) == {np.float32}
         assert got.tobytes() == per_object_gamma_distances(q, dataset, ranks, 0.7).tobytes()
 
-    def test_a_query_float32_does_not_hold_runs_cdist(self):
+    def test_a_query_float32_does_not_hold_takes_the_float64_product(self):
         dataset = mmlsh.synth_dataset(20, 10, 4, 0.1, seed=6)
         q = np.random.default_rng(6).normal(size=(5, 4))  # float64 values
-        with spy("_cdist_block") as fallback, spy("_select_in_window") as window:
+        with products() as ran:
             got = mmlsh.gamma_distances(q, dataset, np.arange(20), 0.5)
-        assert fallback.called and not window.called
+        assert ran and set(ran) == {np.float64}
         assert got.tobytes() == per_object_gamma_distances(q, dataset, np.arange(20),
                                                            0.5).tobytes()
 
@@ -223,15 +302,15 @@ class TestGammaDistances:
         blocks = []
         block_gamma_distances = similarity._block_gamma_distances
 
-        def recording_block(q, q32, x, size, gamma):
+        def recording_block(q, x, size, gamma):
             blocks.append(np.array(x))
-            return block_gamma_distances(q, q32, x, size, gamma)
+            return block_gamma_distances(q, x, size, gamma)
 
         monkeypatch.setattr(similarity, "BLOCK_PAIRS", 81)  # two objects of 40 pairs
         monkeypatch.setattr(similarity, "_block_gamma_distances", recording_block)
-        with spy("_select_in_window") as window:
+        with spy("_select_in_window") as window, products() as ran:
             got = mmlsh.gamma_distances(q, dataset, ranks, 0.4)
-        assert window.call_count == len(blocks)
+        assert window.call_count == len(blocks) and ran == [np.float32] * len(blocks)
         # the blocks tile the group: in order, two objects each, every asked object once
         assert [len(x) for x in blocks] == [20] * 12 + [10]
         want_rows = np.concatenate([dataset.object_coords(int(dataset.object_ids[r]))
@@ -239,6 +318,16 @@ class TestGammaDistances:
         assert np.array_equal(np.concatenate(blocks), want_rows)
         want = per_object_gamma_distances(q, dataset, ranks, 0.4)
         assert got.tobytes() == want.tobytes()
+
+    def test_no_safe_product_measures_every_pair(self):
+        """A query beyond float64's norm limit for the product: every pair is in the window."""
+        rng = np.random.default_rng(14)
+        dataset = mmlsh.Dataset(rng.normal(size=(40, 3)), np.repeat(np.arange(8), 5))
+        q = rng.normal(size=(3, 3)) * 1e152
+        with products() as ran, spy("_select_in_window") as window:
+            got = mmlsh.gamma_distances(q, dataset, np.arange(8), 0.5)
+        assert ran == [] and window.call_args.args[2].size == 40 * 3
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, np.arange(8), 0.5).tobytes()
 
     def test_an_object_above_the_block_bound_is_its_own_block(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -289,7 +378,7 @@ class TestObjectRatio:
         returned = truth[:4] + [truth[5 - 1]]
         value, _ = mmlsh.object_ratio([d for _, d in returned], [d for _, d in truth])
         expected = np.mean([
-            mmlsh.gamma_distance(q.coords, small_dataset.object_coords(oid), gamma) / td
+            cdist_gamma_distance(q.coords, small_dataset.object_coords(oid), gamma) / td
             for (oid, _), (_, td) in zip(returned, truth)
         ])
         assert value == pytest.approx(float(expected), rel=1e-12)
