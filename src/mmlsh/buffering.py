@@ -38,6 +38,14 @@ and the MMLSH demands:
   decrements equal max(0, d - u);
 * an old resident's heap entries from all but its last hit would be stale,
   and a stale entry never picks a victim, so one entry per key suffices.
+
+`bench.replay_plans` leans on the same facts for a plan that cannot evict:
+one whose distinct (projection, level) passes, at n * POINT_ID_BYTES each,
+fit in the free bytes, replayed before any eviction has built an MMLSH
+policy. It bills such a plan in one numpy pass: each miss still goes through
+`access_bucket`, in first-access order, and the rest is one hit count, one
+reinsertion per key in last-use order and one `use` per key. `bill_hits`
+serves the plans that may evict.
 """
 
 from __future__ import annotations
@@ -390,13 +398,19 @@ def schedule_ns2(ranges):
     rows expand into one array of buckets in row order, so a bucket's first
     occurrence there, which `np.unique` returns, lies in its first row.
     """
-    lo, hi = ranges[:, 1], ranges[:, 2]
-    widths = np.maximum(hi - lo, 0)
-    ends = np.cumsum(widths)
-    # entry j of row r's stretch, which starts at ends[r] - widths[r], is bucket lo[r] + that offset
-    expanded = np.repeat(lo - (ends - widths), widths) + np.arange(widths.sum())
-    buckets, first = np.unique(expanded, return_index=True)
-    return buckets, ranges[np.searchsorted(ends, first, side="right"), 0]
+    widths = np.maximum(ranges[:, 2] - ranges[:, 1], 0)
+    buckets, first = np.unique(expand_ranges(ranges[:, 1], widths), return_index=True)
+    return buckets, ranges[np.searchsorted(np.cumsum(widths), first, side="right"), 0]
+
+
+def expand_ranges(starts, lengths):
+    """The integers of each range [starts[r], starts[r] + lengths[r]), one range after another.
+
+    lengths must be >= 0. Entry j of range r's stretch, which starts at
+    ends[r] - lengths[r], is starts[r] plus that offset.
+    """
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(lengths.sum())
 
 
 def split_queries(ranges, splits: int, ids):

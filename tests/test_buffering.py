@@ -551,6 +551,130 @@ class TestBulkHitReplay:
         assert bulk.est_frequency == single.est_frequency == max(0.0, demand - uses)
 
 
+
+def plan_bound(index, plan):
+    """The bytes a plan can add to a buffer: each distinct (g, R) pass reads projection g once."""
+    passes = {(g, R) for g, R, _ranges in plan}
+    return sum(POINT_ID_BYTES * sum(index.occupied[g][1]) for g, _R in passes)
+
+
+@st.composite
+def fitting_plans(draw):
+    """`pass_plans` with a capacity that holds the first plan's bound, and often every plan's.
+
+    With every bound held, no plan evicts and each one that reads a bucket
+    replays in bulk. Below that, the later plans that no longer fit replay
+    pass by pass on the buffer the bulk plans left. In some draws each
+    projection's ids and ranges lie 2**60 from the next projection's, so the
+    visiting order no longer packs into one int64.
+    """
+    index, plans, _capacity, profile, lru_prefix, cut, splits = draw(pass_plans())
+    if draw(st.booleans()):
+        shift = {g: (g - 1) * 2**60 for g in index.occupied}
+        index = OccupiedIndex({g: ([b + shift[g] for b in ids], counts)
+                               for g, (ids, counts) in index.occupied.items()})
+        plans = [[(g, R, ranges + np.array([0, shift[g], shift[g]])) for g, R, ranges in plan]
+                 for plan in plans]
+    total = sum(plan_bound(index, plan) for plan in plans)
+    capacity = draw(st.one_of(st.integers(total, total + 60),
+                              st.integers(plan_bound(index, plans[0]), total)))
+    return index, plans, capacity, profile, lru_prefix, cut, splits
+
+
+def counting(monkeypatch, owner, name, calls, counted=lambda result: True):
+    """Wrap owner.name so that `calls[name]` counts the calls whose result `counted` accepts."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls[name] += bool(counted(result))
+        return result
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestNoEvictReplay:
+    """Plans whose bound fits the free bytes replay in bulk, as one call per access would."""
+
+    def test_bulk_replay_equals_one_access_bucket_call_per_access(self, monkeypatch):
+        seen = Counter()
+        calls = Counter()
+        counting(monkeypatch, bench, "_replay_plan_bulk", calls, counted=lambda billed: billed)
+        counting(monkeypatch, bench, "split_queries", calls)
+        counting(monkeypatch, np, "lexsort", calls)
+
+        @settings(max_examples=400, deadline=None)
+        @given(run=fitting_plans(), strategy=st.sampled_from([NS1, MMLSH]))
+        def check(run, strategy):
+            calls.clear()
+            got = replay_in_calls(bench.replay_plans, strategy, run)
+            bulk, passes, lexsorts = (calls["_replay_plan_bulk"], calls["split_queries"],
+                                      calls["lexsort"])
+            want = replay_in_calls(oracle_replay_plans, strategy, run)
+            assert got == want
+            trace, io = got[0], got[1]
+            seen[strategy, bool((run[3].means != 1).any())] += bulk  # drawn or uniform demand
+            seen["bulk"] += bulk
+            seen["NS1 prefix"] += bool(bulk and run[4] > 0)
+            seen["bulk, then pass by pass"] += bool(bulk and passes)
+            seen["evictions after bulk"] += bool(bulk and io.evictions)
+            seen["unpacked order"] += lexsorts
+            seen["hits"] += sum(kind == "hit" for _t, _key, kind, _e in trace)
+
+        check()
+        # both strategies with drawn and uniform demands replayed in bulk, on their own, after
+        # an NS1 prefix and before plans that evict; some orders did not fit one int64
+        assert all(seen[s, p] > 50 for s in (NS1, MMLSH) for p in (False, True)), seen
+        assert seen["bulk"] > 600 and seen["hits"] > 5_000, seen
+        assert all(seen[name] > 10 for name in ("NS1 prefix", "bulk, then pass by pass",
+                                                "evictions after bulk", "unpacked order")), seen
+
+    def replay_counted(self, monkeypatch, strategy, index, plans, capacity, splits=3):
+        """One `replay_plans` call per plan on one buffer, against the oracle.
+
+        Returns the number of passes replayed pass by pass (`split_queries` calls).
+        """
+        calls = Counter()
+        counting(monkeypatch, bench, "split_queries", calls)
+        run = (index, plans, capacity, uniform_profile(len(index.occupied)), 0, 0, splits)
+        got = replay_in_calls(bench.replay_plans, strategy, run)
+        monkeypatch.undo()
+        assert got == replay_in_calls(oracle_replay_plans, strategy, run)
+        return calls["split_queries"]
+
+    INDEX = OccupiedIndex({0: ([0, 2, 3, 7], [3, 1, 4, 2]), 1: ([-5, 1], [2, 6])})
+    PLANS = [[(0, 1, np.array([[0, 0, 4], [1, 2, 9]])), (1, 2, np.array([[0, -6, 2]]))],
+             [(0, 1, np.array([[0, 3, 8]])), (0, 2, np.array([[0, 0, 8], [1, 2, 3]]))]]
+
+    @pytest.mark.parametrize("strategy", [NS1, MMLSH])
+    def test_a_plan_one_byte_over_the_free_bytes_replays_pass_by_pass(self, monkeypatch,
+                                                                      strategy):
+        first, second = self.PLANS
+        used = POINT_ID_BYTES * (3 + 1 + 4 + 2 + 2 + 6)  # the first plan reads every bucket
+        bound = plan_bound(self.INDEX, second)
+        assert bound == 2 * POINT_ID_BYTES * 10
+        # the second plan takes the bulk path when its bound fits the free bytes exactly
+        assert self.replay_counted(monkeypatch, strategy, self.INDEX, self.PLANS,
+                                   used + bound) == 0
+        assert self.replay_counted(monkeypatch, strategy, self.INDEX, self.PLANS,
+                                   used + bound - 1) == len(second)
+
+    def test_mmlsh_replays_pass_by_pass_once_an_eviction_built_its_policy(self, monkeypatch):
+        index = OccupiedIndex({0: ([0, 1, 2], [10, 10, 10]), 1: ([4], [1])})
+        evicting = [(0, 1, np.array([[0, 0, 3]]))]  # 120 B of buckets through a 100 B buffer
+        small = [(1, 1, np.array([[0, 4, 5]]))]  # 4 B: fits the 20 B left free
+        assert plan_bound(index, evicting) > 100 and plan_bound(index, small) <= 100 - 80
+        plans = [evicting, small]  # in one call
+        # the eviction builds the MMLSH policy, so the small plan replays pass by pass too;
+        # under NS1, which builds no policy, it replays in bulk
+        assert self.replay_counted(monkeypatch, MMLSH, index, plans, 100, splits=1) == 2
+        assert self.replay_counted(monkeypatch, NS1, index, plans, 100) == 1
+
+    @pytest.mark.parametrize("strategy", [NS1, MMLSH])
+    def test_a_plan_of_empty_ranges_replays_pass_by_pass(self, monkeypatch, strategy):
+        plans = [[], [(0, 1, np.array([[0, 3, 3], [1, 5, 2]])), (1, 4, np.array([[0, 1, 0]]))]]
+        assert self.replay_counted(monkeypatch, strategy, self.INDEX, plans, 10_000) == 2
+
+
 class TestNs2BatchReplay:
     def test_ns2_replay_equals_the_dict_schedule(self):
         seen = Counter()

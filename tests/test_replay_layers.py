@@ -5,10 +5,12 @@ attributes: `bench.access_bucket`, `bench.evict_lru`, `buffering.evict_mmlsh`
 and `bench.split_queries`. These tests wrap the same attributes with
 counters around `bench.replay_plans`, so a call that bypassed them (or ran
 twice per miss, eviction or pass) would show here before it skewed a
-per-layer figure. Each miss goes through `access_bucket`; runs of hits are
-billed in bulk by `bill_hits`, so the wrapped attribute counts misses.
-NS1 and MMLSH order each pass with one `split_queries` call; NS2 schedules
-its batch without it.
+per-layer figure. Each miss goes through `access_bucket`, so the wrapped
+attribute counts misses. A plan that may evict is replayed pass by pass:
+NS1 and MMLSH order each of its passes with one `split_queries` call and
+bill the runs of hits between misses with `bill_hits`. A plan that cannot
+evict, as on a buffer that holds the working set, is ordered and billed in
+one numpy pass, without `split_queries`. NS2 schedules its batch without it.
 """
 
 from collections import Counter
@@ -19,6 +21,7 @@ import mmlsh
 from mmlsh import bench, buffering
 from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel, SchedulerConfig,
                              build_frequency_profile)
+from test_buffering import counting, oracle_replay_plans
 
 CFG = bench.RunConfig(synth_objects=40, synth_points_per_object=10, synth_dimension=8,
                       synth_spread=0.2, gamma=0.5, delta=0.25, beta=0.5, epsilon=0.5,
@@ -36,7 +39,7 @@ def recorded():
     return index, profile, plans
 
 
-def counted_replay(monkeypatch, strategy, index, profile, plans):
+def counted_replay(monkeypatch, strategy, index, profile, plans, buffer_mb=CFG.buffer_mb):
     calls = Counter()
 
     def counting(owner, name):
@@ -57,7 +60,7 @@ def counted_replay(monkeypatch, strategy, index, profile, plans):
         return real_call(policy, buffer, current_bucket)
     monkeypatch.setattr(buffering._MmlshEvictor, "__call__", counting_call)
 
-    buffer = BufferState(int(CFG.buffer_mb * bench.MB), CostModel())
+    buffer = BufferState(int(buffer_mb * bench.MB), CostModel())
     stats = [mmlsh.QueryStats() for _ in plans]
     bench.replay_plans(strategy, plans, index, buffer, stats,
                        SchedulerConfig(strategy=strategy, profile=profile))
@@ -84,6 +87,52 @@ def test_wrapped_attributes_count_every_access_and_eviction(monkeypatch, recorde
         assert calls["split_queries"] == 0
     else:
         assert calls["split_queries"] == sum(len(plan) for plan in plans)  # once per pass
+
+
+@pytest.mark.parametrize("strategy", [NS1, MMLSH])
+def test_a_buffer_that_holds_the_working_set_replays_each_plan_in_bulk(monkeypatch, recorded,
+                                                                       strategy):
+    index, profile, plans = recorded
+    calls, buffer, stats = counted_replay(monkeypatch, strategy, index, profile, plans,
+                                          buffer_mb=30.0)
+    io = buffer.io_stats
+    assert io.evictions == 0 and io.buffer_misses > 0 and io.buffer_hits > 0
+    assert calls["access_bucket"] == io.buffer_misses
+    assert calls["access_bucket"] == sum(s.buffer_misses for s in stats)
+    assert calls["evict_lru"] == calls["evict_mmlsh"] == calls["policy_builds"] == 0
+    assert calls["split_queries"] == 0  # no plan was ordered pass by pass
+
+
+@pytest.mark.parametrize("strategy", [NS1, MMLSH])
+def test_recorded_plans_replay_as_one_access_bucket_call_per_access(monkeypatch, recorded,
+                                                                    strategy):
+    """Plan by plan on a 30 MB buffer, as the benchmark replays them, against the oracle.
+
+    Recorded plans have what drawn ones seldom have: level intervals
+    aligned to multiples of R and identical ranges repeated within a pass.
+    """
+    index, profile, plans = recorded
+    passes = [(R, [tuple(row) for row in rows[:, 1:].tolist()]) for plan in plans
+              for _g, R, rows in plan]
+    assert all(lo % R == 0 and hi - lo == R for R, ranges in passes for lo, hi in ranges)
+    assert any(len(set(ranges)) < len(ranges) for _R, ranges in passes)
+    calls = Counter()
+    counting(monkeypatch, bench, "_replay_plan_bulk", calls, counted=lambda billed: billed)
+    counting(monkeypatch, bench, "split_queries", calls)
+
+    def replay(replay_plans):
+        buffer = BufferState(30 * bench.MB, CostModel(), trace=[])
+        stats = [mmlsh.QueryStats() for _ in plans]
+        scheduler = SchedulerConfig(strategy=strategy, profile=profile)
+        for plan, query_stats in zip(plans, stats):
+            replay_plans(strategy, [plan], index, buffer, [query_stats], scheduler)
+        residents = [(key, e.size_bytes, e.insert_tick, e.est_frequency)
+                     for key, e in buffer.resident.items()]
+        return buffer.trace, buffer.io_stats, stats, residents, buffer.clock
+
+    got = replay(bench.replay_plans)
+    assert (calls["_replay_plan_bulk"], calls["split_queries"]) == (len(plans), 0)
+    assert got == replay(oracle_replay_plans)
 
 
 def test_a_scheduler_for_another_strategy_is_refused(recorded):
