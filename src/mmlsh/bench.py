@@ -301,7 +301,7 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
         bound = sum(projections[g][2] for g, _R in passes)  # n * POINT_ID_BYTES per pass
         if (bound <= buffer.capacity_bytes - buffer.used_bytes
                 and not (mmlsh and evict.young is not None)
-                and _replay_plan_bulk(plan, projections, splits, buffer, evict, stats)):
+                and _replay_plan_bulk(plan, projections, splits, buffer, evict, stats, mmlsh)):
             continue
         for g, R, ranges in plan:
             if g not in lists:
@@ -341,7 +341,8 @@ def _replay_pass(g, R, order, ids, sizes, buffer: BufferState, evict, stats) -> 
         bill_hits(hits, keys, buffer, evict, stats)
 
 
-def _replay_plan_bulk(plan, projections, splits, buffer: BufferState, evict, stats) -> bool:
+def _replay_plan_bulk(plan, projections, splits, buffer: BufferState, evict, stats,
+                      mmlsh: bool) -> bool:
     """Bill a plan that cannot evict with numpy, as the pass-by-pass replay bills it.
 
     The caller has checked that the plan's keys fit in the free bytes and
@@ -350,13 +351,14 @@ def _replay_plan_bulk(plan, projections, splits, buffer: BufferState, evict, sta
     it was not resident, and every other access is a hit. The accesses
     follow `split_queries`' order: each non-empty range is cut into
     `_split_offsets` segments, and the segments are visited by (pass, start,
-    query index, end), each one's occupied buckets left to right. Each miss
+    query index), each one's occupied buckets left to right. Each miss
     goes through `access_bucket` at its own tick, in first-access order, so
     insert ticks and `io_ms` sums are the ones a call per access gives. The
     hits are added at once, the accessed keys are reinserted in last-use
     order, and an MMLSH policy hears each key's hits in one `use`. A kept
-    trace gets one tuple per access. Returns False, having billed nothing,
-    when every range is empty.
+    trace gets one tuple per access. `mmlsh` says that `evict` is an MMLSH
+    policy, which also bills the segments to `alg_ops`. Returns False,
+    having billed nothing, when every range is empty.
     """
     by_g = sorted(range(len(plan)), key=lambda p: plan[p][0])  # the rows of one g run together
     rows = np.concatenate([plan[p][2] for p in by_g] or [np.empty((0, 3), dtype=np.int64)])
@@ -368,7 +370,7 @@ def _replay_plan_bulk(plan, projections, splits, buffer: BufferState, evict, sta
     if splits > 1:
         seg_row, start, end = _cut_segments(start, end, splits)
         seg_pass, qi = seg_pass[seg_row], qi[seg_row]
-    if isinstance(evict, _MmlshEvictor):
+    if mmlsh:
         stats.alg_ops += len(start)  # segment dispatch overhead
     # A bucket's token is its position among the plan's projections' occupied ids, laid
     # one projection after another, plus len(ids) times the index of its (g, R) pass.
@@ -383,16 +385,11 @@ def _replay_plan_bulk(plan, projections, splits, buffer: BufferState, evict, sta
     edges = [0, *(np.flatnonzero(np.diff(seg_g)) + 1).tolist(), len(seg_g)]
     for a, b in zip(edges, edges[1:]):  # one searchsorted per projection
         positions[:, a:b] = projections[int(seg_g[a])][0].searchsorted(positions[:, a:b])
-    # the visiting order: by pass, start, query index and width, packed in one int64 if they fit
-    columns = (seg_pass, start, qi, end - start)
-    spans = [int(c.max()) - int(c.min()) + 1 for c in columns]
-    if math.prod(spans) < 2**63:
-        packed = np.zeros(len(start), dtype=np.int64)
-        for column, span in zip(columns, spans):
-            packed = packed * span + (column - column.min())
-        order = np.argsort(packed, kind="stable")
-    else:
-        order = np.lexsort(columns[::-1])
+    # The visiting order: by pass, start and query index (a pass has one range per query
+    # index). Ranking the starts packs the three into one key below passes * segments *
+    # query points, which fits an int64.
+    _, rank = np.unique(start, return_inverse=True)
+    order = np.argsort((seg_pass * (rank.max() + 1) + rank) * (qi.max() + 1) + qi, kind="stable")
     tokens = expand_ranges((positions[0] + pass_token[seg_pass])[order],
                            (positions[1] - positions[0])[order])
     count = len(tokens)
@@ -418,7 +415,6 @@ def _replay_plan_bulk(plan, projections, splits, buffer: BufferState, evict, sta
     buffer.clock, buffer.trace = tick + count, trace
     buffer.io_stats.buffer_hits += count - len(misses)
     stats.buffer_hits += count - len(misses)
-    mmlsh = isinstance(evict, _MmlshEvictor)
     remaining = (uses - missed).tolist()
     for k in np.argsort(last).tolist():
         key = keys[k]

@@ -564,17 +564,9 @@ def fitting_plans(draw):
 
     With every bound held, no plan evicts and each one that reads a bucket
     replays in bulk. Below that, the later plans that no longer fit replay
-    pass by pass on the buffer the bulk plans left. In some draws each
-    projection's ids and ranges lie 2**60 from the next projection's, so the
-    visiting order no longer packs into one int64.
+    pass by pass on the buffer the bulk plans left.
     """
     index, plans, _capacity, profile, lru_prefix, cut, splits = draw(pass_plans())
-    if draw(st.booleans()):
-        shift = {g: (g - 1) * 2**60 for g in index.occupied}
-        index = OccupiedIndex({g: ([b + shift[g] for b in ids], counts)
-                               for g, (ids, counts) in index.occupied.items()})
-        plans = [[(g, R, ranges + np.array([0, shift[g], shift[g]])) for g, R, ranges in plan]
-                 for plan in plans]
     total = sum(plan_bound(index, plan) for plan in plans)
     capacity = draw(st.one_of(st.integers(total, total + 60),
                               st.integers(plan_bound(index, plans[0]), total)))
@@ -600,15 +592,13 @@ class TestNoEvictReplay:
         calls = Counter()
         counting(monkeypatch, bench, "_replay_plan_bulk", calls, counted=lambda billed: billed)
         counting(monkeypatch, bench, "split_queries", calls)
-        counting(monkeypatch, np, "lexsort", calls)
 
         @settings(max_examples=400, deadline=None)
         @given(run=fitting_plans(), strategy=st.sampled_from([NS1, MMLSH]))
         def check(run, strategy):
             calls.clear()
             got = replay_in_calls(bench.replay_plans, strategy, run)
-            bulk, passes, lexsorts = (calls["_replay_plan_bulk"], calls["split_queries"],
-                                      calls["lexsort"])
+            bulk, passes = calls["_replay_plan_bulk"], calls["split_queries"]
             want = replay_in_calls(oracle_replay_plans, strategy, run)
             assert got == want
             trace, io = got[0], got[1]
@@ -617,16 +607,15 @@ class TestNoEvictReplay:
             seen["NS1 prefix"] += bool(bulk and run[4] > 0)
             seen["bulk, then pass by pass"] += bool(bulk and passes)
             seen["evictions after bulk"] += bool(bulk and io.evictions)
-            seen["unpacked order"] += lexsorts
             seen["hits"] += sum(kind == "hit" for _t, _key, kind, _e in trace)
 
         check()
         # both strategies with drawn and uniform demands replayed in bulk, on their own, after
-        # an NS1 prefix and before plans that evict; some orders did not fit one int64
+        # an NS1 prefix and before plans that evict
         assert all(seen[s, p] > 50 for s in (NS1, MMLSH) for p in (False, True)), seen
         assert seen["bulk"] > 600 and seen["hits"] > 5_000, seen
         assert all(seen[name] > 10 for name in ("NS1 prefix", "bulk, then pass by pass",
-                                                "evictions after bulk", "unpacked order")), seen
+                                                "evictions after bulk")), seen
 
     def replay_counted(self, monkeypatch, strategy, index, plans, capacity, splits=3):
         """One `replay_plans` call per plan on one buffer, against the oracle.

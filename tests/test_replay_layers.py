@@ -41,18 +41,9 @@ def recorded():
 
 def counted_replay(monkeypatch, strategy, index, profile, plans, buffer_mb=CFG.buffer_mb):
     calls = Counter()
-
-    def counting(owner, name):
-        real = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
     for owner, name in ((bench, "access_bucket"), (bench, "evict_lru"),
                         (buffering, "evict_mmlsh"), (bench, "split_queries")):
-        counting(owner, name)
+        counting(monkeypatch, owner, name, calls)
     real_call = buffering._MmlshEvictor.__call__
 
     def counting_call(policy, buffer, current_bucket):
