@@ -33,8 +33,8 @@ from .baselines import (borda_aggregate, full_ranking, ground_truth_key, load_gr
                         point_knn_c2lsh, point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
                         FrequencyProfile, QueryStats, SchedulerConfig, _MmlshEvictor,
-                        _split_offsets, access_bucket, bill_hits, build_frequency_profile,
-                        evict_lru, expand_ranges, schedule_ns2, split_queries)
+                        access_bucket, bill_hits, build_frequency_profile, evict_lru,
+                        schedule_ns2, split_queries)
 from .engine import knn_objects
 from .errors import ParameterError, ProfileFileError
 from .lsh import (DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, replacing,
@@ -265,17 +265,19 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     pass and checking every batched query against it.
     Only occupied buckets are visited, in the order `split_queries` gives:
     NS1 is its one-split case, whole ranges left to right, and MMLSH cuts
-    each range into `query_splits` segments. Every replay gives the result
-    of one `access_bucket` call per access, and each miss goes through
+    each range into `query_splits` segments. Each plan is ordered by one
+    `split_queries` call, and every replay gives the result of one
+    `access_bucket` call per access, each miss going through
     `access_bucket` at its own tick, in first-access order.
     A (g, R) pass reads each of projection g's n entries at most once, so a
     plan adds at most (distinct (g, R) passes) * n * POINT_ID_BYTES to the
     buffer. When that fits in the free bytes, and an MMLSH policy has not
     been built by an eviction, no access of the plan can evict, and
-    `_replay_plan_bulk` bills the whole plan with numpy. Any other plan
-    goes pass by pass: a pass revisits its keys many times, so
-    `_replay_pass` sends only its misses through `access_bucket` and bills
-    each run of hits in between in one `bill_hits` step (see `buffering`).
+    `_replay_plan_bulk` bills the whole plan with numpy. Any other plan is
+    billed access by access by `_replay_plan_stepwise`: a plan revisits its
+    keys many times, so only its misses go through `access_bucket`, and
+    each run of hits in between is billed in one `bill_hits` step (see
+    `buffering`).
     Each NS2 pass reads distinct buckets, so every NS2 access is a miss and
     goes through `access_bucket`. A scheduler configured for another
     strategy raises ValueError.
@@ -286,170 +288,82 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     if strategy == NS2:
         _replay_ns2_batch(plans, index, buffer, stats_list)
         return
-    projections: dict = {}  # g -> its occupied ids, ascending, their sizes in bytes, and the total
-    lists: dict = {}  # g -> the same ids and sizes as lists, for the ordering in Python
     mmlsh = strategy == MMLSH
     evict = _MmlshEvictor(scheduler.profile) if mmlsh else evict_lru
     splits = scheduler.query_splits if mmlsh else 1
     for stats, plan in zip(stats_list, plans):
-        passes = {(g, R) for g, R, _ranges in plan}
-        for g, _R in passes:
-            if g not in projections:
-                ids, counts = index.occupied_buckets(g)
-                sizes = counts * POINT_ID_BYTES
-                projections[g] = ids, sizes, int(sizes.sum())
-        bound = sum(projections[g][2] for g, _R in passes)  # n * POINT_ID_BYTES per pass
-        if (bound <= buffer.capacity_bytes - buffer.used_bytes
-                and not (mmlsh and evict.young is not None)
-                and _replay_plan_bulk(plan, projections, splits, buffer, evict, stats, mmlsh)):
-            continue
-        for g, R, ranges in plan:
-            if g not in lists:
-                ids, sizes, _total = projections[g]
-                lists[g] = ids.tolist(), sizes.tolist()
-            ids, sizes = lists[g]
-            # the Python ordering runs faster on lists than on the array
-            order, segments = split_queries(ranges.tolist(), splits, ids)
-            if mmlsh:
-                stats.alg_ops += segments  # segment dispatch overhead
-            _replay_pass(g, R, order, ids, sizes, buffer, evict, stats)
+        order = split_queries(plan, splits, index)
+        if mmlsh:
+            stats.alg_ops += order.segments  # segment dispatch overhead
+        if (order.bound <= buffer.capacity_bytes - buffer.used_bytes
+                and not (mmlsh and evict.young is not None)):
+            _replay_plan_bulk(order, buffer, evict, stats, mmlsh)
+        else:
+            _replay_plan_stepwise(order, buffer, evict, stats)
 
 
-def _replay_pass(g, R, order, ids, sizes, buffer: BufferState, evict, stats) -> None:
-    """Pull one pass's buckets through the buffer, `order` being positions into `ids`.
+def _replay_plan_stepwise(order, buffer: BufferState, evict, stats) -> None:
+    """Pull a plan's buckets through the buffer in `order`, a `split_queries` result.
 
     A hit admits and evicts nothing, so a key found resident stays resident
     until the next miss. The hits since the last miss are therefore queued
     and billed in one `bill_hits` step before the next miss and at the end
-    of the pass, and each miss goes through `access_bucket` at its own tick.
+    of the plan, and each miss goes through `access_bucket` at its own tick.
     """
-    resident = buffer.resident
-    keys = {}  # position -> its bucket's key, built once per position
-    hits = []  # positions of the hits since the last miss
-    for p in order:
-        key = keys.get(p)
-        if key is None:
-            key = keys[p] = (g, R, ids[p])
+    keys, sizes, resident = order.keys, order.sizes, buffer.resident
+    hits = []  # keys, as indices into `keys`, of the hits since the last miss
+    for k in order.accesses().tolist():
+        key = keys[k]
         if key in resident:
-            hits.append(p)
+            hits.append(k)
             continue
         if hits:
             bill_hits(hits, keys, buffer, evict, stats)
             hits = []
-        access_bucket(key, sizes[p], buffer, evict, stats)
+        access_bucket(key, sizes[k], buffer, evict, stats)
     if hits:
         bill_hits(hits, keys, buffer, evict, stats)
 
 
-def _replay_plan_bulk(plan, projections, splits, buffer: BufferState, evict, stats,
-                      mmlsh: bool) -> bool:
-    """Bill a plan that cannot evict with numpy, as the pass-by-pass replay bills it.
+def _replay_plan_bulk(order, buffer: BufferState, evict, stats, mmlsh: bool) -> None:
+    """Bill a plan that cannot evict with numpy, as the stepwise replay bills it.
 
     The caller has checked that the plan's keys fit in the free bytes and
     that an MMLSH policy is not yet built, so no access evicts, bypasses or
     pushes a heap entry. Then a key's first access in the plan is a miss if
-    it was not resident, and every other access is a hit. The accesses
-    follow `split_queries`' order: each non-empty range is cut into
-    `_split_offsets` segments, and the segments are visited by (pass, start,
-    query index), each one's occupied buckets left to right. Each miss
-    goes through `access_bucket` at its own tick, in first-access order, so
+    it was not resident, and every other access is a hit. Each miss goes
+    through `access_bucket` at its own tick, in first-access order, so
     insert ticks and `io_ms` sums are the ones a call per access gives. The
     hits are added at once, the accessed keys are reinserted in last-use
     order, and an MMLSH policy hears each key's hits in one `use`. A kept
     trace gets one tuple per access. `mmlsh` says that `evict` is an MMLSH
-    policy, which also bills the segments to `alg_ops`. Returns False,
-    having billed nothing, when every range is empty.
+    policy.
     """
-    by_g = sorted(range(len(plan)), key=lambda p: plan[p][0])  # the rows of one g run together
-    rows = np.concatenate([plan[p][2] for p in by_g] or [np.empty((0, 3), dtype=np.int64)])
-    keep = rows[:, 2] > rows[:, 1]
-    if not keep.any():
-        return False
-    seg_pass = np.repeat(by_g, [len(plan[p][2]) for p in by_g])[keep]
-    qi, start, end = rows[keep].T
-    if splits > 1:
-        seg_row, start, end = _cut_segments(start, end, splits)
-        seg_pass, qi = seg_pass[seg_row], qi[seg_row]
-    if mmlsh:
-        stats.alg_ops += len(start)  # segment dispatch overhead
-    # A bucket's token is its position among the plan's projections' occupied ids, laid
-    # one projection after another, plus len(ids) times the index of its (g, R) pass.
-    gs = list(dict.fromkeys(plan[p][0] for p in by_g))
-    ids = np.concatenate([projections[g][0] for g in gs])
-    first_id = dict(zip(gs, np.cumsum([0] + [len(projections[g][0]) for g in gs]).tolist()))
-    groups = list(dict.fromkeys((g, R) for g, R, _ranges in plan))
-    group_of = {gR: j for j, gR in enumerate(groups)}
-    pass_token = np.array([group_of[g, R] * len(ids) + first_id[g] for g, R, _ranges in plan])
-    seg_g = np.array([g for g, _R, _ranges in plan])[seg_pass]
-    positions = np.stack((start, end))  # each segment's bounds, then their positions in ids
-    edges = [0, *(np.flatnonzero(np.diff(seg_g)) + 1).tolist(), len(seg_g)]
-    for a, b in zip(edges, edges[1:]):  # one searchsorted per projection
-        positions[:, a:b] = projections[int(seg_g[a])][0].searchsorted(positions[:, a:b])
-    # The visiting order: by pass, start and query index (a pass has one range per query
-    # index). Ranking the starts packs the three into one key below passes * segments *
-    # query points, which fits an int64.
-    _, rank = np.unique(start, return_inverse=True)
-    order = np.argsort((seg_pass * (rank.max() + 1) + rank) * (qi.max() + 1) + qi, kind="stable")
-    tokens = expand_ranges((positions[0] + pass_token[seg_pass])[order],
-                           (positions[1] - positions[0])[order])
-    count = len(tokens)
-    if not count:  # no range holds an occupied bucket
-        return True
-    by_token = np.argsort(tokens, kind="stable")  # each key's accesses together, in order
-    sorted_tokens = tokens[by_token]
-    heads = np.flatnonzero(np.r_[True, sorted_tokens[1:] != sorted_tokens[:-1]])
-    uses = np.diff(np.r_[heads, count])
-    first, last = by_token[heads], by_token[heads + uses - 1]
-    group, position = np.divmod(sorted_tokens[heads], len(ids))
-    keys = [(*groups[j], bucket) for j, bucket in zip(group.tolist(), ids[position].tolist())]
-    sizes = np.concatenate([projections[g][1] for g in gs])[position].tolist()
-
+    keys, first, count = order.keys, order.first, len(order.by_key)
     resident, tick, trace = buffer.resident, buffer.clock, buffer.trace
-    missed = np.array([key not in resident for key in keys])
+    missed = np.array([key not in resident for key in keys], dtype=bool)
     misses = np.flatnonzero(missed)
     misses = misses[np.argsort(first[misses])]
+    at = first[misses].tolist()
     buffer.trace = None  # the trace is written below, in access order
-    for k, f in zip(misses.tolist(), first[misses].tolist()):
+    for k, f in zip(misses.tolist(), at):
         buffer.clock = tick + f
-        access_bucket(keys[k], sizes[k], buffer, evict, stats)
+        access_bucket(keys[k], order.sizes[k], buffer, evict, stats)
     buffer.clock, buffer.trace = tick + count, trace
     buffer.io_stats.buffer_hits += count - len(misses)
     stats.buffer_hits += count - len(misses)
-    remaining = (uses - missed).tolist()
-    for k in np.argsort(last).tolist():
+    remaining = (order.uses - missed).tolist()
+    for k in np.argsort(order.last).tolist():
         key = keys[k]
         entry = resident[key] = resident.pop(key)
         if mmlsh and remaining[k]:
             evict.use(key, entry, remaining[k])
     if trace is not None:
-        key_of = np.empty(count, dtype=np.int64)
-        key_of[by_token] = np.repeat(np.arange(len(keys)), uses)
         kinds = ["hit"] * count
-        for f in first[misses].tolist():
+        for f in at:
             kinds[f] = "miss"
-        trace.extend(zip(range(tick + 1, tick + count + 1), map(keys.__getitem__, key_of.tolist()),
-                         kinds, [None] * count))
-    return True
-
-
-def _cut_segments(lo, hi, splits):
-    """Each range [lo, hi) cut into its `_split_offsets` segments, ranges and segments in order.
-
-    Returns the range index, start and end of every segment, empty ones
-    included. The ranges' widths take few values, so each width's cuts are
-    looked up once.
-    """
-    widths = hi - lo
-    distinct = np.unique(widths)
-    inverse = distinct.searchsorted(widths)
-    cuts = [_split_offsets(width, splits) for width in distinct.tolist()]
-    lens = np.array([len(c) for c in cuts])
-    table = np.array([pair for c in cuts for pair in c]).T  # (2, cuts): starts, ends
-    nseg = lens[inverse]
-    # segment j of a range is entry j of its width's stretch of the table
-    entry = expand_ranges((np.cumsum(lens) - lens)[inverse], nseg)
-    row = np.repeat(np.arange(len(lo)), nseg)
-    return row, lo[row] + table[0][entry], lo[row] + table[1][entry]
+        accessed = map(keys.__getitem__, order.accesses().tolist())
+        trace.extend(zip(range(tick + 1, tick + count + 1), accessed, kinds, [None] * count))
 
 
 def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:

