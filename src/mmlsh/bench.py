@@ -6,8 +6,7 @@ so repeated runs with the same config and seed produce identical reports.
 Each query's costs live in one `QueryStats`: the search fills its collision
 and operation counts, and `replay_plans` bills its IO, adding the same
 figures to the buffer's `io_stats`: misses through `access_bucket`, and
-hits in bulk, in one numpy pass for a plan that cannot evict and through
-`bill_hits` otherwise.
+hits key by key through `bill_hits`.
 
 The report verbs share one pipeline. After one set-up (dataset, artifacts,
 queries, exact rankings), `record_query_plans` runs each query's search
@@ -267,17 +266,16 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
     NS1 is its one-split case, whole ranges left to right, and MMLSH cuts
     each range into `query_splits` segments. Each plan is ordered by one
     `split_queries` call, and every replay gives the result of one
-    `access_bucket` call per access, each miss going through
-    `access_bucket` at its own tick, in first-access order.
+    `access_bucket` call per access: each miss goes through `access_bucket`
+    at its own tick, in first-access order, and `bill_hits` bills the hits
+    (see `buffering`).
     A (g, R) pass reads each of projection g's n entries at most once, so a
     plan adds at most (distinct (g, R) passes) * n * POINT_ID_BYTES to the
-    buffer. When that fits in the free bytes, and an MMLSH policy has not
-    been built by an eviction, no access of the plan can evict, and
-    `_replay_plan_bulk` bills the whole plan with numpy. Any other plan is
-    billed access by access by `_replay_plan_stepwise`: a plan revisits its
-    keys many times, so only its misses go through `access_bucket`, and
-    each run of hits in between is billed in one `bill_hits` step (see
-    `buffering`).
+    buffer. When that fits in the free bytes, no access of the plan can
+    evict, and `_replay_plan_bulk` bills all its hits in one `bill_hits`
+    call. Any other plan is walked access by access by
+    `_replay_plan_stepwise`, which bills each run of hits between two
+    misses in one call.
     Each NS2 pass reads distinct buckets, so every NS2 access is a miss and
     goes through `access_bucket`. A scheduler configured for another
     strategy raises ValueError.
@@ -295,9 +293,8 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
         order = split_queries(plan, splits, index)
         if mmlsh:
             stats.alg_ops += order.segments  # segment dispatch overhead
-        if (order.bound <= buffer.capacity_bytes - buffer.used_bytes
-                and not (mmlsh and evict.young is not None)):
-            _replay_plan_bulk(order, buffer, evict, stats, mmlsh)
+        if order.bound <= buffer.capacity_bytes - buffer.used_bytes:
+            _replay_plan_bulk(order, buffer, evict, stats)
         else:
             _replay_plan_stepwise(order, buffer, evict, stats)
 
@@ -306,64 +303,50 @@ def _replay_plan_stepwise(order, buffer: BufferState, evict, stats) -> None:
     """Pull a plan's buckets through the buffer in `order`, a `split_queries` result.
 
     A hit admits and evicts nothing, so a key found resident stays resident
-    until the next miss. The hits since the last miss are therefore queued
-    and billed in one `bill_hits` step before the next miss and at the end
-    of the plan, and each miss goes through `access_bucket` at its own tick.
+    until the next miss. The hits since the last miss are therefore counted
+    per key, in last-use order, and billed in one `bill_hits` call before
+    the next miss and at the end of the plan. Each miss goes through
+    `access_bucket` at its own tick, set from its access position.
     """
-    keys, sizes, resident = order.keys, order.sizes, buffer.resident
-    hits = []  # keys, as indices into `keys`, of the hits since the last miss
-    for k in order.accesses().tolist():
-        key = keys[k]
-        if key in resident:
-            hits.append(k)
+    keys, sizes, resident, tick = order.keys, order.sizes, buffer.resident, buffer.clock
+    hits = {}  # key index -> hits since the last miss, in last-use order
+    for at, k in enumerate(order.accesses().tolist()):
+        if keys[k] in resident:
+            hits[k] = hits.pop(k, 0) + 1
             continue
         if hits:
-            bill_hits(hits, keys, buffer, evict, stats)
-            hits = []
-        access_bucket(key, sizes[k], buffer, evict, stats)
-    if hits:
-        bill_hits(hits, keys, buffer, evict, stats)
+            bill_hits(hits.items(), keys, buffer, evict, stats)
+            hits = {}
+        buffer.clock = tick + at
+        access_bucket(keys[k], sizes[k], buffer, evict, stats)
+    bill_hits(hits.items(), keys, buffer, evict, stats)
+    buffer.clock = tick + len(order.by_key)
 
 
-def _replay_plan_bulk(order, buffer: BufferState, evict, stats, mmlsh: bool) -> None:
-    """Bill a plan that cannot evict with numpy, as the stepwise replay bills it.
+def _replay_plan_bulk(order, buffer: BufferState, evict, stats) -> None:
+    """Bill a plan that cannot evict as the stepwise replay bills it.
 
-    The caller has checked that the plan's keys fit in the free bytes and
-    that an MMLSH policy is not yet built, so no access evicts, bypasses or
-    pushes a heap entry. Then a key's first access in the plan is a miss if
-    it was not resident, and every other access is a hit. Each miss goes
-    through `access_bucket` at its own tick, in first-access order, so
-    insert ticks and `io_ms` sums are the ones a call per access gives. The
-    hits are added at once, the accessed keys are reinserted in last-use
-    order, and an MMLSH policy hears each key's hits in one `use`. A kept
-    trace gets one tuple per access. `mmlsh` says that `evict` is an MMLSH
-    policy.
+    The caller has checked that the plan's keys fit in the free bytes, so
+    no access evicts or bypasses. Then a key's first access in the plan is
+    a miss if it was not resident, and every other access is a hit; and a
+    miss that evicts nothing reads neither the recency order nor the
+    demands that hits change. So the misses go first through
+    `access_bucket`, each at its own tick, in first-access order, which
+    gives the insert ticks and `io_ms` sums of a call per access; then one
+    `bill_hits` call reinserts every accessed key in last-use order and
+    bills its remaining uses.
     """
-    keys, first, count = order.keys, order.first, len(order.by_key)
-    resident, tick, trace = buffer.resident, buffer.clock, buffer.trace
-    missed = np.array([key not in resident for key in keys], dtype=bool)
+    keys, first, tick = order.keys, order.first, buffer.clock
+    missed = np.array([key not in buffer.resident for key in keys], dtype=bool)
     misses = np.flatnonzero(missed)
     misses = misses[np.argsort(first[misses])]
-    at = first[misses].tolist()
-    buffer.trace = None  # the trace is written below, in access order
-    for k, f in zip(misses.tolist(), at):
-        buffer.clock = tick + f
+    for k, at in zip(misses.tolist(), first[misses].tolist()):
+        buffer.clock = tick + at
         access_bucket(keys[k], order.sizes[k], buffer, evict, stats)
-    buffer.clock, buffer.trace = tick + count, trace
-    buffer.io_stats.buffer_hits += count - len(misses)
-    stats.buffer_hits += count - len(misses)
-    remaining = (order.uses - missed).tolist()
-    for k in np.argsort(order.last).tolist():
-        key = keys[k]
-        entry = resident[key] = resident.pop(key)
-        if mmlsh and remaining[k]:
-            evict.use(key, entry, remaining[k])
-    if trace is not None:
-        kinds = ["hit"] * count
-        for f in at:
-            kinds[f] = "miss"
-        accessed = map(keys.__getitem__, order.accesses().tolist())
-        trace.extend(zip(range(tick + 1, tick + count + 1), accessed, kinds, [None] * count))
+    buffer.clock = tick + len(order.by_key)
+    last_use = np.argsort(order.last)
+    bill_hits(zip(last_use.tolist(), (order.uses - missed)[last_use].tolist()), keys, buffer,
+              evict, stats)
 
 
 def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:

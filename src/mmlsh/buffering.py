@@ -28,13 +28,13 @@ plan with numpy and returns its distinct keys, each with its first and last
 access and use count, and the accesses in that order.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
-time. Ticks advance once per access, so a recorded trace replays exactly.
+time. Ticks advance once per access, hits included, so replays are exact.
 Every access, and the evictions a miss causes, is billed once: to the
 buffer's `io_stats` and to the `QueryStats` of the query it serves.
-`access_bucket` bills one access. `bill_hits` bills a run of hits at once,
-with the result of one `access_bucket` call per hit. Hits admit and evict
-nothing, so a run changes only the clock, the hit counts, the recency order
-and the MMLSH demands:
+`access_bucket` bills one access. `bill_hits` bills hits key by key, each
+key's hits at once, and leaves the clock to its caller. Hits admit and evict
+nothing, so between two misses they change only the clock, the hit counts,
+the recency order and the MMLSH demands:
 
 * reinserting each key once, in last-use order, leaves the recency order
   that reinserting it at every hit leaves;
@@ -43,14 +43,14 @@ and the MMLSH demands:
 * an old resident's heap entries from all but its last hit would be stale,
   and a stale entry never picks a victim, so one entry per key suffices.
 
-`bench.replay_plans` leans on the same facts for a plan that cannot evict:
-one whose distinct (projection, level) passes, at n * POINT_ID_BYTES each,
-fit in the free bytes, replayed before any eviction has built an MMLSH
-policy. It bills such a plan from the `split_queries` result alone: each
-miss still goes through `access_bucket`, in first-access order, and the rest
-is one hit count, one reinsertion per key in last-use order and one `use`
-per key. A plan that may evict walks the same order access by access, and
-`bill_hits` bills each run of hits between two misses.
+A kept trace (`BufferState.trace`) logs misses only, one (tick, key,
+evicted keys) entry each: misses are the only accesses that change what is
+resident, and the hits are the ticks in between.
+
+`bench.replay_plans` bills every NS1 and MMLSH plan this way: each miss goes
+through `access_bucket` at its own tick, and `bill_hits` bills the hits, in
+one call per run of hits between two misses, or in one call for the whole
+plan when the plan cannot evict.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ class CostModel:
     read_rate_mb_per_ms: float = 0.156
 
     def __post_init__(self):
-        if self.seek_ms <= 0 or self.read_rate_mb_per_ms <= 0:
-            raise ValueError("cost model constants must be positive")
+        # a NaN fails both comparisons
+        if not all(0 < v < math.inf for v in (self.seek_ms, self.read_rate_mb_per_ms)):
+            raise ValueError("cost model constants must be finite and positive")
 
     def read_ms(self, size_bytes: int) -> float:
         return size_bytes / (self.read_rate_mb_per_ms * 1e6)
@@ -135,15 +136,16 @@ class BufferState:
     """
 
     def __init__(self, capacity_bytes: int, cost: CostModel | None = None, trace=None):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
+        if not 1 <= capacity_bytes < math.inf:  # a NaN fails both comparisons
+            raise ValueError(f"capacity must be finite and at least 1 byte, "
+                             f"got {capacity_bytes!r}")
         self.capacity_bytes = int(capacity_bytes)
         self.cost = cost or CostModel()
         self.resident: dict[tuple, _Entry] = {}
         self.used_bytes = 0
         self.clock = 0
         self.io_stats = QueryStats()
-        self.trace = trace  # optional list collecting (tick, key, hit, evicted)
+        self.trace = trace  # optional list collecting (tick, key, evicted keys) per miss
 
     def __contains__(self, key):
         return key in self.resident
@@ -304,30 +306,29 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
     the whole buffer bypass it and pay full IO on every access. An MMLSH
     policy also hears of every resident use: `admit` on insert, `use` on a
     hit. The access and the evictions it causes are billed to
-    `buffer.io_stats` and, when given, to the query's `stats`.
+    `buffer.io_stats` and, when given, to the query's `stats`; a kept trace
+    gets an entry for a miss.
     """
     buffer.clock += 1
     resident = buffer.resident
     entry = resident.pop(key, None)
-    hit = entry is not None
-    evicted = []
-    if hit:
+    if entry is not None:
         resident[key] = entry  # reinsert: insertion order stays recency order
-    elif size_bytes <= buffer.capacity_bytes:  # larger buckets are never resident
+        if isinstance(evict, _MmlshEvictor):
+            evict.use(key, entry)
+        buffer.io_stats.buffer_hits += 1
+        if stats is not None:
+            stats.buffer_hits += 1
+        return True, 0.0
+
+    evicted = []
+    if size_bytes <= buffer.capacity_bytes:  # larger buckets are never resident
         while buffer.used_bytes + size_bytes > buffer.capacity_bytes:
             evicted.append(evict(buffer, key))
         entry = resident[key] = _Entry(size_bytes, buffer.clock)
         buffer.used_bytes += size_bytes
-    if entry is not None and isinstance(evict, _MmlshEvictor):
-        (evict.use if hit else evict.admit)(key, entry)
-    if hit:
-        buffer.io_stats.buffer_hits += 1
-        if stats is not None:
-            stats.buffer_hits += 1
-        if buffer.trace is not None:
-            buffer.trace.append((buffer.clock, key, "hit", None))
-        return True, 0.0
-
+        if isinstance(evict, _MmlshEvictor):
+            evict.admit(key, entry)
     ms = buffer.cost.miss_ms(size_bytes)
     for record in (buffer.io_stats, stats):
         if record is not None:
@@ -336,44 +337,35 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
             record.evictions += len(evicted)
             record.io_ms += ms
     if buffer.trace is not None:
-        buffer.trace.append((buffer.clock, key, "miss", tuple(evicted) or None))
+        buffer.trace.append((buffer.clock, key, tuple(evicted)))
     return False, ms
 
 
-def bill_hits(run, keys, buffer: BufferState, evict=evict_lru,
+def bill_hits(uses, keys, buffer: BufferState, evict=evict_lru,
               stats: QueryStats | None = None) -> None:
-    """Bill a run of accesses to resident buckets in one step.
+    """Bill hits on resident buckets key by key; the clock is the caller's.
 
-    `run` holds the accesses in order as tokens, and `keys` maps each token
-    to its bucket's key (the replay's tokens are indices into a plan's
-    distinct keys, which hash faster than key tuples). The call does what
-    `access_bucket` on each access in turn does when every bucket is
-    resident; that is not checked. A hit neither admits nor evicts, so the
-    run adds one tick and one hit per access, moves each key to the recency
-    end once, in last-use order, and tells an MMLSH policy each key's uses
-    at once. A kept trace gets one tuple per access.
+    `uses` holds (token, hit count) pairs in last-use order, and `keys` maps
+    each token to its bucket's key (the replay's tokens are indices into a
+    plan's distinct keys, which hash faster than key tuples). Each key is
+    reinserted once, in that order, an MMLSH policy hears a key's n > 0 hits
+    in one `use`, and the hits are added to `buffer.io_stats` and, when
+    given, to `stats`. With the clock moved past them, that is what
+    `access_bucket` on each hit in turn does (see the module docstring),
+    provided every key is resident, which is not checked.
     """
-    tick = buffer.clock
-    count = len(run)
-    buffer.clock = tick + count
-    buffer.io_stats.buffer_hits += count
-    if stats is not None:
-        stats.buffer_hits += count
-    if buffer.trace is not None:
-        buffer.trace.extend((t, keys[a], "hit", None) for t, a in enumerate(run, tick + 1))
     resident = buffer.resident
-    if isinstance(evict, _MmlshEvictor):
-        uses = {}
-        for a in run:  # in last-use order, with each token's use count
-            uses[a] = uses.pop(a, 0) + 1
-        for a, n in uses.items():
-            key = keys[a]
-            entry = resident[key] = resident.pop(key)
-            evict.use(key, entry, n)
-    else:
-        for a in reversed(dict.fromkeys(reversed(run))):  # in last-use order
-            key = keys[a]
-            resident[key] = resident.pop(key)
+    policy = evict if isinstance(evict, _MmlshEvictor) else None
+    hits = 0
+    for a, n in uses:
+        key = keys[a]
+        entry = resident[key] = resident.pop(key)
+        if n and policy is not None:
+            policy.use(key, entry, n)
+        hits += n
+    buffer.io_stats.buffer_hits += hits
+    if stats is not None:
+        stats.buffer_hits += hits
 
 
 @dataclass
@@ -539,10 +531,12 @@ def _split_offsets(width: int, splits: int) -> tuple:
     """(start, end) of each segment of a width-`width` range, relative to its start.
 
     A plan's ranges within one pass share the width R, so each
-    (width, splits) pair is computed once.
+    (width, splits) pair is computed once. The last edge is `width` itself:
+    above 2**53, float64 rounds the linspace end away from it.
     """
     nseg = min(splits, width)
     edges = np.round(np.linspace(0, width, nseg + 1)).astype(int).tolist()
+    edges[-1] = width
     return tuple(zip(edges, edges[1:]))
 
 

@@ -88,15 +88,14 @@ class CollisionState:
     which hold any m up to MAX_PROJECTIONS = 1024. Each lane starts at
     2**(lane_bits-1) - l, so its top bit is set exactly when the count
     has reached l; lanes past the last query point are never incremented.
-    Only `count_collisions` increments the lanes; `counts` and
-    `qualified_rows` read them, and no other module touches the words.
+    Only `count_collisions` increments the lanes; `qualified_rows` reads
+    them, and no other module touches the words.
     """
 
     def __init__(self, q_count: int, index: LshIndex, dataset: Dataset):
         m, l = index.m, index.params.l
         self.lane_bits = 8 if l <= 128 and m - l <= 127 else 16
         self.lanes = 64 // self.lane_bits
-        self._counts_dtype = np.min_scalar_type(m)
         self._start = 2 ** (self.lane_bits - 1) - l
         ones = sum(1 << self.lane_bits * lane for lane in range(self.lanes))
         self.top_bits = ones << self.lane_bits - 1  # the top bit of every lane
@@ -122,12 +121,6 @@ class CollisionState:
     def _at(self, points) -> tuple:
         """Index into `_lane_view` of query point(s) `points`: an int, or an int array."""
         return points // self.lanes, slice(None), points % self.lanes
-
-    @property
-    def counts(self) -> np.ndarray:
-        """A (|Q|, n) copy of the counts, in the narrowest unsigned dtype that holds m."""
-        lanes = self._lane_view()[self._at(np.arange(len(self.cov_lo)))]
-        return (lanes - self._start).astype(self._counts_dtype)
 
     def qualified_rows(self, qi: int) -> np.ndarray:
         """Ascending dataset rows whose count with query point qi has reached l."""

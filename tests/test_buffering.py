@@ -63,8 +63,24 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(seek_ms=0.0)
 
+    def test_rejects_a_nan_constant(self):
+        # NaN passes a `<= 0` check and would make every io_ms NaN
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(seek_ms=math.nan)
+
 
 class TestLruBuffer:
+    def test_rejects_a_capacity_below_one_byte(self):
+        # 0.5 passes a positive check, then truncates to a 0-byte buffer
+        with pytest.raises(ValueError, match="at least 1 byte"):
+            BufferState(0.5)
+
+    def test_rejects_an_infinite_capacity(self):
+        # int(inf) would raise OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            BufferState(math.inf)
+        assert BufferState(2**1100).capacity_bytes == 2**1100  # finite, past float range
+
     def test_hit_miss_evict_triple(self):
         buf = BufferState(capacity_bytes=100)
         assert access_bucket(("a",), 60, buf)[0] is False
@@ -500,6 +516,12 @@ def pass_plans(draw):
     return OccupiedIndex(occupied), plans, capacity, profile, lru_prefix, cut, splits
 
 
+def hit_gaps(trace, clock):
+    """The hits before each miss of a miss-only trace, and after the last: its tick gaps."""
+    ticks = [0, *(tick for tick, _key, _evicted in trace), clock + 1]
+    return [b - a - 1 for a, b in zip(ticks, ticks[1:])]
+
+
 def replay_in_calls(replay, strategy, run):
     """Replay plans[:lru_prefix] under NS1, then the rest under `strategy` in two calls.
 
@@ -527,14 +549,15 @@ class TestBulkHitReplay:
             got = replay_in_calls(bench.replay_plans, strategy, run)
             want = replay_in_calls(oracle_replay_plans, strategy, run)
             assert got == want
-            trace, io, _stats, _residents, _clock = got
+            trace, io, _stats, _residents, clock = got
             index, capacity = run[0], run[2]
             sizes = {(g, b): POINT_ID_BYTES * count
                      for g, (ids, counts) in index.occupied.items() for b, count in zip(ids, counts)}
             seen[strategy, bool((run[3].means != 1).any())] += 1  # drawn or uniform demand
             seen["evictions"] += io.evictions
-            seen["bypasses"] += sum(sizes[g, b] > capacity for _t, (g, _R, b), _h, _e in trace)
-            seen["hit runs"] += sum(a[2] == b[2] == "hit" for a, b in zip(trace, trace[1:]))
+            seen["bypasses"] += sum(sizes[g, b] > capacity for _t, (g, _R, b), _e in trace)
+            # pairs of successive hits: a gap of h hits between misses holds h - 1
+            seen["hit runs"] += sum(max(0, h - 1) for h in hit_gaps(trace, clock))
 
         check()
         # NS1 and MMLSH with drawn and uniform demands ran, evicting, bypassing and hitting in runs
@@ -577,6 +600,57 @@ def fitting_plans(draw):
     return index, plans, capacity, profile, lru_prefix, cut, splits
 
 
+@st.composite
+def evict_then_fitting_plans(draw):
+    """An evicting plan, then small plans whose bound often fits the bytes it leaves free.
+
+    Projection 0 holds large buckets, projection 1 a few one-entry ones. A
+    warm plan, under NS1 or MMLSH, reads all of projection 1, then rereads
+    a prefix of projection 0: the rereads are hits, whose ticks make what
+    the plan read old by the first eviction. The evicting plan sweeps every
+    bucket of projection 0 through a buffer that cannot hold them, and
+    builds the MMLSH policy. A profile that gives projection 1 a high
+    demand keeps its buckets resident through the evictions, old ones
+    among them, so the small plans that revisit projection 1 hit them.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.integers(2, 30))
+    large = sorted(rng.choice(span, size=int(rng.integers(2, span + 1)), replace=False).tolist())
+    small = sorted(set(rng.integers(0, 6, size=int(rng.integers(1, 4))).tolist()))
+    counts = rng.integers(1, 16, size=len(large)).tolist()
+    occupied = {0: (large, counts), 1: (small, [1] * len(small))}
+
+    def small_pass():
+        starts = rng.integers(-1, 6, size=int(rng.integers(1, 4))).tolist()
+        return (1, 1, np.array([(qi, lo, lo + int(rng.integers(0, 8)))
+                                for qi, lo in enumerate(starts)], dtype=np.int64))
+    sweep = [(0, 0, span)] + [(qi, lo, lo + int(rng.integers(1, 8)))
+                              for qi, lo in enumerate(rng.integers(0, span, size=3).tolist(), 1)]
+    evicting = [(0, 1, np.array(sweep, dtype=np.int64))]
+    if draw(st.booleans()):
+        evicting.append(small_pass())
+    sizes = [POINT_ID_BYTES * count for count in counts]
+    # the sweep evicts; a buffer that holds half of it keeps more old residents
+    capacity = draw(st.one_of(st.integers(max(max(sizes), sum(sizes) // 2), sum(sizes) - 1),
+                              st.integers(max(sizes), sum(sizes) - 1)))
+    # the reread prefix mostly fits beside projection 1
+    fit = int(np.searchsorted(np.cumsum(sizes), capacity - POINT_ID_BYTES * len(small),
+                              side="right"))
+    prefix = large[int(rng.integers(0, max(1, fit)))] + 1
+    rereads = (0, 1, np.array([(qi, 0, prefix) for qi in range(int(rng.integers(1, 6)))],
+                              dtype=np.int64))
+    warm = (1, 1, np.array([(0, 0, 6)], dtype=np.int64))
+    plans = [[warm, rereads], evicting] + [
+        [small_pass() for _ in range(int(rng.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 5)))]
+    means = [[draw(st.sampled_from([0.0, 1.0, 2.5]))],
+             [draw(st.sampled_from([1.0, 7.25, 50.0]))]]
+    profile = FrequencyProfile(edges=np.array([[0.0, span]] * 2), means=np.array(means))
+    lru_prefix = draw(st.integers(0, 1))  # the warm plan under NS1, or under MMLSH
+    return (OccupiedIndex(occupied), plans, capacity, profile, lru_prefix, len(plans),
+            draw(st.sampled_from([1, 2, 3, 10])))
+
+
 def counting(monkeypatch, owner, name, calls):
     """Wrap owner.name so that `calls[name]` counts its calls."""
     real = getattr(owner, name)
@@ -588,8 +662,8 @@ def counting(monkeypatch, owner, name, calls):
 
 
 def counting_paths(monkeypatch, calls):
-    """Count the plans `bench.replay_plans` orders and the plans each billing path bills."""
-    for name in ("split_queries", "_replay_plan_bulk", "_replay_plan_stepwise"):
+    """Count the plans `bench.replay_plans` orders and each path bills, and `bill_hits` calls."""
+    for name in ("split_queries", "_replay_plan_bulk", "_replay_plan_stepwise", "bill_hits"):
         counting(monkeypatch, bench, name, calls)
 
 
@@ -609,15 +683,16 @@ class TestNoEvictReplay:
             bulk, stepwise = calls["_replay_plan_bulk"], calls["_replay_plan_stepwise"]
             plans = len(run[1])
             assert calls["split_queries"] == bulk + stepwise == plans  # each plan ordered once
+            assert calls["bill_hits"] >= plans  # a bulk plan bills its hits in one call
             want = replay_in_calls(oracle_replay_plans, strategy, run)
             assert got == want
-            trace, io = got[0], got[1]
+            trace, io, clock = got[0], got[1], got[4]
             seen[strategy, bool((run[3].means != 1).any())] += bulk  # drawn or uniform demand
             seen["bulk"] += bulk
             seen["NS1 prefix"] += bool(bulk and run[4] > 0)
             seen["bulk, then stepwise"] += bool(bulk and stepwise)
             seen["evictions after bulk"] += bool(bulk and io.evictions)
-            seen["hits"] += sum(kind == "hit" for _t, _key, kind, _e in trace)
+            seen["hits"] += sum(hit_gaps(trace, clock))
 
         check()
         # both strategies with drawn and uniform demands replayed in bulk, on their own, after
@@ -660,16 +735,51 @@ class TestNoEvictReplay:
         assert self.replay_counted(monkeypatch, strategy, self.INDEX, self.PLANS,
                                    used + bound - 1) == 1
 
-    def test_mmlsh_replays_pass_by_pass_once_an_eviction_built_its_policy(self, monkeypatch):
+    def test_mmlsh_bills_in_bulk_after_an_eviction(self, monkeypatch):
         index = OccupiedIndex({0: ([0, 1, 2], [10, 10, 10]), 1: ([4], [1])})
         evicting = [(0, 1, np.array([[0, 0, 3]]))]  # 120 B of buckets through a 100 B buffer
         small = [(1, 1, np.array([[0, 4, 5]]))]  # 4 B: fits the 20 B left free
         assert plan_bound(index, evicting) > 100 and plan_bound(index, small) <= 100 - 80
         plans = [evicting, small]  # in one call
-        # the eviction builds the MMLSH policy, so the small plan replays stepwise too; under
-        # NS1, which builds no policy, it replays in bulk
-        assert self.replay_counted(monkeypatch, MMLSH, index, plans, 100, splits=1) == 2
+        # the eviction builds the MMLSH policy; the small plan still replays in bulk, as
+        # under NS1, which builds no policy
+        assert self.replay_counted(monkeypatch, MMLSH, index, plans, 100, splits=1) == 1
         assert self.replay_counted(monkeypatch, NS1, index, plans, 100) == 1
+
+    def test_bulk_after_an_evicting_mmlsh_plan_equals_the_oracle(self, monkeypatch):
+        seen = Counter()
+        calls = Counter()
+        counting_paths(monkeypatch, calls)
+        bulk = bench._replay_plan_bulk
+
+        def observed(order, buffer, evict, stats):
+            if isinstance(evict, _MmlshEvictor) and evict.young is not None:
+                seen["bulk after the policy was built"] += 1
+                seen["old residents hit in bulk"] += any(
+                    key in buffer.resident and buffer.resident[key].insert_tick < evict.bound
+                    for key in order.keys)
+            return bulk(order, buffer, evict, stats)
+        monkeypatch.setattr(bench, "_replay_plan_bulk", observed)
+
+        @settings(max_examples=400, deadline=None)
+        @given(run=evict_then_fitting_plans())
+        def check(run):
+            calls.clear()
+            got = replay_in_calls(bench.replay_plans, MMLSH, run)
+            assert calls["split_queries"] == len(run[1])
+            assert got == replay_in_calls(oracle_replay_plans, MMLSH, run)
+            trace, io, clock = got[0], got[1], got[4]
+            assert io.evictions > 0
+            gaps = hit_gaps(trace, clock)
+            seen["hits"] += sum(gaps)
+            seen["hit runs"] += sum(max(0, h - 1) for h in gaps)
+
+        check()
+        # small plans were billed in bulk after an eviction built the policy, some of them
+        # hitting residents that were old at that eviction
+        assert seen["bulk after the policy was built"] > 300, seen
+        assert seen["old residents hit in bulk"] > 20, seen
+        assert seen["hits"] > 1_000 and seen["hit runs"] > 500, seen
 
     @pytest.mark.parametrize("strategy", [NS1, MMLSH])
     def test_a_plan_of_empty_ranges_bills_nothing(self, monkeypatch, strategy):
@@ -728,6 +838,7 @@ def reference_split_queries(ranges, splits: int):
             continue
         nseg = min(splits, width)
         offsets = np.round(np.linspace(0, width, nseg + 1)).astype(int).tolist()
+        offsets[-1] = width  # float64 misses widths above 2**53
         segments.extend((qi, lo + a, lo + b) for a, b in zip(offsets, offsets[1:]))
     segments.sort(key=itemgetter(1, 0, 2))
     return segments
@@ -806,13 +917,23 @@ class TestScheduling:
         assert first.tolist() == [consumers[0] for _, consumers in want]
 
     def test_split_segments_tile_each_range(self):
-        ranges = [(0, 0, 17), (1, 40, 43), (2, 5, 6)]
+        # widths above 2**53 that float64 does not hold: float(3**36) is 3**36 + 15
+        ranges = [(0, 0, 17), (1, 40, 43), (2, 5, 6), (3, -3**36, 0), (4, 7, 7 + 5**23),
+                  (5, 2, 2 + 7**19), (6, 0, 2**53 + 1)]
         for splits in (1, 3, 10, 25):
             segs = reference_split_queries(ranges, splits)
             for qi, lo, hi in ranges:
                 mine = sorted((s for s in segs if s[0] == qi), key=lambda s: s[1])
                 assert mine[0][1] == lo and mine[-1][2] == hi
                 assert all(a[2] == b[1] for a, b in zip(mine, mine[1:]))  # no gaps
+                cuts = buffering._split_offsets(hi - lo, splits)  # the production cuts
+                assert [(lo + a, lo + b) for a, b in cuts] == [(a, b) for _qi, a, b in mine]
+
+    def test_split_queries_stays_inside_a_range_wider_than_2_53(self):
+        # the range's last segment ends at 0, not at 15, so bucket 3 is not visited
+        ranges = [(0, -3**36, 0)]
+        for splits in (1, 10):
+            assert one_pass_order(ranges, splits, [-5, 3]) == ([0], splits)
 
     def test_split_edges_follow_linspace(self):
         # ranges of one width share their offsets; the edges must still be
@@ -852,7 +973,7 @@ class TestScheduling:
     def test_split_order_equals_walking_the_reference_segments(self):
         seen = Counter()
 
-        @settings(max_examples=300, deadline=None)
+        @settings(max_examples=500, deadline=None)
         @given(case=split_cases())
         def check(case):
             index, plan, splits = case
@@ -1015,16 +1136,14 @@ class TestFrequencyProfile:
 
 
 class TestTrace:
-    def test_trace_records_hits_misses_and_evictions(self):
+    def test_trace_records_misses_and_evictions(self):
         trace = []
         buf = BufferState(capacity_bytes=100, trace=trace)
         access_bucket((0, 1, 2), 60, buf)
-        access_bucket((0, 1, 2), 60, buf)
+        access_bucket((0, 1, 2), 60, buf)  # a hit: the tick between two misses
         access_bucket((0, 1, 3), 60, buf)  # evicts (0,1,2)
-        assert [t[2] for t in trace] == ["miss", "hit", "miss"]
-        assert trace[0][3] is None and trace[2][3] == ((0, 1, 2),)
-        ticks = [t[0] for t in trace]
-        assert ticks == sorted(ticks) and len(set(ticks)) == len(ticks)
+        assert trace == [(1, (0, 1, 2), ()), (3, (0, 1, 3), ((0, 1, 2),))]
+        assert hit_gaps(trace, buf.clock) == [0, 1, 0]
 
     def test_io_ms_reconstructable_from_trace(self):
         trace = []
@@ -1035,6 +1154,5 @@ class TestTrace:
             key = (0, 1, int(k))
             sizes[key] = 20 + 10 * int(k)
             access_bucket(key, sizes[key], buf)
-        replayed = sum(buf.cost.miss_ms(sizes[key])
-                       for _, key, outcome, _ in trace if outcome == "miss")
+        replayed = sum(buf.cost.miss_ms(sizes[key]) for _tick, key, _evicted in trace)
         assert replayed == pytest.approx(buf.io_stats.io_ms)

@@ -9,8 +9,9 @@ per-layer figure. Each miss goes through `access_bucket`, so the wrapped
 attribute counts misses. NS1 and MMLSH order each plan with one
 `split_queries` call, whichever way it is billed: a plan that cannot evict,
 as on a buffer that holds the working set, in bulk (`_replay_plan_bulk`),
-and any other plan stepwise (`_replay_plan_stepwise`), its runs of hits
-between misses through `bill_hits`. NS2 schedules its batch without it.
+its hits in one `bill_hits` call, and any other plan stepwise
+(`_replay_plan_stepwise`), its runs of hits between misses through
+`bill_hits`. NS2 schedules its batch without either.
 """
 
 from collections import Counter
@@ -93,7 +94,8 @@ def test_a_buffer_that_holds_the_working_set_replays_each_plan_in_bulk(monkeypat
     assert calls["access_bucket"] == io.buffer_misses
     assert calls["access_bucket"] == sum(s.buffer_misses for s in stats)
     assert calls["evict_lru"] == calls["evict_mmlsh"] == calls["policy_builds"] == 0
-    assert calls["split_queries"] == calls["_replay_plan_bulk"] == len(plans)  # once per plan
+    # once per plan: its misses through access_bucket, then its hits in one bill_hits call
+    assert calls["split_queries"] == calls["_replay_plan_bulk"] == calls["bill_hits"] == len(plans)
     assert calls["_replay_plan_stepwise"] == 0
 
 
@@ -124,8 +126,8 @@ def test_recorded_plans_replay_as_one_access_bucket_call_per_access(monkeypatch,
         return buffer.trace, buffer.io_stats, stats, residents, buffer.clock
 
     got = replay(bench.replay_plans)
-    assert (calls["split_queries"], calls["_replay_plan_bulk"],
-            calls["_replay_plan_stepwise"]) == (len(plans), len(plans), 0)
+    assert (calls["split_queries"], calls["_replay_plan_bulk"], calls["_replay_plan_stepwise"],
+            calls["bill_hits"]) == (len(plans), len(plans), 0, len(plans))
     assert got == replay(oracle_replay_plans)
 
 

@@ -384,6 +384,12 @@ class TestObjectRatio:
         assert value == pytest.approx(float(expected), rel=1e-12)
 
 
+def lane_counts(state):
+    """The (|Q|, n) collision counts a CollisionState holds, decoded from its lanes."""
+    lanes = state._lane_view()[state._at(np.arange(len(state.cov_lo)))]
+    return lanes.astype(np.int64) - state._start
+
+
 class TestCollisionStateMatchesOracles:
     """The engine's per-object collision index and candidacy are the definitions above."""
 
@@ -397,7 +403,8 @@ class TestCollisionStateMatchesOracles:
                 count_collisions(q_base[:, g], g, small_index.params.c ** i, small_index,
                                  small_dataset, state)
         l = small_index.params.l
-        want_ci = [collision_index(state.counts[:, small_dataset.point_object_index == j], l)
+        counts = lane_counts(state)
+        want_ci = [collision_index(counts[:, small_dataset.point_object_index == j], l)
                    for j in range(small_dataset.num_objects)]
         assert state.ci.tolist() == want_ci
         assert 0.0 < max(want_ci)
