@@ -87,12 +87,19 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("k_primes", "buffer_sizes_mb"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ParameterError(f"{name} must not be empty")
-        for name, value in [("w", self.w), ("buffer_mb", self.buffer_mb)] + [
-                ("buffer_sizes_mb", size) for size in self.buffer_sizes_mb]:
+            if len(set(values)) < len(values):  # a repeat would run its report group twice
+                raise ParameterError(f"{name} must not repeat a value, got {values!r}")
+        buffers = [("buffer_mb", self.buffer_mb)] + [
+            ("buffer_sizes_mb", size) for size in self.buffer_sizes_mb]
+        for name, value in [("w", self.w)] + buffers:
             if not (math.isfinite(value) and value > 0):
                 raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+        for name, value in buffers:  # a buffer holds whole bytes
+            if int(value * MB) < 1:
+                raise ParameterError(f"{name} must be at least 1 byte, got {value!r} MB")
         if not (math.isfinite(self.alg_op_cost_ms) and self.alg_op_cost_ms >= 0):
             raise ParameterError(f"alg_op_cost_ms must be finite and >= 0, "
                                  f"got {self.alg_op_cost_ms!r}")
@@ -510,15 +517,14 @@ def _finite_mean_std(values) -> tuple[float, float]:
     return (float(np.mean(finite)), float(np.std(finite))) if finite else (math.inf, math.nan)
 
 
-def write_report(rows: list[dict], cfg: RunConfig, out_prefix: str | None = None,
-                 emit_json: bool = False) -> str:
+def write_report(rows: list[dict], cfg: RunConfig, emit_json: bool = False) -> str:
     """Write CSV (+ optional JSON) and return an aligned human-readable table.
 
     The resolved config is embedded as comment lines at the top of the CSV so
     every report is self-describing. Each file is written through `replacing`,
     so a failed write leaves the previous one whole.
     """
-    prefix = out_prefix or cfg.out_prefix
+    prefix = cfg.out_prefix
     all_rows = rows + aggregate(rows)
     with replacing(prefix + ".csv", "w", newline="") as fh:
         fh.write("# config: " + json.dumps(asdict(cfg), default=str) + "\n")

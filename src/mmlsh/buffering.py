@@ -25,7 +25,11 @@ heap without scanning the residents.
 
 NS1 and MMLSH share one visiting order: `split_queries` orders a whole
 plan with numpy and returns its distinct keys, each with its first and last
-access and use count, and the accesses in that order.
+access and use count, and the accesses in that order. A range of width w is
+cut into n = min(splits, w) segments whose edges are the rounded multiples
+of w / n, computed in numpy for the whole plan at once. Segments are visited
+by (pass, start); a pass's rows are in query-index order, and ties at equal
+starts are broken by row.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, hits included, so replays are exact.
@@ -61,7 +65,6 @@ import zipfile
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -446,17 +449,20 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     plan is a list of (g, R, ranges) passes, where `ranges` is an int64
     array with one row (qi, lo, hi) per query index: the level-R buckets
     [lo, hi) of projection g that query point qi needs. Only the occupied
-    buckets, `index.occupied_buckets(g)`, are accessed. Each range is cut
-    into min(splits, hi - lo) contiguous segments that exactly tile it
-    (`_split_offsets`). The passes are visited in plan order; within a pass
-    the segments are visited by start position, ties by query index, and
-    each segment's buckets left to right, so one split gives NS1's order.
+    buckets, `index.occupied_buckets(g)`, are accessed. A range of width
+    w = hi - lo is cut into n = min(splits, w) contiguous segments that
+    exactly tile it: its edges are lo plus the multiples of w / n, rounded
+    as `np.round(np.linspace(0, w, n + 1))` rounds them, and hi. The passes
+    are visited in plan order; within a pass the segments are visited by
+    start position, ties by row, and each segment's buckets left to right,
+    so one split gives NS1's order. A pass's rows are in query-index order,
+    so ties at equal starts fall in query-index order.
 
     The whole plan is ordered in one numpy pass. Its rows are laid out
     projection by projection, so one `searchsorted` per projection maps the
-    segment bounds to occupied positions; one stable argsort of a key
-    ranked from (pass, start, query index) orders the segments; and one
-    stable argsort of the accesses' tokens groups them by key.
+    segment bounds to occupied positions; one stable lexsort on (pass,
+    start) orders the segments; and one stable argsort of the accesses'
+    tokens groups them by key.
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
@@ -467,10 +473,17 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
         none = np.empty(0, dtype=np.int64)
         return PlanOrder([], [], none, none, none, none, 0, 0)
     seg_pass = np.repeat(by_g, [len(plan[p][2]) for p in by_g])[keep]
-    qi, start, end = rows[keep].T
+    start, end = rows[keep, 1:].T
     if splits > 1:
-        seg_row, start, end = _cut_segments(start, end, splits)
-        seg_pass, qi = seg_pass[seg_row], qi[seg_row]
+        # segment j of n starts at lo + round(j * (width / n)), with np.linspace's float64
+        # step and half-to-even rounding, and ends where j + 1 starts; the last ends at hi
+        nseg = np.minimum(end - start, splits)
+        seg_row = np.repeat(np.arange(len(start)), nseg)
+        step = ((end - start) / nseg)[seg_row]
+        cuts = start[seg_row] + np.round(expand_ranges(0, nseg) * step).astype(np.int64)
+        seg_end = np.r_[cuts[1:], 0]
+        seg_end[np.cumsum(nseg) - 1] = end
+        seg_pass, start, end = seg_pass[seg_row], cuts, seg_end
     # g -> its occupied ids, ascending, and their counts, in ascending g
     occupied = {g: index.occupied_buckets(g) for g in dict.fromkeys(plan[p][0] for p in by_g)}
     # A bucket's token is its position among the plan's projections' occupied ids, laid
@@ -489,11 +502,9 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     edges = [0, *(np.flatnonzero(np.diff(seg_g)) + 1).tolist(), len(seg_g)]
     for a, b in zip(edges, edges[1:]):  # one searchsorted per projection
         positions[:, a:b] = occupied[int(seg_g[a])][0].searchsorted(positions[:, a:b])
-    # The visiting order: by pass, start and query index (a pass has one range per query
-    # index). Ranking the starts packs the three into one key below passes * segments *
-    # query points, which fits an int64.
-    _, rank = np.unique(start, return_inverse=True)
-    order = np.argsort((seg_pass * (rank.max() + 1) + rank) * (qi.max() + 1) + qi, kind="stable")
+    # The visiting order: by pass, then start. A pass's segments lie in row order, which
+    # is query-index order, and lexsort is stable, so ties fall in query-index order.
+    order = np.lexsort((start, seg_pass))
     tokens = expand_ranges((positions[0] + pass_token[seg_pass])[order],
                            (positions[1] - positions[0])[order])
     by_key = np.argsort(tokens, kind="stable")  # each key's accesses together, in order
@@ -504,40 +515,6 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     keys = [(*groups[j], bucket) for j, bucket in zip(group.tolist(), ids[position].tolist())]
     return PlanOrder(keys, (counts[position] * POINT_ID_BYTES).tolist(), by_key[heads],
                      by_key[heads + uses - 1], uses, by_key, len(start), bound)
-
-
-def _cut_segments(lo, hi, splits):
-    """Each range [lo, hi) cut into its `_split_offsets` segments, ranges and segments in order.
-
-    Returns the range index, start and end of every segment, empty ones
-    included. The ranges' widths take few values, so each width's cuts are
-    looked up once.
-    """
-    widths = hi - lo
-    distinct = np.unique(widths)
-    inverse = distinct.searchsorted(widths)
-    cuts = [_split_offsets(width, splits) for width in distinct.tolist()]
-    lens = np.array([len(c) for c in cuts])
-    table = np.array([pair for c in cuts for pair in c]).T  # (2, cuts): starts, ends
-    nseg = lens[inverse]
-    # segment j of a range is entry j of its width's stretch of the table
-    entry = expand_ranges((np.cumsum(lens) - lens)[inverse], nseg)
-    row = np.repeat(np.arange(len(lo)), nseg)
-    return row, lo[row] + table[0][entry], lo[row] + table[1][entry]
-
-
-@lru_cache(maxsize=256)
-def _split_offsets(width: int, splits: int) -> tuple:
-    """(start, end) of each segment of a width-`width` range, relative to its start.
-
-    A plan's ranges within one pass share the width R, so each
-    (width, splits) pair is computed once. The last edge is `width` itself:
-    above 2**53, float64 rounds the linspace end away from it.
-    """
-    nseg = min(splits, width)
-    edges = np.round(np.linspace(0, width, nseg + 1)).astype(int).tolist()
-    edges[-1] = width
-    return tuple(zip(edges, edges[1:]))
 
 
 class FrequencyProfile:

@@ -17,12 +17,11 @@ from .bench import (SWEEP_STRATEGIES, RunConfig, build_artifacts, choose_queries
                     ensure_ground_truth, load_artifacts, load_dataset, run_borda_baselines,
                     run_buffer_sweep, run_mmlsh_queries, write_report)
 from .buffering import MMLSH, NS1, NS2
-from .errors import (FeatureFileError, IndexFileError, NonFiniteCoordinateError,
-                     ObjectMapError, ParameterError, ProfileFileError)
+from .errors import IndexFileError, ProfileFileError
 from .lsh import derive_params
 
-DATA_ERRORS = (FeatureFileError, ObjectMapError, IndexFileError, ParameterError,
-               NonFiniteCoordinateError, FileNotFoundError, ValueError)
+# every package error (mmlsh.errors) subclasses ValueError
+DATA_ERRORS = (ValueError, FileNotFoundError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -475,6 +475,38 @@ class TestCli:
         assert "error: k_primes [2, 1] are below k=3" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("verb, flags, message", [
+        ("compare", ["--k-primes", "5", "5"], "k_primes must not repeat a value, got (5, 5)"),
+        ("buffer-sweep", ["--buffer-sizes-mb", "0.01", "0.01"],
+         "buffer_sizes_mb must not repeat a value, got (0.01, 0.01)"),
+    ])
+    def test_a_repeated_report_group_exits_3(self, tmp_path, capsys, monkeypatch, verb, flags,
+                                             message):
+        # each k' and each buffer size is one report group; a repeat would run it twice
+        cfg = tiny_config(tmp_path)
+        monkeypatch.setattr(bench, "load_dataset", lambda *a, **kw: pytest.fail("loaded"))
+        assert cli.main([verb] + self._common(cfg) + flags) == 3
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("verb, flags, message", [
+        ("query", ["--buffer-mb", "1e-7"], "buffer_mb must be at least 1 byte, got 1e-07 MB"),
+        ("buffer-sweep", ["--buffer-sizes-mb", "0.02", "9e-7"],
+         "buffer_sizes_mb must be at least 1 byte, got 9e-07 MB"),
+    ])
+    def test_a_buffer_under_one_byte_exits_3_before_any_search(self, tmp_path, capsys,
+                                                               monkeypatch, verb, flags, message):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(bench, "knn_objects", lambda *a, **kw: pytest.fail("searched"))
+        assert cli.main([verb] + args + flags) == 3
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_default_config_rows_carry_the_guarantee_bound(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         paths = ["--num-queries", "1", "--k-primes", "25", "--index", cfg.index_path,

@@ -866,8 +866,9 @@ def split_cases(draw):
     """A multi-pass plan over several projections' sparse occupied ids, far from 0 or not.
 
     (g, R) passes repeat, a pass has one range per query index, some
-    ranges are empty and many miss the occupied ids, and ids and widths
-    reach 2**40 and more from 0.
+    ranges are empty and many miss the occupied ids, ids and widths reach
+    2**40 and more from 0, and some widths exceed 2**53, where float64
+    rounds the step of the cut.
     """
     base = draw(st.sampled_from([0, -37, -(2**40), 2**40 + 5]))
     near = st.integers(base - 60, base + 60)
@@ -878,7 +879,8 @@ def split_cases(draw):
                             max_size=40, unique=True))
         occupied[g] = (sorted(ids), draw(st.lists(st.integers(1, 9), min_size=len(ids),
                                                   max_size=len(ids))))
-    widths = st.one_of(st.integers(-3, 40), st.integers(2**40 - 3, 2**40 + 3))
+    widths = st.one_of(st.integers(-3, 40), st.integers(2**40 - 3, 2**40 + 3),
+                       st.integers(3**36 - 3, 3**36 + 3))
     passes = draw(st.lists(st.tuples(st.integers(0, projections - 1), st.sampled_from([1, 2, 4]),
                                      st.lists(st.tuples(near, widths), max_size=8)),
                            max_size=6))
@@ -926,8 +928,13 @@ class TestScheduling:
                 mine = sorted((s for s in segs if s[0] == qi), key=lambda s: s[1])
                 assert mine[0][1] == lo and mine[-1][2] == hi
                 assert all(a[2] == b[1] for a, b in zip(mine, mine[1:]))  # no gaps
-                cuts = buffering._split_offsets(hi - lo, splits)  # the production cuts
-                assert [(lo + a, lo + b) for a, b in cuts] == [(a, b) for _qi, a, b in mine]
+                # the production cuts: ids on both sides of every edge land in the
+                # reference's segments, which two copies of the range interleave
+                pair = [(0, lo, hi), (1, lo, hi)]
+                ids = sorted({edge + d for _qi, a, b in mine for edge in (a, b) for d in (-1, 0)})
+                reference = reference_split_queries(pair, splits)
+                assert one_pass_order(pair, splits, ids) == (visit_order(reference, ids),
+                                                             len(reference))
 
     def test_split_queries_stays_inside_a_range_wider_than_2_53(self):
         # the range's last segment ends at 0, not at 15, so bucket 3 is not visited
