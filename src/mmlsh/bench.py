@@ -106,6 +106,8 @@ class RunConfig:
         for name in ("k", "num_queries", "query_splits"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.query_splits >= 2 ** 63:  # split_queries cuts ranges in int64
+            raise ParameterError(f"query_splits must be < 2**63, got {self.query_splits!r}")
         if self.query_size is not None and self.query_size < 1:
             raise ParameterError(f"query_size must be >= 1, got {self.query_size!r}")
         if not 0 <= self.seed < 2 ** 63:  # the index file stores the seed as int64

@@ -103,8 +103,11 @@ def _report(args, run, baselines=False, strategies=None) -> int:
     dataset = load_dataset(cfg)
     index, profile = load_artifacts(cfg)
     if not index.holds(dataset):
-        raise IndexFileError(f"{cfg.index_path}: the index (n={index.n}, d={index.dimension}) "
-                             f"was not built over this dataset (n={dataset.n}, "
+        refusal = f"{cfg.index_path}: the index (n={index.n}, d={index.dimension}) was not built"
+        if (dataset.n, dataset.dimension) == (index.n, index.dimension):
+            raise IndexFileError(f"{refusal} over this dataset: the dataset's coordinates do "
+                                 f"not hash to the stored buckets")
+        raise IndexFileError(f"{refusal} over this dataset (n={dataset.n}, "
                              f"d={dataset.dimension})")
     # the search runs on the index's parameters, so they must be the ones the report names
     built = {**asdict(index.params), "seed": index.seed}

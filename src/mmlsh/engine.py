@@ -83,24 +83,28 @@ class CollisionState:
     number of projections in which they have collided so far. A pair
     collides at most once per projection, so a count never exceeds m.
     Counts are packed into a (planes, n) uint64 array, `lanes` counts of
-    `lane_bits` bits per word: qi is lane qi % lanes of plane qi // lanes.
-    Lanes are 8 bits wide when l <= 128 and m - l <= 127, else 16 bits,
-    which hold any m up to MAX_PROJECTIONS = 1024. Each lane starts at
-    2**(lane_bits-1) - l, so its top bit is set exactly when the count
-    has reached l; lanes past the last query point are never incremented.
-    Only `count_collisions` increments the lanes; `qualified_rows` reads
-    them, and no other module touches the words.
+    `lane_bits` bits per word: qi is lane qi % lanes of plane qi // lanes,
+    its lowest bit at bit (qi % lanes) * lane_bits of the word. Each lane
+    starts at 2**(lane_bits-1) - l, so its top bit is set exactly when the
+    count has reached l. `lane_bits` is the smallest b with l <= 2**(b-1)
+    and m - l <= 2**(b-1) - 1, so the start is not negative and m
+    increments end at 2**(b-1) + m - l <= 2**b - 1: no lane ever carries
+    into the next. MAX_PROJECTIONS = 1024 keeps lanes within 11 bits. Lanes
+    past the last query point are never incremented, so their value is
+    never read. Only `count_collisions` increments the lanes;
+    `qualified_rows` and `keep` decode them by shift and mask, and no other
+    module touches the words.
     """
 
     def __init__(self, q_count: int, index: LshIndex, dataset: Dataset):
         m, l = index.m, index.params.l
-        self.lane_bits = 8 if l <= 128 and m - l <= 127 else 16
+        self.lane_bits = (max(l, m - l + 1) - 1).bit_length() + 1
         self.lanes = 64 // self.lane_bits
         self._start = 2 ** (self.lane_bits - 1) - l
         ones = sum(1 << self.lane_bits * lane for lane in range(self.lanes))
         self.top_bits = ones << self.lane_bits - 1  # the top bit of every lane
-        self._fresh_word = self._start * ones
-        self.packed_counts = self._fresh(q_count, dataset.n)
+        self.packed_counts = np.full((-(-q_count // self.lanes), dataset.n), self._start * ones,
+                                     dtype=np.uint64)
         self.qualifying_pairs = np.zeros(dataset.num_objects, dtype=np.int64)
         self.qualified_total = 0  # sum of qualifying_pairs
         self.pair_totals = q_count * dataset.object_sizes
@@ -108,23 +112,10 @@ class CollisionState:
         self.cov_lo = np.full((q_count, index.m), np.iinfo(np.int64).max, dtype=np.int64)
         self.cov_hi = np.full((q_count, index.m), np.iinfo(np.int64).min, dtype=np.int64)
 
-    def _fresh(self, q_count: int, n: int) -> np.ndarray:
-        """Packed words of q_count query points that have collided with nothing yet."""
-        return np.full((-(-q_count // self.lanes), n), self._fresh_word, dtype=np.uint64)
-
-    def _lane_view(self) -> np.ndarray:
-        """The words as (planes, n, lanes) counts of the lane dtype, indexed by `_at`."""
-        words = self.packed_counts
-        view = words.view(f"u{self.lane_bits // 8}").reshape(*words.shape, self.lanes)
-        return view if np.little_endian else view[..., ::-1]
-
-    def _at(self, points) -> tuple:
-        """Index into `_lane_view` of query point(s) `points`: an int, or an int array."""
-        return points // self.lanes, slice(None), points % self.lanes
-
     def qualified_rows(self, qi: int) -> np.ndarray:
         """Ascending dataset rows whose count with query point qi has reached l."""
-        return np.flatnonzero(self._lane_view()[self._at(qi)] >= 2 ** (self.lane_bits - 1))
+        top = np.uint64(1 << (qi % self.lanes + 1) * self.lane_bits - 1)  # qi's lane's top bit
+        return np.flatnonzero((self.packed_counts[qi // self.lanes] & top) != 0)
 
     @property
     def ci(self) -> np.ndarray:
@@ -143,9 +134,11 @@ class CollisionState:
     def keep(self, points) -> None:
         """Count for the query points at `points` only; `ci` is stale afterwards."""
         points = np.asarray(points, dtype=np.intp)
-        kept = self._lane_view()[self._at(points)]
-        self.packed_counts = self._fresh(len(points), self.packed_counts.shape[1])
-        self._lane_view()[self._at(np.arange(len(points)))] = kept
+        words, lanes, bits = self.packed_counts, self.lanes, self.lane_bits
+        self.packed_counts = np.zeros((-(-len(points) // lanes), words.shape[1]), dtype=np.uint64)
+        for j, qi in enumerate(points.tolist()):  # move qi's lane to lane j, by shift and mask
+            lane = words[qi // lanes] >> np.uint64(qi % lanes * bits) & np.uint64(2 ** bits - 1)
+            self.packed_counts[j // lanes] |= lane << np.uint64(j % lanes * bits)
         self.cov_lo, self.cov_hi = self.cov_lo[points], self.cov_hi[points]
 
 
@@ -167,8 +160,11 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
     (plane, row range): each group is counted by one gather, add and
     scatter of whole words, its increment word holding a one in the lane of
     every point that has the segment. A point's segments in one pass are
-    disjoint, so no lane is incremented twice in a row. The object search
-    and `baselines.point_knn_c2lsh` both count through this kernel.
+    disjoint, so no lane is incremented twice in a row. The cost is paid
+    per word, not per count: the narrower the lanes, the fewer planes a
+    query's points spread over, and the fewer groups one shared segment
+    makes. The object search and `baselines.point_knn_c2lsh` both count
+    through this kernel.
     """
     q_count = len(q_bucket_col)
     qb = q_bucket_col if R == 1 else np.floor_divide(q_bucket_col, R)

@@ -76,7 +76,7 @@ class LshParams:
             raise ParameterError(f"need p1 > p2, got p1={self.p1}, p2={self.p2}")
         if not 1 <= self.l <= self.m:
             raise ParameterError(f"need 1 <= l <= m, got l={self.l}, m={self.m}")
-        if self.m > MAX_PROJECTIONS:  # so that a collision count fits a 16-bit lane
+        if self.m > MAX_PROJECTIONS:  # m <= 1024 keeps a collision-count lane within 11 bits
             raise ParameterError(f"m={self.m} is more than MAX_PROJECTIONS={MAX_PROJECTIONS}")
         if not 2 <= self.c < 2 ** 31:  # the index file stores c as int32
             raise ParameterError(f"approximation ratio c must be an integer in [2, 2**31), got {self.c}")

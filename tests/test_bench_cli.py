@@ -507,6 +507,24 @@ class TestCli:
         assert f"error: {message}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("verb", ["query", "buffer-sweep"])
+    def test_query_splits_past_int64_exits_3_before_any_search(self, tmp_path, capsys,
+                                                                monkeypatch, verb):
+        """MMLSH cuts query ranges in int64, so a larger split count is refused up front."""
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(bench, "knn_objects", lambda *a, **kw: pytest.fail("searched"))
+        for splits in ("100000000000000000000", str(2 ** 63)):
+            flags = ["--strategy", "MMLSH", "--query-splits", splits]
+            assert cli.main([verb] + args + flags) == 3
+            captured = capsys.readouterr()
+            assert f"error: query_splits must be < 2**63, got {splits}" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+        monkeypatch.undo()
+        assert cli.main(["query"] + args + ["--query-splits", str(2 ** 63 - 1)]) == 0
+
     def test_default_config_rows_carry_the_guarantee_bound(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         paths = ["--num-queries", "1", "--k-primes", "25", "--index", cfg.index_path,
@@ -632,6 +650,20 @@ class TestCli:
         assert cli.main(["query"] + args + ["--synth-objects", "21"]) == 3
         err = capsys.readouterr().err
         assert "(n=160, d=6) was not built over this dataset (n=168, d=6)" in err
+
+    def test_index_over_other_coordinates_of_the_same_shape_exits_3(self, tmp_path, capsys):
+        """Seeds 0 and 5 synthesize datasets of one shape, so the refusal names the buckets."""
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args + ["--seed", "0"]) == 0
+        capsys.readouterr()
+        assert cli.main(["query"] + args + ["--seed", "5"]) == 3
+        captured = capsys.readouterr()
+        assert (f"error: {cfg.index_path}: the index (n=160, d=6) was not built over this "
+                f"dataset: the dataset's coordinates do not hash to the stored buckets"
+                in captured.err)
+        assert "(n=160, d=6) was not built over this dataset (n=" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags, built, asked", [
         (["--delta", "0.3"], "delta=0.25", "delta=0.3"),

@@ -868,22 +868,25 @@ def split_cases(draw):
     (g, R) passes repeat, a pass has one range per query index, some
     ranges are empty and many miss the occupied ids, ids and widths reach
     2**40 and more from 0, and some widths exceed 2**53, where float64
-    rounds the step of the cut.
+    rounds the step of the cut. Some ids sit within 60 of a range's end,
+    where the last cut of a range that wide falls.
     """
     base = draw(st.sampled_from([0, -37, -(2**40), 2**40 + 5]))
     near = st.integers(base - 60, base + 60)
     projections = draw(st.integers(1, 3))
-    occupied = {}
-    for g in range(projections):
-        ids = draw(st.lists(st.one_of(near, st.integers(base - 2**41, base + 2**41)),
-                            max_size=40, unique=True))
-        occupied[g] = (sorted(ids), draw(st.lists(st.integers(1, 9), min_size=len(ids),
-                                                  max_size=len(ids))))
     widths = st.one_of(st.integers(-3, 40), st.integers(2**40 - 3, 2**40 + 3),
                        st.integers(3**36 - 3, 3**36 + 3))
     passes = draw(st.lists(st.tuples(st.integers(0, projections - 1), st.sampled_from([1, 2, 4]),
                                      st.lists(st.tuples(near, widths), max_size=8)),
                            max_size=6))
+    occupied = {}
+    for g in range(projections):
+        ends = [lo + width for pg, _R, starts in passes if pg == g for lo, width in starts]
+        by_end = [st.builds(int.__add__, st.sampled_from(ends), st.integers(-60, 60))] if ends else []
+        ids = draw(st.lists(st.one_of(near, st.integers(base - 2**41, base + 2**41), *by_end),
+                            max_size=40, unique=True))
+        occupied[g] = (sorted(ids), draw(st.lists(st.integers(1, 9), min_size=len(ids),
+                                                  max_size=len(ids))))
     plan = [(g, R, np.array([(qi, lo, lo + width) for qi, (lo, width) in enumerate(starts)],
                             dtype=np.int64).reshape(-1, 3))
             for g, R, starts in passes]
@@ -992,6 +995,9 @@ class TestScheduling:
                 segments += len(reference)
                 seen["empty"] += int((ranges[:, 2] <= ranges[:, 1]).sum())
                 seen["far"] += any(abs(b) >= 2**40 for b in ids)
+                seen["wide end"] += splits > 1 and any(
+                    hi - lo > 2**53 and bisect_left(ids, hi - 60) < bisect_left(ids, hi + 61)
+                    for _qi, lo, hi in ranges.tolist())
             order = split_queries(plan, splits, index)
             accessed = [order.keys[k] for k in order.accesses().tolist()]
             assert accessed == want
@@ -1012,9 +1018,10 @@ class TestScheduling:
 
         check()
         # plans repeated passes, spanned projections, met empty ranges and ranges that miss
-        # every occupied id, and ids at least 2**40 from 0
+        # every occupied id, ids at least 2**40 from 0, and ids by the last cut of a split
+        # range wider than 2**53
         assert all(seen[name] > 20 for name in ("repeated pass", "projections", "empty",
-                                                "misses every id", "far")), seen
+                                                "misses every id", "far", "wide end")), seen
 
     def test_split_rejects_zero_splits(self):
         index = OccupiedIndex({0: ([1, 2], [1, 1])})

@@ -114,14 +114,20 @@ class TestPassKernelProperties:
         assert state.qualifying_pairs.tolist() == expected
 
 
+def narrowest_lane(m, l):
+    """The smallest lane width b whose lanes start a count at 2**(b-1) - l >= 0 and hold m counts."""
+    return next(b for b in range(1, 65) if l <= 2 ** (b - 1) and m - l <= 2 ** (b - 1) - 1)
+
+
 class TestPackedKernelProperties:
     """Counts, qualifying pairs and qualified rows after every pass, for any lane layout."""
 
-    # (m, l) over the derived params; None keeps the derived value. 8-bit lanes
-    # hold l <= 128 and m - l <= 127, with both bounds reached by (255, 128);
-    # the last four need 16-bit lanes
-    SHAPES = [(None, None), (None, 1), (128, 128), (255, 128),
-              (129, 129), (256, 128), (200, 1), (160, 130)]
+    # (m, l) over the derived params; None keeps the derived value. b-bit lanes
+    # hold l <= 2**(b-1) and m - l <= 2**(b-1) - 1: each width's edge is
+    # followed by a shape one past it, which needs one more bit
+    SHAPES = [(None, None), (None, 1), (1, 1), (2, 1), (3, 2),
+              (48, 17), (63, 32), (64, 32), (33, 33),
+              (128, 128), (255, 128), (129, 129), (256, 128), (200, 1), (160, 130)]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), objects=st.integers(1, 5), points=st.integers(1, 4),
@@ -150,7 +156,8 @@ class TestPackedKernelProperties:
         q_base = index.hash_query(pool[rng.integers(0, len(pool), q_size)])
 
         state = CollisionState(q_size, index, ds)
-        assert state.lane_bits == (8 if l <= 128 and m - l <= 127 else 16)
+        assert state.lane_bits == narrowest_lane(m, l)
+        assert state.lanes == 64 // state.lane_bits
         points_at = np.arange(q_size)  # state point j is query point points_at[j]
         dropped_pairs = np.zeros(ds.num_objects, dtype=np.int64)
         counts = np.zeros((q_size, ds.n), dtype=np.int64)
@@ -175,6 +182,39 @@ class TestPackedKernelProperties:
                 for j in range(len(points_at)):
                     assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[j] >= l))
             last = now
+
+
+@pytest.mark.parametrize("bits", range(1, 12))
+def test_full_lanes_leave_their_neighbours_untouched(bits):
+    """Even lanes count to m with m - l at the width's limit; their odd neighbours stay at 0."""
+    # the limit is l = 2**(b-1), m - l = 2**(b-1) - 1, so a full lane holds all
+    # ones; MAX_PROJECTIONS caps m, so 11-bit lanes reach it with l = 1
+    m, l = (2 ** bits - 1, 2 ** (bits - 1)) if bits < 11 else (1024, 1)
+    ds = mmlsh.Dataset(np.array([[0.0]] * 3 + [[1e9]] * 2), [0, 0, 0, 1, 1])
+    params = dataclasses.replace(mmlsh.derive_params(0.3, 0.5), m=m, l=l)
+    index = mmlsh.build_index(ds, params, seed=bits)
+    q_count = 2 * (64 // bits) + 1  # two full planes and one lane of a third
+    q_base = index.hash_query(np.where(np.arange(q_count) % 2, -1e9, 0.0)[:, None])
+    state = CollisionState(q_count, index, ds)
+    assert (state.lane_bits, state.lanes) == (bits, 64 // bits)
+    fresh = state.packed_counts.copy()
+    for g in range(m):
+        count_collisions(q_base[:, g], g, 1, index, ds, state)
+    counts = brute_counts(q_base, index, 1)
+    assert (counts[::2, :3] == m).all() and not counts[1::2].any()
+    assert np.array_equal(lane_counts(state), counts)
+    # no bit outside the query points' lanes changed: no carry, no write past the last lane
+    owned = [(1 << min(state.lanes, q_count - p * state.lanes) * bits) - 1
+             for p in range(len(fresh))]
+    outside = np.array([~mask % 2 ** 64 for mask in owned], dtype=np.uint64)[:, None]
+    assert not ((state.packed_counts ^ fresh) & outside).any()
+    for j in range(q_count):
+        assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[j] >= l))
+    kept = np.arange(q_count)[::-3]  # full lanes move across lanes and planes
+    state.keep(kept)
+    assert np.array_equal(lane_counts(state), counts[kept])
+    for j in range(len(kept)):
+        assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[kept[j]] >= l))
 
 
 def test_only_the_engine_reads_the_packed_counts():

@@ -385,8 +385,11 @@ class TestObjectRatio:
 
 
 def lane_counts(state):
-    """The (|Q|, n) collision counts a CollisionState holds, decoded from its lanes."""
-    lanes = state._lane_view()[state._at(np.arange(len(state.cov_lo)))]
+    """The (|Q|, n) collision counts a CollisionState holds, decoded by shift and mask."""
+    points = np.arange(len(state.cov_lo))
+    words = state.packed_counts[points // state.lanes]
+    shifts = (points % state.lanes * state.lane_bits).astype(np.uint64)[:, None]
+    lanes = words >> shifts & np.uint64(2 ** state.lane_bits - 1)
     return lanes.astype(np.int64) - state._start
 
 
