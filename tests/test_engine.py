@@ -210,11 +210,17 @@ def test_full_lanes_leave_their_neighbours_untouched(bits):
     assert not ((state.packed_counts ^ fresh) & outside).any()
     for j in range(q_count):
         assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[j] >= l))
-    kept = np.arange(q_count)[::-3]  # full lanes move across lanes and planes
+    # full and empty lanes move across lanes and planes; each empty lane, whose
+    # old upper neighbour is full, lands below another empty one, so a lane
+    # moved with its neighbour's bits shows
+    points = np.arange(q_count)
+    kept = np.r_[points[::2], points[1::2]][::-1]
     state.keep(kept)
     assert np.array_equal(lane_counts(state), counts[kept])
     for j in range(len(kept)):
         assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[kept[j]] >= l))
+    state.keep([])
+    assert state.packed_counts.shape == lane_counts(state).shape == (0, ds.n)
 
 
 def test_only_the_engine_reads_the_packed_counts():
