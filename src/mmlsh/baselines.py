@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CollisionState, check_t1, check_t2, count_collisions
-from .lsh import LshIndex, level_cap, reach_range, replacing
+from .lsh import LshIndex, level_cap, replacing
 from .model import Dataset, QueryObject
 # perfbench/harness.py wraps `baselines.gamma_distance` by name, so it stays importable
 from .similarity import euclidean, gamma_distance, gamma_distances, rows_within_kth  # noqa: F401
@@ -92,10 +92,12 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     their collision count reaches l, and at a level start the point stops
     when k' candidates are verified within c*R, when k' + beta*n candidates
     exist, when it is covered as far as it can reach, or after
-    `level_cap(c)` levels. The points still searching are the rows of one
-    `CollisionState`; each projection pass is one `count_collisions` call
-    over them. Returns one (ranking, complete) per point: the (row, dist)
-    list of its k' nearest candidates, ties by row, and whether it holds k'.
+    `level_cap(c)` levels. Every point is a row of one `CollisionState`
+    until the search ends: a point that stops is `stop`ped there, so it
+    covers every bucket and counts nothing more. Each projection pass is one
+    `count_collisions` call over the state. Returns one (ranking, complete)
+    per point: the (row, dist) list of its k' nearest candidates, ties by
+    row, and whether it holds k'.
 
     A QueryStats collects the increments and algorithm operations. A `plan`
     list collects every pass as (projection g, level R, ranges) in the shape
@@ -108,63 +110,57 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     params, n, q_count = index.params, index.n, len(q)
     # each point is hashed alone, as a search for that point alone hashes it
     q_base = np.array([index.hash_query(p) for p in q]).reshape(q_count, index.m)
-    reach_lo, reach_hi = reach_range(index, q_base)
-    state = CollisionState(q_count, index, dataset)
-    active = np.arange(q_count)  # state row j counts for query point active[j]
+    state = CollisionState(q_base, index, dataset)
+    searching = np.ones(q_count, dtype=bool)
     dists = np.full((q_count, n), np.nan)  # a row's distance, once it is a candidate
     results = [None] * q_count
     passes = [[] for _ in range(q_count)]
 
     R, last = 1, level_cap(params.c)
     for level in range(last + 1):
-        covered = state.covered(reach_lo[active], reach_hi[active])
-        searching = []
-        for j, i in enumerate(active.tolist()):
-            rows = state.qualified_rows(j)
+        covered = state.covered()
+        for i in np.flatnonzero(searching).tolist():
+            rows = state.qualified_rows(i)
             d = dists[i]
             new = rows[np.isnan(d[rows])]
             if new.size:
                 d[new] = euclidean(q[i], dataset.coords[new])
-            if (level == last or covered[j] or check_t1(rows.size, k_prime, params.beta, n)
+            if (level == last or covered[i] or check_t1(rows.size, k_prime, params.beta, n)
                     or rows.size and check_t2(d[rows], k_prime, params.c * R)):
                 ranking = _nearest_rows(d[rows], k_prime, rows)
                 results[i] = (ranking, len(ranking) >= k_prime)
-            else:
-                searching.append(j)
-        state.keep(searching)
-        active = active[searching]
-        if not active.size:
+                searching[i] = False
+        if not searching.any():
             break
-        q_level = q_base[active]
+        state.stop(~searching)
         for g in range(index.m):
-            inc = count_collisions(q_level[:, g], g, R, index, dataset, state)
+            inc = count_collisions(state, g, R)
             if stats is not None:
                 stats.collision_increments += inc
                 stats.alg_ops += inc
-        if plan is not None:  # counting left each point's level-R buckets as its coverage
+        if plan is not None:  # counting left each searching point's level-R buckets as its coverage
             level_rows = np.stack((np.zeros_like(state.cov_lo), state.cov_lo, state.cov_hi), 2)
-            for j, i in enumerate(active.tolist()):
-                passes[i] += [(g, R, level_rows[j, g:g + 1]) for g in range(index.m)]
+            for i in np.flatnonzero(searching).tolist():
+                passes[i] += [(g, R, level_rows[i, g:g + 1]) for g in range(index.m)]
         R *= params.c
     if plan is not None:
         plan += [p for point_passes in passes for p in point_passes]
     return results
 
 
-def borda_aggregate(per_point_rankings, dataset: Dataset, k: int, k_prime: int | None = None) -> list:
+def borda_aggregate(per_point_rankings, dataset: Dataset, k: int, k_prime: int) -> list:
     """Fuse per-point rankings into an object ranking by positional scoring.
 
     A point at 1-based rank r contributes k' - r + 1 to its owning object;
     unranked objects score zero. Objects are returned best first, ties broken
     by ascending object id; the result is the top-k (object_id, score) list.
+    Each ranking is a list of (row, dist) pairs, as the point searches return.
     """
-    if k_prime is None:
-        k_prime = max((len(r) for r in per_point_rankings), default=0)
     scores = {}
     for ranking in per_point_rankings:
         if len(ranking) > k_prime:
             raise ValueError("ranking longer than k_prime")
-        rows = [item[0] if isinstance(item, tuple) else item for item in ranking]
+        rows = [row for row, _dist in ranking]
         owners = dataset.object_ids[dataset.point_object_index[rows]].tolist()
         for r, oid in enumerate(owners, start=1):
             scores[oid] = scores.get(oid, 0) + (k_prime - r + 1)
@@ -172,17 +168,16 @@ def borda_aggregate(per_point_rankings, dataset: Dataset, k: int, k_prime: int |
     return ranked[:k]
 
 
-def save_ground_truth(truths: list, path, key: str | None = None) -> None:
+def save_ground_truth(truths: list, path, key: str) -> None:
     """Persist exact rankings as `query_object_id,rank,object_id,gamma_distance`.
 
-    A `key` naming what the rankings were computed for is written as a
+    The `key` naming what the rankings were computed for is written as a
     leading `# key: ...` comment line; `ground_truth_key` reads it back.
     It is written through `lsh.replacing`, so an interrupted save leaves any
     previous cache whole.
     """
     with replacing(path, "w", newline="") as fh:
-        if key is not None:
-            fh.write(f"{_KEY_PREFIX}{key}\n")
+        fh.write(f"{_KEY_PREFIX}{key}\n")
         writer = csv.writer(fh)
         writer.writerow(["query_object_id", "rank", "object_id", "gamma_distance"])
         for gt in truths:

@@ -79,6 +79,8 @@ def gamma_min_bound(q_size: int, min_object_size: int, delta: float,
 class CollisionState:
     """All mutable per-query search state: counts, collision indexes, coverage.
 
+    It is built over one search's (|Q|, m) base buckets `q_base`, its index
+    and its dataset, and keeps every query point until the search ends.
     The collision count of query point qi and dataset point `row` is the
     number of projections in which they have collided so far. A pair
     collides at most once per projection, so a count never exceeds m.
@@ -92,12 +94,20 @@ class CollisionState:
     into the next. MAX_PROJECTIONS = 1024 keeps lanes within 11 bits. Lanes
     past the last query point are never incremented, so their value is
     never read. Only `count_collisions` increments the lanes;
-    `qualified_rows` and `keep` decode them by shift and mask, and no other
-    module touches the words.
+    `qualified_rows` decodes them by shift and mask, and no other module
+    touches the words.
+
+    `cov_lo`/`cov_hi` hold each (query point, projection)'s counted
+    base-bucket interval [cov_lo, cov_hi). It starts empty at the point's
+    own bucket, [qb, qb), and only grows, so every interval counted into it
+    holds qb. `stop` sets it to span every bucket, after which the point
+    counts nothing more.
     """
 
-    def __init__(self, q_count: int, index: LshIndex, dataset: Dataset):
-        m, l = index.m, index.params.l
+    def __init__(self, q_base: np.ndarray, index: LshIndex, dataset: Dataset):
+        q_count, m, l = len(q_base), index.m, index.params.l
+        self.q_base, self.index, self.dataset = q_base, index, dataset
+        self.reach_lo, self.reach_hi = reach_range(index, q_base)
         self.lane_bits = (max(l, m - l + 1) - 1).bit_length() + 1
         self.lanes = 64 // self.lane_bits
         self._start = 2 ** (self.lane_bits - 1) - l
@@ -108,9 +118,8 @@ class CollisionState:
         self.qualifying_pairs = np.zeros(dataset.num_objects, dtype=np.int64)
         self.qualified_total = 0  # sum of qualifying_pairs
         self.pair_totals = q_count * dataset.object_sizes
-        # covered base-bucket interval per (query point, projection); empty at start
-        self.cov_lo = np.full((q_count, index.m), np.iinfo(np.int64).max, dtype=np.int64)
-        self.cov_hi = np.full((q_count, index.m), np.iinfo(np.int64).min, dtype=np.int64)
+        self.cov_lo = q_base.astype(np.int64)  # copies: coverage grows in place
+        self.cov_hi = q_base.astype(np.int64)
 
     def qualified_rows(self, qi: int) -> np.ndarray:
         """Ascending dataset rows whose count with query point qi has reached l."""
@@ -126,34 +135,33 @@ class CollisionState:
         """Gamma-candidacy per object: collision index >= (1 - epsilon) * gamma."""
         return self.ci >= gparams.candidate_threshold
 
-    def covered(self, reach_lo: np.ndarray, reach_hi: np.ndarray) -> np.ndarray:
+    def covered(self) -> np.ndarray:
         """Per query point, whether each projection is covered as far as `reach_range` reaches."""
-        return np.all((reach_lo >= reach_hi)
-                      | ((self.cov_lo <= reach_lo) & (self.cov_hi >= reach_hi)), axis=1)
+        return np.all((self.reach_lo >= self.reach_hi)
+                      | ((self.cov_lo <= self.reach_lo) & (self.cov_hi >= self.reach_hi)), axis=1)
 
-    def keep(self, points) -> None:
-        """Count for the query points at `points` only; `ci` is stale afterwards."""
-        points = np.asarray(points, dtype=np.intp)
-        words, lanes, bits = self.packed_counts, self.lanes, self.lane_bits
-        self.packed_counts = np.zeros((-(-len(points) // lanes), words.shape[1]), dtype=np.uint64)
-        for j, qi in enumerate(points.tolist()):  # move qi's lane to lane j, by shift and mask
-            lane = words[qi // lanes] >> np.uint64(qi % lanes * bits) & np.uint64(2 ** bits - 1)
-            self.packed_counts[j // lanes] |= lane << np.uint64(j % lanes * bits)
-        self.cov_lo, self.cov_hi = self.cov_lo[points], self.cov_hi[points]
+    def stop(self, points) -> None:
+        """Count nothing more for the query points at `points`: they cover every bucket."""
+        self.cov_lo[points] = np.iinfo(np.int64).min
+        self.cov_hi[points] = np.iinfo(np.int64).max
 
 
-def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
-                     dataset: Dataset, state: CollisionState) -> int:
+def count_collisions(state: CollisionState, g: int, R: int) -> int:
     """Count new collisions of every query point in projection g at level R.
 
-    q_bucket_col holds the query points' base buckets in projection g. The
-    level-R bucket of query point qi is the base-bucket interval
-    [qb*R, qb*R + R) with qb = q_bucket_col[qi] // R; only the part not
-    covered at earlier levels is counted, which enforces the
-    once-per-projection rule and keeps every count within its lane.
-    Afterwards `state.cov_lo[:, g]` / `cov_hi[:, g]` hold each point's
-    level-R interval. A pair reaching l collisions adds one qualifying pair
-    to its object. Returns the number of increments.
+    The level-R bucket of query point qi is the base-bucket interval
+    [qb*R, qb*R + R) with qb = state.q_base[qi, g] // R; only the part that
+    `state.cov_lo[qi, g]`/`cov_hi[qi, g]` does not cover yet is counted,
+    which enforces the once-per-projection rule and keeps every count
+    within its lane. Both intervals hold the point's base bucket, so that
+    part is [qb*R, cov_lo) and [cov_hi, qb*R + R), each empty where the
+    coverage reaches past the level's bucket. Afterwards the coverage is the
+    union of the two intervals: counting a pass twice, or a lower level
+    after a higher one, adds nothing, and a stopped point counts nothing.
+    Each level's interval holds the previous one's, so on the searches'
+    level order the union is the level-R interval. A pair reaching l
+    collisions adds one qualifying pair to its object. Returns the number
+    of increments.
 
     The table is read by one `range_rows` call per pass. Query points of
     one object share segments heavily, so the segments are grouped by
@@ -166,17 +174,14 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
     makes. The object search and `baselines.point_knn_c2lsh` both count
     through this kernel.
     """
-    q_count = len(q_bucket_col)
-    qb = q_bucket_col if R == 1 else np.floor_divide(q_bucket_col, R)
+    q_col = state.q_base[:, g]
+    q_count = len(q_col)
+    qb = q_col if R == 1 else np.floor_divide(q_col, R)
     lo = qb * R
     hi = lo + R
     old_lo, old_hi = state.cov_lo[:, g], state.cov_hi[:, g]
-    fresh = old_lo > old_hi
-    # uncovered segments: [lo, old_lo) and [old_hi, hi), or all of [lo, hi)
-    # (with an empty second segment) for a point not yet covered
-    seg_lo = np.concatenate((lo, np.where(fresh, hi, old_hi)))
-    seg_hi = np.concatenate((np.where(fresh, hi, old_lo), hi))
-    table, starts, stops = index.range_rows(g, seg_lo, seg_hi)
+    table, starts, stops = state.index.range_rows(g, np.concatenate((lo, old_hi)),
+                                                  np.concatenate((old_lo, hi)))
     nonempty = np.flatnonzero(stops > starts)
 
     lanes, bits = state.lanes, state.lane_bits
@@ -187,7 +192,7 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
         key = (plane, i0, i1)
         groups[key] = groups.get(key, 0) | 1 << bits * lane
 
-    owner = dataset.point_object_index
+    owner = state.dataset.point_object_index
     top = np.uint64(state.top_bits)
     incremented = qualified = 0
     for (plane, i0, i1), inc in groups.items():
@@ -204,8 +209,8 @@ def count_collisions(q_bucket_col: np.ndarray, g: int, R: int, index: LshIndex,
             qualified += int(gained.sum())
         incremented += (i1 - i0) * inc.bit_count()
     state.qualified_total += qualified
-    state.cov_lo[:, g] = lo
-    state.cov_hi[:, g] = hi
+    np.minimum(old_lo, lo, out=old_lo)
+    np.maximum(old_hi, hi, out=old_hi)
     return incremented
 
 
@@ -255,10 +260,8 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
 
     c, m, S = index.params.c, index.params.m, dataset.num_objects
     max_levels = level_cap(c)
-    state = CollisionState(q_count, index, dataset)
+    state = CollisionState(index.hash_query(query.coords), index, dataset)
     stats = QueryStats()
-    q_base = index.hash_query(query.coords)
-    reach_lo, reach_hi = reach_range(index, q_base)
     point_index = np.arange(q_count)
 
     dists = np.full(S, np.nan)  # an object's exact distance, once it is verified
@@ -290,13 +293,13 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             return finish(T2, levels_done)
 
         # every (query point, projection) covered as far as it can ever reach?
-        exhausted = bool(np.all(state.covered(reach_lo, reach_hi)))
+        exhausted = bool(np.all(state.covered()))
         if exhausted or levels_done >= max_levels:
             enough = int(np.count_nonzero(state.candidate_mask(gparams))) >= k
             return finish(T2 if enough else EXHAUSTED, levels_done, complete=enough)
 
         for g in range(m):
-            inc = count_collisions(q_base[:, g], g, R, index, dataset, state)
+            inc = count_collisions(state, g, R)
             stats.collision_increments += inc
             stats.alg_ops += inc
             if plan is not None:

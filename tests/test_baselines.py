@@ -15,8 +15,8 @@ from scipy.spatial.distance import cdist
 import mmlsh
 from mmlsh import baselines, bench
 from mmlsh.baselines import (GroundTruth, borda_aggregate, exact_knn_objects, full_ranking,
-                             load_ground_truth, point_knn_c2lsh, point_knn_linear,
-                             save_ground_truth)
+                             ground_truth_key, load_ground_truth, point_knn_c2lsh,
+                             point_knn_linear, save_ground_truth)
 from mmlsh.buffering import NS1, BufferState, QueryStats, SchedulerConfig
 from mmlsh.lsh import level_cap, reach_range
 from test_similarity import cdist_gamma_distance, products
@@ -399,7 +399,8 @@ class TestGroundTruthCache:
             q = mmlsh.QueryObject.from_object(small_dataset, oid)
             truths.append(full_ranking(q, small_dataset, 0.4))
         path = tmp_path / "gt.csv"
-        save_ground_truth(truths, path)
+        save_ground_truth(truths, path, key="gamma=0.4 dataset=test")
+        assert ground_truth_key(path) == "gamma=0.4 dataset=test"
         loaded = load_ground_truth(path)
         assert set(loaded) == {0, 5}
         for gt in truths:

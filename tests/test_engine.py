@@ -23,15 +23,15 @@ from test_similarity import cdist_gamma_distance, lane_counts
 
 def run_all_collisions(query, index, dataset, levels):
     """Drive count_collisions over every projection pass for levels 1, c, c^2, ..."""
-    state = CollisionState(len(query.coords), index, dataset)
     q_base = np.floor(
         (query.coords.astype(np.float64) @ index.a.T + index.b) / index.params.w
     ).astype(np.int64)
+    state = CollisionState(q_base, index, dataset)
     c = index.params.c
     for i in range(levels):
         R = c ** i
         for g in range(index.m):
-            count_collisions(q_base[:, g], g, R, index, dataset, state)
+            count_collisions(state, g, R)
     return state, q_base
 
 
@@ -78,6 +78,22 @@ class TestCountCollisions:
         # at huge R the count equals the number of projections whose level
         # bucket still matches, which is what the brute oracle computes
         assert np.array_equal(lane_counts(state), brute_counts(q_base, small_index, 2 ** 15))
+
+    @pytest.mark.parametrize("query_object", [0, 5, 9])
+    def test_a_counted_bucket_is_never_counted_again(self, small_dataset, small_index,
+                                                     query_object):
+        # per projection: level c, level c again, level 1 below it, level c once more
+        q = mmlsh.QueryObject.from_object(small_dataset, query_object)
+        q_base = small_index.hash_query(q.coords)
+        state = CollisionState(q_base, small_index, small_dataset)
+        c, l = small_index.params.c, small_index.params.l
+        matches = brute_matches(q_base, small_index, c)
+        for g in range(small_index.m):
+            assert count_collisions(state, g, c) == int(matches[g].sum())
+            assert [count_collisions(state, g, R) for R in (c, 1, c)] == [0, 0, 0]
+        counts = brute_counts(q_base, small_index, c)
+        assert np.array_equal(lane_counts(state), counts)
+        assert state.qualifying_pairs.tolist() == brute_pairs(counts, small_dataset, l)
 
     def test_qualifying_pairs_match_counts(self, small_dataset, small_index):
         q = mmlsh.QueryObject.from_object(small_dataset, 5)
@@ -155,32 +171,30 @@ class TestPackedKernelProperties:
                                rng.normal(0.0, 1.5, size=(distinct, d)).astype(np.float32)))
         q_base = index.hash_query(pool[rng.integers(0, len(pool), q_size)])
 
-        state = CollisionState(q_size, index, ds)
+        state = CollisionState(q_base, index, ds)
         assert state.lane_bits == narrowest_lane(m, l)
         assert state.lanes == 64 // state.lane_bits
-        points_at = np.arange(q_size)  # state point j is query point points_at[j]
-        dropped_pairs = np.zeros(ds.num_objects, dtype=np.int64)
+        searching = np.ones(q_size, dtype=bool)
         counts = np.zeros((q_size, ds.n), dtype=np.int64)
         last = np.zeros((m, q_size, ds.n), dtype=bool)  # matches at the previous level
         for level in range(levels):
-            if level == drop_level:
-                kept = [j for j, qi in enumerate(points_at.tolist()) if qi not in drop]
-                dropped_pairs += brute_pairs(np.delete(counts, kept, axis=0), ds, l)
-                state.keep(kept)
-                points_at, counts, last = points_at[kept], counts[kept], last[:, kept]
+            if level == drop_level:  # the dropped points stop; their counts stay frozen
+                searching[np.isin(np.arange(q_size), list(drop))] = False
+                state.stop(~searching)
             R = c ** level
-            now = brute_matches(q_base[points_at], index, R)
+            now = brute_matches(q_base, index, R)
             for g in range(m):
-                inc = count_collisions(q_base[points_at, g], g, R, index, ds, state)
-                expected = now[:g + 1].sum(axis=0) + last[g + 1:].sum(axis=0)
+                inc = count_collisions(state, g, R)
+                expected = np.where(searching[:, None],
+                                    now[:g + 1].sum(axis=0) + last[g + 1:].sum(axis=0), counts)
                 assert inc == int((expected - counts).sum())
                 counts = expected
                 assert np.array_equal(lane_counts(state), counts)
-                pairs = dropped_pairs + brute_pairs(counts, ds, l)
-                assert state.qualifying_pairs.tolist() == pairs.tolist()
-                assert state.qualified_total == int(pairs.sum())
-                for j in range(len(points_at)):
-                    assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[j] >= l))
+                pairs = brute_pairs(counts, ds, l)
+                assert state.qualifying_pairs.tolist() == pairs
+                assert state.qualified_total == sum(pairs)
+                for qi in range(q_size):
+                    assert np.array_equal(state.qualified_rows(qi), np.flatnonzero(counts[qi] >= l))
             last = now
 
 
@@ -195,11 +209,11 @@ def test_full_lanes_leave_their_neighbours_untouched(bits):
     index = mmlsh.build_index(ds, params, seed=bits)
     q_count = 2 * (64 // bits) + 1  # two full planes and one lane of a third
     q_base = index.hash_query(np.where(np.arange(q_count) % 2, -1e9, 0.0)[:, None])
-    state = CollisionState(q_count, index, ds)
+    state = CollisionState(q_base, index, ds)
     assert (state.lane_bits, state.lanes) == (bits, 64 // bits)
     fresh = state.packed_counts.copy()
     for g in range(m):
-        count_collisions(q_base[:, g], g, 1, index, ds, state)
+        count_collisions(state, g, 1)
     counts = brute_counts(q_base, index, 1)
     assert (counts[::2, :3] == m).all() and not counts[1::2].any()
     assert np.array_equal(lane_counts(state), counts)
@@ -210,17 +224,13 @@ def test_full_lanes_leave_their_neighbours_untouched(bits):
     assert not ((state.packed_counts ^ fresh) & outside).any()
     for j in range(q_count):
         assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[j] >= l))
-    # full and empty lanes move across lanes and planes; each empty lane, whose
-    # old upper neighbour is full, lands below another empty one, so a lane
-    # moved with its neighbour's bits shows
-    points = np.arange(q_count)
-    kept = np.r_[points[::2], points[1::2]][::-1]
-    state.keep(kept)
-    assert np.array_equal(lane_counts(state), counts[kept])
-    for j in range(len(kept)):
-        assert np.array_equal(state.qualified_rows(j), np.flatnonzero(counts[kept[j]] >= l))
-    state.keep([])
-    assert state.packed_counts.shape == lane_counts(state).shape == (0, ds.n)
+    # every point at the data, the odd ones stopped: the stopped lanes stay
+    # untouched while their neighbours count to m, word for word as above
+    stopped = CollisionState(index.hash_query(np.zeros((q_count, 1))), index, ds)
+    stopped.stop(np.arange(1, q_count, 2))
+    for g in range(m):
+        count_collisions(stopped, g, 1)
+    assert np.array_equal(stopped.packed_counts, state.packed_counts)
 
 
 def test_only_the_engine_reads_the_packed_counts():
@@ -231,6 +241,25 @@ def test_only_the_engine_reads_the_packed_counts():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "packed_counts"]
     assert reads == []
+
+
+def test_only_the_engine_writes_the_coverage():
+    """Coverage grows only inside the engine: no other module assigns to cov_lo or cov_hi."""
+    package = Path(mmlsh.__file__).parent
+    writes = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute) and target.attr in ("cov_lo", "cov_hi"):
+                    writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
 
 
 class TestLevelCap:

@@ -399,12 +399,10 @@ class TestCollisionStateMatchesOracles:
     @pytest.mark.parametrize("query_object, levels", [(0, 1), (5, 2), (9, 4)])
     def test_ci_and_candidate_mask(self, small_dataset, small_index, query_object, levels):
         q = mmlsh.QueryObject.from_object(small_dataset, query_object)
-        state = CollisionState(len(q.coords), small_index, small_dataset)
-        q_base = small_index.hash_query(q.coords)
+        state = CollisionState(small_index.hash_query(q.coords), small_index, small_dataset)
         for i in range(levels):
             for g in range(small_index.m):
-                count_collisions(q_base[:, g], g, small_index.params.c ** i, small_index,
-                                 small_dataset, state)
+                count_collisions(state, g, small_index.params.c ** i)
         l = small_index.params.l
         counts = lane_counts(state)
         want_ci = [collision_index(counts[:, small_dataset.point_object_index == j], l)
