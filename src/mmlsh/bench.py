@@ -19,12 +19,14 @@ Borda baselines', and is the one place that derives `alg_ms` from `alg_ops`.
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import json
 import math
 import os
 import time
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -69,11 +71,11 @@ class RunConfig:
 
     # protocol
     k: int = 25
-    k_primes: tuple = (25, 50, 100)
+    k_primes: tuple[int, ...] = (25, 50, 100)
     num_queries: int = 10
     query_size: int | None = None   # points per query object; None = all
     buffer_mb: float = 30.0
-    buffer_sizes_mb: tuple = (20.0, 30.0, 40.0, 50.0)
+    buffer_sizes_mb: tuple[float, ...] = (20.0, 30.0, 40.0, 50.0)
     strategy: str = MMLSH
     query_splits: int = 10
     seed: int = 0
@@ -86,8 +88,9 @@ class RunConfig:
     out_prefix: str = "report"
 
     def __post_init__(self):
-        for name in ("k_primes", "buffer_sizes_mb"):
-            values = getattr(self, name)
+        for name in (name for name, (_, many, _) in config_fields().items() if many):
+            values = tuple(getattr(self, name))  # a JSON or flag list, as a keyword tuple
+            setattr(self, name, values)
             if not values:
                 raise ParameterError(f"{name} must not be empty")
             if len(set(values)) < len(values):  # a repeat would run its report group twice
@@ -122,19 +125,19 @@ class RunConfig:
         """Fields from a JSON object, with `overrides` taking precedence.
 
         A value that is not an object, an unknown field name or a value of
-        the wrong JSON type raises ParameterError.
+        the wrong JSON type raises ParameterError: a bool anywhere, null for
+        a field that is not optional, or a list item of the wrong type.
         """
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ParameterError(f"{path}: a config must be a JSON object")
         data.update(overrides or {})
-        hints = typing.get_type_hints(cls)
-        defaults = {f.name: f.default for f in fields(cls)}
+        schema = config_fields()
         for name, value in data.items():
-            if name not in hints:
+            if name not in schema:
                 raise ParameterError(f"{path}: unknown config field {name!r}")
-            if not _fits(value, hints[name], defaults[name]):
+            if not _fits(value, *schema[name]):
                 raise ParameterError(f"{path}: config field {name!r} cannot be {value!r}")
         return cls(**data)
 
@@ -146,18 +149,30 @@ class RunConfig:
                            beta=self.resolved_beta(S), epsilon=self.epsilon)
 
 
-_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: (list, tuple),
-               type(None): type(None)}
+@functools.cache
+def config_fields() -> dict[str, tuple[type, bool, bool]]:
+    """Each RunConfig field's (type, many, optional), read from its type hint.
+
+    `tuple[T, ...]` is many values of type T, and `T | None` is optional.
+    The command line's flags and `from_file`'s checks both come from here.
+    """
+    schema = {}
+    for name, hint in typing.get_type_hints(RunConfig).items():
+        optional = type(None) in typing.get_args(hint)
+        hint = typing.get_args(hint)[0] if optional else hint
+        many = typing.get_origin(hint) is tuple
+        schema[name] = (typing.get_args(hint)[0] if many else hint, many, optional)
+    return schema
 
 
-def _fits(value, hint, default=None) -> bool:
-    """Whether a JSON value suits a field annotated `hint` (a tuple's items: its default's)."""
-    if isinstance(value, bool):
-        return False  # JSON true/false is neither a number, a string nor a list
-    for typ in typing.get_args(hint) or (hint,):
-        if isinstance(value, _JSON_TYPES[typ]):
-            return typ is not tuple or all(_fits(v, type(default[0])) for v in value)
-    return False
+def _fits(value, typ, many=False, optional=False) -> bool:
+    """Whether a JSON value suits a field of `config_fields`' (typ, many, optional)."""
+    if value is None:
+        return optional
+    if many:
+        return isinstance(value, (list, tuple)) and all(_fits(v, typ) for v in value)
+    # JSON true/false is neither a number nor a string; an int is a float's value
+    return not isinstance(value, bool) and isinstance(value, (int, float) if typ is float else typ)
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -197,12 +212,17 @@ def build_artifacts(cfg: RunConfig, dataset: Dataset):
 def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
     """Load the exact-ranking cache, computing and saving it when absent or stale.
 
-    The cache is keyed on gamma and the dataset's fingerprint: a cache
-    written for another gamma or dataset is recomputed and overwritten, as
-    is one that is not text, has a row that does not parse or has a query
-    ranking that does not hold every object.
+    The cache is keyed on gamma, the dataset's fingerprint and a sha256 of
+    the queries' ids and float32 coordinates, which `query_size` subsamples:
+    a cache written for another gamma, dataset or query set is recomputed
+    and overwritten, as is one that is not text, has a row that does not
+    parse or has a query ranking that does not hold every object.
     """
-    key = f"gamma={cfg.gamma!r} dataset={dataset.fingerprint()}"
+    digest = hashlib.sha256()
+    for q in queries:
+        digest.update(repr((q.object_id, q.coords.shape)).encode())
+        digest.update(np.ascontiguousarray(q.coords, dtype="<f4").tobytes())
+    key = f"gamma={cfg.gamma!r} dataset={dataset.fingerprint()} queries={digest.hexdigest()}"
     path = cfg.groundtruth_path
     try:
         cached = (load_ground_truth(path)

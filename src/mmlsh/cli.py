@@ -1,8 +1,12 @@
 """Benchmark command-line driver.
 
-Verbs: build, groundtruth, query, compare, buffer-sweep. Every flag mirrors a
-RunConfig field; a JSON config file supplies defaults and flags override it.
-Exit codes: 0 success, 2 usage error, 3 data or format error.
+Verbs: build, groundtruth, query, compare, buffer-sweep. Each verb takes one
+flag per RunConfig field, derived from its type hint: the field's name with
+`_` as `-`, but for --vectors, --object-map, --synth-points, --synth-dim,
+--index, --profile, --groundtruth and --out, and a list of values for a
+tuple field. A JSON config file (--config) supplies defaults and flags
+override it; --json also writes the report as JSON.
+Exit codes: 0 success, 2 usage error, 3 data, format or file error.
 """
 
 from __future__ import annotations
@@ -13,56 +17,38 @@ import sys
 from dataclasses import asdict
 from functools import partial
 
-from .bench import (SWEEP_STRATEGIES, RunConfig, build_artifacts, choose_queries,
+from .bench import (SWEEP_STRATEGIES, RunConfig, build_artifacts, choose_queries, config_fields,
                     ensure_ground_truth, load_artifacts, load_dataset, run_borda_baselines,
                     run_buffer_sweep, run_mmlsh_queries, write_report)
 from .buffering import MMLSH, NS1, NS2
 from .errors import IndexFileError, ProfileFileError
 from .lsh import derive_params
 
-# every package error (mmlsh.errors) subclasses ValueError
-DATA_ERRORS = (ValueError, FileNotFoundError)
+# every package error (mmlsh.errors) subclasses ValueError; a path that is
+# missing, a directory or unreadable raises OSError
+DATA_ERRORS = (ValueError, OSError)
+
+# the flags not spelled as their RunConfig field
+FLAG_NAMES = {"vectors_path": "--vectors", "object_map_path": "--object-map",
+              "synth_points_per_object": "--synth-points", "synth_dimension": "--synth-dim",
+              "index_path": "--index", "profile_path": "--profile",
+              "groundtruth_path": "--groundtruth", "out_prefix": "--out"}
+FLAG_OPTIONS = {"strategy": {"choices": [NS1, NS2, MMLSH]},
+                "query_size": {"help": "points per query object (default: the whole object)"}}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with RunConfig fields")
-    parser.add_argument("--vectors", dest="vectors_path")
-    parser.add_argument("--object-map", dest="object_map_path")
-    parser.add_argument("--synth-objects", type=int, dest="synth_objects")
-    parser.add_argument("--synth-points", type=int, dest="synth_points_per_object")
-    parser.add_argument("--synth-dim", type=int, dest="synth_dimension")
-    parser.add_argument("--synth-spread", type=float, dest="synth_spread")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--c", type=int)
-    parser.add_argument("--w", type=float)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--k-primes", type=int, nargs="+", dest="k_primes")
-    parser.add_argument("--num-queries", type=int, dest="num_queries")
-    parser.add_argument("--query-size", type=int, dest="query_size",
-                        help="points per query object (default: the whole object)")
-    parser.add_argument("--buffer-mb", type=float, dest="buffer_mb")
-    parser.add_argument("--buffer-sizes-mb", type=float, nargs="+", dest="buffer_sizes_mb")
-    parser.add_argument("--strategy", choices=[NS1, NS2, MMLSH])
-    parser.add_argument("--query-splits", type=int, dest="query_splits")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--alg-op-cost-ms", type=float, dest="alg_op_cost_ms")
-    parser.add_argument("--index", dest="index_path")
-    parser.add_argument("--profile", dest="profile_path")
-    parser.add_argument("--groundtruth", dest="groundtruth_path")
-    parser.add_argument("--out", dest="out_prefix")
+    for name, (typ, many, _optional) in config_fields().items():
+        parser.add_argument(FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                            type=None if typ is str else typ, nargs="+" if many else None,
+                            **FLAG_OPTIONS.get(name, {}))
     parser.add_argument("--json", action="store_true", help="also emit a JSON report")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {k: v for k, v in vars(args).items()
-                 if v is not None and k not in ("config", "command", "json", "func")}
-    if "k_primes" in overrides:
-        overrides["k_primes"] = tuple(overrides["k_primes"])
-    if "buffer_sizes_mb" in overrides:
-        overrides["buffer_sizes_mb"] = tuple(overrides["buffer_sizes_mb"])
+    overrides = {name: getattr(args, name) for name in config_fields()
+                 if getattr(args, name) is not None}
     if args.config:
         return RunConfig.from_file(args.config, overrides)
     return RunConfig(**overrides)

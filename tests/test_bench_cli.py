@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import csv
 import errno
@@ -7,7 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,97 @@ class TestRunConfig:
         path.write_text(json.dumps({"gamma": 0.4, "k": 7, "seed": 3}))
         cfg = RunConfig.from_file(path, {"k": 9})
         assert (cfg.gamma, cfg.k, cfg.seed) == (0.4, 9, 3)
+
+    def test_a_json_list_a_flag_list_and_a_keyword_tuple_give_one_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_primes": [25, 50], "buffer_sizes_mb": [1, 2.5]}))
+        keywords = RunConfig(k_primes=(25, 50), buffer_sizes_mb=(1, 2.5))
+        assert RunConfig.from_file(path) == keywords
+        args = cli.build_parser().parse_args(
+            ["query", "--k-primes", "25", "50", "--buffer-sizes-mb", "1", "2.5"])
+        assert cli._config_from_args(args) == keywords
+        assert RunConfig(k_primes=[25, 50], buffer_sizes_mb=[1, 2.5]) == keywords
+
+    def test_from_file_takes_null_for_an_optional_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"beta": None, "query_size": None, "vectors_path": None,
+                                    "buffer_mb": 2}))
+        assert RunConfig.from_file(path) == RunConfig(buffer_mb=2.0)
+
+
+# the parser's 28 options, each verb's alike: flag -> (dest, type, nargs, choices)
+PARSER_FLAGS = {
+    "--config": ("config", None, None, None),
+    "--vectors": ("vectors_path", None, None, None),
+    "--object-map": ("object_map_path", None, None, None),
+    "--synth-objects": ("synth_objects", int, None, None),
+    "--synth-points": ("synth_points_per_object", int, None, None),
+    "--synth-dim": ("synth_dimension", int, None, None),
+    "--synth-spread": ("synth_spread", float, None, None),
+    "--gamma": ("gamma", float, None, None),
+    "--delta": ("delta", float, None, None),
+    "--beta": ("beta", float, None, None),
+    "--epsilon": ("epsilon", float, None, None),
+    "--c": ("c", int, None, None),
+    "--w": ("w", float, None, None),
+    "--k": ("k", int, None, None),
+    "--k-primes": ("k_primes", int, "+", None),
+    "--num-queries": ("num_queries", int, None, None),
+    "--query-size": ("query_size", int, None, None),
+    "--buffer-mb": ("buffer_mb", float, None, None),
+    "--buffer-sizes-mb": ("buffer_sizes_mb", float, "+", None),
+    "--strategy": ("strategy", None, None, [NS1, NS2, MMLSH]),
+    "--query-splits": ("query_splits", int, None, None),
+    "--seed": ("seed", int, None, None),
+    "--alg-op-cost-ms": ("alg_op_cost_ms", float, None, None),
+    "--index": ("index_path", None, None, None),
+    "--profile": ("profile_path", None, None, None),
+    "--groundtruth": ("groundtruth_path", None, None, None),
+    "--out": ("out_prefix", None, None, None),
+    "--json": ("json", None, 0, None),
+}
+
+EVERY_FIELD_FLAG = [
+    "--vectors", "v.fvecs", "--object-map", "map.csv", "--synth-objects", "30",
+    "--synth-points", "7", "--synth-dim", "5", "--synth-spread", "0.2", "--gamma", "0.6",
+    "--delta", "0.2", "--beta", "0.4", "--epsilon", "0.45", "--c", "3", "--w", "3.5",
+    "--k", "4", "--k-primes", "10", "20", "--num-queries", "6", "--query-size", "3",
+    "--buffer-mb", "2.5", "--buffer-sizes-mb", "1", "2.5", "--strategy", NS2,
+    "--query-splits", "4", "--seed", "7", "--alg-op-cost-ms", "0.002", "--index", "a.index",
+    "--profile", "a.npz", "--groundtruth", "a.csv", "--out", "a",
+]
+
+
+def verb_parsers() -> dict:
+    parser = cli.build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+class TestParser:
+    def test_every_verb_takes_the_pinned_flags(self):
+        verbs = verb_parsers()
+        assert set(verbs) == {"build", "groundtruth", "query", "compare", "buffer-sweep"}
+        for verb, parser in verbs.items():
+            flags = {option: (action.dest, action.type, action.nargs, action.choices)
+                     for action in parser._actions for option in action.option_strings
+                     if option not in ("-h", "--help")}
+            assert flags == PARSER_FLAGS, verb
+
+    def test_every_field_flag_sets_its_field(self):
+        expected = RunConfig(
+            vectors_path="v.fvecs", object_map_path="map.csv", synth_objects=30,
+            synth_points_per_object=7, synth_dimension=5, synth_spread=0.2, gamma=0.6,
+            delta=0.2, beta=0.4, epsilon=0.45, c=3, w=3.5, k=4, k_primes=(10, 20),
+            num_queries=6, query_size=3, buffer_mb=2.5, buffer_sizes_mb=(1.0, 2.5),
+            strategy=NS2, query_splits=4, seed=7, alg_op_cost_ms=0.002, index_path="a.index",
+            profile_path="a.npz", groundtruth_path="a.csv", out_prefix="a")
+        default = RunConfig()
+        assert not [f.name for f in fields(RunConfig)
+                    if getattr(expected, f.name) == getattr(default, f.name)]
+        for verb in verb_parsers():
+            args = cli.build_parser().parse_args([verb] + EVERY_FIELD_FLAG)
+            assert cli._config_from_args(args) == expected, verb
 
 
 class TestQuerySelection:
@@ -177,6 +269,16 @@ class TestRuns:
         again = ensure_ground_truth(cfg, other, queries)
         for q in queries:
             expected = full_ranking(q, other, cfg.gamma)
+            assert again[q.object_id].distances == expected.distances
+
+    def test_groundtruth_cache_recomputed_for_other_query_points(self, tmp_path):
+        cfg, ds, index, profile, queries, truth = prepared(tmp_path)  # cached for 8 points
+        fewer = choose_queries(ds, replace(cfg, query_size=3))
+        assert [q.object_id for q in fewer] == [q.object_id for q in queries]
+        again = ensure_ground_truth(replace(cfg, query_size=3), ds, fewer)
+        for q in fewer:
+            expected = full_ranking(q, ds, cfg.gamma)
+            assert again[q.object_id].object_ids == expected.object_ids
             assert again[q.object_id].distances == expected.distances
 
     def test_rebuild_same_seed_identical_artifacts(self, tmp_path):
@@ -339,6 +441,17 @@ class TestCli:
         assert cli.main(["build"] + args) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--index", "--groundtruth"])
+    def test_a_path_that_names_a_directory_exits_3(self, tmp_path, capsys, flag):
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        (tmp_path / "dir").mkdir()
+        capsys.readouterr()
+        assert cli.main(["query"] + args + [flag, str(tmp_path / "dir")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_non_finite_vectors_exit_3(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         coords = np.zeros((4, 2), dtype=np.float32)
@@ -356,6 +469,14 @@ class TestCli:
         ('{"buffer_sizes_mb": [20, Infinity]}', "buffer_sizes_mb must be finite and > 0, got inf"),
         ('{"buffer_sizes_mb": []}', "buffer_sizes_mb must not be empty"),
         ('{"k_primes": []}', "k_primes must not be empty"),
+        ('{"k": true}', "config field 'k' cannot be True"),
+        ('{"seed": 1.0}', "config field 'seed' cannot be 1.0"),
+        ('{"strategy": 1}', "config field 'strategy' cannot be 1"),
+        ('{"gamma": null}', "config field 'gamma' cannot be None"),
+        ('{"k_primes": 25}', "config field 'k_primes' cannot be 25"),
+        ('{"k_primes": [25, 50.0]}', "config field 'k_primes' cannot be [25, 50.0]"),
+        ('{"k_primes": [25, true]}', "config field 'k_primes' cannot be [25, True]"),
+        ('{"buffer_sizes_mb": ["1"]}', "config field 'buffer_sizes_mb' cannot be ['1']"),
     ])
     def test_malformed_config_file_exits_3(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
