@@ -35,8 +35,7 @@ for oid in query_ids:
 
     for name, rankings in (
             ("linear-borda", point_knn_linear(query.coords, dataset, k_prime)),
-            ("c2lsh-borda", [ranking for ranking, _complete in
-                             point_knn_c2lsh(query.coords, index, dataset, k_prime)])):
+            ("c2lsh-borda", point_knn_c2lsh(query.coords, index, dataset, k_prime))):
         top = borda_aggregate(rankings, dataset, k, k_prime)
         ranks = np.searchsorted(dataset.object_ids, [o for o, _ in top])
         dists = mmlsh.gamma_distances(query.coords, dataset, ranks, gp.gamma)

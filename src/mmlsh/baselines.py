@@ -95,9 +95,8 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     `level_cap(c)` levels. Every point is a row of one `CollisionState`
     until the search ends: a point that stops is `stop`ped there, so it
     covers every bucket and counts nothing more. Each projection pass is one
-    `count_collisions` call over the state. Returns one (ranking, complete)
-    per point: the (row, dist) list of its k' nearest candidates, ties by
-    row, and whether it holds k'.
+    `count_collisions` call over the state. Returns one ranking per point:
+    the (row, dist) list of its k' nearest candidates, ties by row.
 
     A QueryStats collects the increments and algorithm operations. A `plan`
     list collects every pass as (projection g, level R, ranges) in the shape
@@ -127,8 +126,7 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
                 d[new] = euclidean(q[i], dataset.coords[new])
             if (level == last or covered[i] or check_t1(rows.size, k_prime, params.beta, n)
                     or rows.size and check_t2(d[rows], k_prime, params.c * R)):
-                ranking = _nearest_rows(d[rows], k_prime, rows)
-                results[i] = (ranking, len(ranking) >= k_prime)
+                results[i] = _nearest_rows(d[rows], k_prime, rows)
                 searching[i] = False
         if not searching.any():
             break

@@ -32,10 +32,9 @@ import numpy as np
 
 from .baselines import (borda_aggregate, full_ranking, ground_truth_key, load_ground_truth,
                         point_knn_c2lsh, point_knn_linear, save_ground_truth)
-from .buffering import (MMLSH, NS1, NS2, POINT_ID_BYTES, BufferState, CostModel,
-                        FrequencyProfile, QueryStats, SchedulerConfig, _MmlshEvictor,
-                        access_bucket, bill_hits, build_frequency_profile, evict_lru,
-                        schedule_ns2, split_queries)
+from .buffering import (MMLSH, NS1, NS2, BufferState, CostModel, FrequencyProfile,
+                        QueryStats, SchedulerConfig, _MmlshEvictor, access_bucket, bill_hits,
+                        build_frequency_profile, evict_lru, schedule_ns2, split_queries)
 from .engine import knn_objects
 from .errors import ParameterError, ProfileFileError
 from .lsh import (DEFAULT_C, DEFAULT_W, build_index, derive_params, load_index, replacing,
@@ -278,35 +277,18 @@ def _row(cfg: RunConfig, truth, query, group: tuple, dists, stats: QueryStats, w
 
 def replay_plans(strategy: str, plans, index, buffer: BufferState,
                  stats_list, scheduler: SchedulerConfig) -> None:
-    """Charge modeled IO for recorded query plans under one strategy.
+    """Bill the modeled IO of recorded query plans under one strategy.
 
-    This is the one place that pulls index buckets through a buffer.
     plans[i] is the pass list `knn_objects` (or `point_knn_c2lsh`) recorded
-    for query i: one (g, R, ranges) per pass, where `ranges` is an int64
-    array with one row (qi, lo, hi) per query point, the point's level-R
-    bucket [lo, hi) in projection g. stats_list[i] is mutated in place:
-    each access is billed to it and to `buffer.io_stats`, and the strategy's
-    extra work goes to its `alg_ops`; `alg_ms` is left to the report's row
-    builder.
-    NS1 and MMLSH execute queries one after another; NS2 batches the whole
-    set, reading each distinct useful bucket once per (level, projection)
-    pass and checking every batched query against it.
-    Only occupied buckets are visited, in the order `split_queries` gives:
-    NS1 is its one-split case, whole ranges left to right, and MMLSH cuts
-    each range into `query_splits` segments. Each plan is ordered by one
-    `split_queries` call, and every replay gives the result of one
-    `access_bucket` call per access: each miss goes through `access_bucket`
-    at its own tick, in first-access order, and `bill_hits` bills the hits
-    (see `buffering`).
-    A (g, R) pass reads each of projection g's n entries at most once, so a
-    plan adds at most (distinct (g, R) passes) * n * POINT_ID_BYTES to the
-    buffer. When that fits in the free bytes, no access of the plan can
-    evict, and `_replay_plan_bulk` bills all its hits in one `bill_hits`
-    call. Any other plan is walked access by access by
-    `_replay_plan_stepwise`, which bills each run of hits between two
-    misses in one call.
-    Each NS2 pass reads distinct buckets, so every NS2 access is a miss and
-    goes through `access_bucket`. A scheduler configured for another
+    for query i, and stats_list[i] is mutated in place: each access is
+    billed to it and to `buffer.io_stats`, and the strategy's extra work
+    goes to its `alg_ops`; `alg_ms` is left to the report's row builder.
+    NS2 reads the batch `schedule_ns2` gives. NS1 and MMLSH bill the plans
+    one after another, each in the order one `split_queries` call gives,
+    with one split or `query_splits`. A plan whose distinct keys fit the
+    free bytes cannot evict or bypass, and `_replay_plan_bulk` bills it;
+    `_replay_plan_stepwise` bills any other. Either gives the result of one
+    `access_bucket` call per access. A scheduler configured for another
     strategy raises ValueError.
     """
     if scheduler.strategy != strategy:
@@ -322,7 +304,7 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
         order = split_queries(plan, splits, index)
         if mmlsh:
             stats.alg_ops += order.segments  # segment dispatch overhead
-        if order.bound <= buffer.capacity_bytes - buffer.used_bytes:
+        if sum(order.sizes) <= buffer.capacity_bytes - buffer.used_bytes:
             _replay_plan_bulk(order, buffer, evict, stats)
         else:
             _replay_plan_stepwise(order, buffer, evict, stats)
@@ -379,37 +361,11 @@ def _replay_plan_bulk(order, buffer: BufferState, evict, stats) -> None:
 
 
 def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:
-    """Batched per-bucket execution across all queries (NS2 semantics).
-
-    Each (R, g) pass, in ascending order, gathers the range arrays of every
-    plan's (g, R) passes, a plan's repeats included, in plan order: rows
-    (qi, lo, hi) whose qi becomes the plan's index. One `np.searchsorted`
-    maps the bucket bounds to positions among the projection's occupied
-    ids, which order them as the ids do, and `schedule_ns2` takes the
-    distinct positions with their first consumers. Each bucket's read is
-    billed to its first consumer; every range in the pass, empty or not,
-    pays one membership-check operation per bucket read.
-    """
-    passes: dict[tuple, tuple] = {}  # (R, g) -> (plan index per array, range arrays)
-    for query_idx, plan in enumerate(plans):
-        for g, R, ranges in plan:
-            owners, arrays = passes.setdefault((R, g), ([], []))
-            owners.append(query_idx)
-            arrays.append(ranges)
-    alg_ops = np.zeros(len(plans), dtype=np.int64)
-    for (R, g) in sorted(passes):
-        owners, arrays = passes[(R, g)]
-        ranges = np.concatenate(arrays)
-        ranges[:, 0] = np.repeat(owners, [len(a) for a in arrays])
-        ids, counts = index.occupied_buckets(g)
-        ranges[:, 1:] = np.searchsorted(ids, ranges[:, 1:])
-        positions, first = schedule_ns2(ranges)
-        sizes = counts[positions] * POINT_ID_BYTES
-        for bucket, size, query_idx in zip(ids[positions].tolist(), sizes.tolist(),
-                                           first.tolist()):
-            access_bucket((g, R, bucket), size, buffer, evict_lru, stats_list[query_idx])
-        alg_ops += np.bincount(ranges[:, 0], minlength=len(plans)) * len(positions)
-    for stats, ops in zip(stats_list, alg_ops.tolist()):
+    """Read NS2's batch of every plan: each key once, billed to its plan (see `schedule_ns2`)."""
+    keys, sizes, owners, alg_ops = schedule_ns2(plans, index)
+    for key, size, owner in zip(keys, sizes, owners):
+        access_bucket(key, size, buffer, evict_lru, stats_list[owner])
+    for stats, ops in zip(stats_list, alg_ops):
         stats.alg_ops += ops
 
 
@@ -483,8 +439,7 @@ def run_borda_baselines(cfg: RunConfig, dataset, index, queries, truth) -> list[
     def c2lsh(q, k_prime):
         stats = QueryStats()
         plan: list = []
-        rankings = [ranking for ranking, _complete in
-                    point_knn_c2lsh(q.coords, index, dataset, k_prime, stats=stats, plan=plan)]
+        rankings = point_knn_c2lsh(q.coords, index, dataset, k_prime, stats=stats, plan=plan)
         # the query object's point searches share one buffer, read in order
         replay_plans(NS1, [plan], index, BufferState(int(cfg.buffer_mb * MB), CostModel()),
                      [stats], SchedulerConfig(strategy=NS1))

@@ -29,7 +29,9 @@ access and use count, and the accesses in that order. A range of width w is
 cut into n = min(splits, w) segments whose edges are the rounded multiples
 of w / n, computed in numpy for the whole plan at once. Segments are visited
 by (pass, start); a pass's rows are in query-index order, and ties at equal
-starts are broken by row.
+starts are broken by row. NS2 reads every plan at once: `schedule_ns2`
+returns the batch's distinct keys in reading order, each with the plan it is
+billed to.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, hits included, so replays are exact.
@@ -50,11 +52,6 @@ the recency order and the MMLSH demands:
 A kept trace (`BufferState.trace`) logs misses only, one (tick, key,
 evicted keys) entry each: misses are the only accesses that change what is
 resident, and the hits are the ticks in between.
-
-`bench.replay_plans` bills every NS1 and MMLSH plan this way: each miss goes
-through `access_bucket` at its own tick, and `bill_hits` bills the hits, in
-one call per run of hits between two misses, or in one call for the whole
-plan when the plan cannot evict.
 """
 
 from __future__ import annotations
@@ -388,19 +385,42 @@ class SchedulerConfig:
             raise ValueError("MMLSH needs a frequency profile")
 
 
-def schedule_ns2(ranges):
-    """Distinct useful buckets in ascending order, each with its first consumer.
+def schedule_ns2(plans, index):
+    """NS2's batch: each distinct occupied bucket of each (R, g) pass, read once.
 
-    ranges is a (k, 3) int64 array of rows (qi, lo, hi), each the buckets
-    [lo, hi) that query qi needs; a row with hi <= lo needs none. Returns
-    two int64 arrays: the distinct buckets the rows cover, ascending, and
-    for each the qi of the first row, in row order, that covers it. The
-    rows expand into one array of buckets in row order, so a bucket's first
-    occurrence there, which `np.unique` returns, lies in its first row.
+    plans[p] is plan p's list of (g, R, ranges) passes, as `split_queries`
+    takes one. The (g, R) passes of every plan form one batched pass,
+    whose rows are taken plan by plan, each plan's in plan order. The
+    batched passes are read in ascending (R, g) order, and each reads the
+    occupied buckets its rows cover once, ascending, each billed to the
+    plan of the first row that covers it. Every row, empty or not, costs
+    its plan one membership check per bucket its batched pass reads.
+    Returns four lists: the (g, R, bucket id) keys in reading order, their
+    sizes in bytes, the plan each key is billed to and each plan's checks.
+
+    One `np.searchsorted` maps a batched pass's row bounds to positions
+    among the projection's occupied ids, and the rows expand into one array
+    of positions in row order, so a position's first occurrence there,
+    which `np.unique` returns, lies in the row of the plan it is billed to.
     """
-    widths = np.maximum(ranges[:, 2] - ranges[:, 1], 0)
-    buckets, first = np.unique(expand_ranges(ranges[:, 1], widths), return_index=True)
-    return buckets, ranges[np.searchsorted(np.cumsum(widths), first, side="right"), 0]
+    passes: dict[tuple, list] = {}  # (R, g) -> (plan index, ranges) of each of its passes
+    for p, plan in enumerate(plans):
+        for g, R, ranges in plan:
+            passes.setdefault((R, g), []).append((p, ranges))
+    keys, sizes, owners = [], [], []
+    alg_ops = np.zeros(len(plans), dtype=np.int64)
+    for R, g in sorted(passes):
+        pass_plans, arrays = zip(*passes[R, g])
+        ids, counts = index.occupied_buckets(g)
+        bounds = np.searchsorted(ids, np.concatenate(arrays)[:, 1:])
+        widths = np.maximum(bounds[:, 1] - bounds[:, 0], 0)
+        positions, first = np.unique(expand_ranges(bounds[:, 0], widths), return_index=True)
+        row_plan = np.repeat(pass_plans, [len(ranges) for ranges in arrays])
+        keys += [(g, R, bucket) for bucket in ids[positions].tolist()]
+        sizes += (counts[positions] * POINT_ID_BYTES).tolist()
+        owners += row_plan[np.searchsorted(np.cumsum(widths), first, side="right")].tolist()
+        alg_ops += np.bincount(row_plan, minlength=len(plans)) * len(positions)
+    return keys, sizes, owners, alg_ops.tolist()
 
 
 def expand_ranges(starts, lengths):
@@ -422,9 +442,7 @@ class PlanOrder:
     access first[k] and last at access last[k], counting accesses from 0;
     by_key holds the access numbers grouped by key, each key's ascending.
     segments is the number of segments the plan's ranges were cut into,
-    empty ones included. bound is the bytes the plan can add to a buffer:
-    each distinct (projection, level) pass reads each of its projection's
-    entries at most once.
+    empty ones included.
     """
 
     keys: list
@@ -434,7 +452,6 @@ class PlanOrder:
     uses: np.ndarray
     by_key: np.ndarray
     segments: int
-    bound: int
 
     def accesses(self) -> np.ndarray:
         """Each access's key, as an index into `keys`, in visiting order."""
@@ -471,7 +488,7 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     keep = rows[:, 2] > rows[:, 1]
     if not keep.any():  # no segment, so no access
         none = np.empty(0, dtype=np.int64)
-        return PlanOrder([], [], none, none, none, none, 0, 0)
+        return PlanOrder([], [], none, none, none, none, 0)
     seg_pass = np.repeat(by_g, [len(plan[p][2]) for p in by_g])[keep]
     start, end = rows[keep, 1:].T
     if splits > 1:
@@ -492,9 +509,6 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     offsets = np.cumsum([0, *(len(g_ids) for g_ids, _counts in occupied.values())])
     first_id = dict(zip(occupied, offsets.tolist()))
     groups = list(dict.fromkeys((g, R) for g, R, _ranges in plan))
-    running = np.r_[0, np.cumsum(counts)][offsets]  # the entries before each projection
-    entries = dict(zip(occupied, np.diff(running).tolist()))
-    bound = POINT_ID_BYTES * sum(entries[g] for g, _R in groups)
     group_of = {gR: j for j, gR in enumerate(groups)}
     pass_token = np.array([group_of[g, R] * len(ids) + first_id[g] for g, R, _ranges in plan])
     seg_g = np.array([g for g, _R, _ranges in plan])[seg_pass]
@@ -514,7 +528,7 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     group, position = np.divmod(sorted_tokens[heads], len(ids))
     keys = [(*groups[j], bucket) for j, bucket in zip(group.tolist(), ids[position].tolist())]
     return PlanOrder(keys, (counts[position] * POINT_ID_BYTES).tolist(), by_key[heads],
-                     by_key[heads + uses - 1], uses, by_key, len(start), bound)
+                     by_key[heads + uses - 1], uses, by_key, len(start))
 
 
 class FrequencyProfile:
@@ -524,9 +538,12 @@ class FrequencyProfile:
     projection's occupied bucket span is cut into equal-width regions and
     every bucket inherits its region's mean access count. Means must be
     finite, >= 0 and below 2**53, and each projection's edges finite and
-    non-decreasing: a NaN demand would never compare equal to itself in the
-    eviction heap, and below 2**53 a demand loses each use exactly however
-    many uses are billed at once (`_MmlshEvictor.use`).
+    non-decreasing, with ceilings that fit int64: a NaN demand would never
+    compare equal to itself in the eviction heap, and below 2**53 a demand
+    loses each use exactly however many uses are billed at once
+    (`_MmlshEvictor.use`). `region_of` puts bucket s in region r when
+    ceil(edges[r]) <= s < ceil(edges[r + 1]), in integers, as
+    `build_frequency_profile` counts it.
     """
 
     def __init__(self, edges: np.ndarray, means: np.ndarray):
@@ -535,19 +552,20 @@ class FrequencyProfile:
             raise ValueError("edges must have one more column than means")
         if not (np.isfinite(means).all() and (means >= 0).all() and (means < 2.0**53).all()):
             raise ValueError("means must be finite and >= 0, and below 2**53")
-        if not (np.isfinite(edges).all() and (np.diff(edges, axis=1) >= 0).all()):
-            raise ValueError("edges must be finite and non-decreasing in each row")
+        cuts = np.ceil(edges)
+        if not (np.isfinite(edges).all() and (np.diff(edges, axis=1) >= 0).all()
+                and (cuts >= -2.0**63).all() and (cuts < 2.0**63).all()):
+            raise ValueError("edges must be finite and non-decreasing in each row, "
+                             "with ceilings that fit int64")
         self.edges = edges
         self.means = means
         self.regions = means.shape[1]
         # per-projection Python lists: one lookup per MMLSH miss, no numpy call
-        self._edge_lists = edges.tolist()
+        self._cut_lists = cuts.astype(np.int64).tolist()
         self._mean_lists = means.tolist()
 
     def region_of(self, g: int, bucket: int) -> int:
-        # float(bucket) rounds as numpy's float64 conversion does, so this
-        # equals searchsorted(edges[g], bucket, side="right") - 1
-        r = bisect_right(self._edge_lists[g], float(bucket)) - 1
+        r = bisect_right(self._cut_lists[g], bucket) - 1  # integer cuts: exact beyond 2**53
         return min(max(r, 0), self.regions - 1)
 
     def frequency(self, g: int, bucket: int) -> float:

@@ -45,7 +45,6 @@ class QueryResult:
     top_k: list  # (object_id, exact object distance), ascending
     stop_condition: str
     levels_used: int
-    complete: bool
     stats: QueryStats
     bound_warning: bool = False    # gamma is below gamma_min_bound
     gamma_min_bound: float = 0.0   # smallest gamma with a proved guarantee
@@ -232,7 +231,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     counting collisions for every query point and refreshing collision
     indexes; stops on T1 or T2 and returns the top-k candidates ranked by
     exact object distance (ties by ascending object id). If the level range
-    is exhausted before k candidates appear, the partial result is flagged.
+    is exhausted before k candidates appear, the stop condition is EXHAUSTED.
 
     The exact object distance is only ever computed for candidates, never for
     the full database: each T2 check and the final ranking measure their new
@@ -273,15 +272,13 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             dists[new] = gamma_distances(query.coords, dataset, new, gparams.gamma)
         return dists[ranks]
 
-    def finish(stop, levels, complete=True):
+    def finish(stop, levels):
         ranks = np.flatnonzero(state.candidate_mask(gparams))
         # ranks ascend with object id, so a stable sort breaks ties by id
         top = ranks[np.argsort(verified(ranks), kind="stable")[:k]]
         top_k = list(zip(dataset.object_ids[top].tolist(), dists[top].tolist()))
         return QueryResult(top_k=top_k, stop_condition=stop, levels_used=levels,
-                           complete=complete and len(top_k) >= min(k, S),
-                           stats=stats, bound_warning=bound_warning,
-                           gamma_min_bound=bound)
+                           stats=stats, bound_warning=bound_warning, gamma_min_bound=bound)
 
     R = 1
     levels_done = 0
@@ -296,7 +293,7 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         exhausted = bool(np.all(state.covered()))
         if exhausted or levels_done >= max_levels:
             enough = int(np.count_nonzero(state.candidate_mask(gparams))) >= k
-            return finish(T2 if enough else EXHAUSTED, levels_done, complete=enough)
+            return finish(T2 if enough else EXHAUSTED, levels_done)
 
         for g in range(m):
             inc = count_collisions(state, g, R)

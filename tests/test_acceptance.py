@@ -109,7 +109,7 @@ def test_acceptance_4_object_ratio_vs_borda():
             ratio, _ = mmlsh.object_ratio([d for _, d in res.top_k],
                                           [d for _, d in truth[:len(res.top_k)]])
             ours.append(ratio)
-            rankings = [r for r, _ in point_knn_c2lsh(q.coords, idx, ds, k_prime)]
+            rankings = point_knn_c2lsh(q.coords, idx, ds, k_prime)
             top = borda_aggregate(rankings, ds, k, k_prime)
             dists = [cdist_gamma_distance(q.coords, ds.object_coords(o), gp.gamma)
                      for o, _ in top]

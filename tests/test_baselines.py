@@ -57,9 +57,9 @@ def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, max_levels=None
     for _ in range(max_levels):
         cand_rows = np.nonzero(counts >= params.l)[0]
         if cand_rows.size and np.count_nonzero(dists[cand_rows] <= params.c * R) >= k_prime:
-            return ranked_candidates()[:k_prime], True
+            return ranked_candidates()[:k_prime]
         if cand_rows.size >= k_prime + allowed_fp:
-            return ranked_candidates()[:k_prime], True
+            return ranked_candidates()[:k_prime]
         covered = bool(np.all(
             (reach_lo >= reach_hi) | ((lo_cov <= reach_lo) & (hi_cov >= reach_hi))))
         if covered:
@@ -86,8 +86,7 @@ def reference_point_knn_c2lsh(q_coords, index, dataset, k_prime, max_levels=None
             lo_cov[g], hi_cov[g] = lo, hi
         R = params.c ** num_iter
         num_iter += 1
-    result = ranked_candidates()[:k_prime]
-    return result, len(result) >= k_prime
+    return ranked_candidates()[:k_prime]
 
 
 def reference_full_ranking(query, dataset, gamma):
@@ -260,8 +259,8 @@ class TestPointKnnC2lsh:
             target = int(rng.integers(0, synth200.n))
             q = synth200.coords[target].astype(np.float64) + rng.normal(
                 scale=1e-3, size=synth200.dimension)
-            [(ranking, complete)] = point_knn_c2lsh(q[None], idx, synth200, k_prime=10)
-            assert complete
+            [ranking] = point_knn_c2lsh(q[None], idx, synth200, k_prime=10)
+            assert len(ranking) == 10
             if target in [pid for pid, _ in ranking]:
                 found += 1
         assert found == trials
@@ -275,7 +274,7 @@ class TestPointKnnC2lsh:
         for _ in range(queries):
             row = int(rng.integers(0, synth200.n))
             q = synth200.coords[row].astype(np.float64)
-            [(approx, _complete)] = point_knn_c2lsh(q[None], idx, synth200, k_prime=5)
+            [approx] = point_knn_c2lsh(q[None], idx, synth200, k_prime=5)
             [exact] = point_knn_linear(q[None], synth200, 5)
             ratios = [(ad if ed > 0 else 1.0) if ed == 0 else ad / ed
                       for (_, ad), (_, ed) in zip(approx, exact)]
@@ -288,10 +287,10 @@ class TestPointKnnC2lsh:
         buf = BufferState(capacity_bytes=5000)
         stats = QueryStats()
         plan = []
-        [(ranking, complete)] = point_knn_c2lsh(q[None], small_index, small_dataset, k_prime=3,
-                                                stats=stats, plan=plan)
+        [ranking] = point_knn_c2lsh(q[None], small_index, small_dataset, k_prime=3,
+                                    stats=stats, plan=plan)
         bench.replay_plans(NS1, [plan], small_index, buf, [stats], SchedulerConfig(strategy=NS1))
-        assert complete and len(ranking) == 3
+        assert len(ranking) == 3
         assert stats.buffer_misses > 0
         assert stats.io_ms > 0.0
         io = buf.io_stats  # one query alone on its buffer: the same IO figures

@@ -197,7 +197,7 @@ class TestRuns:
     def test_empty_c2lsh_answer_gets_an_infinite_ratio(self, tmp_path, monkeypatch):
         cfg, ds, index, profile, queries, truth = prepared(tmp_path)
         monkeypatch.setattr(bench, "point_knn_c2lsh",
-                            lambda q, *args, **kwargs: [([], False)] * len(q))
+                            lambda q, *args, **kwargs: [[]] * len(q))
         rows = bench.run_borda_baselines(cfg, ds, index, queries, truth)
         c2 = [r for r in rows if r["method"] == "C2LSH-Borda"]
         assert c2 and all(r["or_gamma"] == float("inf") for r in c2)

@@ -449,23 +449,40 @@ def oracle_schedule_ns2(ranges):
     return [(bucket, need[bucket]) for bucket in sorted(need)]
 
 
-def oracle_replay_ns2(plans, index, buffer, stats_list):
-    """Oracle: the NS2 batch with a dict of consumers per bucket, range by range."""
+def oracle_ns2_batch(plans, index):
+    """Oracle: `schedule_ns2` with a dict of consumers per bucket, range by range.
+
+    Returns the keys in reading order, their sizes, each key's first
+    consumer and each plan's membership checks.
+    """
     passes = {}
     for query_idx, plan in enumerate(plans):
         for g, R, ranges in plan:
             passes.setdefault((R, g), []).extend(
                 (query_idx, lo, hi) for _qi, lo, hi in ranges.tolist())
+    keys, sizes, owners, alg_ops = [], [], [], [0] * len(plans)
     for (R, g) in sorted(passes):
         ranges = passes[(R, g)]
         ids, counts = index.occupied_buckets(g)
-        ids, sizes = ids.tolist(), (counts * POINT_ID_BYTES).tolist()
+        ids, counts = ids.tolist(), counts.tolist()
         schedule = oracle_schedule_ns2([(qi, bisect_left(ids, lo), bisect_left(ids, hi))
                                         for qi, lo, hi in ranges])
         for i, consumers in schedule:
-            access_bucket((g, R, ids[i]), sizes[i], buffer, evict_lru, stats_list[consumers[0]])
+            keys.append((g, R, ids[i]))
+            sizes.append(counts[i] * POINT_ID_BYTES)
+            owners.append(consumers[0])
         for query_idx, _lo, _hi in ranges:
-            stats_list[query_idx].alg_ops += len(schedule)
+            alg_ops[query_idx] += len(schedule)
+    return keys, sizes, owners, alg_ops
+
+
+def oracle_replay_ns2(plans, index, buffer, stats_list):
+    """Oracle: the NS2 batch of `oracle_ns2_batch`, one `access_bucket` call per key."""
+    keys, sizes, owners, alg_ops = oracle_ns2_batch(plans, index)
+    for key, size, owner in zip(keys, sizes, owners):
+        access_bucket(key, size, buffer, evict_lru, stats_list[owner])
+    for stats, ops in zip(stats_list, alg_ops):
+        stats.alg_ops += ops
 
 
 @st.composite
@@ -580,9 +597,13 @@ class TestBulkHitReplay:
 
 
 def plan_bound(index, plan):
-    """The bytes a plan can add to a buffer: each distinct (g, R) pass reads projection g once."""
-    passes = {(g, R) for g, R, _ranges in plan}
-    return sum(POINT_ID_BYTES * sum(index.occupied[g][1]) for g, _R in passes)
+    """The bytes a plan can add to a buffer: those of its distinct (g, R, bucket) keys."""
+    sizes = {}
+    for g, R, ranges in plan:
+        for _qi, lo, hi in ranges.tolist():
+            sizes.update(((g, R, b), POINT_ID_BYTES * count)
+                         for b, count in zip(*index.occupied[g]) if lo <= b < hi)
+    return sum(sizes.values())
 
 
 @st.composite
@@ -594,9 +615,10 @@ def fitting_plans(draw):
     buffer the bulk plans left.
     """
     index, plans, _capacity, profile, lru_prefix, cut, splits = draw(pass_plans())
-    total = sum(plan_bound(index, plan) for plan in plans)
+    # a buffer holds at least 1 B, and a plan of empty ranges has no keys
+    total = max(1, sum(plan_bound(index, plan) for plan in plans))
     capacity = draw(st.one_of(st.integers(total, total + 60),
-                              st.integers(plan_bound(index, plans[0]), total)))
+                              st.integers(max(1, plan_bound(index, plans[0])), total)))
     return index, plans, capacity, profile, lru_prefix, cut, splits
 
 
@@ -728,12 +750,21 @@ class TestNoEvictReplay:
         first, second = self.PLANS
         used = POINT_ID_BYTES * (3 + 1 + 4 + 2 + 2 + 6)  # the first plan reads every bucket
         bound = plan_bound(self.INDEX, second)
-        assert bound == 2 * POINT_ID_BYTES * 10
+        assert bound == POINT_ID_BYTES * ((4 + 2) + (3 + 1 + 4 + 2))  # ids 3, 7, then all four
         # the second plan takes the bulk path when its bound fits the free bytes exactly
         assert self.replay_counted(monkeypatch, strategy, self.INDEX, self.PLANS,
                                    used + bound) == 0
         assert self.replay_counted(monkeypatch, strategy, self.INDEX, self.PLANS,
                                    used + bound - 1) == 1
+
+    @pytest.mark.parametrize("strategy", [NS1, MMLSH])
+    def test_a_plan_whose_keys_fit_is_billed_in_bulk_however_large_its_projection(
+            self, monkeypatch, strategy):
+        index = OccupiedIndex({0: ([0, 5, 9], [50, 50, 1])})
+        plan = [(0, 1, np.array([[0, 9, 10], [1, 7, 10]])), (0, 2, np.array([[0, 8, 10]]))]
+        # its two keys take 8 B; n * 4 B per (g, R) pass would be 2 * 404 B
+        assert plan_bound(index, plan) == 2 * POINT_ID_BYTES < 100 < 2 * POINT_ID_BYTES * 101
+        assert self.replay_counted(monkeypatch, strategy, index, [plan], 100) == 0
 
     def test_mmlsh_bills_in_bulk_after_an_eviction(self, monkeypatch):
         index = OccupiedIndex({0: ([0, 1, 2], [10, 10, 10]), 1: ([4], [1])})
@@ -901,25 +932,28 @@ class TestScheduling:
         assert one_pass_order(self.RANGES, 1, ids) == ([5, 6, 7, 6, 7, 8], 2)
         assert one_pass_order([(0, 9, 12), (1, 2, 5)], 1, ids) == ([2, 3, 4, 9, 10, 11], 2)
 
+    # each of RANGES as a plan of one (g, R) = (0, 1) pass, over one-entry buckets 0..19
+    NS2_INDEX = OccupiedIndex({0: (list(range(20)), [1] * 20)})
+    NS2_PLANS = [[(0, 1, np.array([row], dtype=np.int64))] for row in RANGES]
+
     def test_ns2_each_bucket_once_with_consumers(self):
-        buckets, first = schedule_ns2(np.array(self.RANGES, dtype=np.int64))
+        keys, sizes, owners, alg_ops = schedule_ns2(self.NS2_PLANS, self.NS2_INDEX)
         want = [(5, [0]), (6, [0, 1]), (7, [0, 1]), (8, [1])]
-        assert buckets.tolist() == [b for b, _ in want]
-        assert first.tolist() == [consumers[0] for _, consumers in want]
-        assert len(buckets) == len(set(buckets.tolist()))
+        assert keys == [(0, 1, b) for b, _ in want]
+        assert sizes == [POINT_ID_BYTES] * len(want)
+        assert owners == [consumers[0] for _, consumers in want]
+        assert alg_ops == [len(want)] * 2  # each plan's one range checks every bucket read
+        assert (keys, sizes, owners, alg_ops) == oracle_ns2_batch(self.NS2_PLANS, self.NS2_INDEX)
 
     def test_ns2_reads_fewer_buckets_than_ns1_on_overlap(self):
         ns1_accesses = sum(hi - lo for _, lo, hi in self.RANGES)
-        assert len(schedule_ns2(np.array(self.RANGES, dtype=np.int64))[0]) < ns1_accesses
+        assert len(schedule_ns2(self.NS2_PLANS, self.NS2_INDEX)[0]) < ns1_accesses
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(-10, 30), st.integers(-10, 30)),
-                         max_size=12))
-    def test_ns2_equals_the_dict_schedule(self, rows):
-        buckets, first = schedule_ns2(np.array(rows, dtype=np.int64).reshape(-1, 3))
-        want = oracle_schedule_ns2(rows)
-        assert buckets.tolist() == [b for b, _ in want]
-        assert first.tolist() == [consumers[0] for _, consumers in want]
+    @given(run=pass_plans())
+    def test_ns2_equals_the_dict_schedule(self, run):
+        index, plans = run[0], run[1]
+        assert schedule_ns2(plans, index) == oracle_ns2_batch(plans, index)
 
     def test_split_segments_tile_each_range(self):
         # widths above 2**53 that float64 does not hold: float(3**36) is 3**36 + 15
@@ -1114,6 +1148,8 @@ class TestFrequencyProfile:
         ([[0.0, 5.0, np.inf]], [[1.0, 1.0]], "edges must be finite"),
         ([[0.0, 5.0, 4.0]], [[1.0, 1.0]], "non-decreasing"),
         ([[0.0, 5.0, 10.0]], [[2.0**53, 1.0]], r"below 2\*\*53"),
+        ([[0.0, 5.0, 2.0**63]], [[1.0, 1.0]], "ceilings that fit int64"),
+        ([[-(2.0**64), 5.0, 10.0]], [[1.0, 1.0]], "ceilings that fit int64"),
     ])
     def test_malformed_profile_is_refused(self, edges, means, message):
         with pytest.raises(ValueError, match=message):
@@ -1122,7 +1158,11 @@ class TestFrequencyProfile:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_lookup_equals_numpy_searchsorted(self, data):
-        """Also beyond 2**53, where bucket ids round to float64, and on the edges."""
+        """The build's region, by the integer cuts ceil(edges), also beyond 2**53 and on the edges.
+
+        Beyond 2**53 a bucket id rounds to float64, so a float comparison
+        with the edges could put it in another region than the build does.
+        """
         base = data.draw(st.sampled_from([0, -7, 2**53 - 4, 2**53 + 1, 2**62 - 40, -(2**62)]))
         projections = data.draw(st.integers(1, 3))
         regions = data.draw(st.integers(1, 5))
@@ -1135,10 +1175,18 @@ class TestFrequencyProfile:
         on_edges = st.sampled_from([int(e) for e in edges.ravel()])
         for bucket in data.draw(st.lists(st.one_of(near, on_edges), min_size=1, max_size=20)):
             g = data.draw(st.integers(0, projections - 1))
-            r = int(np.searchsorted(edges[g], bucket, side="right")) - 1
+            r = int(np.searchsorted(np.ceil(edges[g]).astype(np.int64), bucket, side="right")) - 1
             r = min(max(r, 0), regions - 1)
             assert profile.region_of(g, bucket) == r
             assert profile.frequency(g, bucket) == float(means[g, r])
+
+    def test_lookup_beyond_2_53_puts_a_bucket_where_the_build_counts_it(self):
+        edges = np.linspace(2**60, 2**60 + 40960, 11)
+        profile = FrequencyProfile(edges=edges[None], means=np.arange(10.0)[None])
+        cut = int(np.ceil(edges[1]))  # the build counts cut - 1 in region 0 and cut in region 1
+        assert float(cut - 1) == edges[1]  # a float comparison would put cut - 1 in region 1
+        assert [profile.region_of(0, b) for b in (cut - 1, cut)] == [0, 1]
+        assert profile.frequency(0, cut - 1) == 0.0
 
     def test_save_load_roundtrip(self, small_dataset, small_index, tmp_path):
         profile = build_frequency_profile(small_index, small_dataset, num_queries=100, seed=1)

@@ -73,7 +73,7 @@ def test_borda_baselines_match_golden(small_dataset, small_index):
     for oid, (want_linear, want_c2lsh) in GOLDEN_BORDA.items():
         q = mmlsh.QueryObject.from_object(small_dataset, oid)
         linear = point_knn_linear(q.coords, small_dataset, 10)
-        c2lsh = [r for r, _ in point_knn_c2lsh(q.coords, small_index, small_dataset, 10)]
+        c2lsh = point_knn_c2lsh(q.coords, small_index, small_dataset, 10)
         assert linear[0][:3] == GOLDEN_POINT_HEAD[oid]
         assert c2lsh[0][:3] == GOLDEN_POINT_HEAD[oid]
         assert borda_aggregate(linear, small_dataset, 5, 10) == want_linear
