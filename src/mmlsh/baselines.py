@@ -94,9 +94,10 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
     exist, when it is covered as far as it can reach, or after
     `level_cap(c)` levels. Every point is a row of one `CollisionState`
     until the search ends: a point that stops is `stop`ped there, so it
-    covers every bucket and counts nothing more. Each projection pass is one
-    `count_collisions` call over the state. Returns one ranking per point:
-    the (row, dist) list of its k' nearest candidates, ties by row.
+    covers every bucket and counts nothing more. Each level is one
+    `count_collisions` call over the state and all m projections: nothing is
+    checked within a level. Returns one ranking per point: the (row, dist)
+    list of its k' nearest candidates, ties by row.
 
     A QueryStats collects the increments and algorithm operations. A `plan`
     list collects every pass as (projection g, level R, ranges) in the shape
@@ -131,11 +132,10 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
         if not searching.any():
             break
         state.stop(~searching)
-        for g in range(index.m):
-            inc = count_collisions(state, g, R)
-            if stats is not None:
-                stats.collision_increments += inc
-                stats.alg_ops += inc
+        inc = count_collisions(state, range(index.m), R)
+        if stats is not None:
+            stats.collision_increments += inc
+            stats.alg_ops += inc
         if plan is not None:  # counting left each searching point's level-R buckets as its coverage
             level_rows = np.stack((np.zeros_like(state.cov_lo), state.cov_lo, state.cov_hi), 2)
             for i in np.flatnonzero(searching).tolist():

@@ -13,6 +13,13 @@ the search stops when either
   distance <= c * R. Candidates are measured by the ground truth's batched
   kernel, `similarity.gamma_distances`: each once, by one call per check.
 
+Each level's m passes are counted by one `count_collisions` call. The
+candidate count only grows from pass to pass, so T1 holds after some pass of
+a level exactly when it holds after the whole level. The search then rewinds
+the level, finds the first such pass by bisection and keeps the passes up to
+it alone: the result, the counts and the plan are those of a check after
+every pass.
+
 The search charges no IO. It fills the collision and operation counts of
 its `QueryStats` and records every executed (projection, level, ranges) pass
 in an optional plan; `bench.replay_plans` charges that plan to the same
@@ -101,6 +108,10 @@ class CollisionState:
     own bucket, [qb, qb), and only grows, so every interval counted into it
     holds qb. `stop` sets it to span every bucket, after which the point
     counts nothing more.
+
+    `checkpoint` copies the counts, the qualifying pairs and the coverage,
+    and `rewind` restores them: the object search rewinds a level to find
+    the first pass after which T1 holds.
     """
 
     def __init__(self, q_base: np.ndarray, index: LshIndex, dataset: Dataset):
@@ -144,73 +155,91 @@ class CollisionState:
         self.cov_lo[points] = np.iinfo(np.int64).min
         self.cov_hi[points] = np.iinfo(np.int64).max
 
+    def checkpoint(self) -> tuple:
+        """A copy of everything counting changes, for `rewind`."""
+        return (self.packed_counts.copy(), self.qualifying_pairs.copy(), self.qualified_total,
+                self.cov_lo.copy(), self.cov_hi.copy())
 
-def count_collisions(state: CollisionState, g: int, R: int) -> int:
-    """Count new collisions of every query point in projection g at level R.
+    def rewind(self, saved: tuple) -> None:
+        """Restore the counts, qualifying pairs and coverage a `checkpoint` copied."""
+        counts, pairs, self.qualified_total, cov_lo, cov_hi = saved
+        for now, then in ((self.packed_counts, counts), (self.qualifying_pairs, pairs),
+                          (self.cov_lo, cov_lo), (self.cov_hi, cov_hi)):
+            np.copyto(now, then)
 
-    The level-R bucket of query point qi is the base-bucket interval
-    [qb*R, qb*R + R) with qb = state.q_base[qi, g] // R; only the part that
-    `state.cov_lo[qi, g]`/`cov_hi[qi, g]` does not cover yet is counted,
-    which enforces the once-per-projection rule and keeps every count
-    within its lane. Both intervals hold the point's base bucket, so that
-    part is [qb*R, cov_lo) and [cov_hi, qb*R + R), each empty where the
-    coverage reaches past the level's bucket. Afterwards the coverage is the
-    union of the two intervals: counting a pass twice, or a lower level
-    after a higher one, adds nothing, and a stopped point counts nothing.
-    Each level's interval holds the previous one's, so on the searches'
-    level order the union is the level-R interval. A pair reaching l
-    collisions adds one qualifying pair to its object. Returns the number
-    of increments.
 
-    The table is read by one `range_rows` call per pass. Query points of
-    one object share segments heavily, so the segments are grouped by
-    (plane, row range): each group is counted by one gather, add and
-    scatter of whole words, its increment word holding a one in the lane of
-    every point that has the segment. A point's segments in one pass are
-    disjoint, so no lane is incremented twice in a row. The cost is paid
+def count_collisions(state: CollisionState, projections: range, R: int) -> int:
+    """Count new collisions of every query point in the projections of a range at level R.
+
+    `projections` is a contiguous range of projection ids; a range of one
+    projection is one pass, and a range of several counts exactly what their
+    passes would count one after another. In projection g the level-R bucket
+    of query point qi is the base-bucket interval [qb*R, qb*R + R) with qb =
+    state.q_base[qi, g] // R; only the part that `state.cov_lo[qi, g]`/
+    `cov_hi[qi, g]` does not cover yet is counted, which enforces the
+    once-per-projection rule and keeps every count within its lane. Both
+    intervals hold the point's base bucket, so that part is [qb*R, cov_lo)
+    and [cov_hi, qb*R + R), each empty where the coverage reaches past the
+    level's bucket. Afterwards the coverage is the union of the two
+    intervals: counting a pass twice, or a lower level after a higher one,
+    adds nothing, and a stopped point counts nothing. Each level's interval
+    holds the previous one's, so on the searches' level order the union is
+    the level-R interval. A pair reaching l collisions adds one qualifying
+    pair to its object. Returns the number of increments.
+
+    Each projection's table is read by one `range_rows` call. Query points
+    of one object share segments heavily, so the segments are grouped in
+    numpy by (projection, plane, row range), and each group is counted by
+    one `np.add.at` of an increment word holding a one in the lane of every
+    point that has the segment. A point's segments in one projection are
+    disjoint, so no group holds a lane twice; groups of one plane may
+    overlap (from c = 3 on, two points' segments can overlap without being
+    equal), and their increments then add up lane by lane. The cost is paid
     per word, not per count: the narrower the lanes, the fewer planes a
     query's points spread over, and the fewer groups one shared segment
-    makes. The object search and `baselines.point_knn_c2lsh` both count
-    through this kernel.
+    makes. Counts only grow and lanes never carry, so a lane reached l in
+    this call exactly when its top bit differs from the call's start: the
+    crossings are found once per call, whatever the number of projections.
+    The object search and `baselines.point_knn_c2lsh` both count through
+    this kernel.
     """
-    q_col = state.q_base[:, g]
-    q_count = len(q_col)
-    qb = q_col if R == 1 else np.floor_divide(q_col, R)
-    lo = qb * R
+    g0, g1 = projections.start, projections.stop
+    q_count = len(state.q_base)
+    lo = np.floor_divide(state.q_base[:, g0:g1], R) * R
     hi = lo + R
-    old_lo, old_hi = state.cov_lo[:, g], state.cov_hi[:, g]
-    table, starts, stops = state.index.range_rows(g, np.concatenate((lo, old_hi)),
-                                                  np.concatenate((old_lo, hi)))
-    nonempty = np.flatnonzero(stops > starts)
+    old_lo, old_hi = state.cov_lo[:, g0:g1], state.cov_hi[:, g0:g1]
+    seg_lo, seg_hi = np.concatenate((lo, old_hi)).T, np.concatenate((old_lo, hi)).T
+    tables, starts, stops = zip(*(state.index.range_rows(g, seg_lo[p], seg_hi[p])
+                                  for p, g in enumerate(projections)))
+    # segment p * 2|Q| + j is query point j % |Q|'s in projection g0 + p
+    starts, stops = np.concatenate(starts), np.concatenate(stops)
+    seg = np.flatnonzero(stops > starts)
+    seg_p, point = np.divmod(seg, 2 * q_count)
+    plane, lane = np.divmod(point % q_count, state.lanes)
+    starts, stops = starts[seg], stops[seg]
 
-    lanes, bits = state.lanes, state.lane_bits
-    groups = {}  # (plane, i0, i1) -> increment word
-    for j, i0, i1 in zip(nonempty.tolist(), starts[nonempty].tolist(),
-                         stops[nonempty].tolist()):
-        plane, lane = divmod(j % q_count, lanes)
-        key = (plane, i0, i1)
-        groups[key] = groups.get(key, 0) | 1 << bits * lane
+    order = np.lexsort((stops, starts, plane, seg_p))
+    keys = np.stack((seg_p, plane, starts, stops))[:, order]
+    change = np.ones(len(order), dtype=bool)  # where a group starts
+    change[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    first = np.flatnonzero(change)
+    bits = np.left_shift(np.uint64(1), (lane * state.lane_bits).astype(np.uint64))
+    incs = np.bitwise_or.reduceat(bits[order], first)
+    group_p, group_plane, i0s, i1s = keys[:, first]
 
-    owner = state.dataset.point_object_index
-    top = np.uint64(state.top_bits)
-    incremented = qualified = 0
-    for (plane, i0, i1), inc in groups.items():
-        words = state.packed_counts[plane]
-        rows = table[i0:i1]
-        block = words[rows]
-        new = block + np.uint64(inc)
-        words[rows] = new
-        crossed = np.bitwise_and(block ^ new, top, out=block)  # lanes that reached l
-        hit = crossed.nonzero()[0]
-        if hit.size:
-            gained = np.bitwise_count(crossed[hit])
-            np.add.at(state.qualifying_pairs, owner[rows[hit]], gained)
-            qualified += int(gained.sum())
-        incremented += (i1 - i0) * inc.bit_count()
-    state.qualified_total += qualified
+    before = state.packed_counts.copy()
+    words = list(state.packed_counts)  # one view per plane
+    for p, pl, i0, i1, inc in zip(group_p.tolist(), group_plane.tolist(), i0s.tolist(),
+                                  i1s.tolist(), incs):  # uint64 scalars: add.at's fast path
+        np.add.at(words[pl], tables[p][i0:i1], inc)
+    crossed = np.bitwise_and(before ^ state.packed_counts, np.uint64(state.top_bits), out=before)
+    gained = np.bitwise_count(crossed).sum(axis=0, dtype=np.int64)  # per row, lanes that reached l
+    hit = np.flatnonzero(gained)
+    np.add.at(state.qualifying_pairs, state.dataset.point_object_index[hit], gained[hit])
+    state.qualified_total += int(gained.sum())
     np.minimum(old_lo, lo, out=old_lo)
     np.maximum(old_hi, hi, out=old_hi)
-    return incremented
+    return int(((i1s - i0s) * np.bitwise_count(incs)).sum())
 
 
 def check_t1(cl_count: int, k: int, beta: float, S: int) -> bool:
@@ -227,11 +256,15 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
                 gparams: GammaParams, plan: list | None = None) -> QueryResult:
     """Top-k nearest neighbor objects by collision counting (Algorithm core).
 
-    Iterates levels R = 1, c, c^2, ...; within a level iterates projections,
-    counting collisions for every query point and refreshing collision
-    indexes; stops on T1 or T2 and returns the top-k candidates ranked by
-    exact object distance (ties by ascending object id). If the level range
-    is exhausted before k candidates appear, the stop condition is EXHAUSTED.
+    Iterates levels R = 1, c, c^2, ...; each level counts collisions for
+    every query point in all m projections in one `count_collisions` call;
+    stops on T1 or T2 and returns the top-k candidates ranked by exact object
+    distance (ties by ascending object id). T1 is the check after each
+    projection pass: when it holds after a level, the level is rewound and
+    `first_pass_that_holds` counts it up to the first pass after which T1
+    holds, so the counts, stats and plan stop at that pass. If the level
+    range is exhausted before k candidates appear, the stop condition is
+    EXHAUSTED.
 
     The exact object distance is only ever computed for candidates, never for
     the full database: each T2 check and the final ranking measure their new
@@ -261,7 +294,6 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     max_levels = level_cap(c)
     state = CollisionState(index.hash_query(query.coords), index, dataset)
     stats = QueryStats()
-    point_index = np.arange(q_count)
 
     dists = np.full(S, np.nan)  # an object's exact distance, once it is verified
 
@@ -280,9 +312,11 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         return QueryResult(top_k=top_k, stop_condition=stop, levels_used=levels,
                            stats=stats, bound_warning=bound_warning, gamma_min_bound=bound)
 
+    def t1_holds():
+        return check_t1(int(np.count_nonzero(state.candidate_mask(gparams))), k, gparams.beta, S)
+
     R = 1
     levels_done = 0
-    t1_total = -1  # state.qualified_total at the last T1 check
     while True:
         # T2 at the start of each level: k candidates verified within c*R
         cand_ranks = np.flatnonzero(state.candidate_mask(gparams))
@@ -295,24 +329,47 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             enough = int(np.count_nonzero(state.candidate_mask(gparams))) >= k
             return finish(T2 if enough else EXHAUSTED, levels_done)
 
-        for g in range(m):
-            inc = count_collisions(state, g, R)
-            stats.collision_increments += inc
-            stats.alg_ops += inc
-            if plan is not None:
-                # counting left every point's level interval as its coverage
-                ranges = np.empty((q_count, 3), dtype=np.int64)
-                ranges[:, 0] = point_index
-                ranges[:, 1] = state.cov_lo[:, g]
-                ranges[:, 2] = state.cov_hi[:, g]
-                plan.append((g, R, ranges))
-            # T1 barrier after each projection pass; the candidate count
-            # follows qualifying_pairs, so a pass that qualifies no pair keeps it
-            if state.qualified_total != t1_total:
-                t1_total = state.qualified_total
-                cl_count = int(np.count_nonzero(state.candidate_mask(gparams)))
-                if check_t1(cl_count, k, gparams.beta, S):
-                    return finish(T1, levels_done + 1)
-
+        start = state.checkpoint()
+        inc = count_collisions(state, range(m), R)
+        passes, t1 = m, t1_holds()
+        if t1:  # T1 holds after some pass of this level: find the first
+            state.rewind(start)
+            passes, inc = first_pass_that_holds(state, m, R, t1_holds)
+        stats.collision_increments += inc
+        stats.alg_ops += inc
+        if plan is not None:
+            # counting left every point's level interval as its coverage
+            ranges = np.empty((passes, q_count, 3), dtype=np.int64)
+            ranges[:, :, 0] = np.arange(q_count)
+            ranges[:, :, 1] = state.cov_lo[:, :passes].T
+            ranges[:, :, 2] = state.cov_hi[:, :passes].T
+            plan += [(g, R, ranges[g]) for g in range(passes)]
+        if t1:
+            return finish(T1, levels_done + 1)
         levels_done += 1
         R *= c
+
+
+def first_pass_that_holds(state: CollisionState, m: int, R: int, holds) -> tuple[int, int]:
+    """Count projections 0, 1, ... at level R up to the first pass after which `holds()` is true.
+
+    `holds` must be false on the state as given and true after all m passes,
+    and may only turn from false to true as counts grow, as T1 does: its
+    candidate count follows the qualifying pairs, which never fall. The
+    first such pass is found by bisection: a range of passes is counted in
+    one call, and rewound when `holds` is true after it. Returns the number
+    of passes counted, that pass's included, and their increments; the state
+    is left after them, as counting them one by one would leave it.
+    """
+    lo, hi, inc = 0, m - 1, 0  # holds after passes [0, hi], not after [0, lo)
+    while True:
+        mid = (lo + hi) // 2
+        before = state.checkpoint()
+        got = count_collisions(state, range(lo, mid + 1), R)
+        if not holds():
+            lo, inc = mid + 1, inc + got
+        elif mid == lo:
+            return lo + 1, inc + got
+        else:
+            hi = mid
+            state.rewind(before)

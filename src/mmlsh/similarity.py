@@ -139,15 +139,18 @@ def gamma_distances(q_coords, dataset, ranks, gamma: float) -> np.ndarray:
     object's distance is the right order statistic among them. The product
     runs in float32 when float32 holds the query, and in float64 when that
     product is unsafe or its window holds more than WINDOW_SHARE of the
-    block's pairs, as on a cloud far from the origin. When neither product
-    is safe, the window is every pair. Each pair's distance does not depend
-    on the others measured with it, so every path returns the same bits.
+    block's pairs, as on a cloud far from the origin. Once a block drops
+    float32, the call's later blocks go straight to float64. When neither
+    product is safe, the window is every pair. Each pair's distance does not
+    depend on the others measured with it, so every path returns the same
+    bits.
     """
     _check_gamma(gamma)
     q, _ = _check_point_sets(q_coords, dataset.coords[:1])  # a dataset has a point
     ranks = np.asarray(ranks, dtype=np.int64)
     out = np.empty(ranks.size)
     sizes = dataset.object_sizes[ranks]
+    precisions = (np.float32, np.float64)
     for size in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == size)
         per_block = max(1, BLOCK_PAIRS // (len(q) * size))
@@ -155,7 +158,8 @@ def gamma_distances(q_coords, dataset, ranks, gamma: float) -> np.ndarray:
             block = members[start:start + per_block]
             firsts = dataset.object_offsets[ranks[block]]
             rows = dataset.object_rows[(firsts[:, None] + np.arange(size)).ravel()]
-            out[block] = _block_gamma_distances(q, _gather(dataset.coords, rows), size, gamma)
+            out[block], precisions = _block_gamma_distances(
+                q, _gather(dataset.coords, rows), size, gamma, precisions)
     return out
 
 
@@ -167,17 +171,22 @@ def _gather(coords, rows):
     return coords[rows]
 
 
-def _block_gamma_distances(q, x, size: int, gamma: float) -> np.ndarray:
-    """The gamma-distance from q to each object of a block; x holds `size` rows per object."""
+def _block_gamma_distances(q, x, size: int, gamma: float, precisions):
+    """The gamma-distance from q to each object of a block, and the precisions for the next block.
+
+    x holds `size` rows per object. The products are tried in `precisions`
+    order; once a block drops float32, the next ones go straight to float64.
+    """
     pairs = len(q) * size
     k = _rank(gamma, pairs)
     ranks = np.full(len(x) // size, k)
-    narrowed = _narrowed(x, q, k, pairs, keep_below=False)
+    narrowed = _narrowed(x, q, k, pairs, keep_below=False, precisions=precisions)
     if narrowed is None:
-        return _select_in_window(q, x, np.arange(len(x) * len(q)), size, ranks)
+        return _select_in_window(q, x, np.arange(len(x) * len(q)), size, ranks), (np.float64,)
     sq, lo, window = narrowed
     below = np.count_nonzero(sq < lo[:, None], axis=1)
-    return _select_in_window(q, x, np.flatnonzero(window), size, ranks - below)
+    return (_select_in_window(q, x, np.flatnonzero(window), size, ranks - below),
+            (np.float64,) if sq.dtype == np.float64 else precisions)
 
 
 def _select_in_window(q, x, window, size: int, ranks) -> np.ndarray:
@@ -211,16 +220,18 @@ def rows_within_kth(q, x, k: int) -> list:
     return [np.flatnonzero(row) for row in narrowed[2]]
 
 
-def _narrowed(a, b, k: int, pairs: int, keep_below: bool):
+def _narrowed(a, b, k: int, pairs: int, keep_below: bool,
+              precisions=(np.float32, np.float64)):
     """(S, lo, mask of the pairs left to measure) from a product of a and b; None if none is safe.
 
-    `_approx_sq_dists(a, b)` runs in float32 if float32 holds a and b, then in
-    float64. Per row of `pairs` pairs of its S, with t the k-th smallest S,
-    `_bounds` gives lo and hi; the pairs to measure have lo <= S <= hi, or
-    S <= hi under `keep_below`. A float32 product counts only when they are
-    at most WINDOW_SHARE of the pairs; a float64 one counts whatever they are.
+    `_approx_sq_dists(a, b)` runs in each of `precisions` in turn, in float32
+    only if float32 holds a and b, until one counts. Per row of `pairs` pairs
+    of its S, with t the k-th smallest S, `_bounds` gives lo and hi; the
+    pairs to measure have lo <= S <= hi, or S <= hi under `keep_below`. A
+    float32 product counts only when they are at most WINDOW_SHARE of the
+    pairs; a float64 one counts whatever they are.
     """
-    for dtype in (np.float32, np.float64):
+    for dtype in precisions:
         with np.errstate(over="ignore"):  # a value float32 cannot hold is left out below
             a_p, b_p = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
         if not (a_p is a or np.array_equal(a_p, a)) or not (b_p is b or np.array_equal(b_p, b)):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 import mmlsh
 from mmlsh import bench
-from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel, SchedulerConfig,
-                             build_frequency_profile)
+from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel, QueryStats,
+                             SchedulerConfig, build_frequency_profile)
 from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, check_t1, check_t2,
                           count_collisions)
 from mmlsh.errors import ParameterError
+from mmlsh.similarity import gamma_distances
 
 from test_buffering import uniform_profile
 from test_similarity import cdist_gamma_distance, lane_counts
@@ -31,7 +33,7 @@ def run_all_collisions(query, index, dataset, levels):
     for i in range(levels):
         R = c ** i
         for g in range(index.m):
-            count_collisions(state, g, R)
+            count_collisions(state, range(g, g + 1), R)
     return state, q_base
 
 
@@ -89,8 +91,8 @@ class TestCountCollisions:
         c, l = small_index.params.c, small_index.params.l
         matches = brute_matches(q_base, small_index, c)
         for g in range(small_index.m):
-            assert count_collisions(state, g, c) == int(matches[g].sum())
-            assert [count_collisions(state, g, R) for R in (c, 1, c)] == [0, 0, 0]
+            assert count_collisions(state, range(g, g + 1), c) == int(matches[g].sum())
+            assert [count_collisions(state, range(g, g + 1), R) for R in (c, 1, c)] == [0, 0, 0]
         counts = brute_counts(q_base, small_index, c)
         assert np.array_equal(lane_counts(state), counts)
         assert state.qualifying_pairs.tolist() == brute_pairs(counts, small_dataset, l)
@@ -184,7 +186,7 @@ class TestPackedKernelProperties:
             R = c ** level
             now = brute_matches(q_base, index, R)
             for g in range(m):
-                inc = count_collisions(state, g, R)
+                inc = count_collisions(state, range(g, g + 1), R)
                 expected = np.where(searching[:, None],
                                     now[:g + 1].sum(axis=0) + last[g + 1:].sum(axis=0), counts)
                 assert inc == int((expected - counts).sum())
@@ -196,6 +198,49 @@ class TestPackedKernelProperties:
                 for qi in range(q_size):
                     assert np.array_equal(state.qualified_rows(qi), np.flatnonzero(counts[qi] >= l))
             last = now
+
+
+class TestBatchKernelProperties:
+    """A range of projections counted in one call leaves the state its passes leave."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), objects=st.integers(1, 5), points=st.integers(1, 4),
+           d=st.integers(1, 3), q_size=st.integers(1, 20), distinct=st.integers(1, 10),
+           c=st.sampled_from([2, 3, 4]), levels=st.integers(1, 4),
+           drop=st.sets(st.integers(0, 19)), drop_level=st.integers(0, 4),
+           spread=st.floats(0.05, 2.0), data=st.data())
+    def test_a_batch_equals_its_passes(self, seed, objects, points, d, q_size, distinct, c,
+                                       levels, drop, drop_level, spread, data):
+        ds = mmlsh.synth_dataset(objects, points, d, spread, seed)
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed)
+        m, l = index.params.m, index.params.l
+        rng = np.random.default_rng(seed)
+        # query points repeat a pool of dataset points and random ones, so they share segments
+        pool = np.concatenate((ds.coords[rng.integers(0, ds.n, distinct)],
+                               rng.normal(0.0, 1.5, size=(distinct, d)).astype(np.float32)))
+        q_base = index.hash_query(pool[rng.integers(0, len(pool), q_size)])
+        batched, single = (CollisionState(q_base, index, ds) for _ in range(2))
+        searching = np.ones(q_size, dtype=bool)
+        counts = np.zeros((q_size, ds.n), dtype=np.int64)
+        for level in range(levels):
+            if level == drop_level:  # the dropped points stop; their counts stay frozen
+                searching[np.isin(np.arange(q_size), list(drop))] = False
+                batched.stop(~searching)
+                single.stop(~searching)
+            R = c ** level
+            edges = [0, *sorted(data.draw(st.sets(st.integers(1, m - 1)), label="cuts")), m]
+            got = sum(count_collisions(batched, range(a, b), R) for a, b in zip(edges, edges[1:]))
+            want = sum(count_collisions(single, range(g, g + 1), R) for g in range(m))
+            assert got == want
+            for name in ("packed_counts", "qualifying_pairs", "cov_lo", "cov_hi"):
+                assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+            assert batched.qualified_total == single.qualified_total
+            # at the level's end the counts are the oracle's, frozen for stopped points
+            counts = np.where(searching[:, None], brute_counts(q_base, index, R), counts)
+            assert np.array_equal(lane_counts(batched), counts)
+            pairs = brute_pairs(counts, ds, l)
+            assert batched.qualifying_pairs.tolist() == pairs
+            assert batched.qualified_total == sum(pairs)
 
 
 @pytest.mark.parametrize("bits", range(1, 12))
@@ -213,7 +258,7 @@ def test_full_lanes_leave_their_neighbours_untouched(bits):
     assert (state.lane_bits, state.lanes) == (bits, 64 // bits)
     fresh = state.packed_counts.copy()
     for g in range(m):
-        count_collisions(state, g, 1)
+        count_collisions(state, range(g, g + 1), 1)
     counts = brute_counts(q_base, index, 1)
     assert (counts[::2, :3] == m).all() and not counts[1::2].any()
     assert np.array_equal(lane_counts(state), counts)
@@ -229,7 +274,7 @@ def test_full_lanes_leave_their_neighbours_untouched(bits):
     stopped = CollisionState(index.hash_query(np.zeros((q_count, 1))), index, ds)
     stopped.stop(np.arange(1, q_count, 2))
     for g in range(m):
-        count_collisions(stopped, g, 1)
+        count_collisions(stopped, range(g, g + 1), 1)
     assert np.array_equal(stopped.packed_counts, state.packed_counts)
 
 
@@ -374,6 +419,73 @@ class TestKnnObjects:
         q = mmlsh.QueryObject(object_id=0, coords=np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="dimension"):
             mmlsh.knn_objects(q, 1, small_index, small_dataset, self.GP)
+
+
+def reference_knn_objects(query, k, index, dataset, gparams, plan):
+    """`knn_objects` counting one projection pass per call and checking T1 after every pass.
+
+    Returns the result and the pass of its level after which T1 held, or None.
+    """
+    c, m, S = index.params.c, index.params.m, dataset.num_objects
+    state = CollisionState(index.hash_query(query.coords), index, dataset)
+    stats, points = QueryStats(), np.arange(len(query.coords))
+
+    def result(stop, levels, t1_pass=None):
+        ranks = np.flatnonzero(state.candidate_mask(gparams))
+        dists = gamma_distances(query.coords, dataset, ranks, gparams.gamma)
+        top = np.argsort(dists, kind="stable")[:k]
+        top_k = list(zip(dataset.object_ids[ranks[top]].tolist(), dists[top].tolist()))
+        return (top_k, stop, levels, stats), t1_pass
+
+    R, levels = 1, 0
+    while True:
+        ranks = np.flatnonzero(state.candidate_mask(gparams))
+        if ranks.size >= k and check_t2(gamma_distances(query.coords, dataset, ranks,
+                                                        gparams.gamma), k, c * R):
+            return result(T2, levels)
+        if np.all(state.covered()) or levels >= mmlsh.level_cap(c):
+            return result(T2 if ranks.size >= k else EXHAUSTED, levels)
+        for g in range(m):
+            inc = count_collisions(state, range(g, g + 1), R)
+            stats.collision_increments += inc
+            stats.alg_ops += inc
+            plan.append((g, R, np.stack((points, state.cov_lo[:, g], state.cov_hi[:, g]), 1)))
+            candidates = int(np.count_nonzero(state.candidate_mask(gparams)))
+            if check_t1(candidates, k, gparams.beta, S):
+                return result(T1, levels + 1, g)
+        levels += 1
+        R *= c
+
+
+class TestT1Bisection:
+    """The whole-level count and its bisection stop where a check after every pass stops."""
+
+    def test_t1_stops_at_the_same_pass(self):
+        where = Counter()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            c = (2, 3, 4)[seed % 3]
+            ds = mmlsh.synth_dataset(int(rng.integers(5, 30)), int(rng.integers(2, 8)),
+                                     int(rng.integers(2, 6)), float(rng.uniform(0.05, 1.0)), seed)
+            params = mmlsh.derive_params(0.3, 0.5, c=c)
+            # a low l lets T1 hold on a level's first pass
+            params = dataclasses.replace(params, l=int(rng.integers(1, params.l + 1)))
+            index = mmlsh.build_index(ds, params, seed)
+            gp = mmlsh.GammaParams(gamma=float(rng.choice([0.2, 0.5, 0.9])), delta=0.1,
+                                   beta=float(rng.choice([0.05, 0.2, 0.5])), epsilon=0.5)
+            q = mmlsh.QueryObject.from_object(ds, int(rng.choice(ds.object_ids)))
+            k = int(rng.integers(1, 5))
+            plan, want_plan = [], []
+            res = mmlsh.knn_objects(q, k, index, ds, gp, plan=plan)
+            want, t1_pass = reference_knn_objects(q, k, index, ds, gp, want_plan)
+            assert (res.top_k, res.stop_condition, res.levels_used, res.stats) == want
+            assert [(g, R) for g, R, _ in plan] == [(g, R) for g, R, _ in want_plan]
+            for (_, _, got), (_, _, ranges) in zip(plan, want_plan):
+                assert got.dtype == np.int64 and np.array_equal(got, ranges)
+            if t1_pass is not None:
+                where["first" if t1_pass == 0 else "last" if t1_pass == index.m - 1
+                      else "middle"] += 1
+        assert all(where[kind] >= 3 for kind in ("first", "middle", "last")), where
 
 
 class TestVerificationProperties:

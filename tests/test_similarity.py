@@ -302,9 +302,9 @@ class TestGammaDistances:
         blocks = []
         block_gamma_distances = similarity._block_gamma_distances
 
-        def recording_block(q, x, size, gamma):
+        def recording_block(q, x, size, gamma, precisions):
             blocks.append(np.array(x))
-            return block_gamma_distances(q, x, size, gamma)
+            return block_gamma_distances(q, x, size, gamma, precisions)
 
         monkeypatch.setattr(similarity, "BLOCK_PAIRS", 81)  # two objects of 40 pairs
         monkeypatch.setattr(similarity, "_block_gamma_distances", recording_block)
@@ -318,6 +318,20 @@ class TestGammaDistances:
         assert np.array_equal(np.concatenate(blocks), want_rows)
         want = per_object_gamma_distances(q, dataset, ranks, 0.4)
         assert got.tobytes() == want.tobytes()
+
+    def test_far_clouds_drop_the_float32_product_once_per_call(self, monkeypatch):
+        """Once a block drops float32, the call's later blocks, of any size, take float64 alone."""
+        rng = np.random.default_rng(10)
+        owners = rng.permutation(np.repeat(np.arange(18), np.repeat([3, 5, 8], 6)))
+        dataset = mmlsh.Dataset(1e4 + rng.normal(size=(owners.size, 4)) * 1e-3, owners)
+        q = (1e4 + rng.normal(size=(5, 4)) * 1e-3).astype(np.float32)
+        ranks = rng.permutation(18)
+        monkeypatch.setattr(similarity, "BLOCK_PAIRS", 80)  # 2, 2 and 3 blocks per size
+        with products() as ran, spy("_block_gamma_distances") as blocks:
+            got = mmlsh.gamma_distances(q, dataset, ranks, 0.5)
+        assert blocks.call_count == 7
+        assert ran == [np.float32] + [np.float64] * 7
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, ranks, 0.5).tobytes()
 
     def test_no_safe_product_measures_every_pair(self):
         """A query beyond float64's norm limit for the product: every pair is in the window."""
@@ -402,7 +416,7 @@ class TestCollisionStateMatchesOracles:
         state = CollisionState(small_index.hash_query(q.coords), small_index, small_dataset)
         for i in range(levels):
             for g in range(small_index.m):
-                count_collisions(state, g, small_index.params.c ** i)
+                count_collisions(state, range(g, g + 1), small_index.params.c ** i)
         l = small_index.params.l
         counts = lane_counts(state)
         want_ci = [collision_index(counts[:, small_dataset.point_object_index == j], l)
