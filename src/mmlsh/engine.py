@@ -13,10 +13,14 @@ the search stops when either
   distance <= c * R. Candidates are measured by the ground truth's batched
   kernel, `similarity.gamma_distances`: each once, by one call per check.
 
-Each level's m passes are counted by one `count_collisions` call. The
-candidate count only grows from pass to pass, so T1 holds after some pass of
-a level exactly when it holds after the whole level. The search then rewinds
-the level, finds the first such pass by bisection and keeps the passes up to
+A search's level intervals are fixed by its query points' base buckets, so
+`CollisionState` looks up their row offsets in every projection's table once,
+when it is built. Each level's segments are grouped once, as a
+`GroupedLevel`, and its m passes are applied together. The candidate count
+only grows from pass to pass, so T1 holds after some pass of a level exactly
+when it holds after the whole level. The search then moves the state between
+prefixes of the level, un-applying or applying the grouped passes between
+them, until it stands after the first such pass, and keeps the passes up to
 it alone: the result, the counts and the plan are those of a check after
 every pass.
 
@@ -99,24 +103,31 @@ class CollisionState:
     increments end at 2**(b-1) + m - l <= 2**b - 1: no lane ever carries
     into the next. MAX_PROJECTIONS = 1024 keeps lanes within 11 bits. Lanes
     past the last query point are never incremented, so their value is
-    never read. Only `count_collisions` increments the lanes;
-    `qualified_rows` decodes them by shift and mask, and no other module
-    touches the words.
+    never read. Only `GroupedLevel` changes the lanes; `qualified_rows`
+    decodes them by shift and mask, and no other module touches the words.
+
+    The query points' base buckets fix every level's intervals, so the row
+    offsets of those intervals in each projection's table are looked up
+    here, once: one `range_rows` call per projection covers every level t
+    until c**t exceeds every |query base bucket| and every |occupied bucket
+    id|. From that level on, a point's interval is [0, c**t) or [-c**t, 0),
+    which holds every occupied bucket on its side of zero, so the offsets
+    stop changing and later levels read the last tabulated one
+    (`level_rows`).
 
     `cov_lo`/`cov_hi` hold each (query point, projection)'s counted
     base-bucket interval [cov_lo, cov_hi). It starts empty at the point's
     own bucket, [qb, qb), and only grows, so every interval counted into it
-    holds qb. `stop` sets it to span every bucket, after which the point
-    counts nothing more.
-
-    `checkpoint` copies the counts, the qualifying pairs and the coverage,
-    and `rewind` restores them: the object search rewinds a level to find
-    the first pass after which T1 holds.
+    holds qb. `cov_row_lo`/`cov_row_hi` hold the same coverage as row
+    offsets into the projection's table. The map from a bucket id to its
+    row offset is monotone, so a union of intervals is a min and a max in
+    both forms. `stop` sets the coverage to span every bucket, rows [0, n),
+    after which the point counts nothing more.
     """
 
     def __init__(self, q_base: np.ndarray, index: LshIndex, dataset: Dataset):
-        q_count, m, l = len(q_base), index.m, index.params.l
-        self.q_base, self.index, self.dataset = q_base, index, dataset
+        q_count, m, l, c = len(q_base), index.m, index.params.l, index.params.c
+        self.q_base, self.dataset = q_base, dataset
         self.reach_lo, self.reach_hi = reach_range(index, q_base)
         self.lane_bits = (max(l, m - l + 1) - 1).bit_length() + 1
         self.lanes = 64 // self.lane_bits
@@ -130,6 +141,33 @@ class CollisionState:
         self.pair_totals = q_count * dataset.object_sizes
         self.cov_lo = q_base.astype(np.int64)  # copies: coverage grows in place
         self.cov_hi = q_base.astype(np.int64)
+
+        self._widths = [c ** t for t in range(level_cap(c))]  # every R a search may use
+        span = max(int(np.abs(q_base).max(initial=0)), int(np.abs(index.bucket_lo).max()),
+                   int(np.abs(index.bucket_hi).max()))
+        levels = 1 + next((t for t, R in enumerate(self._widths) if R > span),
+                          len(self._widths) - 1)
+        widths = np.array(self._widths[:levels], dtype=np.int64)[:, None]
+        lo = np.floor_divide(q_base.T[:, None], widths) * widths  # (m, levels, |Q|) interval starts
+        hi = lo + widths
+        self.tables, starts, stops = zip(*(index.range_rows(g, lo[g].ravel(), hi[g].ravel())
+                                          for g in range(m)))  # tables: each projection's rows
+        # the bounds' row offsets, by (start or stop, level, point, projection)
+        self._level_rows = np.moveaxis(np.reshape((starts, stops), (2, m, levels, q_count)), 1, 3)
+        self.cov_row_lo = self._level_rows[0, 0].copy()  # level 0 starts at the point's bucket
+        self.cov_row_hi = self.cov_row_lo.copy()
+
+    def level_rows(self, R: int) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, stops): the (|Q|, m) row offsets of every point's level-R interval.
+
+        R must be c**t for a level t < `level_cap(c)`, else ParameterError.
+        """
+        if R not in self._widths:
+            raise ParameterError(f"level width R={R} is not c**t for a level t < "
+                                 f"{len(self._widths)}")
+        starts, stops = self._level_rows[:, min(self._widths.index(R),
+                                                self._level_rows.shape[1] - 1)]
+        return starts, stops
 
     def qualified_rows(self, qi: int) -> np.ndarray:
         """Ascending dataset rows whose count with query point qi has reached l."""
@@ -154,18 +192,118 @@ class CollisionState:
         """Count nothing more for the query points at `points`: they cover every bucket."""
         self.cov_lo[points] = np.iinfo(np.int64).min
         self.cov_hi[points] = np.iinfo(np.int64).max
+        self.cov_row_lo[points] = 0
+        self.cov_row_hi[points] = self.dataset.n
 
-    def checkpoint(self) -> tuple:
-        """A copy of everything counting changes, for `rewind`."""
-        return (self.packed_counts.copy(), self.qualifying_pairs.copy(), self.qualified_total,
-                self.cov_lo.copy(), self.cov_hi.copy())
+    @property
+    def coverage(self) -> tuple:
+        """The four coverage arrays: (cov_lo, cov_hi, cov_row_lo, cov_row_hi)."""
+        return self.cov_lo, self.cov_hi, self.cov_row_lo, self.cov_row_hi
 
-    def rewind(self, saved: tuple) -> None:
-        """Restore the counts, qualifying pairs and coverage a `checkpoint` copied."""
-        counts, pairs, self.qualified_total, cov_lo, cov_hi = saved
-        for now, then in ((self.packed_counts, counts), (self.qualifying_pairs, pairs),
-                          (self.cov_lo, cov_lo), (self.cov_hi, cov_hi)):
-            np.copyto(now, then)
+
+class GroupedLevel:
+    """One level's new segments over a range of projections, grouped once, and its counted prefix.
+
+    In projection g the level-R bucket of query point qi is the base-bucket
+    interval [qb*R, qb*R + R) with qb = state.q_base[qi, g] // R; only the
+    part that the state's coverage does not hold yet is new. Both intervals
+    hold the point's base bucket, so that part is [qb*R, cov_lo) and
+    [cov_hi, qb*R + R), each empty where the coverage reaches past the
+    level's bucket, and a stopped point has none. The segments are taken in
+    row offsets, from `CollisionState.level_rows` and the row coverage.
+
+    Query points of one object share segments heavily, so the segments are
+    grouped in numpy by (projection, plane, row range), ordered by
+    projection: the first p passes of the range are a prefix of the
+    groups. Each group is counted by one `np.add.at` of an increment word
+    holding a one in the lane of every point that has the segment. A
+    point's segments in one projection are disjoint, so no group holds a
+    lane twice; groups of one plane may overlap (from c = 3 on, two points'
+    segments can overlap without being equal), and their increments then
+    add up lane by lane. The cost is paid per word, not per count: the
+    narrower the lanes, the fewer planes a query's points spread over, and
+    the fewer groups one shared segment makes.
+
+    `counted` passes of the range are in the state, none at first.
+    `count_to(passes)` moves the state to another prefix and leaves it as
+    counting those passes one by one would: the result, the counts, the
+    qualifying pairs and the coverage. Nothing else may change the state's
+    counts or coverage in these projections meanwhile.
+    """
+
+    def __init__(self, state: CollisionState, projections: range, R: int):
+        self.state, self.counted = state, 0
+        self._g0 = g0 = projections.start
+        q_count = len(state.q_base)
+        row_lo, row_hi = (rows[:, projections] for rows in state.level_rows(R))
+        lo = np.floor_divide(state.q_base[:, projections], R) * R
+        old = [cov[:, projections] for cov in state.coverage]  # copies: fancy indexing
+        self._start = old  # the coverage before the level, restored where a pass is uncounted
+        self._union = [np.minimum(old[0], lo), np.maximum(old[1], lo + R),
+                       np.minimum(old[2], row_lo), np.maximum(old[3], row_hi)]
+
+        starts = np.concatenate((row_lo, old[3])).T.ravel()
+        stops = np.concatenate((old[2], row_hi)).T.ravel()
+        # segment p * 2|Q| + j is query point j % |Q|'s in projection g0 + p
+        seg = np.flatnonzero(stops > starts)
+        seg_p, point = np.divmod(seg, 2 * q_count)
+        plane, lane = np.divmod(point % q_count, state.lanes)
+        starts, stops = starts[seg], stops[seg]
+
+        order = np.lexsort((stops, starts, plane, seg_p))
+        keys = np.stack((seg_p, plane, starts, stops))[:, order]
+        change = np.ones(len(order), dtype=bool)  # where a group starts
+        change[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+        first = np.flatnonzero(change)
+        bits = np.left_shift(np.uint64(1), (lane * state.lane_bits).astype(np.uint64))
+        self._incs = np.bitwise_or.reduceat(bits[order], first)
+        group_p, self._planes, self._i0s, self._i1s = keys[:, first]
+        self._tables = [state.tables[g0 + p] for p in group_p.tolist()]
+        self._bounds = np.searchsorted(group_p, np.arange(len(projections) + 1))  # pass -> group
+        per_group = (self._i1s - self._i0s) * np.bitwise_count(self._incs)
+        self._prefix_increments = np.concatenate(([0], np.cumsum(per_group)))[self._bounds]
+
+    @property
+    def increments(self) -> int:
+        """The increments of the counted passes."""
+        return int(self._prefix_increments[self.counted])
+
+    def count_to(self, passes: int) -> None:
+        """Leave the first `passes` passes of the range counted, and no other.
+
+        Passes beyond the counted prefix are applied: each of their groups
+        adds its increment word. Counted passes beyond `passes` are
+        un-applied: each group subtracts the word it added, so no lane
+        borrows. Counts move one way per call and lanes never carry or
+        borrow, so a lane crossed l in this call exactly when its top bit
+        differs from the call's start; each crossing adds a qualifying pair
+        to the row's object, or gives one back. The applied passes' coverage
+        becomes the union with the level interval, and the un-applied
+        passes' goes back to the level's start.
+        """
+        a, b = sorted((self.counted, passes))
+        if a == b:
+            return
+        state, forward = self.state, passes > self.counted
+        move = np.add.at if forward else np.subtract.at
+        groups = slice(self._bounds[a], self._bounds[b])
+        before = state.packed_counts.copy()
+        words = list(state.packed_counts)  # one view per plane
+        for table, pl, i0, i1, inc in zip(self._tables[groups], self._planes[groups].tolist(),
+                                          self._i0s[groups].tolist(), self._i1s[groups].tolist(),
+                                          self._incs[groups]):  # uint64 scalars: the fast path
+            move(words[pl], table[i0:i1], inc)
+        top = np.uint64(state.top_bits)
+        crossed = np.bitwise_and(before ^ state.packed_counts, top, out=before)
+        gained = np.bitwise_count(crossed).sum(axis=0, dtype=np.int64)  # per row, crossed lanes
+        if not forward:
+            np.negative(gained, out=gained)
+        hit = np.flatnonzero(gained)
+        np.add.at(state.qualifying_pairs, state.dataset.point_object_index[hit], gained[hit])
+        state.qualified_total += int(gained.sum())
+        for cov, end in zip(state.coverage, self._union if forward else self._start):
+            cov[:, self._g0 + a:self._g0 + b] = end[:, a:b]
+        self.counted = passes
 
 
 def count_collisions(state: CollisionState, projections: range, R: int) -> int:
@@ -173,73 +311,25 @@ def count_collisions(state: CollisionState, projections: range, R: int) -> int:
 
     `projections` is a contiguous range of projection ids; a range of one
     projection is one pass, and a range of several counts exactly what their
-    passes would count one after another. In projection g the level-R bucket
-    of query point qi is the base-bucket interval [qb*R, qb*R + R) with qb =
-    state.q_base[qi, g] // R; only the part that `state.cov_lo[qi, g]`/
-    `cov_hi[qi, g]` does not cover yet is counted, which enforces the
-    once-per-projection rule and keeps every count within its lane. Both
-    intervals hold the point's base bucket, so that part is [qb*R, cov_lo)
-    and [cov_hi, qb*R + R), each empty where the coverage reaches past the
-    level's bucket. Afterwards the coverage is the union of the two
-    intervals: counting a pass twice, or a lower level after a higher one,
-    adds nothing, and a stopped point counts nothing. Each level's interval
-    holds the previous one's, so on the searches' level order the union is
-    the level-R interval. A pair reaching l collisions adds one qualifying
-    pair to its object. Returns the number of increments.
+    passes would count one after another. Only the part of each point's
+    level-R interval that its coverage does not hold yet is counted (see
+    `GroupedLevel`), which enforces the once-per-projection rule and keeps
+    every count within its lane. Afterwards the coverage is the union of
+    the two intervals: counting a pass twice, or a lower level after a
+    higher one, adds nothing, and a stopped point counts nothing. Each
+    level's interval holds the previous one's, so on the searches' level
+    order the union is the level-R interval. A pair reaching l collisions
+    adds one qualifying pair to its object. Returns the number of
+    increments. R must be c**t for a level t < `level_cap(c)`, else
+    ParameterError.
 
-    Each projection's table is read by one `range_rows` call. Query points
-    of one object share segments heavily, so the segments are grouped in
-    numpy by (projection, plane, row range), and each group is counted by
-    one `np.add.at` of an increment word holding a one in the lane of every
-    point that has the segment. A point's segments in one projection are
-    disjoint, so no group holds a lane twice; groups of one plane may
-    overlap (from c = 3 on, two points' segments can overlap without being
-    equal), and their increments then add up lane by lane. The cost is paid
-    per word, not per count: the narrower the lanes, the fewer planes a
-    query's points spread over, and the fewer groups one shared segment
-    makes. Counts only grow and lanes never carry, so a lane reached l in
-    this call exactly when its top bit differs from the call's start: the
-    crossings are found once per call, whatever the number of projections.
-    The object search and `baselines.point_knn_c2lsh` both count through
-    this kernel.
+    It groups the range's segments and applies every group: one
+    `GroupedLevel` counted to its end. `baselines.point_knn_c2lsh`, which
+    checks nothing within a level, counts each level by one call.
     """
-    g0, g1 = projections.start, projections.stop
-    q_count = len(state.q_base)
-    lo = np.floor_divide(state.q_base[:, g0:g1], R) * R
-    hi = lo + R
-    old_lo, old_hi = state.cov_lo[:, g0:g1], state.cov_hi[:, g0:g1]
-    seg_lo, seg_hi = np.concatenate((lo, old_hi)).T, np.concatenate((old_lo, hi)).T
-    tables, starts, stops = zip(*(state.index.range_rows(g, seg_lo[p], seg_hi[p])
-                                  for p, g in enumerate(projections)))
-    # segment p * 2|Q| + j is query point j % |Q|'s in projection g0 + p
-    starts, stops = np.concatenate(starts), np.concatenate(stops)
-    seg = np.flatnonzero(stops > starts)
-    seg_p, point = np.divmod(seg, 2 * q_count)
-    plane, lane = np.divmod(point % q_count, state.lanes)
-    starts, stops = starts[seg], stops[seg]
-
-    order = np.lexsort((stops, starts, plane, seg_p))
-    keys = np.stack((seg_p, plane, starts, stops))[:, order]
-    change = np.ones(len(order), dtype=bool)  # where a group starts
-    change[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
-    first = np.flatnonzero(change)
-    bits = np.left_shift(np.uint64(1), (lane * state.lane_bits).astype(np.uint64))
-    incs = np.bitwise_or.reduceat(bits[order], first)
-    group_p, group_plane, i0s, i1s = keys[:, first]
-
-    before = state.packed_counts.copy()
-    words = list(state.packed_counts)  # one view per plane
-    for p, pl, i0, i1, inc in zip(group_p.tolist(), group_plane.tolist(), i0s.tolist(),
-                                  i1s.tolist(), incs):  # uint64 scalars: add.at's fast path
-        np.add.at(words[pl], tables[p][i0:i1], inc)
-    crossed = np.bitwise_and(before ^ state.packed_counts, np.uint64(state.top_bits), out=before)
-    gained = np.bitwise_count(crossed).sum(axis=0, dtype=np.int64)  # per row, lanes that reached l
-    hit = np.flatnonzero(gained)
-    np.add.at(state.qualifying_pairs, state.dataset.point_object_index[hit], gained[hit])
-    state.qualified_total += int(gained.sum())
-    np.minimum(old_lo, lo, out=old_lo)
-    np.maximum(old_hi, hi, out=old_hi)
-    return int(((i1s - i0s) * np.bitwise_count(incs)).sum())
+    level = GroupedLevel(state, projections, R)
+    level.count_to(len(projections))
+    return level.increments
 
 
 def check_t1(cl_count: int, k: int, beta: float, S: int) -> bool:
@@ -256,15 +346,15 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
                 gparams: GammaParams, plan: list | None = None) -> QueryResult:
     """Top-k nearest neighbor objects by collision counting (Algorithm core).
 
-    Iterates levels R = 1, c, c^2, ...; each level counts collisions for
-    every query point in all m projections in one `count_collisions` call;
-    stops on T1 or T2 and returns the top-k candidates ranked by exact object
-    distance (ties by ascending object id). T1 is the check after each
-    projection pass: when it holds after a level, the level is rewound and
-    `first_pass_that_holds` counts it up to the first pass after which T1
-    holds, so the counts, stats and plan stop at that pass. If the level
-    range is exhausted before k candidates appear, the stop condition is
-    EXHAUSTED.
+    Iterates levels R = 1, c, c^2, ...; each level groups the segments of
+    every query point in all m projections once, as a `GroupedLevel`, and
+    counts them together; stops on T1 or T2 and returns the top-k
+    candidates ranked by exact object distance (ties by ascending object
+    id). T1 is the check after each projection pass: when it holds after a
+    level, `first_pass_that_holds` moves the level back to the first pass
+    after which T1 holds, so the counts, stats and plan stop at that pass.
+    If the level range is exhausted before k candidates appear, the stop
+    condition is EXHAUSTED.
 
     The exact object distance is only ever computed for candidates, never for
     the full database: each T2 check and the final ranking measure their new
@@ -312,8 +402,8 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         return QueryResult(top_k=top_k, stop_condition=stop, levels_used=levels,
                            stats=stats, bound_warning=bound_warning, gamma_min_bound=bound)
 
-    def t1_holds():
-        return check_t1(int(np.count_nonzero(state.candidate_mask(gparams))), k, gparams.beta, S)
+    def candidates():
+        return int(np.count_nonzero(state.candidate_mask(gparams)))
 
     R = 1
     levels_done = 0
@@ -326,17 +416,17 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         # every (query point, projection) covered as far as it can ever reach?
         exhausted = bool(np.all(state.covered()))
         if exhausted or levels_done >= max_levels:
-            enough = int(np.count_nonzero(state.candidate_mask(gparams))) >= k
-            return finish(T2 if enough else EXHAUSTED, levels_done)
+            return finish(T2 if cand_ranks.size >= k else EXHAUSTED, levels_done)
 
-        start = state.checkpoint()
-        inc = count_collisions(state, range(m), R)
-        passes, t1 = m, t1_holds()
-        if t1:  # T1 holds after some pass of this level: find the first
-            state.rewind(start)
-            passes, inc = first_pass_that_holds(state, m, R, t1_holds)
-        stats.collision_increments += inc
-        stats.alg_ops += inc
+        level = GroupedLevel(state, range(m), R)
+        level.count_to(m)
+        found = candidates()
+        t1 = check_t1(found, k, gparams.beta, S)
+        if t1:  # T1 holds after some pass of this level: move to the first
+            first_pass_that_holds(level, candidates, cand_ranks.size, found, k + gparams.beta * S)
+        passes = level.counted
+        stats.collision_increments += level.increments
+        stats.alg_ops += level.increments
         if plan is not None:
             # counting left every point's level interval as its coverage
             ranges = np.empty((passes, q_count, 3), dtype=np.int64)
@@ -350,26 +440,37 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         R *= c
 
 
-def first_pass_that_holds(state: CollisionState, m: int, R: int, holds) -> tuple[int, int]:
-    """Count projections 0, 1, ... at level R up to the first pass after which `holds()` is true.
+def first_pass_that_holds(level: GroupedLevel, candidates, below: int, above: int,
+                          need: float) -> None:
+    """Move a counted level to its first pass after which `candidates()` reaches `need`.
 
-    `holds` must be false on the state as given and true after all m passes,
-    and may only turn from false to true as counts grow, as T1 does: its
-    candidate count follows the qualifying pairs, which never fall. The
-    first such pass is found by bisection: a range of passes is counted in
-    one call, and rewound when `holds` is true after it. Returns the number
-    of passes counted, that pass's included, and their increments; the state
-    is left after them, as counting them one by one would leave it.
+    `level` has counted all its passes, after which `above` >= need
+    candidates exist; before them `below` < need did. The candidate count
+    follows the qualifying pairs, which never fall as passes are counted, so
+    the passes after which it reaches `need` are a suffix of the level. The
+    search keeps a bracket of passes (lo, hi], with the count short of
+    `need` after lo passes and reaching it after hi, and moves the state
+    to a prefix inside it, applying or un-applying the passes between. The
+    prefix interpolates the count linearly between the bracket's ends; after
+    any step that did not halve the bracket, the next one bisects it. With
+    the whole level's count, a level of m passes takes at most
+    2 * ceil(log2 m) + 1 moves. The state is left after the first pass
+    that reaches `need`, as counting the passes up to it one by one would
+    leave it.
     """
-    lo, hi, inc = 0, m - 1, 0  # holds after passes [0, hi], not after [0, lo)
-    while True:
-        mid = (lo + hi) // 2
-        before = state.checkpoint()
-        got = count_collisions(state, range(lo, mid + 1), R)
-        if not holds():
-            lo, inc = mid + 1, inc + got
-        elif mid == lo:
-            return lo + 1, inc + got
+    lo, hi = 0, level.counted
+    bisect = False
+    while hi - lo > 1:
+        if bisect:
+            mid = (lo + hi) // 2
         else:
-            hi = mid
-            state.rewind(before)
+            mid = lo + math.ceil((need - below) / (above - below) * (hi - lo))
+            mid = min(max(mid, lo + 1), hi - 1)
+        level.count_to(mid)
+        found, width = candidates(), hi - lo
+        if found >= need:
+            hi, above = mid, found
+        else:
+            lo, below = mid, found
+        bisect = 2 * (hi - lo) > width
+    level.count_to(hi)

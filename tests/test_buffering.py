@@ -697,7 +697,8 @@ class TestNoEvictReplay:
         calls = Counter()
         counting_paths(monkeypatch, calls)
 
-        @settings(max_examples=400, deadline=None)
+        # a fixed example set: the coverage counts below depend on the draws
+        @settings(max_examples=400, deadline=None, derandomize=True)
         @given(run=fitting_plans(), strategy=st.sampled_from([NS1, MMLSH]))
         def check(run, strategy):
             calls.clear()

@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmlsh
-from mmlsh import bench
+from mmlsh import bench, engine
 from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel, QueryStats,
                              SchedulerConfig, build_frequency_profile)
-from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, check_t1, check_t2,
+from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, GroupedLevel, check_t1, check_t2,
                           count_collisions)
 from mmlsh.errors import ParameterError
+from mmlsh.lsh import BUCKET_LIMIT
 from mmlsh.similarity import gamma_distances
 
 from test_buffering import uniform_profile
@@ -243,6 +244,64 @@ class TestBatchKernelProperties:
             assert batched.qualified_total == sum(pairs)
 
 
+def assert_same_state(state, want):
+    """Equal counts, qualifying pairs and coverage, in bucket ids and in row offsets."""
+    for name in ("packed_counts", "qualifying_pairs", "cov_lo", "cov_hi", "cov_row_lo",
+                 "cov_row_hi"):
+        assert np.array_equal(getattr(state, name), getattr(want, name)), name
+    assert state.qualified_total == want.qualified_total
+
+
+class TestLevelMoves:
+    """A grouped level moved to a prefix of its passes leaves what counting that prefix leaves."""
+
+    def test_moving_within_a_level_equals_counting_its_prefix(self):
+        went_back = []
+
+        @settings(max_examples=100, deadline=None)
+        @given(seed=st.integers(0, 2 ** 32 - 1), objects=st.integers(1, 5),
+               points=st.integers(1, 4), d=st.integers(1, 3), q_size=st.integers(1, 20),
+               distinct=st.integers(1, 10), c=st.sampled_from([2, 3, 4]),
+               level=st.integers(0, 3), drop=st.sets(st.integers(0, 19)),
+               spread=st.floats(0.05, 2.0), data=st.data())
+        def check(seed, objects, points, d, q_size, distinct, c, level, drop, spread, data):
+            ds = mmlsh.synth_dataset(objects, points, d, spread, seed)
+            index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed)
+            m, R = index.params.m, c ** level
+            rng = np.random.default_rng(seed)
+            pool = np.concatenate((ds.coords[rng.integers(0, ds.n, distinct)],
+                                   rng.normal(0.0, 1.5, size=(distinct, d)).astype(np.float32)))
+            q_base = index.hash_query(pool[rng.integers(0, len(pool), q_size)])
+
+            def prepared():
+                """The lower levels counted whole, then the dropped points stopped."""
+                state = CollisionState(q_base, index, ds)
+                for t in range(level):
+                    count_collisions(state, range(m), c ** t)
+                state.stop([qi for qi in sorted(drop) if qi < q_size])
+                return state
+
+            state = prepared()
+            grouped = GroupedLevel(state, range(m), R)
+            back = False
+            prefixes = data.draw(st.lists(st.integers(0, m), min_size=2, max_size=5, unique=True),
+                                 label="prefixes")
+            for passes in prefixes + prefixes[::-1]:  # two distinct prefixes: one move goes back
+                back |= passes < grouped.counted
+                grouped.count_to(passes)
+                want = prepared()
+                increments = sum(count_collisions(want, range(g, g + 1), R) for g in range(passes))
+                assert (grouped.counted, grouped.increments) == (passes, increments)
+                assert_same_state(state, want)
+                grouped.count_to(passes)  # to the current prefix: nothing changes
+                assert (grouped.counted, grouped.increments) == (passes, increments)
+                assert_same_state(state, want)
+            went_back.append(back)
+
+        check()
+        assert sum(went_back) > 50, sum(went_back)
+
+
 @pytest.mark.parametrize("bits", range(1, 12))
 def test_full_lanes_leave_their_neighbours_untouched(bits):
     """Even lanes count to m with m - l at the width's limit; their odd neighbours stay at 0."""
@@ -321,6 +380,90 @@ class TestLevelCap:
         assert (res.stop_condition, res.levels_used) == (EXHAUSTED, mmlsh.level_cap(c))
         [ranking] = mmlsh.point_knn_c2lsh(q.coords, index, ds, 3)
         assert len(ranking) <= 3
+
+
+class TestLevelRows:
+    """The level bounds a CollisionState looks up once equal a `range_rows` call per level."""
+
+    @staticmethod
+    def assert_table_is_range_rows(state, index):
+        c = index.params.c
+        for t in range(mmlsh.level_cap(c)):
+            R = c ** t
+            starts, stops = state.level_rows(R)
+            lo = np.floor_divide(state.q_base, R) * R
+            for g in range(index.m):
+                _, want_starts, want_stops = index.range_rows(g, lo[:, g], lo[:, g] + R)
+                assert np.array_equal(starts[:, g], want_starts), (t, g)
+                assert np.array_equal(stops[:, g], want_stops), (t, g)
+
+    @staticmethod
+    def assert_row_coverage_is_range_rows(state, index, stopped):
+        """A stopped point covers rows [0, n); another covers the rows of its bucket coverage."""
+        for g in range(index.m):
+            _, lo, hi = index.range_rows(g, state.cov_lo[:, g], state.cov_hi[:, g])
+            want_lo = np.where(stopped, 0, lo)
+            want_hi = np.where(stopped, index.n, hi)
+            assert np.array_equal(state.cov_row_lo[:, g], want_lo), g
+            assert np.array_equal(state.cov_row_hi[:, g], want_hi), g
+
+    def check(self, index, ds, q_base, stopped):
+        state = CollisionState(q_base, index, ds)
+        state.stop(stopped)
+        self.assert_table_is_range_rows(state, index)
+        self.assert_row_coverage_is_range_rows(state, index, stopped)
+        for t in range(3):
+            count_collisions(state, range(index.m), index.params.c ** t)
+            self.assert_row_coverage_is_range_rows(state, index, stopped)
+        return state
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    def test_levels_past_the_table_read_its_last_row(self, c):
+        ds = mmlsh.synth_dataset(S=12, points_per_object=5, d=3, cluster_spread=0.3, seed=c)
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed=c)
+        q_base = index.hash_query(np.concatenate((ds.coords[::7], -ds.coords[:3] * 4)))
+        stopped = np.arange(len(q_base)) % 3 == 1
+        state = self.check(index, ds, q_base, stopped)
+        # the table stops where c**t exceeds every query and occupied bucket
+        span = max(np.abs(q_base).max(), np.abs(index.bucket_lo).max(),
+                   np.abs(index.bucket_hi).max())
+        levels = state._level_rows.shape[1]
+        assert c ** (levels - 2) <= span < c ** (levels - 1) and levels < mmlsh.level_cap(c)
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    def test_query_buckets_at_the_bucket_limit(self, c):
+        ds = mmlsh.synth_dataset(S=8, points_per_object=4, d=2, cluster_spread=0.3, seed=11)
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed=11)
+        rng = np.random.default_rng(c)
+        near = index.hash_query(ds.coords[:4])
+        edges = np.array([BUCKET_LIMIT, -BUCKET_LIMIT, BUCKET_LIMIT - 1, -BUCKET_LIMIT + 1, 0, -1])
+        q_base = np.concatenate((near, rng.choice(edges, size=(6, index.m))))
+        stopped = np.isin(np.arange(len(q_base)), [1, 5])
+        state = self.check(index, ds, q_base, stopped)
+        assert state._level_rows.shape[1] == mmlsh.level_cap(c)  # no level's bounds repeat
+
+    def test_far_data(self):
+        """A dataset coordinate at 1e9, as in the CLI's far-coordinate test."""
+        synth = mmlsh.synth_dataset(S=20, points_per_object=8, d=6, cluster_spread=0.15, seed=1)
+        coords = synth.coords.copy()
+        coords[0, 0] = 1e9
+        ds = mmlsh.Dataset(coords, synth.object_ids[synth.point_object_index])
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.25, 0.5), seed=1)
+        assert int(index.bucket_hi.max() - index.bucket_lo.min()) > 10 ** 7
+        q_base = index.hash_query(ds.object_coords(int(synth.object_ids[0])))
+        self.check(index, ds, q_base, np.arange(len(q_base)) == 2)
+
+    @pytest.mark.parametrize("c, R", [(2, 0), (2, -2), (2, 3), (2, 6), (3, 2), (3, 10),
+                                      (4, 2), (2, 2 ** 62), (3, 3 ** 39)])
+    def test_a_width_that_is_no_level_is_refused(self, c, R):
+        ds = mmlsh.synth_dataset(S=4, points_per_object=3, d=2, cluster_spread=0.3, seed=2)
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, c=c), seed=2)
+        state = CollisionState(index.hash_query(ds.coords[:3]), index, ds)
+        fresh = state.packed_counts.copy()
+        with pytest.raises(ParameterError, match="level width"):
+            count_collisions(state, range(index.m), R)
+        assert np.array_equal(state.packed_counts, fresh)
+        count_collisions(state, range(index.m), c ** (mmlsh.level_cap(c) - 1))  # the last level
 
 
 class TestStoppingConditions:
@@ -486,6 +629,27 @@ class TestT1Bisection:
                 where["first" if t1_pass == 0 else "last" if t1_pass == index.m - 1
                       else "middle"] += 1
         assert all(where[kind] >= 3 for kind in ("first", "middle", "last")), where
+
+
+def test_a_t1_level_takes_at_most_2_log2_m_plus_1_moves(monkeypatch):
+    """Every T1 level of `TestT1Bisection`'s searches: the whole level and its search."""
+    moves = []
+    count_to, first_pass = GroupedLevel.count_to, engine.first_pass_that_holds
+
+    def counting_count_to(level, passes):
+        level.moves = getattr(level, "moves", 0) + (passes != level.counted)
+        count_to(level, passes)
+
+    def recording_first_pass(level, *args):
+        m = level.counted
+        first_pass(level, *args)
+        moves.append((m, level.moves))
+
+    monkeypatch.setattr(GroupedLevel, "count_to", counting_count_to)
+    monkeypatch.setattr(engine, "first_pass_that_holds", recording_first_pass)
+    TestT1Bisection().test_t1_stops_at_the_same_pass()
+    assert len(moves) >= 9 and max(n for _, n in moves) >= 5, moves
+    assert all(n <= 2 * math.ceil(math.log2(m)) + 1 for m, n in moves), moves
 
 
 class TestVerificationProperties:
