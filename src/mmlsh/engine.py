@@ -165,9 +165,8 @@ class CollisionState:
         if R not in self._widths:
             raise ParameterError(f"level width R={R} is not c**t for a level t < "
                                  f"{len(self._widths)}")
-        starts, stops = self._level_rows[:, min(self._widths.index(R),
-                                                self._level_rows.shape[1] - 1)]
-        return starts, stops
+        t = min(self._widths.index(R), self._level_rows.shape[1] - 1)  # past the table: its last
+        return self._level_rows[0, t], self._level_rows[1, t]
 
     def qualified_rows(self, qi: int) -> np.ndarray:
         """Ascending dataset rows whose count with query point qi has reached l."""
