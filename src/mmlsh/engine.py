@@ -236,10 +236,10 @@ class GroupedLevel:
         q_count = len(state.q_base)
         row_lo, row_hi = (rows[:, projections] for rows in state.level_rows(R))
         lo = np.floor_divide(state.q_base[:, projections], R) * R
-        old = [cov[:, projections] for cov in state.coverage]  # copies: fancy indexing
-        self._start = old  # the coverage before the level, restored where a pass is uncounted
-        self._union = [np.minimum(old[0], lo), np.maximum(old[1], lo + R),
-                       np.minimum(old[2], row_lo), np.maximum(old[3], row_hi)]
+        # the coverage before and after a pass, as (cov_lo, cov_hi, cov_row_lo, cov_row_hi)
+        old = self._cov_before = [cov[:, projections] for cov in state.coverage]  # copies
+        self._cov_after = [np.minimum(old[0], lo), np.maximum(old[1], lo + R),
+                           np.minimum(old[2], row_lo), np.maximum(old[3], row_hi)]
 
         starts = np.concatenate((row_lo, old[3])).T.ravel()
         stops = np.concatenate((old[2], row_hi)).T.ravel()
@@ -300,7 +300,7 @@ class GroupedLevel:
         hit = np.flatnonzero(gained)
         np.add.at(state.qualifying_pairs, state.dataset.point_object_index[hit], gained[hit])
         state.qualified_total += int(gained.sum())
-        for cov, end in zip(state.coverage, self._union if forward else self._start):
+        for cov, end in zip(state.coverage, self._cov_after if forward else self._cov_before):
             cov[:, self._g0 + a:self._g0 + b] = end[:, a:b]
         self.counted = passes
 
