@@ -118,7 +118,7 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
 
     R, last = 1, level_cap(params.c)
     for level in range(last + 1):
-        covered = state.covered()
+        covered = state.covered(R // params.c)
         for i in np.flatnonzero(searching).tolist():
             rows = state.qualified_rows(i)
             d = dists[i]
@@ -136,8 +136,9 @@ def point_knn_c2lsh(q_coords, index: LshIndex, dataset: Dataset, k_prime: int,
         if stats is not None:
             stats.collision_increments += inc
             stats.alg_ops += inc
-        if plan is not None:  # counting left each searching point's level-R buckets as its coverage
-            level_rows = np.stack((np.zeros_like(state.cov_lo), state.cov_lo, state.cov_hi), 2)
+        if plan is not None:  # counted in level order, a pass covers each point's level-R bucket
+            lo = np.floor_divide(state.q_base, R) * R
+            level_rows = np.stack((np.zeros_like(lo), lo, lo + R), 2)
             for i in np.flatnonzero(searching).tolist():
                 passes[i] += [(g, R, level_rows[i, g:g + 1]) for g in range(index.m)]
         R *= params.c

@@ -15,14 +15,17 @@ the search stops when either
 
 A search's level intervals are fixed by its query points' base buckets, so
 `CollisionState` looks up their row offsets in every projection's table once,
-when it is built. Each level's segments are grouped once, as a
-`GroupedLevel`, and its m passes are applied together. The candidate count
-only grows from pass to pass, so T1 holds after some pass of a level exactly
-when it holds after the whole level. The search then moves the state between
-prefixes of the level, un-applying or applying the grouped passes between
-them, until it stands after the first such pass, and keeps the passes up to
-it alone: the result, the counts and the plan are those of a check after
-every pass.
+when it is built, and keeps what each (query point, projection) has counted
+as one row range, its coverage. Levels are counted in order, so the
+coverage is the last counted level's interval, and the exhaustion check and
+the plans take that interval's bucket ids from the base buckets and R. Each
+level's segments are grouped once, as a `GroupedLevel`, and its m passes
+are applied together. The candidate count only grows from pass to pass, so
+T1 holds after some pass of a level exactly when it holds after the whole
+level. The search then bisects the level's passes, moving the state between
+prefixes by un-applying or applying the grouped passes between them, until
+it stands after the first such pass, and keeps the passes up to it alone:
+the result, the counts and the plan are those of a check after every pass.
 
 The search charges no IO. It fills the collision and operation counts of
 its `QueryStats` and records every executed (projection, level, ranges) pass
@@ -115,14 +118,15 @@ class CollisionState:
     stop changing and later levels read the last tabulated one
     (`level_rows`).
 
-    `cov_lo`/`cov_hi` hold each (query point, projection)'s counted
-    base-bucket interval [cov_lo, cov_hi). It starts empty at the point's
-    own bucket, [qb, qb), and only grows, so every interval counted into it
-    holds qb. `cov_row_lo`/`cov_row_hi` hold the same coverage as row
-    offsets into the projection's table. The map from a bucket id to its
-    row offset is monotone, so a union of intervals is a min and a max in
-    both forms. `stop` sets the coverage to span every bucket, rows [0, n),
-    after which the point counts nothing more.
+    `cov_row_lo`/`cov_row_hi` hold each (query point, projection)'s counted
+    coverage: the rows [cov_row_lo, cov_row_hi) of the projection's table.
+    It starts empty at the rows of the point's own bucket and only grows by
+    unions with level intervals, which all hold that bucket; the map from a
+    bucket id to its row offset is monotone, so a union is a min and a max.
+    `stop` sets the coverage to every row, [0, n), after which the point
+    counts nothing more. `covered` and the plans need bucket ids: counted
+    in level order, the coverage is the last counted level's interval,
+    which they derive from `q_base` and R.
     """
 
     def __init__(self, q_base: np.ndarray, index: LshIndex, dataset: Dataset):
@@ -137,10 +141,7 @@ class CollisionState:
         self.packed_counts = np.full((-(-q_count // self.lanes), dataset.n), self._start * ones,
                                      dtype=np.uint64)
         self.qualifying_pairs = np.zeros(dataset.num_objects, dtype=np.int64)
-        self.qualified_total = 0  # sum of qualifying_pairs
         self.pair_totals = q_count * dataset.object_sizes
-        self.cov_lo = q_base.astype(np.int64)  # copies: coverage grows in place
-        self.cov_hi = q_base.astype(np.int64)
 
         self._widths = [c ** t for t in range(level_cap(c))]  # every R a search may use
         span = max(int(np.abs(q_base).max(initial=0)), int(np.abs(index.bucket_lo).max()),
@@ -182,34 +183,31 @@ class CollisionState:
         """Gamma-candidacy per object: collision index >= (1 - epsilon) * gamma."""
         return self.ci >= gparams.candidate_threshold
 
-    def covered(self) -> np.ndarray:
-        """Per query point, whether each projection is covered as far as `reach_range` reaches."""
+    def covered(self, R: int) -> np.ndarray:
+        """Per query point, whether its level-R intervals hold all that `reach_range` reaches.
+
+        R = 0 stands for the empty interval [qb, qb) that a search starts from.
+        """
+        lo = np.floor_divide(self.q_base, R) * R if R else self.q_base
         return np.all((self.reach_lo >= self.reach_hi)
-                      | ((self.cov_lo <= self.reach_lo) & (self.cov_hi >= self.reach_hi)), axis=1)
+                      | ((lo <= self.reach_lo) & (lo + R >= self.reach_hi)), axis=1)
 
     def stop(self, points) -> None:
-        """Count nothing more for the query points at `points`: they cover every bucket."""
-        self.cov_lo[points] = np.iinfo(np.int64).min
-        self.cov_hi[points] = np.iinfo(np.int64).max
+        """Count nothing more for the query points at `points`: they cover every row."""
         self.cov_row_lo[points] = 0
         self.cov_row_hi[points] = self.dataset.n
-
-    @property
-    def coverage(self) -> tuple:
-        """The four coverage arrays: (cov_lo, cov_hi, cov_row_lo, cov_row_hi)."""
-        return self.cov_lo, self.cov_hi, self.cov_row_lo, self.cov_row_hi
 
 
 class GroupedLevel:
     """One level's new segments over a range of projections, grouped once, and its counted prefix.
 
     In projection g the level-R bucket of query point qi is the base-bucket
-    interval [qb*R, qb*R + R) with qb = state.q_base[qi, g] // R; only the
-    part that the state's coverage does not hold yet is new. Both intervals
-    hold the point's base bucket, so that part is [qb*R, cov_lo) and
-    [cov_hi, qb*R + R), each empty where the coverage reaches past the
-    level's bucket, and a stopped point has none. The segments are taken in
-    row offsets, from `CollisionState.level_rows` and the row coverage.
+    interval [qb*R, qb*R + R) with qb = state.q_base[qi, g] // R, the rows
+    [start, stop) of `CollisionState.level_rows`; only the part that the
+    state's coverage does not hold yet is new. Both hold the rows of the
+    point's base bucket, so that part is [start, cov_row_lo) and
+    [cov_row_hi, stop), each empty where the coverage reaches past the
+    level's bucket, and a stopped point has none.
 
     Query points of one object share segments heavily, so the segments are
     grouped in numpy by (projection, plane, row range), ordered by
@@ -235,14 +233,13 @@ class GroupedLevel:
         self._g0 = g0 = projections.start
         q_count = len(state.q_base)
         row_lo, row_hi = (rows[:, projections] for rows in state.level_rows(R))
-        lo = np.floor_divide(state.q_base[:, projections], R) * R
-        # the coverage before and after a pass, as (cov_lo, cov_hi, cov_row_lo, cov_row_hi)
-        old = self._cov_before = [cov[:, projections] for cov in state.coverage]  # copies
-        self._cov_after = [np.minimum(old[0], lo), np.maximum(old[1], lo + R),
-                           np.minimum(old[2], row_lo), np.maximum(old[3], row_hi)]
+        # the coverage before and after a pass, as (cov_row_lo, cov_row_hi)
+        old = self._cov_before = [state.cov_row_lo[:, projections],
+                                  state.cov_row_hi[:, projections]]  # copies
+        self._cov_after = [np.minimum(old[0], row_lo), np.maximum(old[1], row_hi)]
 
-        starts = np.concatenate((row_lo, old[3])).T.ravel()
-        stops = np.concatenate((old[2], row_hi)).T.ravel()
+        starts = np.concatenate((row_lo, old[1])).T.ravel()
+        stops = np.concatenate((old[0], row_hi)).T.ravel()
         # segment p * 2|Q| + j is query point j % |Q|'s in projection g0 + p
         seg = np.flatnonzero(stops > starts)
         seg_p, point = np.divmod(seg, 2 * q_count)
@@ -299,8 +296,8 @@ class GroupedLevel:
             np.negative(gained, out=gained)
         hit = np.flatnonzero(gained)
         np.add.at(state.qualifying_pairs, state.dataset.point_object_index[hit], gained[hit])
-        state.qualified_total += int(gained.sum())
-        for cov, end in zip(state.coverage, self._cov_after if forward else self._cov_before):
+        for cov, end in zip((state.cov_row_lo, state.cov_row_hi),
+                            self._cov_after if forward else self._cov_before):
             cov[:, self._g0 + a:self._g0 + b] = end[:, a:b]
         self.counted = passes
 
@@ -313,14 +310,15 @@ def count_collisions(state: CollisionState, projections: range, R: int) -> int:
     passes would count one after another. Only the part of each point's
     level-R interval that its coverage does not hold yet is counted (see
     `GroupedLevel`), which enforces the once-per-projection rule and keeps
-    every count within its lane. Afterwards the coverage is the union of
-    the two intervals: counting a pass twice, or a lower level after a
+    every count within its lane. Afterwards the row coverage is the union
+    of the two intervals: counting a pass twice, or a lower level after a
     higher one, adds nothing, and a stopped point counts nothing. Each
     level's interval holds the previous one's, so on the searches' level
-    order the union is the level-R interval. A pair reaching l collisions
-    adds one qualifying pair to its object. Returns the number of
-    increments. R must be c**t for a level t < `level_cap(c)`, else
-    ParameterError.
+    order the union is the level-R interval, whose bucket ids
+    `CollisionState.covered` and the plans take from the base buckets. A
+    pair reaching l collisions adds one qualifying pair to its object.
+    Returns the number of increments. R must be c**t for a level t <
+    `level_cap(c)`, else ParameterError.
 
     It groups the range's segments and applies every group: one
     `GroupedLevel` counted to its end. `baselines.point_knn_c2lsh`, which
@@ -350,10 +348,11 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
     counts them together; stops on T1 or T2 and returns the top-k
     candidates ranked by exact object distance (ties by ascending object
     id). T1 is the check after each projection pass: when it holds after a
-    level, `first_pass_that_holds` moves the level back to the first pass
+    level, `first_pass_that_holds` bisects the level back to the first pass
     after which T1 holds, so the counts, stats and plan stop at that pass.
-    If the level range is exhausted before k candidates appear, the stop
-    condition is EXHAUSTED.
+    If the counted levels hold all that the query points can reach, or the
+    level range runs out, before k candidates appear, the stop condition is
+    EXHAUSTED.
 
     The exact object distance is only ever computed for candidates, never for
     the full database: each T2 check and the final ranking measure their new
@@ -413,25 +412,24 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
             return finish(T2, levels_done)
 
         # every (query point, projection) covered as far as it can ever reach?
-        exhausted = bool(np.all(state.covered()))
+        exhausted = bool(np.all(state.covered(R // c)))
         if exhausted or levels_done >= max_levels:
             return finish(T2 if cand_ranks.size >= k else EXHAUSTED, levels_done)
 
         level = GroupedLevel(state, range(m), R)
         level.count_to(m)
-        found = candidates()
-        t1 = check_t1(found, k, gparams.beta, S)
+        t1 = check_t1(candidates(), k, gparams.beta, S)
         if t1:  # T1 holds after some pass of this level: move to the first
-            first_pass_that_holds(level, candidates, cand_ranks.size, found, k + gparams.beta * S)
+            first_pass_that_holds(level, candidates, k + gparams.beta * S)
         passes = level.counted
         stats.collision_increments += level.increments
         stats.alg_ops += level.increments
         if plan is not None:
-            # counting left every point's level interval as its coverage
+            # counted in level order, a pass covers every point's level-R interval
             ranges = np.empty((passes, q_count, 3), dtype=np.int64)
             ranges[:, :, 0] = np.arange(q_count)
-            ranges[:, :, 1] = state.cov_lo[:, :passes].T
-            ranges[:, :, 2] = state.cov_hi[:, :passes].T
+            ranges[:, :, 1] = np.floor_divide(state.q_base[:, :passes], R).T * R
+            ranges[:, :, 2] = ranges[:, :, 1] + R
             plan += [(g, R, ranges[g]) for g in range(passes)]
         if t1:
             return finish(T1, levels_done + 1)
@@ -439,37 +437,27 @@ def knn_objects(query: QueryObject, k: int, index: LshIndex, dataset: Dataset,
         R *= c
 
 
-def first_pass_that_holds(level: GroupedLevel, candidates, below: int, above: int,
-                          need: float) -> None:
+def first_pass_that_holds(level: GroupedLevel, candidates, need: float) -> None:
     """Move a counted level to its first pass after which `candidates()` reaches `need`.
 
-    `level` has counted all its passes, after which `above` >= need
-    candidates exist; before them `below` < need did. The candidate count
-    follows the qualifying pairs, which never fall as passes are counted, so
-    the passes after which it reaches `need` are a suffix of the level. The
-    search keeps a bracket of passes (lo, hi], with the count short of
-    `need` after lo passes and reaching it after hi, and moves the state
-    to a prefix inside it, applying or un-applying the passes between. The
-    prefix interpolates the count linearly between the bracket's ends; after
-    any step that did not halve the bracket, the next one bisects it. With
-    the whole level's count, a level of m passes takes at most
-    2 * ceil(log2 m) + 1 moves. The state is left after the first pass
-    that reaches `need`, as counting the passes up to it one by one would
-    leave it.
+    `level` has counted all its passes, after which at least `need`
+    candidates exist; before them fewer did. The candidate count follows
+    the qualifying pairs, which never fall as passes are counted, so the
+    passes after which it reaches `need` are a suffix of the level. The
+    search bisects a bracket of passes (lo, hi], with the count short of
+    `need` after lo passes and reaching it after hi, moving the state to
+    the bracket's middle each step, applying or un-applying the passes
+    between, then to hi. With the whole level's count, a level of m passes
+    takes at most ceil(log2 m) + 2 moves. The state is left after the first
+    pass that reaches `need`, as counting the passes up to it one by one
+    would leave it.
     """
     lo, hi = 0, level.counted
-    bisect = False
     while hi - lo > 1:
-        if bisect:
-            mid = (lo + hi) // 2
-        else:
-            mid = lo + math.ceil((need - below) / (above - below) * (hi - lo))
-            mid = min(max(mid, lo + 1), hi - 1)
+        mid = (lo + hi) // 2
         level.count_to(mid)
-        found, width = candidates(), hi - lo
-        if found >= need:
-            hi, above = mid, found
+        if candidates() >= need:
+            hi = mid
         else:
-            lo, below = mid, found
-        bisect = 2 * (hi - lo) > width
+            lo = mid
     level.count_to(hi)

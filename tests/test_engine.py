@@ -17,7 +17,7 @@ from mmlsh.buffering import (MMLSH, NS1, NS2, BufferState, CostModel, QueryStats
 from mmlsh.engine import (CollisionState, EXHAUSTED, T1, T2, GroupedLevel, check_t1, check_t2,
                           count_collisions)
 from mmlsh.errors import ParameterError
-from mmlsh.lsh import BUCKET_LIMIT
+from mmlsh.lsh import BUCKET_LIMIT, reach_range
 from mmlsh.similarity import gamma_distances
 
 from test_buffering import uniform_profile
@@ -195,7 +195,6 @@ class TestPackedKernelProperties:
                 assert np.array_equal(lane_counts(state), counts)
                 pairs = brute_pairs(counts, ds, l)
                 assert state.qualifying_pairs.tolist() == pairs
-                assert state.qualified_total == sum(pairs)
                 for qi in range(q_size):
                     assert np.array_equal(state.qualified_rows(qi), np.flatnonzero(counts[qi] >= l))
             last = now
@@ -233,23 +232,19 @@ class TestBatchKernelProperties:
             got = sum(count_collisions(batched, range(a, b), R) for a, b in zip(edges, edges[1:]))
             want = sum(count_collisions(single, range(g, g + 1), R) for g in range(m))
             assert got == want
-            for name in ("packed_counts", "qualifying_pairs", "cov_lo", "cov_hi"):
+            for name in ("packed_counts", "qualifying_pairs", "cov_row_lo", "cov_row_hi"):
                 assert np.array_equal(getattr(batched, name), getattr(single, name)), name
-            assert batched.qualified_total == single.qualified_total
             # at the level's end the counts are the oracle's, frozen for stopped points
             counts = np.where(searching[:, None], brute_counts(q_base, index, R), counts)
             assert np.array_equal(lane_counts(batched), counts)
             pairs = brute_pairs(counts, ds, l)
             assert batched.qualifying_pairs.tolist() == pairs
-            assert batched.qualified_total == sum(pairs)
 
 
 def assert_same_state(state, want):
-    """Equal counts, qualifying pairs and coverage, in bucket ids and in row offsets."""
-    for name in ("packed_counts", "qualifying_pairs", "cov_lo", "cov_hi", "cov_row_lo",
-                 "cov_row_hi"):
+    """Equal counts, qualifying pairs and coverage."""
+    for name in ("packed_counts", "qualifying_pairs", "cov_row_lo", "cov_row_hi"):
         assert np.array_equal(getattr(state, name), getattr(want, name)), name
-    assert state.qualified_total == want.qualified_total
 
 
 class TestLevelMoves:
@@ -348,7 +343,7 @@ def test_only_the_engine_reads_the_packed_counts():
 
 
 def test_only_the_engine_writes_the_coverage():
-    """Coverage grows only inside the engine: no other module assigns to cov_lo or cov_hi."""
+    """Coverage grows only inside the engine: no other module assigns to cov_row_lo/hi."""
     package = Path(mmlsh.__file__).parent
     writes = []
     for path in sorted(package.glob("*.py")):
@@ -361,7 +356,8 @@ def test_only_the_engine_writes_the_coverage():
             for target in targets:
                 while isinstance(target, ast.Subscript):
                     target = target.value
-                if isinstance(target, ast.Attribute) and target.attr in ("cov_lo", "cov_hi"):
+                if (isinstance(target, ast.Attribute)
+                        and target.attr in ("cov_row_lo", "cov_row_hi")):
                     writes.append(f"{path.name}:{node.lineno}")
     assert writes == []
 
@@ -398,10 +394,14 @@ class TestLevelRows:
                 assert np.array_equal(stops[:, g], want_stops), (t, g)
 
     @staticmethod
-    def assert_row_coverage_is_range_rows(state, index, stopped):
-        """A stopped point covers rows [0, n); another covers the rows of its bucket coverage."""
+    def assert_row_coverage_is_range_rows(state, index, stopped, R):
+        """A stopped point covers rows [0, n); another the rows of its level-R bucket.
+
+        R = 0 stands for the empty start [qb, qb).
+        """
+        start = np.floor_divide(state.q_base, R) * R if R else state.q_base
         for g in range(index.m):
-            _, lo, hi = index.range_rows(g, state.cov_lo[:, g], state.cov_hi[:, g])
+            _, lo, hi = index.range_rows(g, start[:, g], start[:, g] + R)
             want_lo = np.where(stopped, 0, lo)
             want_hi = np.where(stopped, index.n, hi)
             assert np.array_equal(state.cov_row_lo[:, g], want_lo), g
@@ -411,10 +411,10 @@ class TestLevelRows:
         state = CollisionState(q_base, index, ds)
         state.stop(stopped)
         self.assert_table_is_range_rows(state, index)
-        self.assert_row_coverage_is_range_rows(state, index, stopped)
+        self.assert_row_coverage_is_range_rows(state, index, stopped, 0)
         for t in range(3):
             count_collisions(state, range(index.m), index.params.c ** t)
-            self.assert_row_coverage_is_range_rows(state, index, stopped)
+            self.assert_row_coverage_is_range_rows(state, index, stopped, index.params.c ** t)
         return state
 
     @pytest.mark.parametrize("c", [2, 3, 4])
@@ -464,6 +464,43 @@ class TestLevelRows:
             count_collisions(state, range(index.m), R)
         assert np.array_equal(state.packed_counts, fresh)
         count_collisions(state, range(index.m), c ** (mmlsh.level_cap(c) - 1))  # the last level
+
+
+class TestExhaustionByCoverage:
+    """A search stops EXHAUSTED when its counted levels hold all that its points can reach."""
+
+    GP = mmlsh.GammaParams(gamma=0.5, delta=0.25, beta=0.5, epsilon=0.5)
+
+    def test_a_query_that_reaches_nothing_counts_nothing(self):
+        # the data lie left of bucket 0 in every projection and the query right of it
+        ds = mmlsh.Dataset(np.array([[-1000.0], [-1000.5], [-1001.0], [-999.5]]), [0, 0, 1, 1])
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5), seed=1)
+        q = mmlsh.QueryObject(object_id=0, coords=np.array([[1000.0]], np.float32))
+        lo, hi = reach_range(index, index.hash_query(q.coords))
+        assert (lo >= hi).all()
+        plan = []
+        res = mmlsh.knn_objects(q, 1, index, ds, self.GP, plan=plan)
+        assert (res.stop_condition, res.levels_used, res.top_k, plan) == (EXHAUSTED, 0, [], [])
+        plan = []
+        assert mmlsh.point_knn_c2lsh(q.coords, index, ds, 3, plan=plan) == [[]] and plan == []
+
+    def test_the_first_level_counts_the_own_bucket(self):
+        # every point is the query, so level R = 1 covers all it reaches; k > S
+        # lets neither T1 nor T2 hold, so the search stops after that level
+        ds = mmlsh.Dataset(np.full((4, 3), 0.7), [0, 0, 1, 1])
+        index = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5), seed=1)
+        m = index.m
+        q = mmlsh.QueryObject(object_id=0, coords=np.full((1, 3), 0.7, np.float32))
+        plan = []
+        res = mmlsh.knn_objects(q, 5, index, ds, self.GP, plan=plan)
+        assert (res.stop_condition, res.levels_used) == (EXHAUSTED, 1)
+        assert [(g, R) for g, R, _ in plan] == [(g, 1) for g in range(m)]
+        assert res.stats.collision_increments == 4 * m == 180
+        assert res.object_ids == [0, 1]
+        plan = []
+        [ranking] = mmlsh.point_knn_c2lsh(q.coords, index, ds, 10, plan=plan)
+        assert [row for row, _ in ranking] == [0, 1, 2, 3]
+        assert [(g, R) for g, R, _ in plan] == [(g, 1) for g in range(m)]
 
 
 class TestStoppingConditions:
@@ -567,11 +604,17 @@ class TestKnnObjects:
 def reference_knn_objects(query, k, index, dataset, gparams, plan):
     """`knn_objects` counting one projection pass per call and checking T1 after every pass.
 
-    Returns the result and the pass of its level after which T1 held, or None.
+    It keeps its own coverage in bucket ids, the union [cov_lo, cov_hi) of
+    the level intervals counted per (query point, projection), and reads its
+    exhaustion check and its plan from it. Returns the result and the pass
+    of its level after which T1 held, or None.
     """
     c, m, S = index.params.c, index.params.m, dataset.num_objects
-    state = CollisionState(index.hash_query(query.coords), index, dataset)
+    q_base = index.hash_query(query.coords)
+    state = CollisionState(q_base, index, dataset)
     stats, points = QueryStats(), np.arange(len(query.coords))
+    cov_lo, cov_hi = q_base.copy(), q_base.copy()  # empty, at each point's own bucket
+    reach_lo, reach_hi = reach_range(index, q_base)
 
     def result(stop, levels, t1_pass=None):
         ranks = np.flatnonzero(state.candidate_mask(gparams))
@@ -586,13 +629,17 @@ def reference_knn_objects(query, k, index, dataset, gparams, plan):
         if ranks.size >= k and check_t2(gamma_distances(query.coords, dataset, ranks,
                                                         gparams.gamma), k, c * R):
             return result(T2, levels)
-        if np.all(state.covered()) or levels >= mmlsh.level_cap(c):
+        covered = (reach_lo >= reach_hi) | ((cov_lo <= reach_lo) & (cov_hi >= reach_hi))
+        if np.all(covered) or levels >= mmlsh.level_cap(c):
             return result(T2 if ranks.size >= k else EXHAUSTED, levels)
         for g in range(m):
             inc = count_collisions(state, range(g, g + 1), R)
             stats.collision_increments += inc
             stats.alg_ops += inc
-            plan.append((g, R, np.stack((points, state.cov_lo[:, g], state.cov_hi[:, g]), 1)))
+            lo = np.floor_divide(q_base[:, g], R) * R
+            cov_lo[:, g] = np.minimum(cov_lo[:, g], lo)
+            cov_hi[:, g] = np.maximum(cov_hi[:, g], lo + R)
+            plan.append((g, R, np.stack((points, cov_lo[:, g], cov_hi[:, g]), 1)))
             candidates = int(np.count_nonzero(state.candidate_mask(gparams)))
             if check_t1(candidates, k, gparams.beta, S):
                 return result(T1, levels + 1, g)
@@ -631,8 +678,8 @@ class TestT1Bisection:
         assert all(where[kind] >= 3 for kind in ("first", "middle", "last")), where
 
 
-def test_a_t1_level_takes_at_most_2_log2_m_plus_1_moves(monkeypatch):
-    """Every T1 level of `TestT1Bisection`'s searches: the whole level and its search."""
+def test_a_t1_level_takes_at_most_log2_m_plus_2_moves(monkeypatch):
+    """Every T1 level of `TestT1Bisection`'s searches: the whole level and its bisection."""
     moves = []
     count_to, first_pass = GroupedLevel.count_to, engine.first_pass_that_holds
 
@@ -649,7 +696,7 @@ def test_a_t1_level_takes_at_most_2_log2_m_plus_1_moves(monkeypatch):
     monkeypatch.setattr(engine, "first_pass_that_holds", recording_first_pass)
     TestT1Bisection().test_t1_stops_at_the_same_pass()
     assert len(moves) >= 9 and max(n for _, n in moves) >= 5, moves
-    assert all(n <= 2 * math.ceil(math.log2(m)) + 1 for m, n in moves), moves
+    assert all(n <= math.ceil(math.log2(m)) + 2 for m, n in moves), moves
 
 
 class TestVerificationProperties:

@@ -400,7 +400,7 @@ class TestObjectRatio:
 
 def lane_counts(state):
     """The (|Q|, n) collision counts a CollisionState holds, decoded by shift and mask."""
-    points = np.arange(len(state.cov_lo))
+    points = np.arange(len(state.q_base))
     words = state.packed_counts[points // state.lanes]
     shifts = (points % state.lanes * state.lane_bits).astype(np.uint64)[:, None]
     lanes = words >> shifts & np.uint64(2 ** state.lane_bits - 1)
