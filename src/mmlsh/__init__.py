@@ -7,8 +7,7 @@ buffer-conscious query scheduling over a modeled disk.
 """
 
 from .baselines import (GroundTruth, borda_aggregate, exact_knn_objects, full_ranking,
-                        ground_truth_key, load_ground_truth, point_knn_c2lsh,
-                        point_knn_linear, save_ground_truth)
+                        point_knn_c2lsh, point_knn_linear, save_ground_truth)
 from .buffering import (MMLSH, NS1, NS2, BufferState, CostModel, FrequencyProfile,
                         QueryStats, SchedulerConfig, access_bucket, build_frequency_profile,
                         evict_lru, evict_mmlsh, schedule_ns2, split_queries)

@@ -22,9 +22,6 @@ from .model import Dataset, QueryObject
 from .similarity import euclidean, gamma_distance, gamma_distances, rows_within_kth  # noqa: F401
 
 
-_KEY_PREFIX = "# key: "  # first line of a keyed ground-truth cache
-
-
 @dataclass
 class GroundTruth:
     """Full exact object ranking for one query: ids and distances, ascending."""
@@ -167,42 +164,16 @@ def borda_aggregate(per_point_rankings, dataset: Dataset, k: int, k_prime: int) 
     return ranked[:k]
 
 
-def save_ground_truth(truths: list, path, key: str) -> None:
-    """Persist exact rankings as `query_object_id,rank,object_id,gamma_distance`.
+def save_ground_truth(truths: list, path) -> None:
+    """Write exact rankings as `query_object_id,rank,object_id,gamma_distance` rows.
 
-    The `key` naming what the rankings were computed for is written as a
-    leading `# key: ...` comment line; `ground_truth_key` reads it back.
-    It is written through `lsh.replacing`, so an interrupted save leaves any
-    previous cache whole.
+    A header line comes first. Each distance is written as its `repr`, so
+    `float` parses it back to the same bits. The file is written through
+    `lsh.replacing`, so an interrupted write leaves any previous file whole.
     """
     with replacing(path, "w", newline="") as fh:
-        fh.write(f"{_KEY_PREFIX}{key}\n")
         writer = csv.writer(fh)
         writer.writerow(["query_object_id", "rank", "object_id", "gamma_distance"])
         for gt in truths:
             for rank, (oid, dist) in enumerate(zip(gt.object_ids, gt.distances), start=1):
                 writer.writerow([gt.query_object_id, rank, oid, repr(dist)])
-
-
-def load_ground_truth(path) -> dict:
-    """Load a ground-truth cache back into {query_object_id: GroundTruth}.
-
-    A row that does not parse, or that the end of the file cuts short, raises ValueError.
-    """
-    by_query = {}
-    with open(path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    if lines and not lines[-1].endswith("\n"):
-        raise ValueError(f"{path}: the ground truth ends inside a row")
-    for qid, _rank, oid, dist in csv.reader(lines[1:]):  # below the header
-        entry = by_query.setdefault(int(qid), GroundTruth(int(qid), [], []))
-        entry.object_ids.append(int(oid))
-        entry.distances.append(float(dist))
-    return by_query
-
-
-def ground_truth_key(path) -> str | None:
-    """The key a ground-truth cache was saved with, or None if it has none."""
-    with open(path, newline="") as fh:
-        first = fh.readline().rstrip("\n")
-    return first[len(_KEY_PREFIX):] if first.startswith(_KEY_PREFIX) else None

@@ -1,4 +1,4 @@
-"""Benchmark protocol: build, ground truth, query runs, comparisons, sweeps.
+"""Benchmark protocol: build, query runs, comparisons, sweeps.
 
 Timing is modeled (HDD cost model plus a fixed per-operation algorithm cost),
 not measured; wall-clock time is reported separately as informational only,
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import math
 import os
@@ -30,8 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .baselines import (borda_aggregate, full_ranking, ground_truth_key, load_ground_truth,
-                        point_knn_c2lsh, point_knn_linear, save_ground_truth)
+from .baselines import borda_aggregate, point_knn_c2lsh, point_knn_linear
 from .buffering import (MMLSH, NS1, NS2, BufferState, CostModel, FrequencyProfile,
                         QueryStats, SchedulerConfig, _MmlshEvictor, access_bucket, bill_hits,
                         build_frequency_profile, evict_lru, schedule_ns2, split_queries)
@@ -83,7 +81,7 @@ class RunConfig:
     # artifact locations
     index_path: str = "mmlsh.index"
     profile_path: str = "mmlsh.profile.npz"
-    groundtruth_path: str = "groundtruth.csv"
+    groundtruth_path: str = "groundtruth.csv"  # written by `mmlsh groundtruth` alone
     out_prefix: str = "report"
 
     def __post_init__(self):
@@ -105,11 +103,10 @@ class RunConfig:
         if not (math.isfinite(self.alg_op_cost_ms) and self.alg_op_cost_ms >= 0):
             raise ParameterError(f"alg_op_cost_ms must be finite and >= 0, "
                                  f"got {self.alg_op_cost_ms!r}")
-        for name in ("k", "num_queries", "query_splits"):
+        for name in ("k", "num_queries"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.query_splits >= 2 ** 63:  # split_queries cuts ranges in int64
-            raise ParameterError(f"query_splits must be < 2**63, got {self.query_splits!r}")
+        SchedulerConfig(query_splits=self.query_splits)  # refuses what a replay would refuse
         if self.query_size is not None and self.query_size < 1:
             raise ParameterError(f"query_size must be >= 1, got {self.query_size!r}")
         if not 0 <= self.seed < 2 ** 63:  # the index file stores the seed as int64
@@ -206,35 +203,6 @@ def build_artifacts(cfg: RunConfig, dataset: Dataset):
     profile = build_frequency_profile(index, dataset, seed=cfg.seed)
     profile.save(cfg.profile_path)
     return index, profile
-
-
-def ensure_ground_truth(cfg: RunConfig, dataset: Dataset, queries) -> dict:
-    """Load the exact-ranking cache, computing and saving it when absent or stale.
-
-    The cache is keyed on gamma, the dataset's fingerprint and a sha256 of
-    the queries' ids and float32 coordinates, which `query_size` subsamples:
-    a cache written for another gamma, dataset or query set is recomputed
-    and overwritten, as is one that is not text, has a row that does not
-    parse or has a query ranking that does not hold every object.
-    """
-    digest = hashlib.sha256()
-    for q in queries:
-        digest.update(repr((q.object_id, q.coords.shape)).encode())
-        digest.update(np.ascontiguousarray(q.coords, dtype="<f4").tobytes())
-    key = f"gamma={cfg.gamma!r} dataset={dataset.fingerprint()} queries={digest.hexdigest()}"
-    path = cfg.groundtruth_path
-    try:
-        cached = (load_ground_truth(path)
-                  if os.path.exists(path) and ground_truth_key(path) == key else None)
-    except ValueError:  # UnicodeDecodeError included
-        cached = None
-    if cached is not None and all(
-            q.object_id in cached and len(cached[q.object_id].object_ids) == dataset.num_objects
-            for q in queries):
-        return cached
-    truths = [full_ranking(q, dataset, cfg.gamma) for q in queries]
-    save_ground_truth(truths, path, key=key)
-    return {gt.query_object_id: gt for gt in truths}
 
 
 REPORT_COLUMNS = ["query_object_id", "method", "strategy", "buffer_mb", "k_prime",

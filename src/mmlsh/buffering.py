@@ -379,8 +379,10 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.strategy not in (NS1, NS2, MMLSH):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not 1 <= self.query_splits < 2 ** 63:  # split_queries cuts ranges in int64
-            raise ParameterError(f"query_splits must be in [1, 2**63), got {self.query_splits!r}")
+        if self.query_splits < 1:
+            raise ParameterError(f"query_splits must be >= 1, got {self.query_splits!r}")
+        if self.query_splits >= 2 ** 63:  # split_queries cuts ranges in int64
+            raise ParameterError(f"query_splits must be < 2**63, got {self.query_splits!r}")
         if self.strategy == MMLSH and self.profile is None:
             raise ValueError("MMLSH needs a frequency profile")
 

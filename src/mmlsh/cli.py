@@ -1,7 +1,9 @@
 """Benchmark command-line driver.
 
-Verbs: build, groundtruth, query, compare, buffer-sweep. Each verb takes one
-flag per RunConfig field, derived from its type hint: the field's name with
+Verbs: build, groundtruth, query, compare, buffer-sweep. `groundtruth` writes
+the queries' exact rankings to --groundtruth; the report verbs rank their
+queries themselves and never read that file. Each verb takes one flag per
+RunConfig field, derived from its type hint: the field's name with
 `_` as `-`, but for --vectors, --object-map, --synth-points, --synth-dim,
 --index, --profile, --groundtruth and --out, and a list of values for a
 tuple field. A JSON config file (--config) supplies defaults and flags
@@ -17,9 +19,10 @@ import sys
 from dataclasses import asdict
 from functools import partial
 
+from .baselines import full_ranking, save_ground_truth
 from .bench import (SWEEP_STRATEGIES, RunConfig, build_artifacts, choose_queries, config_fields,
-                    ensure_ground_truth, load_artifacts, load_dataset, run_borda_baselines,
-                    run_buffer_sweep, run_mmlsh_queries, write_report)
+                    load_artifacts, load_dataset, run_borda_baselines, run_buffer_sweep,
+                    run_mmlsh_queries, write_report)
 from .buffering import MMLSH, NS1, NS2
 from .errors import IndexFileError, ProfileFileError
 from .lsh import derive_params
@@ -70,19 +73,19 @@ def cmd_build(args) -> int:
 def cmd_groundtruth(args) -> int:
     cfg = _config_from_args(args)
     dataset = load_dataset(cfg)
-    queries = choose_queries(dataset, cfg)
-    truth = ensure_ground_truth(cfg, dataset, queries)
-    print(f"ground truth for {len(truth)} queries in {cfg.groundtruth_path}")
+    truths = [full_ranking(q, dataset, cfg.gamma) for q in choose_queries(dataset, cfg)]
+    save_ground_truth(truths, cfg.groundtruth_path)
+    print(f"ground truth for {len(truths)} queries in {cfg.groundtruth_path}")
     return 0
 
 
 def _report(args, run, baselines=False, strategies=None) -> int:
     """The report verbs' one set-up, then the report of `run`'s rows.
 
-    The set-up loads the dataset and the artifacts and picks the queries
-    and their exact rankings. It refuses an index built over another dataset
-    or with other parameters or another seed than the run's, and an MMLSH
-    run without a frequency profile. `strategies` names what `run` replays,
+    The set-up loads the dataset and the artifacts, picks the queries and
+    ranks every object for each (`full_ranking`). It refuses an index built
+    over another dataset or with other parameters or another seed than the
+    run's, and an MMLSH run without a frequency profile. `strategies` names what `run` replays,
     by default the config's strategy; `baselines` adds the Borda rows.
     """
     cfg = _config_from_args(args)
@@ -110,7 +113,7 @@ def _report(args, run, baselines=False, strategies=None) -> int:
         raise ProfileFileError(f"{cfg.profile_path}: no frequency profile, which an MMLSH "
                                f"run needs; `mmlsh build` writes it")
     queries = choose_queries(dataset, cfg)
-    truth = ensure_ground_truth(cfg, dataset, queries)
+    truth = {q.object_id: full_ranking(q, dataset, cfg.gamma) for q in queries}
     # the baselines first, so that a k' below k fails before any query runs
     baseline_rows = run_borda_baselines(cfg, dataset, index, queries, truth) if baselines else []
     rows = run(cfg, dataset, index, queries, truth, profile) + baseline_rows
@@ -123,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, doc in (
         ("build", cmd_build, "build the index and frequency profile"),
-        ("groundtruth", cmd_groundtruth, "compute or reuse the exact ranking cache"),
+        ("groundtruth", cmd_groundtruth, "write the queries' exact rankings to --groundtruth"),
         ("query", partial(_report, run=run_mmlsh_queries),
          "run object queries under one strategy"),
         ("compare", partial(_report, run=run_mmlsh_queries, baselines=True),

@@ -11,7 +11,6 @@ sidecar because vector files carry no object information.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +61,6 @@ class Dataset:
         if j == len(self.object_ids) or self.object_ids[j] != object_id:
             raise UnknownObjectError(f"object {object_id} is not in the dataset")
         return self.coords[self.object_rows[self.object_offsets[j]:self.object_offsets[j + 1]]]
-
-    def fingerprint(self) -> str:
-        """sha256 over the coordinates and each point's object id, in row order."""
-        h = hashlib.sha256(repr(self.coords.shape).encode())
-        h.update(np.ascontiguousarray(self.coords, dtype="<f4").tobytes())
-        h.update(np.ascontiguousarray(self.object_ids[self.point_object_index], dtype="<i8").tobytes())
-        return h.hexdigest()
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import heapq
 import math
@@ -15,8 +16,7 @@ from scipy.spatial.distance import cdist
 import mmlsh
 from mmlsh import baselines, bench
 from mmlsh.baselines import (GroundTruth, borda_aggregate, exact_knn_objects, full_ranking,
-                             ground_truth_key, load_ground_truth, point_knn_c2lsh,
-                             point_knn_linear, save_ground_truth)
+                             point_knn_c2lsh, point_knn_linear, save_ground_truth)
 from mmlsh.buffering import NS1, BufferState, QueryStats, SchedulerConfig
 from mmlsh.lsh import level_cap, reach_range
 from test_similarity import cdist_gamma_distance, products
@@ -393,24 +393,26 @@ class TestBorda:
 
 class TestGroundTruthCache:
     def test_roundtrip_exact(self, small_dataset, tmp_path):
-        truths = []
-        for oid in (0, 5):
-            q = mmlsh.QueryObject.from_object(small_dataset, oid)
-            truths.append(full_ranking(q, small_dataset, 0.4))
+        """csv and float read the written file back to full_ranking's ids and distance bits."""
+        truths = [full_ranking(mmlsh.QueryObject.from_object(small_dataset, oid), small_dataset,
+                               0.4) for oid in (0, 5)]
         path = tmp_path / "gt.csv"
-        save_ground_truth(truths, path, key="gamma=0.4 dataset=test")
-        assert ground_truth_key(path) == "gamma=0.4 dataset=test"
-        loaded = load_ground_truth(path)
-        assert set(loaded) == {0, 5}
-        for gt in truths:
-            back = loaded[gt.query_object_id]
-            assert back.object_ids == gt.object_ids
-            assert back.distances == gt.distances  # repr() round-trips floats
+        save_ground_truth(truths, path)
+        assert path.read_text().split("\n", 1)[0] == "query_object_id,rank,object_id,gamma_distance"
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["query_object_id", "rank", "object_id", "gamma_distance"]
+        assert [(int(q), int(r), int(o)) for q, r, o, _ in rows] == [
+            (gt.query_object_id, rank, oid) for gt in truths
+            for rank, oid in enumerate(gt.object_ids, start=1)]
+        got = np.array([float(d) for *_, d in rows])
+        want = np.array([d for gt in truths for d in gt.distances])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @staticmethod
-    def cache_bytes(tmp_path, name, truths):
+    def file_bytes(tmp_path, name, truths):
         path = tmp_path / name
-        save_ground_truth(truths, path, key="gamma=0.4 dataset=test")
+        save_ground_truth(truths, path)
         return path.read_bytes()
 
     def test_file_equals_the_per_object_oracles(self, small_dataset, tmp_path):
@@ -418,8 +420,8 @@ class TestGroundTruthCache:
                    for oid in small_dataset.object_ids.tolist()]
         got = [full_ranking(q, small_dataset, 0.4) for q in queries]
         want = [reference_full_ranking(q, small_dataset, 0.4) for q in queries]
-        assert self.cache_bytes(tmp_path, "new.csv", got) == \
-            self.cache_bytes(tmp_path, "oracle.csv", want)
+        assert self.file_bytes(tmp_path, "new.csv", got) == \
+            self.file_bytes(tmp_path, "oracle.csv", want)
 
     def test_tied_duplicates_break_by_ascending_object_id(self, small_dataset, tmp_path):
         # every object twice, the copy under a higher or lower id, rows shuffled
@@ -436,5 +438,5 @@ class TestGroundTruthCache:
             ranked = list(zip(gt.object_ids, gt.distances))
             ties = [(a, b) for (a, da), (b, db) in zip(ranked, ranked[1:]) if da == db]
             assert len(ties) == small_dataset.num_objects and all(a < b for a, b in ties)
-        assert self.cache_bytes(tmp_path, "new.csv", got) == \
-            self.cache_bytes(tmp_path, "oracle.csv", want)
+        assert self.file_bytes(tmp_path, "new.csv", got) == \
+            self.file_bytes(tmp_path, "oracle.csv", want)

@@ -17,8 +17,8 @@ import pytest
 import mmlsh.bench as bench
 import mmlsh.lsh
 import mmlsh.cli as cli
-from mmlsh.baselines import full_ranking
-from mmlsh.bench import RunConfig, aggregate, choose_queries, ensure_ground_truth
+from mmlsh.baselines import full_ranking, save_ground_truth
+from mmlsh.bench import RunConfig, aggregate, choose_queries
 from mmlsh.buffering import MMLSH, NS1, NS2, BufferState, FrequencyProfile, SchedulerConfig
 from mmlsh.model import Dataset, QueryObject, write_feature_file
 
@@ -43,7 +43,7 @@ def prepared(tmp_path, **overrides):
     dataset = bench.load_dataset(cfg)
     index, profile = bench.build_artifacts(cfg, dataset)
     queries = choose_queries(dataset, cfg)
-    truth = ensure_ground_truth(cfg, dataset, queries)
+    truth = {q.object_id: full_ranking(q, dataset, cfg.gamma) for q in queries}
     return cfg, dataset, index, profile, queries, truth
 
 
@@ -244,43 +244,6 @@ class TestRuns:
         else:
             assert std["gamma_min_bound"] == std_bound
 
-    def test_groundtruth_cache_is_reused(self, tmp_path, monkeypatch):
-        cfg, ds, index, profile, queries, truth = prepared(tmp_path)
-
-        def boom(*a, **k):
-            raise AssertionError("ground truth recomputed despite cache")
-
-        monkeypatch.setattr(bench, "full_ranking", boom)
-        again = ensure_ground_truth(cfg, ds, queries)
-        assert set(again) == set(truth)
-
-    def test_groundtruth_cache_recomputed_for_other_gamma(self, tmp_path):
-        cfg, ds, index, profile, queries, truth = prepared(tmp_path, gamma=0.3)
-        cfg9 = tiny_config(tmp_path, gamma=0.9)
-        again = ensure_ground_truth(cfg9, ds, queries)
-        for q in queries:
-            expected = full_ranking(q, ds, 0.9)
-            assert again[q.object_id].object_ids == expected.object_ids
-            assert again[q.object_id].distances == expected.distances
-
-    def test_groundtruth_cache_recomputed_for_other_dataset(self, tmp_path):
-        cfg, ds, index, profile, queries, truth = prepared(tmp_path)
-        other = bench.load_dataset(tiny_config(tmp_path, seed=2))
-        again = ensure_ground_truth(cfg, other, queries)
-        for q in queries:
-            expected = full_ranking(q, other, cfg.gamma)
-            assert again[q.object_id].distances == expected.distances
-
-    def test_groundtruth_cache_recomputed_for_other_query_points(self, tmp_path):
-        cfg, ds, index, profile, queries, truth = prepared(tmp_path)  # cached for 8 points
-        fewer = choose_queries(ds, replace(cfg, query_size=3))
-        assert [q.object_id for q in fewer] == [q.object_id for q in queries]
-        again = ensure_ground_truth(replace(cfg, query_size=3), ds, fewer)
-        for q in fewer:
-            expected = full_ranking(q, ds, cfg.gamma)
-            assert again[q.object_id].object_ids == expected.object_ids
-            assert again[q.object_id].distances == expected.distances
-
     def test_rebuild_same_seed_identical_artifacts(self, tmp_path):
         cfg = tiny_config(tmp_path)
         ds = bench.load_dataset(cfg)
@@ -441,14 +404,16 @@ class TestCli:
         assert cli.main(["build"] + args) == 3
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--index", "--groundtruth"])
-    def test_a_path_that_names_a_directory_exits_3(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, verb", [("--index", "query"),
+                                            ("--groundtruth", "groundtruth")],
+                             ids=["--index", "--groundtruth"])
+    def test_a_path_that_names_a_directory_exits_3(self, tmp_path, capsys, flag, verb):
         cfg = tiny_config(tmp_path)
         args = self._common(cfg)
         assert cli.main(["build"] + args) == 0
         (tmp_path / "dir").mkdir()
         capsys.readouterr()
-        assert cli.main(["query"] + args + [flag, str(tmp_path / "dir")]) == 3
+        assert cli.main([verb] + args + [flag, str(tmp_path / "dir")]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
@@ -872,35 +837,38 @@ class TestCli:
         assert cli.main(["groundtruth"] + args) == 0
         assert "ground truth for 3 queries" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("spoil", ["short row", "cut at a row", "cut inside a row",
-                                       "not text"])
-    def test_a_damaged_groundtruth_cache_is_recomputed(self, tmp_path, capsys, spoil):
+    def test_only_the_groundtruth_verb_touches_the_groundtruth_file(self, tmp_path, capsys):
+        """The report verbs rank their queries themselves; `groundtruth` writes the file."""
         cfg = tiny_config(tmp_path)
-        args = self._common(cfg)
+        args = self._common(cfg) + ["--buffer-sizes-mb", "0.02", "0.05"]
         assert cli.main(["build"] + args) == 0
-        assert cli.main(["groundtruth"] + args) == 0
+
+        def reports():
+            rows = {}
+            for verb in ("query", "compare", "buffer-sweep"):
+                assert cli.main([verb] + args) == 0
+                with open(cfg.out_prefix + ".csv", newline="") as fh:
+                    rows[verb] = strip_wall(csv.DictReader(ln for ln in fh
+                                                           if not ln.startswith("#")))
+            return rows
+
+        without = reports()
+        assert not os.path.exists(cfg.groundtruth_path)
+        garbage = b"\xff not a ranking\r\n1,2\n3"
+        with open(cfg.groundtruth_path, "wb") as fh:
+            fh.write(garbage)
+        assert reports() == without
         with open(cfg.groundtruth_path, "rb") as fh:
-            whole = fh.read()
-        lines = whole.splitlines(keepends=True)  # key, header, 3 queries x 20 objects
-        if spoil == "short row":
-            lines[5] = b",".join(lines[5].split(b",")[:2]) + b"\r\n"
-            damaged = b"".join(lines)
-        elif spoil == "cut at a row":  # the last query's ranking is 5 objects short
-            damaged = b"".join(lines[:-5])
-        elif spoil == "cut inside a row":  # the last distance loses two digits but still parses
-            damaged = whole[:-4]
-        else:
-            damaged = b"\xff" + whole
-        for verb in ("groundtruth", "query"):
-            with open(cfg.groundtruth_path, "wb") as fh:
-                fh.write(damaged)
-            capsys.readouterr()
-            assert cli.main([verb] + args) == 0
-            assert capsys.readouterr().err == ""
-            with open(cfg.groundtruth_path, "rb") as fh:
-                assert fh.read() == whole
-        assert sorted(os.listdir(tmp_path)) == ["t.gt.csv", "t.index", "t.profile.npz",
-                                                "t.report.csv"]
+            assert fh.read() == garbage
+        assert cli.main(["groundtruth"] + args) == 0
+        dataset = bench.load_dataset(cfg)
+        fresh = tmp_path / "fresh.csv"
+        save_ground_truth([full_ranking(q, dataset, cfg.gamma)
+                           for q in choose_queries(dataset, cfg)], fresh)
+        with open(cfg.groundtruth_path, "rb") as fh:
+            assert fh.read() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "t.gt.csv", "t.index",
+                                                "t.profile.npz", "t.report.csv"]
 
     def test_a_profile_path_without_a_suffix_is_the_file_written(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, profile_path=str(tmp_path / "prof"))

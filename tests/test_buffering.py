@@ -14,6 +14,7 @@ from mmlsh.buffering import (_HEAP_SLACK, MMLSH, NS1, NS2, POINT_ID_BYTES, Buffe
                              CostModel, FrequencyProfile, QueryStats, SchedulerConfig, _Entry,
                              _MmlshEvictor, access_bucket, build_frequency_profile, evict_lru,
                              profile_footprint, schedule_ns2, split_queries)
+from mmlsh.errors import ParameterError
 
 
 def schedule_ns1(ranges):
@@ -927,6 +928,16 @@ def split_cases(draw):
 
 class TestScheduling:
     RANGES = [(0, 5, 8), (1, 6, 9)]
+
+    @pytest.mark.parametrize("splits, message", [
+        (0, "query_splits must be >= 1, got 0"),
+        (2 ** 63, f"query_splits must be < 2**63, got {2 ** 63}"),
+    ])
+    def test_split_counts_below_1_or_past_int64_are_refused(self, splits, message):
+        with pytest.raises(ParameterError) as exc:
+            SchedulerConfig(NS1, splits)
+        assert str(exc.value) == message
+        assert SchedulerConfig(NS1, 2 ** 63 - 1).query_splits == 2 ** 63 - 1
 
     def test_ns1_orders_whole_ranges(self):
         ids = list(range(20))
