@@ -870,6 +870,37 @@ class TestCli:
         assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "t.gt.csv", "t.index",
                                                 "t.profile.npz", "t.report.csv"]
 
+    @pytest.mark.parametrize("spoil", ["short row", "cut at a row", "cut inside a row",
+                                       "not text"])
+    def test_a_damaged_groundtruth_cache_is_recomputed(self, tmp_path, capsys, spoil):
+        """`query` never reads a damaged file; `groundtruth` writes it whole again."""
+        cfg = tiny_config(tmp_path)
+        args = self._common(cfg)
+        assert cli.main(["build"] + args) == 0
+        assert cli.main(["groundtruth"] + args) == 0
+        with open(cfg.groundtruth_path, "rb") as fh:
+            whole = fh.read()
+        lines = whole.splitlines(keepends=True)  # header, 3 queries x 20 objects
+        if spoil == "short row":
+            lines[5] = b",".join(lines[5].split(b",")[:2]) + b"\r\n"
+            damaged = b"".join(lines)
+        elif spoil == "cut at a row":  # the last query's ranking is 5 objects short
+            damaged = b"".join(lines[:-5])
+        elif spoil == "cut inside a row":  # the last distance loses two digits but still parses
+            damaged = whole[:-4]
+        else:
+            damaged = b"\xff" + whole
+        with open(cfg.groundtruth_path, "wb") as fh:
+            fh.write(damaged)
+        for verb, after in (("query", damaged), ("groundtruth", whole)):
+            capsys.readouterr()
+            assert cli.main([verb] + args) == 0
+            assert capsys.readouterr().err == ""
+            with open(cfg.groundtruth_path, "rb") as fh:
+                assert fh.read() == after
+        assert sorted(os.listdir(tmp_path)) == ["t.gt.csv", "t.index", "t.profile.npz",
+                                                "t.report.csv"]
+
     def test_a_profile_path_without_a_suffix_is_the_file_written(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, profile_path=str(tmp_path / "prof"))
         args = self._common(cfg)
