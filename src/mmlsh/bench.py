@@ -100,9 +100,10 @@ class RunConfig:
         for name, value in buffers:  # a buffer holds whole bytes
             if int(value * MB) < 1:
                 raise ParameterError(f"{name} must be at least 1 byte, got {value!r} MB")
-        if not (math.isfinite(self.alg_op_cost_ms) and self.alg_op_cost_ms >= 0):
-            raise ParameterError(f"alg_op_cost_ms must be finite and >= 0, "
-                                 f"got {self.alg_op_cost_ms!r}")
+        for name in ("alg_op_cost_ms", "synth_spread"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
         for name in ("k", "num_queries"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")

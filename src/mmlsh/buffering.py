@@ -31,7 +31,10 @@ of w / n, computed in numpy for the whole plan at once. Segments are visited
 by (pass, start); a pass's rows are in query-index order, and ties at equal
 starts are broken by row. NS2 reads every plan at once: `schedule_ns2`
 returns the batch's distinct keys in reading order, each with the plan it is
-billed to.
+billed to. The points of one query object share buckets, so most rows
+repeat the row before them; both functions fold each such run into its
+first row (`fold_repeats`), order or read that row once, and bill every
+copy as the unfolded plan would.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, hits included, so replays are exact.
@@ -400,10 +403,15 @@ def schedule_ns2(plans, index):
     Returns four lists: the (g, R, bucket id) keys in reading order, their
     sizes in bytes, the plan each key is billed to and each plan's checks.
 
-    One `np.searchsorted` maps a batched pass's row bounds to positions
-    among the projection's occupied ids, and the rows expand into one array
-    of positions in row order, so a position's first occurrence there,
-    which `np.unique` returns, lies in the row of the plan it is billed to.
+    The checks are counted from every row. The rows are laid out one
+    batched pass after another, and one `fold_repeats` call keeps the first
+    row of each run of repeated rows within a batched pass: a copy covers
+    nothing that the row before it did not cover first, so it owns
+    nothing. Per batched pass, one `np.searchsorted` maps the kept rows'
+    bounds to positions among the projection's occupied ids, and the rows
+    expand into one array of positions in row order, so a position's first
+    occurrence there, which `np.unique` returns, lies in the row of the
+    plan it is billed to.
     """
     passes: dict[tuple, list] = {}  # (R, g) -> (plan index, ranges) of each of its passes
     for p, plan in enumerate(plans):
@@ -411,18 +419,45 @@ def schedule_ns2(plans, index):
             passes.setdefault((R, g), []).append((p, ranges))
     keys, sizes, owners = [], [], []
     alg_ops = np.zeros(len(plans), dtype=np.int64)
-    for R, g in sorted(passes):
-        pass_plans, arrays = zip(*passes[R, g])
+    if not passes:
+        return keys, sizes, owners, alg_ops.tolist()
+    batches = sorted(passes)
+    pass_plans, arrays = zip(*(entry for batch in batches for entry in passes[batch]))
+    lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
+    rows = np.concatenate(arrays)  # every batched pass's rows, one batched pass after another
+    row_plan = np.repeat(pass_plans, lengths)
+    row_batch = np.repeat(np.arange(len(batches)), [len(passes[batch]) for batch in batches])
+    row_batch = np.repeat(row_batch, lengths)
+    heads, _copies = fold_repeats(rows, row_batch)
+    row_edges = np.searchsorted(row_batch, np.arange(len(batches) + 1))
+    head_edges = np.searchsorted(heads, row_edges)
+    for j, (R, g) in enumerate(batches):
+        kept = heads[head_edges[j]:head_edges[j + 1]]
         ids, counts = index.occupied_buckets(g)
-        bounds = np.searchsorted(ids, np.concatenate(arrays)[:, 1:])
-        widths = np.maximum(bounds[:, 1] - bounds[:, 0], 0)
+        bounds = np.searchsorted(ids, rows[kept, 1:])
+        widths = bounds[:, 1] - bounds[:, 0]  # lo < hi, so >= 0
         positions, first = np.unique(expand_ranges(bounds[:, 0], widths), return_index=True)
-        row_plan = np.repeat(pass_plans, [len(ranges) for ranges in arrays])
         keys += [(g, R, bucket) for bucket in ids[positions].tolist()]
         sizes += (counts[positions] * POINT_ID_BYTES).tolist()
-        owners += row_plan[np.searchsorted(np.cumsum(widths), first, side="right")].tolist()
-        alg_ops += np.bincount(row_plan, minlength=len(plans)) * len(positions)
+        owners += row_plan[kept[np.searchsorted(np.cumsum(widths), first, side="right")]].tolist()
+        checks = np.bincount(row_plan[row_edges[j]:row_edges[j + 1]], minlength=len(plans))
+        alg_ops += checks * len(positions)
     return keys, sizes, owners, alg_ops.tolist()
+
+
+def fold_repeats(rows, passes):
+    """The non-empty (qi, lo, hi) rows, each run of repeated rows folded into its first.
+
+    A row is empty when hi <= lo; passes[r] is row r's pass. Among the
+    non-empty rows, one whose pass and (lo, hi) equal the row before it is
+    a copy of that row. Returns the index of each run's first row,
+    ascending, and the run's length: the row's copies, itself included.
+    """
+    kept = np.flatnonzero(rows[:, 2] > rows[:, 1])
+    lo, hi, kept_pass = rows[kept, 1], rows[kept, 2], passes[kept]
+    new = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (kept_pass[1:] != kept_pass[:-1])
+    heads = np.flatnonzero(np.r_[len(kept) > 0, new])
+    return kept[heads], np.diff(np.r_[heads, len(kept)])
 
 
 def expand_ranges(starts, lengths):
@@ -444,7 +479,8 @@ class PlanOrder:
     access first[k] and last at access last[k], counting accesses from 0;
     by_key holds the access numbers grouped by key, each key's ascending.
     segments is the number of segments the plan's ranges were cut into,
-    empty ones included.
+    counting those that hold no occupied bucket and each copy of a
+    repeated row's.
     """
 
     keys: list
@@ -477,7 +513,14 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     so one split gives NS1's order. A pass's rows are in query-index order,
     so ties at equal starts fall in query-index order.
 
-    The whole plan is ordered in one numpy pass. Its rows are laid out
+    A run of repeated rows is ordered once. `fold_repeats` drops the empty
+    rows and folds each run of consecutive copies within a pass into its
+    first row. Two neighbouring copies are cut at the same starts, and in
+    a tie at any of them no other row's segment falls between theirs, so
+    visiting each ordered segment once per copy gives the unfolded plan's
+    order. `segments` counts every copy.
+
+    The whole plan is ordered in one numpy pass. Its passes are laid out
     projection by projection, so one `searchsorted` per projection maps the
     segment bounds to occupied positions; one stable lexsort on (pass,
     start) orders the segments; and one stable argsort of the accesses'
@@ -485,14 +528,22 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
-    by_g = sorted(range(len(plan)), key=lambda p: plan[p][0])  # the rows of one g run together
-    rows = np.concatenate([plan[p][2] for p in by_g] + [np.empty((0, 3), dtype=np.int64)])
-    keep = rows[:, 2] > rows[:, 1]
-    if not keep.any():  # no segment, so no access
-        none = np.empty(0, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    if not plan:
         return PlanOrder([], [], none, none, none, none, 0)
-    seg_pass = np.repeat(by_g, [len(plan[p][2]) for p in by_g])[keep]
-    start, end = rows[keep, 1:].T
+    gs, Rs, arrays = zip(*plan)
+    group_of: dict[tuple, int] = {}  # (g, R) -> its index, in order of first pass
+    pass_group = np.array([group_of.setdefault(gR, len(group_of)) for gR in zip(gs, Rs)])
+    projections, g_rank = np.unique(gs, return_inverse=True)
+    by_g = np.argsort(g_rank, kind="stable")  # the passes of one g run together
+    lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
+    rows = np.concatenate(arrays)[expand_ranges((np.cumsum(lengths) - lengths)[by_g],
+                                                lengths[by_g])]
+    row_pass = np.repeat(by_g, lengths[by_g])
+    kept, copies = fold_repeats(rows, row_pass)
+    if not len(kept):  # no segment, so no access
+        return PlanOrder([], [], none, none, none, none, 0)
+    seg_pass, start, end = row_pass[kept], rows[kept, 1], rows[kept, 2]
     if splits > 1:
         # segment j of n starts at lo + round(j * (width / n)), with np.linspace's float64
         # step and half-to-even rounding, and ends where j + 1 starts; the last ends at hi
@@ -502,18 +553,14 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
         cuts = start[seg_row] + np.round(expand_ranges(0, nseg) * step).astype(np.int64)
         seg_end = np.r_[cuts[1:], 0]
         seg_end[np.cumsum(nseg) - 1] = end
-        seg_pass, start, end = seg_pass[seg_row], cuts, seg_end
-    # g -> its occupied ids, ascending, and their counts, in ascending g
-    occupied = {g: index.occupied_buckets(g) for g in dict.fromkeys(plan[p][0] for p in by_g)}
+        seg_pass, start, end, copies = seg_pass[seg_row], cuts, seg_end, copies[seg_row]
     # A bucket's token is its position among the plan's projections' occupied ids, laid
     # one projection after another, plus len(ids) times the index of its (g, R) pass.
-    ids, counts = (np.concatenate(column) for column in zip(*occupied.values()))
-    offsets = np.cumsum([0, *(len(g_ids) for g_ids, _counts in occupied.values())])
-    first_id = dict(zip(occupied, offsets.tolist()))
-    groups = list(dict.fromkeys((g, R) for g, R, _ranges in plan))
-    group_of = {gR: j for j, gR in enumerate(groups)}
-    pass_token = np.array([group_of[g, R] * len(ids) + first_id[g] for g, R, _ranges in plan])
-    seg_g = np.array([g for g, _R, _ranges in plan])[seg_pass]
+    occupied = [index.occupied_buckets(g) for g in projections.tolist()]
+    ids, counts = (np.concatenate(column) for column in zip(*occupied))
+    first_id = np.cumsum([0, *(len(g_ids) for g_ids, _counts in occupied)])
+    pass_token = pass_group * len(ids) + first_id[g_rank]
+    seg_g = g_rank[seg_pass]
     positions = np.stack((start, end))  # each segment's bounds, then their positions in ids
     edges = [0, *(np.flatnonzero(np.diff(seg_g)) + 1).tolist(), len(seg_g)]
     for a, b in zip(edges, edges[1:]):  # one searchsorted per projection
@@ -521,6 +568,7 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     # The visiting order: by pass, then start. A pass's segments lie in row order, which
     # is query-index order, and lexsort is stable, so ties fall in query-index order.
     order = np.lexsort((start, seg_pass))
+    order = np.repeat(order, copies[order])  # each copy of a segment in turn
     tokens = expand_ranges((positions[0] + pass_token[seg_pass])[order],
                            (positions[1] - positions[0])[order])
     by_key = np.argsort(tokens, kind="stable")  # each key's accesses together, in order
@@ -528,9 +576,10 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     heads = np.flatnonzero(np.diff(sorted_tokens, prepend=-1))  # tokens are >= 0
     uses = np.diff(np.r_[heads, len(tokens)])
     group, position = np.divmod(sorted_tokens[heads], len(ids))
+    groups = list(group_of)
     keys = [(*groups[j], bucket) for j, bucket in zip(group.tolist(), ids[position].tolist())]
     return PlanOrder(keys, (counts[position] * POINT_ID_BYTES).tolist(), by_key[heads],
-                     by_key[heads + uses - 1], uses, by_key, len(start))
+                     by_key[heads + uses - 1], uses, by_key, len(order))
 
 
 class FrequencyProfile:

@@ -187,5 +187,6 @@ def synth_dataset(S: int, points_per_object: int, d: int, cluster_spread: float,
     # repeat(centers) + noise, without two more (n, d) float64 arrays
     blocks = noise.reshape(S, points_per_object, d)  # a view of the noise
     blocks += centers[:, None, :]
-    coords = noise.astype(np.float32)
+    with np.errstate(over="ignore"):  # a coordinate past float32 becomes inf, which Dataset refuses
+        coords = noise.astype(np.float32)
     return Dataset(coords, np.repeat(np.arange(S), points_per_object))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -465,6 +466,9 @@ class TestCli:
         ("--query-splits", "0", "query_splits must be >= 1, got 0"),
         ("--query-size", "-1", "query_size must be >= 1, got -1"),
         ("--query-size", "0", "query_size must be >= 1, got 0"),
+        ("--synth-spread", "-1", "synth_spread must be finite and >= 0, got -1.0"),
+        ("--synth-spread", "nan", "synth_spread must be finite and >= 0, got nan"),
+        ("--synth-spread", "inf", "synth_spread must be finite and >= 0, got inf"),
     ])
     def test_out_of_range_number_exits_3(self, tmp_path, capsys, flag, value, message):
         cfg = tiny_config(tmp_path)
@@ -474,6 +478,17 @@ class TestCli:
         assert cli.main(["query"] + args + [flag, value]) == 3
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
+
+    def test_a_spread_whose_points_overflow_float32_exits_3_without_a_warning(self, tmp_path,
+                                                                            capsys):
+        cfg = tiny_config(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["build"] + self._common(cfg) + ["--synth-spread", "1e300"]) == 3
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert "has a non-finite coordinate" in err and "Traceback" not in err
+        assert not os.path.exists(cfg.index_path)
 
     @pytest.mark.parametrize("flags, message", [
         (["--delta", "0.999999", "--epsilon", "2.0"], "epsilon must be in (0, 1), got 2.0"),

@@ -31,6 +31,41 @@ def uniform_profile(projections):
                             means=np.ones((projections, 1)))
 
 
+# What may follow a row: its copy; an empty row, then its copy; or a row of its start and
+# another end, then its copy. The copy folds into the row in the first two cases only.
+FOLD_CASES = {"repeat": lambda lo, hi: [],
+              "repeat past an empty row": lambda lo, hi: [(lo, lo)],
+              "repeat past the same start": lambda lo, hi: [(lo, hi + 1)]}
+
+
+def splice_repeats(pairs):
+    """(qi, lo, hi) rows, qi the row number, of ((lo, hi), case) pairs.
+
+    Each row is followed by the rows its case of FOLD_CASES puts between it
+    and its copy, then the copy, or by nothing when the case is None.
+    """
+    bounds = []
+    for (lo, hi), case in pairs:
+        bounds.append((lo, hi))
+        if case is not None:
+            bounds += FOLD_CASES[case](lo, hi) + [(lo, hi)]
+    return [(qi, lo, hi) for qi, (lo, hi) in enumerate(bounds)]
+
+
+def fold_cases(rows):
+    """The non-empty rows among (qi, lo, hi) `rows` that are each case of FOLD_CASES."""
+    bounds = [(lo, hi) for _qi, lo, hi in rows]
+    seen = Counter()
+    for i, (lo, hi) in enumerate(bounds):
+        if hi > lo and bounds[i - 1:i] == [(lo, hi)]:
+            seen["repeat"] += 1
+        elif hi > lo and i > 1 and bounds[i - 2] == (lo, hi):
+            mid_lo, mid_hi = bounds[i - 1]
+            seen["repeat past an empty row"] += mid_hi <= mid_lo
+            seen["repeat past the same start"] += mid_lo == lo < mid_hi != hi
+    return seen
+
+
 class ReferenceLru:
     """Independent byte-capacity LRU used as an oracle for BufferState."""
 
@@ -493,10 +528,11 @@ def pass_plans(draw):
     A pass's ranges overlap, so it revisits keys, interleaved under MMLSH's
     split order, and passes repeat within and across queries, so later ones
     find keys resident. Some ranges are empty (hi <= lo) and some lie beyond
-    the occupied ids. Each pass's ranges are an int64 array of (qi, lo, hi)
-    rows, as the searches record them. Bucket sizes vary, and the capacity
-    runs from the smallest bucket to the whole working set, so small buffers
-    evict often and some buckets bypass them.
+    the occupied ids. Most rows are followed by a case of FOLD_CASES. Each
+    pass's ranges are an int64 array of (qi, lo, hi) rows, as the searches
+    record them. Bucket sizes vary, and the capacity runs from the smallest
+    bucket to the whole working set, so small buffers evict often and some
+    buckets bypass them.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     projections = draw(st.integers(1, 3))
@@ -511,8 +547,9 @@ def pass_plans(draw):
         for _ in range(int(rng.integers(1, 8))):
             g, R = int(rng.integers(projections)), int(rng.choice([1, 2, 4]))
             starts = rng.integers(-2, span + 2, size=int(rng.integers(1, 5))).tolist()
-            plan.append((g, R, np.array([(qi, lo, lo + int(rng.integers(-2, 13)))
-                                         for qi, lo in enumerate(starts)], dtype=np.int64)))
+            cases = [(None, *FOLD_CASES)[c] for c in rng.integers(0, 4, size=len(starts)).tolist()]
+            bounds = [(lo, lo + int(rng.integers(-2, 13))) for lo in starts]
+            plan.append((g, R, np.array(splice_repeats(zip(bounds, cases)), dtype=np.int64)))
         plans.append(plan)
     sizes = {(g, R, b): POINT_ID_BYTES * count
              for plan in plans for g, R, ranges in plan
@@ -576,11 +613,16 @@ class TestBulkHitReplay:
             seen["bypasses"] += sum(sizes[g, b] > capacity for _t, (g, _R, b), _e in trace)
             # pairs of successive hits: a gap of h hits between misses holds h - 1
             seen["hit runs"] += sum(max(0, h - 1) for h in hit_gaps(trace, clock))
+            for plan in run[1]:
+                for _g, _R, ranges in plan:
+                    seen.update(fold_cases(ranges.tolist()))
 
         check()
-        # NS1 and MMLSH with drawn and uniform demands ran, evicting, bypassing and hitting in runs
+        # NS1 and MMLSH with drawn and uniform demands ran, evicting, bypassing and hitting in
+        # runs, over rows that repeat the row before them, or the one before that
         assert all(seen[s, p] > 0 for s in (NS1, MMLSH) for p in (False, True)), seen
         assert all(seen[name] > 1_000 for name in ("evictions", "bypasses", "hit runs")), seen
+        assert all(seen[case] > 500 for case in FOLD_CASES), seen
 
     @settings(max_examples=500, deadline=None)
     @given(demand=st.one_of(st.floats(0, 2**53, exclude_max=True),
@@ -847,13 +889,16 @@ class TestNs2BatchReplay:
                     for _qi, lo, hi in ranges.tolist():
                         seen["empty"] += hi <= lo
                         seen["outside"] += lo < hi and (hi <= ids[0] or lo > ids[-1])
+                    seen.update(fold_cases(ranges.tolist()))
             seen["NS1 prefix"] += lru_prefix > 0
             seen["evictions"] += got[1].evictions
 
         check()
-        # the batch met repeated passes, empty and outlying ranges, an NS1 prefix and evictions
+        # the batch met repeated passes, empty and outlying ranges, rows that repeat the row
+        # before them, or the one before that, an NS1 prefix and evictions
         assert all(seen[name] > 50 for name in ("repeat in a plan", "repeat across plans", "empty",
-                                                "outside", "NS1 prefix", "evictions")), seen
+                                                "outside", "NS1 prefix", "evictions",
+                                                *FOLD_CASES)), seen
 
 
 def reference_split_queries(ranges, splits: int):
@@ -902,27 +947,28 @@ def split_cases(draw):
     ranges are empty and many miss the occupied ids, ids and widths reach
     2**40 and more from 0, and some widths exceed 2**53, where float64
     rounds the step of the cut. Some ids sit within 60 of a range's end,
-    where the last cut of a range that wide falls.
+    where the last cut of a range that wide falls. Many rows are followed
+    by a case of FOLD_CASES.
     """
     base = draw(st.sampled_from([0, -37, -(2**40), 2**40 + 5]))
     near = st.integers(base - 60, base + 60)
     projections = draw(st.integers(1, 3))
     widths = st.one_of(st.integers(-3, 40), st.integers(2**40 - 3, 2**40 + 3),
                        st.integers(3**36 - 3, 3**36 + 3))
-    passes = draw(st.lists(st.tuples(st.integers(0, projections - 1), st.sampled_from([1, 2, 4]),
-                                     st.lists(st.tuples(near, widths), max_size=8)),
-                           max_size=6))
+    row = st.tuples(near, widths).map(lambda start: (start[0], start[0] + start[1]))
+    pairs = st.lists(st.tuples(row, st.sampled_from([None, *FOLD_CASES])), max_size=8)
+    passes = [(g, R, splice_repeats(pass_pairs)) for g, R, pass_pairs in draw(st.lists(
+        st.tuples(st.integers(0, projections - 1), st.sampled_from([1, 2, 4]), pairs),
+        max_size=6))]
     occupied = {}
     for g in range(projections):
-        ends = [lo + width for pg, _R, starts in passes if pg == g for lo, width in starts]
+        ends = [hi for pg, _R, rows in passes if pg == g for _qi, _lo, hi in rows]
         by_end = [st.builds(int.__add__, st.sampled_from(ends), st.integers(-60, 60))] if ends else []
         ids = draw(st.lists(st.one_of(near, st.integers(base - 2**41, base + 2**41), *by_end),
                             max_size=40, unique=True))
         occupied[g] = (sorted(ids), draw(st.lists(st.integers(1, 9), min_size=len(ids),
                                                   max_size=len(ids))))
-    plan = [(g, R, np.array([(qi, lo, lo + width) for qi, (lo, width) in enumerate(starts)],
-                            dtype=np.int64).reshape(-1, 3))
-            for g, R, starts in passes]
+    plan = [(g, R, np.array(rows, dtype=np.int64).reshape(-1, 3)) for g, R, rows in passes]
     return OccupiedIndex(occupied), plan, draw(st.sampled_from([1, 2, 3, 10, 25]))
 
 
@@ -1018,6 +1064,11 @@ class TestScheduling:
         assert starts == sorted(starts)
         # neighboring segments alternate owners instead of finishing query 0 first
         assert [s[0] for s in segs[:4]] == [0, 1, 0, 1]
+        # copies of a range with another range of their start between them are not merged
+        ranges, ids = [(0, 0, 8), (1, 0, 4), (2, 0, 8)], list(range(10))
+        assert one_pass_order(ranges, 1, ids) == ([*range(8), *range(4), *range(8)], 3)
+        assert one_pass_order(ranges, 2, ids) == ([0, 1, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3,
+                                                   4, 5, 6, 7, 4, 5, 6, 7], 6)
 
     def test_same_bucket_multiset_ns1_vs_split(self):
         ranges = [(0, 2, 19), (1, 7, 30), (2, 0, 11)]
@@ -1040,6 +1091,7 @@ class TestScheduling:
                 want += [(g, R, ids[p]) for p in visit_order(reference, ids)]
                 segments += len(reference)
                 seen["empty"] += int((ranges[:, 2] <= ranges[:, 1]).sum())
+                seen.update(fold_cases(ranges.tolist()))
                 seen["far"] += any(abs(b) >= 2**40 for b in ids)
                 seen["wide end"] += splits > 1 and any(
                     hi - lo > 2**53 and bisect_left(ids, hi - 60) < bisect_left(ids, hi + 61)
@@ -1064,10 +1116,38 @@ class TestScheduling:
 
         check()
         # plans repeated passes, spanned projections, met empty ranges and ranges that miss
-        # every occupied id, ids at least 2**40 from 0, and ids by the last cut of a split
-        # range wider than 2**53
+        # every occupied id, ids at least 2**40 from 0, ids by the last cut of a split range
+        # wider than 2**53, and rows that repeat the row before them, or the one before that
         assert all(seen[name] > 20 for name in ("repeated pass", "projections", "empty",
                                                 "misses every id", "far", "wide end")), seen
+        assert all(seen[case] > 100 for case in FOLD_CASES), seen
+
+    # each plan pass by pass as (g, R, rows), over OCCUPIED: a plan without passes, one of
+    # passes without rows, and the point search's one-row passes, repeated and empty ones too
+    OCCUPIED = OccupiedIndex({0: ([1, 3, 4, 9], [1, 2, 1, 3]), 1: ([2, 5], [4, 1])})
+    EDGE_PLANS = {"no passes": [],
+                  "no rows": [(0, 1, []), (1, 2, []), (0, 1, [])],
+                  "one-row passes": [(0, 1, [(0, 0, 5)]), (0, 1, [(0, 0, 5)]), (1, 1, [(0, 2, 6)]),
+                                     (0, 2, [(0, 3, 10)]), (1, 1, [(0, 6, 6)]),
+                                     (0, 1, [(0, 0, 5)]), (1, 1, [(0, 5, 6)])]}
+
+    @pytest.mark.parametrize("name", EDGE_PLANS)
+    def test_plans_without_rows_or_of_one_row_passes_equal_the_oracles(self, name):
+        plan = [(g, R, np.array(rows, dtype=np.int64).reshape(-1, 3))
+                for g, R, rows in self.EDGE_PLANS[name]]
+        index = self.OCCUPIED
+        for splits in (1, 3):
+            want = [(g, R, index.occupied[g][0][p]) for g, R, ranges in plan for p in visit_order(
+                reference_split_queries(ranges.tolist(), splits), index.occupied[g][0])]
+            order = split_queries(plan, splits, index)
+            assert [order.keys[k] for k in order.accesses().tolist()] == want
+            assert order.segments == sum(len(reference_split_queries(ranges.tolist(), splits))
+                                         for _g, _R, ranges in plan)
+        plans = [plan, plan[:2], []]
+        assert schedule_ns2(plans, index) == oracle_ns2_batch(plans, index)
+        if name != "one-row passes":  # nothing to read, so no access and no check
+            assert order.keys == [] and order.segments == 0 and not order.by_key.size
+            assert schedule_ns2(plans, index) == ([], [], [], [0, 0, 0])
 
     def test_split_rejects_zero_splits(self):
         index = OccupiedIndex({0: ([1, 2], [1, 1])})
