@@ -31,10 +31,14 @@ of w / n, computed in numpy for the whole plan at once. Segments are visited
 by (pass, start); a pass's rows are in query-index order, and ties at equal
 starts are broken by row. NS2 reads every plan at once: `schedule_ns2`
 returns the batch's distinct keys in reading order, each with the plan it is
-billed to. The points of one query object share buckets, so most rows
-repeat the row before them; both functions fold each such run into its
-first row (`fold_repeats`), order or read that row once, and bill every
-copy as the unfolded plan would.
+billed to. Both functions read one layout of their passes (`_Layout`),
+which gives each occupied bucket of each (g, R) pass one int64 token and
+turns tokens back into keys and sizes; NS2 sorts its passes by (R, g)
+before it lays them out, so ascending tokens are its reading order. The
+points of one query object share buckets, so most rows repeat the row
+before them; the layout folds each such run into its first row
+(`fold_repeats`), both functions order or read that row once, and every
+copy is billed as the unfolded plan would bill it.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, hits included, so replays are exact.
@@ -403,46 +407,32 @@ def schedule_ns2(plans, index):
     Returns four lists: the (g, R, bucket id) keys in reading order, their
     sizes in bytes, the plan each key is billed to and each plan's checks.
 
-    The checks are counted from every row. The rows are laid out one
-    batched pass after another, and one `fold_repeats` call keeps the first
-    row of each run of repeated rows within a batched pass: a copy covers
-    nothing that the row before it did not cover first, so it owns
-    nothing. Per batched pass, one `np.searchsorted` maps the kept rows'
-    bounds to positions among the projection's occupied ids, and the rows
-    expand into one array of positions in row order, so a position's first
-    occurrence there, which `np.unique` returns, lies in the row of the
-    plan it is billed to.
+    NS2 reads the layout `split_queries` reads (`_Layout`). The passes,
+    taken plan by plan, are stably sorted by (R, g) before they are laid
+    out, so the (g, R) groups are numbered in reading order and ascending
+    tokens are the reading order. A copy of a row covers nothing that the
+    row before it did not cover first, so it owns nothing, and only the
+    kept rows' tokens are expanded. They expand in layout order, which
+    keeps each batched pass's rows plan by plan, so one `np.unique` gives
+    the keys and, at each token's first occurrence, the row of the plan it
+    is billed to. The checks are counted from every row: each pass's
+    length times the keys its (g, R) group reads.
     """
-    passes: dict[tuple, list] = {}  # (R, g) -> (plan index, ranges) of each of its passes
-    for p, plan in enumerate(plans):
-        for g, R, ranges in plan:
-            passes.setdefault((R, g), []).append((p, ranges))
-    keys, sizes, owners = [], [], []
+    passes = [entry for plan in plans for entry in plan]
     alg_ops = np.zeros(len(plans), dtype=np.int64)
     if not passes:
-        return keys, sizes, owners, alg_ops.tolist()
-    batches = sorted(passes)
-    pass_plans, arrays = zip(*(entry for batch in batches for entry in passes[batch]))
-    lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
-    rows = np.concatenate(arrays)  # every batched pass's rows, one batched pass after another
-    row_plan = np.repeat(pass_plans, lengths)
-    row_batch = np.repeat(np.arange(len(batches)), [len(passes[batch]) for batch in batches])
-    row_batch = np.repeat(row_batch, lengths)
-    heads, _copies = fold_repeats(rows, row_batch)
-    row_edges = np.searchsorted(row_batch, np.arange(len(batches) + 1))
-    head_edges = np.searchsorted(heads, row_edges)
-    for j, (R, g) in enumerate(batches):
-        kept = heads[head_edges[j]:head_edges[j + 1]]
-        ids, counts = index.occupied_buckets(g)
-        bounds = np.searchsorted(ids, rows[kept, 1:])
-        widths = bounds[:, 1] - bounds[:, 0]  # lo < hi, so >= 0
-        positions, first = np.unique(expand_ranges(bounds[:, 0], widths), return_index=True)
-        keys += [(g, R, bucket) for bucket in ids[positions].tolist()]
-        sizes += (counts[positions] * POINT_ID_BYTES).tolist()
-        owners += row_plan[kept[np.searchsorted(np.cumsum(widths), first, side="right")]].tolist()
-        checks = np.bincount(row_plan[row_edges[j]:row_edges[j + 1]], minlength=len(plans))
-        alg_ops += checks * len(positions)
-    return keys, sizes, owners, alg_ops.tolist()
+        return [], [], [], alg_ops.tolist()
+    gs, Rs, _arrays = zip(*passes)
+    by_Rg = np.lexsort((gs, Rs))  # stable, so each (R, g)'s passes stay plan by plan
+    layout = _Layout([passes[i] for i in by_Rg.tolist()], index)
+    pass_plan = np.repeat(np.arange(len(plans)), list(map(len, plans)))[by_Rg]
+    token_lo, widths = layout.tokens(layout.lo, layout.hi, layout.kept_pass)
+    tokens, first = np.unique(expand_ranges(token_lo, widths), return_index=True)
+    keys, sizes, group = layout.keys(tokens)
+    owners = pass_plan[layout.kept_pass[np.searchsorted(np.cumsum(widths), first, side="right")]]
+    group_keys = np.bincount(group, minlength=len(layout.groups))
+    np.add.at(alg_ops, pass_plan, layout.lengths * group_keys[layout.pass_group])
+    return keys, sizes, owners.tolist(), alg_ops.tolist()
 
 
 def fold_repeats(rows, passes):
@@ -520,30 +510,20 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     visiting each ordered segment once per copy gives the unfolded plan's
     order. `segments` counts every copy.
 
-    The whole plan is ordered in one numpy pass. Its passes are laid out
+    The whole plan is ordered in one numpy pass over the layout that
+    `schedule_ns2` reads too (`_Layout`). Its passes are laid out
     projection by projection, so one `searchsorted` per projection maps the
-    segment bounds to occupied positions; one stable lexsort on (pass,
-    start) orders the segments; and one stable argsort of the accesses'
-    tokens groups them by key.
+    segment bounds to tokens; one stable lexsort on (pass, start) orders
+    the segments; and one stable argsort of the accesses' tokens groups
+    them by key.
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
     none = np.empty(0, dtype=np.int64)
-    if not plan:
+    layout = _Layout(plan, index) if plan else None
+    if layout is None or not len(layout.lo):  # no segment, so no access
         return PlanOrder([], [], none, none, none, none, 0)
-    gs, Rs, arrays = zip(*plan)
-    group_of: dict[tuple, int] = {}  # (g, R) -> its index, in order of first pass
-    pass_group = np.array([group_of.setdefault(gR, len(group_of)) for gR in zip(gs, Rs)])
-    projections, g_rank = np.unique(gs, return_inverse=True)
-    by_g = np.argsort(g_rank, kind="stable")  # the passes of one g run together
-    lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
-    rows = np.concatenate(arrays)[expand_ranges((np.cumsum(lengths) - lengths)[by_g],
-                                                lengths[by_g])]
-    row_pass = np.repeat(by_g, lengths[by_g])
-    kept, copies = fold_repeats(rows, row_pass)
-    if not len(kept):  # no segment, so no access
-        return PlanOrder([], [], none, none, none, none, 0)
-    seg_pass, start, end = row_pass[kept], rows[kept, 1], rows[kept, 2]
+    seg_pass, start, end, copies = layout.kept_pass, layout.lo, layout.hi, layout.copies
     if splits > 1:
         # segment j of n starts at lo + round(j * (width / n)), with np.linspace's float64
         # step and half-to-even rounding, and ends where j + 1 starts; the last ends at hi
@@ -554,32 +534,77 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
         seg_end = np.r_[cuts[1:], 0]
         seg_end[np.cumsum(nseg) - 1] = end
         seg_pass, start, end, copies = seg_pass[seg_row], cuts, seg_end, copies[seg_row]
-    # A bucket's token is its position among the plan's projections' occupied ids, laid
-    # one projection after another, plus len(ids) times the index of its (g, R) pass.
-    occupied = [index.occupied_buckets(g) for g in projections.tolist()]
-    ids, counts = (np.concatenate(column) for column in zip(*occupied))
-    first_id = np.cumsum([0, *(len(g_ids) for g_ids, _counts in occupied)])
-    pass_token = pass_group * len(ids) + first_id[g_rank]
-    seg_g = g_rank[seg_pass]
-    positions = np.stack((start, end))  # each segment's bounds, then their positions in ids
-    edges = [0, *(np.flatnonzero(np.diff(seg_g)) + 1).tolist(), len(seg_g)]
-    for a, b in zip(edges, edges[1:]):  # one searchsorted per projection
-        positions[:, a:b] = occupied[int(seg_g[a])][0].searchsorted(positions[:, a:b])
+    token_lo, widths = layout.tokens(start, end, seg_pass)
     # The visiting order: by pass, then start. A pass's segments lie in row order, which
     # is query-index order, and lexsort is stable, so ties fall in query-index order.
     order = np.lexsort((start, seg_pass))
     order = np.repeat(order, copies[order])  # each copy of a segment in turn
-    tokens = expand_ranges((positions[0] + pass_token[seg_pass])[order],
-                           (positions[1] - positions[0])[order])
+    tokens = expand_ranges(token_lo[order], widths[order])
     by_key = np.argsort(tokens, kind="stable")  # each key's accesses together, in order
     sorted_tokens = tokens[by_key]
     heads = np.flatnonzero(np.diff(sorted_tokens, prepend=-1))  # tokens are >= 0
     uses = np.diff(np.r_[heads, len(tokens)])
-    group, position = np.divmod(sorted_tokens[heads], len(ids))
-    groups = list(group_of)
-    keys = [(*groups[j], bucket) for j, bucket in zip(group.tolist(), ids[position].tolist())]
-    return PlanOrder(keys, (counts[position] * POINT_ID_BYTES).tolist(), by_key[heads],
-                     by_key[heads + uses - 1], uses, by_key, len(order))
+    keys, sizes, _group = layout.keys(sorted_tokens[heads])
+    return PlanOrder(keys, sizes, by_key[heads], by_key[heads + uses - 1], uses, by_key,
+                     len(order))
+
+
+class _Layout:
+    """A list of (g, R, rows) passes laid out once for both schedulers.
+
+    The passes' (g, R) groups are numbered in order of first pass
+    (`groups`, `pass_group`); `lengths` holds each pass's row count. The
+    rows are laid out projection by projection: a stable argsort of g puts
+    the passes of one projection together, each pass's rows in order and
+    the passes in list order. `fold_repeats` then keeps the first row of
+    each run of repeated rows: `lo`, `hi`, `kept_pass` and `copies` hold
+    each kept row's bounds, pass and run length, in layout order.
+
+    A bucket's token is its position among the projections' occupied ids,
+    laid one projection after another, plus len(ids) times the number of
+    its (g, R) group, so tokens ascend by group, then bucket id. Tokens
+    stay in int64: the groups are at most m * `level_cap(c)` <= 63,488
+    and the occupied ids at most m * n < 2**41, so a token is below 2**57.
+    """
+
+    def __init__(self, passes, index):
+        gs, Rs, arrays = zip(*passes)
+        group_of: dict[tuple, int] = {}  # (g, R) -> its number, in order of first pass
+        self.pass_group = np.array([group_of.setdefault(gR, len(group_of))
+                                    for gR in zip(gs, Rs)])
+        self.groups = list(group_of)
+        projections, self.g_rank = np.unique(gs, return_inverse=True)
+        by_g = np.argsort(self.g_rank, kind="stable")  # the passes of one g run together
+        self.lengths = lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
+        rows = np.concatenate(arrays)[expand_ranges((np.cumsum(lengths) - lengths)[by_g],
+                                                    lengths[by_g])]
+        row_pass = np.repeat(by_g, lengths[by_g])
+        kept, self.copies = fold_repeats(rows, row_pass)
+        self.lo, self.hi, self.kept_pass = rows[kept, 1], rows[kept, 2], row_pass[kept]
+        self.occupied = [index.occupied_buckets(g) for g in projections.tolist()]
+        self.ids, self.counts = (np.concatenate(column) for column in zip(*self.occupied))
+        first_id = np.cumsum([0, *(len(g_ids) for g_ids, _counts in self.occupied)])
+        self.pass_token = self.pass_group * len(self.ids) + first_id[self.g_rank]
+
+    def tokens(self, start, end, seg_pass):
+        """The token of the first occupied bucket of each [start, end), and their count.
+
+        seg_pass[s] is bound s's pass; the bounds must run projection by
+        projection, as the laid-out rows do, for one `searchsorted` per
+        projection.
+        """
+        positions = np.stack((start, end))
+        edges = self.g_rank[seg_pass].searchsorted(np.arange(len(self.occupied) + 1)).tolist()
+        for (ids, _counts), a, b in zip(self.occupied, edges, edges[1:]):
+            positions[:, a:b] = ids.searchsorted(positions[:, a:b])
+        return positions[0] + self.pass_token[seg_pass], positions[1] - positions[0]
+
+    def keys(self, tokens):
+        """Each token's (g, R, bucket id) key, its size in bytes and its group's number."""
+        group, position = np.divmod(tokens, len(self.ids))
+        keys = [(*self.groups[j], bucket)
+                for j, bucket in zip(group.tolist(), self.ids[position].tolist())]
+        return keys, (self.counts[position] * POINT_ID_BYTES).tolist(), group
 
 
 class FrequencyProfile:

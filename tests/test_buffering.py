@@ -1013,6 +1013,24 @@ class TestScheduling:
         index, plans = run[0], run[1]
         assert schedule_ns2(plans, index) == oracle_ns2_batch(plans, index)
 
+    @settings(max_examples=300, deadline=None)
+    @given(run=pass_plans())
+    def test_ns2_reads_the_keys_of_the_plans_one_split_orders(self, run):
+        # both schedulers tokenise through one layout; NS2 reads the union of the plans'
+        # keys once, in ascending (R, g, bucket), each billed to the first plan holding it
+        index, plans = run[0], run[1]
+        size_of, owner_of = {}, {}
+        for p, plan in enumerate(plans):
+            order = split_queries(plan, 1, index)
+            for key, size in zip(order.keys, order.sizes):
+                assert size_of.setdefault(key, size) == size
+                owner_of.setdefault(key, p)
+        want = sorted(size_of, key=lambda key: (key[1], key[0], key[2]))
+        keys, sizes, owners, _alg_ops = schedule_ns2(plans, index)
+        assert keys == want
+        assert sizes == [size_of[key] for key in want]
+        assert owners == [owner_of[key] for key in want]
+
     def test_split_segments_tile_each_range(self):
         # widths above 2**53 that float64 does not hold: float(3**36) is 3**36 + 15
         ranges = [(0, 0, 17), (1, 40, 43), (2, 5, 6), (3, -3**36, 0), (4, 7, 7 + 5**23),
