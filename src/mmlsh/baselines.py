@@ -58,7 +58,7 @@ def point_knn_linear(q_coords, dataset: Dataset, k_prime: int) -> list:
     `cdist` does. Returns one list of (row, dist) per query point, ties by row.
     """
     q = np.asarray(q_coords, dtype=np.float64)
-    kept = rows_within_kth(q, dataset.coords, k_prime)
+    kept = rows_within_kth(q, dataset, k_prime)
     return [_nearest_rows(euclidean(p, dataset.coords[rows]), k_prime, rows)
             for p, rows in zip(q, kept)]
 

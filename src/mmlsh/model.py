@@ -16,15 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeatureFileError, NonFiniteCoordinateError, ObjectMapError, UnknownObjectError
+from .similarity import squared_norms
 
 class Dataset:
     """Immutable feature points grouped into objects.
 
-    `coords` is the (n, d) float32 matrix, one row per point. Derived from
-    the owner array: the sorted distinct `object_ids`, each row's dense
-    object index `point_object_index` into them, `object_sizes`, and the CSR
-    pair `object_rows`/`object_offsets`: the rows of the object at index j
-    are object_rows[object_offsets[j]:object_offsets[j + 1]], ascending.
+    `coords` is the (n, d) float32 matrix, one row per point, as a read-only
+    view: the caller's array keeps its own flags, but must not be written
+    while the dataset is in use. `sq_norms` is the read-only (n,) float32
+    squared norm of each row (`similarity.squared_norms`, inf where it
+    overflows), summed once here for the float32 products of the exact
+    object distances. Derived from the owner array: the sorted distinct
+    `object_ids`, each row's dense object index `point_object_index` into
+    them, `object_sizes`, and the CSR pair `object_rows`/`object_offsets`:
+    the rows of the object at index j are
+    object_rows[object_offsets[j]:object_offsets[j + 1]], ascending.
     """
 
     def __init__(self, coords, point_objects):
@@ -40,7 +46,10 @@ class Dataset:
         bad = _first_non_finite(coords)
         if bad is not None:
             raise NonFiniteCoordinateError(f"point {bad} has a non-finite coordinate")
-        self.coords = coords
+        self.coords = coords.view()
+        self.coords.flags.writeable = False
+        self.sq_norms = squared_norms(coords)
+        self.sq_norms.flags.writeable = False
         self.dimension = coords.shape[1]
         self.object_ids, self.point_object_index = np.unique(point_objects, return_inverse=True)
         self.object_sizes = np.bincount(self.point_object_index, minlength=len(self.object_ids))

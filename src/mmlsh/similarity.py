@@ -13,7 +13,9 @@ Every distance this module returns is a `cdist` value, bit for bit:
 order, as scipy's `cdist` does. The batched kernels find which pairs matter
 from squared distances taken by one matrix product, in float32 or float64,
 with a derived error bound (see `_approx_sq_dists`), and measure only the
-pairs the bound cannot place.
+pairs the bound cannot place. A float32 product reads the data points'
+squared norms from the dataset's table (`Dataset.sq_norms`, 4n B), so a
+block sums only its query's norms.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ from .errors import ParameterError
 
 # cross pairs per block of `gamma_distances`. Transient memory stays flat at
 # any dataset size: 1 MB of float32 squared distances and its partitioned
-# copy, plus the block's rows, 3.4 MB at |Q| = 10 and d = 32 (and twice the
-# product's share, with a float64 copy of the rows, on a float64 product).
+# copy, plus the block's rows and their norms from the dataset's table, 3.4 MB
+# at |Q| = 10 and d = 32 (and twice the product's share, with a float64 copy
+# of the rows and float64 norms of its own, on a float64 product). A block
+# computes no data norms: the table, 4n B (0.4 MB at n = 100,000), is summed
+# once per dataset.
 # On a 2-core Xeon, ranking every object of a 200 x 20 or a 1000 x 100 point
 # dataset took 10 % or more longer with blocks of 2**16 pairs or fewer, while
 # 2**18 to 2**20 were within run-to-run noise; the smallest keeps the least.
@@ -137,13 +142,14 @@ def gamma_distances(q_coords, dataset, ranks, gamma: float) -> np.ndarray:
     with S > t + 2 eta certainly above. `euclidean` measures only the pairs
     in between, the window, about one per object on clustered data, and each
     object's distance is the right order statistic among them. The product
-    runs in float32 when float32 holds the query, and in float64 when that
-    product is unsafe or its window holds more than WINDOW_SHARE of the
-    block's pairs, as on a cloud far from the origin. Once a block drops
-    float32, the call's later blocks go straight to float64. When neither
-    product is safe, the window is every pair. Each pair's distance does not
-    depend on the others measured with it, so every path returns the same
-    bits.
+    runs in float32 when float32 holds the query, reading the block's data
+    norms from the dataset's table (`Dataset.sq_norms`), and in float64
+    when that product is unsafe or its window holds more than WINDOW_SHARE
+    of the block's pairs, as on a cloud far from the origin. Once a block
+    drops float32, the call's later blocks go straight to float64. When
+    neither product is safe, the window is every pair. Each pair's distance
+    does not depend on the others measured with it, so every path returns
+    the same bits.
     """
     _check_gamma(gamma)
     q, _ = _check_point_sets(q_coords, dataset.coords[:1])  # a dataset has a point
@@ -158,29 +164,35 @@ def gamma_distances(q_coords, dataset, ranks, gamma: float) -> np.ndarray:
             block = members[start:start + per_block]
             firsts = dataset.object_offsets[ranks[block]]
             rows = dataset.object_rows[(firsts[:, None] + np.arange(size)).ravel()]
-            out[block], precisions = _block_gamma_distances(
-                q, _gather(dataset.coords, rows), size, gamma, precisions)
+            x, x_norms = _gather(rows, dataset.coords, dataset.sq_norms)
+            out[block], precisions = _block_gamma_distances(q, x, x_norms, size, gamma,
+                                                            precisions)
     return out
 
 
-def _gather(coords, rows):
-    """coords[rows]; a view when the rows are one ascending run, as stored objects often are."""
+def _gather(rows, *tables):
+    """Each table at rows; views when the rows are one ascending run, as stored objects often are.
+
+    One contiguity check serves every table.
+    """
     first = int(rows[0])
     if int(rows[-1]) - first == rows.size - 1 and np.all(np.diff(rows) == 1):
-        return coords[first:first + rows.size]
-    return coords[rows]
+        rows = slice(first, first + rows.size)
+    return [table[rows] for table in tables]
 
 
-def _block_gamma_distances(q, x, size: int, gamma: float, precisions):
+def _block_gamma_distances(q, x, x_norms, size: int, gamma: float, precisions):
     """The gamma-distance from q to each object of a block, and the precisions for the next block.
 
-    x holds `size` rows per object. The products are tried in `precisions`
-    order; once a block drops float32, the next ones go straight to float64.
+    x holds `size` rows per object, and x_norms their float32 squared norms.
+    The products are tried in `precisions` order; once a block drops
+    float32, the next ones go straight to float64.
     """
     pairs = len(q) * size
     k = _rank(gamma, pairs)
     ranks = np.full(len(x) // size, k)
-    narrowed = _narrowed(x, q, k, pairs, keep_below=False, precisions=precisions)
+    narrowed = _narrowed(x, q, (x_norms, None), k, pairs, keep_below=False,
+                         precisions=precisions)
     if narrowed is None:
         return _select_in_window(q, x, np.arange(len(x) * len(q)), size, ranks), (np.float64,)
     sq, lo, window = narrowed
@@ -203,8 +215,8 @@ def _select_in_window(q, x, window, size: int, ranks) -> np.ndarray:
     return exact[np.searchsorted(owner, np.arange(len(ranks))) + ranks - 1]
 
 
-def rows_within_kth(q, x, k: int) -> list:
-    """Per query point, the rows of x that may lie within its k-th smallest `cdist` value.
+def rows_within_kth(q, dataset, k: int) -> list:
+    """Per query point, the dataset rows that may lie within its k-th smallest `cdist` value.
 
     Entry i holds, ascending, every row whose `cdist` distance to q[i] is at
     most the k-th smallest, ties included, and perhaps a few more: the rows
@@ -212,31 +224,35 @@ def rows_within_kth(q, x, k: int) -> list:
     the k-th smallest S (see `gamma_distances`). The product runs in float32,
     or in float64 when float32 does not hold q, is unsafe or keeps more than
     WINDOW_SHARE of the pairs. Every row is kept when neither product is
-    safe, or when k is not in [1, len(x)).
+    safe, or when k is not in [1, n).
     """
-    narrowed = _narrowed(q, x, k, len(x), keep_below=True) if 0 < k < len(x) else None
+    n = dataset.n
+    narrowed = (_narrowed(q, dataset.coords, (None, dataset.sq_norms), k, n, keep_below=True)
+                if 0 < k < n else None)
     if narrowed is None:
-        return [np.arange(len(x))] * len(q)
+        return [np.arange(n)] * len(q)
     return [np.flatnonzero(row) for row in narrowed[2]]
 
 
-def _narrowed(a, b, k: int, pairs: int, keep_below: bool,
+def _narrowed(a, b, norms, k: int, pairs: int, keep_below: bool,
               precisions=(np.float32, np.float64)):
     """(S, lo, mask of the pairs left to measure) from a product of a and b; None if none is safe.
 
     `_approx_sq_dists(a, b)` runs in each of `precisions` in turn, in float32
-    only if float32 holds a and b, until one counts. Per row of `pairs` pairs
-    of its S, with t the k-th smallest S, `_bounds` gives lo and hi; the
-    pairs to measure have lo <= S <= hi, or S <= hi under `keep_below`. A
-    float32 product counts only when they are at most WINDOW_SHARE of the
-    pairs; a float64 one counts whatever they are.
+    only if float32 holds a and b, until one counts. A float32 product is
+    handed `norms`, the float32 squared norms of a's and b's rows where
+    known (None where not). Per row of `pairs` pairs of its S, with t the
+    k-th smallest S, `_bounds` gives lo and hi; the pairs to measure have
+    lo <= S <= hi, or S <= hi under `keep_below`. A float32 product counts
+    only when they are at most WINDOW_SHARE of the pairs; a float64 one
+    counts whatever they are.
     """
     for dtype in precisions:
         with np.errstate(over="ignore"):  # a value float32 cannot hold is left out below
             a_p, b_p = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
         if not (a_p is a or np.array_equal(a_p, a)) or not (b_p is b or np.array_equal(b_p, b)):
             continue
-        approx = _approx_sq_dists(a_p, b_p)
+        approx = _approx_sq_dists(a_p, b_p, *(norms if dtype is np.float32 else ()))
         if approx is None:
             continue
         sq, eta = approx
@@ -254,10 +270,21 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u)
 
 
-def _approx_sq_dists(a, b):
+def squared_norms(points) -> np.ndarray:
+    """The squared norm of each row, in the points' precision; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", points, points)
+
+
+def _approx_sq_dists(a, b, aa=None, bb=None):
     """Squared distances ||a_i - b_j||^2 by one matrix product, and their error bound.
 
-    a and b are point matrices of one precision, float32 or float64. Returns
+    a and b are point matrices of one precision, float32 or float64. aa and
+    bb are their rows' squared norms in that precision, as `squared_norms`
+    gives them; one not given is computed here. The data side of a float32
+    product passes the dataset's table (`Dataset.sq_norms`), so no block sums
+    it again. A float64 product always computes its own: float32 norms would
+    carry float32's rounding, which the float64 eta does not cover. Returns
     (S, eta): the (len(a), len(b)) matrix S = ||a||^2 + ||b||^2 - 2 a b^T in
     that precision, and an eta with |S_ij - c_ij^2| <= eta for every pair,
     c_ij being the pair's `cdist` value. Returns None when the product is not
@@ -283,9 +310,11 @@ def _approx_sq_dists(a, b):
       ||a - b||^2| <= gamma'_(d+4) M with the float64 unit 2**-53. Only a
       float64 query, so only at float64, has differences whose squares
       underflow; each of those rounds by at most 2**-1075 more.
-    - The norms. M comes from the computed norms: a true squared norm
-      exceeds its computed value at most by a factor 1 / (1 - gamma_d) and
-      an absolute 2d * tiny.
+    - The norms. M comes from the computed norms, the largest of this a and
+      this b: a true squared norm exceeds its computed value at most by a
+      factor 1 / (1 - gamma_d) and an absolute 2d * tiny. Like the dot
+      products, this holds in any summation order, so a norm summed once per
+      dataset serves every block.
     - The absolute terms. The 4d underflows of the products, grown by the
       additions' rounding, stay below 5d * tiny, and `cdist`'s underflows
       below d * tiny: eta adds 8d * tiny.
@@ -299,9 +328,8 @@ def _approx_sq_dists(a, b):
     u = float(info.eps) / 2
     if d * u > 0.25:
         return None
-    with np.errstate(over="ignore"):
-        aa = np.einsum("ij,ij->i", a, a)
-        bb = np.einsum("ij,ij->i", b, b)
+    aa = squared_norms(a) if aa is None else aa
+    bb = squared_norms(b) if bb is None else bb
     top_a, top_b = float(aa.max()), float(bb.max())
     if not math.sqrt(top_a) + math.sqrt(top_b) <= _MAX_NORM_SUM[a.dtype.type]:
         return None

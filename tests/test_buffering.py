@@ -165,6 +165,36 @@ class TestLruBuffer:
             assert hit == ref.access(key, sizes[key])
         assert buf.used_bytes == ref.used
 
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_lru_stack_property(self, data):
+        """A hit at capacity C is a hit at every larger C while no bucket bypasses the smaller.
+
+        LRU keeps, per capacity, the longest run of most recently used keys
+        that fits (Mattson, Gecsei, Slutz and Traiger, 1970), and a longer
+        buffer keeps a longer run.
+        """
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+        capacities = sorted(data.draw(st.lists(st.integers(max(sizes), sum(sizes) + 1),
+                                               min_size=2, max_size=4, unique=True)))
+        keys = data.draw(st.lists(st.integers(0, len(sizes) - 1), max_size=80))
+        hits = []
+        for capacity in capacities:
+            buf = BufferState(capacity)
+            hits.append([access_bucket((k,), sizes[k], buf, evict_lru)[0] for k in keys])
+        for small, large in zip(hits, hits[1:]):
+            assert all(big or not little for little, big in zip(small, large))
+
+    def test_a_bucket_that_bypasses_the_smaller_buffer_breaks_the_stack_property(self):
+        """B (11 B) bypasses a 10 B buffer and keeps A resident, but evicts A from an 11 B one."""
+        accesses = [(("A",), 5), (("B",), 11), (("A",), 5)]
+
+        def hits(capacity):
+            buf = BufferState(capacity)
+            return [access_bucket(key, size, buf, evict_lru)[0] for key, size in accesses]
+
+        assert hits(10) == [False, False, True] and hits(11) == [False, False, False]
+
     def test_occupancy_invariant(self):
         rng = np.random.default_rng(23)
         buf = BufferState(capacity_bytes=777)

@@ -251,14 +251,28 @@ def products():
     ran = []
     approx_sq_dists = similarity._approx_sq_dists
 
-    def recording(a, b):
-        approx = approx_sq_dists(a, b)
+    def recording(a, b, *rest):
+        approx = approx_sq_dists(a, b, *rest)
         if approx is not None:
             ran.append(approx[0].dtype.type)
         return approx
 
     with mock.patch.object(similarity, "_approx_sq_dists", recording):
         yield ran
+
+
+@contextlib.contextmanager
+def handed_norms():
+    """Record (a, b, aa, bb) of every product `similarity` tries, safe or not."""
+    calls = []
+    approx_sq_dists = similarity._approx_sq_dists
+
+    def recording(a, b, aa=None, bb=None):
+        calls.append((a, b, aa, bb))
+        return approx_sq_dists(a, b, aa, bb)
+
+    with mock.patch.object(similarity, "_approx_sq_dists", recording):
+        yield calls
 
 
 class TestGammaDistances:
@@ -302,9 +316,9 @@ class TestGammaDistances:
         blocks = []
         block_gamma_distances = similarity._block_gamma_distances
 
-        def recording_block(q, x, size, gamma, precisions):
+        def recording_block(q, x, *rest):
             blocks.append(np.array(x))
-            return block_gamma_distances(q, x, size, gamma, precisions)
+            return block_gamma_distances(q, x, *rest)
 
         monkeypatch.setattr(similarity, "BLOCK_PAIRS", 81)  # two objects of 40 pairs
         monkeypatch.setattr(similarity, "_block_gamma_distances", recording_block)
@@ -350,6 +364,44 @@ class TestGammaDistances:
         monkeypatch.setattr(similarity, "BLOCK_PAIRS", 5)
         got = mmlsh.gamma_distances(q, dataset, [1, 0, 1], 0.7)
         assert got.tobytes() == per_object_gamma_distances(q, dataset, [1, 0, 1], 0.7).tobytes()
+
+    def test_float32_products_read_the_dataset_norm_table(self):
+        """No float32 product sums data norms: each is handed `sq_norms` of its rows."""
+        dataset = mmlsh.synth_dataset(60, 15, 8, 0.1, seed=4)
+        q = mmlsh.QueryObject.from_object(dataset, 11).coords
+        row_of = {row.tobytes(): i for i, row in enumerate(dataset.coords)}
+        assert len(row_of) == dataset.n
+        with handed_norms() as calls, spy("squared_norms") as summed:
+            got = mmlsh.gamma_distances(q, dataset, np.arange(60), 0.7)
+            similarity.rows_within_kth(q, dataset, 9)
+        assert len(calls) > 1 and {a.dtype.type for a, *_ in calls} == {np.float32}
+        for a, b, aa, bb in calls:  # the blocks' data is a, Linear-Borda's b
+            assert (aa is None) != (bb is None)
+            data, norms = (a, aa) if bb is None else (b, bb)
+            rows = [row_of[row.tobytes()] for row in data]
+            assert norms.tobytes() == dataset.sq_norms[rows].tobytes()
+        # one sum per product, of the query's points
+        assert summed.call_count == len(calls)
+        assert all(np.array_equal(c.args[0], q) for c in summed.call_args_list)
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, np.arange(60),
+                                                           0.7).tobytes()
+
+    @pytest.mark.parametrize("offset, scale", [(1e4, 1e-3), (0.0, 1e30)])
+    def test_float64_products_sum_their_own_norms(self, offset, scale):
+        """Far data drops float32 and huge data squares to inf there: float64 sums both sides."""
+        rng = np.random.default_rng(12)
+        dataset = mmlsh.Dataset(offset + rng.normal(size=(60, 4)) * scale,
+                                np.repeat(np.arange(12), 5))
+        q = (offset + rng.normal(size=(3, 4)) * scale).astype(np.float32)
+        with handed_norms() as calls, spy("squared_norms") as summed:
+            got = mmlsh.gamma_distances(q, dataset, np.arange(12), 0.5)
+        wide = [call for call in calls if call[0].dtype == np.float64]
+        assert wide and all(aa is None and bb is None for _, _, aa, bb in wide)
+        assert [a.dtype.type for a, *_ in calls] == [np.float32] + [np.float64] * len(wide)
+        assert sorted(c.args[0].dtype.name for c in summed.call_args_list) == (
+            ["float32"] + ["float64"] * 2 * len(wide))
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, np.arange(12),
+                                                           0.5).tobytes()
 
     def test_empty_ranks_give_an_empty_array(self, small_dataset):
         q = small_dataset.object_coords(0)
