@@ -247,6 +247,16 @@ class TestMmlshEviction:
         buf.clock = 100
         assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 0)
 
+    def test_a_tie_between_other_passes_evicts_the_lower_projection_first(self):
+        # both old, of other passes than (0, 1), so equally far, and of demand 0: the lower
+        # key goes, and keys ascend by projection before level, so (0, 2) before (1, 1)
+        buf = _seed_buffer([
+            ((1, 1, 3), 10, 0, 0.0),
+            ((0, 2, 3), 10, 0, 0.0),
+        ])
+        buf.clock = 100
+        assert _evict_mmlsh(buf, (0, 1, 3)) == (0, 2, 3)
+
     def test_relaxes_distance_then_recency(self):
         # all residents near the query: distance filter must be dropped
         buf = _seed_buffer([
