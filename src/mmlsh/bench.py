@@ -267,7 +267,7 @@ def replay_plans(strategy: str, plans, index, buffer: BufferState,
         _replay_ns2_batch(plans, index, buffer, stats_list)
         return
     mmlsh = strategy == MMLSH
-    evict = _MmlshEvictor(scheduler.profile) if mmlsh else evict_lru
+    evict = _MmlshEvictor(scheduler.profile, index) if mmlsh else evict_lru
     splits = scheduler.query_splits if mmlsh else 1
     for stats, plan in zip(stats_list, plans):
         order = split_queries(plan, splits, index)
@@ -288,18 +288,19 @@ def _replay_plan_stepwise(order, buffer: BufferState, evict, stats) -> None:
     the next miss and at the end of the plan. Each miss goes through
     `access_bucket` at its own tick, set from its access position.
     """
-    keys, sizes, resident, tick = order.keys, order.sizes, buffer.resident, buffer.clock
-    hits = {}  # key index -> hits since the last miss, in last-use order
+    keys, sizes, resident, tick = order.keys.tolist(), order.sizes, buffer.resident, buffer.clock
+    hits = {}  # key -> hits since the last miss, in last-use order
     for at, k in enumerate(order.accesses().tolist()):
-        if keys[k] in resident:
-            hits[k] = hits.pop(k, 0) + 1
+        key = keys[k]
+        if key in resident:
+            hits[key] = hits.pop(key, 0) + 1
             continue
         if hits:
-            bill_hits(hits.items(), keys, buffer, evict, stats)
+            bill_hits(hits.items(), buffer, evict, stats)
             hits = {}
         buffer.clock = tick + at
-        access_bucket(keys[k], sizes[k], buffer, evict, stats)
-    bill_hits(hits.items(), keys, buffer, evict, stats)
+        access_bucket(key, sizes[k], buffer, evict, stats)
+    bill_hits(hits.items(), buffer, evict, stats)
     buffer.clock = tick + len(order.by_key)
 
 
@@ -316,7 +317,7 @@ def _replay_plan_bulk(order, buffer: BufferState, evict, stats) -> None:
     `bill_hits` call reinserts every accessed key in last-use order and
     bills its remaining uses.
     """
-    keys, first, tick = order.keys, order.first, buffer.clock
+    keys, first, tick = order.keys.tolist(), order.first, buffer.clock
     missed = np.array([key not in buffer.resident for key in keys], dtype=bool)
     misses = np.flatnonzero(missed)
     misses = misses[np.argsort(first[misses])]
@@ -325,8 +326,8 @@ def _replay_plan_bulk(order, buffer: BufferState, evict, stats) -> None:
         access_bucket(keys[k], order.sizes[k], buffer, evict, stats)
     buffer.clock = tick + len(order.by_key)
     last_use = np.argsort(order.last)
-    bill_hits(zip(last_use.tolist(), (order.uses - missed)[last_use].tolist()), keys, buffer,
-              evict, stats)
+    bill_hits(zip(order.keys[last_use].tolist(), (order.uses - missed)[last_use].tolist()),
+              buffer, evict, stats)
 
 
 def _replay_ns2_batch(plans, index, buffer: BufferState, stats_list) -> None:

@@ -32,9 +32,9 @@ by (pass, start); a pass's rows are in query-index order, and ties at equal
 starts are broken by row. NS2 reads every plan at once: `schedule_ns2`
 returns the batch's distinct keys in reading order, each with the plan it is
 billed to. Both functions read one layout of their passes (`_Layout`),
-which gives each occupied bucket of each (g, R) pass one int64 token and
-turns tokens back into keys and sizes; NS2 sorts its passes by (R, g)
-before it lays them out, so ascending tokens are its reading order. The
+which names each occupied bucket of each (g, R) pass by one int64 key, the
+same in every plan, ascending by (g, R, bucket id); NS2 sorts its distinct
+keys stably by level, which gives its (R, g, bucket id) reading order. The
 points of one query object share buckets, so most rows repeat the row
 before them; the layout folds each such run into its first row
 (`fold_repeats`), both functions order or read that row once, and every
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ProfileFileError
-from .lsh import replacing
+from .lsh import level_cap, replacing
 
 NS1 = "NS1"
 NS2 = "NS2"
@@ -137,9 +137,11 @@ class _Entry:
 class BufferState:
     """Resident bucket set with recency/frequency metadata and IO accounting.
 
-    Keys are (projection, level, base bucket id) triples; each level's buckets
-    are distinct cacheable units. The resident dict preserves insertion order,
-    which doubles as the LRU order because every hit reinserts its key.
+    A replay's keys are the int64 buffer keys of `_Layout`, one per
+    (projection, level, base bucket id): each level's buckets are distinct
+    cacheable units. LRU reads nothing of a key; MMLSH decodes it. The
+    resident dict preserves insertion order, which doubles as the LRU order
+    because every hit reinserts its key.
     """
 
     def __init__(self, capacity_bytes: int, cost: CostModel | None = None, trace=None):
@@ -148,14 +150,11 @@ class BufferState:
                              f"got {capacity_bytes!r}")
         self.capacity_bytes = int(capacity_bytes)
         self.cost = cost or CostModel()
-        self.resident: dict[tuple, _Entry] = {}
+        self.resident: dict[int, _Entry] = {}
         self.used_bytes = 0
         self.clock = 0
         self.io_stats = QueryStats()
         self.trace = trace  # optional list collecting (tick, key, evicted keys) per miss
-
-    def __contains__(self, key):
-        return key in self.resident
 
     def _evict(self, key):
         entry = self.resident.pop(key)
@@ -182,9 +181,11 @@ class _MmlshEvictor:
     estimate on admission, less one per use, the admitting one included,
     never below 0.
 
-    `evict_mmlsh` wants the old residents in (demand, key) order, and a
-    resident that is old at one eviction is old at every later one (see the
-    module docstring). So each resident is in one of two places:
+    It reads a key's projection g, level R = c**t and bucket id off the
+    index (`bucket`). `evict_mmlsh` wants the old residents in (demand,
+    key) order, and a resident that is old at one eviction is old at every
+    later one (see the module docstring). So each resident is in one of two
+    places:
 
     young: (insert tick, key) in admission order, which is tick order, for
       the residents not yet old at the last eviction; entries of keys since
@@ -203,8 +204,9 @@ class _MmlshEvictor:
     evicts builds nothing.
     """
 
-    def __init__(self, profile: "FrequencyProfile"):
+    def __init__(self, profile: "FrequencyProfile", index):
         self.profile = profile
+        self.c, self.L, self.K, self.occupied = _key_space(index)
         self.resident: dict | None = None  # the buffer's, once the first eviction builds
         self.young: deque | None = None
         self.heap: list = []
@@ -215,6 +217,12 @@ class _MmlshEvictor:
             self.resident = buffer.resident
             self.young = deque(sorted((e.insert_tick, key) for key, e in self.resident.items()))
         return evict_mmlsh(buffer, current_bucket, self)
+
+    def bucket(self, key):
+        """The (g, t, bucket id) that a key names (see `_Layout`)."""
+        group, rank = divmod(key, self.K)
+        g, t = divmod(group, self.L)
+        return g, t, self.occupied[g][0].item(rank)
 
     def age(self, bound):
         """Move every young resident inserted before tick `bound` into the heap."""
@@ -234,7 +242,8 @@ class _MmlshEvictor:
             heapq.heapify(self.heap)
 
     def admit(self, key, entry):
-        entry.est_frequency = max(0.0, self.profile.frequency(key[0], key[2]) - 1.0)
+        g, _t, bucket = self.bucket(key)
+        entry.est_frequency = max(0.0, self.profile.frequency(g, bucket) - 1.0)
         if self.young is not None:
             self.young.append((entry.insert_tick, key))
 
@@ -254,12 +263,13 @@ class _MmlshEvictor:
 def evict_mmlsh(buffer: BufferState, current_bucket, policy: _MmlshEvictor):
     """Evict one resident by the three MMLSH criteria; returns its key.
 
-    current_bucket is the (projection, level R, bucket id) being fetched.
-    Criterion 1 protects the residents inserted within the last
-    len(resident) ticks, criterion 2 those within 2R buckets of it (a
-    resident of another (projection, level) pass is infinitely far); among
-    the rest the lowest estimated frequency goes (criterion 3), ties broken
-    by larger distance, then by lower key. When no resident passes both
+    current_bucket is the key of the (projection, level R, bucket id) being
+    fetched. Criterion 1 protects the residents inserted within the last
+    len(resident) ticks, criterion 2 those within 2R bucket ids of it (a
+    resident of another (projection, level) pass, whose key // K differs,
+    is infinitely far); among the rest the lowest estimated frequency goes
+    (criterion 3), ties broken by larger distance, then by lower key, that
+    is by (projection, level, bucket id). When no resident passes both
     filters the distance filter is dropped first, then the recency filter.
 
     policy is the `_MmlshEvictor` over `buffer.resident`. Once it has aged
@@ -276,7 +286,8 @@ def evict_mmlsh(buffer: BufferState, current_bucket, policy: _MmlshEvictor):
     resident = buffer.resident
     if not resident:
         raise RuntimeError("cannot evict from an empty buffer")
-    g, level, pos = current_bucket
+    K, (g, t, pos) = policy.K, policy.bucket(current_bucket)
+    ids, current = policy.occupied[g][0], current_bucket // K  # its (g, R) pass
     policy.age(buffer.clock - len(resident))
     heap = policy.heap
     popped = []  # (frequency, -distance, key, insert tick) of the live entries popped
@@ -285,19 +296,19 @@ def evict_mmlsh(buffer: BufferState, current_bucket, policy: _MmlshEvictor):
         entry = resident.get(key)
         if entry is None or entry.insert_tick != tick or entry.est_frequency != freq:
             continue  # stale: evicted, re-inserted or its frequency dropped since
-        if key[0] != g or key[1] != level:
+        if key // K != current:
             popped.append((freq, -math.inf, key, tick))
             break
-        popped.append((freq, -abs(key[2] - pos), key, tick))
+        popped.append((freq, -abs(ids.item(key % K) - pos), key, tick))
     if popped:
         # far and old (tier 0) if any, else old (tier 1)
-        victim = min([c for c in popped if -c[1] > 2 * level] or popped)[2]
+        victim = min([c for c in popped if -c[1] > 2 * policy.c ** t] or popped)[2]
         for freq, _neg_dist, key, tick in popped:
             if key != victim:
                 heapq.heappush(heap, (freq, key, tick))
     else:  # nothing is old: the last tier, over every resident
         victim = min((e.est_frequency,
-                      -abs(key[2] - pos) if key[0] == g and key[1] == level else -math.inf,
+                      -abs(ids.item(key % K) - pos) if key // K == current else -math.inf,
                       key) for key, e in resident.items())[2]
     buffer._evict(victim)
     policy.trim()
@@ -348,13 +359,11 @@ def access_bucket(key, size_bytes: int, buffer: BufferState, evict=evict_lru,
     return False, ms
 
 
-def bill_hits(uses, keys, buffer: BufferState, evict=evict_lru,
+def bill_hits(uses, buffer: BufferState, evict=evict_lru,
               stats: QueryStats | None = None) -> None:
     """Bill hits on resident buckets key by key; the clock is the caller's.
 
-    `uses` holds (token, hit count) pairs in last-use order, and `keys` maps
-    each token to its bucket's key (the replay's tokens are indices into a
-    plan's distinct keys, which hash faster than key tuples). Each key is
+    `uses` holds (key, hit count) pairs in last-use order. Each key is
     reinserted once, in that order, an MMLSH policy hears a key's n > 0 hits
     in one `use`, and the hits are added to `buffer.io_stats` and, when
     given, to `stats`. With the clock moved past them, that is what
@@ -364,8 +373,7 @@ def bill_hits(uses, keys, buffer: BufferState, evict=evict_lru,
     resident = buffer.resident
     policy = evict if isinstance(evict, _MmlshEvictor) else None
     hits = 0
-    for a, n in uses:
-        key = keys[a]
+    for key, n in uses:
         entry = resident[key] = resident.pop(key)
         if n and policy is not None:
             policy.use(key, entry, n)
@@ -404,35 +412,33 @@ def schedule_ns2(plans, index):
     occupied buckets its rows cover once, ascending, each billed to the
     plan of the first row that covers it. Every row, empty or not, costs
     its plan one membership check per bucket its batched pass reads.
-    Returns four lists: the (g, R, bucket id) keys in reading order, their
-    sizes in bytes, the plan each key is billed to and each plan's checks.
+    Returns four lists: the keys in reading order, their sizes in bytes,
+    the plan each key is billed to and each plan's checks.
 
-    NS2 reads the layout `split_queries` reads (`_Layout`). The passes,
-    taken plan by plan, are stably sorted by (R, g) before they are laid
-    out, so the (g, R) groups are numbered in reading order and ascending
-    tokens are the reading order. A copy of a row covers nothing that the
-    row before it did not cover first, so it owns nothing, and only the
-    kept rows' tokens are expanded. They expand in layout order, which
-    keeps each batched pass's rows plan by plan, so one `np.unique` gives
-    the keys and, at each token's first occurrence, the row of the plan it
-    is billed to. The checks are counted from every row: each pass's
-    length times the keys its (g, R) group reads.
+    NS2 reads the layout `split_queries` reads (`_Layout`). A copy of a
+    row covers nothing that the row before it did not cover first, so it
+    owns nothing, and only the kept rows' keys are expanded. The layout
+    keeps the rows of one (g, R) pass plan by plan, so one `np.unique`
+    gives the keys, ascending by (g, R, bucket id), and, at each key's first
+    occurrence, the row of the plan it is billed to. One stable argsort by
+    level turns that into the reading order. The checks are counted from
+    every row: each pass's length times the keys its (g, R) group, key // K,
+    reads.
     """
     passes = [entry for plan in plans for entry in plan]
     alg_ops = np.zeros(len(plans), dtype=np.int64)
     if not passes:
         return [], [], [], alg_ops.tolist()
-    gs, Rs, _arrays = zip(*passes)
-    by_Rg = np.lexsort((gs, Rs))  # stable, so each (R, g)'s passes stay plan by plan
-    layout = _Layout([passes[i] for i in by_Rg.tolist()], index)
-    pass_plan = np.repeat(np.arange(len(plans)), list(map(len, plans)))[by_Rg]
-    token_lo, widths = layout.tokens(layout.lo, layout.hi, layout.kept_pass)
-    tokens, first = np.unique(expand_ranges(token_lo, widths), return_index=True)
-    keys, sizes, group = layout.keys(tokens)
+    layout = _Layout(passes, index)
+    pass_plan = np.repeat(np.arange(len(plans)), list(map(len, plans)))
+    key_lo, widths = layout.keys(layout.lo, layout.hi, layout.kept_pass)
+    keys, first = np.unique(expand_ranges(key_lo, widths), return_index=True)
     owners = pass_plan[layout.kept_pass[np.searchsorted(np.cumsum(widths), first, side="right")]]
-    group_keys = np.bincount(group, minlength=len(layout.groups))
+    group_keys = np.bincount(keys // layout.K, minlength=layout.pass_group.max() + 1)
     np.add.at(alg_ops, pass_plan, layout.lengths * group_keys[layout.pass_group])
-    return keys, sizes, owners.tolist(), alg_ops.tolist()
+    order = np.argsort(keys // layout.K % layout.L, kind="stable")  # (R, g, bucket id)
+    return (keys[order].tolist(), layout.sizes(keys)[order].tolist(), owners[order].tolist(),
+            alg_ops.tolist())
 
 
 def fold_repeats(rows, passes):
@@ -464,8 +470,8 @@ def expand_ranges(starts, lengths):
 class PlanOrder:
     """A plan's accesses in visiting order, grouped by key (see `split_queries`).
 
-    keys holds the plan's distinct (projection, level, bucket id) keys and
-    sizes their sizes in bytes. Key k is accessed uses[k] times, first at
+    keys holds the plan's distinct keys (see `_Layout`), ascending, in an
+    int64 array, and sizes their sizes in bytes. Key k is accessed uses[k] times, first at
     access first[k] and last at access last[k], counting accesses from 0;
     by_key holds the access numbers grouped by key, each key's ascending.
     segments is the number of segments the plan's ranges were cut into,
@@ -473,7 +479,7 @@ class PlanOrder:
     repeated row's.
     """
 
-    keys: list
+    keys: np.ndarray
     sizes: list
     first: np.ndarray
     last: np.ndarray
@@ -513,16 +519,16 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     The whole plan is ordered in one numpy pass over the layout that
     `schedule_ns2` reads too (`_Layout`). Its passes are laid out
     projection by projection, so one `searchsorted` per projection maps the
-    segment bounds to tokens; one stable lexsort on (pass, start) orders
-    the segments; and one stable argsort of the accesses' tokens groups
-    them by key.
+    segment bounds to keys; one stable lexsort on (pass, start) orders the
+    segments; and one stable argsort of the accesses' keys groups them by
+    key.
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
     none = np.empty(0, dtype=np.int64)
     layout = _Layout(plan, index) if plan else None
     if layout is None or not len(layout.lo):  # no segment, so no access
-        return PlanOrder([], [], none, none, none, none, 0)
+        return PlanOrder(none, [], none, none, none, none, 0)
     seg_pass, start, end, copies = layout.kept_pass, layout.lo, layout.hi, layout.copies
     if splits > 1:
         # segment j of n starts at lo + round(j * (width / n)), with np.linspace's float64
@@ -534,46 +540,54 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
         seg_end = np.r_[cuts[1:], 0]
         seg_end[np.cumsum(nseg) - 1] = end
         seg_pass, start, end, copies = seg_pass[seg_row], cuts, seg_end, copies[seg_row]
-    token_lo, widths = layout.tokens(start, end, seg_pass)
+    key_lo, widths = layout.keys(start, end, seg_pass)
     # The visiting order: by pass, then start. A pass's segments lie in row order, which
     # is query-index order, and lexsort is stable, so ties fall in query-index order.
     order = np.lexsort((start, seg_pass))
     order = np.repeat(order, copies[order])  # each copy of a segment in turn
-    tokens = expand_ranges(token_lo[order], widths[order])
-    by_key = np.argsort(tokens, kind="stable")  # each key's accesses together, in order
-    sorted_tokens = tokens[by_key]
-    heads = np.flatnonzero(np.diff(sorted_tokens, prepend=-1))  # tokens are >= 0
-    uses = np.diff(np.r_[heads, len(tokens)])
-    keys, sizes, _group = layout.keys(sorted_tokens[heads])
-    return PlanOrder(keys, sizes, by_key[heads], by_key[heads + uses - 1], uses, by_key,
-                     len(order))
+    accessed = expand_ranges(key_lo[order], widths[order])
+    by_key = np.argsort(accessed, kind="stable")  # each key's accesses together, in order
+    accessed = accessed[by_key]
+    heads = np.flatnonzero(np.diff(accessed, prepend=-1))  # keys are >= 0
+    uses = np.diff(np.r_[heads, len(accessed)])
+    keys = accessed[heads]
+    return PlanOrder(keys, layout.sizes(keys).tolist(), by_key[heads], by_key[heads + uses - 1],
+                     uses, by_key, len(order))
+
+
+def _key_space(index):
+    """c, L and K of `index`'s buffer keys (see `_Layout`), and every `occupied_buckets(g)`."""
+    c, occupied = index.params.c, [index.occupied_buckets(g) for g in range(index.m)]
+    return c, level_cap(c), max(len(ids) for ids, _counts in occupied), occupied
 
 
 class _Layout:
     """A list of (g, R, rows) passes laid out once for both schedulers.
 
-    The passes' (g, R) groups are numbered in order of first pass
-    (`groups`, `pass_group`); `lengths` holds each pass's row count. The
-    rows are laid out projection by projection: a stable argsort of g puts
-    the passes of one projection together, each pass's rows in order and
-    the passes in list order. `fold_repeats` then keeps the first row of
-    each run of repeated rows: `lo`, `hi`, `kept_pass` and `copies` hold
-    each kept row's bounds, pass and run length, in layout order.
+    A bucket's key is one int64, the same in every plan and every replay:
+    (g * L + t) * K + r for the bucket of rank r among
+    `index.occupied_buckets(g)` at level R = c**t, where L = `level_cap(c)`
+    and K is the largest occupied-bucket count of any projection. So keys
+    ascend as (g, R, bucket id) triples do, which is the order MMLSH breaks
+    its ties in, and key // K numbers a key's (g, R) group. Keys stay in
+    int64: m <= 1024, L <= 62 and K <= n < 2**31, so every key is below
+    2**47.
 
-    A bucket's token is its position among the projections' occupied ids,
-    laid one projection after another, plus len(ids) times the number of
-    its (g, R) group, so tokens ascend by group, then bucket id. Tokens
-    stay in int64: the groups are at most m * `level_cap(c)` <= 63,488
-    and the occupied ids at most m * n < 2**41, so a token is below 2**57.
+    `pass_group` holds each pass's group g * L + t and `lengths` its row
+    count. The rows are laid out projection by projection: a stable
+    argsort of g puts the passes of one projection together, each pass's
+    rows in order and the passes in list order. `fold_repeats` then keeps
+    the first row of each run of repeated rows: `lo`, `hi`, `kept_pass` and
+    `copies` hold each kept row's bounds, pass and run length, in layout
+    order.
     """
 
     def __init__(self, passes, index):
         gs, Rs, arrays = zip(*passes)
-        group_of: dict[tuple, int] = {}  # (g, R) -> its number, in order of first pass
-        self.pass_group = np.array([group_of.setdefault(gR, len(group_of))
-                                    for gR in zip(gs, Rs)])
-        self.groups = list(group_of)
-        projections, self.g_rank = np.unique(gs, return_inverse=True)
+        c, self.L, self.K, occupied = _key_space(index)
+        # c**t for every t < L fits int64 (see `level_cap`)
+        self.pass_group = np.array(gs) * self.L + np.searchsorted(c ** np.arange(self.L), Rs)
+        self.projections, self.g_rank = np.unique(gs, return_inverse=True)
         by_g = np.argsort(self.g_rank, kind="stable")  # the passes of one g run together
         self.lengths = lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
         rows = np.concatenate(arrays)[expand_ranges((np.cumsum(lengths) - lengths)[by_g],
@@ -581,13 +595,10 @@ class _Layout:
         row_pass = np.repeat(by_g, lengths[by_g])
         kept, self.copies = fold_repeats(rows, row_pass)
         self.lo, self.hi, self.kept_pass = rows[kept, 1], rows[kept, 2], row_pass[kept]
-        self.occupied = [index.occupied_buckets(g) for g in projections.tolist()]
-        self.ids, self.counts = (np.concatenate(column) for column in zip(*self.occupied))
-        first_id = np.cumsum([0, *(len(g_ids) for g_ids, _counts in self.occupied)])
-        self.pass_token = self.pass_group * len(self.ids) + first_id[self.g_rank]
+        self.occupied = [occupied[g] for g in self.projections.tolist()]
 
-    def tokens(self, start, end, seg_pass):
-        """The token of the first occupied bucket of each [start, end), and their count.
+    def keys(self, start, end, seg_pass):
+        """The key of the first occupied bucket of each [start, end), and their count.
 
         seg_pass[s] is bound s's pass; the bounds must run projection by
         projection, as the laid-out rows do, for one `searchsorted` per
@@ -597,14 +608,13 @@ class _Layout:
         edges = self.g_rank[seg_pass].searchsorted(np.arange(len(self.occupied) + 1)).tolist()
         for (ids, _counts), a, b in zip(self.occupied, edges, edges[1:]):
             positions[:, a:b] = ids.searchsorted(positions[:, a:b])
-        return positions[0] + self.pass_token[seg_pass], positions[1] - positions[0]
+        return positions[0] + self.pass_group[seg_pass] * self.K, positions[1] - positions[0]
 
-    def keys(self, tokens):
-        """Each token's (g, R, bucket id) key, its size in bytes and its group's number."""
-        group, position = np.divmod(tokens, len(self.ids))
-        keys = [(*self.groups[j], bucket)
-                for j, bucket in zip(group.tolist(), self.ids[position].tolist())]
-        return keys, (self.counts[position] * POINT_ID_BYTES).tolist(), group
+    def sizes(self, keys):
+        """The size in bytes of each of the ascending `keys`, in an int64 array."""
+        edges = [*keys.searchsorted(self.projections * self.L * self.K).tolist(), None]
+        return POINT_ID_BYTES * np.concatenate([counts[keys[a:b] % self.K] for (_ids, counts), a, b
+                                                in zip(self.occupied, edges, edges[1:])])
 
 
 class FrequencyProfile:

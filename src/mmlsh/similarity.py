@@ -195,10 +195,10 @@ def _block_gamma_distances(q, x, x_norms, size: int, gamma: float, precisions):
                          precisions=precisions)
     if narrowed is None:
         return _select_in_window(q, x, np.arange(len(x) * len(q)), size, ranks), (np.float64,)
-    sq, lo, window = narrowed
-    below = np.count_nonzero(sq < lo[:, None], axis=1)
+    dtype, at_least_lo, window = narrowed
+    below = pairs - np.count_nonzero(at_least_lo, axis=1)  # S is finite: S < lo or S >= lo
     return (_select_in_window(q, x, np.flatnonzero(window), size, ranks - below),
-            (np.float64,) if sq.dtype == np.float64 else precisions)
+            (np.float64,) if dtype is np.float64 else precisions)
 
 
 def _select_in_window(q, x, window, size: int, ranks) -> np.ndarray:
@@ -236,16 +236,17 @@ def rows_within_kth(q, dataset, k: int) -> list:
 
 def _narrowed(a, b, norms, k: int, pairs: int, keep_below: bool,
               precisions=(np.float32, np.float64)):
-    """(S, lo, mask of the pairs left to measure) from a product of a and b; None if none is safe.
+    """(precision, mask of S >= lo, mask of the pairs to measure) from a product of a and b.
 
     `_approx_sq_dists(a, b)` runs in each of `precisions` in turn, in float32
     only if float32 holds a and b, until one counts. A float32 product is
     handed `norms`, the float32 squared norms of a's and b's rows where
     known (None where not). Per row of `pairs` pairs of its S, with t the
     k-th smallest S, `_bounds` gives lo and hi; the pairs to measure have
-    lo <= S <= hi, or S <= hi under `keep_below`. A float32 product counts
-    only when they are at most WINDOW_SHARE of the pairs; a float64 one
-    counts whatever they are.
+    lo <= S <= hi, or S <= hi under `keep_below`, which returns no S >= lo
+    mask. A float32 product counts only when they are at most WINDOW_SHARE
+    of the pairs; a float64 one counts whatever they are. None if no
+    product is safe.
     """
     for dtype in precisions:
         with np.errstate(over="ignore"):  # a value float32 cannot hold is left out below
@@ -258,11 +259,10 @@ def _narrowed(a, b, norms, k: int, pairs: int, keep_below: bool,
         sq, eta = approx
         sq = sq.reshape(-1, pairs)
         lo, hi = _bounds(np.partition(sq, k - 1, axis=1)[:, k - 1], eta)
-        measure = sq <= hi[:, None]
-        if not keep_below:
-            measure &= sq >= lo[:, None]
+        at_least_lo = None if keep_below else sq >= lo[:, None]
+        measure = sq <= hi[:, None] if keep_below else at_least_lo & (sq <= hi[:, None])
         if dtype is np.float64 or np.count_nonzero(measure) <= WINDOW_SHARE * sq.size:
-            return sq, lo, measure
+            return dtype, at_least_lo, measure
     return None
 
 

@@ -2,6 +2,7 @@ import math
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mmlsh.buffering import (_HEAP_SLACK, MMLSH, NS1, NS2, POINT_ID_BYTES, Buffe
                              _MmlshEvictor, access_bucket, build_frequency_profile, evict_lru,
                              profile_footprint, schedule_ns2, split_queries)
 from mmlsh.errors import ParameterError
+from mmlsh.lsh import MAX_PROJECTIONS, level_cap
 
 
 def schedule_ns1(ranges):
@@ -88,6 +90,45 @@ class ReferenceLru:
         return False
 
 
+class OccupiedIndex:
+    """Stands in for an LshIndex in a replay: c, m and each projection's occupied ids and counts."""
+
+    def __init__(self, occupied, c=2):
+        self.occupied = occupied  # projection 0..m-1 -> (ascending ids, entry counts)
+        self.m = len(occupied)
+        self.params = SimpleNamespace(c=c)
+
+    def occupied_buckets(self, g):
+        ids, counts = self.occupied[g]
+        return np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+
+class BufferKeys:
+    """Oracle: an index's buffer keys, from `occupied_buckets` alone.
+
+    The key of bucket id b of projection g at level R = c**t is
+    (g * L + t) * K + r, with L = `level_cap(c)`, K the largest
+    occupied-bucket count of any projection and r the rank of b among g's
+    occupied ids.
+    """
+
+    def __init__(self, index):
+        self.c, self.levels = index.params.c, level_cap(index.params.c)
+        self.ids = [index.occupied_buckets(g)[0].tolist() for g in range(index.m)]
+        self.rank = [{b: r for r, b in enumerate(ids)} for ids in self.ids]
+        self.ranks = max(map(len, self.ids))
+
+    def key(self, g, R, bucket):
+        t = [self.c ** t for t in range(self.levels)].index(R)
+        return (g * self.levels + t) * self.ranks + self.rank[g][bucket]
+
+    def decode(self, key):
+        """The (g, R, bucket id) of a key."""
+        group, r = divmod(key, self.ranks)
+        g, t = divmod(group, self.levels)
+        return g, self.c ** t, self.ids[g][r]
+
+
 class TestCostModel:
     def test_default_miss_arithmetic(self):
         cost = CostModel()
@@ -122,7 +163,7 @@ class TestLruBuffer:
         assert access_bucket(("a",), 60, buf)[0] is False
         assert access_bucket(("a",), 60, buf)[0] is True
         assert access_bucket(("b",), 60, buf)[0] is False  # evicts a
-        assert ("a",) not in buf
+        assert ("a",) not in buf.resident
         assert access_bucket(("a",), 60, buf)[0] is False
 
     def test_hit_refreshes_recency(self):
@@ -131,7 +172,7 @@ class TestLruBuffer:
         access_bucket(("b",), 40, buf)
         access_bucket(("a",), 40, buf)  # a becomes most recent
         access_bucket(("c",), 40, buf)  # must evict b, not a
-        assert ("a",) in buf and ("b",) not in buf
+        assert ("a",) in buf.resident and ("b",) not in buf.resident
 
     def test_access_billed_to_buffer_and_query(self):
         buf = BufferState(capacity_bytes=100)
@@ -152,7 +193,7 @@ class TestLruBuffer:
         buf = BufferState(capacity_bytes=100)
         hit, ms = access_bucket(("big",), 500, buf)
         assert hit is False and ms == buf.cost.miss_ms(500)
-        assert ("big",) not in buf and buf.used_bytes == 0
+        assert ("big",) not in buf.resident and buf.used_bytes == 0
 
     def test_matches_reference_lru_on_random_trace(self):
         rng = np.random.default_rng(17)
@@ -204,22 +245,28 @@ class TestLruBuffer:
             assert buf.used_bytes <= buf.capacity_bytes
 
 
+# two projections of one-entry buckets -4..15: a bucket's rank is its id + 4
+EVICT_INDEX = OccupiedIndex({g: (list(range(-4, 16)), [1] * 20) for g in range(2)})
+bucket_key = BufferKeys(EVICT_INDEX).key
+
+
 def _seed_buffer(entries, capacity=10_000):
-    """entries: list of (key, size, insert_tick, est_frequency)."""
+    """entries: list of ((g, R, bucket), size, insert_tick, est_frequency)."""
     buf = BufferState(capacity_bytes=capacity)
-    for key, size, tick, freq in entries:
+    for bucket, size, tick, freq in entries:
         buf.clock = tick
-        access_bucket(key, size, buf)
-        buf.resident[key].est_frequency = freq
+        access_bucket(bucket_key(*bucket), size, buf)
+        buf.resident[bucket_key(*bucket)].est_frequency = freq
     return buf
 
 
-def _evict_mmlsh(buf, current_bucket):
-    return _MmlshEvictor(uniform_profile(2))(buf, current_bucket)
+def _evict_mmlsh(buf, current_bucket, index=EVICT_INDEX):
+    evictor = _MmlshEvictor(uniform_profile(index.m), index)
+    return evictor(buf, BufferKeys(index).key(*current_bucket))
 
 
 class TestMmlshEviction:
-    """Level 1: residents within 2 buckets are near; window = resident count."""
+    """Level 1: residents within 2 bucket ids are near; window = resident count."""
 
     def test_prefers_lowest_frequency_among_old_and_far(self):
         buf = _seed_buffer([
@@ -228,7 +275,7 @@ class TestMmlshEviction:
             ((1, 1, 3), 10, 0, 2.0),   # other projection: infinitely far, old
         ])
         buf.clock = 100
-        assert _evict_mmlsh(buf, (0, 1, 4)) == (1, 1, 3)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == bucket_key(1, 1, 3)
 
     def test_frequency_tie_breaks_by_larger_distance(self):
         buf = _seed_buffer([
@@ -237,7 +284,7 @@ class TestMmlshEviction:
             ((0, 1, 12), 10, 0, 1.0),  # distance 8
         ])
         buf.clock = 100
-        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 12)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == bucket_key(0, 1, 12)
 
     def test_distance_tie_breaks_by_lower_key(self):
         buf = _seed_buffer([
@@ -245,7 +292,7 @@ class TestMmlshEviction:
             ((0, 1, 8), 10, 0, 1.0),   # distance 4
         ])
         buf.clock = 100
-        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 0)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == bucket_key(0, 1, 0)
 
     def test_a_tie_between_other_passes_evicts_the_lower_projection_first(self):
         # both old, of other passes than (0, 1), so equally far, and of demand 0: the lower
@@ -255,7 +302,19 @@ class TestMmlshEviction:
             ((0, 2, 3), 10, 0, 0.0),
         ])
         buf.clock = 100
-        assert _evict_mmlsh(buf, (0, 1, 3)) == (0, 2, 3)
+        assert _evict_mmlsh(buf, (0, 1, 3)) == bucket_key(0, 2, 3)
+
+    def test_distance_is_measured_in_bucket_ids_not_ranks(self):
+        # ranks 0, 1, 2 and 3; from id 10, id 0 is 10 ids away but one rank
+        index = OccupiedIndex({0: ([0, 10, 11, 12], [1] * 4)})
+        ids_key = BufferKeys(index).key
+        buf = BufferState(capacity_bytes=10_000)
+        for bucket, freq in ((0, 1.0), (12, 0.0)):  # the nearer one has the lower demand
+            access_bucket(ids_key(0, 1, bucket), 10, buf)
+            buf.resident[ids_key(0, 1, bucket)].est_frequency = freq
+        buf.clock = 100
+        # id 12 is within 2R = 2 ids of id 10, and protected; id 0 is far
+        assert _evict_mmlsh(buf, (0, 1, 10), index) == ids_key(0, 1, 0)
 
     def test_relaxes_distance_then_recency(self):
         # all residents near the query: distance filter must be dropped
@@ -264,55 +323,57 @@ class TestMmlshEviction:
             ((0, 1, 5), 10, 0, 1.0),
         ])
         buf.clock = 100
-        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 5)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == bucket_key(0, 1, 5)
         # all residents recent: recency filter must be dropped too
         buf = _seed_buffer([((0, 1, 4), 10, 99, 3.0), ((0, 1, 5), 10, 99, 1.0)])
         buf.clock = 100
-        assert _evict_mmlsh(buf, (0, 1, 4)) == (0, 1, 5)
+        assert _evict_mmlsh(buf, (0, 1, 4)) == bucket_key(0, 1, 5)
 
     def test_index_of_an_lru_filled_buffer_follows_insert_order(self):
         buf = BufferState(capacity_bytes=20)
-        access_bucket((0, 1, 5), 10, buf)  # tick 1
+        access_bucket(bucket_key(0, 1, 5), 10, buf)  # tick 1
         buf.clock = 9
-        access_bucket((0, 1, 0), 10, buf)  # tick 10
-        access_bucket((0, 1, 5), 10, buf)  # a hit: resident order is now use order
+        access_bucket(bucket_key(0, 1, 0), 10, buf)  # tick 10
+        access_bucket(bucket_key(0, 1, 5), 10, buf)  # a hit: resident order is now use order
         # at tick 12 the window is 2, so only (0, 1, 5) is old; both are far
-        access_bucket((1, 1, 0), 10, buf, _MmlshEvictor(uniform_profile(2)))
-        assert (0, 1, 5) not in buf and (0, 1, 0) in buf
+        access_bucket(bucket_key(1, 1, 0), 10, buf, _MmlshEvictor(uniform_profile(2), EVICT_INDEX))
+        assert bucket_key(0, 1, 5) not in buf.resident and bucket_key(0, 1, 0) in buf.resident
 
     def test_profile_seeds_estimated_frequency(self):
         edges = np.array([[0.0, 10.0]])
         means = np.array([[7.5]])
         profile = FrequencyProfile(edges=edges, means=means)
-        evictor = _MmlshEvictor(profile)
+        evictor = _MmlshEvictor(profile, EVICT_INDEX)
         buf = BufferState(capacity_bytes=100)
-        access_bucket((0, 1, 3), 10, buf, evictor)  # seeded to 7.5, less the admitting use
-        assert buf.resident[(0, 1, 3)].est_frequency == 6.5
-        access_bucket((0, 1, 3), 10, buf, evictor)
-        assert buf.resident[(0, 1, 3)].est_frequency == 5.5
+        # seeded to 7.5, less the admitting use
+        access_bucket(bucket_key(0, 1, 3), 10, buf, evictor)
+        assert buf.resident[bucket_key(0, 1, 3)].est_frequency == 6.5
+        access_bucket(bucket_key(0, 1, 3), 10, buf, evictor)
+        assert buf.resident[bucket_key(0, 1, 3)].est_frequency == 5.5
 
 
-def reference_evict_mmlsh(buffer, current_bucket, tiers: Counter | None = None):
+def reference_evict_mmlsh(buffer, current_bucket, keys, tiers: Counter | None = None):
     """Oracle: the three-criteria rule applied by scanning every resident.
 
-    When given, `tiers` counts the relaxation tier that chose each victim.
+    `keys` is the index's `BufferKeys`. When given, `tiers` counts the
+    relaxation tier that chose each victim.
     """
     if not buffer.resident:
         raise RuntimeError("cannot evict from an empty buffer")
-    g, level, pos = current_bucket
+    g, level, pos = keys.decode(current_bucket)
     window = len(buffer.resident)
     threshold = 2 * level
     now = buffer.clock
 
     def distance(key):
-        kg, klevel, kbucket = key
+        kg, klevel, kbucket = keys.decode(key)
         if kg != g or klevel != level:
             return math.inf  # other passes: maximally far from the current query
         return abs(kbucket - pos)
 
-    best = [None, None, None]  # per relaxation tier: (freq, -dist, key)
+    best = [None, None, None]  # per relaxation tier: (freq, -dist, (g, R, bucket), key)
     for key, entry in buffer.resident.items():
-        cand = (entry.est_frequency, -distance(key), key)
+        cand = (entry.est_frequency, -distance(key), keys.decode(key), key)
         old = now - entry.insert_tick > window
         far = distance(key) > threshold
         for tier, ok in enumerate((old and far, old, True)):
@@ -321,7 +382,7 @@ def reference_evict_mmlsh(buffer, current_bucket, tiers: Counter | None = None):
     tier = next(t for t, b in enumerate(best) if b is not None)
     if tiers is not None:
         tiers[tier] += 1
-    key = best[tier][2]
+    key = best[tier][3]
     buffer._evict(key)
     return key
 
@@ -329,12 +390,13 @@ def reference_evict_mmlsh(buffer, current_bucket, tiers: Counter | None = None):
 class ReferenceEvictor(_MmlshEvictor):
     """The MMLSH policy with the full-scan oracle in place of `evict_mmlsh`."""
 
-    def __init__(self, profile, tiers):
-        super().__init__(profile)
+    def __init__(self, profile, index, tiers):
+        super().__init__(profile, index)
+        self.keys = BufferKeys(index)
         self.tiers = tiers
 
     def __call__(self, buffer, current_bucket):
-        return reference_evict_mmlsh(buffer, current_bucket, self.tiers)
+        return reference_evict_mmlsh(buffer, current_bucket, self.keys, self.tiers)
 
 
 def replay_accesses(make_evictor, accesses, sizes, capacity, lru_prefix, mmlsh_cut):
@@ -357,24 +419,32 @@ def replay_accesses(make_evictor, accesses, sizes, capacity, lru_prefix, mmlsh_c
 
 @st.composite
 def access_runs(draw):
+    """Key sweeps over a pass's buckets, as replay makes them, with jumps between passes.
+
+    Each projection's occupied ids are `span` consecutive ids from a drawn
+    base, so ranks and ids differ by the base.
+    """
     projections = draw(st.integers(1, 3))
     levels = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True))
-    span = draw(st.integers(1, 40))  # ids 0..span-1: up to 39 apart, more than any threshold
-    # sweeps over a pass's buckets, as replay makes them, with jumps between passes
+    span = draw(st.integers(1, 40))  # up to 39 ids apart, more than any threshold
+    base = draw(st.sampled_from([0, -7, 2**40]))
+    index = OccupiedIndex({g: (list(range(base, base + span)), [1] * span)
+                           for g in range(projections)})
+    keys = BufferKeys(index)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     accesses = []
     for _ in range(draw(st.integers(1, 40))):
         g, level = int(rng.integers(projections)), int(rng.choice(levels))
         bucket = int(rng.integers(span))
         for _ in range(int(rng.integers(1, 12))):
-            accesses.append((g, level, bucket))
+            accesses.append(keys.key(g, level, base + bucket))
             bucket = (bucket + int(rng.integers(0, 3))) % span
     sizes = {key: int(rng.integers(1, 61)) for key in sorted(set(accesses))}
     capacity = draw(st.integers(1, 300))
     profile = uniform_profile(projections)
     if draw(st.booleans()):
         regions = draw(st.integers(1, 4))
-        edges = np.array([np.linspace(0, span, regions + 1)] * projections)
+        edges = np.array([np.linspace(base, base + span, regions + 1)] * projections)
         means = np.array(draw(st.lists(
             st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
                      min_size=regions, max_size=regions),
@@ -382,7 +452,7 @@ def access_runs(draw):
         profile = FrequencyProfile(edges=edges, means=means)
     lru_prefix = draw(st.one_of(st.just(0), st.integers(0, len(accesses))))
     mmlsh_cut = draw(st.one_of(st.just(len(accesses)), st.integers(lru_prefix, len(accesses))))
-    return accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut
+    return index, accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut
 
 
 class TestMmlshEvictionOracle:
@@ -392,11 +462,11 @@ class TestMmlshEvictionOracle:
         @settings(max_examples=300, deadline=None)
         @given(run=access_runs())
         def check(run):
-            accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut = run
-            got = replay_accesses(lambda: _MmlshEvictor(profile), accesses, sizes, capacity,
-                                  lru_prefix, mmlsh_cut)
-            want = replay_accesses(lambda: ReferenceEvictor(profile, tiers), accesses, sizes,
-                                   capacity, lru_prefix, mmlsh_cut)
+            index, accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut = run
+            got = replay_accesses(lambda: _MmlshEvictor(profile, index), accesses, sizes,
+                                  capacity, lru_prefix, mmlsh_cut)
+            want = replay_accesses(lambda: ReferenceEvictor(profile, index, tiers), accesses,
+                                   sizes, capacity, lru_prefix, mmlsh_cut)
             assert got == want
 
         check()
@@ -418,9 +488,9 @@ class TestMmlshEvictionOracle:
         @given(run=access_runs())
         def check(run):
             nonlocal evictions
-            accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut = run
+            index, accesses, sizes, capacity, profile, lru_prefix, mmlsh_cut = run
             bounds.clear()
-            replay_accesses(lambda: _MmlshEvictor(profile), accesses, sizes, capacity,
+            replay_accesses(lambda: _MmlshEvictor(profile, index), accesses, sizes, capacity,
                             lru_prefix, mmlsh_cut)
             assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds
             evictions += len(bounds)
@@ -430,13 +500,14 @@ class TestMmlshEvictionOracle:
 
     def test_heap_stays_within_a_multiple_of_the_residents(self):
         rng = np.random.default_rng(5)
-        keys = [(int(g), int(level), int(b)) for g, level, b in zip(
+        index = OccupiedIndex({g: (list(range(40)), [1] * 40) for g in range(3)})
+        keys = [BufferKeys(index).key(int(g), int(level), int(b)) for g, level, b in zip(
             rng.integers(0, 3, 20_000), rng.choice([1, 2, 4], 20_000),
             rng.integers(0, 40, 20_000))]  # few enough keys that old residents get hits
-        sizes = {key: int(rng.integers(1, 40)) for key in set(keys)}
+        sizes = {key: int(rng.integers(1, 40)) for key in sorted(set(keys))}
         profile = FrequencyProfile(edges=np.array([np.linspace(0, 40, 11)] * 3),
                                    means=rng.uniform(0, 30, size=(3, 10)))
-        evictor = _MmlshEvictor(profile)
+        evictor = _MmlshEvictor(profile, index)
         buf = BufferState(capacity_bytes=2_000)
         fullest = 0.0  # most heap entries per resident
         for key in keys:
@@ -451,7 +522,7 @@ class TestMmlshEvictionOracle:
                    if e.insert_tick < evictor.bound]
             assert entries.issuperset(old)  # every old resident has a live entry
             young = [(tick, k) for tick, k in evictor.young
-                     if k in buf and buf.resident[k].insert_tick == tick]
+                     if k in buf.resident and buf.resident[k].insert_tick == tick]
             assert young == sorted((e.insert_tick, k) for k, e in buf.resident.items()
                                    if e.insert_tick >= evictor.bound)
         assert buf.io_stats.evictions > 10_000
@@ -461,35 +532,24 @@ class TestMmlshEvictionOracle:
         # demand 5 - 1 = 4 on projection 0, 49 on projection 1
         profile = FrequencyProfile(edges=np.array([[0.0, 100.0]] * 2),
                                    means=np.array([[5.0], [50.0]]))
-        evictor = _MmlshEvictor(profile)
+        evictor = _MmlshEvictor(profile, EVICT_INDEX)
         buf = BufferState(capacity_bytes=40)
-        for key in [(1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 2), (0, 1, 2),
-                    (0, 1, 3)]:
-            access_bucket(key, 10, buf, evictor)
+        for bucket in [(1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 2), (0, 1, 2),
+                       (0, 1, 3)]:
+            access_bucket(bucket_key(*bucket), 10, buf, evictor)
         # at tick 7 the bound is 7 - 4 = 3: ticks 1 and 2 are old, the far (0, 1, 0) goes
-        assert buf.io_stats.evictions == 1 and (0, 1, 0) not in buf
+        assert buf.io_stats.evictions == 1 and bucket_key(0, 1, 0) not in buf.resident
         assert evictor.bound == 3
         heap = evictor.heap
         size = len(heap)
-        access_bucket((0, 1, 3), 10, buf, evictor)  # a hit on a young resident
-        assert buf.resident[(0, 1, 3)].est_frequency == 3.0
+        access_bucket(bucket_key(0, 1, 3), 10, buf, evictor)  # a hit on a young resident
+        assert buf.resident[bucket_key(0, 1, 3)].est_frequency == 3.0
         assert len(heap) == size
-        access_bucket((1, 1, 0), 10, buf, evictor)  # a hit on the old resident
+        access_bucket(bucket_key(1, 1, 0), 10, buf, evictor)  # a hit on the old resident
         assert len(heap) == size + 1
-        assert (48.0, (1, 1, 0), 1) in heap
-        access_bucket((0, 1, 1), 10, buf, evictor)  # back to pass (0, 1), on a young one
+        assert (48.0, bucket_key(1, 1, 0), 1) in heap
+        access_bucket(bucket_key(0, 1, 1), 10, buf, evictor)  # back to pass (0, 1), on a young one
         assert len(heap) == size + 1
-
-
-class OccupiedIndex:
-    """Stands in for an LshIndex in a replay: each projection's occupied ids and counts."""
-
-    def __init__(self, occupied):
-        self.occupied = occupied  # projection -> (ascending ids, entry counts)
-
-    def occupied_buckets(self, g):
-        ids, counts = self.occupied[g]
-        return np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
@@ -501,7 +561,8 @@ def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
     if strategy == NS2:
         oracle_replay_ns2(plans, index, buffer, stats_list)
         return
-    evict = _MmlshEvictor(scheduler.profile) if strategy == MMLSH else evict_lru
+    evict = _MmlshEvictor(scheduler.profile, index) if strategy == MMLSH else evict_lru
+    keys = BufferKeys(index)
     for stats, plan in zip(stats_list, plans):
         for g, R, ranges in plan:
             ranges = ranges.tolist()
@@ -513,7 +574,7 @@ def oracle_replay_plans(strategy, plans, index, buffer, stats_list, scheduler):
             else:
                 segs = schedule_ns1(ranges)
             for p in visit_order(segs, ids):
-                access_bucket((g, R, ids[p]), sizes[p], buffer, evict, stats)
+                access_bucket(keys.key(g, R, ids[p]), sizes[p], buffer, evict, stats)
 
 
 def oracle_schedule_ns2(ranges):
@@ -536,6 +597,7 @@ def oracle_ns2_batch(plans, index):
         for g, R, ranges in plan:
             passes.setdefault((R, g), []).extend(
                 (query_idx, lo, hi) for _qi, lo, hi in ranges.tolist())
+    bucket_keys = BufferKeys(index)
     keys, sizes, owners, alg_ops = [], [], [], [0] * len(plans)
     for (R, g) in sorted(passes):
         ranges = passes[(R, g)]
@@ -544,7 +606,7 @@ def oracle_ns2_batch(plans, index):
         schedule = oracle_schedule_ns2([(qi, bisect_left(ids, lo), bisect_left(ids, hi))
                                         for qi, lo, hi in ranges])
         for i, consumers in schedule:
-            keys.append((g, R, ids[i]))
+            keys.append(bucket_keys.key(g, R, ids[i]))
             sizes.append(counts[i] * POINT_ID_BYTES)
             owners.append(consumers[0])
         for query_idx, _lo, _hi in ranges:
@@ -648,9 +710,11 @@ class TestBulkHitReplay:
             index, capacity = run[0], run[2]
             sizes = {(g, b): POINT_ID_BYTES * count
                      for g, (ids, counts) in index.occupied.items() for b, count in zip(ids, counts)}
+            decode = BufferKeys(index).decode
             seen[strategy, bool((run[3].means != 1).any())] += 1  # drawn or uniform demand
             seen["evictions"] += io.evictions
-            seen["bypasses"] += sum(sizes[g, b] > capacity for _t, (g, _R, b), _e in trace)
+            seen["bypasses"] += sum(sizes[g, b] > capacity
+                                    for g, _R, b in (decode(key) for _t, key, _e in trace))
             # pairs of successive hits: a gap of h hits between misses holds h - 1
             seen["hit runs"] += sum(max(0, h - 1) for h in hit_gaps(trace, clock))
             for plan in run[1]:
@@ -671,10 +735,10 @@ class TestBulkHitReplay:
            uses=st.integers(1, 3000))
     def test_one_subtraction_equals_single_clamped_decrements(self, demand, uses):
         bulk, single = _Entry(1, 0, demand), _Entry(1, 0, demand)
-        policy = _MmlshEvictor(uniform_profile(1))
-        policy.use((0, 1, 0), bulk, uses)
+        policy = _MmlshEvictor(uniform_profile(2), EVICT_INDEX)
+        policy.use(0, bulk, uses)
         for _ in range(uses):
-            policy.use((0, 1, 0), single)
+            policy.use(0, single)
         assert bulk.est_frequency == single.est_frequency == max(0.0, demand - uses)
 
 
@@ -872,7 +936,7 @@ class TestNoEvictReplay:
                 seen["bulk after the policy was built"] += 1
                 seen["old residents hit in bulk"] += any(
                     key in buffer.resident and buffer.resident[key].insert_tick < evict.bound
-                    for key in order.keys)
+                    for key in order.keys.tolist())
             return bulk(order, buffer, evict, stats)
         monkeypatch.setattr(bench, "_replay_plan_bulk", observed)
 
@@ -976,7 +1040,9 @@ def one_pass_order(ranges, splits, ids):
     """
     index = OccupiedIndex({0: (ids, [1] * len(ids))})
     order = split_queries([(0, 1, np.array(ranges, dtype=np.int64).reshape(-1, 3))], splits, index)
-    return [ids.index(order.keys[k][2]) for k in order.accesses().tolist()], order.segments
+    decode = BufferKeys(index).decode
+    return ([ids.index(decode(key)[2]) for key in order.keys[order.accesses()].tolist()],
+            order.segments)
 
 
 @st.composite
@@ -1012,6 +1078,62 @@ def split_cases(draw):
     return OccupiedIndex(occupied), plan, draw(st.sampled_from([1, 2, 3, 10, 25]))
 
 
+@st.composite
+def keyed_plans(draw):
+    """A stand-in index whose ids reach negatives and +-2**62, with c = 2 or 3, and a plan.
+
+    The plan has one pass per drawn (g, t), of one row that covers a drawn
+    run of g's occupied ids at level R = c**t. Returns the index, the plan
+    and the (g, R, id) triples the plan covers.
+    """
+    c = draw(st.sampled_from([2, 3]))
+    ids = st.one_of(st.integers(-50, 50), st.integers(-(2**40), 2**40),
+                    st.integers(-(2**62), -(2**62) + 50), st.integers(2**62 - 51, 2**62 - 1))
+    occupied = {g: sorted(draw(st.lists(ids, min_size=1, max_size=30, unique=True)))
+                for g in range(draw(st.integers(1, 4)))}
+    plan, covered = [], set()
+    for g, t in draw(st.lists(st.tuples(st.integers(0, len(occupied) - 1),
+                                        st.integers(0, level_cap(c) - 1)), min_size=1, max_size=8)):
+        g_ids = occupied[g]
+        a, b = sorted(draw(st.lists(st.integers(0, len(g_ids)), min_size=2, max_size=2)))
+        bounds = [*g_ids, g_ids[-1] + 1]
+        plan.append((g, c ** t, np.array([[0, bounds[a], bounds[b]]], dtype=np.int64)))
+        covered.update((g, c ** t, bucket) for bucket in g_ids[a:b])
+    index = OccupiedIndex({g: (g_ids, [1] * len(g_ids)) for g, g_ids in occupied.items()}, c)
+    return index, plan, covered
+
+
+class TestBufferKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(case=keyed_plans())
+    def test_keys_ascend_as_triples_decode_and_stay_below_2_47(self, case):
+        index, plan, covered = case
+        c, levels = index.params.c, level_cap(index.params.c)
+        ids = [index.occupied_buckets(g)[0].tolist() for g in range(index.m)]
+        ranks = max(map(len, ids))
+
+        def decode(key):
+            group, r = divmod(key, ranks)
+            g, t = divmod(group, levels)
+            return g, c ** t, ids[g][r]
+
+        keys = split_queries(plan, 1, index).keys.tolist()
+        # ascending keys decode to the covered triples in ascending order
+        assert [decode(key) for key in keys] == sorted(covered)
+        assert all(0 <= key < 2**47 for key in keys)
+        policy = _MmlshEvictor(uniform_profile(index.m), index)
+        level = {c ** t: t for t in range(levels)}
+        assert [policy.bucket(key) for key in keys] == [
+            (g, level[R], bucket) for g, R, bucket in map(decode, keys)]
+        ns2_keys = schedule_ns2([plan], index)[0]
+        assert [decode(key) for key in ns2_keys] == sorted(covered, key=itemgetter(1, 0, 2))
+
+    def test_the_largest_key_is_below_2_47(self):
+        # m <= MAX_PROJECTIONS, at most level_cap(2) levels and K <= n < 2**31
+        assert all(level_cap(c) <= level_cap(2) == 62 for c in range(2, 100))
+        assert MAX_PROJECTIONS * level_cap(2) * (2**31 - 1) - 1 < 2**47
+
+
 class TestScheduling:
     RANGES = [(0, 5, 8), (1, 6, 9)]
 
@@ -1037,7 +1159,7 @@ class TestScheduling:
     def test_ns2_each_bucket_once_with_consumers(self):
         keys, sizes, owners, alg_ops = schedule_ns2(self.NS2_PLANS, self.NS2_INDEX)
         want = [(5, [0]), (6, [0, 1]), (7, [0, 1]), (8, [1])]
-        assert keys == [(0, 1, b) for b, _ in want]
+        assert keys == [BufferKeys(self.NS2_INDEX).key(0, 1, b) for b, _ in want]
         assert sizes == [POINT_ID_BYTES] * len(want)
         assert owners == [consumers[0] for _, consumers in want]
         assert alg_ops == [len(want)] * 2  # each plan's one range checks every bucket read
@@ -1056,16 +1178,17 @@ class TestScheduling:
     @settings(max_examples=300, deadline=None)
     @given(run=pass_plans())
     def test_ns2_reads_the_keys_of_the_plans_one_split_orders(self, run):
-        # both schedulers tokenise through one layout; NS2 reads the union of the plans'
+        # both schedulers key buckets through one layout; NS2 reads the union of the plans'
         # keys once, in ascending (R, g, bucket), each billed to the first plan holding it
         index, plans = run[0], run[1]
+        decode = BufferKeys(index).decode
         size_of, owner_of = {}, {}
         for p, plan in enumerate(plans):
             order = split_queries(plan, 1, index)
-            for key, size in zip(order.keys, order.sizes):
+            for key, size in zip(order.keys.tolist(), order.sizes):
                 assert size_of.setdefault(key, size) == size
                 owner_of.setdefault(key, p)
-        want = sorted(size_of, key=lambda key: (key[1], key[0], key[2]))
+        want = sorted(size_of, key=lambda key: itemgetter(1, 0, 2)(decode(key)))
         keys, sizes, owners, _alg_ops = schedule_ns2(plans, index)
         assert keys == want
         assert sizes == [size_of[key] for key in want]
@@ -1142,11 +1265,12 @@ class TestScheduling:
         @given(case=split_cases())
         def check(case):
             index, plan, splits = case
+            keys = BufferKeys(index)
             want, segments = [], 0  # the reference segments, walked pass by pass
             for g, R, ranges in plan:
                 reference = reference_split_queries(ranges.tolist(), splits)
                 ids = index.occupied[g][0]
-                want += [(g, R, ids[p]) for p in visit_order(reference, ids)]
+                want += [keys.key(g, R, ids[p]) for p in visit_order(reference, ids)]
                 segments += len(reference)
                 seen["empty"] += int((ranges[:, 2] <= ranges[:, 1]).sum())
                 seen.update(fold_cases(ranges.tolist()))
@@ -1155,18 +1279,18 @@ class TestScheduling:
                     hi - lo > 2**53 and bisect_left(ids, hi - 60) < bisect_left(ids, hi + 61)
                     for _qi, lo, hi in ranges.tolist())
             order = split_queries(plan, splits, index)
-            accessed = [order.keys[k] for k in order.accesses().tolist()]
-            assert accessed == want
+            assert order.keys[order.accesses()].tolist() == want
             assert order.segments == segments  # empty segments count too
             # what the billing reads: each key's size, use count and first and last access
-            assert sorted(order.keys) == sorted(set(want))
-            assert order.uses.tolist() == [want.count(key) for key in order.keys]
-            assert order.first.tolist() == [want.index(key) for key in order.keys]
+            distinct = order.keys.tolist()
+            assert distinct == sorted(set(want))
+            assert order.uses.tolist() == [want.count(key) for key in distinct]
+            assert order.first.tolist() == [want.index(key) for key in distinct]
             assert order.last.tolist() == [len(want) - 1 - want[::-1].index(key)
-                                           for key in order.keys]
+                                           for key in distinct]
             sizes = {(g, b): POINT_ID_BYTES * c
                      for g, (ids, counts) in index.occupied.items() for b, c in zip(ids, counts)}
-            assert order.sizes == [sizes[g, b] for g, _R, b in order.keys]
+            assert order.sizes == [sizes[g, b] for g, _R, b in map(keys.decode, distinct)]
             passes = [(g, R) for g, R, _ranges in plan]
             seen["repeated pass"] += len(set(passes)) < len(passes)
             seen["projections"] += len({g for g, _R in passes}) > 1
@@ -1194,17 +1318,19 @@ class TestScheduling:
         plan = [(g, R, np.array(rows, dtype=np.int64).reshape(-1, 3))
                 for g, R, rows in self.EDGE_PLANS[name]]
         index = self.OCCUPIED
+        key = BufferKeys(index).key
         for splits in (1, 3):
-            want = [(g, R, index.occupied[g][0][p]) for g, R, ranges in plan for p in visit_order(
-                reference_split_queries(ranges.tolist(), splits), index.occupied[g][0])]
+            want = [key(g, R, index.occupied[g][0][p]) for g, R, ranges in plan
+                    for p in visit_order(reference_split_queries(ranges.tolist(), splits),
+                                         index.occupied[g][0])]
             order = split_queries(plan, splits, index)
-            assert [order.keys[k] for k in order.accesses().tolist()] == want
+            assert order.keys[order.accesses()].tolist() == want
             assert order.segments == sum(len(reference_split_queries(ranges.tolist(), splits))
                                          for _g, _R, ranges in plan)
         plans = [plan, plan[:2], []]
         assert schedule_ns2(plans, index) == oracle_ns2_batch(plans, index)
         if name != "one-row passes":  # nothing to read, so no access and no check
-            assert order.keys == [] and order.segments == 0 and not order.by_key.size
+            assert not order.keys.size and order.segments == 0 and not order.by_key.size
             assert schedule_ns2(plans, index) == ([], [], [], [0, 0, 0])
 
     def test_split_rejects_zero_splits(self):
