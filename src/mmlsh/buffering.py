@@ -471,9 +471,10 @@ class PlanOrder:
     """A plan's accesses in visiting order, grouped by key (see `split_queries`).
 
     keys holds the plan's distinct keys (see `_Layout`), ascending, in an
-    int64 array, and sizes their sizes in bytes. Key k is accessed uses[k] times, first at
-    access first[k] and last at access last[k], counting accesses from 0;
-    by_key holds the access numbers grouped by key, each key's ascending.
+    int64 array, and sizes their sizes in bytes. Key k is accessed uses[k]
+    times, first at access first[k] and last at access last[k], counting
+    accesses from 0; by_key holds the access numbers grouped by key, each
+    key's ascending.
     segments is the number of segments the plan's ranges were cut into,
     counting those that hold no occupied bucket and each copy of a
     repeated row's.
