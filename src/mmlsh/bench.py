@@ -301,7 +301,7 @@ def _replay_plan_stepwise(order, buffer: BufferState, evict, stats) -> None:
         buffer.clock = tick + at
         access_bucket(key, sizes[k], buffer, evict, stats)
     bill_hits(hits.items(), buffer, evict, stats)
-    buffer.clock = tick + len(order.by_key)
+    buffer.clock = tick + len(order)
 
 
 def _replay_plan_bulk(order, buffer: BufferState, evict, stats) -> None:
@@ -311,20 +311,21 @@ def _replay_plan_bulk(order, buffer: BufferState, evict, stats) -> None:
     no access evicts or bypasses. Then a key's first access in the plan is
     a miss if it was not resident, and every other access is a hit; and a
     miss that evicts nothing reads neither the recency order nor the
-    demands that hits change. So the misses go first through
-    `access_bucket`, each at its own tick, in first-access order, which
-    gives the insert ticks and `io_ms` sums of a call per access; then one
-    `bill_hits` call reinserts every accessed key in last-use order and
-    bills its remaining uses.
+    demands that hits change. So the work follows the plan's distinct keys,
+    never its repeated accesses: one C-level pass finds the keys already
+    resident, the misses go through `access_bucket`, each at its own tick,
+    in first-access order, which gives the insert ticks and `io_ms` sums of
+    a call per access; then one `bill_hits` call reinserts every key in
+    last-use order and bills the uses its first access did not.
     """
     keys, first, tick = order.keys.tolist(), order.first, buffer.clock
-    missed = np.array([key not in buffer.resident for key in keys], dtype=bool)
+    missed = ~np.fromiter(map(buffer.resident.__contains__, keys), bool, len(keys))
     misses = np.flatnonzero(missed)
     misses = misses[np.argsort(first[misses])]
     for k, at in zip(misses.tolist(), first[misses].tolist()):
         buffer.clock = tick + at
         access_bucket(keys[k], order.sizes[k], buffer, evict, stats)
-    buffer.clock = tick + len(order.by_key)
+    buffer.clock = tick + len(order)
     last_use = np.argsort(order.last)
     bill_hits(zip(order.keys[last_use].tolist(), (order.uses - missed)[last_use].tolist()),
               buffer, evict, stats)

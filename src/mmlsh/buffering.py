@@ -25,7 +25,7 @@ heap without scanning the residents.
 
 NS1 and MMLSH share one visiting order: `split_queries` orders a whole
 plan with numpy and returns its distinct keys, each with its first and last
-access and use count, and the accesses in that order. A range of width w is
+access and use count, and its visited segments. A range of width w is
 cut into n = min(splits, w) segments whose edges are the rounded multiples
 of w / n, computed in numpy for the whole plan at once. Segments are visited
 by (pass, start); a pass's rows are in query-index order, and ties at equal
@@ -34,11 +34,15 @@ returns the batch's distinct keys in reading order, each with the plan it is
 billed to. Both functions read one layout of their passes (`_Layout`),
 which names each occupied bucket of each (g, R) pass by one int64 key, the
 same in every plan, ascending by (g, R, bucket id); NS2 sorts its distinct
-keys stably by level, which gives its (R, g, bucket id) reading order. The
+keys stably by level, which gives its (R, g, bucket id) reading order. What
+the keys read of an index (its occupied ids, bucket sizes and MMLSH
+admission demands) is worked out once per index (`_KeySpace`). The
 points of one query object share buckets, so most rows repeat the row
 before them; the layout folds each such run into its first row
-(`fold_repeats`), both functions order or read that row once, and every
-copy is billed as the unfolded plan would bill it.
+(`fold_repeats`), and both functions order or read that row once. The fold
+runs through the ordering: `split_queries` expands only each segment's
+first copy into keys and bills the other copies by arithmetic, so a plan
+that fits the buffer costs its distinct keys, not its repeated accesses.
 
 All IO is modeled, never measured: a miss costs one seek plus size/rate read
 time. Ticks advance once per access, hits included, so replays are exact.
@@ -65,8 +69,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 import zipfile
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -182,7 +186,9 @@ class _MmlshEvictor:
     never below 0.
 
     It reads a key's projection g, level R = c**t and bucket id off the
-    index (`bucket`). `evict_mmlsh` wants the old residents in (demand,
+    index (`bucket`), and an admitted key's demand off the index's demand
+    table for the profile (`_KeySpace.demand`), both built once per index
+    and profile. `evict_mmlsh` wants the old residents in (demand,
     key) order, and a resident that is old at one eviction is old at every
     later one (see the module docstring). So each resident is in one of two
     places:
@@ -205,8 +211,9 @@ class _MmlshEvictor:
     """
 
     def __init__(self, profile: "FrequencyProfile", index):
-        self.profile = profile
-        self.c, self.L, self.K, self.occupied = _key_space(index)
+        space = _key_space(index)
+        self.c, self.L, self.K, self.occupied = space.c, space.L, space.K, space.occupied
+        self.demand = space.demand(profile)
         self.resident: dict | None = None  # the buffer's, once the first eviction builds
         self.young: deque | None = None
         self.heap: list = []
@@ -242,8 +249,8 @@ class _MmlshEvictor:
             heapq.heapify(self.heap)
 
     def admit(self, key, entry):
-        g, _t, bucket = self.bucket(key)
-        entry.est_frequency = max(0.0, self.profile.frequency(g, bucket) - 1.0)
+        group, rank = divmod(key, self.K)
+        entry.est_frequency = self.demand.item(group // self.L, rank)
         if self.young is not None:
             self.young.append((entry.insert_tick, key))
 
@@ -473,8 +480,11 @@ class PlanOrder:
     keys holds the plan's distinct keys (see `_Layout`), ascending, in an
     int64 array, and sizes their sizes in bytes. Key k is accessed uses[k]
     times, first at access first[k] and last at access last[k], counting
-    accesses from 0; by_key holds the access numbers grouped by key, each
-    key's ascending.
+    accesses from 0; `len` gives the number of accesses.
+    The accesses are stored folded: the visited segments that hold an
+    occupied bucket, in visiting order, segment s as its widths[s] keys
+    visited in turn copies[s] times. `visits` holds each segment's keys
+    once, as indices into keys, one segment after another.
     segments is the number of segments the plan's ranges were cut into,
     counting those that hold no occupied bucket and each copy of a
     repeated row's.
@@ -485,14 +495,19 @@ class PlanOrder:
     first: np.ndarray
     last: np.ndarray
     uses: np.ndarray
-    by_key: np.ndarray
+    visits: np.ndarray
+    widths: np.ndarray
+    copies: np.ndarray
     segments: int
+
+    def __len__(self) -> int:
+        return int(self.uses.sum())
 
     def accesses(self) -> np.ndarray:
         """Each access's key, as an index into `keys`, in visiting order."""
-        key_of = np.empty(len(self.by_key), dtype=np.int64)
-        key_of[self.by_key] = np.repeat(np.arange(len(self.keys)), self.uses)
-        return key_of
+        starts = np.cumsum(self.widths) - self.widths  # each segment's place in `visits`
+        return self.visits[expand_ranges(np.repeat(starts, self.copies),
+                                         np.repeat(self.widths, self.copies))]
 
 
 def split_queries(plan, splits: int, index) -> PlanOrder:
@@ -517,19 +532,25 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     visiting each ordered segment once per copy gives the unfolded plan's
     order. `segments` counts every copy.
 
+    The fold runs through the ordering: only each segment's first copy is
+    expanded into keys, and its copies are billed by arithmetic. A
+    segment of width w with c copies whose first access is B reaches its
+    j-th key first at B + j and last at B + (c - 1) * w + j, and gives it
+    c uses; its copies are visited back to back, so a key's first access
+    is that of its first segment and its last that of its last.
+
     The whole plan is ordered in one numpy pass over the layout that
     `schedule_ns2` reads too (`_Layout`). Its passes are laid out
     projection by projection, so one `searchsorted` per projection maps the
     segment bounds to keys; one stable lexsort on (pass, start) orders the
-    segments; and one stable argsort of the accesses' keys groups them by
-    key.
+    segments; and one stable argsort of the first copies' keys groups them
+    by key.
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
-    none = np.empty(0, dtype=np.int64)
     layout = _Layout(plan, index) if plan else None
     if layout is None or not len(layout.lo):  # no segment, so no access
-        return PlanOrder(none, [], none, none, none, none, 0)
+        return _no_accesses(0)
     seg_pass, start, end, copies = layout.kept_pass, layout.lo, layout.hi, layout.copies
     if splits > 1:
         # segment j of n starts at lo + round(j * (width / n)), with np.linspace's float64
@@ -542,24 +563,80 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
         seg_end[np.cumsum(nseg) - 1] = end
         seg_pass, start, end, copies = seg_pass[seg_row], cuts, seg_end, copies[seg_row]
     key_lo, widths = layout.keys(start, end, seg_pass)
+    segments = int(copies.sum())
     # The visiting order: by pass, then start. A pass's segments lie in row order, which
     # is query-index order, and lexsort is stable, so ties fall in query-index order.
     order = np.lexsort((start, seg_pass))
-    order = np.repeat(order, copies[order])  # each copy of a segment in turn
-    accessed = expand_ranges(key_lo[order], widths[order])
-    by_key = np.argsort(accessed, kind="stable")  # each key's accesses together, in order
-    accessed = accessed[by_key]
-    heads = np.flatnonzero(np.diff(accessed, prepend=-1))  # keys are >= 0
-    uses = np.diff(np.r_[heads, len(accessed)])
-    keys = accessed[heads]
-    return PlanOrder(keys, layout.sizes(keys).tolist(), by_key[heads], by_key[heads + uses - 1],
-                     uses, by_key, len(order))
+    order = order[widths[order] > 0]  # the segments that hold an occupied bucket
+    if not len(order):
+        return _no_accesses(segments)
+    key_lo, widths, copies = key_lo[order], widths[order], copies[order]
+    span = widths * copies  # the accesses of a segment's copies
+    begin = np.cumsum(span) - span  # each segment's first access
+    elements = expand_ranges(key_lo, widths)  # each segment's first copy
+    by_key = np.argsort(elements, kind="stable")  # each key's elements together, in order
+    grouped = elements[by_key]
+    heads = np.flatnonzero(np.diff(grouped, prepend=-1))  # keys are >= 0
+    counts = np.diff(np.r_[heads, len(grouped)])
+    keys = grouped[heads]
+    first = expand_ranges(begin, widths)[by_key[heads]]
+    last = expand_ranges(begin + span - widths, widths)[by_key[heads + counts - 1]]
+    uses = np.add.reduceat(np.repeat(copies, widths)[by_key], heads)
+    visits = np.empty_like(by_key)
+    visits[by_key] = np.repeat(np.arange(len(keys)), counts)
+    return PlanOrder(keys, layout.sizes(keys).tolist(), first, last, uses, visits, widths, copies,
+                     segments)
 
 
-def _key_space(index):
-    """c, L and K of `index`'s buffer keys (see `_Layout`), and every `occupied_buckets(g)`."""
-    c, occupied = index.params.c, [index.occupied_buckets(g) for g in range(index.m)]
-    return c, level_cap(c), max(len(ids) for ids, _counts in occupied), occupied
+def _no_accesses(segments: int) -> PlanOrder:
+    none = np.empty(0, dtype=np.int64)
+    return PlanOrder(none, [], none, none, none, none, none, none, segments)
+
+
+class _KeySpace:
+    """What an index's buffer keys read (see `_Layout`), worked out once per index.
+
+    c, L and K of the keys; `occupied`, every `occupied_buckets(g)`; and
+    `sizes`, the (m, K) int64 table of each bucket's size in bytes, so
+    `sizes[g, r]` is that of the bucket of rank r in projection g (0 past
+    g's last rank). `demand(profile)` gives the MMLSH admission demands,
+    one table per profile.
+    """
+
+    def __init__(self, index):
+        self.c = c = index.params.c
+        self.L = level_cap(c)
+        self.occupied = [index.occupied_buckets(g) for g in range(index.m)]
+        self.K = max(len(ids) for ids, _counts in self.occupied)
+        self.sizes = np.zeros((index.m, self.K), dtype=np.int64)
+        for row, (_ids, counts) in zip(self.sizes, self.occupied):
+            row[:len(counts)] = POINT_ID_BYTES * counts
+        self._demands = weakref.WeakKeyDictionary()
+
+    def demand(self, profile: "FrequencyProfile") -> np.ndarray:
+        """The float64 table of max(0, `profile.frequency(g, id)` - 1) by (g, rank of id).
+
+        One row per projection that both the index and the profile have,
+        with 0 past g's last rank; built on the first call for `profile`.
+        """
+        table = self._demands.get(profile)
+        if table is None:
+            table = np.zeros((min(len(self.occupied), len(profile.means)), self.K))
+            for g, (row, (ids, _counts)) in enumerate(zip(table, self.occupied)):
+                row[:len(ids)] = np.maximum(0.0, profile.frequency(g, ids) - 1.0)
+            self._demands[profile] = table
+        return table
+
+
+_KEY_SPACES = weakref.WeakKeyDictionary()  # index -> its _KeySpace; an index never changes
+
+
+def _key_space(index) -> _KeySpace:
+    """The `_KeySpace` of `index`, built on the first call for it."""
+    space = _KEY_SPACES.get(index)
+    if space is None:
+        space = _KEY_SPACES[index] = _KeySpace(index)
+    return space
 
 
 class _Layout:
@@ -585,9 +662,10 @@ class _Layout:
 
     def __init__(self, passes, index):
         gs, Rs, arrays = zip(*passes)
-        c, self.L, self.K, occupied = _key_space(index)
+        self.space = space = _key_space(index)
+        self.L, self.K = space.L, space.K
         # c**t for every t < L fits int64 (see `level_cap`)
-        self.pass_group = np.array(gs) * self.L + np.searchsorted(c ** np.arange(self.L), Rs)
+        self.pass_group = np.array(gs) * self.L + np.searchsorted(space.c ** np.arange(self.L), Rs)
         self.projections, self.g_rank = np.unique(gs, return_inverse=True)
         by_g = np.argsort(self.g_rank, kind="stable")  # the passes of one g run together
         self.lengths = lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
@@ -596,7 +674,7 @@ class _Layout:
         row_pass = np.repeat(by_g, lengths[by_g])
         kept, self.copies = fold_repeats(rows, row_pass)
         self.lo, self.hi, self.kept_pass = rows[kept, 1], rows[kept, 2], row_pass[kept]
-        self.occupied = [occupied[g] for g in self.projections.tolist()]
+        self.occupied = [space.occupied[g] for g in self.projections.tolist()]
 
     def keys(self, start, end, seg_pass):
         """The key of the first occupied bucket of each [start, end), and their count.
@@ -612,10 +690,8 @@ class _Layout:
         return positions[0] + self.pass_group[seg_pass] * self.K, positions[1] - positions[0]
 
     def sizes(self, keys):
-        """The size in bytes of each of the ascending `keys`, in an int64 array."""
-        edges = [*keys.searchsorted(self.projections * self.L * self.K).tolist(), None]
-        return POINT_ID_BYTES * np.concatenate([counts[keys[a:b] % self.K] for (_ids, counts), a, b
-                                                in zip(self.occupied, edges, edges[1:])])
+        """The size in bytes of each key of `keys`, in an int64 array."""
+        return self.space.sizes[keys // (self.L * self.K), keys % self.K]
 
 
 class FrequencyProfile:
@@ -647,16 +723,15 @@ class FrequencyProfile:
         self.edges = edges
         self.means = means
         self.regions = means.shape[1]
-        # per-projection Python lists: one lookup per MMLSH miss, no numpy call
-        self._cut_lists = cuts.astype(np.int64).tolist()
-        self._mean_lists = means.tolist()
+        self.cuts = cuts.astype(np.int64)  # integer cuts: exact beyond 2**53
 
-    def region_of(self, g: int, bucket: int) -> int:
-        r = bisect_right(self._cut_lists[g], bucket) - 1  # integer cuts: exact beyond 2**53
-        return min(max(r, 0), self.regions - 1)
+    def region_of(self, g: int, buckets):
+        """The region of projection g that holds each bucket id of `buckets`, an int or an array."""
+        return np.clip(self.cuts[g].searchsorted(buckets, side="right") - 1, 0, self.regions - 1)
 
-    def frequency(self, g: int, bucket: int) -> float:
-        return self._mean_lists[g][self.region_of(g, bucket)]
+    def frequency(self, g: int, buckets):
+        """The mean of the region of each bucket id of `buckets` (see `region_of`)."""
+        return self.means[g, self.region_of(g, buckets)]
 
     def save(self, path):
         """Write the profile to `path` itself: `np.savez` given a name would append .npz."""

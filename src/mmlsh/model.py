@@ -21,9 +21,9 @@ from .similarity import squared_norms
 class Dataset:
     """Immutable feature points grouped into objects.
 
-    `coords` is the (n, d) float32 matrix, one row per point, as a read-only
-    view: the caller's array keeps its own flags, but must not be written
-    while the dataset is in use. `sq_norms` is the read-only (n,) float32
+    `coords` is the (n, d) float32 matrix, one row per point, a read-only
+    copy of the caller's array, so writes to that array later leave the
+    dataset and its norms as they were. `sq_norms` is the read-only (n,) float32
     squared norm of each row (`similarity.squared_norms`, inf where it
     overflows), summed once here for the float32 products of the exact
     object distances. Derived from the owner array: the sorted distinct
@@ -34,7 +34,7 @@ class Dataset:
     """
 
     def __init__(self, coords, point_objects):
-        coords = np.asarray(coords, dtype=np.float32)
+        coords = np.array(coords, dtype=np.float32)  # a private copy that no caller can write
         point_objects = np.asarray(point_objects, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] < 1:
             raise ValueError(f"coords must be an (n, d) matrix with d >= 1, got shape {coords.shape}")
@@ -46,7 +46,7 @@ class Dataset:
         bad = _first_non_finite(coords)
         if bad is not None:
             raise NonFiniteCoordinateError(f"point {bad} has a non-finite coordinate")
-        self.coords = coords.view()
+        self.coords = coords
         self.coords.flags.writeable = False
         self.sq_norms = squared_norms(coords)
         self.sq_norms.flags.writeable = False

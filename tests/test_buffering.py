@@ -1,5 +1,6 @@
+import copy
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict
 from operator import itemgetter
 from types import SimpleNamespace
@@ -421,30 +422,32 @@ def replay_accesses(make_evictor, accesses, sizes, capacity, lru_prefix, mmlsh_c
 def access_runs(draw):
     """Key sweeps over a pass's buckets, as replay makes them, with jumps between passes.
 
-    Each projection's occupied ids are `span` consecutive ids from a drawn
-    base, so ranks and ids differ by the base.
+    Each projection has `span` occupied ids from a drawn base, 1 to 4 ids
+    apart, so a distance in ranks is not one in ids plus a constant, and
+    the drawn profile's edges span each projection's own ids.
     """
     projections = draw(st.integers(1, 3))
     levels = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True))
-    span = draw(st.integers(1, 40))  # up to 39 ids apart, more than any threshold
+    span = draw(st.integers(1, 40))  # up to 39 ranks apart, more than any threshold
     base = draw(st.sampled_from([0, -7, 2**40]))
-    index = OccupiedIndex({g: (list(range(base, base + span)), [1] * span)
-                           for g in range(projections)})
-    keys = BufferKeys(index)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [(base + np.cumsum(np.r_[0, rng.integers(1, 5, size=span - 1)])).tolist()
+           for _ in range(projections)]
+    index = OccupiedIndex({g: (g_ids, [1] * span) for g, g_ids in enumerate(ids)})
+    keys = BufferKeys(index)
     accesses = []
     for _ in range(draw(st.integers(1, 40))):
         g, level = int(rng.integers(projections)), int(rng.choice(levels))
-        bucket = int(rng.integers(span))
+        rank = int(rng.integers(span))
         for _ in range(int(rng.integers(1, 12))):
-            accesses.append(keys.key(g, level, base + bucket))
-            bucket = (bucket + int(rng.integers(0, 3))) % span
+            accesses.append(keys.key(g, level, ids[g][rank]))
+            rank = (rank + int(rng.integers(0, 3))) % span
     sizes = {key: int(rng.integers(1, 61)) for key in sorted(set(accesses))}
     capacity = draw(st.integers(1, 300))
     profile = uniform_profile(projections)
     if draw(st.booleans()):
         regions = draw(st.integers(1, 4))
-        edges = np.array([np.linspace(base, base + span, regions + 1)] * projections)
+        edges = np.array([np.linspace(g_ids[0], g_ids[-1] + 1, regions + 1) for g_ids in ids])
         means = np.array(draw(st.lists(
             st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
                      min_size=regions, max_size=regions),
@@ -961,6 +964,61 @@ class TestNoEvictReplay:
         assert seen["hits"] > 1_000 and seen["hit runs"] > 500, seen
 
     @pytest.mark.parametrize("strategy", [NS1, MMLSH])
+    def test_bulk_leaves_the_state_of_a_call_per_access(self, strategy):
+        """Residents, ticks, demands, the clock and the live policy entries, plan by plan.
+
+        After the warm and evicting plans, every later plan that fits the
+        free bytes is billed in bulk on one copy of the buffer and its
+        policy, and by one `access_bucket` call per access on another.
+        """
+        seen = Counter()
+
+        def live(policy):
+            resident = policy.resident
+            heap = {(f, k, t) for f, k, t in policy.heap
+                    if k in resident and (resident[k].insert_tick, resident[k].est_frequency) == (t, f)}
+            young = [(t, k) for t, k in policy.young
+                     if k in resident and resident[k].insert_tick == t]
+            return heap, young, policy.bound
+
+        def state(buffer, evict):
+            residents = [(key, e.size_bytes, e.insert_tick, e.est_frequency)
+                         for key, e in buffer.resident.items()]
+            built = isinstance(evict, _MmlshEvictor) and evict.young is not None
+            return residents, buffer.clock, buffer.io_stats, live(evict) if built else None
+
+        @settings(max_examples=200, deadline=None)
+        @given(run=evict_then_fitting_plans())
+        def check(run):
+            index, plans, capacity, profile, _lru_prefix, _cut, splits = run
+            buffer = BufferState(capacity)
+            evict = _MmlshEvictor(profile, index) if strategy == MMLSH else evict_lru
+            splits = splits if strategy == MMLSH else 1
+            for p, plan in enumerate(plans):
+                order = split_queries(plan, splits, index)
+                bulk = p > 1 and sum(order.sizes) <= capacity - buffer.used_bytes
+                if bulk:
+                    want_buffer, want_evict = copy.deepcopy((buffer, evict))
+                    bench._replay_plan_bulk(order, buffer, evict, QueryStats())
+                    seen["bulk"] += 1
+                    seen["old hits"] += isinstance(evict, _MmlshEvictor) and any(
+                        buffer.resident[k].insert_tick < evict.bound for k in order.keys.tolist())
+                else:
+                    want_buffer, want_evict = buffer, evict
+                tick = want_buffer.clock
+                for at, k in enumerate(order.accesses().tolist()):
+                    want_buffer.clock = tick + at
+                    access_bucket(order.keys.item(k), order.sizes[k], want_buffer, want_evict)
+                want_buffer.clock = tick + len(order)
+                if bulk:
+                    assert state(buffer, evict) == state(want_buffer, want_evict)
+
+        check()
+        assert seen["bulk"] > 200, seen
+        if strategy == MMLSH:
+            assert seen["old hits"] > 10, seen
+
+    @pytest.mark.parametrize("strategy", [NS1, MMLSH])
     def test_a_plan_of_empty_ranges_bills_nothing(self, monkeypatch, strategy):
         plans = [[], [(0, 1, np.array([[0, 3, 3], [1, 5, 2]])), (1, 4, np.array([[0, 1, 0]]))]]
         assert self.replay_counted(monkeypatch, strategy, self.INDEX, plans, 10_000) == 0
@@ -1266,11 +1324,12 @@ class TestScheduling:
         def check(case):
             index, plan, splits = case
             keys = BufferKeys(index)
-            want, segments = [], 0  # the reference segments, walked pass by pass
+            want, walked, segments = [], [], 0  # the reference segments, walked pass by pass
             for g, R, ranges in plan:
                 reference = reference_split_queries(ranges.tolist(), splits)
                 ids = index.occupied[g][0]
-                want += [keys.key(g, R, ids[p]) for p in visit_order(reference, ids)]
+                walked += [[keys.key(g, R, ids[p]) for p in visit_order([seg], ids)]
+                           for seg in reference]
                 segments += len(reference)
                 seen["empty"] += int((ranges[:, 2] <= ranges[:, 1]).sum())
                 seen.update(fold_cases(ranges.tolist()))
@@ -1278,9 +1337,19 @@ class TestScheduling:
                 seen["wide end"] += splits > 1 and any(
                     hi - lo > 2**53 and bisect_left(ids, hi - 60) < bisect_left(ids, hi + 61)
                     for _qi, lo, hi in ranges.tolist())
+            walked = [seg for seg in walked if seg]  # the segments that hold an occupied id
+            want = [key for seg in walked for key in seg]
             order = split_queries(plan, splits, index)
             assert order.keys[order.accesses()].tolist() == want
+            assert len(order) == len(want)
             assert order.segments == segments  # empty segments count too
+            # the folded segments, each copy walked in turn, are the reference's segments
+            starts = np.cumsum(order.widths) - order.widths
+            folded = [order.keys[order.visits[a:a + w]].tolist()
+                      for a, w in zip(starts.tolist(), order.widths.tolist())]
+            assert [seg for seg, c in zip(folded, order.copies.tolist())
+                    for _ in range(c)] == walked
+            seen["folded copies"] += int((order.copies > 1).sum())
             # what the billing reads: each key's size, use count and first and last access
             distinct = order.keys.tolist()
             assert distinct == sorted(set(want))
@@ -1302,6 +1371,7 @@ class TestScheduling:
         # wider than 2**53, and rows that repeat the row before them, or the one before that
         assert all(seen[name] > 20 for name in ("repeated pass", "projections", "empty",
                                                 "misses every id", "far", "wide end")), seen
+        assert seen["folded copies"] > 100, seen
         assert all(seen[case] > 100 for case in FOLD_CASES), seen
 
     # each plan pass by pass as (g, R, rows), over OCCUPIED: a plan without passes, one of
@@ -1330,13 +1400,23 @@ class TestScheduling:
         plans = [plan, plan[:2], []]
         assert schedule_ns2(plans, index) == oracle_ns2_batch(plans, index)
         if name != "one-row passes":  # nothing to read, so no access and no check
-            assert not order.keys.size and order.segments == 0 and not order.by_key.size
+            assert not order.keys.size and order.segments == 0 and not len(order) and not order.visits.size
             assert schedule_ns2(plans, index) == ([], [], [], [0, 0, 0])
 
     def test_split_rejects_zero_splits(self):
         index = OccupiedIndex({0: ([1, 2], [1, 1])})
         with pytest.raises(ValueError):
             split_queries([(0, 1, np.array([[0, 0, 4]]))], 0, index)
+
+
+def bisect_region(edges, bucket):
+    """Oracle: the region of a bucket id, by Python integers: ceil(edges[r]) <= id < ceil(edges[r + 1]).
+
+    Ids below the first cut fall in region 0 and ids past the last in the
+    last region.
+    """
+    cuts = [math.ceil(edge) for edge in edges.tolist()]
+    return min(max(bisect_right(cuts, bucket) - 1, 0), len(cuts) - 2)
 
 
 def reference_profile(index, dataset, num_queries, regions, seed):
@@ -1463,6 +1543,54 @@ class TestFrequencyProfile:
         assert float(cut - 1) == edges[1]  # a float comparison would put cut - 1 in region 1
         assert [profile.region_of(0, b) for b in (cut - 1, cut)] == [0, 1]
         assert profile.frequency(0, cut - 1) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_demand_table_holds_each_occupied_buckets_admission_demand(self, data):
+        """max(0, frequency - 1) at each id's (g, rank), and 0 past g's last rank.
+
+        Ids lie on and beside the integer cuts, also beyond 2**53, where a
+        float comparison could put an id in another region.
+        """
+        base = data.draw(st.sampled_from([0, -7, 2**53 - 4, 2**53 + 1, 2**62 - 40, -(2**62)]))
+        projections = data.draw(st.integers(1, 3))
+        regions = data.draw(st.integers(1, 5))
+        near = st.integers(base - 40, base + 40)
+        edges = np.sort(np.array(data.draw(st.lists(
+            st.lists(near, min_size=regions + 1, max_size=regions + 1),
+            min_size=projections, max_size=projections)), dtype=np.float64), axis=1)
+        means = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.25]), min_size=regions,
+                     max_size=regions), min_size=projections, max_size=projections)))
+        profile = FrequencyProfile(edges=edges, means=means)
+        by_cuts = st.sampled_from(sorted({math.ceil(edge) + d for edge in edges.ravel().tolist()
+                                          for d in (-1, 0)}))
+        occupied = [sorted(data.draw(st.sets(st.one_of(near, by_cuts), min_size=1, max_size=30)))
+                    for _ in range(projections)]
+        index = OccupiedIndex({g: (ids, [1] * len(ids)) for g, ids in enumerate(occupied)})
+        table = _MmlshEvictor(profile, index).demand
+        assert table.shape == (projections, max(map(len, occupied))) and table.dtype == np.float64
+        for g, ids in enumerate(occupied):
+            want = [max(0.0, float(means[g, bisect_region(edges[g], b)]) - 1.0) for b in ids]
+            assert table[g, :len(ids)].tolist() == want
+            assert want == [max(0.0, float(profile.frequency(g, b)) - 1.0) for b in ids]
+            assert not table[g, len(ids):].any()
+
+    def test_key_space_and_demand_table_are_built_once_per_index_and_profile(self, monkeypatch):
+        calls = Counter()
+        counting(monkeypatch, OccupiedIndex, "occupied_buckets", calls)
+        index, profile = OccupiedIndex({0: ([1, 4], [1, 1]), 1: ([2], [3])}), uniform_profile(2)
+        plan = [(0, 1, np.array([[0, 0, 5]])), (1, 2, np.array([[0, 2, 3]]))]
+        for _ in range(3):
+            split_queries(plan, 3, index)
+            schedule_ns2([plan], index)
+        table = _MmlshEvictor(profile, index).demand
+        assert calls["occupied_buckets"] == index.m  # read once, for the index's key space
+        assert _MmlshEvictor(profile, index).demand is table
+        assert _MmlshEvictor(uniform_profile(2), index).demand is not table
+        other = OccupiedIndex(index.occupied)
+        assert _MmlshEvictor(profile, other).demand is not table
+        assert calls["occupied_buckets"] == 2 * index.m
 
     def test_save_load_roundtrip(self, small_dataset, small_index, tmp_path):
         profile = build_frequency_profile(small_index, small_dataset, num_queries=100, seed=1)

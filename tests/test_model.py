@@ -74,14 +74,14 @@ def test_unknown_object_id_is_a_typed_error(small_dataset):
 
 
 def test_coords_and_norm_table_are_read_only():
-    """Nothing writes the points under the dataset's norm table; the caller's array keeps its flag."""
+    """Nothing writes the points under the dataset's norm table; the caller's array is copied."""
     coords = np.array([[3.0, 4.0], [1e20, -1e20], [0.0, 2.0], [1e-30, 0.5]], dtype=np.float32)
     dataset = mmlsh.Dataset(coords, [0, 0, 1, 1])
     with pytest.raises(ValueError, match="read-only"):
         dataset.coords[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         dataset.sq_norms[0] = 1.0
-    assert coords.flags.writeable and np.shares_memory(dataset.coords, coords)
+    assert coords.flags.writeable and not np.shares_memory(dataset.coords, coords)
     with np.errstate(over="ignore"):  # the second row squares past float32
         want = np.einsum("ij,ij->i", coords, coords)
     assert np.isinf(want[1]) and dataset.sq_norms.dtype == np.float32

@@ -298,6 +298,19 @@ class TestGammaDistances:
         assert ran and set(ran) == {np.float32}
         assert got.tobytes() == per_object_gamma_distances(q, dataset, ranks, 0.7).tobytes()
 
+    def test_scaling_the_callers_array_afterwards_changes_no_distance(self):
+        # the dataset keeps its own copy of the coordinates, so the caller's later write
+        # leaves them, and the norms summed from them, as they were
+        source = mmlsh.synth_dataset(40, 10, 8, 0.1, seed=4)
+        coords = np.array(source.coords)
+        dataset = mmlsh.Dataset(coords, source.object_ids[source.point_object_index])
+        coords *= 30
+        assert dataset.coords.tobytes() == source.coords.tobytes()
+        q = mmlsh.QueryObject.from_object(dataset, 11).coords
+        ranks = np.arange(dataset.num_objects)
+        got = mmlsh.gamma_distances(q, dataset, ranks, 0.7)
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, ranks, 0.7).tobytes()
+
     def test_a_query_float32_does_not_hold_takes_the_float64_product(self):
         dataset = mmlsh.synth_dataset(20, 10, 4, 0.1, seed=6)
         q = np.random.default_rng(6).normal(size=(5, 4))  # float64 values
