@@ -669,8 +669,7 @@ class _Layout:
         self.projections, self.g_rank = np.unique(gs, return_inverse=True)
         by_g = np.argsort(self.g_rank, kind="stable")  # the passes of one g run together
         self.lengths = lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
-        rows = np.concatenate(arrays)[expand_ranges((np.cumsum(lengths) - lengths)[by_g],
-                                                    lengths[by_g])]
+        rows = np.concatenate([arrays[p] for p in by_g.tolist()])
         row_pass = np.repeat(by_g, lengths[by_g])
         kept, self.copies = fold_repeats(rows, row_pass)
         self.lo, self.hi, self.kept_pass = rows[kept, 1], rows[kept, 2], row_pass[kept]

@@ -975,8 +975,8 @@ class TestNoEvictReplay:
 
         def live(policy):
             resident = policy.resident
-            heap = {(f, k, t) for f, k, t in policy.heap
-                    if k in resident and (resident[k].insert_tick, resident[k].est_frequency) == (t, f)}
+            heap = {(f, k, t) for f, k, t in policy.heap if k in resident
+                    and (resident[k].insert_tick, resident[k].est_frequency) == (t, f)}
             young = [(t, k) for t, k in policy.young
                      if k in resident and resident[k].insert_tick == t]
             return heap, young, policy.bound
@@ -1400,7 +1400,8 @@ class TestScheduling:
         plans = [plan, plan[:2], []]
         assert schedule_ns2(plans, index) == oracle_ns2_batch(plans, index)
         if name != "one-row passes":  # nothing to read, so no access and no check
-            assert not order.keys.size and order.segments == 0 and not len(order) and not order.visits.size
+            assert not order.keys.size and order.segments == 0
+            assert not len(order) and not order.visits.size
             assert schedule_ns2(plans, index) == ([], [], [], [0, 0, 0])
 
     def test_split_rejects_zero_splits(self):
@@ -1410,7 +1411,7 @@ class TestScheduling:
 
 
 def bisect_region(edges, bucket):
-    """Oracle: the region of a bucket id, by Python integers: ceil(edges[r]) <= id < ceil(edges[r + 1]).
+    """Oracle: the region r of a bucket id, ceil(edges[r]) <= id < ceil(edges[r + 1]), in ints.
 
     Ids below the first cut fall in region 0 and ids past the last in the
     last region.
