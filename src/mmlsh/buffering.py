@@ -548,9 +548,10 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     """
     if splits < 1:
         raise ValueError("splits must be >= 1")
+    none = np.empty(0, dtype=np.int64)
     layout = _Layout(plan, index) if plan else None
     if layout is None or not len(layout.lo):  # no segment, so no access
-        return _no_accesses(0)
+        return PlanOrder(none, [], none, none, none, none, none, none, 0)
     seg_pass, start, end, copies = layout.kept_pass, layout.lo, layout.hi, layout.copies
     if splits > 1:
         # segment j of n starts at lo + round(j * (width / n)), with np.linspace's float64
@@ -568,8 +569,6 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     # is query-index order, and lexsort is stable, so ties fall in query-index order.
     order = np.lexsort((start, seg_pass))
     order = order[widths[order] > 0]  # the segments that hold an occupied bucket
-    if not len(order):
-        return _no_accesses(segments)
     key_lo, widths, copies = key_lo[order], widths[order], copies[order]
     span = widths * copies  # the accesses of a segment's copies
     begin = np.cumsum(span) - span  # each segment's first access
@@ -586,11 +585,6 @@ def split_queries(plan, splits: int, index) -> PlanOrder:
     visits[by_key] = np.repeat(np.arange(len(keys)), counts)
     return PlanOrder(keys, layout.sizes(keys).tolist(), first, last, uses, visits, widths, copies,
                      segments)
-
-
-def _no_accesses(segments: int) -> PlanOrder:
-    none = np.empty(0, dtype=np.int64)
-    return PlanOrder(none, [], none, none, none, none, none, none, segments)
 
 
 class _KeySpace:
