@@ -235,6 +235,17 @@ def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:
     Each projection draws from its own spawned substream, so construction is
     reproducible and could be parallelized per projection without changing
     the result.
+
+    Each projection is sorted once, on a narrow key: a point's offset from
+    the projection's lowest base bucket. Subtracting one constant keeps the
+    order of the buckets and of their ties, so one stable argsort of the
+    offsets groups the rows exactly as a stable argsort of the buckets
+    does, and the occupied ids and their counts are read off the sorted
+    run. The offsets are cast to the smallest unsigned type that holds the
+    largest one: numpy sorts keys of 16 bits or fewer with a radix sort,
+    and a projection of the benchmark spans a few dozen buckets. Clamped
+    buckets can span 2**62 - (-2**62) = 2**63, one more than int64 holds,
+    so the offsets are taken in uint64, where that span fits.
     """
     if data.n == 0:
         raise ValueError("cannot index an empty dataset")
@@ -247,11 +258,19 @@ def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:
         a[g] = rng.normal(0.0, 1.0, size=d)
         b[g] = rng.uniform(0.0, params.w)
     raw = hash_points(data.coords, a, b, params.w)  # (n, m)
+    lows, highs = raw.min(axis=0), raw.max(axis=0)
     point_rows = np.empty((params.m, data.n), dtype=np.int64)
+    bucket_ids, bucket_counts = [], []
     for g in range(params.m):
-        point_rows[g] = np.argsort(raw[:, g], kind="stable")
-    bucket_ids, bucket_counts = zip(*(np.unique(raw[:, g], return_counts=True)
-                                      for g in range(params.m)))
+        column = raw[:, g]
+        offsets = column.view(np.uint64) - lows[g:g + 1].view(np.uint64)  # mod 2**64: 0 .. 2**63
+        key = offsets.astype(np.min_scalar_type(int(highs[g]) - int(lows[g])), copy=False)
+        order = np.argsort(key, kind="stable")
+        point_rows[g] = order
+        run = key[order]
+        firsts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+        bucket_ids.append(column[order[firsts]])
+        bucket_counts.append(np.diff(firsts, append=data.n))
     return LshIndex(params=params, a=a, b=b, bucket_ids=bucket_ids, bucket_counts=bucket_counts,
                     point_rows=point_rows, seed=seed)
 

@@ -31,6 +31,9 @@ class Dataset:
     them, `object_sizes`, and the CSR pair `object_rows`/`object_offsets`:
     the rows of the object at index j are
     object_rows[object_offsets[j]:object_offsets[j + 1]], ascending.
+    `object_rows` is one stable argsort of the object indices, cast to the
+    smallest unsigned type that holds S - 1, so that S <= 65,536 objects
+    sort by numpy's radix sort.
     """
 
     def __init__(self, coords, point_objects):
@@ -53,7 +56,8 @@ class Dataset:
         self.dimension = coords.shape[1]
         self.object_ids, self.point_object_index = np.unique(point_objects, return_inverse=True)
         self.object_sizes = np.bincount(self.point_object_index, minlength=len(self.object_ids))
-        self.object_rows = np.argsort(self.point_object_index, kind="stable")
+        narrow = self.point_object_index.astype(np.min_scalar_type(len(self.object_ids) - 1))
+        self.object_rows = np.argsort(narrow, kind="stable")
         self.object_offsets = np.concatenate(([0], np.cumsum(self.object_sizes)))
 
     @property

@@ -193,6 +193,35 @@ class TestBuildIndex:
                                                       coords[row])
             assert np.all(np.diff(buckets[g]) >= 0)
 
+    @pytest.mark.parametrize("scale, far, key", [(10, False, np.uint8), (2e3, False, np.uint16),
+                                                 (1e7, False, np.uint32), (10, True, np.uint64)])
+    def test_tables_equal_a_stable_argsort_and_unique(self, scale, far, key):
+        """Rows, ids and counts against a stable argsort and `np.unique` of buckets hashed afresh.
+
+        Each base point appears three times, shuffled, so every bucket holds
+        ties that only a stable sort keeps in row order. The scale makes every
+        projection's offsets need `key`; the far points clamp to both edges,
+        a span of 2**63.
+        """
+        rng = np.random.default_rng(7)
+        base = rng.uniform(-scale, scale, size=(40, 2))
+        if far:
+            base = np.vstack([base, [[3e19, 0], [-3e19, 0], [0, 3e19], [0, -3e19]]])
+        coords = rng.permutation(np.repeat(base, 3, axis=0)).astype(np.float32)
+        ds = mmlsh.Dataset(coords, np.arange(len(coords)) // 4)
+        idx = mmlsh.build_index(ds, mmlsh.derive_params(0.3, 0.5, 2, 2.184), seed=4)
+        hashed = idx.hash_query(ds.coords)  # (n, m), not read from the table
+        spans = [int(column.max()) - int(column.min()) for column in hashed.T]
+        assert {np.min_scalar_type(span) for span in spans} == {np.dtype(key)}
+        assert (2 ** 63 in spans) == far
+        assert idx.point_rows.dtype == np.int64
+        for g in range(idx.m):
+            assert np.array_equal(idx.point_rows[g], np.argsort(hashed[:, g], kind="stable"))
+            ids, counts = np.unique(hashed[:, g], return_counts=True)
+            assert np.array_equal(idx.bucket_ids[g], ids)
+            assert np.array_equal(idx.bucket_counts[g], counts)
+            assert idx.bucket_ids[g].dtype == idx.bucket_counts[g].dtype == np.int64
+
     def test_each_point_once_per_projection(self, small_index):
         for g in range(small_index.m):
             assert sorted(small_index.point_rows[g]) == list(range(small_index.n))
@@ -217,14 +246,18 @@ class TestBuildIndex:
         assert abs(rate - p1) <= 3 * stderr
 
 
+def far_point_index():
+    """Five one-point objects, the last with a coordinate at 3e19, and their index."""
+    coords = [[0.0, 0.0], [0.5, 0.1], [-0.3, 0.8], [1.0, -1.0], [3e19, 0.0]]
+    ds = mmlsh.Dataset(np.array(coords, dtype=np.float32), np.arange(5))
+    params = mmlsh.derive_params(0.3, 0.5, 2, 2.184)
+    return ds, mmlsh.build_index(ds, params, seed=1)
+
+
 class TestHashPoints:
     @pytest.fixture(scope="class")
     def far_point_setup(self):
-        """Five one-point objects; the last has a coordinate at 3e19."""
-        coords = [[0.0, 0.0], [0.5, 0.1], [-0.3, 0.8], [1.0, -1.0], [3e19, 0.0]]
-        ds = mmlsh.Dataset(np.array(coords, dtype=np.float32), np.arange(5))
-        params = mmlsh.derive_params(0.3, 0.5, 2, 2.184)
-        return ds, mmlsh.build_index(ds, params, seed=1)
+        return far_point_index()
 
     def test_no_bucket_wraps_to_int64_min(self, far_point_setup):
         _ds, idx = far_point_setup
@@ -541,6 +574,20 @@ class TestLevelCap:
     def test_widest_level_fits(self, c):
         levels = mmlsh.level_cap(c)
         assert c ** levels <= 2 ** 62 < c ** (levels + 1)
+
+
+class TestGoldenIndexFile:
+    """`save_index` output, byte for byte, as the build wrote it when it sorted each
+    projection twice (a stable argsort of the int64 buckets and `np.unique`)."""
+
+    SHA256 = {"small": "3f0b1cb736949737fce80519c44ae81a6a5177e8cc78951d576ef3b85afda5e3",
+              "far_point": "afe26e03336d669850eca92d2dbdc628b919cd386f7943eda60db53feae3efad"}
+
+    @pytest.mark.parametrize("name", sorted(SHA256))
+    def test_saved_file_is_unchanged(self, small_index, tmp_path, name):
+        index = small_index if name == "small" else far_point_index()[1]
+        mmlsh.save_index(index, tmp_path / "idx.bin")
+        assert hashlib.sha256((tmp_path / "idx.bin").read_bytes()).hexdigest() == self.SHA256[name]
 
 
 class TestPersistence:

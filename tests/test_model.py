@@ -228,6 +228,18 @@ def test_interleaved_objects_match_the_mask_reference(tmp_path_factory, seed, n,
     assert np.array_equal(back.object_ids[back.point_object_index], owners)
 
 
+@pytest.mark.parametrize("S", [200, 300, 70_000])
+def test_object_rows_equal_a_stable_argsort_of_the_owners(S):
+    """Two points per object, interleaved: object indices need a uint8, uint16 or uint32 key."""
+    rng = np.random.default_rng(S)
+    ids = rng.choice(2 ** 40, size=S, replace=False) - 2 ** 39
+    owners = rng.permutation(np.repeat(ids, 2))
+    ds = mmlsh.Dataset(np.zeros((len(owners), 1), dtype=np.float32), owners)
+    assert np.array_equal(ds.object_rows, np.argsort(owners, kind="stable"))
+    assert ds.object_rows.dtype == np.intp
+    assert np.array_equal(ds.object_offsets, np.arange(0, 2 * S + 1, 2))
+
+
 def reference_synth_coords(S, points_per_object, d, cluster_spread, seed):
     """Synthetic coordinates drawn one object at a time, as the generator once did."""
     rng = np.random.default_rng(seed)
