@@ -263,7 +263,7 @@ def build_index(data: Dataset, params: LshParams, seed: int) -> LshIndex:
     bucket_ids, bucket_counts = [], []
     for g in range(params.m):
         column = raw[:, g]
-        offsets = column.view(np.uint64) - lows[g:g + 1].view(np.uint64)  # mod 2**64: 0 .. 2**63
+        offsets = column.view(np.uint64) - lows.view(np.uint64)[g]  # mod 2**64: 0 .. 2**63
         key = offsets.astype(np.min_scalar_type(int(highs[g]) - int(lows[g])), copy=False)
         order = np.argsort(key, kind="stable")
         point_rows[g] = order

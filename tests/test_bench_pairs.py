@@ -44,7 +44,7 @@ def test_medians_change_and_pairs_won_follow_better():
     assert ok
     table = rows(lines)
     assert set(table) == {"setup_s", "queries_per_s"}  # peak_rss_mb is not in BETTER
-    assert table["setup_s"][:4] == ["0.55", "0.45", "-18.2", "3/3"]
+    assert table["setup_s"] == ["0.55", "0.45", "-18.2", "3/3", "0.1", "0.1"]  # IQRs last
     assert table["queries_per_s"][:4] == ["42", "41", "-2.4", "2/3"]
 
 

@@ -8,7 +8,7 @@ process at a time; the parent runs first on the first seed, the change on
 the next, and so on. Then, for each end-to-end metric that
 `BENCHMARK.json` names, one line gives the parent's and the change's
 median over the pairs, the change in %, the pairs the change won (by the
-metric's `better`) and the parent's interquartile range. The exit code is
+metric's `better`) and each side's interquartile range. The exit code is
 1 when a run is not `correct: true`, or when the `fingerprint.*` lines of
 the two runs of a pair differ. Standard library only.
 """
@@ -71,16 +71,23 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> tuple[lis
                 pair[0].append(entry["value"])
                 pair[1].append(runs[1][0]["metrics"][name]["value"])
     lines.append(f"{'metric':<36} {'parent':>12} {'change':>12} {'change %':>9} {'won':>7} "
-                 f"{'parent IQR':>12}")
+                 f"{'parent IQR':>11} {'change IQR':>11}")
     for name, (parent, change) in values.items():
         lower = better[name.rpartition("/")[2]] == "lower"
         won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         before, after = statistics.median(parent), statistics.median(change)
         pct = f"{100 * (after - before) / before:+.1f}" if before else "n/a"
-        quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else [parent[0]] * 3
         lines.append(f"{name:<36} {before:>12.6g} {after:>12.6g} {pct:>9} "
-                     f"{f'{won}/{len(parent)}':>7} {quartiles[2] - quartiles[0]:>12.4g}")
+                     f"{f'{won}/{len(parent)}':>7} {spread(parent):>11.4g} {spread(change):>11.4g}")
     return lines, ok
+
+
+def spread(values: list[float]) -> float:
+    """The distance between the first and third quartiles, 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    first, _, third = statistics.quantiles(values, n=4)
+    return third - first
 
 
 def run(checkout: Path, workload: str, seed: int) -> str:
