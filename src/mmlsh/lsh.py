@@ -142,7 +142,10 @@ def hash_points(coords, a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
     Clamped to +-BUCKET_LIMIT before the int64 cast, so an extreme coordinate
     lands in an edge bucket instead of wrapping around.
     """
-    raw = np.floor((np.asarray(coords, dtype=np.float64) @ a.T + b) / w)
+    raw = np.asarray(coords, dtype=np.float64) @ a.T  # a new array: the steps below write into it
+    raw += b
+    raw /= w
+    np.floor(raw, out=raw)
     return np.clip(raw, -BUCKET_LIMIT, BUCKET_LIMIT, out=raw).astype(np.int64)
 
 

@@ -16,17 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeatureFileError, NonFiniteCoordinateError, ObjectMapError, UnknownObjectError
-from .similarity import squared_norms
+from .similarity import augmented
 
 class Dataset:
     """Immutable feature points grouped into objects.
 
-    `coords` is the (n, d) float32 matrix, one row per point, a read-only
-    copy of the caller's array, so writes to that array later leave the
-    dataset and its norms as they were. `sq_norms` is the read-only (n,) float32
-    squared norm of each row (`similarity.squared_norms`, inf where it
-    overflows), summed once here for the float32 products of the exact
-    object distances. Derived from the owner array: the sorted distinct
+    `augmented` is the read-only (n, d + 2) float32 table [x | ||x||^2 | 1],
+    one row per point x: its coordinates, its squared norm
+    (`similarity.augmented`, inf where it overflows) and a 1. It is the
+    data side of the float32 products of the exact object distances, which
+    thus take a row's norm inside one matrix product. It is filled from the
+    caller's array, so writes to that array later leave the dataset as it
+    was. `coords`, the (n, d) points, and `sq_norms`, the (n,) squared norms,
+    are read-only views of it: the table adds 4n B and no second copy of the
+    points. Derived from the owner array: the sorted distinct
     `object_ids`, each row's dense object index `point_object_index` into
     them, `object_sizes`, and the CSR pair `object_rows`/`object_offsets`:
     the rows of the object at index j are
@@ -37,7 +40,7 @@ class Dataset:
     """
 
     def __init__(self, coords, point_objects):
-        coords = np.array(coords, dtype=np.float32)  # a private copy that no caller can write
+        coords = np.asarray(coords, dtype=np.float32)
         point_objects = np.asarray(point_objects, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] < 1:
             raise ValueError(f"coords must be an (n, d) matrix with d >= 1, got shape {coords.shape}")
@@ -49,11 +52,11 @@ class Dataset:
         bad = _first_non_finite(coords)
         if bad is not None:
             raise NonFiniteCoordinateError(f"point {bad} has a non-finite coordinate")
-        self.coords = coords
-        self.coords.flags.writeable = False
-        self.sq_norms = squared_norms(coords)
-        self.sq_norms.flags.writeable = False
-        self.dimension = coords.shape[1]
+        d = coords.shape[1]
+        table = augmented(coords)  # a new array that no caller can write
+        table.flags.writeable = False  # before the views are taken, so that they inherit it
+        self.augmented, self.coords, self.sq_norms = table, table[:, :d], table[:, d]
+        self.dimension = d
         self.object_ids, self.point_object_index = np.unique(point_objects, return_inverse=True)
         self.object_sizes = np.bincount(self.point_object_index, minlength=len(self.object_ids))
         narrow = self.point_object_index.astype(np.min_scalar_type(len(self.object_ids) - 1))

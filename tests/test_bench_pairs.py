@@ -73,3 +73,27 @@ def test_a_wrong_run_or_differing_fingerprints_fail_the_summary(parent, change):
 def test_seeds_parse_as_an_inclusive_range():
     assert tool.parse_seeds("902-905") == [902, 903, 904, 905]
     assert tool.parse_seeds("9") == [9]
+
+
+def test_save_writes_each_runs_final_line(tmp_path, monkeypatch, capsys):
+    canned = {("parent", 9): output(0.5, 40.0), ("change", 9): output(0.4, 41.0),
+              ("parent", 10): output(0.6, 42.0), ("change", 10): output(0.45, 41.0)}
+    monkeypatch.setattr(tool, "run", lambda checkout, workload, seed: canned[checkout.name, seed])
+    saved = tmp_path / "runs"
+    code = tool.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                      "evict-large", "--seeds", "9-10", "--save", str(saved)])
+    assert code == 0
+    assert sorted(p.name for p in saved.iterdir()) == [
+        "change-evict-large-10.json", "change-evict-large-9.json",
+        "parent-evict-large-10.json", "parent-evict-large-9.json"]
+    for (side, seed), stdout in canned.items():
+        text = (saved / f"{side}-evict-large-{seed}.json").read_text()
+        assert text == stdout.splitlines()[-1] + "\n"  # the line the summary compared
+        assert json.loads(text) == tool.parse_run(stdout)[0]
+    assert "setup_s" in capsys.readouterr().out
+
+
+def test_save_skips_a_run_without_a_final_json_line(tmp_path):
+    tool.save_run(tmp_path, "change", "fit-small", 9, "env {}\nTraceback\n")
+    tool.save_run(tmp_path, "change", "fit-small", 10, "")
+    assert list(tmp_path.iterdir()) == []

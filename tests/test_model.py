@@ -81,7 +81,15 @@ def test_coords_and_norm_table_are_read_only():
         dataset.coords[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         dataset.sq_norms[0] = 1.0
-    assert coords.flags.writeable and not np.shares_memory(dataset.coords, coords)
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.augmented[0, 0] = 1.0
+    assert coords.flags.writeable and not np.shares_memory(dataset.augmented, coords)
+    # one table: the points, their norms and a column of 1s, with coords and sq_norms its views
+    assert dataset.augmented.shape == (4, 4) and dataset.augmented.dtype == np.float32
+    assert dataset.coords.base is dataset.augmented and dataset.sq_norms.base is dataset.augmented
+    assert dataset.augmented[:, :2].tobytes() == coords.tobytes()
+    assert dataset.augmented[:, 2].tobytes() == dataset.sq_norms.tobytes()
+    assert np.all(dataset.augmented[:, 3] == 1)
     with np.errstate(over="ignore"):  # the second row squares past float32
         want = np.einsum("ij,ij->i", coords, coords)
     assert np.isinf(want[1]) and dataset.sq_norms.dtype == np.float32

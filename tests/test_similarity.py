@@ -1,5 +1,6 @@
 import contextlib
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,48 @@ class TestEuclidean:
         assert euclidean(q[rows], x).tobytes() == want[rows, np.arange(len(x))].tobytes()
 
 
+def worst_case_rounding(a, b, dtype) -> float:
+    """Higham's bound on the product's rounding, from the true norms of a and b.
+
+    One entry is a dot product of d + 2 terms, [x | ||x||^2 | 1] . [-2 q | 1 |
+    ||q||^2], whose terms sum to at most (1 + gamma_d) (||x|| + ||q||)^2 once
+    the norms carry their own rounding, gamma_d (||x||^2 + ||q||^2).
+    """
+    d = a.shape[1]
+    u = float(np.finfo(dtype).eps) / 2
+    gamma = lambda n: n * u / (1 - n * u)
+    reach = (np.linalg.norm(np.asarray(a, dtype=np.float64), axis=1).max()
+             + np.linalg.norm(np.asarray(b, dtype=np.float64), axis=1).max()) ** 2
+    return float((gamma(d + 2) * (1 + gamma(d)) + gamma(d)) * reach)
+
+
+class TestApproxSqDists:
+    """Every safe product's S lies within its eta of the squared `cdist` value, pair by pair."""
+
+    @given(point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_every_pair_is_within_eta(self, case):
+        q, x = case
+        for dtype in (np.float32, np.float64):
+            with np.errstate(over="ignore"):
+                q_p, x_p = q.astype(dtype), x.astype(dtype)
+            if not (np.array_equal(q_p, q) and np.array_equal(x_p, x)):
+                continue  # float32 does not hold the points: no float32 product is taken
+            table = similarity.augmented(x_p)
+            for a, b, tables in ((q_p, x_p, ()), (x_p, q_p, ()),
+                                 (x_p, q_p, (table, None)), (q_p, x_p, (None, table))):
+                approx = similarity._approx_sq_dists(a, b, *tables)
+                if approx is None:
+                    continue
+                sq, eta = approx
+                assert sq.dtype == dtype and sq.shape == (len(a), len(b))
+                assert eta >= worst_case_rounding(a, b, dtype) * (1 - 2.0 ** -40)
+                exact = cdist(a.astype(np.float64), b.astype(np.float64))
+                bound = Fraction(eta)
+                assert all(abs(Fraction(s) - Fraction(c) ** 2) <= bound
+                           for s, c in zip(sq.ravel().tolist(), exact.ravel().tolist()))
+
+
 class TestCollisionIndex:
     def test_all_qualify(self):
         assert collision_index(np.full((3, 3), 10), threshold=5) == 1.0
@@ -220,7 +263,7 @@ def ragged_case(draw):
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
     ids = draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=len(sizes),
                         max_size=len(sizes), unique=True))
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5) | st.just(32))  # 32: the benchmark's dimension
     q_size = draw(st.integers(1, 7))
     kind = draw(st.sampled_from(KINDS))
     scale = draw(st.floats(1e-3, 1e3) if kind in ("plain", "duplicates") else
@@ -262,14 +305,29 @@ def products():
 
 
 @contextlib.contextmanager
-def handed_norms():
-    """Record (a, b, aa, bb) of every product `similarity` tries, safe or not."""
+def returned(name):
+    """Record (args, return value) of every call to similarity.<name>, which still runs."""
+    calls = []
+    wrapped = getattr(similarity, name)
+
+    def recording(*args, **kwargs):
+        result = wrapped(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    with mock.patch.object(similarity, name, recording):
+        yield calls
+
+
+@contextlib.contextmanager
+def handed_tables():
+    """Record (a, b, a_table, b_table) of every product `similarity` tries, safe or not."""
     calls = []
     approx_sq_dists = similarity._approx_sq_dists
 
-    def recording(a, b, aa=None, bb=None):
-        calls.append((a, b, aa, bb))
-        return approx_sq_dists(a, b, aa, bb)
+    def recording(a, b, a_table=None, b_table=None):
+        calls.append((a, b, a_table, b_table))
+        return approx_sq_dists(a, b, a_table, b_table)
 
     with mock.patch.object(similarity, "_approx_sq_dists", recording):
         yield calls
@@ -329,9 +387,9 @@ class TestGammaDistances:
         blocks = []
         block_gamma_distances = similarity._block_gamma_distances
 
-        def recording_block(q, x, *rest):
-            blocks.append(np.array(x))
-            return block_gamma_distances(q, x, *rest)
+        def recording_block(q, x_rows, *rest):
+            blocks.append(np.array(x_rows))
+            return block_gamma_distances(q, x_rows, *rest)
 
         monkeypatch.setattr(similarity, "BLOCK_PAIRS", 81)  # two objects of 40 pairs
         monkeypatch.setattr(similarity, "_block_gamma_distances", recording_block)
@@ -342,7 +400,7 @@ class TestGammaDistances:
         assert [len(x) for x in blocks] == [20] * 12 + [10]
         want_rows = np.concatenate([dataset.object_coords(int(dataset.object_ids[r]))
                                     for r in ranks])
-        assert np.array_equal(np.concatenate(blocks), want_rows)
+        assert np.array_equal(np.concatenate(blocks)[:, :4], want_rows)
         want = per_object_gamma_distances(q, dataset, ranks, 0.4)
         assert got.tobytes() == want.tobytes()
 
@@ -379,20 +437,22 @@ class TestGammaDistances:
         assert got.tobytes() == per_object_gamma_distances(q, dataset, [1, 0, 1], 0.7).tobytes()
 
     def test_float32_products_read_the_dataset_norm_table(self):
-        """No float32 product sums data norms: each is handed `sq_norms` of its rows."""
+        """No float32 product sums data norms: each is handed its rows of `augmented`."""
         dataset = mmlsh.synth_dataset(60, 15, 8, 0.1, seed=4)
         q = mmlsh.QueryObject.from_object(dataset, 11).coords
         row_of = {row.tobytes(): i for i, row in enumerate(dataset.coords)}
         assert len(row_of) == dataset.n
-        with handed_norms() as calls, spy("squared_norms") as summed:
+        with handed_tables() as calls, spy("squared_norms") as summed:
             got = mmlsh.gamma_distances(q, dataset, np.arange(60), 0.7)
             similarity.rows_within_kth(q, dataset, 9)
         assert len(calls) > 1 and {a.dtype.type for a, *_ in calls} == {np.float32}
-        for a, b, aa, bb in calls:  # the blocks' data is a, Linear-Borda's b
-            assert (aa is None) != (bb is None)
-            data, norms = (a, aa) if bb is None else (b, bb)
+        for a, b, a_table, b_table in calls:  # the blocks' data is a, Linear-Borda's b
+            assert (a_table is None) != (b_table is None)
+            data, table = (a, a_table) if b_table is None else (b, b_table)
             rows = [row_of[row.tobytes()] for row in data]
-            assert norms.tobytes() == dataset.sq_norms[rows].tobytes()
+            # the data's rows, their norms from the dataset's column, and the 1s
+            assert table.tobytes() == dataset.augmented[rows].tobytes()
+            assert table[:, -2].tobytes() == dataset.sq_norms[rows].tobytes()
         # one sum per product, of the query's points
         assert summed.call_count == len(calls)
         assert all(np.array_equal(c.args[0], q) for c in summed.call_args_list)
@@ -406,15 +466,48 @@ class TestGammaDistances:
         dataset = mmlsh.Dataset(offset + rng.normal(size=(60, 4)) * scale,
                                 np.repeat(np.arange(12), 5))
         q = (offset + rng.normal(size=(3, 4)) * scale).astype(np.float32)
-        with handed_norms() as calls, spy("squared_norms") as summed:
+        with handed_tables() as calls, spy("squared_norms") as summed:
             got = mmlsh.gamma_distances(q, dataset, np.arange(12), 0.5)
         wide = [call for call in calls if call[0].dtype == np.float64]
-        assert wide and all(aa is None and bb is None for _, _, aa, bb in wide)
+        assert wide and all(a_table is None and b_table is None for _, _, a_table, b_table in wide)
         assert [a.dtype.type for a, *_ in calls] == [np.float32] + [np.float64] * len(wide)
         assert sorted(c.args[0].dtype.name for c in summed.call_args_list) == (
             ["float32"] + ["float64"] * 2 * len(wide))
         assert got.tobytes() == per_object_gamma_distances(q, dataset, np.arange(12),
                                                            0.5).tobytes()
+
+    def test_a_negative_kth_product_is_clamped_before_the_selection(self):
+        """An object of the query's own points at k = 1: its smallest S rounds below 0.
+
+        The selection reads max(S, 0) as integers; a negative float's bits would
+        sort as a negative integer, and in reverse order of value.
+        """
+        rng = np.random.default_rng(21)
+        q = rng.normal(size=(64, 32)).astype(np.float32)
+        dataset = mmlsh.Dataset(np.vstack([q, rng.normal(size=(64, 32)) + 3]),
+                                np.repeat([1, 2], 64))
+        gamma = 1e-9  # k = 1 of 64 x 64 pairs
+        with returned("_approx_sq_dists") as products, returned("_bounds") as bounds:
+            got = mmlsh.gamma_distances(q, dataset, [0, 1], gamma)
+        assert len(products) == len(bounds) == 1  # one float32 product for both objects
+        sq = products[0][1][0].reshape(2, -1)
+        assert sq.dtype == np.float32 and sq[0].min() < 0  # the k-th S, before the clamp
+        t = bounds[0][0][0]
+        assert np.array_equal(t, np.sort(np.maximum(sq, 0), axis=1)[:, 0]) and t[0] == 0
+        assert got[0] == 0.0
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, [0, 1], gamma).tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.999])
+    def test_an_object_of_more_than_65535_pairs_counts_in_a_wider_type(self, gamma):
+        """75,000 pairs an object: the count of pairs at or above lo does not fit 16 bits."""
+        rng = np.random.default_rng(22)
+        dataset = mmlsh.Dataset(rng.normal(size=(600, 2)), np.repeat([4, 7], 300))
+        q = rng.normal(size=(250, 2)).astype(np.float32)
+        with returned("_narrowed") as narrowed:
+            got = mmlsh.gamma_distances(q, dataset, [0, 1], gamma)
+        (_, (dtype, below, _)), = narrowed
+        assert dtype is np.float32 and below.dtype == np.uint32
+        assert got.tobytes() == per_object_gamma_distances(q, dataset, [0, 1], gamma).tobytes()
 
     def test_empty_ranks_give_an_empty_array(self, small_dataset):
         q = small_dataset.object_coords(0)

@@ -10,7 +10,9 @@ the next, and so on. Then, for each end-to-end metric that
 median over the pairs, the change in %, the pairs the change won (by the
 metric's `better`) and each side's interquartile range. The exit code is
 1 when a run is not `correct: true`, or when the `fingerprint.*` lines of
-the two runs of a pair differ. Standard library only.
+the two runs of a pair differ. With `--save DIR`, each run's final JSON
+line is written to DIR/<parent|change>-<workload>-<seed>.json, so that a
+cited result file is the line the summary compared. Standard library only.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ def spread(values: list[float]) -> float:
     return third - first
 
 
+def save_run(directory: Path, side: str, workload: str, seed: int, stdout: str) -> None:
+    """Write the final line of one run's stdout to directory/<side>-<workload>-<seed>.json.
+
+    Nothing is written when that line is not JSON.
+    """
+    if parse_run(stdout)[0] is not None:
+        (directory / f"{side}-{workload}-{seed}.json").write_text(stdout.splitlines()[-1] + "\n")
+
+
 def run(checkout: Path, workload: str, seed: int) -> str:
     """Stdout of one benchmark run in `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -103,7 +114,11 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--save", type=Path, metavar="DIR",
+                        help="write each run's final JSON line to a file in DIR")
     args = parser.parse_args(argv)
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
     better = {entry["name"]: entry["better"]
               for entry in json.loads(BENCHMARK.read_text())["end_to_end"]}
     pairs = []
@@ -111,6 +126,8 @@ def main(argv=None) -> int:
         outputs = ["", ""]
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             outputs[side] = run((args.parent, args.change)[side], args.workload, seed)
+            if args.save:
+                save_run(args.save, ("parent", "change")[side], args.workload, seed, outputs[side])
         pairs.append(tuple(outputs))
         print(f"seed {seed}: {'parent' if i % 2 == 0 else 'change'} ran first", flush=True)
     lines, ok = summarize(pairs, better)
